@@ -134,6 +134,15 @@ def _load_taxonomy(config: RunConfig) -> Taxonomy:
         raise SystemExit(f"error: {exc}")
 
 
+def _report_violations(path: str, problems: list[str]) -> None:
+    shown = 5
+    print(f"error: {path}: {len(problems)} graph invariant violation(s)", file=sys.stderr)
+    for problem in problems[:shown]:
+        print(f"  {problem}", file=sys.stderr)
+    if len(problems) > shown:
+        print(f"  ... and {len(problems) - shown} more", file=sys.stderr)
+
+
 def _write_run_log(out_dir: Path, records: list[dict]) -> None:
     with (out_dir / "run_log.jsonl").open("a", encoding="utf-8") as f:
         for record in records:
@@ -169,6 +178,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
         prpr = graphmod.build_graph(result, service_id, policy_uri,
                                     taxonomy_version=taxonomy.version)
+        problems = graphmod.check_invariants(prpr, taxonomy)
+        if problems:
+            _report_violations(path, problems)
+            failures += 1
+            continue
         (out_dir / f"{service_id}.ttl").write_bytes(graphmod.serialize(prpr, "turtle"))
         (out_dir / f"{service_id}.nt").write_bytes(graphmod.serialize(prpr, "ntriples"))
         combined.update(prpr.triples)
@@ -268,8 +282,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
     except ConversionError as exc:
         raise SystemExit(f"error: {exc}")
     out_dir = config.out_dir()
+    failures = 0
     for path in args.graphs:
         g = _read_graph_file(path)
+        problems = graphmod.check_invariants(g)
+        if problems:
+            _report_violations(path, problems)
+            failures += 1
+            continue
         stem = Path(path).stem
         odrl_graph, odrl_report = to_odrl(g, profile)
         dtou_graph, dtou_report = to_psdtou(g, profile)
@@ -283,7 +303,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
               f"{dtou_report.sharing_entries} sharing entries")
         for note in odrl_report.to_dict()["unmapped_types"]:
             print(f"  unmapped practice type: {note}", file=sys.stderr)
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

@@ -23,6 +23,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -80,14 +81,25 @@ def prompt_digest(model: str, task: str, prompt: PromptMessages) -> str:
 
 
 class ResponseCache:
-    """JSONL-backed response store; writes are serialized."""
+    """JSONL-backed response store; writes are serialized.
+
+    A final line without a trailing newline that does not parse is a torn
+    append (a crash mid-write): it is skipped with a warning and cut off
+    before the next `put`.  Any other unparseable line is fatal.
+    """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
+        # byte offset to truncate to, and whether the tail lacks its newline
+        self._torn_at: Optional[int] = None
+        self._unterminated = False
         if self.path.exists():
-            for line_no, line in enumerate(self.path.read_text(encoding="utf-8").split("\n"), 1):
+            data = self.path.read_bytes()
+            cut = data.rfind(b"\n") + 1
+            lines = data[:cut].decode("utf-8").split("\n")
+            for line_no, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
                 try:
@@ -95,6 +107,16 @@ class ResponseCache:
                 except json.JSONDecodeError as exc:
                     raise BackendError(f"corrupt cache line {line_no} in {self.path}: {exc}") from exc
                 self._entries[record["key"]] = record
+            tail = data[cut:]
+            if tail.strip():
+                try:
+                    record = json.loads(tail)
+                    self._entries[record["key"]] = record
+                    self._unterminated = True
+                except ValueError:
+                    self._torn_at = cut
+                    warnings.warn(f"skipped torn last line {len(lines)} in {self.path} "
+                                  f"({len(tail)} bytes without a newline)", stacklevel=2)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -111,7 +133,13 @@ class ResponseCache:
             self._entries[record["key"]] = record
             if fresh:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)
+                    self._torn_at = None
                 with self.path.open("a", encoding="utf-8") as f:
+                    if self._unterminated:
+                        f.write("\n")
+                        self._unterminated = False
                     f.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 from . import rdfio
 from .extraction.pipeline import EntitySpan, ExtractionResult
-from .rdfio import RDF_TYPE, XSD, BNode, Graph, IRI, Literal
+from .rdfio import RDF_TYPE, XSD, BNode, Graph, IRI, Literal, Subject
 from .taxonomy import Taxonomy
 
 PPA = "urn:pp-analyze:core#"
@@ -55,6 +55,9 @@ TAXONOMY_VERSION = IRI(PPA + "taxonomyVersion")
 LABEL = IRI(RDFS + "label")
 
 PRACTICE_CLASSES = (DATA_PRACTICE, DATA_COLLECTION_USE, THIRD_PARTY_SHARING)
+# practice classes from least to most specific
+_SPECIFICITY = {DATA_PRACTICE: 0, THIRD_PARTY_SHARING: 1, DATA_COLLECTION_USE: 2}
+_PRACTICE_CLASS_NAMES = ("DataPractice", "ThirdPartySharingDisclosure", "DataCollectionUse")
 
 _SUBTYPE_CLASS = {
     "collection_use": DATA_COLLECTION_USE,
@@ -230,27 +233,37 @@ def parse_graph(data: Union[str, bytes], fmt: str = "turtle") -> Graph:
 
 # -- invariant checking --
 
+def practice_types(g: Graph) -> dict[Subject, str]:
+    """Map each practice node to the local name of its most specific class.
+
+    One scan of the triples that builds no lookup index.  A node typed with
+    several practice classes takes DataCollectionUse over
+    ThirdPartySharingDisclosure over plain DataPractice.
+    """
+    rdf_type = IRI(RDF_TYPE)
+    best: dict = {}
+    for (s, p, o) in g.triples:
+        if p == rdf_type:
+            rank = _SPECIFICITY.get(o)
+            if rank is not None and rank > best.get(s, -1):
+                best[s] = rank
+    return {s: _PRACTICE_CLASS_NAMES[rank] for s, rank in best.items()}
+
+
 def check_invariants(graph: Union[PrPrGraph, Graph],
                      taxonomy: Optional[Taxonomy] = None) -> list[str]:
     """Return a list of invariant violations (empty list = graph is sound)."""
     g = graph.triples if isinstance(graph, PrPrGraph) else graph
     problems: list[str] = []
-    rdf_type = IRI(RDF_TYPE)
 
-    practices: set = set()
-    for cls in PRACTICE_CLASSES:
-        practices |= g.subjects_of_type(cls)
-    policies = g.subjects_of_type(PRIVACY_POLICY)
-    policy_practices = {(s, o) for (s, p, o) in g.triples if p == HAS_PRACTICE}
-
-    for practice in sorted(practices, key=rdfio.term_key):
+    for practice in sorted(practice_types(g), key=rdfio.term_key):
         segments = g.objects(practice, SOURCE_SEGMENT)
         if len(segments) != 1:
             problems.append(f"{practice!r}: {len(segments)} source segment literals (want 1)")
-        owners = {s for (s, o) in policy_practices if o == practice}
+        owners = g.subjects(HAS_PRACTICE, practice)
         if len(owners) != 1:
             problems.append(f"{practice!r}: belongs to {len(owners)} policies (want 1)")
-    for policy in sorted(policies, key=rdfio.term_key):
+    for policy in sorted(g.subjects_of_type(PRIVACY_POLICY), key=rdfio.term_key):
         services = g.objects(policy, HAS_SERVICE)
         if len(services) != 1:
             problems.append(f"{policy!r}: links to {len(services)} services (want 1)")
@@ -342,19 +355,9 @@ def stats(graphs: Sequence[Union[PrPrGraph, Graph]]) -> GraphStats:
     for graph in graphs:
         g = graph.triples if isinstance(graph, PrPrGraph) else graph
         triple_count += len(g)
-        types: dict = {}
-        for cls in PRACTICE_CLASSES:
-            for subject in g.subjects_of_type(cls):
-                types.setdefault(subject, set()).add(cls)
+        types = practice_types(g)
         practice_count += len(types)
-        for classes in types.values():
-            # most specific class wins when a node carries several
-            if DATA_COLLECTION_USE in classes:
-                name = "DataCollectionUse"
-            elif THIRD_PARTY_SHARING in classes:
-                name = "ThirdPartySharingDisclosure"
-            else:
-                name = "DataPractice"
+        for name in types.values():
             practice_type_counts[name] = practice_type_counts.get(name, 0) + 1
         for (s, p, o) in g.triples:
             if p == HAS_DATA and isinstance(o, IRI):

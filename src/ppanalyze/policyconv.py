@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .graph import (
-    DATA_COLLECTION_USE,
     DATA_SHARED_WITH,
     HAS_DATA,
     HAS_PRACTICE,
@@ -27,11 +26,10 @@ from .graph import (
     NODE,
     PERFORMED_BY,
     PPA,
-    PRACTICE_CLASSES,
     PRACTICE_SUBTYPE,
     PRIVACY_POLICY,
     PrPrGraph,
-    THIRD_PARTY_SHARING,
+    practice_types,
 )
 from .rdfio import RDF_TYPE, BNode, Graph, IRI, Literal
 
@@ -125,22 +123,14 @@ class _Practice:
     recipients: tuple = ()
 
 
-def _practice_view(g: Graph, policy) -> list[_Practice]:
-    typed: dict = {}
-    for cls in PRACTICE_CLASSES:
-        for s in g.subjects_of_type(cls):
-            typed.setdefault(s, set()).add(cls)
+def _practice_view(g: Graph, policy, types: dict) -> list[_Practice]:
     out = []
     for node in sorted(g.objects(policy, HAS_PRACTICE), key=lambda t: str(t)):
-        classes = typed.get(node)
-        if not classes:
+        class_name = types.get(node)
+        if class_name is None:
             continue
-        if DATA_COLLECTION_USE in classes:
-            class_name = type_key = "DataCollectionUse"
-        elif THIRD_PARTY_SHARING in classes:
-            class_name = type_key = "ThirdPartySharingDisclosure"
-        else:
-            class_name = "DataPractice"
+        type_key = class_name
+        if class_name == "DataPractice":
             subtypes = [o.lexical for o in g.objects(node, PRACTICE_SUBTYPE)
                         if isinstance(o, Literal)]
             type_key = subtypes[0] if subtypes else "DataPractice"
@@ -172,10 +162,11 @@ def to_odrl(graph: Union[PrPrGraph, Graph],
     out.bind("dpvpd", "https://w3id.org/dpv/pd#")
     report = ConversionReport()
 
+    types = practice_types(g)
     for policy in sorted(g.subjects_of_type(PRIVACY_POLICY), key=lambda t: str(t)):
         policy_set = IRI(NODE + "odrl-" + _digest(str(policy)))
         out.add(policy_set, IRI(RDF_TYPE), ODRL_SET)
-        for practice in _practice_view(g, policy):
+        for practice in _practice_view(g, policy, types):
             action = profile.action_map.get(practice.type_key)
             if action is None:
                 report.unmapped_types.append(practice.type_key)
@@ -211,9 +202,8 @@ def to_odrl(graph: Union[PrPrGraph, Graph],
 
 
 def _copy_party(source: Graph, out: Graph, party) -> None:
-    for (s, p, o) in source.triples:
-        if s == party:
-            out.add(s, p, o)
+    for p, o in source.predicate_objects(party):
+        out.add(party, p, o)
 
 
 def to_psdtou(graph: Union[PrPrGraph, Graph],
@@ -235,11 +225,12 @@ def to_psdtou(graph: Union[PrPrGraph, Graph],
     report = ConversionReport()
 
     rdf_type = IRI(RDF_TYPE)
+    types = practice_types(g)
     for policy in sorted(g.subjects_of_type(PRIVACY_POLICY), key=lambda t: str(t)):
         app = IRI(NODE + "dtou-" + _digest(str(policy)))
         out.add(app, rdf_type, profile.dtou_iri("app_policy_class"))
 
-        practices = _practice_view(g, policy)
+        practices = _practice_view(g, policy, types)
         by_data: dict[str, list[_Practice]] = {}
         for practice in practices:
             if not practice.data:

@@ -7,12 +7,21 @@ graphs always produce equal bytes.  The parsers accept the subset of
 Turtle / N-Triples this package emits plus common class-hierarchy files
 (prefixed names, `a`, comma/semicolon lists, triple-quoted strings,
 numeric and boolean literals).
+
+Lookups on a `Graph` go through two lazy indexes, subject -> predicate ->
+objects and predicate -> object -> subjects.  The first is built whole on
+the first lookup that needs it; the second one predicate at a time, on
+the first lookup of that predicate, because callers ask about one or two
+predicates.  Every `add` or `update` drops both, so a graph that is built
+first and queried afterwards pays for each build once.
+The indexes rely on one rule: `Graph.triples` is changed only through
+`add` and `update`, never directly.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -70,13 +79,22 @@ def triple_key(t: Triple) -> tuple:
 
 @dataclass
 class Graph:
-    """A set of triples plus prefix bindings used for Turtle output."""
+    """A set of triples plus prefix bindings used for Turtle output.
+
+    Change `triples` only through `add` and `update`: they drop the lazy
+    lookup indexes, which a direct change to the set would leave stale.
+    """
 
     triples: set[Triple] = field(default_factory=set)
     prefixes: dict[str, str] = field(default_factory=dict)
+    # subject -> predicate -> objects, and predicate -> object -> subjects
+    # (filled one predicate at a time, on the first lookup of it)
+    _spo: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
+    _pos: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     def add(self, s: Subject, p: IRI, o: Object) -> None:
         self.triples.add((s, p, o))
+        self._spo = self._pos = None
 
     def bind(self, prefix: str, namespace: str) -> None:
         self.prefixes[prefix] = namespace
@@ -92,29 +110,63 @@ class Graph:
 
     def update(self, other: "Graph") -> None:
         self.triples |= other.triples
+        self._spo = self._pos = None
         for k, v in other.prefixes.items():
             self.prefixes.setdefault(k, v)
 
+    def _by_subject(self) -> dict:
+        if self._spo is None:
+            spo: dict = {}
+            for s, p, o in self.triples:
+                spo.setdefault(s, {}).setdefault(p, []).append(o)
+            self._spo = spo
+        return self._spo
+
+    def _by_object(self, predicate: IRI) -> dict:
+        if self._pos is None:
+            self._pos = {}
+        by_object = self._pos.get(predicate)
+        if by_object is None:
+            by_object = self._pos[predicate] = {}
+            for s, p, o in self.triples:
+                if p == predicate:
+                    by_object.setdefault(o, []).append(s)
+        return by_object
+
+    def subjects(self, predicate: IRI, obj: Object) -> set[Subject]:
+        return set(self._by_object(predicate).get(obj, ()))
+
     def subjects_of_type(self, type_iri: IRI) -> set[Subject]:
-        rdf_type = IRI(RDF_TYPE)
-        return {s for (s, p, o) in self.triples if p == rdf_type and o == type_iri}
+        return self.subjects(IRI(RDF_TYPE), type_iri)
 
     def objects(self, subject: Subject, predicate: IRI) -> list[Object]:
-        out = [o for (s, p, o) in self.triples if s == subject and p == predicate]
-        out.sort(key=term_key)
-        return out
+        return sorted(self._by_subject().get(subject, {}).get(predicate, ()), key=term_key)
+
+    def predicate_objects(self, subject: Subject) -> Iterator[tuple[IRI, Object]]:
+        """Every (predicate, object) pair of one subject, in no set order."""
+        for p, objs in self._by_subject().get(subject, {}).items():
+            for o in objs:
+                yield p, o
 
     def sorted_triples(self) -> list[Triple]:
         return sorted(self.triples, key=triple_key)
 
+    def _sorted_subjects(self) -> Iterator[tuple[Subject, list[tuple[IRI, list[Object]]]]]:
+        """Each subject with its predicates and their objects, all in term order."""
+        spo = self._by_subject()
+        for s in sorted(spo, key=term_key):
+            by_pred = spo[s]
+            yield s, [(p, sorted(by_pred[p], key=term_key))
+                      for p in sorted(by_pred, key=term_key)]
+
 
 # -- serialization --
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
 def _escape_literal(text: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
+    return text.translate(_ESCAPES)
 
 
 def _qname(iri: IRI, prefixes: dict[str, str]) -> Optional[str]:
@@ -141,15 +193,32 @@ def _format_term(term: Object, prefixes: dict[str, str]) -> str:
     return out
 
 
+def _term_formatter(prefixes: dict[str, str]) -> Callable[[Object], str]:
+    """`_format_term` memoized for the terms of one serialization."""
+    memo: dict[Object, str] = {}
+
+    def fmt(term: Object) -> str:
+        out = memo.get(term)
+        if out is None:
+            out = memo[term] = _format_term(term, prefixes)
+        return out
+    return fmt
+
+
 def serialize_ntriples(graph: Graph) -> bytes:
+    fmt = _term_formatter({})
     lines = []
-    for s, p, o in graph.sorted_triples():
-        lines.append(f"{_format_term(s, {})} {_format_term(p, {})} {_format_term(o, {})} .")
+    for s, pred_objs in graph._sorted_subjects():
+        subject = fmt(s)
+        for p, objs in pred_objs:
+            head = f"{subject} {fmt(p)} "
+            lines.extend(f"{head}{fmt(o)} ." for o in objs)
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
 def serialize_turtle(graph: Graph) -> bytes:
     prefixes = dict(sorted(graph.prefixes.items()))
+    fmt = _term_formatter(prefixes)
     out: list[str] = []
     for prefix, ns in prefixes.items():
         out.append(f"@prefix {prefix}: <{ns}> .")
@@ -157,30 +226,15 @@ def serialize_turtle(graph: Graph) -> bytes:
         out.append("")
 
     rdf_type = IRI(RDF_TYPE)
-    by_subject: dict[tuple, list[Triple]] = {}
-    for t in graph.sorted_triples():
-        by_subject.setdefault(term_key(t[0]), []).append(t)
-
-    for _, triples in sorted(by_subject.items()):
-        subject = triples[0][0]
-        by_pred: dict[tuple, list[Object]] = {}
-        pred_order: list[IRI] = []
+    for subject, pred_objs in graph._sorted_subjects():
         # rdf:type first, remaining predicates in sorted order
-        for s, p, o in triples:
-            k = term_key(p)
-            if k not in by_pred:
-                by_pred[k] = []
-                pred_order.append(p)
-            by_pred[k].append(o)
-        pred_order.sort(key=lambda p: (p != rdf_type, term_key(p)))
-
+        pred_objs.sort(key=lambda po: po[0] != rdf_type)
         lines = []
-        for p in pred_order:
-            objs = sorted(by_pred[term_key(p)], key=term_key)
-            pred_str = "a" if p == rdf_type else _format_term(p, prefixes)
-            obj_str = ", ".join(_format_term(o, prefixes) for o in objs)
+        for p, objs in pred_objs:
+            pred_str = "a" if p == rdf_type else fmt(p)
+            obj_str = ", ".join(fmt(o) for o in objs)
             lines.append(f"    {pred_str} {obj_str}")
-        out.append(_format_term(subject, prefixes) + " " + lines[0].lstrip() + (" ;" if len(lines) > 1 else " ."))
+        out.append(fmt(subject) + " " + lines[0].lstrip() + (" ;" if len(lines) > 1 else " ."))
         for i, line in enumerate(lines[1:], start=1):
             out.append(line + (" ;" if i < len(lines) - 1 else " ."))
         out.append("")
@@ -201,11 +255,12 @@ def serialize(graph: Graph, fmt: str = "turtle") -> bytes:
 # PN_PREFIX / PN_LOCAL parts may contain '.' but must not end with one,
 # otherwise the token would swallow the statement terminator.
 _PN_PART = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+# Whitespace and comments; each token match also skips those after it.
+# They trail the token so that the regex never backtracks into them.
+_SKIP = r"(?:\s+|\#[^\n]*)*"
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<iri><[^<>"{}|^`\\\s]*>)
+    r"""(?:
+    (?P<iri><[^<>"{}|^`\\\s]*>)
   | (?P<triple_quote>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\")
   | (?P<string>"(?:[^"\\\n]|\\.)*")
   | (?P<single>'(?:[^'\\\n]|\\.)*')
@@ -217,14 +272,17 @@ _TOKEN_RE = re.compile(
   | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<keyword>\ba\b|true\b|false\b)
   | (?P<punct>[;,.\[\]()])
-    """.replace("PNPART", _PN_PART),
+    )""".replace("PNPART", _PN_PART) + _SKIP,
     re.VERBOSE,
 )
+_SKIP_RE = re.compile(_SKIP)
 
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -248,16 +306,14 @@ def _unescape(text: str) -> str:
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, str]]:
-    pos = 0
+    pos = _SKIP_RE.match(text).end()
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise RdfError(f"unparseable RDF near: {text[pos:pos + 40]!r}")
         pos = m.end()
         kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        yield (kind, m.group(0))
+        yield (kind, m.group(kind))
 
 
 def parse_turtle(data: Union[str, bytes], graph: Optional[Graph] = None) -> Graph:

@@ -3,14 +3,18 @@
 These deliberately avoid the library's own algorithms: the substring
 oracle enumerates every substring, the matching oracle solves the
 assignment exactly over all one-to-one matchings (bitmask DP), and the
-line-scan oracle walks the text character by character.  They exist to
-check the production implementations, so they must never import from
-ppanalyze.eval.metrics or ppanalyze.corpus internals.
+line-scan oracle walks the text character by character, and the RDF
+serializers sort every triple and regroup.  They exist to check the
+production implementations, so they must never import from
+ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio internals
+(the RDF term classes are data, not algorithms).
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+
+from ppanalyze.rdfio import BNode, IRI
 
 
 def normalize(text: str) -> str:
@@ -88,3 +92,75 @@ def scan_lines(raw_text: str) -> list[tuple[int, int, str]]:
                 out.append((lo, hi, raw_text[lo:hi]))
             line_start = pos + 1
     return out
+
+
+# -- reference RDF serializers --
+
+_RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+_PN_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
+_LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _term_key(term) -> tuple:
+    if isinstance(term, IRI):
+        return (0, term.value, "", "")
+    if isinstance(term, BNode):
+        return (1, term.label, "", "")
+    return (2, term.lexical, term.datatype.value if term.datatype else "", term.lang or "")
+
+
+def _qname(value: str, prefixes: dict) -> str | None:
+    for prefix, ns in prefixes.items():
+        if value.startswith(ns) and _PN_LOCAL.match(value[len(ns):]):
+            return f"{prefix}:{value[len(ns):]}"
+    return None
+
+
+def _format(term, prefixes: dict) -> str:
+    if isinstance(term, IRI):
+        return _qname(term.value, prefixes) or f"<{term.value}>"
+    if isinstance(term, BNode):
+        return f"_:{term.label}"
+    out = '"' + "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in term.lexical) + '"'
+    if term.lang:
+        return f"{out}@{term.lang}"
+    if term.datatype:
+        dt = _qname(term.datatype.value, prefixes)
+        return f"{out}^^{dt}" if dt else f"{out}^^<{term.datatype.value}>"
+    return out
+
+
+def _sorted_triples(triples) -> list:
+    return sorted(triples, key=lambda t: tuple(_term_key(x) for x in t))
+
+
+def reference_ntriples(triples) -> bytes:
+    lines = [f"{_format(s, {})} {_format(p, {})} {_format(o, {})} ."
+             for s, p, o in _sorted_triples(triples)]
+    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+
+
+def reference_turtle(triples, prefixes: dict) -> bytes:
+    prefixes = dict(sorted(prefixes.items()))
+    out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in prefixes.items()]
+    if prefixes:
+        out.append("")
+    by_subject: dict = {}
+    for t in _sorted_triples(triples):
+        by_subject.setdefault(_term_key(t[0]), []).append(t)
+    for _, group in sorted(by_subject.items()):
+        by_pred: dict = {}
+        for _, p, o in group:
+            by_pred.setdefault(p, []).append(o)
+        preds = sorted(by_pred, key=lambda p: (p.value != _RDF_TYPE, _term_key(p)))
+        lines = []
+        for p in preds:
+            objs = ", ".join(_format(o, prefixes) for o in sorted(by_pred[p], key=_term_key))
+            lines.append(f"    {'a' if p.value == _RDF_TYPE else _format(p, prefixes)} {objs}")
+        out.append(_format(group[0][0], prefixes) + " " + lines[0].lstrip()
+                   + (" ;" if len(lines) > 1 else " ."))
+        for i, line in enumerate(lines[1:], start=1):
+            out.append(line + (" ;" if i < len(lines) - 1 else " ."))
+        out.append("")
+    text = "\n".join(out).rstrip("\n")
+    return (text + "\n" if text else "").encode("utf-8")

@@ -7,6 +7,7 @@ import pytest
 from ppanalyze.extraction.backend import (
     Backend,
     BackendConfig,
+    BackendError,
     ConfigError,
     ReplayMissError,
     ResponseCache,
@@ -108,6 +109,38 @@ class TestRecordReplay:
         with pytest.raises(Exception) as err:
             ResponseCache(path)
         assert "line 1" in str(err.value)
+
+    def test_torn_last_line_skipped_then_appended_after(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps(_record("k1")) + "\n"
+        path.write_text(good + json.dumps(_record("k2"))[:25])
+        with pytest.warns(UserWarning, match="torn last line 2"):
+            cache = ResponseCache(path)
+        assert len(cache) == 1 and "k2" not in cache
+        cache.put(_record("k3"))
+        assert path.read_text() == good + json.dumps(_record("k3")) + "\n"
+        again = ResponseCache(path)
+        assert len(again) == 2 and "k1" in again and "k3" in again
+
+    def test_complete_last_line_without_newline_kept(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(_record("k1")))
+        cache = ResponseCache(path)
+        assert "k1" in cache
+        cache.put(_record("k2"))
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["key"] for line in lines] == ["k1", "k2"]
+
+    def test_corrupt_line_before_torn_tail_stays_fatal(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(_record("k1")) + "\nnot json\n{\"key\": ")
+        with pytest.raises(BackendError, match="line 2"):
+            ResponseCache(path)
+
+
+def _record(key: str) -> dict:
+    return {"key": key, "model": "m", "task": "t", "prompt": {}, "response": "r",
+            "timestamp": "now"}
 
 
 class TestHttpTransport:

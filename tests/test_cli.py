@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from ppanalyze.cli import main
 
 from .conftest import FIXTURES
+
+MARKETING = "https://w3id.org/dpv#Marketing"
 
 
 @pytest.fixture(autouse=True)
@@ -83,6 +86,26 @@ class TestAnalyze:
         ])
         assert code == 1
 
+    def test_invariant_violation_fails_document(self, tmp_path, monkeypatch, capsys):
+        import ppanalyze.cli as cli
+        extract = cli.extract_document
+
+        def data_linked_to_purpose_term(*args, **kwargs):
+            # a broken extraction: data spans grounded to a purpose class
+            result = extract(*args, **kwargs)
+            for seg in result.segments:
+                seg.spans = tuple(
+                    replace(s, grounded_term=MARKETING) if s.kind == "data" and s.grounded_term
+                    else s for s in seg.spans)
+            return result
+
+        monkeypatch.setattr(cli, "extract_document", data_linked_to_purpose_term)
+        assert run_analyze(tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert "graph invariant violation" in err
+        assert f"<{MARKETING}> is not a data term" in err
+        assert not (tmp_path / "run" / "policy_example.org.ttl").exists()
+
     def test_config_precedence_flag_beats_env_and_file(self, tmp_path, monkeypatch, capsys):
         import ppanalyze.cli as cli
         config_file = tmp_path / "config.json"
@@ -123,6 +146,19 @@ class TestConvert:
         assert report["odrl"]["unmapped_types"] == ["storage_retention_deletion"]
         assert report["psdtou"]["input_specs"] == 6
         assert report["psdtou"]["sharing_entries"] == 2
+
+    def test_invariant_violation_fails_conversion(self, tmp_path, capsys):
+        broken = tmp_path / "broken.ttl"
+        broken.write_text(
+            "@prefix ppa: <urn:pp-analyze:core#> .\n"
+            "<urn:p> a ppa:PrivacyPolicy ; ppa:hasService <urn:s> .\n"
+            "<urn:x> a ppa:DataCollectionUse ; ppa:sourceSegment \"a\", \"b\" .\n")
+        code = main(["convert", str(broken), "--out", str(tmp_path / "conv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "<urn:x>: 2 source segment literals (want 1)" in err
+        assert "<urn:x>: belongs to 0 policies (want 1)" in err
+        assert not (tmp_path / "conv" / "broken.odrl.ttl").exists()
 
 
 class TestStats:

@@ -162,6 +162,21 @@ class TestStats:
         assert st.data_class_mentions == {EMAIL: 1}
         assert st.purpose_class_mentions == {}
 
+    def test_most_specific_practice_type_wins(self):
+        from ppanalyze.graph import practice_types
+        from ppanalyze.rdfio import Graph
+        g = Graph()
+        a, b, c = (IRI(f"urn:pp-analyze:node#{n}") for n in "abc")
+        for node, classes in ((a, (DATA_PRACTICE, THIRD_PARTY_SHARING, DATA_COLLECTION_USE)),
+                              (b, (DATA_PRACTICE, THIRD_PARTY_SHARING)), (c, (DATA_PRACTICE,))):
+            for cls in classes:
+                g.add(node, IRI(RDF_TYPE), cls)
+        g.add(IRI(POLICY), IRI(RDF_TYPE), PRIVACY_POLICY)
+        assert practice_types(g) == {a: "DataCollectionUse",
+                                     b: "ThirdPartySharingDisclosure", c: "DataPractice"}
+        assert stats([g]).practice_type_counts == {
+            "DataCollectionUse": 1, "ThirdPartySharingDisclosure": 1, "DataPractice": 1}
+
     def test_empty_input(self):
         st = stats([])
         assert st.triple_count == 0

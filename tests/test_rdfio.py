@@ -14,7 +14,10 @@ from ppanalyze.rdfio import (
     RdfError,
     parse,
     serialize,
+    term_key,
 )
+
+from .oracles import reference_ntriples, reference_turtle
 
 
 def sample_graph() -> Graph:
@@ -91,6 +94,11 @@ class TestTurtleSubset:
         with pytest.raises(RdfError):
             parse("<urn:s> <urn:p> <urn:o>", "turtle")
 
+    def test_bad_token_after_long_whitespace_and_comments_named(self):
+        junk = " \n  # note # more\n" * 2000
+        with pytest.raises(RdfError, match=r"unparseable RDF near: '\$'"):
+            parse("<urn:s> <urn:p> <urn:o> ." + junk + "$", "turtle")
+
     def test_literal_subject_rejected(self):
         with pytest.raises(RdfError):
             parse('"text" <urn:p> <urn:o> .', "turtle")
@@ -110,3 +118,127 @@ def test_arbitrary_literals_round_trip(texts):
         g.add(IRI(f"urn:s{i}"), IRI("urn:p"), Literal(text))
     for fmt in ("turtle", "ntriples"):
         assert parse(serialize(g, fmt), fmt).triples == g.triples
+
+
+# -- lookup indexes against a brute-force scan --
+
+_SUBJECTS = [IRI("urn:s0"), IRI("urn:s1"), BNode("b0")]
+_PREDICATES = [IRI(RDF_TYPE), IRI("urn:p0"), IRI("urn:p1")]
+_OBJECTS = _SUBJECTS + [IRI("urn:T"), Literal("x"), Literal("x", lang="en")]
+_triple = st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES),
+                    st.sampled_from(_OBJECTS))
+_operation = st.one_of(
+    st.tuples(st.just("add"), _triple),
+    st.tuples(st.just("update"), st.lists(_triple, max_size=4)),
+    st.just(("lookup", None)),
+)
+
+
+def _pair_key(pair: tuple) -> tuple:
+    return (term_key(pair[0]), term_key(pair[1]))
+
+
+def assert_lookups_match_scan(g: Graph) -> None:
+    triples = set(g.triples)
+    for s in _SUBJECTS:
+        assert sorted(g.predicate_objects(s), key=_pair_key) == sorted(
+            [(p, o) for (s2, p, o) in triples if s2 == s], key=_pair_key)
+        for p in _PREDICATES:
+            assert g.objects(s, p) == sorted(
+                [o for (s2, p2, o) in triples if (s2, p2) == (s, p)], key=term_key)
+    for p in _PREDICATES:
+        for o in _OBJECTS:
+            assert g.subjects(p, o) == {s for (s, p2, o2) in triples if (p2, o2) == (p, o)}
+    for o in _OBJECTS:
+        assert g.subjects_of_type(o) == {s for (s, p, o2) in triples
+                                         if p == IRI(RDF_TYPE) and o2 == o}
+
+
+@given(operations=st.lists(_operation, max_size=12))
+@settings(max_examples=150)
+def test_index_lookups_equal_scan_after_any_interleaving(operations):
+    g = Graph()
+    for kind, arg in operations:
+        if kind == "add":
+            g.add(*arg)
+        elif kind == "update":
+            other = Graph()
+            for t in arg:
+                other.add(*t)
+            g.update(other)
+        else:
+            assert_lookups_match_scan(g)
+    assert_lookups_match_scan(g)
+
+
+def test_lookup_results_are_copies():
+    g = sample_graph()
+    practice = IRI("urn:pp-analyze:node#p1")
+    g.objects(practice, IRI(RDF_TYPE)).clear()
+    g.subjects_of_type(IRI("urn:pp-analyze:core#DataCollectionUse")).clear()
+    assert g.objects(practice, IRI(RDF_TYPE)) == [IRI("urn:pp-analyze:core#DataCollectionUse")]
+    assert g.subjects_of_type(IRI("urn:pp-analyze:core#DataCollectionUse")) == {practice}
+
+
+def test_index_is_not_part_of_equality():
+    indexed, plain = sample_graph(), sample_graph()
+    indexed.objects(IRI("urn:pp-analyze:node#p1"), IRI(RDF_TYPE))
+    assert indexed == plain
+    assert "_spo" not in repr(indexed)
+
+
+# -- serializer bytes against the sort-everything reference --
+
+_NAMESPACES = ["urn:pp-analyze:core#", "https://w3id.org/dpv#", "http://example.org/x/"]
+_PREFIXES = {"ppa": "urn:pp-analyze:core#", "dpv": "https://w3id.org/dpv#",
+             "ex": "http://example.org/", "exx": "http://example.org/x/"}
+_iri = st.builds(lambda ns, local: IRI(ns + local), st.sampled_from(_NAMESPACES),
+                 st.sampled_from(["a", "b1", "c-d", "1x", "e.f", "g_h", ""]))
+_bnode = st.builds(BNode, st.sampled_from(["b0", "b1", "party-x"]))
+_literal = st.builds(
+    Literal,
+    st.text(alphabet='ab "\\\n\t\ré', max_size=6),
+    st.one_of(st.none(), st.sampled_from([IRI(XSD + "integer"), IRI("urn:dt")])),
+    st.sampled_from([None, "en", "fr-CA"]),
+)
+_any_triple = st.tuples(st.one_of(_iri, _bnode),
+                        st.one_of(_iri, st.just(IRI(RDF_TYPE))),
+                        st.one_of(_iri, _bnode, _literal))
+
+
+@given(triples=st.lists(_any_triple, max_size=25),
+       prefixes=st.dictionaries(st.sampled_from(sorted(_PREFIXES)),
+                                st.sampled_from(sorted(_PREFIXES.values()))))
+@settings(max_examples=200)
+def test_serializers_match_reference_bytes(triples, prefixes):
+    g = Graph(prefixes=dict(prefixes))
+    for t in triples:
+        g.add(*t)
+    assert serialize(g, "turtle") == reference_turtle(g.triples, g.prefixes)
+    assert serialize(g, "ntriples") == reference_ntriples(g.triples)
+    # a second serialization walks the already-built index
+    assert serialize(g, "turtle") == reference_turtle(g.triples, g.prefixes)
+
+
+# -- escaping --
+
+_escape_heavy = st.lists(
+    st.sampled_from(["\\", '"', "\n", "\t", "\r", "\\u00e9", "\\U0001F600", "\u00e9",
+                     "\U0001F600", "'", "a", " "]),
+    max_size=12,
+).map("".join)
+
+
+@given(texts=st.lists(_escape_heavy, min_size=1, max_size=6))
+@settings(max_examples=150)
+def test_escape_heavy_literals_round_trip(texts):
+    g = Graph()
+    for i, text in enumerate(texts):
+        g.add(IRI(f"urn:s{i}"), IRI("urn:p"), Literal(text, lang="en" if i % 2 else None))
+    for fmt in ("turtle", "ntriples"):
+        assert parse(serialize(g, fmt), fmt).triples == g.triples
+
+
+def test_numeric_escapes_are_unescaped():
+    g = parse('<urn:s> <urn:p> "caf\\u00e9 \\U0001F600\\tend" .', "turtle")
+    assert g.objects(IRI("urn:s"), IRI("urn:p")) == [Literal("caf\u00e9 \U0001F600\tend")]
