@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import graph as graphmod
 from . import rdfio
-from .corpus import CorpusError, load_policy
+from .corpus import CorpusError, load_policy, validate_gold_labels
 from .eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
 from .eval.finetune import FinetuneError, FinetuneSpec, select_finetune_data, write_jsonl
 from .eval.gold import GoldCorpusError, load_gold_corpus
@@ -134,9 +134,9 @@ def _load_taxonomy(config: RunConfig) -> Taxonomy:
         raise SystemExit(f"error: {exc}")
 
 
-def _report_violations(path: str, problems: list[str]) -> None:
+def _report_problems(header: str, problems: list[str]) -> None:
     shown = 5
-    print(f"error: {path}: {len(problems)} graph invariant violation(s)", file=sys.stderr)
+    print(header, file=sys.stderr)
     for problem in problems[:shown]:
         print(f"  {problem}", file=sys.stderr)
     if len(problems) > shown:
@@ -180,7 +180,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                                     taxonomy_version=taxonomy.version)
         problems = graphmod.check_invariants(prpr, taxonomy)
         if problems:
-            _report_violations(path, problems)
+            _report_problems(f"error: {path}: {len(problems)} graph invariant violation(s)",
+                             problems)
             failures += 1
             continue
         (out_dir / f"{service_id}.ttl").write_bytes(graphmod.serialize(prpr, "turtle"))
@@ -236,6 +237,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         corpus = load_gold_corpus(args.gold_dir)
     except GoldCorpusError as exc:
         raise SystemExit(f"usage error: {exc}")
+    conf = Path(args.gold_dir) / "annotation.conf"
+    if conf.exists():
+        problems = [f"{gold_doc.gold.doc_id}: {problem}" for gold_doc in corpus
+                    for problem in validate_gold_labels(gold_doc.gold, conf)]
+        if problems:
+            _report_problems(f"usage error: {len(problems)} gold label(s) not declared in {conf}",
+                             problems)
+            raise SystemExit(2)
     try:
         backend = Backend(config.backend_config())
     except ConfigError as exc:
@@ -287,7 +296,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
         g = _read_graph_file(path)
         problems = graphmod.check_invariants(g)
         if problems:
-            _report_violations(path, problems)
+            _report_problems(f"error: {path}: {len(problems)} graph invariant violation(s)",
+                             problems)
             failures += 1
             continue
         stem = Path(path).stem

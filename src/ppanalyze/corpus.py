@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from .textnorm import normalize_label
+
 
 class CorpusError(Exception):
     """Unreadable or non-text policy input."""
@@ -164,10 +166,6 @@ _A_LINE = re.compile(r"^(A\d+)\t(\S+) (\S+)(?: (.*))?$")
 _NOTE_LINE = re.compile(r"^(#\d*)\t(\S+) (\S+)\t(.*)$", re.S)
 
 
-def _norm_attr_name(name: str) -> str:
-    return re.sub(r"[^a-z0-9]", "", name.casefold())
-
-
 def _looks_like_term(note: str) -> bool:
     # single token: a CURIE, IRI, or CamelCase label; prose notes have spaces
     return bool(note) and not any(ch.isspace() for ch in note)
@@ -286,7 +284,7 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         ent_notes = tuple(by_target_notes.get(ent.id, ()))
         grounding = None
         for name, value in ent_attrs:
-            if value and _norm_attr_name(name) in GROUNDING_ATTRIBUTE_NAMES:
+            if value and normalize_label(name) in GROUNDING_ATTRIBUTE_NAMES:
                 grounding = value
                 break
         if grounding is None:

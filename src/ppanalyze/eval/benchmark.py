@@ -19,7 +19,13 @@ from ..extraction.prompts import TaskKind
 from ..extraction.repair import ParseError
 from ..taxonomy import Taxonomy
 from .gold import GoldDocument, LabelMaps, SegmentTask, segment_tasks
-from .metrics import DEFAULT_THRESHOLD, prf1, score_classification, sample_f1
+from .metrics import (
+    DEFAULT_THRESHOLD,
+    facet_means,
+    outcome_f1,
+    sample_f1,
+    score_classification,
+)
 
 ALL_TASKS = tuple(TaskKind)
 
@@ -91,12 +97,9 @@ def _score_sample(task: TaskKind, sample: SegmentTask, pred_items: list[dict],
                   denominator: str) -> float:
     if task in (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION):
         pred_pairs = [(i.get("entity_text", ""), i.get("term", "")) for i in pred_items]
-        if not sample.gold_pairs:
-            return 1.0 if not pred_pairs else 0.0
         kind = "data" if task is TaskKind.DATA_CLASSIFICATION else "purpose"
-        outcome = score_classification(pred_pairs, list(sample.gold_pairs),
-                                       taxonomy, kind, threshold, denominator)
-        return prf1(outcome.tp, outcome.fp, outcome.fn)[2]
+        return outcome_f1(score_classification(pred_pairs, list(sample.gold_pairs),
+                                               taxonomy, kind, threshold, denominator))
     if task is TaskKind.RELATION_RECOGNITION:
         pred = [f"{i.get('id1', '')} {i.get('id2', '')} {i.get('type', '')}" for i in pred_items]
         return sample_f1(pred, list(sample.gold_spans), threshold=1.0)
@@ -140,14 +143,13 @@ def run_benchmark(corpus: Sequence[GoldDocument], backend: Backend,
                     gold_empty=sample.is_empty,
                     error=error,
                 ))
-        def mean(values: list[float]) -> Optional[float]:
-            return sum(values) / len(values) if values else None
+        f1, f1_n, f1_e = facet_means([(r.f1, r.gold_empty) for r in rows])
         report.scores[task] = TaskScore(
             task=task,
             relaxed=task in RELAXED_TASKS,
-            f1=mean([r.f1 for r in rows]),
-            f1_n=mean([r.f1 for r in rows if not r.gold_empty]),
-            f1_e=mean([r.f1 for r in rows if r.gold_empty]),
+            f1=f1,
+            f1_n=f1_n,
+            f1_e=f1_e,
             rows=rows,
         )
     return report

@@ -27,12 +27,9 @@ from ..corpus import (
     load_policy,
     parse_brat,
 )
-from ..extraction.prompts import TaskKind
+from ..extraction.prompts import TASK_SHAPES, TaskKind
 from ..taxonomy import Taxonomy, UnresolvedTermError
-
-
-def _norm(label: str) -> str:
-    return re.sub(r"[^0-9a-z]", "", label.casefold())
+from ..textnorm import normalize_label
 
 
 DEFAULT_ENTITY_KIND_MAP = {
@@ -97,16 +94,16 @@ class LabelMaps:
     role_event: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_ROLE_EVENT_MAP))
 
     def kind_of(self, entity_type: str) -> Optional[str]:
-        return self.entity_kind.get(_norm(entity_type))
+        return self.entity_kind.get(normalize_label(entity_type))
 
     def party_subtype_of(self, entity_type: str) -> Optional[str]:
-        return self.party_subtype.get(_norm(entity_type))
+        return self.party_subtype.get(normalize_label(entity_type))
 
     def action_subtype_of(self, event_type: str) -> Optional[str]:
-        return self.event_subtype.get(_norm(event_type))
+        return self.event_subtype.get(normalize_label(event_type))
 
     def event_type_of(self, role: str) -> Optional[str]:
-        return self.role_event.get(_norm(re.sub(r"\d+$", "", role)))
+        return self.role_event.get(normalize_label(re.sub(r"\d+$", "", role)))
 
 
 @dataclass(frozen=True)
@@ -152,25 +149,28 @@ class SegmentTask:
         return not (self.gold_spans or self.gold_pairs or self.gold_items)
 
 
+def _ordered_entities(slice_: GoldSlice, maps: LabelMaps, kind: str) -> list[AlignedEntity]:
+    """A segment's gold spans of one kind, event triggers excluded, in offset order."""
+    triggers = {ev.event.trigger_id for ev in slice_.events}
+    return sorted(
+        (ae for ae in slice_.entities
+         if maps.kind_of(ae.entity.type) == kind and ae.entity.id not in triggers),
+        key=lambda ae: (ae.entity.char_start, ae.entity.id),
+    )
+
+
+def _ordered_events(slice_: GoldSlice) -> list[AlignedEvent]:
+    """A segment's gold events in trigger offset order."""
+    return sorted(slice_.events, key=lambda ev: (ev.trigger.char_start, ev.event.id))
+
+
 def _local_ids(slice_: GoldSlice, maps: LabelMaps) -> tuple[list[tuple[str, str, AlignedEntity]], list[tuple[str, AlignedEvent]]]:
     """Assign pipeline-style local ids to a segment's gold spans."""
-    triggers = {ev.event.trigger_id for ev in slice_.events}
     entities: list[tuple[str, str, AlignedEntity]] = []
-    counter = 0
     for kind in ("data", "purpose", "party"):
-        ordered = sorted(
-            (ae for ae in slice_.entities
-             if maps.kind_of(ae.entity.type) == kind and ae.entity.id not in triggers),
-            key=lambda ae: (ae.entity.char_start, ae.entity.id),
-        )
-        for ae in ordered:
-            entities.append((f"e{counter}", kind, ae))
-            counter += 1
-    events = [
-        (f"a{i}", ev)
-        for i, ev in enumerate(sorted(slice_.events,
-                                      key=lambda ev: (ev.trigger.char_start, ev.event.id)))
-    ]
+        for ae in _ordered_entities(slice_, maps, kind):
+            entities.append((f"e{len(entities)}", kind, ae))
+    events = [(f"a{i}", ev) for i, ev in enumerate(_ordered_events(slice_))]
     return entities, events
 
 
@@ -182,18 +182,9 @@ def segment_tasks(gold_doc: GoldDocument, task: TaskKind,
     out = []
     for segment in gold_doc.doc.segments:
         slice_ = gold_doc.alignment.get(segment.index, GoldSlice())
-        triggers = {ev.event.trigger_id for ev in slice_.events}
-
-        def entity_texts(kind: str) -> list[AlignedEntity]:
-            return sorted(
-                (ae for ae in slice_.entities
-                 if maps.kind_of(ae.entity.type) == kind and ae.entity.id not in triggers),
-                key=lambda ae: (ae.entity.char_start, ae.entity.id),
-            )
-
         if task is TaskKind.DATA_RECOGNITION or task is TaskKind.PURPOSE_RECOGNITION:
             kind = "data" if task is TaskKind.DATA_RECOGNITION else "purpose"
-            spans = [ae.entity.covering_text for ae in entity_texts(kind)]
+            spans = [ae.entity.covering_text for ae in _ordered_entities(slice_, maps, kind)]
             out.append(SegmentTask(
                 doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
                 segment_text=segment.text,
@@ -202,7 +193,7 @@ def segment_tasks(gold_doc: GoldDocument, task: TaskKind,
             ))
         elif task is TaskKind.PARTY_RECOGNITION:
             items = []
-            for ae in entity_texts("party"):
+            for ae in _ordered_entities(slice_, maps, "party"):
                 item = {"text": ae.entity.covering_text}
                 subtype = maps.party_subtype_of(ae.entity.type)
                 if subtype:
@@ -216,7 +207,7 @@ def segment_tasks(gold_doc: GoldDocument, task: TaskKind,
             ))
         elif task is TaskKind.ACTION_RECOGNITION:
             items = []
-            for ev in sorted(slice_.events, key=lambda ev: (ev.trigger.char_start, ev.event.id)):
+            for ev in _ordered_events(slice_):
                 subtype = maps.action_subtype_of(ev.event.type)
                 item = {"text": ev.trigger.covering_text}
                 if subtype:
@@ -232,7 +223,7 @@ def segment_tasks(gold_doc: GoldDocument, task: TaskKind,
             kind = "data" if task is TaskKind.DATA_CLASSIFICATION else "purpose"
             pairs = []
             items = []
-            for ae in entity_texts(kind):
+            for ae in _ordered_entities(slice_, maps, kind):
                 term = ae.entity.fine_grained
                 if not term:
                     continue
@@ -286,13 +277,5 @@ def segment_tasks(gold_doc: GoldDocument, task: TaskKind,
 
 def expected_answer(task: TaskKind, sample: SegmentTask) -> str:
     """Canonical assistant answer for a gold sample, as compact JSON."""
-    envelope = {
-        TaskKind.DATA_RECOGNITION: "entities",
-        TaskKind.PURPOSE_RECOGNITION: "entities",
-        TaskKind.PARTY_RECOGNITION: "parties",
-        TaskKind.ACTION_RECOGNITION: "actions",
-        TaskKind.DATA_CLASSIFICATION: "classifications",
-        TaskKind.PURPOSE_CLASSIFICATION: "classifications",
-        TaskKind.RELATION_RECOGNITION: "relations",
-    }[task]
+    envelope = TASK_SHAPES[task].envelope_keys[0]
     return json.dumps({envelope: list(sample.gold_items)}, ensure_ascii=False)

@@ -13,16 +13,12 @@ makes the f1-empty facet well-defined.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+from ..textnorm import normalize_text
 
 DEFAULT_THRESHOLD = 0.9
-
-
-def normalize_text(text: str) -> str:
-    """Case-fold and collapse whitespace runs to single spaces."""
-    return re.sub(r"\s+", " ", text.casefold()).strip()
 
 
 def lcs_length(a: str, b: str) -> int:
@@ -77,18 +73,17 @@ class MatchOutcome:
     pairs: tuple[tuple[str, str, float], ...]  # (pred, gold, credit)
 
 
-def match_spans(pred: Sequence[str], gold: Sequence[str],
-                threshold: float = DEFAULT_THRESHOLD,
-                denominator: str = "max") -> MatchOutcome:
-    """Match predicted spans against gold spans, one-to-one.
+def _match(pred: Sequence[str], gold: Sequence[str], threshold: float,
+           denominator: str,
+           compatible: Optional[Callable[[int, int], bool]] = None) -> MatchOutcome:
+    """Two-pass one-to-one matching of span texts.
 
     Pass 1 pairs exact (normalized) text matches with credit 1; pass 2
     pairs the remainder greedily in descending lcs-ratio order (ties in
     pair order) where the ratio clears the threshold, with credit equal
-    to the ratio.  Unmatched predictions are fp, unmatched gold fn.
+    to the ratio.  Only pairs (i, j) that `compatible` accepts, when
+    given, can match.  Unmatched predictions are fp, unmatched gold fn.
     """
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must be in (0, 1]")
     pred_norm = [normalize_text(p) for p in pred]
     gold_norm = [normalize_text(g) for g in gold]
     pred_free = set(range(len(pred)))
@@ -97,7 +92,7 @@ def match_spans(pred: Sequence[str], gold: Sequence[str],
 
     for i in sorted(pred_free):
         for j in sorted(gold_free):
-            if pred_norm[i] == gold_norm[j]:
+            if pred_norm[i] == gold_norm[j] and (compatible is None or compatible(i, j)):
                 pairs.append((pred[i], gold[j], 1.0))
                 pred_free.discard(i)
                 gold_free.discard(j)
@@ -106,6 +101,8 @@ def match_spans(pred: Sequence[str], gold: Sequence[str],
     candidates = []
     for i in sorted(pred_free):
         for j in sorted(gold_free):
+            if compatible is not None and not compatible(i, j):
+                continue
             ratio = lcs_ratio(pred[i], gold[j], denominator)
             if ratio >= threshold:
                 candidates.append((-ratio, i, j))
@@ -124,6 +121,15 @@ def match_spans(pred: Sequence[str], gold: Sequence[str],
     )
 
 
+def match_spans(pred: Sequence[str], gold: Sequence[str],
+                threshold: float = DEFAULT_THRESHOLD,
+                denominator: str = "max") -> MatchOutcome:
+    """Match predicted spans against gold spans, one-to-one (see `_match`)."""
+    if not 0 < threshold <= 1:
+        raise ValueError("threshold must be in (0, 1]")
+    return _match(pred, gold, threshold, denominator)
+
+
 def prf1(tp: float, fp: float, fn: float) -> tuple[float, float, float]:
     """Precision, recall, F1.  Degenerate denominators score 0."""
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
@@ -133,16 +139,22 @@ def prf1(tp: float, fp: float, fn: float) -> tuple[float, float, float]:
     return precision, recall, 2 * precision * recall / (precision + recall)
 
 
+def outcome_f1(outcome: MatchOutcome) -> float:
+    """Per-sample F1 with the empty-gold convention.
+
+    Nothing matched, predicted or missed means empty gold and an empty
+    prediction, which scores 1.
+    """
+    if not (outcome.tp or outcome.fp or outcome.fn):
+        return 1.0
+    return prf1(outcome.tp, outcome.fp, outcome.fn)[2]
+
+
 def sample_f1(pred: Sequence[str], gold: Sequence[str],
               threshold: float = DEFAULT_THRESHOLD,
-              denominator: str = "max",
-              outcome: Optional[MatchOutcome] = None) -> float:
-    """Per-sample F1 with the empty-gold convention."""
-    if not gold:
-        return 1.0 if not pred else 0.0
-    if outcome is None:
-        outcome = match_spans(pred, gold, threshold, denominator)
-    return prf1(outcome.tp, outcome.fp, outcome.fn)[2]
+              denominator: str = "max") -> float:
+    """Per-sample F1 of matched spans with the empty-gold convention."""
+    return outcome_f1(match_spans(pred, gold, threshold, denominator))
 
 
 @dataclass(frozen=True)
@@ -153,25 +165,28 @@ class MacroScores:
     per_sample: tuple[float, ...] = ()
 
 
-def macro_f1(samples: Sequence[tuple[Sequence[str], Sequence[str]]],
-             threshold: float = DEFAULT_THRESHOLD,
-             denominator: str = "max") -> MacroScores:
-    """Macro-average per-sample F1, plus the non-empty / empty facets.
+def facet_means(rows: Sequence[tuple[float, bool]]
+                ) -> tuple[Optional[float], Optional[float], Optional[float]]:
+    """Mean per-sample F1 over all rows, non-empty-gold rows and
+    empty-gold rows, from (f1, gold_empty) rows.
 
     A facet with no samples is reported as None (absent), never as 0.
     """
-    scores: list[float] = []
-    nonempty: list[float] = []
-    empty: list[float] = []
-    for pred, gold in samples:
-        s = sample_f1(pred, gold, threshold, denominator)
-        scores.append(s)
-        (nonempty if gold else empty).append(s)
-
     def mean(xs: list[float]) -> Optional[float]:
         return sum(xs) / len(xs) if xs else None
 
-    return MacroScores(mean(scores), mean(nonempty), mean(empty), tuple(scores))
+    return (mean([f for f, _ in rows]),
+            mean([f for f, empty in rows if not empty]),
+            mean([f for f, empty in rows if empty]))
+
+
+def macro_f1(samples: Sequence[tuple[Sequence[str], Sequence[str]]],
+             threshold: float = DEFAULT_THRESHOLD,
+             denominator: str = "max") -> MacroScores:
+    """Macro-average per-sample F1, plus the non-empty / empty facets."""
+    rows = [(sample_f1(pred, gold, threshold, denominator), not gold)
+            for pred, gold in samples]
+    return MacroScores(*facet_means(rows), tuple(f for f, _ in rows))
 
 
 def score_classification(pred: Sequence[tuple[str, str]],
@@ -195,43 +210,6 @@ def score_classification(pred: Sequence[tuple[str, str]],
 
     pred_iris = [resolve(term) for _, term in pred]
     gold_iris = [resolve(term) for _, term in gold]
-    pred_norm = [normalize_text(text) for text, _ in pred]
-    gold_norm = [normalize_text(text) for text, _ in gold]
-
-    pred_free = set(range(len(pred)))
-    gold_free = set(range(len(gold)))
-    pairs: list[tuple[str, str, float]] = []
-
-    for i in sorted(pred_free):
-        if pred_iris[i] is None:
-            continue
-        for j in sorted(gold_free):
-            if pred_iris[i] == gold_iris[j] and pred_norm[i] == gold_norm[j]:
-                pairs.append((pred[i][0], gold[j][0], 1.0))
-                pred_free.discard(i)
-                gold_free.discard(j)
-                break
-
-    candidates = []
-    for i in sorted(pred_free):
-        if pred_iris[i] is None:
-            continue
-        for j in sorted(gold_free):
-            if pred_iris[i] != gold_iris[j]:
-                continue
-            ratio = lcs_ratio(pred[i][0], gold[j][0], denominator)
-            if ratio >= threshold:
-                candidates.append((-ratio, i, j))
-    candidates.sort()
-    for neg_ratio, i, j in candidates:
-        if i in pred_free and j in gold_free:
-            pairs.append((pred[i][0], gold[j][0], -neg_ratio))
-            pred_free.discard(i)
-            gold_free.discard(j)
-
-    return MatchOutcome(
-        tp=sum(credit for _, _, credit in pairs),
-        fp=len(pred_free),
-        fn=len(gold_free),
-        pairs=tuple(pairs),
-    )
+    return _match([text for text, _ in pred], [text for text, _ in gold],
+                  threshold, denominator,
+                  lambda i, j: pred_iris[i] is not None and pred_iris[i] == gold_iris[j])

@@ -66,7 +66,6 @@ class BackendConfig:
     cache_path: Optional[Path] = None
     timeout: float = 60.0
     retry_base_delay: float = 0.5
-    min_call_interval: float = 0.0    # simple global rate limit, seconds
 
     def __post_init__(self) -> None:
         if self.cache_mode not in ("live", "record", "replay"):
@@ -200,9 +199,8 @@ Transport = Callable[[PromptMessages, BackendConfig], str]
 class Backend:
     """Executes model queries under the configured cache mode.
 
-    Thread-safe: the cache serializes writes, the rate limiter guards
-    call spacing, and the invocation counter is lock-protected so tests
-    can assert the one-query-per-step property.
+    Thread-safe: the cache serializes writes, and the invocation counter
+    is lock-protected so tests can assert the one-query-per-step property.
     """
 
     def __init__(self, config: BackendConfig, transport: Optional[Transport] = None):
@@ -212,8 +210,6 @@ class Backend:
         self.invocations = 0
         self.transport_calls = 0
         self._count_lock = threading.Lock()
-        self._rate_lock = threading.Lock()
-        self._last_call = 0.0
         if config.cache_mode in ("live", "record") and self.transport is http_chat_transport:
             _read_api_key()  # fail before any processing, not mid-run
 
@@ -241,7 +237,6 @@ class Backend:
         return BackendResponse(raw=raw, digest=digest, from_cache=False)
 
     def _call_with_retries(self, prompt: PromptMessages) -> str:
-        self._rate_limit()
         last: Optional[Exception] = None
         for attempt in range(self.config.max_retries + 1):
             try:
@@ -255,12 +250,3 @@ class Backend:
         raise TransportError(
             f"transport failed after {self.config.max_retries + 1} attempts: {last}"
         ) from last
-
-    def _rate_limit(self) -> None:
-        if self.config.min_call_interval <= 0:
-            return
-        with self._rate_lock:
-            wait = self._last_call + self.config.min_call_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_call = time.monotonic()

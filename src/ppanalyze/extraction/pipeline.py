@@ -9,18 +9,18 @@ audit dump alone.
 
 Hallucination guard: a span whose text does not occur in its segment
 (case-insensitive, whitespace-collapsed) is kept but flagged
-non_verbatim; graph building excludes flagged spans by default.
+non_verbatim; graph building excludes flagged spans.
 """
 from __future__ import annotations
 
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..corpus import PolicyDocument, Segment
 from ..taxonomy import Taxonomy, UnresolvedTermError
-from .backend import Backend, BackendError, ReplayMissError, TransportError
+from ..textnorm import normalize_text
+from .backend import Backend, BackendError
 from .prompts import (
     CLASSIFICATION_TASKS,
     RECOGNITION_TASKS,
@@ -37,6 +37,10 @@ _RECOGNITION_KIND = {
     TaskKind.PURPOSE_RECOGNITION: "purpose",
     TaskKind.PARTY_RECOGNITION: "party",
     TaskKind.ACTION_RECOGNITION: "action",
+}
+_CLASSIFICATION_TASK = {
+    "data": TaskKind.DATA_CLASSIFICATION,
+    "purpose": TaskKind.PURPOSE_CLASSIFICATION,
 }
 
 
@@ -157,33 +161,17 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
     return items, trace
 
 
-def _verbatim(span_text: str, segment_text: str) -> bool:
-    collapse = lambda s: re.sub(r"\s+", " ", s.casefold()).strip()
-    return collapse(span_text) in collapse(segment_text)
-
-
-def classify_entities(kind: str, spans: Sequence[EntitySpan], segment: Segment,
-                      backend: Backend, taxonomy: Taxonomy,
-                      ) -> tuple[list[EntitySpan], TaskTrace, list[str]]:
-    """Ground data/purpose spans in the taxonomy via one classification query.
-
-    Predictions are matched back to spans by entity text; unresolved
-    terms are recorded on the span (never dropped), and a resolved
-    non-leaf purpose is kept but flagged non_leaf.
-    """
-    assert kind in ("data", "purpose")
-    task = TaskKind.DATA_CLASSIFICATION if kind == "data" else TaskKind.PURPOSE_CLASSIFICATION
-    items, trace = run_task(task, segment, [s.text for s in spans], backend)
-
+def _ground(kind: str, spans: Sequence[EntitySpan], items: list[dict],
+            taxonomy: Taxonomy) -> tuple[list[EntitySpan], list[str]]:
+    """Apply classification items to data/purpose spans; return them with notes."""
     notes: list[str] = []
-    norm = lambda s: re.sub(r"\s+", " ", s.casefold()).strip()
     predictions: dict[str, str] = {}
     for item in items:
-        predictions.setdefault(norm(item["entity_text"]), item["term"])
+        predictions.setdefault(normalize_text(item["entity_text"]), item["term"])
 
     updated: list[EntitySpan] = []
     for span in spans:
-        term = predictions.get(norm(span.text))
+        term = predictions.get(normalize_text(span.text))
         if term is None:
             notes.append(f"{span.local_id}: classifier returned no term for {span.text!r}")
             updated.append(span)
@@ -198,6 +186,21 @@ def classify_entities(kind: str, spans: Sequence[EntitySpan], segment: Segment,
         if non_leaf:
             notes.append(f"{span.local_id}: non-leaf purpose term {node.iri}")
         updated.append(replace(span, grounded_term=node.iri, non_leaf=non_leaf))
+    return updated, notes
+
+
+def classify_entities(kind: str, spans: Sequence[EntitySpan], segment: Segment,
+                      backend: Backend, taxonomy: Taxonomy,
+                      ) -> tuple[list[EntitySpan], TaskTrace, list[str]]:
+    """Ground data/purpose spans in the taxonomy via one classification query.
+
+    Predictions are matched back to spans by entity text; unresolved
+    terms are recorded on the span (never dropped), and a resolved
+    non-leaf purpose is kept but flagged non_leaf.
+    """
+    assert kind in ("data", "purpose")
+    items, trace = run_task(_CLASSIFICATION_TASK[kind], segment, [s.text for s in spans], backend)
+    updated, notes = _ground(kind, spans, items, taxonomy)
     return updated, trace, notes
 
 
@@ -205,54 +208,38 @@ def _extract_segment(segment: Segment, backend: Backend,
                      taxonomy: Optional[Taxonomy]) -> SegmentExtraction:
     traces: dict[str, TaskTrace] = {}
     notes: list[str] = []
-    spans: list[EntitySpan] = []
-    failures = 0
 
-    recognized: dict[str, list[dict]] = {}
-    for task in RECOGNITION_TASKS:
+    def attempt(task: TaskKind, extras: Optional[Sequence]) -> Optional[list[dict]]:
+        """Run one step; on failure record its trace and return None."""
         try:
-            items, trace = run_task(task, segment, None, backend)
-            traces[task.value] = trace
-            recognized[_RECOGNITION_KIND[task]] = items
-        except (TransportError, ReplayMissError, BackendError) as exc:
-            traces[task.value] = TaskTrace(task=task.value, error=str(exc))
-            recognized[_RECOGNITION_KIND[task]] = []
-            failures += 1
-        except ParseError as exc:
-            traces[task.value] = TaskTrace(task=task.value, raw=exc.raw, error=str(exc))
-            recognized[_RECOGNITION_KIND[task]] = []
-            failures += 1
+            items, traces[task.value] = run_task(task, segment, extras, backend)
+            return items
+        except (BackendError, ParseError) as exc:
+            raw = exc.raw if isinstance(exc, ParseError) else None
+            traces[task.value] = TaskTrace(task=task.value, raw=raw, error=str(exc))
+            return None
 
-    entity_counter = 0
-    for kind in ("data", "purpose", "party"):
-        for item in recognized.get(kind, []):
+    recognized = {_RECOGNITION_KIND[task]: attempt(task, None) for task in RECOGNITION_TASKS}
+
+    # entities (data, purpose, party) are numbered e0.., actions a0..; actions
+    # come last in SPAN_KINDS, so len(spans) counts entities only
+    spans: list[EntitySpan] = []
+    for kind in SPAN_KINDS:
+        for i, item in enumerate(recognized[kind] or ()):
             span = EntitySpan(
-                local_id=f"e{entity_counter}",
+                local_id=f"a{i}" if kind == "action" else f"e{len(spans)}",
                 kind=kind,
                 text=item["text"],
                 segment_index=segment.index,
                 subtype=item.get("subtype"),
-                non_verbatim=not _verbatim(item["text"], segment.text),
+                non_verbatim=normalize_text(item["text"]) not in normalize_text(segment.text),
             )
             if span.non_verbatim:
                 notes.append(f"{span.local_id}: non-verbatim span {span.text!r}")
             spans.append(span)
-            entity_counter += 1
-    for i, item in enumerate(recognized.get("action", [])):
-        span = EntitySpan(
-            local_id=f"a{i}",
-            kind="action",
-            text=item["text"],
-            segment_index=segment.index,
-            subtype=item["subtype"],
-            non_verbatim=not _verbatim(item["text"], segment.text),
-        )
-        if span.non_verbatim:
-            notes.append(f"{span.local_id}: non-verbatim span {span.text!r}")
-        spans.append(span)
 
     if not spans:
-        if failures == len(RECOGNITION_TASKS):
+        if all(items is None for items in recognized.values()):
             return SegmentExtraction(segment.index, segment.text, (), (),
                                      traces, tuple(notes), failed=True)
         notes.append("no entities and no actions: classification and relation steps skipped")
@@ -260,52 +247,36 @@ def _extract_segment(segment: Segment, backend: Backend,
             traces[task.value] = TaskTrace(task=task.value, skipped=True)
         return SegmentExtraction(segment.index, segment.text, (), (), traces, tuple(notes))
 
-    final_spans: list[EntitySpan] = list(spans)
     if taxonomy is not None:
-        for kind in ("data", "purpose"):
-            subset = [s for s in final_spans if s.kind == kind]
+        for kind, task in _CLASSIFICATION_TASK.items():
+            subset = [s for s in spans if s.kind == kind]
             if not subset:
                 continue
-            try:
-                updated, trace, cls_notes = classify_entities(kind, subset, segment, backend, taxonomy)
-                task_name = (TaskKind.DATA_CLASSIFICATION if kind == "data"
-                             else TaskKind.PURPOSE_CLASSIFICATION).value
-                traces[task_name] = trace
+            items = attempt(task, [s.text for s in subset])
+            if items is not None:
+                updated, cls_notes = _ground(kind, subset, items, taxonomy)
                 notes.extend(cls_notes)
                 by_id = {s.local_id: s for s in updated}
-                final_spans = [by_id.get(s.local_id, s) for s in final_spans]
-            except (TransportError, ReplayMissError, BackendError, ParseError) as exc:
-                task_name = (TaskKind.DATA_CLASSIFICATION if kind == "data"
-                             else TaskKind.PURPOSE_CLASSIFICATION).value
-                raw = exc.raw if isinstance(exc, ParseError) else None
-                traces[task_name] = TaskTrace(task=task_name, raw=raw, error=str(exc))
-                failures += 1
+                spans = [by_id.get(s.local_id, s) for s in spans]
 
     relations: list[RelationTuple] = []
-    try:
-        items, trace = run_task(TaskKind.RELATION_RECOGNITION, segment, final_spans, backend)
-        traces[TaskKind.RELATION_RECOGNITION.value] = trace
-        known_ids = {s.local_id for s in final_spans}
-        action_ids = {s.local_id for s in final_spans if s.kind == "action"}
-        for item in items:
-            id1, id2 = item["id1"], item["id2"]
-            if id1 not in known_ids or id2 not in known_ids:
-                notes.append(f"relation ({id1}, {id2}, {item['type']}) dropped: unknown id")
-                continue
-            if id2 in action_ids and id1 not in action_ids:
-                notes.append(f"relation ({id1}, {id2}, {item['type']}) swapped: action must be first")
-                id1, id2 = id2, id1
-            relations.append(RelationTuple(id1, id2, item["type"]))
-    except (TransportError, ReplayMissError, BackendError, ParseError) as exc:
-        raw = exc.raw if isinstance(exc, ParseError) else None
-        traces[TaskKind.RELATION_RECOGNITION.value] = TaskTrace(
-            task=TaskKind.RELATION_RECOGNITION.value, raw=raw, error=str(exc))
-        failures += 1
+    items = attempt(TaskKind.RELATION_RECOGNITION, spans)
+    known_ids = {s.local_id for s in spans}
+    action_ids = {s.local_id for s in spans if s.kind == "action"}
+    for item in items or ():
+        id1, id2 = item["id1"], item["id2"]
+        if id1 not in known_ids or id2 not in known_ids:
+            notes.append(f"relation ({id1}, {id2}, {item['type']}) dropped: unknown id")
+            continue
+        if id2 in action_ids and id1 not in action_ids:
+            notes.append(f"relation ({id1}, {id2}, {item['type']}) swapped: action must be first")
+            id1, id2 = id2, id1
+        relations.append(RelationTuple(id1, id2, item["type"]))
 
     return SegmentExtraction(
         segment_index=segment.index,
         segment_text=segment.text,
-        spans=tuple(final_spans),
+        spans=tuple(spans),
         relations=tuple(relations),
         traces=traces,
         notes=tuple(notes),

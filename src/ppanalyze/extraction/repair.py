@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..textnorm import normalize_label
 from .prompts import FieldSpec, ResponseShape
 
 DEFAULT_REFUSAL_PHRASES = frozenset({
@@ -218,25 +219,21 @@ class _Tolerant:
 
 # -- stage 3: shape normalization --
 
-def _norm_key(key: str) -> str:
-    return re.sub(r"[^0-9a-z]", "", str(key).casefold())
-
-
 def _match_field(key: str, fields: tuple[FieldSpec, ...]) -> Optional[str]:
-    nk = _norm_key(key)
+    nk = normalize_label(key)
     for f in fields:
-        if nk == _norm_key(f.name) or any(nk == _norm_key(s) for s in f.synonyms):
+        if nk == normalize_label(f.name) or any(nk == normalize_label(s) for s in f.synonyms):
             return f.name
     return None
 
 
 def _map_enum(value: Any, spec: FieldSpec) -> Optional[str]:
-    nv = _norm_key(str(value))
+    nv = normalize_label(str(value))
     for canonical in spec.enum_values:
-        if nv == _norm_key(canonical):
+        if nv == normalize_label(canonical):
             return canonical
     for alias, canonical in spec.enum_synonyms:
-        if nv == _norm_key(alias):
+        if nv == normalize_label(alias):
             return canonical
     return None
 
@@ -244,9 +241,9 @@ def _map_enum(value: Any, spec: FieldSpec) -> Optional[str]:
 def _unwrap_envelope(value: Any, shape: ResponseShape, trace: RepairTrace) -> Any:
     if not isinstance(value, dict):
         return value
-    normalized_envelopes = {_norm_key(k) for k in shape.envelope_keys}
+    normalized_envelopes = {normalize_label(k) for k in shape.envelope_keys}
     for key, inner in value.items():
-        if _norm_key(key) in normalized_envelopes:
+        if normalize_label(key) in normalized_envelopes:
             if key != shape.envelope_keys[0]:
                 trace.note("key_normalization")
             return inner
@@ -288,7 +285,7 @@ def _normalize_item(item: Any, shape: ResponseShape, trace: RepairTrace) -> Opti
         name = _match_field(key, shape.fields)
         if name is None:
             continue
-        if _norm_key(key) != _norm_key(name) or name != key:
+        if normalize_label(key) != normalize_label(name) or name != key:
             trace.note("key_normalization")
         out[name] = value
 

@@ -128,8 +128,7 @@ def service_iri(service_id: str) -> IRI:
 
 
 def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
-                taxonomy_version: str = "unknown",
-                include_non_verbatim: bool = False) -> PrPrGraph:
+                taxonomy_version: str = "unknown") -> PrPrGraph:
     """Build the practice graph for one document's extraction result.
 
     Nothing here is fatal: spans that cannot enter the graph (ungrounded
@@ -168,7 +167,7 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
 
         actions = [s for s in seg.actions]
         for ordinal, action in enumerate(actions):
-            if action.non_verbatim and not include_non_verbatim:
+            if action.non_verbatim:
                 log.skipped_actions += 1
                 log.skipped_non_verbatim += 1
                 log.note(f"segment {seg.segment_index}: action {action.local_id} "
@@ -195,7 +194,7 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                     log.note(f"segment {seg.segment_index}: tuple ({rel.subject_id}, "
                              f"{rel.object_id}, {rel.event_type}) dropped")
                     continue
-                if target.non_verbatim and not include_non_verbatim:
+                if target.non_verbatim:
                     log.skipped_non_verbatim += 1
                     log.note(f"segment {seg.segment_index}: link to {target.local_id} "
                              f"skipped (non-verbatim {target.text!r})")

@@ -12,7 +12,6 @@ never silently dropped.  Data is identified by its class IRI.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +28,7 @@ from .graph import (
     PRACTICE_SUBTYPE,
     PRIVACY_POLICY,
     PrPrGraph,
+    _digest,
     practice_types,
 )
 from .rdfio import RDF_TYPE, BNode, Graph, IRI, Literal
@@ -64,7 +64,6 @@ class ConversionProfile:
     action_map: dict[str, str]
     role_map: dict[str, str]
     psdtou: dict[str, str]
-    data_identifier: str = "data_class_iri"
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ConversionProfile":
@@ -79,7 +78,6 @@ class ConversionProfile:
             action_map=dict(payload["action_map"]),
             role_map=dict(payload["role_map"]),
             psdtou=dict(payload["psdtou"]),
-            data_identifier=payload.get("data_identifier", "data_class_iri"),
         )
 
     @classmethod
@@ -106,10 +104,6 @@ class ConversionReport:
             "unmapped_types": sorted(set(self.unmapped_types)),
             "skipped_practices": list(self.skipped_practices),
         }
-
-
-def _digest(*parts: str) -> str:
-    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

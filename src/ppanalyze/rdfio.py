@@ -276,6 +276,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _SKIP_RE = re.compile(_SKIP)
+# Turtle constructs the reader does not support, by their opening token.
+_UNSUPPORTED = {"[": "blank-node property list", "(": "collection"}
 
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
 
@@ -364,6 +366,10 @@ def parse_turtle(data: Union[str, bytes], graph: Optional[Graph] = None) -> Grap
             return Literal(tok, datatype=IRI(XSD + "boolean")), j + 1
         if kind == "keyword" and tok == "a":
             return IRI(RDF_TYPE), j + 1
+        if tok in _UNSUPPORTED:
+            raise RdfError(f"unsupported Turtle syntax: {_UNSUPPORTED[tok]} ({tok!r}); "
+                           "only triples of IRIs, prefixed names, labelled blank "
+                           "nodes and literals are read")
         raise RdfError(f"unexpected token {tok!r}")
 
     while i < len(tokens):

@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Union
 
 from . import rdfio
 from .rdfio import IRI, Literal
+from .textnorm import normalize_label
 
 RDFS_SUBCLASS = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
 RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
@@ -61,11 +62,6 @@ class UnresolvedTermError(TaxonomyError):
         super().__init__(f"cannot resolve {kind} term: {term!r}")
         self.term = term
         self.kind = kind
-
-
-def normalize_label(text: str) -> str:
-    """Case-fold and strip every non-alphanumeric character."""
-    return re.sub(r"[^0-9a-z]", "", text.casefold())
 
 
 def local_name(iri: str) -> str:

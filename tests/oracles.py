@@ -75,6 +75,105 @@ def optimal_matching_credit(pred: list[str], gold: list[str], threshold: float =
     return result
 
 
+# -- reference span matchers --
+
+def reference_lcs_ratio(a: str, b: str, denominator: str = "max") -> float:
+    na, nb = normalize(a), normalize(b)
+    if not na and not nb:
+        return 1.0
+    if not na or not nb:
+        return 0.0
+    denom = {"max": max(len(na), len(nb)), "gold": len(nb),
+             "mean": (len(na) + len(nb)) / 2}[denominator]
+    return brute_force_lcs(na, nb) / denom
+
+
+def reference_match_spans(pred: list[str], gold: list[str], threshold: float = 0.9,
+                          denominator: str = "max") -> tuple:
+    """(tp, fp, fn, pairs) of the two-pass span matcher."""
+    pred_norm = [normalize(p) for p in pred]
+    gold_norm = [normalize(g) for g in gold]
+    pred_free = set(range(len(pred)))
+    gold_free = set(range(len(gold)))
+    pairs = []
+
+    for i in sorted(pred_free):
+        for j in sorted(gold_free):
+            if pred_norm[i] == gold_norm[j]:
+                pairs.append((pred[i], gold[j], 1.0))
+                pred_free.discard(i)
+                gold_free.discard(j)
+                break
+
+    candidates = []
+    for i in sorted(pred_free):
+        for j in sorted(gold_free):
+            ratio = reference_lcs_ratio(pred[i], gold[j], denominator)
+            if ratio >= threshold:
+                candidates.append((-ratio, i, j))
+    candidates.sort()
+    for neg_ratio, i, j in candidates:
+        if i in pred_free and j in gold_free:
+            pairs.append((pred[i], gold[j], -neg_ratio))
+            pred_free.discard(i)
+            gold_free.discard(j)
+
+    return (sum(credit for _, _, credit in pairs), len(pred_free), len(gold_free),
+            tuple(pairs))
+
+
+def reference_score_classification(pred: list[tuple[str, str]], gold: list[tuple[str, str]],
+                                   taxonomy, kind: str, threshold: float = 0.9,
+                                   denominator: str = "max") -> tuple:
+    """(tp, fp, fn, pairs) of the two-pass (span, term) matcher: a pair
+    matches only when both terms resolve to the same taxonomy IRI."""
+    from ppanalyze.taxonomy import UnresolvedTermError
+
+    def resolve(term):
+        try:
+            return taxonomy.resolve_term(term, kind).iri
+        except UnresolvedTermError:
+            return None
+
+    pred_iris = [resolve(term) for _, term in pred]
+    gold_iris = [resolve(term) for _, term in gold]
+    pred_norm = [normalize(text) for text, _ in pred]
+    gold_norm = [normalize(text) for text, _ in gold]
+    pred_free = set(range(len(pred)))
+    gold_free = set(range(len(gold)))
+    pairs = []
+
+    for i in sorted(pred_free):
+        if pred_iris[i] is None:
+            continue
+        for j in sorted(gold_free):
+            if pred_iris[i] == gold_iris[j] and pred_norm[i] == gold_norm[j]:
+                pairs.append((pred[i][0], gold[j][0], 1.0))
+                pred_free.discard(i)
+                gold_free.discard(j)
+                break
+
+    candidates = []
+    for i in sorted(pred_free):
+        if pred_iris[i] is None:
+            continue
+        for j in sorted(gold_free):
+            if pred_iris[i] != gold_iris[j]:
+                continue
+            ratio = reference_lcs_ratio(pred[i][0], gold[j][0], denominator)
+            if ratio >= threshold:
+                candidates.append((-ratio, i, j))
+    candidates.sort()
+    for neg_ratio, i, j in candidates:
+        if i in pred_free and j in gold_free:
+            pairs.append((pred[i][0], gold[j][0], -neg_ratio))
+            pred_free.discard(i)
+            gold_free.discard(j)
+
+    return (sum(credit for _, _, credit in pairs), len(pred_free), len(gold_free),
+            tuple(pairs))
+
+
 def scan_lines(raw_text: str) -> list[tuple[int, int, str]]:
     """Character-walking line scanner: (start, end, text) of each
     trimmed non-blank line, offsets into raw_text."""

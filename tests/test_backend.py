@@ -263,23 +263,6 @@ class TestRetries:
             backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         assert "3 attempts" in str(err.value)
 
-    def test_min_call_interval_spaces_transport_calls(self):
-        import time
-
-        stamps = []
-
-        def transport(prompt, config):
-            stamps.append(time.monotonic())
-            return "[]"
-
-        backend = Backend(
-            BackendConfig(cache_mode="live", min_call_interval=0.05),
-            transport=transport,
-        )
-        backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
-        backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
-        assert stamps[1] - stamps[0] >= 0.045
-
     def test_non_transport_errors_not_retried(self):
         calls = []
 

@@ -3,8 +3,12 @@ from __future__ import annotations
 import pytest
 
 from ppanalyze.eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
-from ppanalyze.eval.gold import load_gold_corpus
+from ppanalyze.eval.gold import expected_answer, load_gold_corpus, segment_tasks
 from ppanalyze.extraction import Backend, BackendConfig, TaskKind, TransportError
+from ppanalyze.extraction.backend import ResponseCache, prompt_digest
+from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TASK_SHAPES, build_prompt
+
+from .conftest import FIXTURE_MODEL
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,25 @@ class TestRunBenchmark:
                                tasks=[TaskKind.DATA_RECOGNITION], taxonomy=taxonomy)
         total_segments = sum(len(gd.doc.segments) for gd in corpus)
         assert report.scores[TaskKind.DATA_RECOGNITION].n_samples == total_segments
+
+
+class TestFixtureAnswers:
+    def test_caches_hold_expected_answers(self, corpus, gold_dir_module, taxonomy):
+        primed = ResponseCache(gold_dir_module / "replay_cache.jsonl")
+        empty = ResponseCache(gold_dir_module / "replay_cache_empty.jsonl")
+        queried = 0
+        for gold_doc in corpus:
+            for task in ALL_TASKS:
+                for sample in segment_tasks(gold_doc, task, taxonomy):
+                    if task not in RECOGNITION_TASKS and not sample.extras:
+                        continue    # nothing to classify or relate: no query
+                    prompt = build_prompt(task, sample.segment_text, sample.extras)
+                    digest = prompt_digest(FIXTURE_MODEL, task.value, prompt)
+                    assert primed.get(digest)["response"] == expected_answer(task, sample)
+                    envelope = TASK_SHAPES[task].envelope_keys[0]
+                    assert empty.get(digest)["response"] == '{"%s": []}' % envelope
+                    queried += 1
+        assert queried == len(primed) == len(empty)
 
 
 class TestMixedCorpusMacroMeans:

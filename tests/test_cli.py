@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,6 +198,20 @@ class TestEvaluate:
             main(["evaluate", str(tmp_path), "--replay",
                   "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")])
         assert "usage error" in str(err.value)
+
+    def test_undeclared_gold_label_is_usage_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold"
+        shutil.copytree(FIXTURES / "gold", gold)
+        ann = gold / "acme.ann"
+        ann.write_text(ann.read_text().replace("T1\tdata ", "T1\tdata-item ", 1))
+        # live mode without credentials: the label check must come first
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", str(gold), "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "usage error: 1 gold label(s) not declared" in stderr
+        assert "acme: entity T1: undeclared type 'data-item'" in stderr
+        assert not (tmp_path / "out" / "report.tsv").exists()
 
 
 class TestExportFinetune:

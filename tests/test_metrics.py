@@ -17,7 +17,13 @@ from ppanalyze.eval.metrics import (
     score_classification,
 )
 
-from .oracles import brute_force_lcs, brute_force_lcs_ratio, optimal_matching_credit
+from .oracles import (
+    brute_force_lcs,
+    brute_force_lcs_ratio,
+    optimal_matching_credit,
+    reference_match_spans,
+    reference_score_classification,
+)
 
 short_text = st.text(alphabet="abcde -", max_size=20)
 
@@ -221,3 +227,47 @@ class TestSampleF1:
 
     def test_regular_sample(self):
         assert sample_f1(["a"], ["a", "b"]) == pytest.approx(2 / 3)
+
+
+_BASES = ["email address", "ip address", "send newsletters", "location", "device id"]
+
+
+@st.composite
+def span_variants(draw) -> str:
+    """A base span, possibly re-cased, re-spaced, or cut or extended into a
+    near miss either side of the usual thresholds (e.g. 12/13, 11/13)."""
+    text = draw(st.sampled_from(_BASES))
+    text = draw(st.sampled_from([str, str.upper, str.title]))(text)
+    text = text.replace(" ", draw(st.sampled_from([" ", "  ", "\t", " \n "])))
+    cut = draw(st.integers(0, 3))
+    text = text[:len(text) - cut] + draw(st.sampled_from(["", "s", "es", " data"]))
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
+
+
+thresholds = st.sampled_from([0.75, 0.8, 0.85, 0.9, 0.92, 0.95, 1.0]) | st.floats(0.01, 1.0)
+denominators = st.sampled_from(["max", "gold", "mean"])
+# resolvable for "data", for "purpose", for neither; several spellings of one term
+TERMS = ["EmailAddress", "pd:EmailAddress", EMAIL, "email address", "IPAddress",
+         "Location", "Contact", "dpv:Marketing", "DirectMarketing", "NotATerm", ""]
+
+
+class TestMatcherOracle:
+    """The merged matcher returns what the two separate matchers returned."""
+
+    @given(st.lists(span_variants(), max_size=6), st.lists(span_variants(), max_size=6),
+           thresholds, denominators)
+    @settings(max_examples=200)
+    def test_match_spans_equals_reference(self, pred, gold, threshold, denominator):
+        m = match_spans(pred, gold, threshold, denominator)
+        assert (m.tp, m.fp, m.fn, m.pairs) == reference_match_spans(
+            pred, gold, threshold, denominator)
+
+    @given(st.lists(st.tuples(span_variants(), st.sampled_from(TERMS)), max_size=6),
+           st.lists(st.tuples(span_variants(), st.sampled_from(TERMS)), max_size=6),
+           st.sampled_from(["data", "purpose"]), thresholds, denominators)
+    @settings(max_examples=200)
+    def test_score_classification_equals_reference(self, taxonomy, pred, gold, kind,
+                                                   threshold, denominator):
+        m = score_classification(pred, gold, taxonomy, kind, threshold, denominator)
+        assert (m.tp, m.fp, m.fn, m.pairs) == reference_score_classification(
+            pred, gold, taxonomy, kind, threshold, denominator)

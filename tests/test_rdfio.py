@@ -103,6 +103,36 @@ class TestTurtleSubset:
         with pytest.raises(RdfError):
             parse('"text" <urn:p> <urn:o> .', "turtle")
 
+    # Examples from the Turtle 1.1 specification (https://www.w3.org/TR/turtle/),
+    # sections 2.5.2 and 2.8.
+    SPEC_BLANK_NODE_LISTS = [
+        '@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n'
+        '# Someone knows someone else, who has the name "Bob".\n'
+        '[] foaf:knows [ foaf:name "Bob" ] .\n',
+        '@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n'
+        '[ foaf:name "Alice" ] foaf:knows [\n'
+        '    foaf:name "Bob" ;\n'
+        '    foaf:knows [\n'
+        '        foaf:name "Eve" ] ;\n'
+        '    foaf:mbox <bob@example.com> ] .\n',
+    ]
+    SPEC_COLLECTION = (
+        '@prefix : <http://example.org/foo> .\n'
+        '# the object of this triple is the RDF collection blank node\n'
+        ':subject :predicate ( :a :b :c ) .\n'
+        '# an empty collection value - rdf:nil\n'
+        ':subject :predicate2 () .\n'
+    )
+
+    @pytest.mark.parametrize("text", SPEC_BLANK_NODE_LISTS)
+    def test_blank_node_property_list_named_as_unsupported(self, text):
+        with pytest.raises(RdfError, match=r"unsupported Turtle syntax: blank-node property list"):
+            parse(text, "turtle")
+
+    def test_collection_named_as_unsupported(self):
+        with pytest.raises(RdfError, match=r"unsupported Turtle syntax: collection"):
+            parse(self.SPEC_COLLECTION, "turtle")
+
 
 _literal_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), max_codepoint=0x2FFF),

@@ -145,3 +145,45 @@ class TestIdempotence:
         payload = json.dumps({"entities": [{"text": t} for t in texts]})
         items, trace = repair_and_parse(payload, DATA)
         assert items == [{"text": t.strip()} for t in texts]
+
+
+_FIELD_NAMES = sorted({name for shape in TASK_SHAPES.values() for f in shape.fields
+                       for name in (f.name, *f.synonyms)})
+_ENUMS = sorted({v for shape in TASK_SHAPES.values() for f in shape.fields
+                 for v in (*f.enum_values, *(alias for alias, _ in f.enum_synonyms))})
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12) | st.sampled_from(_ENUMS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def raw_responses(draw) -> str:
+    """Arbitrary text, or a JSON value that may be enveloped, fenced or
+    wrapped in prose, sometimes cut short."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=60))
+    value = draw(json_values)
+    if draw(st.booleans()):
+        shape = draw(st.sampled_from(list(TASK_SHAPES.values())))
+        value = {draw(st.sampled_from(shape.envelope_keys) | st.text(max_size=6)): value}
+    raw = json.dumps(value)
+    if draw(st.booleans()):
+        raw = draw(st.sampled_from(["```json\n{}\n```", "```\n{}", "Here you go: {} Thanks",
+                                    "{}"])).replace("{}", raw)
+    return raw[:draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
+
+
+class TestFuzz:
+    @given(raw_responses(), st.sampled_from(list(TASK_SHAPES)))
+    @settings(max_examples=300)
+    def test_returns_dicts_or_raises_parse_error(self, raw, task):
+        try:
+            items, _ = repair_and_parse(raw, TASK_SHAPES[task])
+        except ParseError:
+            return
+        assert isinstance(items, list)
+        assert all(isinstance(item, dict) for item in items)

@@ -25,7 +25,7 @@ from ppanalyze.corpus import load_policy, parse_brat, align_gold
 from ppanalyze.eval.gold import GoldDocument, expected_answer, segment_tasks
 from ppanalyze.extraction.backend import Backend, BackendConfig, ResponseCache, prompt_digest
 from ppanalyze.extraction.pipeline import extract_document
-from ppanalyze.extraction.prompts import TaskKind, build_prompt
+from ppanalyze.extraction.prompts import TASK_SHAPES, TaskKind, build_prompt
 from ppanalyze.taxonomy import load_default_taxonomy
 
 FIXTURES = ROOT / "fixtures"
@@ -292,8 +292,7 @@ def make_gold_caches() -> None:
                 if correct:
                     response = expected_answer(task, sample)
                 else:
-                    envelope = expected_answer(task, sample).split('"')[1]
-                    response = '{"%s": []}' % envelope
+                    response = '{"%s": []}' % TASK_SHAPES[task].envelope_keys[0]
                 cache.put({
                     "key": prompt_digest(MODEL, task.value, prompt),
                     "model": MODEL,
