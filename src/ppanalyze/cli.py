@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import graph as graphmod
 from . import rdfio
-from .corpus import CorpusError, load_policy, validate_gold_labels
+from .corpus import CorpusError, load_policy, read_annotation_conf, validate_gold_labels
 from .eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
 from .eval.finetune import FinetuneError, FinetuneSpec, select_finetune_data, write_jsonl
 from .eval.gold import GoldCorpusError, load_gold_corpus
@@ -239,8 +239,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise SystemExit(f"usage error: {exc}")
     conf = Path(args.gold_dir) / "annotation.conf"
     if conf.exists():
+        inventory = read_annotation_conf(conf)
         problems = [f"{gold_doc.gold.doc_id}: {problem}" for gold_doc in corpus
-                    for problem in validate_gold_labels(gold_doc.gold, conf)]
+                    for problem in validate_gold_labels(gold_doc.gold, inventory)]
         if problems:
             _report_problems(f"usage error: {len(problems)} gold label(s) not declared in {conf}",
                              problems)

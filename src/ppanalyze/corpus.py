@@ -344,14 +344,13 @@ def read_annotation_conf(path: Union[str, Path]) -> dict[str, set[str]]:
     return sections
 
 
-def validate_gold_labels(gold: GoldAnnotationSet,
-                         conf_path: Union[str, Path]) -> list[str]:
-    """Check a gold set's labels against an annotation.conf inventory.
+def validate_gold_labels(gold: GoldAnnotationSet, conf: dict[str, set[str]]) -> list[str]:
+    """Check a gold set's labels against an annotation.conf inventory, as
+    `read_annotation_conf` returns it.
 
     Returns human-readable problems for labels not declared in the conf;
     an empty list means the gold set matches the schema.
     """
-    conf = read_annotation_conf(conf_path)
     entity_labels = conf.get("entities", set()) | conf.get("events", set())
     problems = []
     for ent in gold.entities:

@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 
 from ..extraction.backend import Backend, BackendError
 from ..extraction.pipeline import run_task
-from ..extraction.prompts import TaskKind
+from ..extraction.prompts import CLASSIFICATION_TASKS, RECOGNITION_TASKS, TASK_KIND, TaskKind
 from ..extraction.repair import ParseError
 from ..taxonomy import Taxonomy
-from .gold import GoldDocument, LabelMaps, SegmentTask, segment_tasks
+from .gold import GoldDocument, SegmentTask, segment_tasks
 from .metrics import (
     DEFAULT_THRESHOLD,
     facet_means,
@@ -29,14 +29,8 @@ from .metrics import (
 
 ALL_TASKS = tuple(TaskKind)
 
-RELAXED_TASKS = frozenset({
-    TaskKind.DATA_RECOGNITION,
-    TaskKind.PURPOSE_RECOGNITION,
-    TaskKind.PARTY_RECOGNITION,
-    TaskKind.ACTION_RECOGNITION,
-    TaskKind.DATA_CLASSIFICATION,
-    TaskKind.PURPOSE_CLASSIFICATION,
-})
+# every task with a span kind is scored by relaxed matching
+RELAXED_TASKS = frozenset(TASK_KIND)
 
 
 @dataclass
@@ -95,11 +89,11 @@ class ScoreReport:
 def _score_sample(task: TaskKind, sample: SegmentTask, pred_items: list[dict],
                   taxonomy: Optional[Taxonomy], threshold: float,
                   denominator: str) -> float:
-    if task in (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION):
+    if task in CLASSIFICATION_TASKS:
         pred_pairs = [(i.get("entity_text", ""), i.get("term", "")) for i in pred_items]
-        kind = "data" if task is TaskKind.DATA_CLASSIFICATION else "purpose"
         return outcome_f1(score_classification(pred_pairs, list(sample.gold_pairs),
-                                               taxonomy, kind, threshold, denominator))
+                                               taxonomy, TASK_KIND[task], threshold,
+                                               denominator))
     if task is TaskKind.RELATION_RECOGNITION:
         pred = [f"{i.get('id1', '')} {i.get('id2', '')} {i.get('type', '')}" for i in pred_items]
         return sample_f1(pred, list(sample.gold_spans), threshold=1.0)
@@ -112,19 +106,15 @@ def run_benchmark(corpus: Sequence[GoldDocument], backend: Backend,
                   tasks: Optional[Sequence[TaskKind]] = None,
                   taxonomy: Optional[Taxonomy] = None,
                   threshold: float = DEFAULT_THRESHOLD,
-                  denominator: str = "max",
-                  maps: Optional[LabelMaps] = None) -> ScoreReport:
+                  denominator: str = "max") -> ScoreReport:
     """Run each task over every segment of the corpus and score it."""
     report = ScoreReport(model=backend.config.model_name)
     for task in tasks or ALL_TASKS:
         rows: list[SampleRow] = []
         for gold_doc in corpus:
-            for sample in segment_tasks(gold_doc, task, taxonomy, maps):
-                needs_extras = task in (TaskKind.DATA_CLASSIFICATION,
-                                        TaskKind.PURPOSE_CLASSIFICATION,
-                                        TaskKind.RELATION_RECOGNITION)
+            for sample in segment_tasks(gold_doc, task, taxonomy):
                 error = None
-                if needs_extras and not sample.extras:
+                if task not in RECOGNITION_TASKS and not sample.extras:
                     pred_items: list[dict] = []   # nothing to classify/relate
                 else:
                     segment = gold_doc.doc.segments[sample.segment_index]

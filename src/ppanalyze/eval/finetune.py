@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from ..extraction.prompts import TaskKind, build_prompt
+from ..extraction.prompts import RECOGNITION_TASKS, TaskKind, build_prompt
 from ..taxonomy import Taxonomy
-from .gold import GoldDocument, LabelMaps, SegmentTask, expected_answer, segment_tasks
+from .gold import GoldDocument, SegmentTask, expected_answer, segment_tasks
 
 
 class FinetuneError(Exception):
@@ -76,7 +76,6 @@ def _record(task: TaskKind, sample: SegmentTask) -> dict:
 def select_finetune_data(corpus: Sequence[GoldDocument], task: TaskKind,
                          spec: FinetuneSpec,
                          taxonomy: Optional[Taxonomy] = None,
-                         maps: Optional[LabelMaps] = None,
                          ) -> tuple[list[dict], list[dict]]:
     """Sample (train, validation) chat records for one task.
 
@@ -86,12 +85,9 @@ def select_finetune_data(corpus: Sequence[GoldDocument], task: TaskKind,
     """
     nonempty: list[SegmentTask] = []
     empty: list[SegmentTask] = []
-    needs_extras = task in (TaskKind.DATA_CLASSIFICATION,
-                            TaskKind.PURPOSE_CLASSIFICATION,
-                            TaskKind.RELATION_RECOGNITION)
     for gold_doc in corpus:
-        for sample in segment_tasks(gold_doc, task, taxonomy, maps):
-            if needs_extras and not sample.extras:
+        for sample in segment_tasks(gold_doc, task, taxonomy):
+            if task not in RECOGNITION_TASKS and not sample.extras:
                 continue
             (empty if sample.is_empty else nonempty).append(sample)
 

@@ -1,8 +1,9 @@
 """Per-task views over gold annotations, aligned to segments.
 
 Maps brat entity/event/role labels onto the seven pipeline tasks.  The
-label maps are configuration with defaults covering the obvious naming
-schemes; corpora with different inventories supply their own maps.
+label tables below cover the obvious naming schemes; labels are looked
+up after normalization, and a label none of them knows adds nothing to
+the gold answer.
 
 For the relation task, gold entities and event triggers receive the
 same local ids ("e0".. for data, purpose, party spans in offset order,
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -27,12 +28,18 @@ from ..corpus import (
     load_policy,
     parse_brat,
 )
-from ..extraction.prompts import TASK_SHAPES, TaskKind
+from ..extraction.prompts import (
+    CLASSIFICATION_TASKS,
+    RECOGNITION_TASKS,
+    TASK_KIND,
+    TASK_SHAPES,
+    TaskKind,
+)
 from ..taxonomy import Taxonomy, UnresolvedTermError
 from ..textnorm import normalize_label
 
 
-DEFAULT_ENTITY_KIND_MAP = {
+ENTITY_KIND_MAP = {
     "data": "data",
     "dataentity": "data",
     "purpose": "purpose",
@@ -51,7 +58,7 @@ DEFAULT_ENTITY_KIND_MAP = {
     "dataprotector": "party",
 }
 
-DEFAULT_PARTY_SUBTYPE_MAP = {
+PARTY_SUBTYPE_MAP = {
     "firstparty": "first_party",
     "firstpartyentity": "first_party",
     "thirdparty": "third_party",
@@ -59,7 +66,7 @@ DEFAULT_PARTY_SUBTYPE_MAP = {
     "user": "user",
 }
 
-DEFAULT_EVENT_SUBTYPE_MAP = {
+EVENT_SUBTYPE_MAP = {
     "collectionuse": "collection_use",
     "datacollectionuse": "collection_use",
     "thirdpartysharingdisclosure": "third_party_sharing_disclosure",
@@ -70,7 +77,7 @@ DEFAULT_EVENT_SUBTYPE_MAP = {
     "datasecurityprotection": "security_protection",
 }
 
-DEFAULT_ROLE_EVENT_MAP = {
+ROLE_EVENT_MAP = {
     "data": "HAS_DATA",
     "datacollected": "HAS_DATA",
     "datashared": "HAS_DATA",
@@ -86,24 +93,9 @@ DEFAULT_ROLE_EVENT_MAP = {
 }
 
 
-@dataclass(frozen=True)
-class LabelMaps:
-    entity_kind: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_ENTITY_KIND_MAP))
-    party_subtype: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PARTY_SUBTYPE_MAP))
-    event_subtype: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_EVENT_SUBTYPE_MAP))
-    role_event: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_ROLE_EVENT_MAP))
-
-    def kind_of(self, entity_type: str) -> Optional[str]:
-        return self.entity_kind.get(normalize_label(entity_type))
-
-    def party_subtype_of(self, entity_type: str) -> Optional[str]:
-        return self.party_subtype.get(normalize_label(entity_type))
-
-    def action_subtype_of(self, event_type: str) -> Optional[str]:
-        return self.event_subtype.get(normalize_label(event_type))
-
-    def event_type_of(self, role: str) -> Optional[str]:
-        return self.role_event.get(normalize_label(re.sub(r"\d+$", "", role)))
+def _label(table: dict[str, str], label: str) -> Optional[str]:
+    """Look a brat label up in one of the tables above."""
+    return table.get(normalize_label(label))
 
 
 @dataclass(frozen=True)
@@ -149,12 +141,13 @@ class SegmentTask:
         return not (self.gold_spans or self.gold_pairs or self.gold_items)
 
 
-def _ordered_entities(slice_: GoldSlice, maps: LabelMaps, kind: str) -> list[AlignedEntity]:
+def _ordered_entities(slice_: GoldSlice, kind: str) -> list[AlignedEntity]:
     """A segment's gold spans of one kind, event triggers excluded, in offset order."""
     triggers = {ev.event.trigger_id for ev in slice_.events}
     return sorted(
         (ae for ae in slice_.entities
-         if maps.kind_of(ae.entity.type) == kind and ae.entity.id not in triggers),
+         if _label(ENTITY_KIND_MAP, ae.entity.type) == kind
+         and ae.entity.id not in triggers),
         key=lambda ae: (ae.entity.char_start, ae.entity.id),
     )
 
@@ -164,115 +157,84 @@ def _ordered_events(slice_: GoldSlice) -> list[AlignedEvent]:
     return sorted(slice_.events, key=lambda ev: (ev.trigger.char_start, ev.event.id))
 
 
-def _local_ids(slice_: GoldSlice, maps: LabelMaps) -> tuple[list[tuple[str, str, AlignedEntity]], list[tuple[str, AlignedEvent]]]:
-    """Assign pipeline-style local ids to a segment's gold spans."""
-    entities: list[tuple[str, str, AlignedEntity]] = []
-    for kind in ("data", "purpose", "party"):
-        for ae in _ordered_entities(slice_, maps, kind):
-            entities.append((f"e{len(entities)}", kind, ae))
+def _local_ids(slice_: GoldSlice) -> tuple[tuple[tuple[str, str, str], ...],
+                                           list[tuple[str, AlignedEvent]], dict[str, str]]:
+    """Assign pipeline-style local ids to a segment's gold spans.
+
+    Returns the relation prompt's (id, kind, text) rows, the events with
+    their ids, and the local id of each brat id a role may target.  An
+    entity id wins over an event id, an event id over a trigger id, and
+    of two events sharing a trigger the last one wins.
+    """
+    rows = [(kind, ae) for kind in ("data", "purpose", "party")
+            for ae in _ordered_entities(slice_, kind)]
+    entities = [(f"e{i}", kind, ae) for i, (kind, ae) in enumerate(rows)]
     events = [(f"a{i}", ev) for i, ev in enumerate(_ordered_events(slice_))]
-    return entities, events
+    local_id = {ev.event.trigger_id: a for a, ev in events}
+    local_id.update((ev.event.id, a) for a, ev in events)
+    local_id.update((ae.entity.id, e) for e, _, ae in entities)
+    extras = tuple((e, kind, ae.entity.covering_text) for e, kind, ae in entities) \
+        + tuple((a, "action", ev.trigger.covering_text) for a, ev in events)
+    return extras, events, local_id
+
+
+def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Optional[Taxonomy]) -> dict:
+    """The task-dependent SegmentTask fields for one segment's gold."""
+    if task in RECOGNITION_TASKS:
+        kind = TASK_KIND[task]
+        if kind == "action":
+            found = [(ev.trigger.covering_text, _label(EVENT_SUBTYPE_MAP, ev.event.type))
+                     for ev in _ordered_events(slice_)]
+        else:
+            found = [(ae.entity.covering_text, _label(PARTY_SUBTYPE_MAP, ae.entity.type))
+                     for ae in _ordered_entities(slice_, kind)]
+        items = tuple({"text": text, "subtype": subtype} if subtype else {"text": text}
+                      for text, subtype in found)
+        return {"gold_spans": tuple(text for text, _ in found), "gold_items": items}
+
+    if task in CLASSIFICATION_TASKS:
+        kind = TASK_KIND[task]
+        pairs = []
+        items = []
+        for ae in _ordered_entities(slice_, kind):
+            term = ae.entity.fine_grained
+            if not term:
+                continue
+            iri = term
+            if taxonomy is not None:
+                try:
+                    iri = taxonomy.resolve_term(term, kind).iri
+                except UnresolvedTermError:
+                    continue
+            pairs.append((ae.entity.covering_text, iri))
+            items.append({"entity_text": ae.entity.covering_text, "term": term})
+        return {"extras": tuple(p[0] for p in pairs) or None,
+                "gold_pairs": tuple(pairs), "gold_items": tuple(items)}
+
+    if task is TaskKind.RELATION_RECOGNITION:
+        extras, events, local_id = _local_ids(slice_)
+        items = []
+        for a, ev in events:
+            for role, target in ev.event.roles:
+                event_type = _label(ROLE_EVENT_MAP, re.sub(r"\d+$", "", role))
+                if event_type is not None and target in local_id:
+                    items.append({"id1": a, "id2": local_id[target], "type": event_type})
+        return {"extras": extras or None, "gold_items": tuple(items),
+                "gold_spans": tuple(f"{i['id1']} {i['id2']} {i['type']}" for i in items)}
+
+    raise ValueError(f"unknown task: {task}")
 
 
 def segment_tasks(gold_doc: GoldDocument, task: TaskKind,
-                  taxonomy: Optional[Taxonomy] = None,
-                  maps: Optional[LabelMaps] = None) -> list[SegmentTask]:
+                  taxonomy: Optional[Taxonomy] = None) -> list[SegmentTask]:
     """Build one SegmentTask per segment of the document for this task."""
-    maps = maps or LabelMaps()
-    out = []
-    for segment in gold_doc.doc.segments:
-        slice_ = gold_doc.alignment.get(segment.index, GoldSlice())
-        if task is TaskKind.DATA_RECOGNITION or task is TaskKind.PURPOSE_RECOGNITION:
-            kind = "data" if task is TaskKind.DATA_RECOGNITION else "purpose"
-            spans = [ae.entity.covering_text for ae in _ordered_entities(slice_, maps, kind)]
-            out.append(SegmentTask(
-                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
-                segment_text=segment.text,
-                gold_spans=tuple(spans),
-                gold_items=tuple({"text": s} for s in spans),
-            ))
-        elif task is TaskKind.PARTY_RECOGNITION:
-            items = []
-            for ae in _ordered_entities(slice_, maps, "party"):
-                item = {"text": ae.entity.covering_text}
-                subtype = maps.party_subtype_of(ae.entity.type)
-                if subtype:
-                    item["subtype"] = subtype
-                items.append(item)
-            out.append(SegmentTask(
-                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
-                segment_text=segment.text,
-                gold_spans=tuple(i["text"] for i in items),
-                gold_items=tuple(items),
-            ))
-        elif task is TaskKind.ACTION_RECOGNITION:
-            items = []
-            for ev in _ordered_events(slice_):
-                subtype = maps.action_subtype_of(ev.event.type)
-                item = {"text": ev.trigger.covering_text}
-                if subtype:
-                    item["subtype"] = subtype
-                items.append(item)
-            out.append(SegmentTask(
-                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
-                segment_text=segment.text,
-                gold_spans=tuple(i["text"] for i in items),
-                gold_items=tuple(items),
-            ))
-        elif task in (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION):
-            kind = "data" if task is TaskKind.DATA_CLASSIFICATION else "purpose"
-            pairs = []
-            items = []
-            for ae in _ordered_entities(slice_, maps, kind):
-                term = ae.entity.fine_grained
-                if not term:
-                    continue
-                iri = term
-                if taxonomy is not None:
-                    try:
-                        iri = taxonomy.resolve_term(term, kind).iri
-                    except UnresolvedTermError:
-                        continue
-                pairs.append((ae.entity.covering_text, iri))
-                items.append({"entity_text": ae.entity.covering_text, "term": term})
-            out.append(SegmentTask(
-                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
-                segment_text=segment.text,
-                extras=tuple(p[0] for p in pairs) or None,
-                gold_pairs=tuple(pairs),
-                gold_items=tuple(items),
-            ))
-        elif task is TaskKind.RELATION_RECOGNITION:
-            entities, events = _local_ids(slice_, maps)
-            entity_id_of = {ae.entity.id: local_id for local_id, _, ae in entities}
-            action_id_of = {ev.event.id: local_id for local_id, ev in events}
-            trigger_id_of = {ev.event.trigger_id: local_id for local_id, ev in events}
-            items = []
-            for local_id, ev in events:
-                for role, target in ev.event.roles:
-                    event_type = maps.event_type_of(role)
-                    if event_type is None:
-                        continue
-                    target_id = entity_id_of.get(target) or action_id_of.get(target) \
-                        or trigger_id_of.get(target)
-                    if target_id is None:
-                        continue
-                    items.append({"id1": local_id, "id2": target_id, "type": event_type})
-            extras = tuple(
-                (local_id, kind, ae.entity.covering_text) for local_id, kind, ae in entities
-            ) + tuple(
-                (local_id, "action", ev.trigger.covering_text) for local_id, ev in events
-            )
-            out.append(SegmentTask(
-                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
-                segment_text=segment.text,
-                extras=extras or None,
-                gold_items=tuple(items),
-                gold_spans=tuple(f"{i['id1']} {i['id2']} {i['type']}" for i in items),
-            ))
-        else:
-            raise ValueError(f"unknown task: {task}")
-    return out
+    return [
+        SegmentTask(doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
+                    segment_text=segment.text,
+                    **_gold_fields(task, gold_doc.alignment.get(segment.index, GoldSlice()),
+                                   taxonomy))
+        for segment in gold_doc.doc.segments
+    ]
 
 
 def expected_answer(task: TaskKind, sample: SegmentTask) -> str:

@@ -9,10 +9,13 @@ per response:
      "timestamp": ...}
 
 The digest covers (model, task, system text, user text); temperature is
-pinned at 0 and therefore excluded.  Replay mode never touches the
-network and fails loudly on a cache miss, which makes every downstream
-run fully deterministic and offline.  Credentials come only from the
-environment (PPA_API_KEY, falling back to OPENAI_API_KEY).
+pinned at 0 and therefore excluded.  Record and replay mode both serve a
+cached answer when there is one.  On a miss, record mode queries the
+model and appends the answer, so an interrupted record run resumes
+without asking again; replay mode never touches the network and fails
+loudly, which makes every downstream run fully deterministic and
+offline.  Credentials come only from the environment (PPA_API_KEY,
+falling back to OPENAI_API_KEY).
 """
 from __future__ import annotations
 
@@ -60,7 +63,6 @@ class ReplayMissError(BackendError):
 @dataclass(frozen=True)
 class BackendConfig:
     model_name: str = "gpt-4o-mini"
-    temperature: float = 0.0          # pinned for reproducibility
     max_retries: int = 3
     cache_mode: str = "live"          # "live" | "record" | "replay"
     cache_path: Optional[Path] = None
@@ -126,11 +128,12 @@ class ResponseCache:
     def get(self, digest: str) -> Optional[dict]:
         return self._entries.get(digest)
 
-    def put(self, record: dict) -> None:
+    def put(self, record: dict) -> dict:
+        """Store a record unless its key is already stored, and return the
+        stored one: like a replay, every reader sees the first answer."""
         with self._lock:
-            fresh = record["key"] not in self._entries
-            self._entries[record["key"]] = record
-            if fresh:
+            kept = self._entries.setdefault(record["key"], record)
+            if kept is record:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 if self._torn_at is not None:
                     os.truncate(self.path, self._torn_at)
@@ -140,6 +143,7 @@ class ResponseCache:
                         f.write("\n")
                         self._unterminated = False
                     f.write(json.dumps(record, ensure_ascii=False) + "\n")
+            return kept
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ def http_chat_transport(prompt: PromptMessages, config: BackendConfig) -> str:
     base = os.environ.get(API_BASE_ENV, DEFAULT_API_BASE).rstrip("/")
     body = json.dumps({
         "model": config.model_name,
-        "temperature": config.temperature,
+        "temperature": 0.0,           # pinned: the cache digest leaves it out
         "messages": [
             {"role": "system", "content": prompt.system},
             {"role": "user", "content": prompt.user},
@@ -218,22 +222,24 @@ class Backend:
             self.invocations += 1
         digest = prompt_digest(self.config.model_name, task.value, prompt)
 
-        if self.config.cache_mode == "replay":
-            record = self.cache.get(digest) if self.cache else None
-            if record is None:
+        if self.config.cache_mode != "live":
+            record = self.cache.get(digest)
+            if record is not None:
+                return BackendResponse(raw=record["response"], digest=digest, from_cache=True)
+            if self.config.cache_mode == "replay":
                 raise ReplayMissError(digest, task.value)
-            return BackendResponse(raw=record["response"], digest=digest, from_cache=True)
 
         raw = self._call_with_retries(prompt)
         if self.config.cache_mode == "record":
-            self.cache.put({
+            # a concurrent miss on the same prompt may have stored its answer first
+            raw = self.cache.put({
                 "key": digest,
                 "model": self.config.model_name,
                 "task": task.value,
                 "prompt": {"system": prompt.system, "user": prompt.user},
                 "response": raw,
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            })
+            })["response"]
         return BackendResponse(raw=raw, digest=digest, from_cache=False)
 
     def _call_with_retries(self, prompt: PromptMessages) -> str:

@@ -24,24 +24,14 @@ from .backend import Backend, BackendError
 from .prompts import (
     CLASSIFICATION_TASKS,
     RECOGNITION_TASKS,
+    TASK_KIND,
     TASK_SHAPES,
     TaskKind,
     build_prompt,
 )
 from .repair import ParseError, repair_and_parse
 
-SPAN_KINDS = ("data", "purpose", "party", "action")
-
-_RECOGNITION_KIND = {
-    TaskKind.DATA_RECOGNITION: "data",
-    TaskKind.PURPOSE_RECOGNITION: "purpose",
-    TaskKind.PARTY_RECOGNITION: "party",
-    TaskKind.ACTION_RECOGNITION: "action",
-}
-_CLASSIFICATION_TASK = {
-    "data": TaskKind.DATA_CLASSIFICATION,
-    "purpose": TaskKind.PURPOSE_CLASSIFICATION,
-}
+SPAN_KINDS = tuple(TASK_KIND[task] for task in RECOGNITION_TASKS)
 
 
 @dataclass(frozen=True)
@@ -198,8 +188,8 @@ def classify_entities(kind: str, spans: Sequence[EntitySpan], segment: Segment,
     terms are recorded on the span (never dropped), and a resolved
     non-leaf purpose is kept but flagged non_leaf.
     """
-    assert kind in ("data", "purpose")
-    items, trace = run_task(_CLASSIFICATION_TASK[kind], segment, [s.text for s in spans], backend)
+    task, = (t for t in CLASSIFICATION_TASKS if TASK_KIND[t] == kind)
+    items, trace = run_task(task, segment, [s.text for s in spans], backend)
     updated, notes = _ground(kind, spans, items, taxonomy)
     return updated, trace, notes
 
@@ -219,7 +209,7 @@ def _extract_segment(segment: Segment, backend: Backend,
             traces[task.value] = TaskTrace(task=task.value, raw=raw, error=str(exc))
             return None
 
-    recognized = {_RECOGNITION_KIND[task]: attempt(task, None) for task in RECOGNITION_TASKS}
+    recognized = {TASK_KIND[task]: attempt(task, None) for task in RECOGNITION_TASKS}
 
     # entities (data, purpose, party) are numbered e0.., actions a0..; actions
     # come last in SPAN_KINDS, so len(spans) counts entities only
@@ -248,7 +238,8 @@ def _extract_segment(segment: Segment, backend: Backend,
         return SegmentExtraction(segment.index, segment.text, (), (), traces, tuple(notes))
 
     if taxonomy is not None:
-        for kind, task in _CLASSIFICATION_TASK.items():
+        for task in CLASSIFICATION_TASKS:
+            kind = TASK_KIND[task]
             subset = [s for s in spans if s.kind == kind]
             if not subset:
                 continue

@@ -13,7 +13,7 @@ never drift apart.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -35,6 +35,17 @@ RECOGNITION_TASKS = (
     TaskKind.ACTION_RECOGNITION,
 )
 CLASSIFICATION_TASKS = (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION)
+# The span kind each task finds (recognition) or grounds in the taxonomy
+# (classification); the relation task has none.  Every task but the four
+# recognitions takes an entity list.
+TASK_KIND: dict[TaskKind, str] = {
+    TaskKind.DATA_RECOGNITION: "data",
+    TaskKind.PURPOSE_RECOGNITION: "purpose",
+    TaskKind.PARTY_RECOGNITION: "party",
+    TaskKind.ACTION_RECOGNITION: "action",
+    TaskKind.DATA_CLASSIFICATION: "data",
+    TaskKind.PURPOSE_CLASSIFICATION: "purpose",
+}
 
 PARTY_SUBTYPES = ("first_party", "third_party", "user")
 ACTION_SUBTYPES = (
@@ -105,6 +116,14 @@ _EVENT_ENUM_SYNONYMS = (
 )
 
 _TEXT_FIELD = FieldSpec("text", synonyms=("entity", "span", "phrase", "value", "name"))
+_CLASSIFICATION_SHAPE = ResponseShape(
+    name="classifications",
+    envelope_keys=("classifications", "entities", "results", "terms"),
+    fields=(
+        FieldSpec("entity_text", synonyms=("entity", "text", "span")),
+        FieldSpec("term", synonyms=("class", "dpv_term", "dpv_class", "label", "category")),
+    ),
+)
 
 TASK_SHAPES: dict[TaskKind, ResponseShape] = {
     TaskKind.DATA_RECOGNITION: ResponseShape(
@@ -140,22 +159,8 @@ TASK_SHAPES: dict[TaskKind, ResponseShape] = {
                       enum_values=ACTION_SUBTYPES, enum_synonyms=_ACTION_ENUM_SYNONYMS),
         ),
     ),
-    TaskKind.DATA_CLASSIFICATION: ResponseShape(
-        name="classifications",
-        envelope_keys=("classifications", "entities", "results", "terms"),
-        fields=(
-            FieldSpec("entity_text", synonyms=("entity", "text", "span")),
-            FieldSpec("term", synonyms=("class", "dpv_term", "dpv_class", "label", "category")),
-        ),
-    ),
-    TaskKind.PURPOSE_CLASSIFICATION: ResponseShape(
-        name="classifications",
-        envelope_keys=("classifications", "entities", "results", "terms"),
-        fields=(
-            FieldSpec("entity_text", synonyms=("entity", "text", "span")),
-            FieldSpec("term", synonyms=("class", "dpv_term", "dpv_class", "label", "category")),
-        ),
-    ),
+    TaskKind.DATA_CLASSIFICATION: _CLASSIFICATION_SHAPE,
+    TaskKind.PURPOSE_CLASSIFICATION: _CLASSIFICATION_SHAPE,
     TaskKind.RELATION_RECOGNITION: ResponseShape(
         name="relations",
         envelope_keys=("relations", "tuples", "results"),
@@ -303,7 +308,7 @@ def build_prompt(task: TaskKind, segment_text: str,
     relation task (id-labelled spans: objects with .local_id, .kind,
     .text, or plain (id, kind, text) tuples).
     """
-    multipart = task in CLASSIFICATION_TASKS or task is TaskKind.RELATION_RECOGNITION
+    multipart = task not in RECOGNITION_TASKS
     if multipart and not extras:
         raise PromptError(f"task {task.value} requires a non-empty entity list")
 

@@ -185,6 +185,8 @@ class _Tolerant:
             if ch == "" or ch == "}":
                 self.pos += 1 if ch else 0
                 return out
+            if ch == "]":       # mismatched closer: it ends the enclosing list too
+                return out
             if ch == ",":
                 self.pos += 1
                 continue
@@ -211,7 +213,9 @@ class _Tolerant:
             if ch == "" or ch == "]":
                 self.pos += 1 if ch else 0
                 return out
-            if ch == ",":
+            if ch == "}":       # mismatched closer: it ends the enclosing object too
+                return out
+            if ch in ",:":
                 self.pos += 1
                 continue
             out.append(self.value())
@@ -332,14 +336,12 @@ def _normalize(value: Any, shape: ResponseShape, trace: RepairTrace) -> list[dic
     return items
 
 
-def _is_refusal(raw: str, refusals: frozenset[str]) -> bool:
+def _is_refusal(raw: str) -> bool:
     cleaned = re.sub(r"[^0-9a-z/ ]", "", raw.casefold()).strip()
-    return cleaned in refusals or cleaned.rstrip(".") in refusals
+    return cleaned in DEFAULT_REFUSAL_PHRASES or cleaned.rstrip(".") in DEFAULT_REFUSAL_PHRASES
 
 
-def repair_and_parse(raw: str, shape: ResponseShape,
-                     refusals: frozenset[str] = DEFAULT_REFUSAL_PHRASES,
-                     ) -> tuple[list[dict], RepairTrace]:
+def repair_and_parse(raw: str, shape: ResponseShape) -> tuple[list[dict], RepairTrace]:
     """Parse a raw model response into the task's normalized item list.
 
     Returns (items, trace); raises ParseError when nothing structured can
@@ -355,7 +357,7 @@ def repair_and_parse(raw: str, shape: ResponseShape,
     region = _extract_bracketed(defenced)
 
     if region is None:
-        if not stripped or _is_refusal(stripped, refusals):
+        if not stripped or _is_refusal(stripped):
             trace.note("refusal")
             return [], trace
         if shape.allow_string_items or not shape.fields:
@@ -363,7 +365,7 @@ def repair_and_parse(raw: str, shape: ResponseShape,
             lines = []
             for line in stripped.split("\n"):
                 line = _BULLET_RE.sub("", line).strip().strip('"').strip()
-                if line and not _is_refusal(line, refusals):
+                if line and not _is_refusal(line):
                     lines.append(line)
             return _normalize(lines, shape, trace), trace
         raise ParseError("no JSON region in response", raw)

@@ -113,10 +113,7 @@ class BuildLog:
 @dataclass
 class PrPrGraph:
     triples: Graph
-    policy_iri: IRI
-    service_iri: IRI
     provenance: dict[str, tuple[int, str]]  # practice IRI -> (segment index, text)
-    taxonomy_version: str
     build_log: BuildLog = field(default_factory=BuildLog)
 
     def __len__(self) -> int:
@@ -211,14 +208,7 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                     if node is not None:
                         g.add(practice, predicate, node)
 
-    return PrPrGraph(
-        triples=g,
-        policy_iri=policy,
-        service_iri=service,
-        provenance=provenance,
-        taxonomy_version=taxonomy_version,
-        build_log=log,
-    )
+    return PrPrGraph(triples=g, provenance=provenance, build_log=log)
 
 
 def serialize(graph: Union[PrPrGraph, Graph], fmt: str = "turtle") -> bytes:

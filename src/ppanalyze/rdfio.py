@@ -334,8 +334,13 @@ def parse_turtle(data: Union[str, bytes], graph: Optional[Graph] = None) -> Grap
             raise RdfError(f"undeclared prefix in {tok!r}")
         return IRI(prefixes[prefix] + local)
 
+    def token(j: int) -> tuple[str, str]:
+        if j >= len(tokens):
+            raise RdfError("unexpected end of input")
+        return tokens[j]
+
     def term_at(j: int) -> tuple[Object, int]:
-        kind, tok = tokens[j]
+        kind, tok = token(j)
         if kind == "iri":
             value = tok[1:-1]
             if base and not re.match(r"^[A-Za-z][A-Za-z0-9+.-]*:", value):
@@ -377,12 +382,12 @@ def parse_turtle(data: Union[str, bytes], graph: Optional[Graph] = None) -> Grap
         if kind == "prefix_decl":
             decl = tok.lower().lstrip("@")
             if decl == "prefix":
-                pname = tokens[i + 1][1]
-                iri_tok = tokens[i + 2][1]
+                pname = token(i + 1)[1]
+                iri_tok = token(i + 2)[1]
                 prefixes[pname.rstrip(":").partition(":")[0]] = iri_tok[1:-1]
                 i += 3
             else:
-                base = tokens[i + 1][1][1:-1]
+                base = token(i + 1)[1][1:-1]
                 i += 2
             if i < len(tokens) and tokens[i] == ("punct", "."):
                 i += 1

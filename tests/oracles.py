@@ -4,10 +4,12 @@ These deliberately avoid the library's own algorithms: the substring
 oracle enumerates every substring, the matching oracle solves the
 assignment exactly over all one-to-one matchings (bitmask DP), and the
 line-scan oracle walks the text character by character, and the RDF
-serializers sort every triple and regroup.  They exist to check the
-production implementations, so they must never import from
-ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio internals
-(the RDF term classes are data, not algorithms).
+serializers sort every triple and regroup.  The reference matchers and
+`reference_segment_tasks` are earlier versions of production code, kept
+as written.  They exist to check the production implementations, so they
+must never import from ppanalyze.eval.metrics, ppanalyze.corpus or
+ppanalyze.rdfio internals (the RDF term classes, the gold record types
+and the gold label tables are data, not algorithms).
 """
 from __future__ import annotations
 
@@ -263,3 +265,148 @@ def reference_turtle(triples, prefixes: dict) -> bytes:
         out.append("")
     text = "\n".join(out).rstrip("\n")
     return (text + "\n" if text else "").encode("utf-8")
+
+
+# -- reference gold views --
+
+def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
+    """Per-segment gold samples of one task, one branch per task."""
+    from ppanalyze.corpus import GoldSlice
+    from ppanalyze.eval.gold import (
+        ENTITY_KIND_MAP,
+        EVENT_SUBTYPE_MAP,
+        PARTY_SUBTYPE_MAP,
+        ROLE_EVENT_MAP,
+        SegmentTask,
+    )
+    from ppanalyze.extraction.prompts import TaskKind
+    from ppanalyze.taxonomy import UnresolvedTermError
+
+    def label(value: str) -> str:
+        return re.sub(r"[^0-9a-z]", "", value.casefold())
+
+    def kind_of(entity_type):
+        return ENTITY_KIND_MAP.get(label(entity_type))
+
+    def party_subtype_of(entity_type):
+        return PARTY_SUBTYPE_MAP.get(label(entity_type))
+
+    def action_subtype_of(event_type):
+        return EVENT_SUBTYPE_MAP.get(label(event_type))
+
+    def event_type_of(role):
+        return ROLE_EVENT_MAP.get(label(re.sub(r"\d+$", "", role)))
+
+    def ordered_entities(slice_, kind):
+        triggers = {ev.event.trigger_id for ev in slice_.events}
+        return sorted(
+            (ae for ae in slice_.entities
+             if kind_of(ae.entity.type) == kind and ae.entity.id not in triggers),
+            key=lambda ae: (ae.entity.char_start, ae.entity.id),
+        )
+
+    def ordered_events(slice_):
+        return sorted(slice_.events, key=lambda ev: (ev.trigger.char_start, ev.event.id))
+
+    def local_ids(slice_):
+        entities = []
+        for kind in ("data", "purpose", "party"):
+            for ae in ordered_entities(slice_, kind):
+                entities.append((f"e{len(entities)}", kind, ae))
+        events = [(f"a{i}", ev) for i, ev in enumerate(ordered_events(slice_))]
+        return entities, events
+
+    out = []
+    for segment in gold_doc.doc.segments:
+        slice_ = gold_doc.alignment.get(segment.index, GoldSlice())
+        if task is TaskKind.DATA_RECOGNITION or task is TaskKind.PURPOSE_RECOGNITION:
+            kind = "data" if task is TaskKind.DATA_RECOGNITION else "purpose"
+            spans = [ae.entity.covering_text for ae in ordered_entities(slice_, kind)]
+            out.append(SegmentTask(
+                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
+                segment_text=segment.text,
+                gold_spans=tuple(spans),
+                gold_items=tuple({"text": s} for s in spans),
+            ))
+        elif task is TaskKind.PARTY_RECOGNITION:
+            items = []
+            for ae in ordered_entities(slice_, "party"):
+                item = {"text": ae.entity.covering_text}
+                subtype = party_subtype_of(ae.entity.type)
+                if subtype:
+                    item["subtype"] = subtype
+                items.append(item)
+            out.append(SegmentTask(
+                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
+                segment_text=segment.text,
+                gold_spans=tuple(i["text"] for i in items),
+                gold_items=tuple(items),
+            ))
+        elif task is TaskKind.ACTION_RECOGNITION:
+            items = []
+            for ev in ordered_events(slice_):
+                subtype = action_subtype_of(ev.event.type)
+                item = {"text": ev.trigger.covering_text}
+                if subtype:
+                    item["subtype"] = subtype
+                items.append(item)
+            out.append(SegmentTask(
+                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
+                segment_text=segment.text,
+                gold_spans=tuple(i["text"] for i in items),
+                gold_items=tuple(items),
+            ))
+        elif task in (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION):
+            kind = "data" if task is TaskKind.DATA_CLASSIFICATION else "purpose"
+            pairs = []
+            items = []
+            for ae in ordered_entities(slice_, kind):
+                term = ae.entity.fine_grained
+                if not term:
+                    continue
+                iri = term
+                if taxonomy is not None:
+                    try:
+                        iri = taxonomy.resolve_term(term, kind).iri
+                    except UnresolvedTermError:
+                        continue
+                pairs.append((ae.entity.covering_text, iri))
+                items.append({"entity_text": ae.entity.covering_text, "term": term})
+            out.append(SegmentTask(
+                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
+                segment_text=segment.text,
+                extras=tuple(p[0] for p in pairs) or None,
+                gold_pairs=tuple(pairs),
+                gold_items=tuple(items),
+            ))
+        elif task is TaskKind.RELATION_RECOGNITION:
+            entities, events = local_ids(slice_)
+            entity_id_of = {ae.entity.id: local_id for local_id, _, ae in entities}
+            action_id_of = {ev.event.id: local_id for local_id, ev in events}
+            trigger_id_of = {ev.event.trigger_id: local_id for local_id, ev in events}
+            items = []
+            for local_id, ev in events:
+                for role, target in ev.event.roles:
+                    event_type = event_type_of(role)
+                    if event_type is None:
+                        continue
+                    target_id = entity_id_of.get(target) or action_id_of.get(target) \
+                        or trigger_id_of.get(target)
+                    if target_id is None:
+                        continue
+                    items.append({"id1": local_id, "id2": target_id, "type": event_type})
+            extras = tuple(
+                (local_id, kind, ae.entity.covering_text) for local_id, kind, ae in entities
+            ) + tuple(
+                (local_id, "action", ev.trigger.covering_text) for local_id, ev in events
+            )
+            out.append(SegmentTask(
+                doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
+                segment_text=segment.text,
+                extras=extras or None,
+                gold_items=tuple(items),
+                gold_spans=tuple(f"{i['id1']} {i['id2']} {i['type']}" for i in items),
+            ))
+        else:
+            raise ValueError(f"unknown task: {task}")
+    return out

@@ -35,9 +35,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Backend(BackendConfig(cache_mode="live"))
 
-    def test_temperature_pinned_to_zero_by_default(self):
-        assert BackendConfig().temperature == 0.0
-
 
 class TestDigest:
     def test_digest_covers_model_task_and_prompt(self):
@@ -83,6 +80,45 @@ class TestRecordReplay:
         assert first.raw == second.raw == '{"entities": []}'
         assert first.from_cache and second.from_cache
         assert replayer.transport_calls == 0
+
+    def test_record_serves_hits_and_queries_only_misses(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        answers = iter(["first", "second", "third"])
+        backend = Backend(
+            BackendConfig(model_name="m", cache_mode="record", cache_path=path),
+            transport=lambda prompt, config: next(answers),
+        )
+        backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
+        again = backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
+        other = backend.invoke(TaskKind.PURPOSE_RECOGNITION, PROMPT)
+        assert (again.raw, again.from_cache) == ("first", True)
+        assert (other.raw, other.from_cache) == ("second", False)
+        assert backend.transport_calls == 2
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_concurrent_misses_on_one_prompt_return_the_stored_answer(self, tmp_path):
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        path = tmp_path / "cache.jsonl"
+        both_missed = threading.Barrier(2)
+        answers = iter(["first", "second"])
+        lock = threading.Lock()
+
+        def transport(prompt, config):
+            both_missed.wait(timeout=10)
+            with lock:
+                return next(answers)
+
+        backend = Backend(BackendConfig(model_name="m", cache_mode="record", cache_path=path),
+                          transport=transport)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(backend.invoke, TaskKind.DATA_RECOGNITION, PROMPT)
+                       for _ in range(2)]
+            raws = {f.result().raw for f in futures}
+        stored = ResponseCache(path).get(prompt_digest("m", "data-recognition", PROMPT))
+        assert raws == {stored["response"]}
+        assert len(path.read_text().splitlines()) == 1
 
     def test_replay_miss_names_digest(self, tmp_path):
         path = tmp_path / "cache.jsonl"

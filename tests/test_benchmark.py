@@ -9,6 +9,7 @@ from ppanalyze.extraction.backend import ResponseCache, prompt_digest
 from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TASK_SHAPES, build_prompt
 
 from .conftest import FIXTURE_MODEL
+from .oracles import reference_segment_tasks
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +152,81 @@ class TestReportTable:
         })
         table = format_report_table([report])
         assert table.strip().split("\n")[2].split("\t") == ["m", "1.000", "-", "1.000"]
+
+
+# A brat document with the cases the gold views must get right: an
+# unmapped entity label, an unmapped event type, two pairs of events that
+# share a trigger, numbered roles, roles that target another event, a
+# trigger and a span of another segment, unmapped role labels, and
+# classification terms that do not resolve.
+EDGE_TEXT = ("Acme Notice\n\n"
+             "We collect your email address and cookies for analytics and ads.\n"
+             "We also share and sell your device data with vendors.\n")
+EDGE_SPANS = [   # (id, label, line, surface)
+    ("T1", "first-party", 2, "We"),
+    ("T2", "collection-use", 2, "collect"),
+    ("T3", "data", 2, "your email address"),
+    ("T4", "mystery-thing", 2, "cookies"),
+    ("T5", "purpose", 2, "analytics"),
+    ("T6", "purpose", 2, "ads"),
+    ("T7", "first-party", 3, "We"),
+    ("T8", "third-party-sharing-disclosure", 3, "share"),
+    ("T9", "data", 3, "your device data"),
+    ("T10", "third-party", 3, "vendors"),
+    ("T11", "strange-event", 3, "sell"),
+]
+EDGE_REST = [
+    "E1\tcollection-use:T2 data:T3 data2:T4 purpose:T5 purpose2:T6 data-collector:T1",
+    "E2\todd-practice:T2 purpose:E1 whatever:T3 data:T9",
+    "E3\tthird-party-sharing-disclosure:T8 data:T9 data-receiver:T10 data-sharer:T7",
+    "E4\tstrange-event:T11 data:T9 purpose:T8 data2:E3 data3:T2",
+    "E5\tthird-party-sharing-disclosure:T8 data:T9 data-receiver:T10",
+    "A1\tDPV T3 EmailAddress",
+    "A2\tDPV T5 NoSuchPurposeTerm",
+    "A3\tDPV T6 Advertising",
+    "A4\tDPV T9 NoSuchDataTerm",
+]
+
+
+def _edge_gold_dir(root):
+    lines = EDGE_TEXT.split("\n")
+    ann = []
+    for tid, label, line, surface in EDGE_SPANS:
+        start = sum(len(l) + 1 for l in lines[:line]) + lines[line].index(surface)
+        ann.append(f"{tid}\t{label} {start} {start + len(surface)}\t{surface}")
+    root.mkdir()
+    (root / "edge.txt").write_text(EDGE_TEXT, encoding="utf-8")
+    (root / "edge.ann").write_text("\n".join(ann + EDGE_REST) + "\n", encoding="utf-8")
+    return root
+
+
+class TestSegmentTasksOracle:
+    """`segment_tasks` equals the earlier one-branch-per-task version."""
+
+    @pytest.mark.parametrize("task", ALL_TASKS)
+    @pytest.mark.parametrize("with_taxonomy", [True, False])
+    def test_equals_reference(self, task, with_taxonomy, corpus, taxonomy, tmp_path):
+        edge = load_gold_corpus(_edge_gold_dir(tmp_path / "edge"))
+        tax = taxonomy if with_taxonomy else None
+        for gold_doc in [*corpus, *edge]:
+            assert segment_tasks(gold_doc, task, tax) == \
+                reference_segment_tasks(gold_doc, task, tax)
+
+    def test_edge_document_exercises_its_cases(self, taxonomy, tmp_path):
+        [gold_doc] = load_gold_corpus(_edge_gold_dir(tmp_path / "edge"))
+        first, second = (segment_tasks(gold_doc, TaskKind.RELATION_RECOGNITION, taxonomy)[i]
+                         for i in (1, 2))
+        # actions sort by trigger offset, then event id: E1 a0, E2 a1; E3 a0, E5 a1, E4 a2
+        assert [row for row in first.extras if row[1] == "action"] == \
+            [("a0", "action", "collect"), ("a1", "action", "collect")]
+        assert {"id1": "a1", "id2": "a0", "type": "HAS_PURPOSE"} in first.gold_items
+        # a trigger shared by two events stands for the last of them (E5, not E3)
+        assert {"id1": "a2", "id2": "a1", "type": "HAS_PURPOSE"} in second.gold_items
+        assert {"id1": "a2", "id2": "a0", "type": "HAS_DATA"} in second.gold_items
+        assert not any(row[2] == "cookies" for row in first.extras)
+        actions = segment_tasks(gold_doc, TaskKind.ACTION_RECOGNITION, taxonomy)[2]
+        assert {"text": "sell"} in actions.gold_items
+        purposes = segment_tasks(gold_doc, TaskKind.PURPOSE_CLASSIFICATION, taxonomy)[1]
+        assert [text for text, _ in purposes.gold_pairs] == ["ads"]
+        data = segment_tasks(gold_doc, TaskKind.DATA_CLASSIFICATION, taxonomy)[2]
+        assert data.gold_pairs == () and data.extras is None

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ppanalyze.cli import main
+from ppanalyze.extraction import backend as backend_module
 
 from .conftest import FIXTURES
 
@@ -160,6 +161,68 @@ class TestConvert:
         assert "<urn:x>: 2 source segment literals (want 1)" in err
         assert "<urn:x>: belongs to 0 policies (want 1)" in err
         assert not (tmp_path / "conv" / "broken.odrl.ttl").exists()
+
+    def test_truncated_graph_is_an_error(self, tmp_path, capsys):
+        run_analyze(tmp_path / "run")
+        graph = (tmp_path / "run" / "policy_example.org.ttl").read_bytes()
+        cut = tmp_path / "cut.ttl"
+        cut.write_bytes(graph[:graph.rindex(b"^^") + 2])   # cut inside a typed literal
+        with pytest.raises(SystemExit) as err:
+            main(["convert", str(cut), "--out", str(tmp_path / "conv")])
+        assert err.value.code != 0
+        assert "cannot read graph" in str(err.value.code)
+        assert "unexpected end of input" in str(err.value.code)
+
+
+class TestRecord:
+    """`--record` serves cache hits and asks the model only on a miss."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """Stand in for the model: it answers as the fixture cache does the
+        first time it is asked a prompt, and with an empty list after that."""
+        answers = {}
+        for line in (FIXTURES / "replay_cache.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            answers[record["prompt"]["system"], record["prompt"]["user"]] = record["response"]
+        asked: list[tuple[str, str]] = []
+
+        def transport(prompt, config):
+            key = (prompt.system, prompt.user)
+            asked.append(key)
+            return answers[key] if asked.count(key) == 1 else "[]"
+
+        monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+        monkeypatch.setenv("PPA_API_KEY", "test-key")
+        return asked
+
+    @staticmethod
+    def run(out_dir: Path, cache: Path, mode: str) -> dict[str, bytes]:
+        code = main(["analyze", str(FIXTURES / "policy_example.org.txt"), mode,
+                     "--cache", str(cache), "--model", "fixture-model", "--out", str(out_dir)])
+        assert code == 0
+        return {name: (out_dir / name).read_bytes()
+                for name in ("policy_example.org.ttl", "policy_example.org.nt")}
+
+    def test_second_record_run_asks_nothing_and_equals_replay(self, tmp_path, asked, capsys):
+        cache = tmp_path / "cache.jsonl"
+        first = self.run(tmp_path / "r1", cache, "--record")
+        assert asked and len(set(asked)) == len(asked)
+        calls = len(asked)
+        second = self.run(tmp_path / "r2", cache, "--record")
+        assert len(asked) == calls
+        assert first == second == self.run(tmp_path / "replay", cache, "--replay")
+
+    def test_interrupted_record_run_resumes(self, tmp_path, asked, capsys):
+        full = tmp_path / "full.jsonl"
+        expected = self.run(tmp_path / "r1", full, "--record")
+        lines = full.read_text().splitlines(keepends=True)
+        cache = tmp_path / "cut.jsonl"
+        cache.write_text("".join(lines[:len(lines) // 2]))
+        asked.clear()
+        resumed = self.run(tmp_path / "r2", cache, "--record")
+        assert len(asked) == len(lines) - len(lines) // 2
+        assert resumed == expected == self.run(tmp_path / "replay", cache, "--replay")
 
 
 class TestStats:

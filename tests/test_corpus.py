@@ -290,10 +290,11 @@ class TestAnnotationConf:
 
     def test_fixture_gold_matches_its_schema(self, gold_dir):
         gold = parse_brat(gold_dir / "acme.txt", gold_dir / "acme.ann")
-        assert validate_gold_labels(gold, gold_dir / "annotation.conf") == []
+        conf = read_annotation_conf(gold_dir / "annotation.conf")
+        assert validate_gold_labels(gold, conf) == []
 
     def test_undeclared_label_reported(self, tmp_path, gold_dir):
         t, a = write_pair(tmp_path, "some text", "T1\tmystery 0 4\tsome\n")
         gold = parse_brat(t, a)
-        problems = validate_gold_labels(gold, gold_dir / "annotation.conf")
+        problems = validate_gold_labels(gold, read_annotation_conf(gold_dir / "annotation.conf"))
         assert problems and "mystery" in problems[0]

@@ -99,6 +99,13 @@ class TestTurtleSubset:
         with pytest.raises(RdfError, match=r"unparseable RDF near: '\$'"):
             parse("<urn:s> <urn:p> <urn:o> ." + junk + "$", "turtle")
 
+    @pytest.mark.parametrize("text", [
+        "@prefix", "@prefix ex:", "@base", "<a:b>", "<a:b> <c:d>", '<a:b> <c:d> "x"^^',
+    ])
+    def test_truncated_input_rejected(self, text):
+        with pytest.raises(RdfError, match="unexpected end of input"):
+            parse(text, "turtle")
+
     def test_literal_subject_rejected(self):
         with pytest.raises(RdfError):
             parse('"text" <urn:p> <urn:o> .', "turtle")

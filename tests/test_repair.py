@@ -47,6 +47,17 @@ class TestStructuralRepair:
         items, _ = repair_and_parse('{"entities": [{"text": "email"', DATA)
         assert items == [{"text": "email"}]
 
+    @pytest.mark.parametrize("raw, items", [
+        ('{"entities": [{"text": "ip"}}', [{"text": "ip"}]),
+        ('[{"text": "ip"]', [{"text": "ip"}]),
+        ('{"entities": ["ip", "email"}', [{"text": "ip"}, {"text": "email"}]),
+        ('{]', []),
+        ('[}', []),
+        ('[: "ip"]', [{"text": "ip"}]),
+    ])
+    def test_mismatched_closers_and_stray_colons_end(self, raw, items):
+        assert repair_and_parse(raw, DATA)[0] == items
+
     def test_bare_keys_and_values(self):
         items, _ = repair_and_parse("{entities: [{text: email address}]}", DATA)
         assert items == [{"text": "email address"}]

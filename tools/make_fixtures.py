@@ -25,7 +25,7 @@ from ppanalyze.corpus import load_policy, parse_brat, align_gold
 from ppanalyze.eval.gold import GoldDocument, expected_answer, segment_tasks
 from ppanalyze.extraction.backend import Backend, BackendConfig, ResponseCache, prompt_digest
 from ppanalyze.extraction.pipeline import extract_document
-from ppanalyze.extraction.prompts import TASK_SHAPES, TaskKind, build_prompt
+from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TASK_SHAPES, TaskKind, build_prompt
 from ppanalyze.taxonomy import load_default_taxonomy
 
 FIXTURES = ROOT / "fixtures"
@@ -285,8 +285,7 @@ def make_gold_caches() -> None:
         cache = ResponseCache(path)
         for task in TaskKind:
             for sample in segment_tasks(gold_doc, task, taxonomy):
-                needs_extras = task in (DC, PC, R)
-                if needs_extras and not sample.extras:
+                if task not in RECOGNITION_TASKS and not sample.extras:
                     continue
                 prompt = build_prompt(task, sample.segment_text, sample.extras)
                 if correct:
