@@ -84,6 +84,9 @@ def prompt_digest(model: str, task: str, prompt: PromptMessages) -> str:
 class ResponseCache:
     """JSONL-backed response store; writes are serialized.
 
+    The first record of a key is the one kept, on load as on `put`, so a
+    key appended twice replays the answer recorded first.
+
     A final line without a trailing newline that does not parse is a torn
     append (a crash mid-write): it is skipped with a warning and cut off
     before the next `put`.  Any other unparseable line is fatal.
@@ -107,12 +110,12 @@ class ResponseCache:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise BackendError(f"corrupt cache line {line_no} in {self.path}: {exc}") from exc
-                self._entries[record["key"]] = record
+                self._entries.setdefault(record["key"], record)
             tail = data[cut:]
             if tail.strip():
                 try:
                     record = json.loads(tail)
-                    self._entries[record["key"]] = record
+                    self._entries.setdefault(record["key"], record)
                     self._unterminated = True
                 except ValueError:
                     self._torn_at = cut

@@ -13,9 +13,11 @@ never drift apart.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
+
+from ..textnorm import normalize_label
 
 
 class TaskKind(str, Enum):
@@ -60,6 +62,14 @@ SEGMENT_MARK = "=== SEGMENT ==="
 ENTITIES_MARK = "=== ENTITIES ==="
 
 
+def _first_wins(pairs) -> dict[str, str]:
+    """Map each normalized label to the value of its first pair."""
+    table: dict[str, str] = {}
+    for label, value in pairs:
+        table.setdefault(normalize_label(label), value)
+    return table
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     name: str
@@ -67,15 +77,35 @@ class FieldSpec:
     required: bool = True
     enum_values: tuple[str, ...] = ()
     enum_synonyms: tuple[tuple[str, str], ...] = ()  # (alias, canonical)
+    # derived: normalized enum value or alias -> canonical value
+    enum_table: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "enum_table", _first_wins(
+            [(v, v) for v in self.enum_values] + list(self.enum_synonyms)))
 
 
 @dataclass(frozen=True)
 class ResponseShape:
-    """What a task's JSON answer looks like after normalization."""
+    """What a task's JSON answer looks like after normalization.
+
+    The lookup tables are derived from the declaration when the shape is
+    built; each keeps the first match in declaration order.
+    """
     name: str
     envelope_keys: tuple[str, ...]          # wrapper keys accepted around the list
     fields: tuple[FieldSpec, ...] = ()      # empty -> plain list of strings
     allow_string_items: bool = False        # bare string coerces to {primary: s}
+    # derived: normalized field name or synonym -> field name
+    field_table: dict[str, str] = field(init=False, repr=False, compare=False)
+    # derived: the normalized envelope keys
+    envelope_labels: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "field_table", _first_wins(
+            (label, f.name) for f in self.fields for label in (f.name, *f.synonyms)))
+        object.__setattr__(self, "envelope_labels",
+                           frozenset(map(normalize_label, self.envelope_keys)))
 
     @property
     def primary_field(self) -> Optional[str]:

@@ -16,6 +16,14 @@ returned trace:
                           become string entries (refusal phrases such
                           as "none" become the empty list)
 
+When a JSON value starts at the first bracket, as in a well-formed
+answer or JSON inside prose or a fence, the JSON decoder reads it
+directly: it is the region the character scan would find, so the scan
+and the tolerant reader are skipped.  A well-formed JSON answer thus
+records neither prose_strip nor structural_repair; stage 3 still
+applies.  Stage 3's key, envelope and enum lookup tables are derived
+from the ResponseShape declarations in prompts.py, once per shape.
+
 Anything irrecoverable raises ParseError carrying the raw text, which
 callers retain for audit.  Parse failures are data, never retried.
 """
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..textnorm import normalize_label
-from .prompts import FieldSpec, ResponseShape
+from .prompts import ResponseShape
 
 DEFAULT_REFUSAL_PHRASES = frozenset({
     "none", "no entities", "no entities found", "no entity", "na", "n/a",
@@ -62,26 +70,39 @@ class RepairTrace:
 
 # -- stage 1: locate the JSON-ish region --
 
+_FENCED = re.compile(r"```[a-zA-Z0-9]*\s*\n?(.*?)```", re.S)
+_FENCE_OPEN = re.compile(r"```[a-zA-Z0-9]*\s*\n?(.*)$", re.S)
+_OPENER = re.compile(r"[{\[]")
+_DECODER = json.JSONDecoder()
+
+
 def _strip_code_fences(raw: str) -> str:
-    m = re.search(r"```[a-zA-Z0-9]*\s*\n?(.*?)```", raw, re.S)
-    if m:
-        return m.group(1)
-    # unterminated fence: keep everything after it
-    m = re.search(r"```[a-zA-Z0-9]*\s*\n?(.*)$", raw, re.S)
-    if m:
-        return m.group(1)
-    return raw
+    # an unterminated fence keeps everything after it
+    m = _FENCED.search(raw) or _FENCE_OPEN.search(raw)
+    return m.group(1) if m else raw
 
 
-def _extract_bracketed(text: str) -> Optional[str]:
-    """First balanced {...} or [...] region, or the unbalanced tail."""
-    start = None
-    for i, ch in enumerate(text):
-        if ch in "{[":
-            start = i
-            break
-    if start is None:
-        return None
+def _first_region(text: str) -> tuple[Optional[str], Any]:
+    """The first balanced {...} or [...] region, or the unbalanced tail,
+    and its JSON value, which is None when the region is not JSON.
+
+    A JSON value that starts at the first bracket is that region, since
+    the scan follows JSON's strings and brackets and would close exactly
+    where the value ends; only other text is scanned.
+    """
+    opener = _OPENER.search(text)
+    if opener is None:
+        return None, None
+    start = opener.start()
+    try:
+        value, end = _DECODER.raw_decode(text, start)
+    except json.JSONDecodeError:
+        return _extract_bracketed(text, start), None
+    return text[start:end], value
+
+
+def _extract_bracketed(text: str, start: int) -> str:
+    """The balanced region opened at `start`, or the unbalanced tail."""
     stack: list[str] = []
     in_string: Optional[str] = None
     escaped = False
@@ -112,6 +133,8 @@ def _extract_bracketed(text: str) -> Optional[str]:
 
 _BARE_END = ",]}:\n"
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?([eE][+-]?\d+)?$")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "'": "'", "\\": "\\", "/": "/"}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class _Tolerant:
@@ -125,6 +148,13 @@ class _Tolerant:
 
     def _peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _hex4(self, at: int) -> Optional[int]:
+        """The four hex digits at `at` as a number, else None."""
+        digits = self.text[at:at + 4]
+        if len(digits) == 4 and all(c in _HEX_DIGITS for c in digits):
+            return int(digits, 16)
+        return None
 
     def value(self) -> Any:
         self._ws()
@@ -145,12 +175,18 @@ class _Tolerant:
             ch = self.text[self.pos]
             if ch == "\\" and self.pos + 1 < len(self.text):
                 nxt = self.text[self.pos + 1]
-                mapped = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "'": "'", "\\": "\\", "/": "/"}
-                if nxt == "u" and self.pos + 5 < len(self.text):
-                    out.append(chr(int(self.text[self.pos + 2:self.pos + 6], 16)))
+                code = self._hex4(self.pos + 2) if nxt == "u" else None
+                if code is not None:
                     self.pos += 6
+                    # a surrogate pair joins into one character, as in json.loads
+                    if 0xD800 <= code < 0xDC00 and self.text.startswith("\\u", self.pos):
+                        low = self._hex4(self.pos + 2)
+                        if low is not None and 0xDC00 <= low < 0xE000:
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                            self.pos += 6
+                    out.append(chr(code))
                     continue
-                out.append(mapped.get(nxt, nxt))
+                out.append(_ESCAPES.get(nxt, nxt))  # unknown escapes keep the character
                 self.pos += 2
                 continue
             if ch == quote:
@@ -223,36 +259,20 @@ class _Tolerant:
 
 # -- stage 3: shape normalization --
 
-def _match_field(key: str, fields: tuple[FieldSpec, ...]) -> Optional[str]:
-    nk = normalize_label(key)
-    for f in fields:
-        if nk == normalize_label(f.name) or any(nk == normalize_label(s) for s in f.synonyms):
-            return f.name
-    return None
-
-
-def _map_enum(value: Any, spec: FieldSpec) -> Optional[str]:
-    nv = normalize_label(str(value))
-    for canonical in spec.enum_values:
-        if nv == normalize_label(canonical):
-            return canonical
-    for alias, canonical in spec.enum_synonyms:
-        if nv == normalize_label(alias):
-            return canonical
-    return None
+def _match_field(key: str, shape: ResponseShape) -> Optional[str]:
+    return shape.field_table.get(normalize_label(key))
 
 
 def _unwrap_envelope(value: Any, shape: ResponseShape, trace: RepairTrace) -> Any:
     if not isinstance(value, dict):
         return value
-    normalized_envelopes = {normalize_label(k) for k in shape.envelope_keys}
     for key, inner in value.items():
-        if normalize_label(key) in normalized_envelopes:
+        if normalize_label(key) in shape.envelope_labels:
             if key != shape.envelope_keys[0]:
                 trace.note("key_normalization")
             return inner
     # a single-object answer carrying the item fields directly
-    if shape.fields and any(_match_field(k, shape.fields) for k in value):
+    if any(_match_field(k, shape) for k in value):
         trace.note("key_normalization")
         return [value]
     # mapping answer for two-field shapes: {entity: term, ...}
@@ -286,10 +306,10 @@ def _normalize_item(item: Any, shape: ResponseShape, trace: RepairTrace) -> Opti
 
     out: dict = {}
     for key, value in item.items():
-        name = _match_field(key, shape.fields)
+        name = _match_field(key, shape)
         if name is None:
             continue
-        if normalize_label(key) != normalize_label(name) or name != key:
+        if name != key:
             trace.note("key_normalization")
         out[name] = value
 
@@ -302,7 +322,7 @@ def _normalize_item(item: Any, shape: ResponseShape, trace: RepairTrace) -> Opti
                 return None
             continue
         if spec.enum_values:
-            mapped = _map_enum(value, spec)
+            mapped = spec.enum_table.get(normalize_label(str(value)))
             if mapped is None:
                 if spec.required:
                     trace.dropped_items.append((item, f"unknown {spec.name}: {value!r}"))
@@ -354,7 +374,7 @@ def repair_and_parse(raw: str, shape: ResponseShape) -> tuple[list[dict], Repair
     defenced = _strip_code_fences(stripped)
     if defenced.strip() != stripped:
         trace.note("prose_strip")
-    region = _extract_bracketed(defenced)
+    region, value = _first_region(defenced)
 
     if region is None:
         if not stripped or _is_refusal(stripped):
@@ -373,9 +393,7 @@ def repair_and_parse(raw: str, shape: ResponseShape) -> tuple[list[dict], Repair
     if region.strip() != defenced.strip():
         trace.note("prose_strip")
 
-    try:
-        value = json.loads(region)
-    except json.JSONDecodeError:
+    if value is None:       # JSON that opens with a bracket is a dict or a list
         trace.note("structural_repair")
         value = _Tolerant(region).value()
 

@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import re
 
+_WHITESPACE_RUN = re.compile(r"\s+")
+_NOT_ALNUM = re.compile(r"[^0-9a-z]")
+
 
 def normalize_text(text: str) -> str:
     """Case-fold and collapse whitespace runs to single spaces."""
-    return re.sub(r"\s+", " ", text.casefold()).strip()
+    return _WHITESPACE_RUN.sub(" ", text.casefold()).strip()
 
 
 def normalize_label(text: str) -> str:
     """Case-fold and strip every non-alphanumeric character."""
-    return re.sub(r"[^0-9a-z]", "", text.casefold())
+    return _NOT_ALNUM.sub("", text.casefold())

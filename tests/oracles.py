@@ -4,15 +4,18 @@ These deliberately avoid the library's own algorithms: the substring
 oracle enumerates every substring, the matching oracle solves the
 assignment exactly over all one-to-one matchings (bitmask DP), and the
 line-scan oracle walks the text character by character, and the RDF
-serializers sort every triple and regroup.  The reference matchers and
-`reference_segment_tasks` are earlier versions of production code, kept
-as written.  They exist to check the production implementations, so they
-must never import from ppanalyze.eval.metrics, ppanalyze.corpus or
-ppanalyze.rdfio internals (the RDF term classes, the gold record types
-and the gold label tables are data, not algorithms).
+serializers sort every triple and regroup.  The reference matchers,
+`reference_segment_tasks` and `reference_repair_and_parse` are earlier
+versions of production code, kept as written.  They exist to check the
+production implementations, so they must never import from
+ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio internals
+(the RDF term classes, the gold record types and the gold label tables
+are data, not algorithms); the repair copy shares only the tolerant
+reader and the refusal test, which it does not check.
 """
 from __future__ import annotations
 
+import json
 import re
 from functools import lru_cache
 
@@ -410,3 +413,211 @@ def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
         else:
             raise ValueError(f"unknown task: {task}")
     return out
+
+
+# -- reference response repair --
+
+def _reference_label(text: str) -> str:
+    return re.sub(r"[^0-9a-z]", "", text.casefold())
+
+
+def _reference_strip_code_fences(raw: str) -> str:
+    m = re.search(r"```[a-zA-Z0-9]*\s*\n?(.*?)```", raw, re.S)
+    if m:
+        return m.group(1)
+    m = re.search(r"```[a-zA-Z0-9]*\s*\n?(.*)$", raw, re.S)
+    if m:
+        return m.group(1)
+    return raw
+
+
+def _reference_extract_bracketed(text: str):
+    start = None
+    for i, ch in enumerate(text):
+        if ch in "{[":
+            start = i
+            break
+    if start is None:
+        return None
+    stack: list[str] = []
+    in_string = None
+    escaped = False
+    for i in range(start, len(text)):
+        ch = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == in_string:
+                in_string = None
+            continue
+        if ch in "\"'":
+            in_string = ch
+        elif ch in "{[":
+            stack.append("}" if ch == "{" else "]")
+        elif ch in "}]":
+            if stack and ch == stack[-1]:
+                stack.pop()
+                if not stack:
+                    return text[start:i + 1]
+    return text[start:]
+
+
+def _reference_match_field(key, fields):
+    nk = _reference_label(key)
+    for f in fields:
+        if nk == _reference_label(f.name) or any(nk == _reference_label(s) for s in f.synonyms):
+            return f.name
+    return None
+
+
+def _reference_map_enum(value, spec):
+    nv = _reference_label(str(value))
+    for canonical in spec.enum_values:
+        if nv == _reference_label(canonical):
+            return canonical
+    for alias, canonical in spec.enum_synonyms:
+        if nv == _reference_label(alias):
+            return canonical
+    return None
+
+
+def _reference_unwrap_envelope(value, shape, trace):
+    if not isinstance(value, dict):
+        return value
+    normalized_envelopes = {_reference_label(k) for k in shape.envelope_keys}
+    for key, inner in value.items():
+        if _reference_label(key) in normalized_envelopes:
+            if key != shape.envelope_keys[0]:
+                trace.note("key_normalization")
+            return inner
+    if shape.fields and any(_reference_match_field(k, shape.fields) for k in value):
+        trace.note("key_normalization")
+        return [value]
+    if len(shape.fields) == 2 and value and all(
+        isinstance(v, (str, int, float)) for v in value.values()
+    ):
+        trace.note("key_normalization")
+        return [{shape.fields[0].name: k, shape.fields[1].name: v} for k, v in value.items()]
+    if len(value) == 1:
+        inner = next(iter(value.values()))
+        if isinstance(inner, list):
+            trace.note("key_normalization")
+            return inner
+    return value
+
+
+def _reference_normalize_item(item, shape, trace):
+    if isinstance(item, str):
+        if not shape.allow_string_items:
+            trace.dropped_items.append((item, "bare string not valid for this task"))
+            return None
+        trace.note("key_normalization")
+        item = {shape.primary_field: item}
+    elif isinstance(item, (list, tuple)) and len(item) == len(shape.fields):
+        trace.note("key_normalization")
+        item = {f.name: v for f, v in zip(shape.fields, item)}
+    if not isinstance(item, dict):
+        trace.dropped_items.append((item, "not an object"))
+        return None
+
+    out: dict = {}
+    for key, value in item.items():
+        name = _reference_match_field(key, shape.fields)
+        if name is None:
+            continue
+        if _reference_label(key) != _reference_label(name) or name != key:
+            trace.note("key_normalization")
+        out[name] = value
+
+    result: dict = {}
+    for spec in shape.fields:
+        value = out.get(spec.name)
+        if value is None:
+            if spec.required:
+                trace.dropped_items.append((item, f"missing field {spec.name!r}"))
+                return None
+            continue
+        if spec.enum_values:
+            mapped = _reference_map_enum(value, spec)
+            if mapped is None:
+                if spec.required:
+                    trace.dropped_items.append((item, f"unknown {spec.name}: {value!r}"))
+                    return None
+                continue
+            if mapped != value:
+                trace.note("key_normalization")
+            result[spec.name] = mapped
+        else:
+            result[spec.name] = str(value).strip()
+    return result
+
+
+def _reference_normalize(value, shape, trace):
+    value = _reference_unwrap_envelope(value, shape, trace)
+    if value is None:
+        return []
+    if isinstance(value, (str, int, float)):
+        value = [value]
+    if isinstance(value, dict):
+        value = [value]
+    if not isinstance(value, list):
+        raise TypeError(f"cannot shape value of type {type(value).__name__}")
+    items = []
+    for item in value:
+        if item is None:
+            continue
+        normalized = _reference_normalize_item(item, shape, trace)
+        if normalized is not None:
+            items.append(normalized)
+    return items
+
+
+def reference_repair_and_parse(raw: str, shape):
+    """Every answer through the staged path, with the label tables
+    rebuilt on each call; the tolerant reader and the refusal test are
+    production's, so they are not what this compares."""
+    from ppanalyze.extraction.repair import (
+        _BULLET_RE,
+        ParseError,
+        RepairTrace,
+        _is_refusal,
+        _Tolerant,
+    )
+
+    trace = RepairTrace()
+    stripped = raw.strip()
+
+    defenced = _reference_strip_code_fences(stripped)
+    if defenced.strip() != stripped:
+        trace.note("prose_strip")
+    region = _reference_extract_bracketed(defenced)
+
+    if region is None:
+        if not stripped or _is_refusal(stripped):
+            trace.note("refusal")
+            return [], trace
+        if shape.allow_string_items or not shape.fields:
+            trace.note("line_fallback")
+            lines = []
+            for line in stripped.split("\n"):
+                line = _BULLET_RE.sub("", line).strip().strip('"').strip()
+                if line and not _is_refusal(line):
+                    lines.append(line)
+            return _reference_normalize(lines, shape, trace), trace
+        raise ParseError("no JSON region in response", raw)
+
+    if region.strip() != defenced.strip():
+        trace.note("prose_strip")
+
+    try:
+        value = json.loads(region)
+    except json.JSONDecodeError:
+        trace.note("structural_repair")
+        value = _Tolerant(region).value()
+
+    try:
+        return _reference_normalize(value, shape, trace), trace
+    except TypeError as exc:
+        raise ParseError(str(exc), raw) from exc

@@ -139,6 +139,14 @@ class TestRecordReplay:
         again = ResponseCache(path)
         assert again.get("k1")["response"] == "r"
 
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_load_keeps_the_first_record_of_a_key(self, tmp_path, end):
+        # the second line is full, or the unterminated tail
+        path = tmp_path / "cache.jsonl"
+        first, second = ({**_record("k1"), "response": r} for r in ("first", "second"))
+        path.write_text(json.dumps(first) + "\n" + json.dumps(second) + end)
+        assert ResponseCache(path).get("k1")["response"] == "first"
+
     def test_corrupt_cache_line_reported(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text("not json\n")

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppanalyze.extraction.prompts import TASK_SHAPES, TaskKind
+from ppanalyze.extraction.prompts import TASK_SHAPES, FieldSpec, ResponseShape, TaskKind
 from ppanalyze.extraction.repair import ParseError, repair_and_parse
+
+from .conftest import FIXTURES
+from .oracles import reference_repair_and_parse
 
 DATA = TASK_SHAPES[TaskKind.DATA_RECOGNITION]
 PARTY = TASK_SHAPES[TaskKind.PARTY_RECOGNITION]
@@ -54,8 +57,14 @@ class TestStructuralRepair:
         ('{]', []),
         ('[}', []),
         ('[: "ip"]', [{"text": "ip"}]),
+        # a non-hex \u escape reads like any unknown escape; a surrogate
+        # pair joins into one character, as json.loads does
+        (r"['\uZZZZ']", [{"text": "uZZZZ"}]),
+        (r'[{"text": "a\u12"}]', [{"text": "au12"}]),
+        (r"['\ud83d\ude00 email']", [{"text": "\U0001F600 email"}]),
+        (r'["\ud83d\ude00",]', [{"text": "\U0001F600"}]),
     ])
-    def test_mismatched_closers_and_stray_colons_end(self, raw, items):
+    def test_tolerant_reader_inputs(self, raw, items):
         assert repair_and_parse(raw, DATA)[0] == items
 
     def test_bare_keys_and_values(self):
@@ -171,17 +180,29 @@ json_values = st.recursive(
 )
 
 
+# \u escapes as a model writes them: hex or not, whole or cut, paired or lone
+u_escapes = st.builds("\\u{}".format, st.text("0123456789abcdefABCDEFZ\"'}", max_size=4)) \
+    | st.sampled_from(["\\ud83d\\ude00", "\\ud83d", "\\ude00"])
+escaped_text = st.lists(u_escapes | st.text(max_size=4), max_size=5).map("".join)
+
+
 @st.composite
 def raw_responses(draw) -> str:
-    """Arbitrary text, or a JSON value that may be enveloped, fenced or
-    wrapped in prose, sometimes cut short."""
-    if draw(st.booleans()):
+    """Arbitrary text, or a JSON value or a list holding \\u-escaped text,
+    which may be enveloped, fenced or wrapped in prose, sometimes cut short."""
+    form = draw(st.sampled_from(["text", "json", "escaped"]))
+    if form == "text":
         return draw(st.text(max_size=60))
-    value = draw(json_values)
-    if draw(st.booleans()):
-        shape = draw(st.sampled_from(list(TASK_SHAPES.values())))
-        value = {draw(st.sampled_from(shape.envelope_keys) | st.text(max_size=6)): value}
-    raw = json.dumps(value)
+    if form == "escaped":
+        quote = draw(st.sampled_from("\"'"))
+        raw = draw(st.sampled_from(["[{q}{s}{q}]", '[{{"text": {q}{s}{q}}}]'])).format(
+            q=quote, s=draw(escaped_text))
+    else:
+        value = draw(json_values)
+        if draw(st.booleans()):
+            shape = draw(st.sampled_from(list(TASK_SHAPES.values())))
+            value = {draw(st.sampled_from(shape.envelope_keys) | st.text(max_size=6)): value}
+        raw = json.dumps(value)
     if draw(st.booleans()):
         raw = draw(st.sampled_from(["```json\n{}\n```", "```\n{}", "Here you go: {} Thanks",
                                     "{}"])).replace("{}", raw)
@@ -198,3 +219,85 @@ class TestFuzz:
             return
         assert isinstance(items, list)
         assert all(isinstance(item, dict) for item in items)
+
+
+def _outcome(parse, raw, shape):
+    try:
+        items, trace = parse(raw, shape)
+    except ParseError as exc:
+        return "error", str(exc), exc.raw
+    return items, trace.stages, trace.dropped_items
+
+
+class TestRepairOracle:
+    """Same items, stages, dropped items and errors as the staged path
+    that rebuilt every label table on each call."""
+
+    @given(raw_responses(), st.sampled_from(list(TASK_SHAPES)))
+    @settings(max_examples=300)
+    def test_equals_reference_on_fuzzed_answers(self, raw, task):
+        shape = TASK_SHAPES[task]
+        assert _outcome(repair_and_parse, raw, shape) \
+            == _outcome(reference_repair_and_parse, raw, shape)
+
+    @pytest.mark.parametrize("raw", [
+        # well-formed JSON holding a fence or a single quote
+        '{"entities": [{"text": "a ```json b``` c"}]}',
+        '["```", "email"]',
+        '{"entities": [{"text": "user\'s email"}]}',
+        '  {"entities": [{"text": "it\'s"}, "ip"]}  ',
+        # synonym keys in mixed case, enum aliases
+        '{"Data_Entities": [{"SPAN": "email"}]}',
+        '{"RESULTS": [{"Entity": "we", "Party-Type": "1st Party"}]}',
+        '{"Actions": [{"Phrase": "share", "Action Type": "Sharing"}]}',
+        '{"tuples": [{"Subject": "a0", "Object_ID": "e0", "Relation": "Recipient"}]}',
+        '[{"text": "x", "text": "y", "Text": "z", "subtype": "USE", "kind": "storage"}]',
+        # mapping and single-object answers
+        '{"email address": "EmailAddress", "ip": "IPAddress"}',
+        '{"we": "first party", "they": "martian"}',
+        '{"text": "email"}',
+        '{"Entity_Text": "email", "Class": "EmailAddress", "extra": 1}',
+        '{"id1": "a0", "id2": "e0", "type": "has data"}',
+        # other JSON values, whole or with prose around them
+        '[]', '{}', '[null, 1, true, 2.5, [], {}]', '"email"', '[[["x"]]]',
+        '{"entities": {"text": "ip"}}', '{"entities": 5}', '{"junk": [1, "ip"]}',
+        'Sure: {"entities": ["ip"]}', '{"entities": ["ip"]} Done.',
+        '```json\n["ip"]\n```', '[1, 2] [3]', '{"a": 1',
+        # text that is not JSON as it stands, with prose after it
+        "{'entities': ['ip',]} Done.", "['ip', 'email'] and [x]", '["ip",] {"a": 1}',
+    ])
+    def test_equals_reference_on_edge_cases(self, raw):
+        for task, shape in TASK_SHAPES.items():
+            assert _outcome(repair_and_parse, raw, shape) \
+                == _outcome(reference_repair_and_parse, raw, shape), task
+
+    # labels that normalize alike across fields, envelopes and enums,
+    # where the first in declaration order must win
+    CLASHING = ResponseShape(
+        name="clash", envelope_keys=("items", "Items", "i-tems", "list"),
+        fields=(FieldSpec("text", synonyms=("Name", "kind")),
+                FieldSpec("kind", synonyms=("TEXT", "name", "type"), required=False,
+                          enum_values=("a_b", "AB", "c"),
+                          enum_synonyms=(("a-b", "AB"), ("c", "a_b"), ("x", "c"), ("X", "AB")))),
+    )
+
+    @pytest.mark.parametrize("raw", [
+        '{"items": [{"TEXT": "t", "Type": "A B"}]}', '{"I-TEMS": [{"name": "n", "type": "x"}]}',
+        '{"list": [{"kind": "k", "type": "C"}]}', '[{"text": "t", "kind": "ab"}]',
+        '{"Name": "n", "type": "a-b"}', '{"t": "ab", "u": "X"}', '[["t", "c"]]',
+    ])
+    def test_first_declared_label_wins(self, raw):
+        assert _outcome(repair_and_parse, raw, self.CLASHING) \
+            == _outcome(reference_repair_and_parse, raw, self.CLASHING)
+
+    @pytest.mark.parametrize("cache", ["replay_cache.jsonl", "gold/replay_cache.jsonl",
+                                       "gold/replay_cache_empty.jsonl"])
+    def test_equals_reference_on_fixture_answers(self, cache):
+        lines = (FIXTURES / cache).read_text(encoding="utf-8").splitlines()
+        assert lines
+        for line in lines:
+            record = json.loads(line)
+            shape = TASK_SHAPES[TaskKind(record["task"])]
+            raw = record["response"]
+            assert _outcome(repair_and_parse, raw, shape) \
+                == _outcome(reference_repair_and_parse, raw, shape), raw
