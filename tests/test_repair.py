@@ -57,14 +57,19 @@ class TestStructuralRepair:
         ('{]', []),
         ('[}', []),
         ('[: "ip"]', [{"text": "ip"}]),
-        # a non-hex \u escape reads like any unknown escape; a surrogate
-        # pair joins into one character, as json.loads does
+    ])
+    def test_mismatched_closers_and_stray_colons_end(self, raw, items):
+        assert repair_and_parse(raw, DATA)[0] == items
+
+    # a non-hex \u escape reads like any unknown escape; a surrogate pair
+    # joins into one character, as json.loads does
+    @pytest.mark.parametrize("raw, items", [
         (r"['\uZZZZ']", [{"text": "uZZZZ"}]),
         (r'[{"text": "a\u12"}]', [{"text": "au12"}]),
         (r"['\ud83d\ude00 email']", [{"text": "\U0001F600 email"}]),
         (r'["\ud83d\ude00",]', [{"text": "\U0001F600"}]),
     ])
-    def test_tolerant_reader_inputs(self, raw, items):
+    def test_unicode_escapes(self, raw, items):
         assert repair_and_parse(raw, DATA)[0] == items
 
     def test_bare_keys_and_values(self):
