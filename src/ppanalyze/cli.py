@@ -1,10 +1,14 @@
 """Command-line surface: analyze, evaluate, convert, stats, export-finetune.
 
-Configuration precedence is flags > environment (PPA_*) > config file
-(--config, JSON) > defaults, and the effective configuration is printed
-to stderr at startup so runs are auditable.  Credentials come only from
-the environment (PPA_API_KEY / OPENAI_API_KEY); with --replay every
-command is fully offline and deterministic.
+Each command reads only the settings it names in `COMMAND_SETTINGS`, and
+only those get a flag, a `PPA_*` environment variable and a config-file
+key.  Precedence is flags > environment > config file (--config or
+PPA_CONFIG, JSON) > defaults.  A config file may be shared across
+commands, so keys a command does not read are ignored.  The settings a
+command resolved are printed to stderr at startup so runs are auditable.
+Credentials come only from the environment (PPA_API_KEY /
+OPENAI_API_KEY); with --replay every command is fully offline and
+deterministic.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import sys
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import graph as graphmod
 from . import rdfio
@@ -23,7 +27,7 @@ from .corpus import CorpusError, load_policy, read_annotation_conf, validate_gol
 from .eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
 from .eval.finetune import FinetuneError, FinetuneSpec, select_finetune_data, write_jsonl
 from .eval.gold import GoldCorpusError, load_gold_corpus
-from .extraction.backend import Backend, BackendConfig, ConfigError
+from .extraction.backend import Backend, BackendConfig, BackendError
 from .extraction.pipeline import DocumentError, extract_document
 from .extraction.prompts import TaskKind
 from .policyconv import ConversionError, ConversionProfile, to_odrl, to_psdtou
@@ -31,106 +35,102 @@ from .taxonomy import Taxonomy, TaxonomyError, default_snapshot_path, load_taxon
 
 ENV_PREFIX = "PPA_"
 
-_DEFAULTS = {
-    "model": "gpt-4o-mini",
-    "mode": "live",
-    "cache": None,
-    "taxonomy": None,
-    "threshold": 0.9,
-    "out": "out",
-    "jobs": 1,
-    "seed": 0,
+
+@dataclass(frozen=True)
+class Setting:
+    type: Callable[[str], Any]
+    default: Any
+    help: str
+
+
+SETTINGS = {
+    "model": Setting(str, "gpt-4o-mini", "model name for backend queries"),
+    "mode": Setting(str, "live", "cache mode: live, record or replay"),
+    "cache": Setting(str, None, "response cache file (JSONL); needs --record or --replay"),
+    "taxonomy": Setting(str, None, "taxonomy snapshot (TSV or Turtle/N-Triples)"),
+    "threshold": Setting(float, 0.9, "relaxed-match threshold (default 0.9)"),
+    "out": Setting(str, "out", "output directory (default ./out)"),
+    "jobs": Setting(int, 1, "parallel segment workers"),
+    "seed": Setting(int, 0, "seed for all randomized steps"),
 }
 
+COMMAND_SETTINGS = {
+    "analyze": ("model", "mode", "cache", "taxonomy", "out", "jobs"),
+    "evaluate": ("model", "mode", "cache", "taxonomy", "threshold", "out"),
+    "convert": ("out",),
+    "stats": ("out",),
+    "export-finetune": ("taxonomy", "seed", "out"),
+}
 
-@dataclass
-class RunConfig:
-    model: str
-    mode: str
-    cache: Optional[str]
-    taxonomy: Optional[str]
-    threshold: float
-    out: str
-    jobs: int
-    seed: int
-
-    def backend_config(self) -> BackendConfig:
-        return BackendConfig(
-            model_name=self.model,
-            cache_mode=self.mode,
-            cache_path=Path(self.cache) if self.cache else None,
-        )
-
-    def taxonomy_path(self) -> Path:
-        return Path(self.taxonomy) if self.taxonomy else default_snapshot_path()
-
-    def out_dir(self) -> Path:
-        path = Path(self.out)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    parser.add_argument("--config", help="JSON config file (keys this command does not read "
+                                         "are ignored)")
+    for name in COMMAND_SETTINGS[command]:
+        if name == "mode":
+            group = parser.add_mutually_exclusive_group()
+            group.add_argument("--replay", dest="mode", action="store_const", const="replay",
+                               help="serve responses from the cache only (offline, deterministic)")
+            group.add_argument("--record", dest="mode", action="store_const", const="record",
+                               help="serve cache hits; query the model on a miss and append "
+                                    "its answer")
+        else:
+            parser.add_argument("--" + name, type=SETTINGS[name].type, help=SETTINGS[name].help)
 
 
-def _coerce(name: str, value):
-    if value is None:
-        return None
-    if name == "threshold":
-        return float(value)
-    if name in ("jobs", "seed"):
-        return int(value)
-    return value
+def _convert(name: str, value: Any, source: str) -> Any:
+    try:
+        return SETTINGS[name].type(str(value))
+    except ValueError:
+        raise SystemExit(f"error: {source}: {value!r} is not a valid {name}") from None
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """flags > environment > config file > defaults."""
-    values = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The settings of `args.command`: flags > environment > config file > defaults."""
+    names = COMMAND_SETTINGS[args.command]
+    values = {name: SETTINGS[name].default for name in names}
+    config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         try:
             file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise SystemExit(f"error: cannot read config file {config_path}: {exc}")
-        for key in values:
-            if key in file_values:
-                values[key] = _coerce(key, file_values[key])
-    for key in values:
-        env = os.environ.get(ENV_PREFIX + key.upper())
+        if not isinstance(file_values, dict):
+            raise SystemExit(f"error: config file {config_path} does not hold a JSON object")
+        for name in names:
+            if file_values.get(name) is not None:
+                values[name] = _convert(name, file_values[name], f"{config_path}: key {name!r}")
+    for name in names:
+        env = os.environ.get(ENV_PREFIX + name.upper())
         if env is not None:
-            values[key] = _coerce(key, env)
-    for key in values:
-        flag = getattr(args, key, None)
+            values[name] = _convert(name, env, ENV_PREFIX + name.upper())
+    for name in names:
+        flag = getattr(args, name)
         if flag is not None:
-            values[key] = _coerce(key, flag)
-    if getattr(args, "replay", False):
-        values["mode"] = "replay"
-    elif getattr(args, "record", False):
-        values["mode"] = "record"
-    config = RunConfig(**values)
-    if not 0 < config.threshold <= 1:
-        raise SystemExit(f"error: threshold must be in (0, 1], got {config.threshold}")
-    print("config: " + json.dumps(vars(config), default=str), file=sys.stderr)
-    return config
+            values[name] = flag
+    if "threshold" in values and not 0 < values["threshold"] <= 1:
+        raise SystemExit(f"error: threshold must be in (0, 1], got {values['threshold']}")
+    print("config: " + json.dumps(values), file=sys.stderr)
+    return argparse.Namespace(**values)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--model", help="model name for backend queries")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--replay", action="store_true",
-                      help="serve responses from the cache only (offline, deterministic)")
-    mode.add_argument("--record", action="store_true",
-                      help="query live and append responses to the cache")
-    parser.add_argument("--cache", help="response cache file (JSONL)")
-    parser.add_argument("--taxonomy", help="taxonomy snapshot (TSV or Turtle/N-Triples)")
-    parser.add_argument("--threshold", type=float, help="relaxed-match threshold (default 0.9)")
-    parser.add_argument("--out", help="output directory (default ./out)")
-    parser.add_argument("--jobs", type=int, help="parallel segment workers")
-    parser.add_argument("--seed", type=int, help="seed for all randomized steps")
+def _out_dir(config: argparse.Namespace) -> Path:
+    path = Path(config.out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
-def _load_taxonomy(config: RunConfig) -> Taxonomy:
+def _load_taxonomy(config: argparse.Namespace) -> Taxonomy:
     try:
-        return load_taxonomy(config.taxonomy_path())
+        return load_taxonomy(config.taxonomy or default_snapshot_path())
     except TaxonomyError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
+def _backend(config: argparse.Namespace) -> Backend:
+    try:
+        return Backend(BackendConfig(model_name=config.model, cache_mode=config.mode,
+                                     cache_path=Path(config.cache) if config.cache else None))
+    except BackendError as exc:
         raise SystemExit(f"error: {exc}")
 
 
@@ -144,7 +144,7 @@ def _report_problems(header: str, problems: list[str]) -> None:
 
 
 def _write_run_log(out_dir: Path, records: list[dict]) -> None:
-    with (out_dir / "run_log.jsonl").open("a", encoding="utf-8") as f:
+    with (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as f:
         for record in records:
             f.write(json.dumps(record, ensure_ascii=False) + "\n")
 
@@ -152,11 +152,8 @@ def _write_run_log(out_dir: Path, records: list[dict]) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     taxonomy = _load_taxonomy(config)
-    try:
-        backend = Backend(config.backend_config())
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}")
-    out_dir = config.out_dir()
+    backend = _backend(config)
+    out_dir = _out_dir(config)
     (out_dir / "audit").mkdir(exist_ok=True)
     (out_dir / "logs").mkdir(exist_ok=True)
 
@@ -178,14 +175,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
         prpr = graphmod.build_graph(result, service_id, policy_uri,
                                     taxonomy_version=taxonomy.version)
-        problems = graphmod.check_invariants(prpr, taxonomy)
+        problems = graphmod.check_invariants(prpr.triples, taxonomy)
         if problems:
             _report_problems(f"error: {path}: {len(problems)} graph invariant violation(s)",
                              problems)
             failures += 1
             continue
-        (out_dir / f"{service_id}.ttl").write_bytes(graphmod.serialize(prpr, "turtle"))
-        (out_dir / f"{service_id}.nt").write_bytes(graphmod.serialize(prpr, "ntriples"))
+        (out_dir / f"{service_id}.ttl").write_bytes(rdfio.serialize(prpr.triples, "turtle"))
+        (out_dir / f"{service_id}.nt").write_bytes(rdfio.serialize(prpr.triples, "ntriples"))
         combined.update(prpr.triples)
 
         audit_path = out_dir / "audit" / f"{service_id}.json"
@@ -246,17 +243,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             _report_problems(f"usage error: {len(problems)} gold label(s) not declared in {conf}",
                              problems)
             raise SystemExit(2)
-    try:
-        backend = Backend(config.backend_config())
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}")
+    backend = _backend(config)
     tasks = None
     if args.tasks:
         tasks = [_task_by_name(name) for name in args.tasks]
     report = run_benchmark(corpus, backend, tasks=tasks, taxonomy=taxonomy,
                            threshold=config.threshold, denominator=args.denominator)
     table = format_report_table([report])
-    out_dir = config.out_dir()
+    out_dir = _out_dir(config)
     (out_dir / "report.tsv").write_text(table, encoding="utf-8")
     (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(table, end="")
@@ -276,10 +270,8 @@ def _task_by_name(name: str) -> TaskKind:
 
 
 def _read_graph_file(path: str) -> rdfio.Graph:
-    p = Path(path)
-    fmt = "ntriples" if p.suffix in (".nt", ".ntriples") else "turtle"
     try:
-        return rdfio.parse(p.read_bytes(), fmt)
+        return rdfio.parse_turtle(Path(path).read_bytes())
     except (OSError, rdfio.RdfError) as exc:
         raise SystemExit(f"error: cannot read graph {path}: {exc}")
 
@@ -291,7 +283,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
                    else ConversionProfile.default())
     except ConversionError as exc:
         raise SystemExit(f"error: {exc}")
-    out_dir = config.out_dir()
+    out_dir = _out_dir(config)
     failures = 0
     for path in args.graphs:
         g = _read_graph_file(path)
@@ -322,7 +314,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     graphs = [_read_graph_file(path) for path in args.graphs]
     stats = graphmod.stats(graphs)
     print(stats.to_tsv(top_k=args.top), end="")
-    out_dir = config.out_dir()
+    out_dir = _out_dir(config)
     (out_dir / "stats.tsv").write_text(stats.to_tsv(top_k=args.top), encoding="utf-8")
     (out_dir / "stats.json").write_text(
         json.dumps(stats.to_dict(top_k=args.top), indent=2) + "\n", encoding="utf-8")
@@ -342,7 +334,7 @@ def cmd_export_finetune(args: argparse.Namespace) -> int:
         train, validation = select_finetune_data(corpus, task, spec, taxonomy)
     except FinetuneError as exc:
         raise SystemExit(f"error: {exc}")
-    out_dir = config.out_dir()
+    out_dir = _out_dir(config)
     train_path = out_dir / f"{task.value}-{spec.to_string()}-train.jsonl"
     val_path = out_dir / f"{task.value}-{spec.to_string()}-validation.jsonl"
     write_jsonl(train, train_path)
@@ -362,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="extract policies into practice graphs")
     p.add_argument("policies", nargs="+", help="plain-text policy files")
-    _add_common_flags(p)
+    _add_settings(p, "analyze")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("evaluate", help="score pipeline tasks against gold annotations")
@@ -370,19 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", nargs="+", help="subset of tasks to score")
     p.add_argument("--denominator", choices=["max", "gold", "mean"], default="max",
                    help="lcs-ratio denominator mode for relaxed matching")
-    _add_common_flags(p)
+    _add_settings(p, "evaluate")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("convert", help="convert practice graphs to ODRL and psDToU")
     p.add_argument("graphs", nargs="+", help="practice graph files (.ttl/.nt)")
     p.add_argument("--profile", help="conversion profile JSON")
-    _add_common_flags(p)
+    _add_settings(p, "convert")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("stats", help="corpus statistics over practice graphs")
     p.add_argument("graphs", nargs="+", help="practice graph files (.ttl/.nt)")
     p.add_argument("--top", type=int, default=10, help="top-k class table size")
-    _add_common_flags(p)
+    _add_settings(p, "stats")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("export-finetune", help="export fine-tuning datasets")
@@ -390,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, help="pipeline task to export")
     p.add_argument("--spec", required=True,
                    help="selection spec 'a-b-c-d' (e.g. 10-30-2-6)")
-    _add_common_flags(p)
+    _add_settings(p, "export-finetune")
     p.set_defaults(func=cmd_export_finetune)
     return parser
 

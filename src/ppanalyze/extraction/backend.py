@@ -14,8 +14,11 @@ cached answer when there is one.  On a miss, record mode queries the
 model and appends the answer, so an interrupted record run resumes
 without asking again; replay mode never touches the network and fails
 loudly, which makes every downstream run fully deterministic and
-offline.  Credentials come only from the environment (PPA_API_KEY,
-falling back to OPENAI_API_KEY).
+offline.  Live mode reads no cache, so a cache path there is an error.
+An answer that cannot be encoded as UTF-8 (one holding a lone surrogate)
+is an error too, whether the model or the cache gave it, so it never
+reaches a prompt digest or an output file.  Credentials come only from
+the environment (PPA_API_KEY, falling back to OPENAI_API_KEY).
 """
 from __future__ import annotations
 
@@ -74,11 +77,21 @@ class BackendConfig:
             raise ConfigError(f"unknown cache mode: {self.cache_mode!r}")
         if self.cache_mode in ("record", "replay") and self.cache_path is None:
             raise ConfigError(f"cache mode {self.cache_mode!r} requires a cache path")
+        if self.cache_mode == "live" and self.cache_path is not None:
+            raise ConfigError("live mode reads no cache: pass --record or --replay with --cache")
 
 
 def prompt_digest(model: str, task: str, prompt: PromptMessages) -> str:
     payload = json.dumps([model, task, prompt.system, prompt.user], ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _read_record(line: Union[str, bytes]) -> dict:
+    record = json.loads(line)
+    if not (isinstance(record, dict) and isinstance(record.get("key"), str)
+            and isinstance(record.get("response"), str)):
+        raise ValueError("not a record with a string key and response")
+    return record
 
 
 class ResponseCache:
@@ -102,19 +115,22 @@ class ResponseCache:
         if self.path.exists():
             data = self.path.read_bytes()
             cut = data.rfind(b"\n") + 1
-            lines = data[:cut].decode("utf-8").split("\n")
+            try:
+                lines = data[:cut].decode("utf-8").split("\n")
+            except UnicodeDecodeError as exc:
+                raise BackendError(f"cache {self.path} is not UTF-8: {exc}") from exc
             for line_no, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    record = _read_record(line)
+                except ValueError as exc:
                     raise BackendError(f"corrupt cache line {line_no} in {self.path}: {exc}") from exc
                 self._entries.setdefault(record["key"], record)
             tail = data[cut:]
             if tail.strip():
                 try:
-                    record = json.loads(tail)
+                    record = _read_record(tail)
                     self._entries.setdefault(record["key"], record)
                     self._unterminated = True
                 except ValueError:
@@ -203,6 +219,16 @@ def http_chat_transport(prompt: PromptMessages, config: BackendConfig) -> str:
 Transport = Callable[[PromptMessages, BackendConfig], str]
 
 
+def _utf8(raw: str, digest: str) -> str:
+    """`raw` if it can be encoded as UTF-8, else a BackendError."""
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise BackendError(f"answer for digest {digest} is not valid UTF-8: "
+                           f"{exc.reason} at index {exc.start}") from None
+    return raw
+
+
 class Backend:
     """Executes model queries under the configured cache mode.
 
@@ -213,7 +239,7 @@ class Backend:
     def __init__(self, config: BackendConfig, transport: Optional[Transport] = None):
         self.config = config
         self.transport: Transport = transport or http_chat_transport
-        self.cache = ResponseCache(config.cache_path) if config.cache_path else None
+        self.cache = ResponseCache(config.cache_path) if config.cache_mode != "live" else None
         self.invocations = 0
         self.transport_calls = 0
         self._count_lock = threading.Lock()
@@ -228,11 +254,12 @@ class Backend:
         if self.config.cache_mode != "live":
             record = self.cache.get(digest)
             if record is not None:
-                return BackendResponse(raw=record["response"], digest=digest, from_cache=True)
+                return BackendResponse(raw=_utf8(record["response"], digest), digest=digest,
+                                       from_cache=True)
             if self.config.cache_mode == "replay":
                 raise ReplayMissError(digest, task.value)
 
-        raw = self._call_with_retries(prompt)
+        raw = _utf8(self._call_with_retries(prompt), digest)
         if self.config.cache_mode == "record":
             # a concurrent miss on the same prompt may have stored its answer first
             raw = self.cache.put({

@@ -153,7 +153,12 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
 
 def _ground(kind: str, spans: Sequence[EntitySpan], items: list[dict],
             taxonomy: Taxonomy) -> tuple[list[EntitySpan], list[str]]:
-    """Apply classification items to data/purpose spans; return them with notes."""
+    """Apply classification items to data/purpose spans; return them with notes.
+
+    Predictions are matched back to spans by entity text; unresolved
+    terms are recorded on the span (never dropped), and a resolved
+    non-leaf purpose is kept but flagged non_leaf.
+    """
     notes: list[str] = []
     predictions: dict[str, str] = {}
     for item in items:
@@ -177,21 +182,6 @@ def _ground(kind: str, spans: Sequence[EntitySpan], items: list[dict],
             notes.append(f"{span.local_id}: non-leaf purpose term {node.iri}")
         updated.append(replace(span, grounded_term=node.iri, non_leaf=non_leaf))
     return updated, notes
-
-
-def classify_entities(kind: str, spans: Sequence[EntitySpan], segment: Segment,
-                      backend: Backend, taxonomy: Taxonomy,
-                      ) -> tuple[list[EntitySpan], TaskTrace, list[str]]:
-    """Ground data/purpose spans in the taxonomy via one classification query.
-
-    Predictions are matched back to spans by entity text; unresolved
-    terms are recorded on the span (never dropped), and a resolved
-    non-leaf purpose is kept but flagged non_leaf.
-    """
-    task, = (t for t in CLASSIFICATION_TASKS if TASK_KIND[t] == kind)
-    items, trace = run_task(task, segment, [s.text for s in spans], backend)
-    updated, notes = _ground(kind, spans, items, taxonomy)
-    return updated, trace, notes
 
 
 def _extract_segment(segment: Segment, backend: Backend,

@@ -24,6 +24,10 @@ records neither prose_strip nor structural_repair; stage 3 still
 applies.  Stage 3's key, envelope and enum lookup tables are derived
 from the ResponseShape declarations in prompts.py, once per shape.
 
+An item whose text holds a lone surrogate (a JSON escape such as
+`\\ud800` without its pair) is dropped with that reason, since no
+output can encode it.
+
 Anything irrecoverable raises ParseError carrying the raw text, which
 callers retain for audit.  Parse failures are data, never retried.
 """
@@ -46,6 +50,7 @@ DEFAULT_REFUSAL_PHRASES = frozenset({
 })
 
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s*")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class ParseError(Exception):
@@ -332,7 +337,11 @@ def _normalize_item(item: Any, shape: ResponseShape, trace: RepairTrace) -> Opti
                 trace.note("key_normalization")
             result[spec.name] = mapped
         else:
-            result[spec.name] = str(value).strip()
+            text = str(value).strip()
+            if _SURROGATE_RE.search(text):
+                trace.dropped_items.append((item, f"lone surrogate in {spec.name!r}"))
+                return None
+            result[spec.name] = text
     return result
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import rdfio
 from .extraction.pipeline import EntitySpan, ExtractionResult
@@ -211,15 +211,6 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
     return PrPrGraph(triples=g, provenance=provenance, build_log=log)
 
 
-def serialize(graph: Union[PrPrGraph, Graph], fmt: str = "turtle") -> bytes:
-    g = graph.triples if isinstance(graph, PrPrGraph) else graph
-    return rdfio.serialize(g, fmt)
-
-
-def parse_graph(data: Union[str, bytes], fmt: str = "turtle") -> Graph:
-    return rdfio.parse(data, fmt)
-
-
 # -- invariant checking --
 
 def practice_types(g: Graph) -> dict[Subject, str]:
@@ -239,10 +230,8 @@ def practice_types(g: Graph) -> dict[Subject, str]:
     return {s: _PRACTICE_CLASS_NAMES[rank] for s, rank in best.items()}
 
 
-def check_invariants(graph: Union[PrPrGraph, Graph],
-                     taxonomy: Optional[Taxonomy] = None) -> list[str]:
+def check_invariants(g: Graph, taxonomy: Optional[Taxonomy] = None) -> list[str]:
     """Return a list of invariant violations (empty list = graph is sound)."""
-    g = graph.triples if isinstance(graph, PrPrGraph) else graph
     problems: list[str] = []
 
     for practice in sorted(practice_types(g), key=rdfio.term_key):
@@ -333,7 +322,7 @@ class GraphStats:
         return "\n".join(lines) + "\n"
 
 
-def stats(graphs: Sequence[Union[PrPrGraph, Graph]]) -> GraphStats:
+def stats(graphs: Sequence[Graph]) -> GraphStats:
     """Aggregate statistics over any number of practice graphs."""
     triple_count = 0
     practice_type_counts: dict[str, int] = {}
@@ -341,8 +330,7 @@ def stats(graphs: Sequence[Union[PrPrGraph, Graph]]) -> GraphStats:
     data_mentions: dict[str, int] = {}
     purpose_mentions: dict[str, int] = {}
 
-    for graph in graphs:
-        g = graph.triples if isinstance(graph, PrPrGraph) else graph
+    for g in graphs:
         triple_count += len(g)
         types = practice_types(g)
         practice_count += len(types)

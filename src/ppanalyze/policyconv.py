@@ -27,7 +27,6 @@ from .graph import (
     PPA,
     PRACTICE_SUBTYPE,
     PRIVACY_POLICY,
-    PrPrGraph,
     _digest,
     practice_types,
 )
@@ -140,15 +139,10 @@ def _practice_view(g: Graph, policy, types: dict) -> list[_Practice]:
     return out
 
 
-def _source(graph: Union[PrPrGraph, Graph]) -> Graph:
-    return graph.triples if isinstance(graph, PrPrGraph) else graph
-
-
-def to_odrl(graph: Union[PrPrGraph, Graph],
+def to_odrl(g: Graph,
             profile: Optional[ConversionProfile] = None) -> tuple[Graph, ConversionReport]:
     """Build one ODRL policy set per PrivacyPolicy node in the graph."""
     profile = profile or ConversionProfile.default()
-    g = _source(graph)
     out = Graph()
     out.bind("odrl", ODRL)
     out.bind("ppa", PPA)
@@ -200,7 +194,7 @@ def _copy_party(source: Graph, out: Graph, party) -> None:
         out.add(party, p, o)
 
 
-def to_psdtou(graph: Union[PrPrGraph, Graph],
+def to_psdtou(g: Graph,
               profile: Optional[ConversionProfile] = None) -> tuple[Graph, ConversionReport]:
     """Build one psDToU app policy per PrivacyPolicy node.
 
@@ -210,7 +204,6 @@ def to_psdtou(graph: Union[PrPrGraph, Graph],
     per sharing practice.
     """
     profile = profile or ConversionProfile.default()
-    g = _source(graph)
     out = Graph()
     out.bind("dtou", profile.psdtou["namespace"])
     out.bind("ppa", PPA)

@@ -318,10 +318,10 @@ def _tokenize(text: str) -> Iterator[tuple[str, str]]:
         yield (kind, m.group(kind))
 
 
-def parse_turtle(data: Union[str, bytes], graph: Optional[Graph] = None) -> Graph:
+def parse_turtle(data: Union[str, bytes]) -> Graph:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    g = graph if graph is not None else Graph()
+    g = Graph()
     prefixes: dict[str, str] = {}
     base = ""
 
@@ -424,14 +424,8 @@ def parse_turtle(data: Union[str, bytes], graph: Optional[Graph] = None) -> Grap
     return g
 
 
-def parse_ntriples(data: Union[str, bytes], graph: Optional[Graph] = None) -> Graph:
-    # N-Triples is a syntactic subset of what the Turtle reader accepts.
-    return parse_turtle(data, graph)
-
-
 def parse(data: Union[str, bytes], fmt: str = "turtle") -> Graph:
-    if fmt == "turtle":
-        return parse_turtle(data)
-    if fmt == "ntriples":
-        return parse_ntriples(data)
-    raise ValueError(f"unknown RDF format: {fmt!r}")
+    # N-Triples is a syntactic subset of what the Turtle reader accepts.
+    if fmt not in ("turtle", "ntriples"):
+        raise ValueError(f"unknown RDF format: {fmt!r}")
+    return parse_turtle(data)

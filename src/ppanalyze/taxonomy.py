@@ -9,7 +9,7 @@ so that graph grounding stays reproducible.  Two input formats:
 
 Kinds (data vs purpose) are inferred from the roots: an IRI whose local
 name is "Purpose" roots the purpose hierarchy, "PersonalData" (or "Data")
-the data hierarchy; override via the root_kinds argument.  The snapshot
+the data hierarchy (DEFAULT_ROOT_KINDS).  The snapshot
 version is read from a `#! version=...` directive (TSV) or an
 owl:versionInfo literal (RDF) and is attached to every emitted graph.
 """
@@ -216,7 +216,7 @@ def _detect_cycle(parents: dict[str, set[str]]) -> Optional[list[str]]:
 
 def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
               synonyms: dict[str, list[str]], declared_roots: set[str],
-              version: str, root_kinds: dict[str, str]) -> Taxonomy:
+              version: str) -> Taxonomy:
     parents: dict[str, set[str]] = {}
     children: dict[str, set[str]] = {}
     all_iris: set[str] = set(declared_roots) | set(labels)
@@ -236,11 +236,11 @@ def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
     roots = sorted(iri for iri in all_iris if not parents[iri])
     kind_of_root: dict[str, str] = {}
     for root in roots:
-        kind = root_kinds.get(normalize_label(local_name(root)))
+        kind = DEFAULT_ROOT_KINDS.get(normalize_label(local_name(root)))
         if kind is None:
             raise TaxonomyError(
                 f"cannot infer kind (data/purpose) for root {root}; "
-                "name the root 'Purpose' or 'PersonalData', or pass root_kinds"
+                "name the root 'Purpose' or 'PersonalData'"
             )
         kind_of_root[root] = kind
 
@@ -294,7 +294,7 @@ def _expand_curie(token: str) -> str:
     return token
 
 
-def _load_tabular(path: Path, root_kinds: dict[str, str]) -> Taxonomy:
+def _load_tabular(path: Path) -> Taxonomy:
     edges: set[tuple[str, str]] = set()
     labels: dict[str, str] = {}
     declared_roots: set[str] = set()
@@ -318,13 +318,12 @@ def _load_tabular(path: Path, root_kinds: dict[str, str]) -> Taxonomy:
             edges.add((child, _expand_curie(parent)))
         else:
             declared_roots.add(child)
-    return _assemble(edges, labels, {}, declared_roots, version, root_kinds)
+    return _assemble(edges, labels, {}, declared_roots, version)
 
 
-def _load_rdf(path: Path, root_kinds: dict[str, str]) -> Taxonomy:
-    fmt = "ntriples" if path.suffix in (".nt", ".ntriples") else "turtle"
+def _load_rdf(path: Path) -> Taxonomy:
     try:
-        g = rdfio.parse(path.read_text(encoding="utf-8"), fmt)
+        g = rdfio.parse_turtle(path.read_text(encoding="utf-8"))
     except rdfio.RdfError as exc:
         raise TaxonomyError(f"cannot parse {path}: {exc}") from exc
     edges: set[tuple[str, str]] = set()
@@ -342,27 +341,23 @@ def _load_rdf(path: Path, root_kinds: dict[str, str]) -> Taxonomy:
             version = o.lexical
     if not edges:
         raise TaxonomyError(f"{path} contains no rdfs:subClassOf statements")
-    return _assemble(edges, labels, synonyms, set(), version, root_kinds)
+    return _assemble(edges, labels, synonyms, set(), version)
 
 
-def load_taxonomy(path: Union[str, Path],
-                  root_kinds: Optional[dict[str, str]] = None) -> Taxonomy:
+def load_taxonomy(path: Union[str, Path]) -> Taxonomy:
     """Load a taxonomy from Turtle/N-Triples or the 3-column TSV format."""
     p = Path(path)
     if not p.exists():
         raise TaxonomyError(f"taxonomy file not found: {p}")
-    kinds = dict(DEFAULT_ROOT_KINDS)
-    if root_kinds:
-        kinds.update({normalize_label(k): v for k, v in root_kinds.items()})
     if p.suffix in (".tsv", ".tab", ".txt"):
-        return _load_tabular(p, kinds)
+        return _load_tabular(p)
     if p.suffix in (".ttl", ".turtle", ".nt", ".ntriples"):
-        return _load_rdf(p, kinds)
+        return _load_rdf(p)
     # sniff: tab-separated lines -> tabular, else RDF
     head = p.read_text(encoding="utf-8")[:4096]
     if any("\t" in line for line in head.split("\n") if line and not line.startswith(("#", "@"))):
-        return _load_tabular(p, kinds)
-    return _load_rdf(p, kinds)
+        return _load_tabular(p)
+    return _load_rdf(p)
 
 
 def default_snapshot_path() -> Path:

@@ -550,7 +550,11 @@ def _reference_normalize_item(item, shape, trace):
                 trace.note("key_normalization")
             result[spec.name] = mapped
         else:
-            result[spec.name] = str(value).strip()
+            text = str(value).strip()
+            if any(0xD800 <= ord(ch) <= 0xDFFF for ch in text):
+                trace.dropped_items.append((item, f"lone surrogate in {spec.name!r}"))
+                return None
+            result[spec.name] = text
     return result
 
 

@@ -34,15 +34,13 @@ from ppanalyze.graph import (
     PRACTICE_CLASSES,
     PRIVACY_POLICY,
     build_graph,
-    parse_graph,
-    serialize,
 )
 from ppanalyze.policyconv import (
     ODRL_PERMISSION,
     ConversionProfile,
     to_odrl,
 )
-from ppanalyze.rdfio import RDF_TYPE, IRI
+from ppanalyze.rdfio import RDF_TYPE, IRI, parse, serialize
 from .conftest import FIXTURES
 from .finetune_corpus import synthetic_gold_corpus
 from .oracles import brute_force_lcs_ratio, optimal_matching_credit
@@ -173,7 +171,7 @@ def test_end_to_end_replay_determinism(taxonomy):
             result = extract_document(doc, Backend(config), taxonomy)
             graph = build_graph(result, "example.org", policy_uri, taxonomy.version)
             results.append(result)
-            turtles.append(serialize(graph, "turtle"))
+            turtles.append(serialize(graph.triples, "turtle"))
         assert turtles[0] == turtles[1], "replay runs produced different Turtle bytes"
 
         # fixture coverage: collection-use, sharing, empty segments
@@ -260,7 +258,7 @@ def _assert_graph_invariants(graph, taxonomy) -> None:
         elif p == HAS_PURPOSE:
             assert o.value in taxonomy.nodes and taxonomy.nodes[o.value].kind == "purpose"
     for fmt in ("turtle", "ntriples"):
-        assert parse_graph(serialize(graph, fmt), fmt).triples == g.triples
+        assert parse(serialize(g, fmt), fmt).triples == g.triples
 
 
 def test_graph_invariant_suite(taxonomy):
@@ -307,7 +305,7 @@ def test_conversion_conservation(taxonomy):
                     expected += sum(1 for (s, p, o) in g.triples
                                     if s == node and p == HAS_DATA)
 
-            out, report = to_odrl(graph, profile)
+            out, report = to_odrl(g, profile)
             permissions = sum(1 for (s, p, o) in out.triples if p == ODRL_PERMISSION)
             assert permissions == expected == report.permissions
 
@@ -327,8 +325,7 @@ def test_paper_scale_statistics():
     with criterion("published corpus statistics on the released top-100 graph"):
         from ppanalyze.graph import stats
         path = Path(os.environ["PPA_TOP100_GRAPH"])
-        fmt = "ntriples" if path.suffix == ".nt" else "turtle"
-        st = stats([parse_graph(path.read_bytes(), fmt)])
+        st = stats([parse(path.read_bytes())])
         assert st.triple_count == 84329
         assert st.practice_count == 11800
         assert st.practice_type_counts.get("DataCollectionUse") == 6488

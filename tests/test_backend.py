@@ -29,6 +29,10 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 BackendConfig(cache_mode=mode)
 
+    def test_live_mode_rejects_a_cache_path(self, tmp_path):
+        with pytest.raises(ConfigError, match="pass --record or --replay with --cache"):
+            BackendConfig(cache_mode="live", cache_path=tmp_path / "cache.jsonl")
+
     def test_live_mode_without_credentials_fails_early(self, monkeypatch):
         monkeypatch.delenv("PPA_API_KEY", raising=False)
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
@@ -154,6 +158,14 @@ class TestRecordReplay:
             ResponseCache(path)
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("line", [b"{}", b"[1]", b'{"key": "k1"}',
+                                      b'{"key": "k1", "response": 1}', b"\xff"])
+    def test_line_that_is_not_a_record_reported(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(line + b"\n")
+        with pytest.raises(BackendError):
+            ResponseCache(path)
+
     def test_torn_last_line_skipped_then_appended_after(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         good = json.dumps(_record("k1")) + "\n"
@@ -180,6 +192,29 @@ class TestRecordReplay:
         path.write_text(json.dumps(_record("k1")) + "\nnot json\n{\"key\": ")
         with pytest.raises(BackendError, match="line 2"):
             ResponseCache(path)
+
+
+class TestLoneSurrogates:
+    """An answer that cannot be encoded as UTF-8 fails its query."""
+
+    def test_transport_answer_rejected_and_not_recorded(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend = Backend(
+            BackendConfig(model_name="m", cache_mode="record", cache_path=path),
+            transport=lambda prompt, config: '["a\ud800"]',
+        )
+        with pytest.raises(BackendError, match="not valid UTF-8"):
+            backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
+        assert not path.exists()
+
+    def test_cached_answer_rejected(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        digest = prompt_digest("m", "data-recognition", PROMPT)
+        # an escaped lone surrogate reads back as one
+        path.write_text(json.dumps({**_record(digest), "response": "\ud800"}) + "\n")
+        backend = Backend(BackendConfig(model_name="m", cache_mode="replay", cache_path=path))
+        with pytest.raises(BackendError, match=f"digest {digest} is not valid UTF-8"):
+            backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
 
 
 def _record(key: str) -> dict:

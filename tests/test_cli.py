@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from ppanalyze.cli import main
 from ppanalyze.extraction import backend as backend_module
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, make_document
+from .scripted import RICH_SEGMENT, scripted_transport, surrogate_plans
 
 MARKETING = "https://w3id.org/dpv#Marketing"
 
@@ -111,14 +115,14 @@ class TestAnalyze:
     def test_config_precedence_flag_beats_env_and_file(self, tmp_path, monkeypatch, capsys):
         import ppanalyze.cli as cli
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps({"model": "from-file", "seed": 9}))
+        config_file.write_text(json.dumps({"model": "from-file", "jobs": 3}))
         monkeypatch.setenv("PPA_MODEL", "from-env")
         args = cli.build_parser().parse_args([
             "analyze", "x", "--config", str(config_file),
             "--model", "from-flag", "--out", str(tmp_path)])
         config = cli.resolve_config(args)
         assert config.model == "from-flag"     # flag wins over env and file
-        assert config.seed == 9                # file fills what nothing overrides
+        assert config.jobs == 3                # file fills what nothing overrides
         err = capsys.readouterr().err
         assert "from-flag" in err              # effective config printed for audit
 
@@ -130,6 +134,126 @@ class TestAnalyze:
         args = cli.build_parser().parse_args(
             ["analyze", "x", "--config", str(config_file), "--out", str(tmp_path)])
         assert cli.resolve_config(args).model == "from-env"
+
+
+    def test_second_run_into_one_directory_rewrites_the_run_log(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_analyze(out) == 0
+        first = (out / "run_log.jsonl").read_bytes()
+        assert run_analyze(out) == 0
+        # as many records as the .ttl files describe, not one set per run
+        assert (out / "run_log.jsonl").read_bytes() == first
+        assert len(first.splitlines()) == 113
+
+
+HELP_FLAGS = {
+    "analyze": "--config --model --replay --record --cache --taxonomy --out --jobs",
+    "evaluate": "--tasks --denominator --config --model --replay --record --cache "
+                "--taxonomy --threshold --out",
+    "convert": "--profile --config --out",
+    "stats": "--top --config --out",
+    "export-finetune": "--task --spec --config --taxonomy --seed --out",
+}
+
+
+def command_argv(command: str) -> list[str]:
+    """Arguments that let `command` run offline on the fixtures."""
+    if command == "analyze":
+        return ["analyze", str(FIXTURES / "policy_example.org.txt"), "--replay",
+                "--cache", str(FIXTURES / "replay_cache.jsonl"), "--model", "fixture-model"]
+    return ["evaluate", str(FIXTURES / "gold"), "--replay",
+            "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl"), "--model", "fixture-model"]
+
+
+class TestSettings:
+    """Each command takes only the settings it reads, by flag, environment
+    variable or config-file key."""
+
+    @pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        # option lines are indented by two spaces, wrapped help text by more
+        flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert flags == HELP_FLAGS[command].split()
+
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["convert", "g.ttl", "--taxonomy", "x.ttl", "--out", str(tmp_path)])
+        assert err.value.code == 2
+
+    def test_unread_variables_and_config_keys_ignored(self, tmp_path, monkeypatch, capsys):
+        run_analyze(tmp_path / "run")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"jobs": "many", "threshold": 7,
+                                           "out": str(tmp_path / "stats")}))
+        monkeypatch.setenv("PPA_THRESHOLD", "1.5")
+        monkeypatch.setenv("PPA_JOBS", "abc")
+        capsys.readouterr()
+        assert main(["stats", str(tmp_path / "run" / "policy_example.org.ttl"),
+                     "--config", str(config_file)]) == 0
+        assert (tmp_path / "stats" / "stats.json").exists()
+        (line,) = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("config: ")]
+        assert json.loads(line[len("config: "):]) == {"out": str(tmp_path / "stats")}
+
+    def test_cache_in_live_mode_is_an_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(FIXTURES / "policy_example.org.txt"),
+                  "--cache", str(FIXTURES / "replay_cache.jsonl"), "--out", str(tmp_path)])
+        assert str(err.value.code).startswith("error: ")
+        assert "pass --record or --replay with --cache" in str(err.value.code)
+
+    @pytest.mark.parametrize("command, variable, key, value", [
+        ("analyze", "PPA_JOBS", None, "abc"),
+        ("analyze", None, "jobs", "many"),
+        ("analyze", None, "jobs", 2.5),
+        ("evaluate", "PPA_THRESHOLD", None, "high"),
+        ("evaluate", None, "threshold", "high"),
+    ])
+    def test_bad_setting_value_is_an_error(self, tmp_path, monkeypatch, command, variable,
+                                           key, value):
+        argv = command_argv(command) + ["--out", str(tmp_path / "out")]
+        if variable:
+            monkeypatch.setenv(variable, value)
+        else:
+            config_file = tmp_path / "config.json"
+            config_file.write_text(json.dumps({key: value}))
+            argv += ["--config", str(config_file)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert str(err.value.code).startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["--record", "--replay"])
+    @pytest.mark.parametrize("command", ["analyze", "evaluate"])
+    def test_corrupt_cache_is_an_error(self, tmp_path, command, mode):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("not json\n")
+        argv = command_argv(command)
+        argv[argv.index("--replay")] = mode
+        argv[argv.index("--cache") + 1] = str(cache)
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert str(err.value.code).startswith("error: corrupt cache line 1")
+
+
+class TestLoneSurrogates:
+    @given(plan=surrogate_plans())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_record_run_writes_all_its_files(self, monkeypatch, capsys, plan):
+        doc = make_document(RICH_SEGMENT + "\nThis policy may change.")
+        monkeypatch.setattr(backend_module, "http_chat_transport", scripted_transport(doc, plan))
+        monkeypatch.setenv("PPA_API_KEY", "test-key")
+        with tempfile.TemporaryDirectory() as tmp:
+            policy, out = Path(tmp) / "fuzz.example.txt", Path(tmp) / "out"
+            policy.write_text(doc.raw_text, encoding="utf-8")
+            assert main(["analyze", str(policy), "--record", "--cache",
+                         str(Path(tmp) / "cache.jsonl"), "--out", str(out)]) == 0
+            for name in ("fuzz.example.ttl", "fuzz.example.nt", "corpus.ttl", "run_log.jsonl",
+                         "audit/fuzz.example.json", "logs/fuzz.example.build.json"):
+                assert (out / name).is_file(), name
 
 
 class TestConvert:

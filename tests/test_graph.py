@@ -21,11 +21,9 @@ from ppanalyze.graph import (
     THIRD_PARTY_SHARING,
     build_graph,
     check_invariants,
-    parse_graph,
-    serialize,
     stats,
 )
-from ppanalyze.rdfio import RDF_TYPE, BNode, IRI, Literal
+from ppanalyze.rdfio import RDF_TYPE, BNode, IRI, Literal, parse, serialize
 
 POLICY = "urn:pp-analyze:policy#test.example"
 EMAIL = "https://w3id.org/dpv/pd#EmailAddress"
@@ -57,7 +55,7 @@ class TestBuildGraph:
         assert len(g.triples.objects(practice, IRI(PPA + "sourceSegment"))) == 1
         assert len(g.triples.subjects_of_type(PRIVACY_POLICY)) == 1
         assert len(g.triples.subjects_of_type(SERVICE_CLASS)) == 1
-        assert check_invariants(g, taxonomy) == []
+        assert check_invariants(g.triples, taxonomy) == []
 
     def test_zero_actions_yields_policy_and_service_only(self, taxonomy):
         result = ExtractionResult("test.example", "memory:", (
@@ -68,7 +66,7 @@ class TestBuildGraph:
         assert len(g.triples.subjects_of_type(DATA_PRACTICE)) == 0
         assert len(g.triples.subjects_of_type(PRIVACY_POLICY)) == 1
         assert len(g.triples.subjects_of_type(SERVICE_CLASS)) == 1
-        assert stats([g]).practice_count == 0
+        assert stats([g.triples]).practice_count == 0
 
     def test_sharing_practice_with_recipient(self, taxonomy):
         spans = [
@@ -123,7 +121,7 @@ class TestBuildGraph:
         ))
         g = build_graph(result, "test.example", POLICY, taxonomy.version)
         verbatim_actions = 2 - g.build_log.skipped_actions
-        assert stats([g]).practice_count == verbatim_actions == 1
+        assert stats([g.triples]).practice_count == verbatim_actions == 1
 
     def test_taxonomy_version_attached_to_policy(self, taxonomy):
         g = build_graph(simple_result(), "test.example", POLICY, taxonomy.version)
@@ -135,13 +133,13 @@ class TestSerialization:
     @pytest.mark.parametrize("fmt", ["turtle", "ntriples"])
     def test_round_trip(self, taxonomy, fmt):
         g = build_graph(simple_result(), "test.example", POLICY, taxonomy.version)
-        assert parse_graph(serialize(g, fmt), fmt).triples == g.triples.triples
+        assert parse(serialize(g.triples, fmt), fmt).triples == g.triples.triples
 
     def test_two_builds_are_byte_identical(self, taxonomy):
         a = build_graph(simple_result(), "test.example", POLICY, taxonomy.version)
         b = build_graph(simple_result(), "test.example", POLICY, taxonomy.version)
-        assert serialize(a) == serialize(b)
-        assert serialize(a, "ntriples") == serialize(b, "ntriples")
+        assert serialize(a.triples) == serialize(b.triples)
+        assert serialize(a.triples, "ntriples") == serialize(b.triples, "ntriples")
 
     def test_empty_graph_serializes_to_prefixes_only(self):
         from ppanalyze.rdfio import Graph
@@ -156,7 +154,7 @@ class TestSerialization:
 class TestStats:
     def test_single_graph_counts(self, taxonomy):
         g = build_graph(simple_result(), "test.example", POLICY, taxonomy.version)
-        st = stats([g])
+        st = stats([g.triples])
         assert st.practice_count == 1
         assert st.practice_type_counts == {"DataCollectionUse": 1}
         assert st.data_class_mentions == {EMAIL: 1}
@@ -190,7 +188,7 @@ class TestStats:
         doc = load_policy(fixture_policy_path, "example.org")
         result = extract_document(doc, policy_replay_backend, taxonomy)
         g = build_graph(result, "example.org", POLICY, taxonomy.version)
-        st = stats([g])
+        st = stats([g.triples])
         assert st.data_mentions == sum(st.data_class_mentions.values())
         assert sum(st.practice_type_counts.values()) == st.practice_count
         assert st.top_classes("data", 3) == sorted(
@@ -207,7 +205,7 @@ class TestStats:
         action_spans = sum(
             1 for seg in result.segments for s in seg.spans if s.kind == "action"
         )
-        assert stats([g]).practice_count == action_spans - g.build_log.skipped_actions
+        assert stats([g.triples]).practice_count == action_spans - g.build_log.skipped_actions
 
     @pytest.mark.skipif(
         "PPA_TOP100_GRAPH" not in os.environ,
@@ -216,8 +214,7 @@ class TestStats:
     )
     def test_released_corpus_statistics(self):
         path = Path(os.environ["PPA_TOP100_GRAPH"])
-        fmt = "ntriples" if path.suffix == ".nt" else "turtle"
-        st = stats([parse_graph(path.read_bytes(), fmt)])
+        st = stats([parse(path.read_bytes())])
         assert st.triple_count == 84329
         assert st.practice_count == 11800
         assert st.practice_type_counts.get("DataCollectionUse") == 6488

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from ppanalyze.extraction import (
     Backend,
@@ -10,14 +11,17 @@ from ppanalyze.extraction import (
     DocumentError,
     TaskKind,
     TransportError,
-    classify_entities,
     extract_document,
     run_task,
 )
-from ppanalyze.extraction.pipeline import EntitySpan
-
 from .conftest import FIXTURES, make_document
-from .scripted import scripted_transport, segment_text_of
+from .scripted import (
+    RICH_PLAN,
+    RICH_SEGMENT,
+    scripted_transport,
+    segment_text_of,
+    surrogate_plans,
+)
 
 D, P, PA, A = (TaskKind.DATA_RECOGNITION, TaskKind.PURPOSE_RECOGNITION,
                TaskKind.PARTY_RECOGNITION, TaskKind.ACTION_RECOGNITION)
@@ -28,19 +32,6 @@ DC, PC, R = (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION,
 def live_backend(transport) -> Backend:
     return Backend(BackendConfig(model_name="scripted", cache_mode="live"),
                    transport=transport)
-
-
-RICH_SEGMENT = "We collect your email address to send newsletters."
-RICH_PLAN = {
-    (0, D): '{"entities": [{"text": "your email address"}]}',
-    (0, P): '{"entities": [{"text": "send newsletters"}]}',
-    (0, PA): '{"parties": [{"text": "We", "subtype": "first_party"}]}',
-    (0, A): '{"actions": [{"text": "collect", "subtype": "collection_use"}]}',
-    (0, DC): '{"classifications": [{"entity_text": "your email address", "term": "EmailAddress"}]}',
-    (0, PC): '{"classifications": [{"entity_text": "send newsletters", "term": "DirectMarketing"}]}',
-    (0, R): ('{"relations": [{"id1": "a0", "id2": "e0", "type": "HAS_DATA"}, '
-             '{"id1": "a0", "id2": "e2", "type": "PERFORMED_BY"}]}'),
-}
 
 
 class TestExtractDocument:
@@ -190,36 +181,59 @@ class TestExtractDocument:
 
 
 class TestClassifyEntities:
+    """Purpose grounding through `extract_document`'s classification step."""
+
+    @staticmethod
+    def purpose_span(taxonomy, text: str, term: str):
+        doc = make_document(f"We use data for {text}.")
+        plan = {
+            (0, P): json.dumps({"entities": [{"text": text}]}),
+            (0, PC): json.dumps({"classifications": [{"entity_text": text, "term": term}]}),
+        }
+        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        (seg,) = result.segments
+        (span,) = seg.spans
+        return span, seg.notes
+
     def test_exact_leaf_iri_keeps_non_leaf_false(self, taxonomy):
-        doc = make_document("seg")
-        segment = doc.segments[0]
-        span = EntitySpan("e0", "purpose", "targeted ads", 0)
-        backend = live_backend(lambda prompt, config: json.dumps({
-            "classifications": [{"entity_text": "targeted ads",
-                                 "term": "https://w3id.org/dpv#TargetedAdvertising"}]}))
-        updated, _trace, notes = classify_entities("purpose", [span], segment, backend, taxonomy)
-        assert updated[0].grounded_term == "https://w3id.org/dpv#TargetedAdvertising"
-        assert not updated[0].non_leaf
+        span, _ = self.purpose_span(taxonomy, "targeted ads",
+                                    "https://w3id.org/dpv#TargetedAdvertising")
+        assert span.grounded_term == "https://w3id.org/dpv#TargetedAdvertising"
+        assert not span.non_leaf
 
     def test_non_leaf_purpose_flagged_but_kept(self, taxonomy):
-        doc = make_document("seg")
-        span = EntitySpan("e0", "purpose", "marketing stuff", 0)
-        backend = live_backend(lambda prompt, config: json.dumps({
-            "classifications": [{"entity_text": "marketing stuff", "term": "Marketing"}]}))
-        updated, _trace, notes = classify_entities("purpose", [span], doc.segments[0],
-                                                   backend, taxonomy)
-        assert updated[0].non_leaf
-        assert updated[0].grounded_term == "https://w3id.org/dpv#Marketing"
+        span, notes = self.purpose_span(taxonomy, "marketing stuff", "Marketing")
+        assert span.non_leaf
+        assert span.grounded_term == "https://w3id.org/dpv#Marketing"
+        assert any("non-leaf purpose term" in note for note in notes)
 
     def test_wrong_kind_prediction_is_unresolved(self, taxonomy):
-        doc = make_document("seg")
-        span = EntitySpan("e0", "purpose", "stuff", 0)
-        backend = live_backend(lambda prompt, config: json.dumps({
-            "classifications": [{"entity_text": "stuff", "term": "Personal Data"}]}))
-        updated, _trace, notes = classify_entities("purpose", [span], doc.segments[0],
-                                                   backend, taxonomy)
-        assert updated[0].grounded_term is None
-        assert updated[0].unresolved_term == "Personal Data"
+        span, _ = self.purpose_span(taxonomy, "stuff", "Personal Data")
+        assert span.grounded_term is None
+        assert span.unresolved_term == "Personal Data"
+
+
+class TestLoneSurrogates:
+    @given(plan=surrogate_plans())
+    @settings(max_examples=100, deadline=None)
+    def test_extraction_returns_and_audit_encodes(self, taxonomy, plan):
+        # the second segment answers "[]" throughout, so it never fails
+        doc = make_document(RICH_SEGMENT + "\nThis policy may change.")
+        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        json.dumps(result.to_audit_dict(), ensure_ascii=False).encode("utf-8")
+        for seg in result.segments:
+            for span in seg.spans:
+                span.text.encode("utf-8")
+
+    def test_item_with_an_escaped_lone_surrogate_dropped(self, taxonomy):
+        plan = dict(RICH_PLAN)
+        plan[(0, D)] = '{"entities": [{"text": "\\ud800"}, {"text": "your email address"}]}'
+        doc = make_document(RICH_SEGMENT)
+        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        (seg,) = result.segments
+        assert [s.text for s in seg.spans if s.kind == "data"] == ["your email address"]
+        assert seg.traces["data-recognition"].dropped_items == (
+            "{'text': '\\ud800'}: lone surrogate in 'text'",)
 
 
 class TestRunTask:

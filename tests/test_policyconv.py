@@ -52,7 +52,7 @@ def single_practice_graph(data=(EMAIL,), purposes=(MARKETING,), subtype="collect
         spans.append(EntitySpan(f"e{offset + i}", "purpose", f"purpose {i}", 0,
                                 grounded_term=term))
         relations.append(RelationTuple("a0", f"e{offset + i}", "HAS_PURPOSE"))
-    return build_graph(result_with([(spans, relations)]), "test.example", POLICY, "v")
+    return build_graph(result_with([(spans, relations)]), "test.example", POLICY, "v").triples
 
 
 class TestOdrl:
@@ -68,7 +68,7 @@ class TestOdrl:
         assert out.objects(constraint, ODRL_RIGHT_OPERAND) == [IRI(MARKETING)]
 
     def test_empty_graph_zero_rules(self):
-        g = build_graph(result_with([([], [])]), "test.example", POLICY, "v")
+        g = build_graph(result_with([([], [])]), "test.example", POLICY, "v").triples
         out, report = to_odrl(g)
         assert report.permissions == 0
         assert [o for (s, p, o) in out.triples if p == ODRL_PERMISSION] == []
@@ -134,7 +134,7 @@ class TestPsdtou:
         ]
         relations = [RelationTuple("a0", "e0", "HAS_DATA"),
                      RelationTuple("a0", "e1", "DATA_SHARED_WITH")]
-        g = build_graph(result_with([(spans, relations)]), "test.example", POLICY, "v")
+        g = build_graph(result_with([(spans, relations)]), "test.example", POLICY, "v").triples
         out, report = to_psdtou(g)
         assert report.sharing_entries == 1
         profile = ConversionProfile.default()
@@ -158,7 +158,7 @@ class TestPsdtou:
             (list(seg0_spans()), list(seg0_relations())),
             (spans, relations),
         ])
-        g = build_graph(both, "test.example", POLICY, "v")
+        g = build_graph(both, "test.example", POLICY, "v").triples
         out, report = to_psdtou(g)
         assert report.input_specs == 1
         profile = ConversionProfile.default()
