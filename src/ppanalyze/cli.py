@@ -143,10 +143,77 @@ def _report_problems(header: str, problems: list[str]) -> None:
         print(f"  ... and {len(problems) - shown} more", file=sys.stderr)
 
 
+_encode_str = json.encoder.encode_basestring
+# one encoder for every run-log line: `json.dumps` with a non-default
+# argument builds a new encoder on each call
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def dumps_indent2(obj: Any) -> str:
+    """The text of `json.dumps(obj, indent=2, ensure_ascii=False)`.
+
+    `json` runs `indent` through its pure-Python encoder; this writes
+    the containers and strings that make up the audit files directly.  Any
+    other value (floats, subclasses) goes through `json.dumps`, so it reads
+    as `json` writes it.  Unlike `json`, a dict key that is not a `str`
+    raises `TypeError` instead of being converted.
+    """
+    out: list[str] = []
+    _dump(obj, "\n", out)
+    return "".join(out)
+
+
+def _dump(value: Any, newline: str, out: list[str]) -> None:
+    """Append the text of `value`, whose lines start with `newline`."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _dump(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _dump(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        # json escapes every newline inside a string, so each "\n" here
+        # starts a line of the value
+        out.append(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline))
+
+
+def _write_json(path: Path, obj: Any) -> None:
+    path.write_text(dumps_indent2(obj) + "\n", encoding="utf-8")
+
+
 def _write_run_log(out_dir: Path, records: list[dict]) -> None:
     with (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as f:
         for record in records:
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+            f.write(_encode_line(record) + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -185,15 +252,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         (out_dir / f"{service_id}.nt").write_bytes(rdfio.serialize(prpr.triples, "ntriples"))
         combined.update(prpr.triples)
 
-        audit_path = out_dir / "audit" / f"{service_id}.json"
-        audit_path.write_text(
-            json.dumps(result.to_audit_dict(), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
-        (out_dir / "logs" / f"{service_id}.build.json").write_text(
-            json.dumps(prpr.build_log.to_dict(), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(out_dir / "audit" / f"{service_id}.json", result.to_audit_dict())
+        _write_json(out_dir / "logs" / f"{service_id}.build.json", prpr.build_log.to_dict())
 
         for seg in result.segments:
             for name, trace in sorted(seg.traces.items()):

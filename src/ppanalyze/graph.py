@@ -10,8 +10,9 @@ policy links to exactly one Service node.
 Node IRIs are content-derived (digest of policy URI, segment index,
 action ordinal) so repeated runs produce identical graphs; parties are
 local blank nodes typed first-party / third-party / user.  Ungrounded
-data/purpose spans and non-verbatim spans never enter the graph; each
-exclusion is accounted for in the build log.
+data/purpose spans, non-verbatim spans and hasData/hasPurpose links to a
+span of another kind never enter the graph; each exclusion is accounted
+for in the build log.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import urllib.parse
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import rdfio
 from .extraction.pipeline import EntitySpan, ExtractionResult
 from .rdfio import RDF_TYPE, XSD, BNode, Graph, IRI, Literal, Subject
 from .taxonomy import Taxonomy
@@ -68,6 +68,8 @@ _PARTY_CLASS = {
     "third_party": THIRD_PARTY,
     "user": USER_PARTY,
 }
+# the span kind a data or purpose link must point at
+_LINK_KIND = {"HAS_DATA": "data", "HAS_PURPOSE": "purpose"}
 _ROLE_PREDICATE = {
     "HAS_DATA": HAS_DATA,
     "HAS_PURPOSE": HAS_PURPOSE,
@@ -129,8 +131,9 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
     """Build the practice graph for one document's extraction result.
 
     Nothing here is fatal: spans that cannot enter the graph (ungrounded
-    terms, non-verbatim flags, dangling relation ids) are skipped and
-    accounted for in the build log.
+    terms, non-verbatim flags, dangling relation ids, a data or purpose
+    link to a span of another kind) are skipped and accounted for in the
+    build log.
     """
     g = Graph()
     bind_standard_prefixes(g)
@@ -196,11 +199,18 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                     log.note(f"segment {seg.segment_index}: link to {target.local_id} "
                              f"skipped (non-verbatim {target.text!r})")
                     continue
-                if rel.event_type in ("HAS_DATA", "HAS_PURPOSE"):
+                link_kind = _LINK_KIND.get(rel.event_type)
+                if link_kind is not None:
                     if target.grounded_term is None:
                         log.skipped_ungrounded += 1
                         log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
                                  f"{target.local_id} skipped (ungrounded {target.text!r})")
+                        continue
+                    if target.kind != link_kind:
+                        log.dropped_tuples += 1
+                        log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
+                                 f"{target.local_id} skipped ({target.kind} span "
+                                 f"{target.text!r})")
                         continue
                     g.add(practice, predicate, IRI(target.grounded_term))
                 else:
@@ -234,14 +244,14 @@ def check_invariants(g: Graph, taxonomy: Optional[Taxonomy] = None) -> list[str]
     """Return a list of invariant violations (empty list = graph is sound)."""
     problems: list[str] = []
 
-    for practice in sorted(practice_types(g), key=rdfio.term_key):
+    for practice in sorted(practice_types(g)):
         segments = g.objects(practice, SOURCE_SEGMENT)
         if len(segments) != 1:
             problems.append(f"{practice!r}: {len(segments)} source segment literals (want 1)")
         owners = g.subjects(HAS_PRACTICE, practice)
         if len(owners) != 1:
             problems.append(f"{practice!r}: belongs to {len(owners)} policies (want 1)")
-    for policy in sorted(g.subjects_of_type(PRIVACY_POLICY), key=rdfio.term_key):
+    for policy in sorted(g.subjects_of_type(PRIVACY_POLICY)):
         services = g.objects(policy, HAS_SERVICE)
         if len(services) != 1:
             problems.append(f"{policy!r}: links to {len(services)} services (want 1)")

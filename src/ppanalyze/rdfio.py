@@ -6,14 +6,25 @@ is fully deterministic (sorted triples, stable formatting) so that equal
 graphs always produce equal bytes.  The parsers accept the subset of
 Turtle / N-Triples this package emits plus common class-hierarchy files
 (prefixed names, `a`, comma/semicolon lists, triple-quoted strings,
-numeric and boolean literals).
+numeric and boolean literals).  The reader scans the text once into a
+token list and expands each distinct prefixed name once.
+
+Terms are tagged tuples and are their own sort key: `IRI(v)` is
+`(0, v, "", "")`, `BNode(l)` is `(1, l, "", "")` and a `Literal` is
+`(2, lexical, datatype IRI or "", language tag or "")`.  So hashing,
+equality and ordering run in C, and terms sort IRIs first, then blank
+nodes, then literals.  The tag keeps an IRI, a blank node and a literal
+with one string apart.  A term equals the plain tuple of its items, so a
+graph must hold terms only, never plain tuples.
 
 Lookups on a `Graph` go through two lazy indexes, subject -> predicate ->
 objects and predicate -> object -> subjects.  The first is built whole on
 the first lookup that needs it; the second one predicate at a time, on
 the first lookup of that predicate, because callers ask about one or two
 predicates.  Every `add` or `update` drops both, so a graph that is built
-first and queried afterwards pays for each build once.
+first and queried afterwards pays for each build once.  The subject index
+is filled from the sorted triples, so its subjects, predicates and
+objects come out in term order and the serializers sort nothing again.
 The indexes rely on one rule: `Graph.triples` is changed only through
 `add` and `update`, never directly.
 """
@@ -21,7 +32,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from operator import itemgetter
+from typing import Iterator, Optional, Union
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -33,48 +45,71 @@ class RdfError(Exception):
     """Raised on malformed RDF input."""
 
 
-@dataclass(frozen=True)
-class IRI:
-    value: str
+class IRI(tuple):
+    """An IRI, stored as the tuple `(0, value, "", "")`."""
+    __slots__ = ()
+
+    def __new__(cls, value: str) -> "IRI":
+        return tuple.__new__(cls, (0, value, "", ""))
+
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
+
+    value = property(itemgetter(1))
 
     def __repr__(self) -> str:
-        return f"<{self.value}>"
+        return f"<{self[1]}>"
 
 
-@dataclass(frozen=True)
-class BNode:
-    label: str
+class BNode(tuple):
+    """A labelled blank node, stored as the tuple `(1, label, "", "")`."""
+    __slots__ = ()
 
-    def __repr__(self) -> str:
-        return f"_:{self.label}"
+    def __new__(cls, label: str) -> "BNode":
+        return tuple.__new__(cls, (1, label, "", ""))
 
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
 
-@dataclass(frozen=True)
-class Literal:
-    lexical: str
-    datatype: Optional[IRI] = None
-    lang: Optional[str] = None
+    label = property(itemgetter(1))
 
     def __repr__(self) -> str:
-        return f"{self.lexical!r}"
+        return f"_:{self[1]}"
+
+
+class Literal(tuple):
+    """A literal, stored as the tuple `(2, lexical, datatype IRI or "", lang or "")`.
+
+    An empty language tag or datatype IRI is stored as no tag or datatype,
+    so `Literal(x, lang="")` and `Literal(x, datatype=IRI(""))` equal
+    `Literal(x)`; the reader makes neither.
+    """
+    __slots__ = ()
+
+    def __new__(cls, lexical: str, datatype: Optional[IRI] = None,
+                lang: Optional[str] = None) -> "Literal":
+        return tuple.__new__(cls, (2, lexical, datatype[1] if datatype else "", lang or ""))
+
+    def __getnewargs__(self) -> tuple:
+        return (self[1], self.datatype, self.lang)
+
+    lexical = property(itemgetter(1))
+
+    @property
+    def datatype(self) -> Optional[IRI]:
+        return IRI(self[2]) if self[2] else None
+
+    @property
+    def lang(self) -> Optional[str]:
+        return self[3] or None
+
+    def __repr__(self) -> str:
+        return f"{self[1]!r}"
 
 
 Subject = Union[IRI, BNode]
 Object = Union[IRI, BNode, Literal]
 Triple = tuple[Subject, IRI, Object]
-
-
-def term_key(term: Object) -> tuple:
-    """Total order over terms: IRIs, then blank nodes, then literals."""
-    if isinstance(term, IRI):
-        return (0, term.value, "", "")
-    if isinstance(term, BNode):
-        return (1, term.label, "", "")
-    return (2, term.lexical, term.datatype.value if term.datatype else "", term.lang or "")
-
-
-def triple_key(t: Triple) -> tuple:
-    return (term_key(t[0]), term_key(t[1]), term_key(t[2]))
 
 
 @dataclass
@@ -116,8 +151,9 @@ class Graph:
 
     def _by_subject(self) -> dict:
         if self._spo is None:
+            # filled in term order, so that its keys and lists are sorted
             spo: dict = {}
-            for s, p, o in self.triples:
+            for s, p, o in sorted(self.triples):
                 spo.setdefault(s, {}).setdefault(p, []).append(o)
             self._spo = spo
         return self._spo
@@ -140,24 +176,21 @@ class Graph:
         return self.subjects(IRI(RDF_TYPE), type_iri)
 
     def objects(self, subject: Subject, predicate: IRI) -> list[Object]:
-        return sorted(self._by_subject().get(subject, {}).get(predicate, ()), key=term_key)
+        return list(self._by_subject().get(subject, {}).get(predicate, ()))
 
     def predicate_objects(self, subject: Subject) -> Iterator[tuple[IRI, Object]]:
-        """Every (predicate, object) pair of one subject, in no set order."""
+        """Every (predicate, object) pair of one subject, in term order."""
         for p, objs in self._by_subject().get(subject, {}).items():
             for o in objs:
                 yield p, o
 
     def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples, key=triple_key)
+        return sorted(self.triples)
 
     def _sorted_subjects(self) -> Iterator[tuple[Subject, list[tuple[IRI, list[Object]]]]]:
         """Each subject with its predicates and their objects, all in term order."""
-        spo = self._by_subject()
-        for s in sorted(spo, key=term_key):
-            by_pred = spo[s]
-            yield s, [(p, sorted(by_pred[p], key=term_key))
-                      for p in sorted(by_pred, key=term_key)]
+        for s, by_pred in self._by_subject().items():
+            yield s, list(by_pred.items())
 
 
 # -- serialization --
@@ -165,60 +198,58 @@ class Graph:
 _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
-def _escape_literal(text: str) -> str:
-    return text.translate(_ESCAPES)
-
-
-def _qname(iri: IRI, prefixes: dict[str, str]) -> Optional[str]:
+def _qname(iri: str, prefixes: dict[str, str]) -> Optional[str]:
     for prefix, ns in prefixes.items():
-        if iri.value.startswith(ns):
-            local = iri.value[len(ns):]
+        if iri.startswith(ns):
+            local = iri[len(ns):]
             if _PN_LOCAL_RE.match(local):
                 return f"{prefix}:{local}"
     return None
 
 
 def _format_term(term: Object, prefixes: dict[str, str]) -> str:
-    if isinstance(term, IRI):
-        q = _qname(term, prefixes)
-        return q if q is not None else f"<{term.value}>"
-    if isinstance(term, BNode):
-        return f"_:{term.label}"
-    out = f'"{_escape_literal(term.lexical)}"'
-    if term.lang:
-        return f"{out}@{term.lang}"
-    if term.datatype:
-        dt = _qname(term.datatype, prefixes)
-        return f"{out}^^{dt}" if dt else f"{out}^^<{term.datatype.value}>"
+    tag, text, datatype, lang = term
+    if tag == 0:
+        q = _qname(text, prefixes)
+        return q if q is not None else f"<{text}>"
+    if tag == 1:
+        return f"_:{text}"
+    out = f'"{text.translate(_ESCAPES)}"'
+    if lang:
+        return f"{out}@{lang}"
+    if datatype:
+        dt = _qname(datatype, prefixes)
+        return f"{out}^^{dt}" if dt else f"{out}^^<{datatype}>"
     return out
 
 
-def _term_formatter(prefixes: dict[str, str]) -> Callable[[Object], str]:
-    """`_format_term` memoized for the terms of one serialization."""
-    memo: dict[Object, str] = {}
+class _Formats(dict):
+    """`_format_term` memoized for the terms of one serialization: a hit is
+    a plain dict lookup."""
 
-    def fmt(term: Object) -> str:
-        out = memo.get(term)
-        if out is None:
-            out = memo[term] = _format_term(term, prefixes)
+    def __init__(self, prefixes: dict[str, str]) -> None:
+        super().__init__()
+        self.prefixes = prefixes
+
+    def __missing__(self, term: Object) -> str:
+        out = self[term] = _format_term(term, self.prefixes)
         return out
-    return fmt
 
 
 def serialize_ntriples(graph: Graph) -> bytes:
-    fmt = _term_formatter({})
+    fmt = _Formats({}).__getitem__
     lines = []
     for s, pred_objs in graph._sorted_subjects():
         subject = fmt(s)
         for p, objs in pred_objs:
             head = f"{subject} {fmt(p)} "
-            lines.extend(f"{head}{fmt(o)} ." for o in objs)
+            lines.append(head + (" .\n" + head).join(map(fmt, objs)) + " .")
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
 def serialize_turtle(graph: Graph) -> bytes:
     prefixes = dict(sorted(graph.prefixes.items()))
-    fmt = _term_formatter(prefixes)
+    fmt = _Formats(prefixes).__getitem__
     out: list[str] = []
     for prefix, ns in prefixes.items():
         out.append(f"@prefix {prefix}: <{ns}> .")
@@ -229,14 +260,9 @@ def serialize_turtle(graph: Graph) -> bytes:
     for subject, pred_objs in graph._sorted_subjects():
         # rdf:type first, remaining predicates in sorted order
         pred_objs.sort(key=lambda po: po[0] != rdf_type)
-        lines = []
-        for p, objs in pred_objs:
-            pred_str = "a" if p == rdf_type else fmt(p)
-            obj_str = ", ".join(fmt(o) for o in objs)
-            lines.append(f"    {pred_str} {obj_str}")
-        out.append(fmt(subject) + " " + lines[0].lstrip() + (" ;" if len(lines) > 1 else " ."))
-        for i, line in enumerate(lines[1:], start=1):
-            out.append(line + (" ;" if i < len(lines) - 1 else " ."))
+        lines = [("a" if p == rdf_type else fmt(p)) + " " + ", ".join(map(fmt, objs))
+                 for p, objs in pred_objs]
+        out.append(fmt(subject) + " " + " ;\n    ".join(lines) + " .")
         out.append("")
     text = "\n".join(out).rstrip("\n")
     return (text + "\n" if text else "").encode("utf-8")
@@ -258,20 +284,25 @@ _PN_PART = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
 # Whitespace and comments; each token match also skips those after it.
 # They trail the token so that the regex never backtracks into them.
 _SKIP = r"(?:\s+|\#[^\n]*)*"
+# Alternatives are tried in order and the first that matches wins.  The
+# most frequent tokens, punctuation and prefixed names, come first; where
+# two alternatives can match at one place, the earlier one is the one meant
+# (bnode and prefix_decl before pname, pname before number and keyword,
+# triple_quote before string, prefix_decl before langtag).
 _TOKEN_RE = re.compile(
     r"""(?:
-    (?P<iri><[^<>"{}|^`\\\s]*>)
+    (?P<punct>[;,.\[\]()])
+  | (?P<bnode>_:PNPART)
+  | (?P<prefix_decl>@prefix|@base|PREFIX\b|BASE\b)
+  | (?P<pname>(?:PNPART)?:(?:PNPART)?)
+  | (?P<iri><[^<>"{}|^`\\\s]*>)
   | (?P<triple_quote>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\")
   | (?P<string>"(?:[^"\\\n]|\\.)*")
   | (?P<single>'(?:[^'\\\n]|\\.)*')
-  | (?P<bnode>_:PNPART)
-  | (?P<prefix_decl>@prefix|@base|PREFIX\b|BASE\b)
   | (?P<langtag>@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
   | (?P<dtype>\^\^)
-  | (?P<pname>(?:PNPART)?:(?:PNPART)?)
   | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<keyword>\ba\b|true\b|false\b)
-  | (?P<punct>[;,.\[\]()])
     )""".replace("PNPART", _PN_PART) + _SKIP,
     re.VERBOSE,
 )
@@ -307,89 +338,107 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str]]:
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kind and the text of every token, from one scan of `text`."""
+    kinds: list[str] = []
+    texts: list[str] = []
     pos = _SKIP_RE.match(text).end()
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise RdfError(f"unparseable RDF near: {text[pos:pos + 40]!r}")
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text, pos):
+        if m.start() != pos:        # the scan skipped text no token matches
+            break
         kind = m.lastgroup
-        yield (kind, m.group(kind))
+        kinds.append(kind)
+        texts.append(m[kind])
+        pos = m.end()
+    if pos < len(text):
+        raise RdfError(f"unparseable RDF near: {text[pos:pos + 40]!r}")
+    return kinds, texts
+
+
+_ABSOLUTE_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
 
 
 def parse_turtle(data: Union[str, bytes]) -> Graph:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    g = Graph()
+    kinds, texts = _tokenize(data)
+    n = len(texts)
     prefixes: dict[str, str] = {}
     base = ""
-
-    tokens = list(_tokenize(data))
-    i = 0
-
-    def expand_pname(tok: str) -> IRI:
-        prefix, _, local = tok.partition(":")
-        if prefix not in prefixes:
-            raise RdfError(f"undeclared prefix in {tok!r}")
-        return IRI(prefixes[prefix] + local)
-
-    def token(j: int) -> tuple[str, str]:
-        if j >= len(tokens):
-            raise RdfError("unexpected end of input")
-        return tokens[j]
+    # token text -> term, for the tokens that stand for one term whatever
+    # follows them; IRIs and prefixed names depend on the directives read
+    # so far, so every directive clears it
+    named: dict[str, Object] = {}
 
     def term_at(j: int) -> tuple[Object, int]:
-        kind, tok = token(j)
-        if kind == "iri":
-            value = tok[1:-1]
-            if base and not re.match(r"^[A-Za-z][A-Za-z0-9+.-]*:", value):
-                value = base + value
-            return IRI(_unescape(value)), j + 1
-        if kind == "pname":
-            return expand_pname(tok), j + 1
-        if kind == "bnode":
-            return BNode(tok[2:]), j + 1
+        if j >= n:
+            raise RdfError("unexpected end of input")
+        tok = texts[j]
+        term = named.get(tok)
+        if term is not None:
+            return term, j + 1
+        kind = kinds[j]
         if kind in ("string", "single", "triple_quote"):
             if kind == "triple_quote":
                 lex = _unescape(tok[3:-3])
             else:
                 lex = _unescape(tok[1:-1])
             j += 1
-            if j < len(tokens) and tokens[j][0] == "langtag":
-                return Literal(lex, lang=tokens[j][1][1:]), j + 1
-            if j < len(tokens) and tokens[j][0] == "dtype":
+            if j < n and kinds[j] == "langtag":
+                return Literal(lex, lang=texts[j][1:]), j + 1
+            if j < n and kinds[j] == "dtype":
                 dt, j2 = term_at(j + 1)
                 if not isinstance(dt, IRI):
                     raise RdfError("literal datatype must be an IRI")
                 return Literal(lex, datatype=dt), j2
             return Literal(lex), j
-        if kind == "number":
+        if kind == "iri":
+            value = tok[1:-1]
+            if base and not _ABSOLUTE_IRI_RE.match(value):
+                value = base + value
+            term = IRI(_unescape(value))
+        elif kind == "pname":
+            prefix, _, local = tok.partition(":")
+            if prefix not in prefixes:
+                raise RdfError(f"undeclared prefix in {tok!r}")
+            term = IRI(prefixes[prefix] + local)
+        elif kind == "bnode":
+            term = BNode(tok[2:])
+        elif kind == "number":
             dt = XSD + ("decimal" if ("." in tok or "e" in tok or "E" in tok) else "integer")
-            return Literal(tok, datatype=IRI(dt)), j + 1
-        if kind == "keyword" and tok in ("true", "false"):
-            return Literal(tok, datatype=IRI(XSD + "boolean")), j + 1
-        if kind == "keyword" and tok == "a":
-            return IRI(RDF_TYPE), j + 1
-        if tok in _UNSUPPORTED:
+            term = Literal(tok, datatype=IRI(dt))
+        elif kind == "keyword" and tok in ("true", "false"):
+            term = Literal(tok, datatype=IRI(XSD + "boolean"))
+        elif kind == "keyword" and tok == "a":
+            term = IRI(RDF_TYPE)
+        elif tok in _UNSUPPORTED:
             raise RdfError(f"unsupported Turtle syntax: {_UNSUPPORTED[tok]} ({tok!r}); "
                            "only triples of IRIs, prefixed names, labelled blank "
                            "nodes and literals are read")
-        raise RdfError(f"unexpected token {tok!r}")
+        else:
+            raise RdfError(f"unexpected token {tok!r}")
+        named[tok] = term
+        return term, j + 1
 
-    while i < len(tokens):
-        kind, tok = tokens[i]
-        if kind == "prefix_decl":
-            decl = tok.lower().lstrip("@")
-            if decl == "prefix":
-                pname = token(i + 1)[1]
-                iri_tok = token(i + 2)[1]
-                prefixes[pname.rstrip(":").partition(":")[0]] = iri_tok[1:-1]
+    triples: set[Triple] = set()
+    add = triples.add
+    i = 0
+    # a token's text alone tells punctuation apart: no other token is one
+    # of ",", ";" or "."
+    while i < n:
+        if kinds[i] == "prefix_decl":
+            named.clear()
+            if i + 1 >= n:
+                raise RdfError("unexpected end of input")
+            if texts[i].lower().lstrip("@") == "prefix":
+                if i + 2 >= n:
+                    raise RdfError("unexpected end of input")
+                prefixes[texts[i + 1].rstrip(":").partition(":")[0]] = texts[i + 2][1:-1]
                 i += 3
             else:
-                base = token(i + 1)[1][1:-1]
+                base = texts[i + 1][1:-1]
                 i += 2
-            if i < len(tokens) and tokens[i] == ("punct", "."):
+            if i < n and texts[i] == ".":
                 i += 1
             continue
 
@@ -400,28 +449,24 @@ def parse_turtle(data: Union[str, bytes]) -> Graph:
             predicate, i = term_at(i)
             if not isinstance(predicate, IRI):
                 raise RdfError("predicate must be an IRI")
-            while True:
-                obj, i = term_at(i)
-                g.add(subject, predicate, obj)
-                if i < len(tokens) and tokens[i] == ("punct", ","):
-                    i += 1
-                    continue
-                break
-            if i < len(tokens) and tokens[i] == ("punct", ";"):
+            obj, i = term_at(i)
+            add((subject, predicate, obj))
+            while i < n and texts[i] == ",":
+                obj, i = term_at(i + 1)
+                add((subject, predicate, obj))
+            if i < n and texts[i] == ";":
                 i += 1
                 # tolerate trailing ';' before '.'
-                if i < len(tokens) and tokens[i] == ("punct", "."):
+                if i < n and texts[i] == ".":
                     i += 1
                     break
                 continue
-            if i < len(tokens) and tokens[i] == ("punct", "."):
+            if i < n and texts[i] == ".":
                 i += 1
                 break
             raise RdfError("statement not terminated with '.'")
 
-    for prefix, ns in prefixes.items():
-        g.prefixes.setdefault(prefix, ns)
-    return g
+    return Graph(triples=triples, prefixes=dict(prefixes))
 
 
 def parse(data: Union[str, bytes], fmt: str = "turtle") -> Graph:

@@ -5,19 +5,22 @@ oracle enumerates every substring, the matching oracle solves the
 assignment exactly over all one-to-one matchings (bitmask DP), and the
 line-scan oracle walks the text character by character, and the RDF
 serializers sort every triple and regroup.  The reference matchers,
-`reference_segment_tasks` and `reference_repair_and_parse` are earlier
-versions of production code, kept as written.  They exist to check the
-production implementations, so they must never import from
-ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio internals
-(the RDF term classes, the gold record types and the gold label tables
-are data, not algorithms); the repair copy shares only the tolerant
-reader and the refusal test, which it does not check.
+`reference_segment_tasks`, `reference_repair_and_parse` and the RDF terms
+`RefIRI`, `RefBNode` and `RefLiteral` with their `reference_term_key`
+order are earlier versions of production code, kept as written.  They
+exist to check the production implementations, so they must never import
+from ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio
+internals (the RDF term classes, the gold record types and the gold label
+tables are data, not algorithms); the repair copy shares only the
+tolerant reader and the refusal test, which it does not check.
 """
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from ppanalyze.rdfio import BNode, IRI
 
@@ -205,10 +208,38 @@ _PN_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 _LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
-def _term_key(term) -> tuple:
-    if isinstance(term, IRI):
+@dataclass(frozen=True)
+class RefIRI:
+    value: str
+
+    def __repr__(self) -> str:
+        return f"<{self.value}>"
+
+
+@dataclass(frozen=True)
+class RefBNode:
+    label: str
+
+    def __repr__(self) -> str:
+        return f"_:{self.label}"
+
+
+@dataclass(frozen=True)
+class RefLiteral:
+    lexical: str
+    datatype: Optional[RefIRI] = None
+    lang: Optional[str] = None
+
+    def __repr__(self) -> str:
+        return f"{self.lexical!r}"
+
+
+def reference_term_key(term) -> tuple:
+    """Total order over terms: IRIs, then blank nodes, then literals.  Reads
+    only the term attributes, so it orders reference and production terms."""
+    if hasattr(term, "value"):
         return (0, term.value, "", "")
-    if isinstance(term, BNode):
+    if hasattr(term, "label"):
         return (1, term.label, "", "")
     return (2, term.lexical, term.datatype.value if term.datatype else "", term.lang or "")
 
@@ -235,7 +266,7 @@ def _format(term, prefixes: dict) -> str:
 
 
 def _sorted_triples(triples) -> list:
-    return sorted(triples, key=lambda t: tuple(_term_key(x) for x in t))
+    return sorted(triples, key=lambda t: tuple(reference_term_key(x) for x in t))
 
 
 def reference_ntriples(triples) -> bytes:
@@ -251,15 +282,16 @@ def reference_turtle(triples, prefixes: dict) -> bytes:
         out.append("")
     by_subject: dict = {}
     for t in _sorted_triples(triples):
-        by_subject.setdefault(_term_key(t[0]), []).append(t)
+        by_subject.setdefault(reference_term_key(t[0]), []).append(t)
     for _, group in sorted(by_subject.items()):
         by_pred: dict = {}
         for _, p, o in group:
             by_pred.setdefault(p, []).append(o)
-        preds = sorted(by_pred, key=lambda p: (p.value != _RDF_TYPE, _term_key(p)))
+        preds = sorted(by_pred, key=lambda p: (p.value != _RDF_TYPE, reference_term_key(p)))
         lines = []
         for p in preds:
-            objs = ", ".join(_format(o, prefixes) for o in sorted(by_pred[p], key=_term_key))
+            objs = ", ".join(_format(o, prefixes)
+                             for o in sorted(by_pred[p], key=reference_term_key))
             lines.append(f"    {'a' if p.value == _RDF_TYPE else _format(p, prefixes)} {objs}")
         out.append(_format(group[0][0], prefixes) + " " + lines[0].lstrip()
                    + (" ;" if len(lines) > 1 else " ."))

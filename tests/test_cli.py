@@ -12,9 +12,11 @@ from hypothesis import HealthCheck, given, settings
 
 from ppanalyze.cli import main
 from ppanalyze.extraction import backend as backend_module
+from ppanalyze.extraction.prompts import TaskKind
+from ppanalyze.rdfio import IRI, parse_turtle
 
 from .conftest import FIXTURES, make_document
-from .scripted import RICH_SEGMENT, scripted_transport, surrogate_plans
+from .scripted import RICH_PLAN, RICH_SEGMENT, scripted_transport, surrogate_plans
 
 MARKETING = "https://w3id.org/dpv#Marketing"
 
@@ -236,6 +238,32 @@ class TestSettings:
         with pytest.raises(SystemExit) as err:
             main(argv + ["--out", str(tmp_path / "out")])
         assert str(err.value.code).startswith("error: corrupt cache line 1")
+
+
+class TestRelationKinds:
+    def test_data_link_to_a_purpose_span_is_skipped_and_logged(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # e0 is the data span, e1 the purpose span (grounded to DirectMarketing)
+        plan = {**RICH_PLAN, (0, TaskKind.RELATION_RECOGNITION):
+                '{"relations": [{"id1": "a0", "id2": "e0", "type": "HAS_DATA"}, '
+                '{"id1": "a0", "id2": "e1", "type": "HAS_DATA"}]}'}
+        doc = make_document(RICH_SEGMENT)
+        monkeypatch.setattr(backend_module, "http_chat_transport", scripted_transport(doc, plan))
+        monkeypatch.setenv("PPA_API_KEY", "test-key")
+        policy, out = tmp_path / "kinds.example.txt", tmp_path / "out"
+        policy.write_text(doc.raw_text, encoding="utf-8")
+        assert main(["analyze", str(policy), "--record", "--cache", str(tmp_path / "cache.jsonl"),
+                     "--out", str(out)]) == 0
+        graph = parse_turtle((out / "kinds.example.ttl").read_bytes())
+        has_data = IRI("urn:pp-analyze:core#hasData")
+        assert {o for (s, p, o) in graph if p == has_data} == {
+            IRI("https://w3id.org/dpv/pd#EmailAddress")}
+        note = "segment 0: HAS_DATA link to e1 skipped (purpose span 'send newsletters')"
+        build_log = json.loads((out / "logs" / "kinds.example.build.json").read_text())
+        assert build_log["dropped_tuples"] == 1
+        assert build_log["records"] == [note]
+        run_log = [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
+        assert {"event": "build_skip", "service_id": "kinds.example", "note": note} in run_log
 
 
 class TestLoneSurrogates:

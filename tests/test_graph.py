@@ -110,6 +110,28 @@ class TestBuildGraph:
         assert g.triples.objects(practice, IRI(PPA + "hasData")) == []
         assert g.build_log.skipped_ungrounded == 1
 
+    def test_links_to_a_span_of_another_kind_skipped_and_counted(self, taxonomy):
+        spans = [
+            EntitySpan("e0", "data", "email address", 0, grounded_term=EMAIL),
+            EntitySpan("e1", "party", "We", 0, subtype="first_party"),
+            EntitySpan("a0", "action", "collect", 0, subtype="collection_use"),
+        ]
+        relations = [RelationTuple("a0", "e0", "HAS_PURPOSE"),   # a data span
+                     RelationTuple("a0", "e1", "HAS_DATA")]      # a party: ungrounded
+        result = ExtractionResult("test.example", "memory:", (
+            segment_extraction(spans, relations),
+        ))
+        g = build_graph(result, "test.example", POLICY, taxonomy.version)
+        (practice,) = g.triples.subjects_of_type(DATA_COLLECTION_USE)
+        assert g.triples.objects(practice, IRI(PPA + "hasPurpose")) == []
+        assert g.triples.objects(practice, IRI(PPA + "hasData")) == []
+        assert (g.build_log.dropped_tuples, g.build_log.skipped_ungrounded) == (1, 1)
+        assert g.build_log.records == [
+            "segment 0: HAS_PURPOSE link to e0 skipped (data span 'email address')",
+            "segment 0: HAS_DATA link to e1 skipped (ungrounded 'We')",
+        ]
+        assert check_invariants(g.triples, taxonomy) == []
+
     def test_non_verbatim_action_skipped_and_accounted(self, taxonomy):
         spans = [
             EntitySpan("a0", "action", "collect", 0, subtype="collection_use",

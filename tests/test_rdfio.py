@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +17,16 @@ from ppanalyze.rdfio import (
     RdfError,
     parse,
     serialize,
-    term_key,
 )
 
-from .oracles import reference_ntriples, reference_turtle
+from .oracles import (
+    RefBNode,
+    RefIRI,
+    RefLiteral,
+    reference_ntriples,
+    reference_term_key,
+    reference_turtle,
+)
 
 
 def sample_graph() -> Graph:
@@ -99,6 +108,19 @@ class TestTurtleSubset:
         with pytest.raises(RdfError, match=r"unparseable RDF near: '\$'"):
             parse("<urn:s> <urn:p> <urn:o> ." + junk + "$", "turtle")
 
+    def test_bad_token_between_good_ones_named(self):
+        with pytest.raises(RdfError, match=r"unparseable RDF near: '\$ <urn:o> \.'"):
+            parse("<urn:s> <urn:p> $ <urn:o> .", "turtle")
+
+    def test_names_read_after_a_directive_use_its_binding(self):
+        g = parse("@prefix ex: <urn:a#> . @base <urn:b/> . ex:s <p> ex:o .\n"
+                  "@prefix ex: <urn:c#> . @base <urn:d/> . ex:s <p> ex:o .\n", "turtle")
+        assert g.sorted_triples() == [
+            (IRI("urn:a#s"), IRI("urn:b/p"), IRI("urn:a#o")),
+            (IRI("urn:c#s"), IRI("urn:d/p"), IRI("urn:c#o")),
+        ]
+        assert g.prefixes == {"ex": "urn:c#"}
+
     @pytest.mark.parametrize("text", [
         "@prefix", "@prefix ex:", "@base", "<a:b>", "<a:b> <c:d>", '<a:b> <c:d> "x"^^',
     ])
@@ -172,7 +194,7 @@ _operation = st.one_of(
 
 
 def _pair_key(pair: tuple) -> tuple:
-    return (term_key(pair[0]), term_key(pair[1]))
+    return (reference_term_key(pair[0]), reference_term_key(pair[1]))
 
 
 def assert_lookups_match_scan(g: Graph) -> None:
@@ -182,7 +204,7 @@ def assert_lookups_match_scan(g: Graph) -> None:
             [(p, o) for (s2, p, o) in triples if s2 == s], key=_pair_key)
         for p in _PREDICATES:
             assert g.objects(s, p) == sorted(
-                [o for (s2, p2, o) in triples if (s2, p2) == (s, p)], key=term_key)
+                [o for (s2, p2, o) in triples if (s2, p2) == (s, p)], key=reference_term_key)
     for p in _PREDICATES:
         for o in _OBJECTS:
             assert g.subjects(p, o) == {s for (s, p2, o2) in triples if (p2, o2) == (p, o)}
@@ -279,3 +301,105 @@ def test_escape_heavy_literals_round_trip(texts):
 def test_numeric_escapes_are_unescaped():
     g = parse('<urn:s> <urn:p> "caf\\u00e9 \\U0001F600\\tend" .', "turtle")
     assert g.objects(IRI("urn:s"), IRI("urn:p")) == [Literal("caf\u00e9 \U0001F600\tend")]
+
+
+# -- terms against the frozen-dataclass reference --
+
+def native(ref):
+    if isinstance(ref, RefIRI):
+        return IRI(ref.value)
+    if isinstance(ref, RefBNode):
+        return BNode(ref.label)
+    return Literal(ref.lexical, native(ref.datatype) if ref.datatype else None, ref.lang)
+
+
+_shared = st.sampled_from(["x", "urn:x", "", "a b", 'q"\\', "\n\t\r", "é", "\U0001F600"])
+_strings = _shared | st.text(max_size=5)
+_ref_terms = st.one_of(
+    st.builds(RefIRI, _strings),
+    st.builds(RefBNode, _strings),
+    # no empty language tag or datatype IRI: see test_empty_tag_and_datatype_mean_none
+    st.builds(RefLiteral, _strings,
+              st.none() | st.builds(RefIRI, st.sampled_from([XSD + "integer", "urn:dt", "x"])),
+              st.sampled_from([None, "en", "fr-CA", "EN", "x"])),
+)
+
+
+@given(refs=st.lists(_ref_terms, max_size=12))
+@settings(max_examples=300)
+def test_terms_agree_with_the_reference(refs):
+    terms = [native(r) for r in refs]
+    for ref, term in zip(refs, terms):
+        assert repr(term) == repr(ref)
+        assert tuple(term) == reference_term_key(ref)
+        for ref2, term2 in zip(refs, terms):
+            assert (term == term2) == (ref == ref2)
+            assert (term < term2) == (reference_term_key(ref) < reference_term_key(ref2))
+    assert sorted(terms) == [native(r) for r in sorted(refs, key=reference_term_key)]
+    for k in range(len(refs) + 1):
+        ref_set, term_set = set(refs[:k]), set(terms[:k])
+        assert len(term_set) == len(ref_set)
+        assert [t in term_set for t in terms] == [r in ref_set for r in refs]
+    positions = {term: i for i, term in enumerate(terms)}
+    ref_positions = {ref: i for i, ref in enumerate(refs)}
+    assert [positions[t] for t in terms] == [ref_positions[r] for r in refs]
+
+
+@given(ref=_ref_terms)
+def test_term_attributes_pickle_and_copy(ref):
+    term = native(ref)
+    for name in ("value", "label", "lexical", "lang"):
+        assert getattr(term, name, None) == getattr(ref, name, None)
+    if isinstance(ref, RefLiteral):
+        assert term.datatype == (native(ref.datatype) if ref.datatype else None)
+    for clone in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+        assert clone == term and type(clone) is type(term)
+
+
+def test_terms_sharing_one_string_stay_apart():
+    terms = [IRI("x"), BNode("x"), Literal("x"), Literal("x", lang="en"),
+             Literal("x", datatype=IRI("x")), Literal("x", datatype=IRI("y"))]
+    assert len(set(terms)) == len(terms)
+    assert sorted(reversed(terms)) == [IRI("x"), BNode("x"), Literal("x"),
+                                       Literal("x", lang="en"), Literal("x", datatype=IRI("x")),
+                                       Literal("x", datatype=IRI("y"))]
+
+
+def test_empty_tag_and_datatype_mean_none():
+    # The dataclass terms kept Literal("x", lang="") and
+    # Literal("x", datatype=IRI("")) apart from Literal("x") although all
+    # three had one sort key; a term now is its sort key, so they are one
+    # term.  The reader never makes either.
+    assert Literal("x", lang="") == Literal("x") == Literal("x", datatype=IRI(""))
+    assert Literal("x", lang="").lang is None
+    assert Literal("x", datatype=IRI("")).datatype is None
+    assert RefLiteral("x", lang="") != RefLiteral("x")
+
+
+def test_a_term_equals_the_plain_tuple_of_its_items():
+    # which is why a graph holds terms only, never plain tuples
+    assert IRI("x") == (0, "x", "", "") and hash(IRI("x")) == hash((0, "x", "", ""))
+
+
+_round_trip_iri = st.builds(RefIRI, st.text(alphabet="abz09:/#-._~é", min_size=1, max_size=8))
+_round_trip_terms = st.tuples(
+    _round_trip_iri | st.builds(RefBNode, st.sampled_from(["b0", "b1", "party-x"])),
+    _round_trip_iri,
+    # RDF gives a literal a language tag or a datatype, not both
+    _round_trip_iri | st.builds(RefLiteral, _escape_heavy,
+                                st.none() | st.just(RefIRI(XSD + "integer")))
+    | st.builds(RefLiteral, _escape_heavy, st.none(), st.just("en")),
+)
+
+
+@given(triples=st.lists(_round_trip_terms, max_size=12))
+@settings(max_examples=150)
+def test_reference_terms_round_trip_in_reference_order(triples):
+    g = Graph(prefixes={"xsd": XSD})
+    for t in triples:
+        g.add(*map(native, t))
+    for fmt in ("turtle", "ntriples"):
+        parsed = parse(serialize(g, fmt), fmt)
+        assert parsed.triples == g.triples
+        expected = sorted(set(triples), key=lambda t: tuple(map(reference_term_key, t)))
+        assert parsed.sorted_triples() == [tuple(map(native, t)) for t in expected]
