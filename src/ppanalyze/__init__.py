@@ -12,3 +12,12 @@ Subpackage map:
 """
 
 __version__ = "0.1.0"
+
+
+class Error(Exception):
+    """Unusable input or a failed run, reported as one `error:` line.
+
+    Every library exception a user can cause derives from it; `cli.main`
+    catches it once.  A `ParseError` (one unusable answer, kept in the
+    call's trace) and a `PromptError` (a programming error) do not.
+    """

@@ -21,17 +21,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
+from . import Error, rdfio
 from . import graph as graphmod
-from . import rdfio
 from .corpus import CorpusError, load_policy, read_annotation_conf, validate_gold_labels
 from .eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
-from .eval.finetune import FinetuneError, FinetuneSpec, select_finetune_data, write_jsonl
+from .eval.finetune import FinetuneSpec, select_finetune_data, write_jsonl
 from .eval.gold import GoldCorpusError, load_gold_corpus
-from .extraction.backend import Backend, BackendConfig, BackendError
+from .extraction.backend import Backend, BackendConfig
 from .extraction.pipeline import DocumentError, extract_document
 from .extraction.prompts import TaskKind
-from .policyconv import ConversionError, ConversionProfile, to_odrl, to_psdtou
-from .taxonomy import Taxonomy, TaxonomyError, default_snapshot_path, load_taxonomy
+from .policyconv import ConversionProfile, to_odrl, to_psdtou
+from .taxonomy import Taxonomy, default_snapshot_path, load_taxonomy
 
 ENV_PREFIX = "PPA_"
 
@@ -120,18 +120,12 @@ def _out_dir(config: argparse.Namespace) -> Path:
 
 
 def _load_taxonomy(config: argparse.Namespace) -> Taxonomy:
-    try:
-        return load_taxonomy(config.taxonomy or default_snapshot_path())
-    except TaxonomyError as exc:
-        raise SystemExit(f"error: {exc}")
+    return load_taxonomy(config.taxonomy or default_snapshot_path())
 
 
 def _backend(config: argparse.Namespace) -> Backend:
-    try:
-        return Backend(BackendConfig(model_name=config.model, cache_mode=config.mode,
-                                     cache_path=Path(config.cache) if config.cache else None))
-    except BackendError as exc:
-        raise SystemExit(f"error: {exc}")
+    return Backend(BackendConfig(model_name=config.model, cache_mode=config.mode,
+                                 cache_path=Path(config.cache) if config.cache else None))
 
 
 def _report_problems(header: str, problems: list[str]) -> None:
@@ -290,10 +284,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     taxonomy = _load_taxonomy(config)
-    try:
-        corpus = load_gold_corpus(args.gold_dir)
-    except GoldCorpusError as exc:
-        raise SystemExit(f"usage error: {exc}")
+    corpus = load_gold_corpus(args.gold_dir)
     conf = Path(args.gold_dir) / "annotation.conf"
     if conf.exists():
         inventory = read_annotation_conf(conf)
@@ -338,11 +329,7 @@ def _read_graph_file(path: str) -> rdfio.Graph:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    try:
-        profile = (ConversionProfile.load(args.profile) if args.profile
-                   else ConversionProfile.default())
-    except ConversionError as exc:
-        raise SystemExit(f"error: {exc}")
+    profile = ConversionProfile.load(args.profile) if args.profile else ConversionProfile.default()
     out_dir = _out_dir(config)
     failures = 0
     for path in args.graphs:
@@ -384,16 +371,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_export_finetune(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     taxonomy = _load_taxonomy(config)
-    try:
-        corpus = load_gold_corpus(args.gold_dir)
-    except GoldCorpusError as exc:
-        raise SystemExit(f"usage error: {exc}")
+    corpus = load_gold_corpus(args.gold_dir)
     task = _task_by_name(args.task)
-    try:
-        spec = FinetuneSpec.parse(args.spec, seed=config.seed)
-        train, validation = select_finetune_data(corpus, task, spec, taxonomy)
-    except FinetuneError as exc:
-        raise SystemExit(f"error: {exc}")
+    spec = FinetuneSpec.parse(args.spec, seed=config.seed)
+    train, validation = select_finetune_data(corpus, task, spec, taxonomy)
     out_dir = _out_dir(config)
     train_path = out_dir / f"{task.value}-{spec.to_string()}-train.jsonl"
     val_path = out_dir / f"{task.value}-{spec.to_string()}-validation.jsonl"
@@ -448,8 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; its exit status, or `SystemExit` with one error line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GoldCorpusError as exc:
+        raise SystemExit(f"usage error: {exc}")
+    except Error as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

@@ -18,27 +18,28 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from . import Error
 from .textnorm import normalize_label
 
 
-class CorpusError(Exception):
+class CorpusError(Error):
     """Unreadable or non-text policy input."""
 
 
-class BratParseError(Exception):
+class BratParseError(Error):
     def __init__(self, message: str, line_no: int, line: str):
         super().__init__(f"{message} (line {line_no}: {line!r})")
         self.line_no = line_no
         self.line = line
 
 
-class DanglingReferenceError(Exception):
+class DanglingReferenceError(Error):
     def __init__(self, ids: list[str]):
         super().__init__(f"annotation references unknown ids: {', '.join(sorted(ids))}")
         self.ids = sorted(ids)
 
 
-class AlignmentError(Exception):
+class AlignmentError(Error):
     def __init__(self, ids: list[str]):
         super().__init__(f"annotation span starts outside every segment: {', '.join(sorted(ids))}")
         self.ids = sorted(ids)
@@ -171,6 +172,15 @@ def _looks_like_term(note: str) -> bool:
     return bool(note) and not any(ch.isspace() for ch in note)
 
 
+def _read_text(path: Union[str, Path]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
 def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldAnnotationSet:
     """Parse a brat .txt/.ann pair into a gold annotation set.
 
@@ -178,14 +188,14 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
     (fragments joined with a single space for discontinuous spans).
     Dangling role/relation targets raise DanglingReferenceError.
     """
-    doc_text = Path(text_file).read_text(encoding="utf-8")
+    doc_text = _read_text(text_file)
     entities: dict[str, GoldEntity] = {}
     events: dict[str, GoldEvent] = {}
     relations: list[GoldRelation] = []
     attrs: list[tuple[str, str, Optional[str], int, str]] = []
     notes: list[tuple[str, str, int, str]] = []
 
-    ann_lines = Path(ann_file).read_text(encoding="utf-8").split("\n")
+    ann_lines = _read_text(ann_file).split("\n")
     for line_no, line in enumerate(ann_lines, start=1):
         if not line.strip():
             continue

@@ -13,10 +13,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..extraction.backend import Backend, BackendError
+from ..extraction.backend import Backend
 from ..extraction.pipeline import run_task
 from ..extraction.prompts import CLASSIFICATION_TASKS, RECOGNITION_TASKS, TASK_KIND, TaskKind
-from ..extraction.repair import ParseError
 from ..taxonomy import Taxonomy
 from .gold import GoldDocument, SegmentTask, segment_tasks
 from .metrics import (
@@ -113,18 +112,13 @@ def run_benchmark(corpus: Sequence[GoldDocument], backend: Backend,
         rows: list[SampleRow] = []
         for gold_doc in corpus:
             for sample in segment_tasks(gold_doc, task, taxonomy):
-                error = None
-                if task not in RECOGNITION_TASKS and not sample.extras:
-                    pred_items: list[dict] = []   # nothing to classify/relate
-                else:
+                pred_items = error = None
+                # a classification or relation sample without inputs asks nothing
+                if task in RECOGNITION_TASKS or sample.extras:
                     segment = gold_doc.doc.segments[sample.segment_index]
-                    try:
-                        pred_items, _trace = run_task(task, segment,
-                                                      sample.extras, backend)
-                    except (BackendError, ParseError) as exc:
-                        pred_items = []
-                        error = str(exc)
-                f1 = _score_sample(task, sample, pred_items, taxonomy,
+                    pred_items, trace = run_task(task, segment, sample.extras, backend)
+                    error = trace.error
+                f1 = _score_sample(task, sample, pred_items or [], taxonomy,
                                    threshold, denominator)
                 rows.append(SampleRow(
                     doc_id=sample.doc_id,

@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from .. import Error
 from ..extraction.prompts import RECOGNITION_TASKS, TaskKind, build_prompt
 from ..taxonomy import Taxonomy
 from .gold import GoldDocument, SegmentTask, expected_answer, segment_tasks
 
 
-class FinetuneError(Exception):
+class FinetuneError(Error):
     pass
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from .. import Error
 from ..corpus import (
     AlignedEntity,
     AlignedEvent,
@@ -105,7 +106,7 @@ class GoldDocument:
     alignment: dict[int, GoldSlice]
 
 
-class GoldCorpusError(Exception):
+class GoldCorpusError(Error):
     pass
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from .. import Error
 from .prompts import PromptMessages, TaskKind
 
 API_KEY_ENV = "PPA_API_KEY"
@@ -44,7 +45,7 @@ DEFAULT_API_BASE = "https://api.openai.com/v1"
 RETRYABLE_HTTP = {408, 409, 429, 500, 502, 503, 504}
 
 
-class BackendError(Exception):
+class BackendError(Error):
     pass
 
 

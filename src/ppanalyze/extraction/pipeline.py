@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+from .. import Error
 from ..corpus import PolicyDocument, Segment
 from ..taxonomy import Taxonomy, UnresolvedTermError
 from ..textnorm import normalize_text
@@ -106,7 +107,7 @@ class ExtractionResult:
                     "text": seg.segment_text,
                     "failed": seg.failed,
                     "spans": [
-                        {k: v for k, v in vars(span).items() if v not in (None, False)}
+                        {k: v for k, v in vars(span).items() if v is not None and v is not False}
                         for span in seg.spans
                     ],
                     "relations": [vars(rel) for rel in seg.relations],
@@ -121,24 +122,26 @@ class ExtractionResult:
         }
 
 
-class ExtractionError(Exception):
-    pass
-
-
-class DocumentError(ExtractionError):
+class DocumentError(Error):
     """Every segment of a document failed."""
 
 
 def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
-             backend: Backend) -> tuple[list[dict], TaskTrace]:
+             backend: Backend) -> tuple[Optional[list[dict]], TaskTrace]:
     """Execute one pipeline step for one segment: exactly one model query.
 
-    Raises TransportError / ReplayMissError / ParseError; the raw
-    response (when one was obtained) travels in the trace for audit.
+    Returns the parsed items and the call's trace.  A failed call returns
+    None for the items, and its trace holds the error: a `BackendError`
+    (no answer) leaves `raw` empty, an unparseable answer keeps it for
+    audit.  A failed trace has no digest.
     """
     prompt = build_prompt(task, segment.text, extras)
-    response = backend.invoke(task, prompt)
-    items, repair = repair_and_parse(response.raw, TASK_SHAPES[task])
+    try:
+        response = backend.invoke(task, prompt)
+        items, repair = repair_and_parse(response.raw, TASK_SHAPES[task])
+    except (BackendError, ParseError) as exc:
+        raw = exc.raw if isinstance(exc, ParseError) else None
+        return None, TaskTrace(task=task.value, raw=raw, error=str(exc))
     trace = TaskTrace(
         task=task.value,
         raw=response.raw,
@@ -190,14 +193,9 @@ def _extract_segment(segment: Segment, backend: Backend,
     notes: list[str] = []
 
     def attempt(task: TaskKind, extras: Optional[Sequence]) -> Optional[list[dict]]:
-        """Run one step; on failure record its trace and return None."""
-        try:
-            items, traces[task.value] = run_task(task, segment, extras, backend)
-            return items
-        except (BackendError, ParseError) as exc:
-            raw = exc.raw if isinstance(exc, ParseError) else None
-            traces[task.value] = TaskTrace(task=task.value, raw=raw, error=str(exc))
-            return None
+        """Run one step and record its trace; None if it failed."""
+        items, traces[task.value] = run_task(task, segment, extras, backend)
+        return items
 
     recognized = {TASK_KIND[task]: attempt(task, None) for task in RECOGNITION_TASKS}
 

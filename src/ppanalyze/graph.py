@@ -241,7 +241,7 @@ def practice_types(g: Graph) -> dict[Subject, str]:
 
 
 def check_invariants(g: Graph, taxonomy: Optional[Taxonomy] = None) -> list[str]:
-    """Return a list of invariant violations (empty list = graph is sound)."""
+    """The invariant violations, in term order (empty list = graph is sound)."""
     problems: list[str] = []
 
     for practice in sorted(practice_types(g)):
@@ -258,12 +258,15 @@ def check_invariants(g: Graph, taxonomy: Optional[Taxonomy] = None) -> list[str]
 
     if taxonomy is not None:
         for predicate, kind in ((HAS_DATA, "data"), (HAS_PURPOSE, "purpose")):
+            # (subject, object, problem): the set is walked in hash order
+            bad = []
             for (s, p, o) in g.triples:
                 if p == predicate:
                     if not isinstance(o, IRI) or o.value not in taxonomy.nodes:
-                        problems.append(f"{s!r}: {kind} object {o!r} not in taxonomy")
+                        bad.append((s, o, f"{s!r}: {kind} object {o!r} not in taxonomy"))
                     elif taxonomy.nodes[o.value].kind != kind:
-                        problems.append(f"{s!r}: {o!r} is not a {kind} term")
+                        bad.append((s, o, f"{s!r}: {o!r} is not a {kind} term"))
+            problems.extend(problem for _, _, problem in sorted(bad))
     return problems
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from . import Error
 from .graph import (
     DATA_SHARED_WITH,
     HAS_DATA,
@@ -47,7 +48,7 @@ ODRL_IS_A = IRI(ODRL + "isA")
 ODRL_RIGHT_OPERAND = IRI(ODRL + "rightOperand")
 
 
-class ConversionError(Exception):
+class ConversionError(Error):
     pass
 
 

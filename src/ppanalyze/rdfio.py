@@ -35,13 +35,15 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
+from . import Error
+
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD = "http://www.w3.org/2001/XMLSchema#"
 
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
 
-class RdfError(Exception):
+class RdfError(Error):
     """Raised on malformed RDF input."""
 
 
@@ -311,6 +313,9 @@ _SKIP_RE = re.compile(_SKIP)
 _UNSUPPORTED = {"[": "blank-node property list", "(": "collection"}
 
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
+# digits after \u and \U
+_UCHAR_WIDTH = {"u": 4, "U": 8}
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
 
 
 def _unescape(text: str) -> str:
@@ -322,13 +327,16 @@ def _unescape(text: str) -> str:
         ch = text[i]
         if ch == "\\" and i + 1 < len(text):
             nxt = text[i + 1]
-            if nxt == "u" and i + 5 < len(text):
-                out.append(chr(int(text[i + 2:i + 6], 16)))
-                i += 6
-                continue
-            if nxt == "U" and i + 9 < len(text):
-                out.append(chr(int(text[i + 2:i + 10], 16)))
-                i += 10
+            width = _UCHAR_WIDTH.get(nxt)
+            if width:
+                escape = text[i:i + 2 + width]
+                if len(escape) < 2 + width or not _HEX_RE.fullmatch(escape, 2):
+                    raise RdfError(f"bad escape {escape!r}: want {width} hex digits")
+                code = int(escape[2:], 16)
+                if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                    raise RdfError(f"bad escape {escape!r}: not a Unicode character")
+                out.append(chr(code))
+                i += 2 + width
                 continue
             out.append(_UNESCAPES.get(nxt, nxt))
             i += 2
@@ -360,7 +368,10 @@ _ABSOLUTE_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
 
 def parse_turtle(data: Union[str, bytes]) -> Graph:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RdfError(f"not valid UTF-8: {exc}") from None
     kinds, texts = _tokenize(data)
     n = len(texts)
     prefixes: dict[str, str] = {}

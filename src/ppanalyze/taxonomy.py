@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from . import rdfio
+from . import Error, rdfio
 from .rdfio import IRI, Literal
 from .textnorm import normalize_label
 
@@ -47,7 +47,7 @@ DEFAULT_ROOT_KINDS = {
 }
 
 
-class TaxonomyError(Exception):
+class TaxonomyError(Error):
     pass
 
 
@@ -294,12 +294,12 @@ def _expand_curie(token: str) -> str:
     return token
 
 
-def _load_tabular(path: Path) -> Taxonomy:
+def _load_tabular(path: Path, text: str) -> Taxonomy:
     edges: set[tuple[str, str]] = set()
     labels: dict[str, str] = {}
     declared_roots: set[str] = set()
     version = "unknown"
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if line.startswith("#!"):
             m = re.search(r"version\s*=\s*(\S+)", line)
             if m:
@@ -321,9 +321,9 @@ def _load_tabular(path: Path) -> Taxonomy:
     return _assemble(edges, labels, {}, declared_roots, version)
 
 
-def _load_rdf(path: Path) -> Taxonomy:
+def _load_rdf(path: Path, text: str) -> Taxonomy:
     try:
-        g = rdfio.parse_turtle(path.read_text(encoding="utf-8"))
+        g = rdfio.parse_turtle(text)
     except rdfio.RdfError as exc:
         raise TaxonomyError(f"cannot parse {path}: {exc}") from exc
     edges: set[tuple[str, str]] = set()
@@ -349,15 +349,21 @@ def load_taxonomy(path: Union[str, Path]) -> Taxonomy:
     p = Path(path)
     if not p.exists():
         raise TaxonomyError(f"taxonomy file not found: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise TaxonomyError(f"cannot read taxonomy file {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TaxonomyError(f"taxonomy file {p} is not valid UTF-8: {exc}") from exc
     if p.suffix in (".tsv", ".tab", ".txt"):
-        return _load_tabular(p)
+        return _load_tabular(p, text)
     if p.suffix in (".ttl", ".turtle", ".nt", ".ntriples"):
-        return _load_rdf(p)
+        return _load_rdf(p, text)
     # sniff: tab-separated lines -> tabular, else RDF
-    head = p.read_text(encoding="utf-8")[:4096]
+    head = text[:4096]
     if any("\t" in line for line in head.split("\n") if line and not line.startswith(("#", "@"))):
-        return _load_tabular(p)
-    return _load_rdf(p)
+        return _load_tabular(p, text)
+    return _load_rdf(p, text)
 
 
 def default_snapshot_path() -> Path:

@@ -1,0 +1,223 @@
+"""Errors: one `ppanalyze.Error` base, one run-level boundary in `cli.main`,
+and one per-call boundary in `run_task`."""
+from __future__ import annotations
+
+import importlib
+import inspect
+import os
+import pkgutil
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+import ppanalyze
+from ppanalyze.cli import main
+from ppanalyze.corpus import CorpusError, parse_brat
+from ppanalyze.extraction import Backend, BackendConfig, TaskKind, TransportError, run_task
+from ppanalyze.rdfio import RdfError, parse_turtle
+from ppanalyze.taxonomy import TaxonomyError, default_snapshot_path, load_taxonomy
+
+from .conftest import FIXTURES, ROOT, make_document
+from .test_cli import clean_environment  # noqa: F401  (autouse: no PPA_* settings)
+
+OUTSIDE_ERROR = {"ParseError", "PromptError"}
+
+
+def test_every_error_class_derives_from_error():
+    found = {}
+    for info in pkgutil.walk_packages(ppanalyze.__path__, "ppanalyze."):
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if name.endswith("Error") and cls.__module__.startswith("ppanalyze"):
+                found[name] = cls
+    assert OUTSIDE_ERROR <= set(found)
+    assert {"CorpusError", "BratParseError", "RdfError", "DocumentError"} <= set(found)
+    for name, cls in found.items():
+        assert issubclass(cls, ppanalyze.Error) == (name not in OUTSIDE_ERROR), name
+    assert "ExtractionError" not in found
+
+
+# -- bad input at the run-level boundary --
+
+@pytest.fixture
+def fixture_graph(tmp_path) -> bytes:
+    out = tmp_path / "analyze"
+    assert main(["analyze", str(FIXTURES / "policy_example.org.txt"), "--replay",
+                 "--cache", str(FIXTURES / "replay_cache.jsonl"),
+                 "--model", "fixture-model", "--out", str(out)]) == 0
+    return (out / "policy_example.org.ttl").read_bytes()
+
+
+def fails_with_error_line(argv: list[str], out) -> str:
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(out)])
+    message = err.value.code
+    assert isinstance(message, str) and message.startswith("error: "), message
+    assert "\n" not in message
+    assert not out.exists() or not any(out.rglob("*")), "an output file was written"
+    return message
+
+
+def bad_gold_dir(tmp_path, ann: bytes):
+    gold = tmp_path / "gold"
+    shutil.copytree(FIXTURES / "gold", gold)
+    (gold / "acme.ann").write_bytes(ann)
+    return gold
+
+
+class TestBadInput:
+    def test_non_utf8_graph_under_stats(self, tmp_path, fixture_graph):
+        graph = tmp_path / "bad.ttl"
+        graph.write_bytes(fixture_graph.replace(b"advertising partners", b"advertising \xff"))
+        message = fails_with_error_line(["stats", str(graph)], tmp_path / "out")
+        assert message.startswith(f"error: cannot read graph {graph}: not valid UTF-8")
+
+    @pytest.mark.parametrize("escape, reason", [
+        ("\\uZZZZ", "want 4 hex digits"),
+        ("\\U00110000", "not a Unicode character"),
+    ])
+    def test_bad_escape_under_stats(self, tmp_path, fixture_graph, escape, reason):
+        graph = tmp_path / "bad.ttl"
+        graph.write_bytes(fixture_graph.replace(b"advertising partners",
+                                                b"advertising " + escape.encode()))
+        message = fails_with_error_line(["stats", str(graph)], tmp_path / "out")
+        assert message == (f"error: cannot read graph {graph}: "
+                           f"bad escape {escape!r}: {reason}")
+
+    def test_surrogate_party_label_under_convert(self, tmp_path, fixture_graph):
+        graph = tmp_path / "bad.ttl"
+        graph.write_bytes(fixture_graph.replace(b'"advertising partners"',
+                                                b'"advertising \\uD800"'))
+        message = fails_with_error_line(["convert", str(graph)], tmp_path / "out")
+        assert "bad escape '\\\\uD800': not a Unicode character" in message
+
+    def test_non_utf8_taxonomy_under_analyze(self, tmp_path):
+        taxonomy = tmp_path / "taxonomy.tsv"
+        taxonomy.write_bytes(default_snapshot_path().read_bytes() + b"\xff\xfe\n")
+        message = fails_with_error_line(
+            ["analyze", str(FIXTURES / "policy_example.org.txt"), "--replay",
+             "--cache", str(FIXTURES / "replay_cache.jsonl"), "--taxonomy", str(taxonomy)],
+            tmp_path / "out")
+        assert message.startswith(f"error: taxonomy file {taxonomy} is not valid UTF-8")
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--replay", "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")],
+        ["export-finetune", "--task", "data-recognition", "--spec", "2-3-1-2"],
+    ])
+    def test_malformed_ann(self, tmp_path, command):
+        gold = bad_gold_dir(tmp_path, b"T1\tbroken\n")
+        message = fails_with_error_line([command[0], str(gold), *command[1:]],
+                                        tmp_path / "out")
+        assert message == "error: malformed T line (line 1: 'T1\\tbroken')"
+
+    def test_non_utf8_ann_under_evaluate(self, tmp_path):
+        gold = bad_gold_dir(tmp_path, b"T1\tdata 0 3\t\xff\n")
+        message = fails_with_error_line(
+            ["evaluate", str(gold), "--replay",
+             "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")], tmp_path / "out")
+        assert message.startswith(f"error: {gold / 'acme.ann'} is not valid UTF-8")
+
+    def test_process_prints_one_line_and_exits_1(self, tmp_path, fixture_graph):
+        graph = tmp_path / "bad.ttl"
+        graph.write_bytes(fixture_graph.replace(b"advertising partners", b"\\uZZZZ"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppanalyze.cli", "stats", str(graph),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(f"error: cannot read graph {graph}")
+        assert proc.stdout == ""
+
+
+# -- the readers raise their own errors --
+
+class TestReaders:
+    @pytest.mark.parametrize("literal, escape", [
+        ('"\\uZZZZ"', "\\uZZZZ"),
+        ('"x\\u12"', "\\u12"),
+        ('"\\U0011FFFF"', "\\U0011FFFF"),
+        ('"a\\uDFFFb"', "\\uDFFF"),
+        ('"""\\uD800"""', "\\uD800"),
+    ])
+    def test_bad_escape_named(self, literal, escape):
+        with pytest.raises(RdfError) as err:
+            parse_turtle(f"<urn:s> <urn:p> {literal} .")
+        assert repr(escape) in str(err.value)
+
+    def test_good_escapes_read(self):
+        g = parse_turtle('<urn:s> <urn:p> "\\u00e9\\U0001F600\\t\\"" .')
+        ((_, _, o),) = g.triples
+        assert o.lexical == 'é😀\t"'
+
+    def test_non_utf8_graph(self):
+        with pytest.raises(RdfError, match="not valid UTF-8"):
+            parse_turtle(b'<urn:s> <urn:p> "\xc3" .')
+
+    @pytest.mark.parametrize("name", ["taxonomy.tsv", "taxonomy.ttl", "taxonomy"])
+    def test_non_utf8_taxonomy_names_the_path(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"dpv:A\t\tA \xff\n")
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(path)
+        assert str(path) in str(err.value)
+
+    def test_unreadable_taxonomy_names_the_path(self, tmp_path):
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["txt", "ann"])
+    def test_non_utf8_brat_pair(self, tmp_path, bad):
+        t, a = tmp_path / "doc.txt", tmp_path / "doc.ann"
+        t.write_bytes(b"We collect data.")
+        a.write_bytes(b"T1\tdata 11 15\tdata\n")
+        (t if bad == "txt" else a).write_bytes(b"\xff")
+        with pytest.raises(CorpusError) as err:
+            parse_brat(t, a)
+        assert f"doc.{bad} is not valid UTF-8" in str(err.value)
+
+
+# -- the per-call boundary --
+
+def backend_answering(transport) -> Backend:
+    return Backend(BackendConfig(model_name="scripted", cache_mode="live", max_retries=0,
+                                 retry_base_delay=0.0), transport=transport)
+
+
+class TestRunTaskFailure:
+    segment = make_document("We collect data.").segments[0]
+
+    def test_transport_error_returns_its_trace(self):
+        def down(prompt, config):
+            raise TransportError("down")
+
+        items, trace = run_task(TaskKind.DATA_RECOGNITION, self.segment, None,
+                                backend_answering(down))
+        assert items is None
+        assert "down" in trace.error
+        assert trace.task == "data-recognition"
+        assert trace.raw is None and trace.digest is None
+
+    def test_replay_miss_returns_its_trace(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("")
+        backend = Backend(BackendConfig(model_name="m", cache_mode="replay", cache_path=cache))
+        items, trace = run_task(TaskKind.DATA_RECOGNITION, self.segment, None, backend)
+        assert items is None
+        assert trace.error.startswith("replay cache has no entry")
+        assert trace.raw is None
+
+    def test_unparseable_answer_keeps_raw(self):
+        # plain prose is no relation list
+        answer = "I really cannot answer this question properly."
+        items, trace = run_task(TaskKind.RELATION_RECOGNITION, self.segment,
+                                [("e0", "data", "data")],
+                                backend_answering(lambda prompt, config: answer))
+        assert items is None
+        assert trace.error
+        assert trace.raw == answer
+        assert trace.digest is None

@@ -23,7 +23,7 @@ from ppanalyze.graph import (
     check_invariants,
     stats,
 )
-from ppanalyze.rdfio import RDF_TYPE, BNode, IRI, Literal, parse, serialize
+from ppanalyze.rdfio import RDF_TYPE, BNode, Graph, IRI, Literal, parse, serialize
 
 POLICY = "urn:pp-analyze:policy#test.example"
 EMAIL = "https://w3id.org/dpv/pd#EmailAddress"
@@ -243,3 +243,28 @@ class TestStats:
         assert st.practice_type_counts.get("ThirdPartySharingDisclosure") == 1324
         assert st.distinct_data_classes == 128
         assert st.distinct_purpose_classes == 78
+
+
+class TestInvariantOrder:
+    def test_taxonomy_problems_in_term_order(self, taxonomy):
+        g = Graph()
+        data, purpose = IRI(PPA + "hasData"), IRI(PPA + "hasPurpose")
+        marketing = IRI("https://w3id.org/dpv#Marketing")
+        links = [
+            (IRI("urn:x:3"), data, IRI("urn:unknown:b")),
+            (IRI("urn:x:1"), purpose, IRI(EMAIL)),
+            (IRI("urn:x:2"), data, Literal("email")),
+            (IRI("urn:x:1"), data, marketing),
+            (IRI("urn:x:3"), data, IRI("urn:unknown:a")),
+            (BNode("x0"), purpose, IRI("urn:unknown:c")),
+        ]
+        for link in links:
+            g.add(*link)
+        assert check_invariants(g, taxonomy) == [
+            f"<urn:x:1>: <{marketing.value}> is not a data term",
+            "<urn:x:2>: data object 'email' not in taxonomy",
+            "<urn:x:3>: data object <urn:unknown:a> not in taxonomy",
+            "<urn:x:3>: data object <urn:unknown:b> not in taxonomy",
+            f"<urn:x:1>: <{EMAIL}> is not a purpose term",
+            "_:x0: purpose object <urn:unknown:c> not in taxonomy",
+        ]

@@ -243,3 +243,16 @@ class TestRunTask:
         items, trace = run_task(D, doc.segments[0], None, backend)
         assert items == [{"text": "data"}]
         assert trace.raw and trace.digest and not trace.repaired
+
+
+class TestAuditDict:
+    def test_span_of_segment_0_keeps_its_index(self, taxonomy):
+        doc = make_document(RICH_SEGMENT)
+        result = extract_document(doc, live_backend(scripted_transport(doc, RICH_PLAN)),
+                                  taxonomy)
+        (seg,) = result.to_audit_dict()["segments"]
+        assert seg["index"] == 0 and seg["spans"]
+        for span in seg["spans"]:
+            assert span["segment_index"] == 0
+            # None and False fields are left out
+            assert "non_verbatim" not in span and "unresolved_term" not in span
