@@ -27,21 +27,25 @@ class CorpusError(Error):
 
 
 class BratParseError(Error):
-    def __init__(self, message: str, line_no: int, line: str):
-        super().__init__(f"{message} (line {line_no}: {line!r})")
+    def __init__(self, path: str, message: str, line_no: int, line: str):
+        super().__init__(f"{path}: {message} (line {line_no}: {line!r})")
+        self.path = path
         self.line_no = line_no
         self.line = line
 
 
 class DanglingReferenceError(Error):
-    def __init__(self, ids: list[str]):
-        super().__init__(f"annotation references unknown ids: {', '.join(sorted(ids))}")
+    def __init__(self, path: str, ids: list[str]):
+        super().__init__(f"{path}: annotation references unknown ids: {', '.join(sorted(ids))}")
+        self.path = path
         self.ids = sorted(ids)
 
 
 class AlignmentError(Error):
-    def __init__(self, ids: list[str]):
-        super().__init__(f"annotation span starts outside every segment: {', '.join(sorted(ids))}")
+    def __init__(self, path: str, ids: list[str]):
+        super().__init__(f"{path}: annotation span starts outside every segment: "
+                         f"{', '.join(sorted(ids))}")
+        self.path = path
         self.ids = sorted(ids)
 
 
@@ -122,10 +126,6 @@ class GoldEntity:
     attributes: tuple[tuple[str, Optional[str]], ...] = ()
     notes: tuple[str, ...] = ()
 
-    @property
-    def discontinuous(self) -> bool:
-        return len(self.fragments) > 1
-
 
 @dataclass(frozen=True)
 class GoldEvent:
@@ -149,6 +149,7 @@ class GoldAnnotationSet:
     entities: tuple[GoldEntity, ...]
     events: tuple[GoldEvent, ...]
     relations: tuple[GoldRelation, ...]
+    ann_path: str = ""                      # the .ann file, named in errors
 
     def entity_by_id(self, eid: str) -> GoldEntity:
         for e in self.entities:
@@ -195,6 +196,7 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
     attrs: list[tuple[str, str, Optional[str], int, str]] = []
     notes: list[tuple[str, str, int, str]] = []
 
+    ann_path = str(ann_file)
     ann_lines = _read_text(ann_file).split("\n")
     for line_no, line in enumerate(ann_lines, start=1):
         if not line.strip():
@@ -203,7 +205,7 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         if head == "T":
             m = _T_LINE.match(line)
             if not m:
-                raise BratParseError("malformed T line", line_no, line)
+                raise BratParseError(ann_path, "malformed T line", line_no, line)
             tid, etype, span_str, surface = m.groups()
             try:
                 fragments = tuple(
@@ -211,15 +213,15 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
                     for a, b in (frag.split() for frag in span_str.split(";"))
                 )
             except ValueError:
-                raise BratParseError("malformed span in T line", line_no, line) from None
+                raise BratParseError(ann_path, "malformed span in T line", line_no, line) from None
             for a, b in fragments:
                 if a >= b or b > len(doc_text):
-                    raise BratParseError("invalid span offsets", line_no, line)
+                    raise BratParseError(ann_path, "invalid span offsets", line_no, line)
             # brat writes newlines inside spans as spaces in the text column
             expected = " ".join(doc_text[a:b] for a, b in fragments).replace("\n", " ")
             if expected != surface:
                 raise BratParseError(
-                    f"surface text {surface!r} does not match document text {expected!r}",
+                    ann_path, f"surface text {surface!r} does not match document text {expected!r}",
                     line_no, line,
                 )
             start = min(a for a, _ in fragments)
@@ -231,7 +233,7 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         elif head == "E":
             m = _E_LINE.match(line)
             if not m:
-                raise BratParseError("malformed E line", line_no, line)
+                raise BratParseError(ann_path, "malformed E line", line_no, line)
             eid, etype, trigger, rest = m.groups()
             roles = tuple(
                 (part.split(":", 1)[0], part.split(":", 1)[1])
@@ -241,23 +243,23 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         elif head == "R":
             m = _R_LINE.match(line)
             if not m:
-                raise BratParseError("malformed R line", line_no, line)
+                raise BratParseError(ann_path, "malformed R line", line_no, line)
             rid, label, arg1, arg2 = m.groups()
             relations.append(GoldRelation(id=rid, label=label, subject_id=arg1, object_id=arg2))
         elif head == "A" or head == "M":
             m = _A_LINE.match(line)
             if not m:
-                raise BratParseError("malformed A line", line_no, line)
+                raise BratParseError(ann_path, "malformed A line", line_no, line)
             aid, name, target, value = m.groups()
             attrs.append((aid, name, value, line_no, target))
         elif head == "#":
             m = _NOTE_LINE.match(line)
             if not m:
-                raise BratParseError("malformed note line", line_no, line)
+                raise BratParseError(ann_path, "malformed note line", line_no, line)
             nid, _kind, target, text = m.groups()
             notes.append((nid, target, line_no, text))
         else:
-            raise BratParseError("unknown annotation line type", line_no, line)
+            raise BratParseError(ann_path, "unknown annotation line type", line_no, line)
 
     known = set(entities) | set(events)
     dangling: set[str] = set()
@@ -278,7 +280,7 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         if target not in known:
             dangling.add(target)
     if dangling:
-        raise DanglingReferenceError(sorted(dangling))
+        raise DanglingReferenceError(ann_path, sorted(dangling))
 
     # attach attributes and notes; A-channel groundings win over notes
     by_target_attrs: dict[str, list[tuple[str, Optional[str]]]] = {}
@@ -319,13 +321,8 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         entities=tuple(sorted(final_entities, key=lambda e: _tid_key(e.id))),
         events=tuple(sorted(events.values(), key=lambda e: _tid_key(e.id))),
         relations=tuple(relations),
+        ann_path=ann_path,
     )
-
-
-def serialize_entity_line(entity: GoldEntity) -> str:
-    """Re-serialize a gold entity as its brat T line (round-trip check)."""
-    span_str = ";".join(f"{a} {b}" for a, b in entity.fragments)
-    return f"{entity.id}\t{entity.type} {span_str}\t{entity.text}"
 
 
 def read_annotation_conf(path: Union[str, Path]) -> dict[str, set[str]]:
@@ -337,7 +334,7 @@ def read_annotation_conf(path: Union[str, Path]) -> dict[str, set[str]]:
     """
     sections: dict[str, set[str]] = {}
     current = None
-    for line in Path(path).read_text(encoding="utf-8").split("\n"):
+    for line in _read_text(path).split("\n"):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -436,7 +433,7 @@ def align_gold(gold: GoldAnnotationSet, doc: PolicyDocument) -> dict[int, GoldSl
         per_segment_events.setdefault(seg_idx, []).append(AlignedEvent(ev, trigger, seg_idx, crosses))
 
     if orphans:
-        raise AlignmentError(orphans)
+        raise AlignmentError(gold.ann_path, orphans)
 
     out: dict[int, GoldSlice] = {}
     for idx in sorted(set(per_segment_entities) | set(per_segment_events)):

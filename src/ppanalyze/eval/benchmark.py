@@ -86,7 +86,7 @@ class ScoreReport:
 
 
 def _score_sample(task: TaskKind, sample: SegmentTask, pred_items: list[dict],
-                  taxonomy: Optional[Taxonomy], threshold: float,
+                  taxonomy: Taxonomy, threshold: float,
                   denominator: str) -> float:
     if task in CLASSIFICATION_TASKS:
         pred_pairs = [(i.get("entity_text", ""), i.get("term", "")) for i in pred_items]
@@ -101,9 +101,8 @@ def _score_sample(task: TaskKind, sample: SegmentTask, pred_items: list[dict],
                      denominator=denominator)
 
 
-def run_benchmark(corpus: Sequence[GoldDocument], backend: Backend,
+def run_benchmark(corpus: Sequence[GoldDocument], backend: Backend, taxonomy: Taxonomy,
                   tasks: Optional[Sequence[TaskKind]] = None,
-                  taxonomy: Optional[Taxonomy] = None,
                   threshold: float = DEFAULT_THRESHOLD,
                   denominator: str = "max") -> ScoreReport:
     """Run each task over every segment of the corpus and score it."""

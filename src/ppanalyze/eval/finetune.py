@@ -20,7 +20,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .. import Error
 from ..extraction.prompts import RECOGNITION_TASKS, TaskKind, build_prompt
@@ -75,8 +75,7 @@ def _record(task: TaskKind, sample: SegmentTask) -> dict:
 
 
 def select_finetune_data(corpus: Sequence[GoldDocument], task: TaskKind,
-                         spec: FinetuneSpec,
-                         taxonomy: Optional[Taxonomy] = None,
+                         spec: FinetuneSpec, taxonomy: Taxonomy,
                          ) -> tuple[list[dict], list[dict]]:
     """Sample (train, validation) chat records for one task.
 

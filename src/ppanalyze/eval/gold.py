@@ -179,7 +179,7 @@ def _local_ids(slice_: GoldSlice) -> tuple[tuple[tuple[str, str, str], ...],
     return extras, events, local_id
 
 
-def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Optional[Taxonomy]) -> dict:
+def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Taxonomy) -> dict:
     """The task-dependent SegmentTask fields for one segment's gold."""
     if task in RECOGNITION_TASKS:
         kind = TASK_KIND[task]
@@ -201,12 +201,10 @@ def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Optional[Taxonomy]
             term = ae.entity.fine_grained
             if not term:
                 continue
-            iri = term
-            if taxonomy is not None:
-                try:
-                    iri = taxonomy.resolve_term(term, kind).iri
-                except UnresolvedTermError:
-                    continue
+            try:
+                iri = taxonomy.resolve_term(term, kind).iri
+            except UnresolvedTermError:
+                continue
             pairs.append((ae.entity.covering_text, iri))
             items.append({"entity_text": ae.entity.covering_text, "term": term})
         return {"extras": tuple(p[0] for p in pairs) or None,
@@ -227,7 +225,7 @@ def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Optional[Taxonomy]
 
 
 def segment_tasks(gold_doc: GoldDocument, task: TaskKind,
-                  taxonomy: Optional[Taxonomy] = None) -> list[SegmentTask]:
+                  taxonomy: Taxonomy) -> list[SegmentTask]:
     """Build one SegmentTask per segment of the document for this task."""
     return [
         SegmentTask(doc_id=gold_doc.gold.doc_id, segment_index=segment.index,

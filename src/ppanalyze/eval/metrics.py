@@ -14,6 +14,7 @@ makes the f1-empty facet well-defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from difflib import SequenceMatcher
 from typing import Callable, Optional, Sequence
 
 from ..textnorm import normalize_text
@@ -22,22 +23,11 @@ DEFAULT_THRESHOLD = 0.9
 
 
 def lcs_length(a: str, b: str) -> int:
-    """Length of the longest common contiguous substring. O(len(a)*len(b))."""
-    if not a or not b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    prev = [0] * (len(b) + 1)
-    best = 0
-    for ca in a:
-        cur = [0] * (len(b) + 1)
-        for j, cb in enumerate(b, start=1):
-            if ca == cb:
-                cur[j] = prev[j - 1] + 1
-                if cur[j] > best:
-                    best = cur[j]
-        prev = cur
-    return best
+    """Length of the longest common contiguous substring.
+
+    With no junk elements `SequenceMatcher`'s longest match is exact.
+    """
+    return SequenceMatcher(None, a, b, autojunk=False).find_longest_match().size
 
 
 def lcs_ratio(a: str, b: str, denominator: str = "max") -> float:
@@ -157,14 +147,6 @@ def sample_f1(pred: Sequence[str], gold: Sequence[str],
     return outcome_f1(match_spans(pred, gold, threshold, denominator))
 
 
-@dataclass(frozen=True)
-class MacroScores:
-    f1: Optional[float]
-    f1_n: Optional[float]    # over samples with non-empty gold
-    f1_e: Optional[float]    # over samples with empty gold
-    per_sample: tuple[float, ...] = ()
-
-
 def facet_means(rows: Sequence[tuple[float, bool]]
                 ) -> tuple[Optional[float], Optional[float], Optional[float]]:
     """Mean per-sample F1 over all rows, non-empty-gold rows and
@@ -178,15 +160,6 @@ def facet_means(rows: Sequence[tuple[float, bool]]
     return (mean([f for f, _ in rows]),
             mean([f for f, empty in rows if not empty]),
             mean([f for f, empty in rows if empty]))
-
-
-def macro_f1(samples: Sequence[tuple[Sequence[str], Sequence[str]]],
-             threshold: float = DEFAULT_THRESHOLD,
-             denominator: str = "max") -> MacroScores:
-    """Macro-average per-sample F1, plus the non-empty / empty facets."""
-    rows = [(sample_f1(pred, gold, threshold, denominator), not gold)
-            for pred, gold in samples]
-    return MacroScores(*facet_means(rows), tuple(f for f, _ in rows))
 
 
 def score_classification(pred: Sequence[tuple[str, str]],

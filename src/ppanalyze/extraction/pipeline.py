@@ -79,10 +79,6 @@ class SegmentExtraction:
     failed: bool = False
 
     @property
-    def entities(self) -> tuple[EntitySpan, ...]:
-        return tuple(s for s in self.spans if s.kind != "action")
-
-    @property
     def actions(self) -> tuple[EntitySpan, ...]:
         return tuple(s for s in self.spans if s.kind == "action")
 
@@ -188,7 +184,7 @@ def _ground(kind: str, spans: Sequence[EntitySpan], items: list[dict],
 
 
 def _extract_segment(segment: Segment, backend: Backend,
-                     taxonomy: Optional[Taxonomy]) -> SegmentExtraction:
+                     taxonomy: Taxonomy) -> SegmentExtraction:
     traces: dict[str, TaskTrace] = {}
     notes: list[str] = []
 
@@ -225,18 +221,17 @@ def _extract_segment(segment: Segment, backend: Backend,
             traces[task.value] = TaskTrace(task=task.value, skipped=True)
         return SegmentExtraction(segment.index, segment.text, (), (), traces, tuple(notes))
 
-    if taxonomy is not None:
-        for task in CLASSIFICATION_TASKS:
-            kind = TASK_KIND[task]
-            subset = [s for s in spans if s.kind == kind]
-            if not subset:
-                continue
-            items = attempt(task, [s.text for s in subset])
-            if items is not None:
-                updated, cls_notes = _ground(kind, subset, items, taxonomy)
-                notes.extend(cls_notes)
-                by_id = {s.local_id: s for s in updated}
-                spans = [by_id.get(s.local_id, s) for s in spans]
+    for task in CLASSIFICATION_TASKS:
+        kind = TASK_KIND[task]
+        subset = [s for s in spans if s.kind == kind]
+        if not subset:
+            continue
+        items = attempt(task, [s.text for s in subset])
+        if items is not None:
+            updated, cls_notes = _ground(kind, subset, items, taxonomy)
+            notes.extend(cls_notes)
+            by_id = {s.local_id: s for s in updated}
+            spans = [by_id.get(s.local_id, s) for s in spans]
 
     relations: list[RelationTuple] = []
     items = attempt(TaskKind.RELATION_RECOGNITION, spans)
@@ -262,8 +257,7 @@ def _extract_segment(segment: Segment, backend: Backend,
     )
 
 
-def extract_document(doc: PolicyDocument, backend: Backend,
-                     taxonomy: Optional[Taxonomy] = None,
+def extract_document(doc: PolicyDocument, backend: Backend, taxonomy: Taxonomy,
                      jobs: int = 1) -> ExtractionResult:
     """Run the full per-segment pipeline over one policy document.
 

@@ -52,6 +52,11 @@ class ConversionError(Error):
     pass
 
 
+# the psDToU entries `dtou_iri` reads
+PSDTOU_KEYS = ("namespace", "app_policy_class", "input_spec_class", "sharing_class",
+               "has_input", "has_sharing", "data", "purpose", "recipient_type")
+
+
 @dataclass(frozen=True)
 class ConversionProfile:
     """Term mapping tables for formal policy output.
@@ -69,11 +74,18 @@ class ConversionProfile:
     def load(cls, path: Union[str, Path]) -> "ConversionProfile":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConversionError(f"cannot load conversion profile {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConversionError(f"profile {path} does not hold a JSON object")
         for key in ("action_map", "role_map", "psdtou"):
-            if key not in payload:
-                raise ConversionError(f"profile {path} is missing {key!r}")
+            table = payload.get(key)
+            if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+                raise ConversionError(f"profile {path}: {key!r} is missing or not an object "
+                                      "of strings")
+        missing = [key for key in PSDTOU_KEYS if key not in payload["psdtou"]]
+        if missing:
+            raise ConversionError(f"profile {path}: 'psdtou' is missing {', '.join(missing)}")
         return cls(
             action_map=dict(payload["action_map"]),
             role_map=dict(payload["role_map"]),

@@ -338,7 +338,9 @@ def _unescape(text: str) -> str:
                 out.append(chr(code))
                 i += 2 + width
                 continue
-            out.append(_UNESCAPES.get(nxt, nxt))
+            if nxt not in _UNESCAPES:
+                raise RdfError(f"bad escape {text[i:i + 2]!r}: not a Turtle escape")
+            out.append(_UNESCAPES[nxt])
             i += 2
         else:
             out.append(ch)

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Union
 
 from . import Error, rdfio
 from .rdfio import IRI, Literal
@@ -80,12 +81,10 @@ class TaxonomyNode:
 
 
 class Taxonomy:
-    def __init__(self, nodes: dict[str, TaxonomyNode], roots: dict[str, tuple[str, ...]],
-                 version: str = "unknown", collisions: Optional[list[str]] = None):
+    def __init__(self, nodes: dict[str, TaxonomyNode], version: str = "unknown"):
         self.nodes = nodes
-        self.roots = roots
         self.version = version
-        self.collisions = collisions or []
+        self.collisions: list[str] = []
         self.label_index: dict[tuple[str, str], str] = {}
         self._build_label_index()
         self._ancestor_cache: dict[str, tuple[str, ...]] = {}
@@ -104,18 +103,6 @@ class Taxonomy:
                     )
                     continue
                 self.label_index[key] = node.iri
-
-    def __contains__(self, iri: str) -> bool:
-        return iri in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def node(self, iri: str) -> TaxonomyNode:
-        try:
-            return self.nodes[iri]
-        except KeyError:
-            raise TaxonomyError(f"node not in taxonomy: {iri}") from None
 
     def resolve_term(self, label_or_iri: str, kind: str) -> TaxonomyNode:
         """Resolve a predicted label, CURIE, or IRI to a taxonomy node.
@@ -166,52 +153,9 @@ class Taxonomy:
         self._ancestor_cache[iri] = path
         return path
 
-    def descendants(self, node: TaxonomyNode) -> set[TaxonomyNode]:
-        self._check_member(node)
-        seen: set[str] = set()
-        stack = list(node.children)
-        while stack:
-            iri = stack.pop()
-            if iri in seen:
-                continue
-            seen.add(iri)
-            stack.extend(self.nodes[iri].children)
-        return {self.nodes[iri] for iri in seen}
-
     def _check_member(self, node: TaxonomyNode) -> None:
         if self.nodes.get(node.iri) is not node and self.nodes.get(node.iri) != node:
             raise TaxonomyError(f"node not in this taxonomy: {node.iri}")
-
-
-def _detect_cycle(parents: dict[str, set[str]]) -> Optional[list[str]]:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {iri: WHITE for iri in parents}
-    for start in sorted(parents):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, Iterable[str]]] = [(start, iter(sorted(parents[start])))]
-        color[start] = GREY
-        trail = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for parent in it:
-                if parent not in parents:
-                    continue
-                if color[parent] == GREY:
-                    idx = trail.index(parent)
-                    return trail[idx:] + [parent]
-                if color[parent] == WHITE:
-                    color[parent] = GREY
-                    trail.append(parent)
-                    stack.append((parent, iter(sorted(parents[parent]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                trail.pop()
-                stack.pop()
-    return None
 
 
 def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
@@ -229,12 +173,14 @@ def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
         parents.setdefault(iri, set())
         children.setdefault(iri, set())
 
-    cycle = _detect_cycle(parents)
-    if cycle:
-        raise TaxonomyCycleError(cycle)
+    # graphlib walks a cycle from parent to child; report it child -> parent
+    try:
+        TopologicalSorter({iri: sorted(parents[iri]) for iri in sorted(parents)}).prepare()
+    except CycleError as exc:
+        raise TaxonomyCycleError(exc.args[1][::-1]) from None
 
     roots = sorted(iri for iri in all_iris if not parents[iri])
-    kind_of_root: dict[str, str] = {}
+    kind_map: dict[str, str] = {}
     for root in roots:
         kind = DEFAULT_ROOT_KINDS.get(normalize_label(local_name(root)))
         if kind is None:
@@ -242,10 +188,9 @@ def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
                 f"cannot infer kind (data/purpose) for root {root}; "
                 "name the root 'Purpose' or 'PersonalData'"
             )
-        kind_of_root[root] = kind
+        kind_map[root] = kind
 
     # BFS from roots: kind + shortest depth
-    kind_map: dict[str, str] = dict(kind_of_root)
     depth: dict[str, int] = {r: 0 for r in roots}
     frontier = list(roots)
     while frontier:
@@ -278,11 +223,7 @@ def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
         )
         for iri in sorted(all_iris)
     }
-    roots_by_kind: dict[str, tuple[str, ...]] = {}
-    for root in roots:
-        roots_by_kind.setdefault(kind_of_root[root], ())
-        roots_by_kind[kind_of_root[root]] += (root,)
-    return Taxonomy(nodes, roots_by_kind, version=version)
+    return Taxonomy(nodes, version=version)
 
 
 def _expand_curie(token: str) -> str:
@@ -368,7 +309,3 @@ def load_taxonomy(path: Union[str, Path]) -> Taxonomy:
 
 def default_snapshot_path() -> Path:
     return Path(__file__).parent / "data" / "dpv_snapshot.tsv"
-
-
-def load_default_taxonomy() -> Taxonomy:
-    return load_taxonomy(default_snapshot_path())

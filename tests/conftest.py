@@ -6,7 +6,7 @@ import pytest
 
 from ppanalyze.corpus import PolicyDocument, segment_lines
 from ppanalyze.extraction.backend import Backend, BackendConfig
-from ppanalyze.taxonomy import load_default_taxonomy
+from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -15,7 +15,7 @@ FIXTURE_MODEL = "fixture-model"
 
 @pytest.fixture(scope="session")
 def taxonomy():
-    return load_default_taxonomy()
+    return load_taxonomy(default_snapshot_path())
 
 
 @pytest.fixture(scope="session")

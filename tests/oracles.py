@@ -4,12 +4,12 @@ These deliberately avoid the library's own algorithms: the substring
 oracle enumerates every substring, the matching oracle solves the
 assignment exactly over all one-to-one matchings (bitmask DP), and the
 line-scan oracle walks the text character by character, and the RDF
-serializers sort every triple and regroup.  The reference matchers,
-`reference_segment_tasks`, `reference_repair_and_parse` and the RDF terms
-`RefIRI`, `RefBNode` and `RefLiteral` with their `reference_term_key`
-order are earlier versions of production code, kept as written.  They
-exist to check the production implementations, so they must never import
-from ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio
+serializers sort every triple and regroup.  `dp_lcs_length`, the
+reference matchers, `reference_segment_tasks`, `reference_repair_and_parse`
+and the RDF terms `RefIRI`, `RefBNode` and `RefLiteral` with their
+`reference_term_key` order are earlier versions of production code, kept
+as written.  They exist to check the production implementations, so they
+must never import from ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio
 internals (the RDF term classes, the gold record types and the gold label
 tables are data, not algorithms); the repair copy shares only the
 tolerant reader and the refusal test, which it does not check.
@@ -40,6 +40,26 @@ def brute_force_lcs(a: str, b: str) -> int:
                 best = j - i
             else:
                 break
+    return best
+
+
+def dp_lcs_length(a: str, b: str) -> int:
+    """Longest common contiguous substring by the O(len(a)*len(b)) DP table
+    (the library's earlier implementation, kept as written)."""
+    if not a or not b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    prev = [0] * (len(b) + 1)
+    best = 0
+    for ca in a:
+        cur = [0] * (len(b) + 1)
+        for j, cb in enumerate(b, start=1):
+            if ca == cb:
+                cur[j] = prev[j - 1] + 1
+                if cur[j] > best:
+                    best = cur[j]
+        prev = cur
     return best
 
 

@@ -19,13 +19,15 @@ import pytest
 from ppanalyze.corpus import load_policy
 from ppanalyze.eval.finetune import FinetuneSpec, select_finetune_data
 from ppanalyze.eval.metrics import lcs_ratio, match_spans, prf1
-from ppanalyze.extraction import Backend, BackendConfig, TaskKind, extract_document
+from ppanalyze.extraction.backend import Backend, BackendConfig
 from ppanalyze.extraction.pipeline import (
     EntitySpan,
     ExtractionResult,
     RelationTuple,
     SegmentExtraction,
+    extract_document,
 )
+from ppanalyze.extraction.prompts import TaskKind
 from ppanalyze.graph import (
     HAS_DATA,
     HAS_PRACTICE,
@@ -139,17 +141,17 @@ def test_worked_relaxed_metric_cases():
         assert (credited.fp, credited.fn) == (0, 0)
 
 
-def test_finetune_export_cardinality():
+def test_finetune_export_cardinality(taxonomy):
     with criterion("fine-tune export cardinality for 10-30-2-6, 20-20-4-4, 40-80-10-20"):
         corpus = synthetic_gold_corpus(n_nonempty=55, n_empty=110)
         expected = {"10-30-2-6": (40, 8), "20-20-4-4": (40, 8), "40-80-10-20": (120, 30)}
         for spec_string, (n_train, n_val) in expected.items():
             spec = FinetuneSpec.parse(spec_string, seed=17)
-            train, val = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION, spec)
+            train, val = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION, spec, taxonomy)
             assert (len(train), len(val)) == (n_train, n_val), spec_string
 
             train_again, val_again = select_finetune_data(
-                corpus, TaskKind.DATA_RECOGNITION, spec)
+                corpus, TaskKind.DATA_RECOGNITION, spec, taxonomy)
             assert (train, val) == (train_again, val_again), "seed instability"
 
             users = lambda records: {r["messages"][1]["content"] for r in records}

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import importlib.util
+
 import pytest
 
 from ppanalyze.eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
 from ppanalyze.eval.gold import expected_answer, load_gold_corpus, segment_tasks
-from ppanalyze.extraction import Backend, BackendConfig, TaskKind, TransportError
-from ppanalyze.extraction.backend import ResponseCache, prompt_digest
-from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TASK_SHAPES, build_prompt
+from ppanalyze.extraction.backend import (
+    Backend,
+    BackendConfig,
+    ResponseCache,
+    TransportError,
+    prompt_digest,
+)
+from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TASK_SHAPES, TaskKind, build_prompt
+from ppanalyze.taxonomy import load_taxonomy
 
 from .conftest import FIXTURE_MODEL
 from .oracles import reference_segment_tasks
@@ -85,6 +93,22 @@ class TestFixtureAnswers:
                     assert empty.get(digest)["response"] == '{"%s": []}' % envelope
                     queried += 1
         assert queried == len(primed) == len(empty)
+
+    def test_fixture_tool_reproduces_gold_files(self, gold_dir_module, tmp_path, monkeypatch):
+        from .conftest import ROOT
+        spec = importlib.util.spec_from_file_location(
+            "make_fixtures", ROOT / "tools" / "make_fixtures.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        monkeypatch.setattr(tool, "FIXTURES", tmp_path)
+        tool.make_gold()
+        tool.make_gold_caches()
+        names = ["acme.ann", "acme.txt", "annotation.conf",
+                 "replay_cache.jsonl", "replay_cache_empty.jsonl"]
+        assert sorted(p.name for p in gold_dir_module.iterdir()) == names
+        for name in names:
+            assert (tmp_path / "gold" / name).read_bytes() == \
+                (gold_dir_module / name).read_bytes(), name
 
 
 class TestMixedCorpusMacroMeans:
@@ -200,14 +224,25 @@ def _edge_gold_dir(root):
     return root
 
 
+def _small_taxonomy(root):
+    path = root / "small.tsv"
+    path.write_text("dpv:Purpose\t\tPurpose\n"
+                    "dpv:Marketing\tdpv:Purpose\tMarketing\n"
+                    "pd:PersonalData\t\tPersonal Data\n"
+                    "pd:EmailAddress\tpd:PersonalData\tEmail Address\n", encoding="utf-8")
+    return path
+
+
 class TestSegmentTasksOracle:
     """`segment_tasks` equals the earlier one-branch-per-task version."""
 
     @pytest.mark.parametrize("task", ALL_TASKS)
-    @pytest.mark.parametrize("with_taxonomy", [True, False])
-    def test_equals_reference(self, task, with_taxonomy, corpus, taxonomy, tmp_path):
+    @pytest.mark.parametrize("default_taxonomy", [True, False])
+    def test_equals_reference(self, task, default_taxonomy, corpus, taxonomy, tmp_path):
         edge = load_gold_corpus(_edge_gold_dir(tmp_path / "edge"))
-        tax = taxonomy if with_taxonomy else None
+        # the small taxonomy resolves EmailAddress and Marketing only, so most
+        # gold terms that the default one grounds are dropped
+        tax = taxonomy if default_taxonomy else load_taxonomy(_small_taxonomy(tmp_path))
         for gold_doc in [*corpus, *edge]:
             assert segment_tasks(gold_doc, task, tax) == \
                 reference_segment_tasks(gold_doc, task, tax)

@@ -14,11 +14,16 @@ from ppanalyze.corpus import (
     parse_brat,
     read_annotation_conf,
     segment_lines,
-    serialize_entity_line,
     validate_gold_labels,
 )
 
 from .oracles import scan_lines
+
+
+def serialize_entity_line(entity) -> str:
+    """Re-serialize a gold entity as its brat T line (round-trip check)."""
+    span_str = ";".join(f"{a} {b}" for a, b in entity.fragments)
+    return f"{entity.id}\t{entity.type} {span_str}\t{entity.text}"
 
 
 class TestSegmentLines:
@@ -160,12 +165,14 @@ class TestParseBrat:
         with pytest.raises(DanglingReferenceError) as err:
             parse_brat(t, a)
         assert "T99" in str(err.value)
+        assert str(err.value).startswith(f"{a}: ")
 
     def test_malformed_line_reports_position(self, tmp_path):
         t, a = write_pair(tmp_path, "text", "T1\tbroken\n")
         with pytest.raises(BratParseError) as err:
             parse_brat(t, a)
         assert err.value.line_no == 1
+        assert str(err.value) == f"{a}: malformed T line (line 1: 'T1\\tbroken')"
 
     def test_surface_mismatch_rejected(self, tmp_path):
         t, a = write_pair(tmp_path, "hello world", "T1\tdata 0 5\tworld\n")
@@ -178,7 +185,6 @@ class TestParseBrat:
         t, a = write_pair(tmp_path, text, ann)
         gold = parse_brat(t, a)
         (ent,) = gold.entities
-        assert ent.discontinuous
         assert ent.fragments == ((0, 7), (17, 22))
         assert (ent.char_start, ent.char_end) == (0, 22)
         assert ent.covering_text == text[0:22]
@@ -263,12 +269,12 @@ class TestAlignGold:
         gold = GoldAnnotationSet(
             doc_id="doc",
             entities=(GoldEntity("T1", "data", 3, 5, "  ", ((3, 5),), "  "),),
-            events=(), relations=(),
+            events=(), relations=(), ann_path="doc.ann",
         )
         doc = load_policy(t, "x")
         with pytest.raises(AlignmentError) as err:
             align_gold(gold, doc)
-        assert "T1" in str(err.value)
+        assert str(err.value) == "doc.ann: annotation span starts outside every segment: T1"
 
     def test_aligned_entities_substring_or_flagged(self, gold_dir):
         gold = parse_brat(gold_dir / "acme.txt", gold_dir / "acme.ann")

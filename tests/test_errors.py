@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import shutil
@@ -15,7 +16,9 @@ import pytest
 import ppanalyze
 from ppanalyze.cli import main
 from ppanalyze.corpus import CorpusError, parse_brat
-from ppanalyze.extraction import Backend, BackendConfig, TaskKind, TransportError, run_task
+from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError
+from ppanalyze.extraction.pipeline import run_task
+from ppanalyze.extraction.prompts import TaskKind
 from ppanalyze.rdfio import RdfError, parse_turtle
 from ppanalyze.taxonomy import TaxonomyError, default_snapshot_path, load_taxonomy
 
@@ -58,6 +61,15 @@ def fails_with_error_line(argv: list[str], out) -> str:
     assert "\n" not in message
     assert not out.exists() or not any(out.rglob("*")), "an output file was written"
     return message
+
+
+DEFAULT_PROFILE = json.loads(
+    (ROOT / "src" / "ppanalyze" / "data" / "profile_default.json").read_text(encoding="utf-8"))
+
+
+def profile_bytes(**tables) -> bytes:
+    """The default conversion profile with some tables replaced."""
+    return json.dumps({**DEFAULT_PROFILE, **tables}).encode()
 
 
 def bad_gold_dir(tmp_path, ann: bytes):
@@ -110,7 +122,7 @@ class TestBadInput:
         gold = bad_gold_dir(tmp_path, b"T1\tbroken\n")
         message = fails_with_error_line([command[0], str(gold), *command[1:]],
                                         tmp_path / "out")
-        assert message == "error: malformed T line (line 1: 'T1\\tbroken')"
+        assert message == f"error: {gold / 'acme.ann'}: malformed T line (line 1: 'T1\\tbroken')"
 
     def test_non_utf8_ann_under_evaluate(self, tmp_path):
         gold = bad_gold_dir(tmp_path, b"T1\tdata 0 3\t\xff\n")
@@ -118,6 +130,31 @@ class TestBadInput:
             ["evaluate", str(gold), "--replay",
              "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")], tmp_path / "out")
         assert message.startswith(f"error: {gold / 'acme.ann'} is not valid UTF-8")
+
+    def test_non_utf8_annotation_conf_under_evaluate(self, tmp_path):
+        gold = tmp_path / "gold"
+        shutil.copytree(FIXTURES / "gold", gold)
+        (gold / "annotation.conf").write_bytes(b"[entities]\ndata \xff\n")
+        message = fails_with_error_line(
+            ["evaluate", str(gold), "--replay",
+             "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")], tmp_path / "out")
+        assert message.startswith(f"error: {gold / 'annotation.conf'} is not valid UTF-8")
+
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"action_map": {"a": "\xff"}}', "cannot load conversion profile"),
+        (profile_bytes(action_map=["use"]), "'action_map' is missing or not an object of strings"),
+        (profile_bytes(psdtou={k: v for k, v in DEFAULT_PROFILE["psdtou"].items()
+                               if k != "namespace"}), "'psdtou' is missing namespace"),
+    ], ids=["non-utf8", "action-map-not-object", "psdtou-without-namespace"])
+    def test_bad_profile_under_convert(self, tmp_path, fixture_graph, content, reason):
+        graph = tmp_path / "policy.ttl"
+        graph.write_bytes(fixture_graph)
+        profile = tmp_path / "profile.json"
+        profile.write_bytes(content)
+        message = fails_with_error_line(["convert", str(graph), "--profile", str(profile)],
+                                        tmp_path / "out")
+        assert message.startswith("error: ") and str(profile) in message
+        assert reason in message
 
     def test_process_prints_one_line_and_exits_1(self, tmp_path, fixture_graph):
         graph = tmp_path / "bad.ttl"
@@ -142,6 +179,7 @@ class TestReaders:
         ('"\\U0011FFFF"', "\\U0011FFFF"),
         ('"a\\uDFFFb"', "\\uDFFF"),
         ('"""\\uD800"""', "\\uD800"),
+        ('"a\\qb"', "\\q"),
     ])
     def test_bad_escape_named(self, literal, escape):
         with pytest.raises(RdfError) as err:
@@ -149,9 +187,9 @@ class TestReaders:
         assert repr(escape) in str(err.value)
 
     def test_good_escapes_read(self):
-        g = parse_turtle('<urn:s> <urn:p> "\\u00e9\\U0001F600\\t\\"" .')
+        g = parse_turtle(r"""<urn:s> <urn:p> "\u00e9\U0001F600\t\"\b\n\r\f\'\\" .""")
         ((_, _, o),) = g.triples
-        assert o.lexical == 'é😀\t"'
+        assert o.lexical == 'é😀\t"\b\n\r\f\'\\'
 
     def test_non_utf8_graph(self):
         with pytest.raises(RdfError, match="not valid UTF-8"):

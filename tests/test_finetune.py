@@ -26,63 +26,63 @@ class TestSpecParsing:
 
 
 class TestSelection:
-    def test_counts_10_30_2_6(self):
+    def test_counts_10_30_2_6(self, taxonomy):
         corpus = synthetic_corpus(12, 36)
         train, val = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION,
-                                          FinetuneSpec.parse("10-30-2-6", seed=1))
+                                          FinetuneSpec.parse("10-30-2-6", seed=1), taxonomy)
         assert (len(train), len(val)) == (40, 8)
 
-    def test_zero_spec_gives_empty_files(self):
+    def test_zero_spec_gives_empty_files(self, taxonomy):
         corpus = synthetic_corpus(1, 1)
         train, val = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION,
-                                          FinetuneSpec.parse("0-0-0-0"))
+                                          FinetuneSpec.parse("0-0-0-0"), taxonomy)
         assert train == [] and val == []
 
-    def test_same_seed_identical_output(self):
+    def test_same_seed_identical_output(self, taxonomy):
         corpus = synthetic_corpus(15, 40)
         spec = FinetuneSpec.parse("10-30-2-6", seed=99)
-        a = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION, spec)
-        b = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION, spec)
+        a = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION, spec, taxonomy)
+        b = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION, spec, taxonomy)
         assert a == b
 
-    def test_different_seed_differs(self):
+    def test_different_seed_differs(self, taxonomy):
         corpus = synthetic_corpus(15, 40)
         a = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION,
-                                 FinetuneSpec.parse("10-30-2-6", seed=1))
+                                 FinetuneSpec.parse("10-30-2-6", seed=1), taxonomy)
         b = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION,
-                                 FinetuneSpec.parse("10-30-2-6", seed=2))
+                                 FinetuneSpec.parse("10-30-2-6", seed=2), taxonomy)
         assert a != b
 
-    def test_train_validation_disjoint(self):
+    def test_train_validation_disjoint(self, taxonomy):
         corpus = synthetic_corpus(15, 40)
         train, val = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION,
-                                          FinetuneSpec.parse("10-30-2-6", seed=3))
+                                          FinetuneSpec.parse("10-30-2-6", seed=3), taxonomy)
         train_users = {r["messages"][1]["content"] for r in train}
         val_users = {r["messages"][1]["content"] for r in val}
         assert not train_users & val_users
 
-    def test_insufficient_stratum_named(self):
+    def test_insufficient_stratum_named(self, taxonomy):
         corpus = synthetic_corpus(5, 100)
         with pytest.raises(FinetuneError) as err:
             select_finetune_data(corpus, TaskKind.DATA_RECOGNITION,
-                                 FinetuneSpec.parse("10-30-2-6"))
+                                 FinetuneSpec.parse("10-30-2-6"), taxonomy)
         assert "non-empty" in str(err.value)
         assert "5" in str(err.value)
 
-    def test_record_shape_is_chat_format(self):
+    def test_record_shape_is_chat_format(self, taxonomy):
         corpus = synthetic_corpus(2, 2)
         train, _ = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION,
-                                        FinetuneSpec.parse("1-1-0-0"))
+                                        FinetuneSpec.parse("1-1-0-0"), taxonomy)
         record = train[0]
         roles = [m["role"] for m in record["messages"]]
         assert roles == ["system", "user", "assistant"]
         answer = json.loads(record["messages"][2]["content"])
         assert "entities" in answer
 
-    def test_nonempty_answers_carry_gold_spans(self):
+    def test_nonempty_answers_carry_gold_spans(self, taxonomy):
         corpus = synthetic_corpus(3, 0)
         train, _ = select_finetune_data(corpus, TaskKind.DATA_RECOGNITION,
-                                        FinetuneSpec.parse("3-0-0-0"))
+                                        FinetuneSpec.parse("3-0-0-0"), taxonomy)
         for record in train:
             answer = json.loads(record["messages"][2]["content"])
             assert answer["entities"]

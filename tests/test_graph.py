@@ -206,7 +206,7 @@ class TestStats:
     def test_mention_totals_equal_class_sums(self, taxonomy, fixture_policy_path,
                                              policy_replay_backend):
         from ppanalyze.corpus import load_policy
-        from ppanalyze.extraction import extract_document
+        from ppanalyze.extraction.pipeline import extract_document
         doc = load_policy(fixture_policy_path, "example.org")
         result = extract_document(doc, policy_replay_backend, taxonomy)
         g = build_graph(result, "example.org", POLICY, taxonomy.version)
@@ -220,7 +220,7 @@ class TestStats:
     def test_practice_count_equals_actions_minus_skips(self, taxonomy, fixture_policy_path,
                                                        policy_replay_backend):
         from ppanalyze.corpus import load_policy
-        from ppanalyze.extraction import extract_document
+        from ppanalyze.extraction.pipeline import extract_document
         doc = load_policy(fixture_policy_path, "example.org")
         result = extract_document(doc, policy_replay_backend, taxonomy)
         g = build_graph(result, "example.org", POLICY, taxonomy.version)

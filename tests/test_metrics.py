@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppanalyze.eval.metrics import (
+    facet_means,
+    lcs_length,
     lcs_ratio,
-    macro_f1,
     match_spans,
     normalize_text,
     prf1,
@@ -20,6 +21,7 @@ from ppanalyze.eval.metrics import (
 from .oracles import (
     brute_force_lcs,
     brute_force_lcs_ratio,
+    dp_lcs_length,
     optimal_matching_credit,
     reference_match_spans,
     reference_score_classification,
@@ -63,6 +65,11 @@ class TestLcsRatio:
     @settings(max_examples=300)
     def test_agrees_with_brute_force(self, a, b):
         assert math.isclose(lcs_ratio(a, b), brute_force_lcs_ratio(a, b), abs_tol=1e-12)
+
+    @given(st.text(alphabet="abc", max_size=30), st.text(alphabet="abc", max_size=30))
+    @settings(max_examples=500)
+    def test_length_equals_dp_table(self, a, b):
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
 
     @given(short_text, short_text)
     def test_symmetric_and_bounded(self, a, b):
@@ -156,29 +163,29 @@ class TestPrf1:
         assert math.isclose(conventional, swapped, abs_tol=1e-12)
 
 
+def macro_scores(samples):
+    """(f1, f1_n, f1_e) of (pred, gold) samples, as `run_benchmark` averages them."""
+    return facet_means([(sample_f1(pred, gold), not gold) for pred, gold in samples])
+
+
 class TestMacroF1:
     def test_empty_and_perfect(self):
-        scores = macro_f1([([], []), (["a"], ["a"])])
-        assert (scores.f1, scores.f1_n, scores.f1_e) == (1.0, 1.0, 1.0)
+        assert macro_scores([([], []), (["a"], ["a"])]) == (1.0, 1.0, 1.0)
 
     def test_prediction_on_empty_gold(self):
-        scores = macro_f1([(["a"], [])])
-        assert scores.f1 == 0.0
-        assert scores.f1_e == 0.0
-        assert scores.f1_n is None
+        assert macro_scores([(["a"], [])]) == (0.0, None, 0.0)
 
     def test_mixed_four_samples(self):
-        scores = macro_f1([
+        scores = macro_scores([
             (["a"], ["a"]), (["b"], ["b"]),   # perfect non-empty
             ([], []),                          # perfect empty
             (["x"], []),                       # failed empty
         ])
-        assert (scores.f1, scores.f1_n, scores.f1_e) == (0.75, 1.0, 0.5)
+        assert scores == (0.75, 1.0, 0.5)
 
     def test_absent_facets_are_none_not_zero(self):
-        assert macro_f1([]).f1 is None
-        only_nonempty = macro_f1([(["a"], ["a"])])
-        assert only_nonempty.f1_e is None
+        assert macro_scores([]) == (None, None, None)
+        assert macro_scores([(["a"], ["a"])])[2] is None
 
     @given(st.lists(st.tuples(st.lists(short_text, max_size=3),
                               st.lists(short_text, max_size=3)), max_size=6))
@@ -186,8 +193,7 @@ class TestMacroF1:
         rng = random.Random(0)
         shuffled = list(samples)
         rng.shuffle(shuffled)
-        a, b = macro_f1(samples), macro_f1(shuffled)
-        for x, y in [(a.f1, b.f1), (a.f1_n, b.f1_n), (a.f1_e, b.f1_e)]:
+        for x, y in zip(macro_scores(samples), macro_scores(shuffled)):
             assert (x is None and y is None) or math.isclose(x, y)
 
 

@@ -5,15 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from ppanalyze.extraction import (
-    Backend,
-    BackendConfig,
-    DocumentError,
-    TaskKind,
-    TransportError,
-    extract_document,
-    run_task,
-)
+from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError
+from ppanalyze.extraction.pipeline import DocumentError, extract_document, run_task
+from ppanalyze.extraction.prompts import TaskKind
+
 from .conftest import FIXTURES, make_document
 from .scripted import (
     RICH_PLAN,

@@ -28,6 +28,18 @@ def write_tsv(tmp_path, rows, version=None):
     return p
 
 
+def descendants(taxonomy, iri):
+    """IRIs below `iri`, by closing over `children`."""
+    found = set()
+    stack = list(taxonomy.nodes[iri].children)
+    while stack:
+        child = stack.pop()
+        if child not in found:
+            found.add(child)
+            stack.extend(taxonomy.nodes[child].children)
+    return found
+
+
 class TestLoadTabular:
     def test_two_node_purpose_hierarchy(self, tmp_path):
         p = write_tsv(tmp_path, [
@@ -35,10 +47,10 @@ class TestLoadTabular:
             ("dpv:Marketing", "dpv:Purpose", "Marketing"),
         ])
         tax = load_taxonomy(p)
-        assert len(tax) == 2
+        assert len(tax.nodes) == 2
         marketing = tax.resolve_term("Marketing", "purpose")
         assert tax.is_leaf(marketing)
-        assert not tax.is_leaf(tax.node(DPV + "Purpose"))
+        assert not tax.is_leaf(tax.nodes[DPV + "Purpose"])
 
     def test_cycle_detected(self, tmp_path):
         p = write_tsv(tmp_path, [
@@ -48,7 +60,21 @@ class TestLoadTabular:
         ])
         with pytest.raises(TaxonomyCycleError) as err:
             load_taxonomy(p)
-        assert "urn:a" in str(err.value)
+        assert str(err.value) == "cycle in class hierarchy: urn:a -> urn:b -> urn:a"
+
+    def test_cycle_reported_child_to_parent(self, tmp_path):
+        # a has two parents, the root and c; the cycle runs a -> c -> b -> a
+        p = write_tsv(tmp_path, [
+            ("dpv:Purpose", "", "Purpose"),
+            ("urn:a", "dpv:Purpose", "A"),
+            ("urn:a", "urn:c", "A"),
+            ("urn:c", "urn:b", "C"),
+            ("urn:b", "urn:a", "B"),
+        ])
+        with pytest.raises(TaxonomyCycleError) as err:
+            load_taxonomy(p)
+        assert str(err.value) == "cycle in class hierarchy: urn:a -> urn:c -> urn:b -> urn:a"
+        assert err.value.cycle == ["urn:a", "urn:c", "urn:b", "urn:a"]
 
     def test_version_directive(self, tmp_path):
         p = write_tsv(tmp_path, [("dpv:Purpose", "", "Purpose")], version="v42")
@@ -77,7 +103,7 @@ class TestLoadRdf:
         p.write_text(self.TTL, encoding="utf-8")
         tax = load_taxonomy(p)
         assert tax.version == "2.0-test"
-        assert len(tax) == 3
+        assert len(tax.nodes) == 3
         node = tax.resolve_term("Advertising", "purpose")
         assert [a.label for a in tax.ancestors(node)] == ["Purpose", "Marketing"]
 
@@ -101,12 +127,12 @@ class TestLoadRdf:
                 token = token.replace("dpv:", DPV).replace("pd:", DPV_PD)
                 iris.add(token)
         tax = load_taxonomy(path)
-        assert len(tax) == len(iris)
+        assert len(tax.nodes) == len(iris)
 
 
 class TestResolveTerm:
     def test_curie_and_label_variants(self, taxonomy):
-        marketing = taxonomy.node(DPV + "Marketing")
+        marketing = taxonomy.nodes[DPV + "Marketing"]
         for term in ("dpv:Marketing", "marketing", "Marketing", DPV + "Marketing"):
             assert taxonomy.resolve_term(term, "purpose") is marketing
 
@@ -134,29 +160,30 @@ class TestResolveTerm:
 
 class TestHierarchyOps:
     def test_chain_ancestors(self, taxonomy):
-        node = taxonomy.node(DPV + "TargetedAdvertising")
+        node = taxonomy.nodes[DPV + "TargetedAdvertising"]
         assert [a.iri for a in taxonomy.ancestors(node)] == [
             DPV + "Purpose", DPV + "Marketing", DPV + "Advertising",
             DPV + "PersonalisedAdvertising",
         ]
 
     def test_root_has_no_ancestors(self, taxonomy):
-        assert taxonomy.ancestors(taxonomy.node(DPV + "Purpose")) == []
+        assert taxonomy.ancestors(taxonomy.nodes[DPV + "Purpose"]) == []
 
     def test_descendants_of_root_is_everything_else(self, taxonomy):
-        for kind, roots in taxonomy.roots.items():
-            (root,) = roots
-            kind_nodes = {n for n in taxonomy.nodes.values() if n.kind == kind}
-            assert taxonomy.descendants(taxonomy.node(root)) == kind_nodes - {taxonomy.node(root)}
+        roots = [n for n in taxonomy.nodes.values() if n.depth == 0]
+        assert sorted(n.kind for n in roots) == ["data", "purpose"]
+        for root in roots:
+            kind_nodes = {n.iri for n in taxonomy.nodes.values() if n.kind == root.kind}
+            assert descendants(taxonomy, root.iri) == kind_nodes - {root.iri}
 
     def test_is_leaf_iff_no_descendants(self, taxonomy):
         for node in taxonomy.nodes.values():
-            assert taxonomy.is_leaf(node) == (not taxonomy.descendants(node))
+            assert taxonomy.is_leaf(node) == (not descendants(taxonomy, node.iri))
 
     def test_node_in_descendants_of_each_ancestor(self, taxonomy):
         for node in taxonomy.nodes.values():
             for ancestor in taxonomy.ancestors(node):
-                assert node in taxonomy.descendants(ancestor)
+                assert node.iri in descendants(taxonomy, ancestor.iri)
 
     def test_foreign_node_rejected(self, taxonomy):
         foreign = TaxonomyNode("urn:other", "Other", "data", (), ())
@@ -174,7 +201,7 @@ class TestHierarchyOps:
         with p.open("a", encoding="utf-8") as f:
             f.write("urn:x:C\turn:x:B\tC\n")
         tax = load_taxonomy(p)
-        node = tax.node("urn:x:C")
+        node = tax.nodes["urn:x:C"]
         assert node.parents == ("urn:x:A", "urn:x:B")
         # lexicographically smallest root path goes through urn:x:A
         assert [a.iri for a in tax.ancestors(node)] == [

@@ -26,7 +26,7 @@ from ppanalyze.eval.gold import GoldDocument, expected_answer, segment_tasks
 from ppanalyze.extraction.backend import Backend, BackendConfig, ResponseCache, prompt_digest
 from ppanalyze.extraction.pipeline import extract_document
 from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TASK_SHAPES, TaskKind, build_prompt
-from ppanalyze.taxonomy import load_default_taxonomy
+from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
 
 FIXTURES = ROOT / "fixtures"
 MODEL = "fixture-model"
@@ -180,7 +180,7 @@ def make_policy_cache() -> None:
     if cache_path.exists():
         cache_path.unlink()
     doc = load_policy(FIXTURES / "policy_example.org.txt", "example.org")
-    taxonomy = load_default_taxonomy()
+    taxonomy = load_taxonomy(default_snapshot_path())
     backend = Backend(
         BackendConfig(model_name=MODEL, cache_mode="record", cache_path=cache_path),
         transport=scripted_transport(doc),
@@ -276,7 +276,7 @@ def make_gold_caches() -> None:
     doc = load_policy(gold_dir / "acme.txt", "acme")
     gold = parse_brat(gold_dir / "acme.txt", gold_dir / "acme.ann")
     gold_doc = GoldDocument(doc=doc, gold=gold, alignment=align_gold(gold, doc))
-    taxonomy = load_default_taxonomy()
+    taxonomy = load_taxonomy(default_snapshot_path())
 
     for name, correct in (("replay_cache.jsonl", True), ("replay_cache_empty.jsonl", False)):
         path = gold_dir / name
