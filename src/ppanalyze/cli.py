@@ -19,7 +19,7 @@ import sys
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import Error, rdfio
 from . import graph as graphmod
@@ -28,7 +28,7 @@ from .eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
 from .eval.finetune import FinetuneSpec, select_finetune_data, write_jsonl
 from .eval.gold import GoldCorpusError, load_gold_corpus
 from .extraction.backend import Backend, BackendConfig
-from .extraction.pipeline import DocumentError, extract_document
+from .extraction.pipeline import DocumentError, ExtractionResult, extract_document
 from .extraction.prompts import TaskKind
 from .policyconv import ConversionProfile, to_odrl, to_psdtou
 from .taxonomy import Taxonomy, default_snapshot_path, load_taxonomy
@@ -204,10 +204,32 @@ def _write_json(path: Path, obj: Any) -> None:
     path.write_text(dumps_indent2(obj) + "\n", encoding="utf-8")
 
 
-def _write_run_log(out_dir: Path, records: list[dict]) -> None:
-    with (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as f:
-        for record in records:
-            f.write(_encode_line(record) + "\n")
+def _run_log_records(service_id: str, result: ExtractionResult,
+                     build_log: graphmod.BuildLog) -> Iterator[dict]:
+    """One policy's run-log records: its calls and skips, segment notes and
+    build skips."""
+    for seg in result.segments:
+        for name, trace in sorted(seg.traces.items()):
+            yield {
+                "event": "backend_call" if not trace.skipped else "task_skipped",
+                "service_id": service_id,
+                "segment": seg.segment_index,
+                "task": name,
+                "digest": trace.digest,
+                "from_cache": trace.from_cache,
+                "repaired": trace.repaired,
+                "repair_stages": list(trace.repair_stages),
+                "error": trace.error,
+            }
+        for note in seg.notes:
+            yield {
+                "event": "note",
+                "service_id": service_id,
+                "segment": seg.segment_index,
+                "note": note,
+            }
+    for record in build_log.records:
+        yield {"event": "build_skip", "service_id": service_id, "note": record}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -221,62 +243,42 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     combined = rdfio.Graph()
     graphmod.bind_standard_prefixes(combined)
     failures = 0
-    log_records: list[dict] = []
 
-    for path in args.policies:
-        service_id = Path(path).stem
-        policy_uri = "urn:pp-analyze:policy#" + urllib.parse.quote(service_id, safe="")
-        try:
-            doc = load_policy(path, service_id)
-            result = extract_document(doc, backend, taxonomy, jobs=config.jobs)
-        except (CorpusError, DocumentError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
+    # each policy's records are written and flushed after its files
+    with (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as run_log:
+        for path in args.policies:
+            service_id = Path(path).stem
+            policy_uri = "urn:pp-analyze:policy#" + urllib.parse.quote(service_id, safe="")
+            try:
+                doc = load_policy(path, service_id)
+                result = extract_document(doc, backend, taxonomy, jobs=config.jobs)
+            except (CorpusError, DocumentError) as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                failures += 1
+                continue
 
-        prpr = graphmod.build_graph(result, service_id, policy_uri,
-                                    taxonomy_version=taxonomy.version)
-        problems = graphmod.check_invariants(prpr.triples, taxonomy)
-        if problems:
-            _report_problems(f"error: {path}: {len(problems)} graph invariant violation(s)",
-                             problems)
-            failures += 1
-            continue
-        (out_dir / f"{service_id}.ttl").write_bytes(rdfio.serialize(prpr.triples, "turtle"))
-        (out_dir / f"{service_id}.nt").write_bytes(rdfio.serialize(prpr.triples, "ntriples"))
-        combined.update(prpr.triples)
+            prpr = graphmod.build_graph(result, service_id, policy_uri,
+                                        taxonomy_version=taxonomy.version)
+            problems = graphmod.check_invariants(prpr.triples, taxonomy)
+            if problems:
+                _report_problems(f"error: {path}: {len(problems)} graph invariant violation(s)",
+                                 problems)
+                failures += 1
+                continue
+            (out_dir / f"{service_id}.ttl").write_bytes(rdfio.serialize(prpr.triples, "turtle"))
+            (out_dir / f"{service_id}.nt").write_bytes(rdfio.serialize(prpr.triples, "ntriples"))
+            combined.update(prpr.triples)
 
-        _write_json(out_dir / "audit" / f"{service_id}.json", result.to_audit_dict())
-        _write_json(out_dir / "logs" / f"{service_id}.build.json", prpr.build_log.to_dict())
+            _write_json(out_dir / "audit" / f"{service_id}.json", result.to_audit_dict())
+            _write_json(out_dir / "logs" / f"{service_id}.build.json", prpr.build_log.to_dict())
+            for record in _run_log_records(service_id, result, prpr.build_log):
+                run_log.write(_encode_line(record) + "\n")
+            run_log.flush()
 
-        for seg in result.segments:
-            for name, trace in sorted(seg.traces.items()):
-                log_records.append({
-                    "event": "backend_call" if not trace.skipped else "task_skipped",
-                    "service_id": service_id,
-                    "segment": seg.segment_index,
-                    "task": name,
-                    "digest": trace.digest,
-                    "from_cache": trace.from_cache,
-                    "repaired": trace.repaired,
-                    "repair_stages": list(trace.repair_stages),
-                    "error": trace.error,
-                })
-            for note in seg.notes:
-                log_records.append({
-                    "event": "note",
-                    "service_id": service_id,
-                    "segment": seg.segment_index,
-                    "note": note,
-                })
-        for record in prpr.build_log.records:
-            log_records.append({"event": "build_skip", "service_id": service_id, "note": record})
-
-        print(f"{path}: {len(prpr)} triples, "
-              f"{len(prpr.provenance)} practices -> {out_dir / (service_id + '.ttl')}")
+            print(f"{path}: {len(prpr)} triples, "
+                  f"{len(prpr.provenance)} practices -> {out_dir / (service_id + '.ttl')}")
 
     (out_dir / "corpus.ttl").write_bytes(rdfio.serialize(combined, "turtle"))
-    _write_run_log(out_dir, log_records)
     print(f"combined corpus graph: {out_dir / 'corpus.ttl'} ({len(combined)} triples)")
     return 1 if failures else 0
 

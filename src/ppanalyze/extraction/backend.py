@@ -82,88 +82,113 @@ class BackendConfig:
             raise ConfigError("live mode reads no cache: pass --record or --replay with --cache")
 
 
+# one encoder for every digest and append: `json.dumps` with a
+# non-default argument builds a new encoder on each call
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def prompt_digest(model: str, task: str, prompt: PromptMessages) -> str:
-    payload = json.dumps([model, task, prompt.system, prompt.user], ensure_ascii=False)
+    payload = _encode([model, task, prompt.system, prompt.user])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _read_record(line: Union[str, bytes]) -> dict:
+def _read_answer(line: Union[str, bytes]) -> tuple[str, str]:
+    """The key and response of one cache line."""
     record = json.loads(line)
     if not (isinstance(record, dict) and isinstance(record.get("key"), str)
             and isinstance(record.get("response"), str)):
         raise ValueError("not a record with a string key and response")
-    return record
+    return record["key"], record["response"]
 
 
 class ResponseCache:
     """JSONL-backed response store; writes are serialized.
+
+    Memory holds each key's answer and nothing else: the prompt, model
+    and timestamp of a record stay in the file.  The file is read one
+    line at a time.
 
     The first record of a key is the one kept, on load as on `put`, so a
     key appended twice replays the answer recorded first.
 
     A final line without a trailing newline that does not parse is a torn
     append (a crash mid-write): it is skipped with a warning and cut off
-    before the next `put`.  Any other unparseable line is fatal.
+    before the next `put`.  Any other unparseable line, or one that is
+    not UTF-8, is fatal and named by its line number.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[str, dict] = {}
+        self._answers: dict[str, str] = {}
         # byte offset to truncate to, and whether the tail lacks its newline
         self._torn_at: Optional[int] = None
         self._unterminated = False
-        if self.path.exists():
-            data = self.path.read_bytes()
-            cut = data.rfind(b"\n") + 1
-            try:
-                lines = data[:cut].decode("utf-8").split("\n")
-            except UnicodeDecodeError as exc:
-                raise BackendError(f"cache {self.path} is not UTF-8: {exc}") from exc
-            for line_no, line in enumerate(lines, 1):
+        if not self.path.exists():
+            return
+        offset = line_no = 0
+        tail = b""
+        with self.path.open("rb") as f:
+            for raw in f:
+                line_no += 1
+                if not raw.endswith(b"\n"):
+                    tail = raw
+                    break
+                offset += len(raw)
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise BackendError(f"cache line {line_no} in {self.path} is not UTF-8: "
+                                       f"{exc}") from exc
                 if not line.strip():
                     continue
                 try:
-                    record = _read_record(line)
+                    key, answer = _read_answer(line)
                 except ValueError as exc:
-                    raise BackendError(f"corrupt cache line {line_no} in {self.path}: {exc}") from exc
-                self._entries.setdefault(record["key"], record)
-            tail = data[cut:]
-            if tail.strip():
-                try:
-                    record = _read_record(tail)
-                    self._entries.setdefault(record["key"], record)
-                    self._unterminated = True
-                except ValueError:
-                    self._torn_at = cut
-                    warnings.warn(f"skipped torn last line {len(lines)} in {self.path} "
-                                  f"({len(tail)} bytes without a newline)", stacklevel=2)
+                    raise BackendError(f"corrupt cache line {line_no} in {self.path}: "
+                                       f"{exc}") from exc
+                self._answers.setdefault(key, answer)
+        if tail.strip():
+            try:
+                key, answer = _read_answer(tail)
+            except ValueError:
+                self._torn_at = offset
+                warnings.warn(f"skipped torn last line {line_no} in {self.path} "
+                              f"({len(tail)} bytes without a newline)", stacklevel=2)
+            else:
+                self._answers.setdefault(key, answer)
+                self._unterminated = True
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._answers)
 
     def __contains__(self, digest: str) -> bool:
-        return digest in self._entries
+        return digest in self._answers
 
     def get(self, digest: str) -> Optional[dict]:
-        return self._entries.get(digest)
+        """The stored record of `digest` as `{"key", "response"}`, or None."""
+        answer = self._answers.get(digest)
+        return None if answer is None else {"key": digest, "response": answer}
 
     def put(self, record: dict) -> dict:
         """Store a record unless its key is already stored, and return the
-        stored one: like a replay, every reader sees the first answer."""
+        stored one: like a replay, every reader sees the first answer.  A
+        record stored before is returned as `{"key", "response"}`."""
+        key = record["key"]
         with self._lock:
-            kept = self._entries.setdefault(record["key"], record)
-            if kept is record:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                if self._torn_at is not None:
-                    os.truncate(self.path, self._torn_at)
-                    self._torn_at = None
-                with self.path.open("a", encoding="utf-8") as f:
-                    if self._unterminated:
-                        f.write("\n")
-                        self._unterminated = False
-                    f.write(json.dumps(record, ensure_ascii=False) + "\n")
-            return kept
+            if key in self._answers:
+                return {"key": key, "response": self._answers[key]}
+            self._answers[key] = record["response"]
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
+            with self.path.open("a", encoding="utf-8") as f:
+                if self._unterminated:
+                    f.write("\n")
+                    self._unterminated = False
+                f.write(_encode(record) + "\n")
+            return record
 
 
 @dataclass(frozen=True)

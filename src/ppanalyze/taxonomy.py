@@ -207,10 +207,6 @@ def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
                     )
         frontier = nxt
 
-    unreachable = sorted(all_iris - set(kind_map))
-    if unreachable:
-        raise TaxonomyError(f"nodes unreachable from any root: {', '.join(unreachable[:5])}")
-
     nodes = {
         iri: TaxonomyNode(
             iri=iri,

@@ -5,8 +5,8 @@ oracle enumerates every substring, the matching oracle solves the
 assignment exactly over all one-to-one matchings (bitmask DP), and the
 line-scan oracle walks the text character by character, and the RDF
 serializers sort every triple and regroup.  `dp_lcs_length`, the
-reference matchers, `reference_segment_tasks`, `reference_repair_and_parse`
-and the RDF terms `RefIRI`, `RefBNode` and `RefLiteral` with their
+reference matchers, `reference_segment_tasks`, `reference_repair_and_parse`,
+`reference_load_cache` and the RDF terms `RefIRI`, `RefBNode` and `RefLiteral` with their
 `reference_term_key` order are earlier versions of production code, kept
 as written.  They exist to check the production implementations, so they
 must never import from ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio
@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from pathlib import Path
+from typing import Optional, Union
 
+from ppanalyze.extraction.backend import BackendError
 from ppanalyze.rdfio import BNode, IRI
 
 
@@ -677,3 +680,46 @@ def reference_repair_and_parse(raw: str, shape):
         return _reference_normalize(value, shape, trace), trace
     except TypeError as exc:
         raise ParseError(str(exc), raw) from exc
+
+
+# -- response cache loader: the whole-file reader that kept every record --
+
+def _reference_read_record(line: Union[str, bytes]) -> dict:
+    record = json.loads(line)
+    if not (isinstance(record, dict) and isinstance(record.get("key"), str)
+            and isinstance(record.get("response"), str)):
+        raise ValueError("not a record with a string key and response")
+    return record
+
+
+def reference_load_cache(path: Path) -> tuple[dict[str, dict], Optional[int], bool]:
+    """The records kept by key, the offset a torn tail is cut at, and
+    whether a kept last line lacks its newline."""
+    entries: dict[str, dict] = {}
+    torn_at: Optional[int] = None
+    unterminated = False
+    data = path.read_bytes()
+    cut = data.rfind(b"\n") + 1
+    try:
+        lines = data[:cut].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise BackendError(f"cache {path} is not UTF-8: {exc}") from exc
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = _reference_read_record(line)
+        except ValueError as exc:
+            raise BackendError(f"corrupt cache line {line_no} in {path}: {exc}") from exc
+        entries.setdefault(record["key"], record)
+    tail = data[cut:]
+    if tail.strip():
+        try:
+            record = _reference_read_record(tail)
+            entries.setdefault(record["key"], record)
+            unterminated = True
+        except ValueError:
+            torn_at = cut
+            warnings.warn(f"skipped torn last line {len(lines)} in {path} "
+                          f"({len(tail)} bytes without a newline)", stacklevel=2)
+    return entries, torn_at, unterminated

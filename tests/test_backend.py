@@ -1,8 +1,15 @@
 from __future__ import annotations
 
 import json
+import re
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppanalyze.extraction.backend import (
     Backend,
@@ -15,6 +22,8 @@ from ppanalyze.extraction.backend import (
     prompt_digest,
 )
 from ppanalyze.extraction.prompts import PromptMessages, TaskKind
+
+from .oracles import reference_load_cache
 
 PROMPT = PromptMessages(system="sys", user="usr")
 
@@ -194,6 +203,44 @@ class TestRecordReplay:
             ResponseCache(path)
 
 
+    def test_put_keeps_the_first_record_of_a_key(self, tmp_path):
+        # a short answer such as "[]" may be one interned object: membership
+        # of the key, not identity of the answer, decides what is stored
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        first = {**_record("k1"), "response": "[]"}
+        assert cache.put(first) is first
+        assert cache.put({**_record("k1"), "response": "[]"})["response"] == "[]"
+        assert path.read_text() == json.dumps(first) + "\n"
+
+    def test_first_bad_line_named_whatever_its_fault(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps(_record("k1")).encode() + b"\n"
+        path.write_bytes(good + b"not json\n\xff\n")
+        with pytest.raises(BackendError, match="corrupt cache line 2"):
+            ResponseCache(path)
+        path.write_bytes(good + b"\xff\nnot json\n")
+        with pytest.raises(BackendError, match="cache line 2 in .* is not UTF-8"):
+            ResponseCache(path)
+
+    def test_load_holds_answers_not_records(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with path.open("w", encoding="utf-8") as f:
+            for i in range(2000):
+                prompt = {"system": "s" * 1000, "user": f"segment {i}: " + "u" * 1700}
+                f.write(json.dumps({**_record(f"{i:064x}"), "prompt": prompt,
+                                    "response": '{"entities": []}'}) + "\n")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            cache = ResponseCache(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 2000
+        assert peak < size / 4, f"peak {peak} B while loading {size} B"
+
+
 class TestLoneSurrogates:
     """An answer that cannot be encoded as UTF-8 fails its query."""
 
@@ -220,6 +267,94 @@ class TestLoneSurrogates:
 def _record(key: str) -> dict:
     return {"key": key, "model": "m", "task": "t", "prompt": {}, "response": "r",
             "timestamp": "now"}
+
+
+_KEYS = ("k0", "k1", "k2")
+_FATAL_LINES = (
+    b"not json", b"{", b'{"key": "k1", "response": "r"} x',                  # corrupt
+    b"{}", b"[1]", b"null", b'{"key": "k1"}', b'{"key": 1, "response": "r"}',  # not a record
+    b"\xff", b'{"key": "k1", "response": "\xff"}', b"\xed\xa0\x80",          # not UTF-8
+)
+
+
+@st.composite
+def _record_lines(draw) -> bytes:
+    record = {**_record(draw(st.sampled_from(_KEYS))),
+              "response": draw(st.text(st.characters(blacklist_categories=("Cs",)),
+                                       max_size=6))}
+    return json.dumps(record, ensure_ascii=draw(st.booleans())).encode("utf-8")
+
+
+_BLANK_LINES = st.sampled_from(["", " ", "\t", "\r", "\x1c", "\x85", "\u2028", "\u3000"]).map(
+    lambda text: text.encode("utf-8"))
+_TAILS = st.one_of(
+    _BLANK_LINES,
+    st.sampled_from([b"{}", b"\xff"]),
+    _record_lines(),                                                           # unterminated
+    _record_lines().flatmap(                                                   # torn
+        lambda line: st.integers(1, len(line) - 1).map(lambda n: line[:n])),
+)
+
+
+@st.composite
+def _cache_files(draw) -> bytes:
+    """Full lines (records, duplicate keys, blanks), at most one fatal line,
+    and a tail: none, blank, a complete record, a torn one or bad bytes.
+    A file holds one fatal line at most: with two, the reference reports
+    bad UTF-8 anywhere before a corrupt line, the line reader the first
+    bad line of either kind."""
+    lines = draw(st.lists(st.one_of(_record_lines(), _BLANK_LINES), max_size=8))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_FATAL_LINES)))
+    return b"".join(line + b"\n" for line in lines) + draw(_TAILS)
+
+
+def _fault_line(err: BackendError, data: bytes) -> int:
+    named = re.search(r"line (\d+)", str(err))
+    if named:
+        return int(named[1])
+    # the reference names no line for bad UTF-8: find it from the offset
+    return data[:err.__cause__.start].count(b"\n") + 1
+
+
+def _outcome(load, path: Path):
+    """What `load(path)` returns, or its error and fault line, with the
+    warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path)
+        except BackendError as err:
+            result = ("error", _fault_line(err, path.read_bytes()))
+    return result, [str(w.message) for w in caught]
+
+
+class TestLoaderOracle:
+    @given(data=_cache_files())
+    @settings(max_examples=300, deadline=None)
+    def test_line_reader_equals_whole_file_reference(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.jsonl"
+            path.write_bytes(data)
+            expected, expected_warnings = _outcome(reference_load_cache, path)
+            cache, got_warnings = _outcome(ResponseCache, path)
+            assert got_warnings == expected_warnings
+            failed = expected[0] == "error"
+            assert isinstance(cache, tuple) == failed
+            if failed:
+                assert cache == expected
+                return
+            entries, torn_at, unterminated = expected
+            assert len(cache) == len(entries)
+            for key in _KEYS:
+                got, want = cache.get(key), entries.get(key)
+                assert (got and got["response"]) == (want and want["response"])
+            # the next append cuts a torn tail and ends an unterminated line
+            extra = _record("k9")
+            cache.put(extra)
+            kept = data[:torn_at] if torn_at is not None else data + b"\n" * unterminated
+            assert path.read_bytes() == kept + json.dumps(extra).encode() + b"\n"
+
 
 
 class TestHttpTransport:

@@ -16,7 +16,8 @@ from ppanalyze.extraction.prompts import TaskKind
 from ppanalyze.rdfio import IRI, parse_turtle
 
 from .conftest import FIXTURES, make_document
-from .scripted import RICH_PLAN, RICH_SEGMENT, scripted_transport, surrogate_plans
+from .scripted import (RICH_PLAN, RICH_SEGMENT, scripted_transport, segment_text_of,
+                       surrogate_plans)
 
 MARKETING = "https://w3id.org/dpv#Marketing"
 
@@ -146,6 +147,28 @@ class TestAnalyze:
         # as many records as the .ttl files describe, not one set per run
         assert (out / "run_log.jsonl").read_bytes() == first
         assert len(first.splitlines()) == 113
+
+    def test_run_log_written_as_each_policy_finishes(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        second = "We share your location with advertisers."
+        logged_before_second: list[str] = []
+
+        def transport(prompt, config):
+            if segment_text_of(prompt) == second and not logged_before_second:
+                logged_before_second.extend((out / "run_log.jsonl").read_text().splitlines())
+            return "[]"
+
+        monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+        monkeypatch.setenv("PPA_API_KEY", "test-key")
+        policies = []
+        for name, text in (("first.example", RICH_SEGMENT), ("second.example", second)):
+            policies.append(tmp_path / f"{name}.txt")
+            policies[-1].write_text(text, encoding="utf-8")
+        assert main(["analyze", *map(str, policies), "--record",
+                     "--cache", str(tmp_path / "cache.jsonl"), "--out", str(out)]) == 0
+        lines = (out / "run_log.jsonl").read_text().splitlines()
+        first = [line for line in lines if json.loads(line)["service_id"] == "first.example"]
+        assert first and logged_before_second == first
 
 
 HELP_FLAGS = {
