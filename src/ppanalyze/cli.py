@@ -9,17 +9,25 @@ command resolved are printed to stderr at startup so runs are auditable.
 Credentials come only from the environment (PPA_API_KEY /
 OPENAI_API_KEY); with --replay every command is fully offline and
 deterministic.
+
+`jobs` is the one parallelism setting.  A replay hands whole policies to
+that many forked worker processes; live and record runs stay in one
+process and run one policy's segments on that many threads.
 """
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import os
 import sys
 import urllib.parse
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import Error, rdfio
 from . import graph as graphmod
@@ -50,7 +58,9 @@ SETTINGS = {
     "taxonomy": Setting(str, None, "taxonomy snapshot (TSV or Turtle/N-Triples)"),
     "threshold": Setting(float, 0.9, "relaxed-match threshold (default 0.9)"),
     "out": Setting(str, "out", "output directory (default ./out)"),
-    "jobs": Setting(int, 1, "parallel segment workers"),
+    "jobs": Setting(int, None, "parallel workers (default: the usable CPUs with --replay, "
+                               "else 1): policies in worker processes on a replay, one "
+                               "policy's segments on threads otherwise"),
     "seed": Setting(int, 0, "seed for all randomized steps"),
 }
 
@@ -109,8 +119,32 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
             values[name] = flag
     if "threshold" in values and not 0 < values["threshold"] <= 1:
         raise SystemExit(f"error: threshold must be in (0, 1], got {values['threshold']}")
+    if "jobs" in values:
+        if values["jobs"] is None:
+            values["jobs"] = _usable_cpus() if values["mode"] == "replay" else 1
+        if values["jobs"] < 1:
+            raise SystemExit(f"error: jobs must be at least 1, got {values['jobs']}")
     print("config: " + json.dumps(values), file=sys.stderr)
     return argparse.Namespace(**values)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _refuse_shared_stems(paths: Sequence[str]) -> None:
+    """Each input names its outputs by its stem: two inputs with one stem
+    would overwrite each other's files (and, in `analyze`, share one
+    policy IRI in `corpus.ttl`)."""
+    seen: dict[str, str] = {}
+    for path in paths:
+        stem = Path(path).stem
+        if stem in seen:
+            raise Error(f"{seen[stem]} and {path} have the same stem {stem!r}, "
+                        "so their outputs would overwrite each other; rename one")
+        seen[stem] = path
 
 
 def _out_dir(config: argparse.Namespace) -> Path:
@@ -232,54 +266,130 @@ def _run_log_records(service_id: str, result: ExtractionResult,
         yield {"event": "build_skip", "service_id": service_id, "note": record}
 
 
+@dataclass(frozen=True)
+class _Analysis:
+    """What every policy of one `analyze` run reads; never changed once built."""
+    taxonomy: Taxonomy
+    backend: Backend
+    out_dir: Path
+    segment_jobs: int
+
+
+@dataclass
+class _PolicyOutcome:
+    """One analyzed policy, as the run reports it in input order.  The
+    policy's own files are written already."""
+    failure: Optional[tuple[str, list[str]]] = None     # error line, invariant problems
+    run_log: str = ""
+    summary: str = ""                                   # its line on stdout
+    triples: int = 0
+    blocks: list[tuple[rdfio.Subject, str]] = field(default_factory=list)  # Turtle statements
+
+
+def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
+    """Extract one policy, check its graph and write its files."""
+    service_id = Path(path).stem
+    policy_uri = "urn:pp-analyze:policy#" + urllib.parse.quote(service_id, safe="")
+    try:
+        doc = load_policy(path, service_id)
+        result = extract_document(doc, analysis.backend, analysis.taxonomy,
+                                  jobs=analysis.segment_jobs)
+    except (CorpusError, DocumentError) as exc:
+        return _PolicyOutcome(failure=(f"error: {path}: {exc}", []))
+
+    prpr = graphmod.build_graph(result, service_id, policy_uri,
+                                taxonomy_version=analysis.taxonomy.version)
+    problems = graphmod.check_invariants(prpr.triples, analysis.taxonomy)
+    if problems:
+        return _PolicyOutcome(failure=(
+            f"error: {path}: {len(problems)} graph invariant violation(s)", problems))
+    out_dir = analysis.out_dir
+    blocks = rdfio.turtle_blocks(prpr.triples)
+    (out_dir / f"{service_id}.ttl").write_bytes(rdfio.join_turtle(
+        rdfio.turtle_header(prpr.triples.prefixes), map(itemgetter(1), blocks)))
+    (out_dir / f"{service_id}.nt").write_bytes(rdfio.serialize(prpr.triples, "ntriples"))
+    _write_json(out_dir / "audit" / f"{service_id}.json", result.to_audit_dict())
+    _write_json(out_dir / "logs" / f"{service_id}.build.json", prpr.build_log.to_dict())
+    run_log = "".join(_encode_line(record) + "\n"
+                      for record in _run_log_records(service_id, result, prpr.build_log))
+    return _PolicyOutcome(
+        run_log=run_log,
+        summary=f"{path}: {len(prpr)} triples, {len(prpr.provenance)} practices "
+                f"-> {out_dir / (service_id + '.ttl')}",
+        triples=len(prpr), blocks=blocks)
+
+
+# the run a forked worker serves, set by the pool's initializer
+_worker_analysis: Optional[_Analysis] = None
+
+
+def _init_worker(analysis: _Analysis) -> None:
+    global _worker_analysis
+    _worker_analysis = analysis
+
+
+def _analyze_in_worker(path: str) -> _PolicyOutcome:
+    return _analyze_policy(_worker_analysis, path)
+
+
+@contextmanager
+def _outcomes(analysis: _Analysis, paths: Sequence[str],
+              workers: int) -> Iterator[Iterable[_PolicyOutcome]]:
+    """Each policy's outcome in input order: from this process, or from
+    `workers` worker processes.
+
+    The workers are forked, not spawned, so that they inherit `analysis`
+    unpickled: no worker reads the taxonomy or the cache again.  A replay
+    has started no thread by then.
+    """
+    if workers == 1:
+        yield map(partial(_analyze_policy, analysis), paths)
+        return
+    import multiprocessing      # here, not at the top: the import costs every start ~6 ms
+    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (analysis,)) as pool:
+        yield pool.imap(_analyze_in_worker, paths)
+        pool.close()
+        pool.join()
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    _refuse_shared_stems(args.policies)
     taxonomy = _load_taxonomy(config)
     backend = _backend(config)
     out_dir = _out_dir(config)
     (out_dir / "audit").mkdir(exist_ok=True)
     (out_dir / "logs").mkdir(exist_ok=True)
 
-    combined = rdfio.Graph()
-    graphmod.bind_standard_prefixes(combined)
-    failures = 0
-
+    # a replay is CPU work only, so it runs whole policies in processes;
+    # record mode stays in one, since the cache locks only within a process
+    workers = 1
+    if config.mode == "replay" and len(args.policies) > 1 and hasattr(os, "fork"):
+        workers = min(config.jobs, len(args.policies))
+    analysis = _Analysis(taxonomy, backend, out_dir,
+                         segment_jobs=config.jobs if workers == 1 else 1)
+    failures = triples = 0
+    policy_blocks = []
     # each policy's records are written and flushed after its files
-    with (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as run_log:
-        for path in args.policies:
-            service_id = Path(path).stem
-            policy_uri = "urn:pp-analyze:policy#" + urllib.parse.quote(service_id, safe="")
-            try:
-                doc = load_policy(path, service_id)
-                result = extract_document(doc, backend, taxonomy, jobs=config.jobs)
-            except (CorpusError, DocumentError) as exc:
-                print(f"error: {path}: {exc}", file=sys.stderr)
+    with _outcomes(analysis, args.policies, workers) as outcomes, \
+            (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as run_log:
+        for outcome in outcomes:
+            if outcome.failure:
+                _report_problems(*outcome.failure)
                 failures += 1
                 continue
-
-            prpr = graphmod.build_graph(result, service_id, policy_uri,
-                                        taxonomy_version=taxonomy.version)
-            problems = graphmod.check_invariants(prpr.triples, taxonomy)
-            if problems:
-                _report_problems(f"error: {path}: {len(problems)} graph invariant violation(s)",
-                                 problems)
-                failures += 1
-                continue
-            (out_dir / f"{service_id}.ttl").write_bytes(rdfio.serialize(prpr.triples, "turtle"))
-            (out_dir / f"{service_id}.nt").write_bytes(rdfio.serialize(prpr.triples, "ntriples"))
-            combined.update(prpr.triples)
-
-            _write_json(out_dir / "audit" / f"{service_id}.json", result.to_audit_dict())
-            _write_json(out_dir / "logs" / f"{service_id}.build.json", prpr.build_log.to_dict())
-            for record in _run_log_records(service_id, result, prpr.build_log):
-                run_log.write(_encode_line(record) + "\n")
+            run_log.write(outcome.run_log)
             run_log.flush()
+            print(outcome.summary)
+            triples += outcome.triples
+            policy_blocks.append(outcome.blocks)
 
-            print(f"{path}: {len(prpr)} triples, "
-                  f"{len(prpr.provenance)} practices -> {out_dir / (service_id + '.ttl')}")
-
-    (out_dir / "corpus.ttl").write_bytes(rdfio.serialize(combined, "turtle"))
-    print(f"combined corpus graph: {out_dir / 'corpus.ttl'} ({len(combined)} triples)")
+    # policies have disjoint subjects (one policy IRI per stem), so the
+    # union graph's statements are the policies' statements in term order
+    merged = heapq.merge(*policy_blocks, key=itemgetter(0))
+    (out_dir / "corpus.ttl").write_bytes(rdfio.join_turtle(
+        rdfio.turtle_header(graphmod.STANDARD_PREFIXES), map(itemgetter(1), merged)))
+    print(f"combined corpus graph: {out_dir / 'corpus.ttl'} ({triples} triples)")
     return 1 if failures else 0
 
 
@@ -331,6 +441,7 @@ def _read_graph_file(path: str) -> rdfio.Graph:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    _refuse_shared_stems(args.graphs)
     profile = ConversionProfile.load(args.profile) if args.profile else ConversionProfile.default()
     out_dir = _out_dir(config)
     failures = 0

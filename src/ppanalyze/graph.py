@@ -83,12 +83,19 @@ def _digest(*parts: str) -> str:
     return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
+# the prefixes of every practice graph
+STANDARD_PREFIXES = {
+    "ppa": PPA,
+    "rdfs": RDFS,
+    "xsd": XSD,
+    "dpv": "https://w3id.org/dpv#",
+    "dpvpd": "https://w3id.org/dpv/pd#",
+}
+
+
 def bind_standard_prefixes(g: Graph) -> None:
-    g.bind("ppa", PPA)
-    g.bind("rdfs", RDFS)
-    g.bind("xsd", XSD)
-    g.bind("dpv", "https://w3id.org/dpv#")
-    g.bind("dpvpd", "https://w3id.org/dpv/pd#")
+    for prefix, namespace in STANDARD_PREFIXES.items():
+        g.bind(prefix, namespace)
 
 
 @dataclass

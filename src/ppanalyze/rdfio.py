@@ -3,11 +3,14 @@
 Covers exactly what this toolchain needs: IRIs, labelled blank nodes,
 plain/typed/language literals, and a set-of-triples graph.  Serialization
 is fully deterministic (sorted triples, stable formatting) so that equal
-graphs always produce equal bytes.  The parsers accept the subset of
-Turtle / N-Triples this package emits plus common class-hierarchy files
-(prefixed names, `a`, comma/semicolon lists, triple-quoted strings,
-numeric and boolean literals).  The reader scans the text once into a
-token list and expands each distinct prefixed name once.
+graphs always produce equal bytes.  The Turtle writer is a prefix header,
+one statement block per subject and a join, so that graphs with disjoint
+subjects are written as one by merging their blocks.  The parsers accept
+the subset of Turtle / N-Triples this package emits plus common
+class-hierarchy files (prefixed names, `a`, comma/semicolon lists,
+triple-quoted strings, numeric and boolean literals).  The reader scans
+the text once into a token list and expands each distinct prefixed name
+once.
 
 Terms are tagged tuples and are their own sort key: `IRI(v)` is
 `(0, v, "", "")`, `BNode(l)` is `(1, l, "", "")` and a `Literal` is
@@ -32,8 +35,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import Error
 
@@ -249,25 +253,38 @@ def serialize_ntriples(graph: Graph) -> bytes:
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
-def serialize_turtle(graph: Graph) -> bytes:
-    prefixes = dict(sorted(graph.prefixes.items()))
-    fmt = _Formats(prefixes).__getitem__
-    out: list[str] = []
-    for prefix, ns in prefixes.items():
-        out.append(f"@prefix {prefix}: <{ns}> .")
-    if prefixes:
-        out.append("")
+def turtle_header(prefixes: dict[str, str]) -> str:
+    """The `@prefix` lines of a Turtle document, sorted by prefix."""
+    return "\n".join(f"@prefix {prefix}: <{ns}> ." for prefix, ns in sorted(prefixes.items()))
 
+
+def turtle_blocks(graph: Graph) -> list[tuple[Subject, str]]:
+    """Each subject with its Turtle statement, in term order of the subjects."""
+    fmt = _Formats(dict(sorted(graph.prefixes.items()))).__getitem__
     rdf_type = IRI(RDF_TYPE)
+    blocks = []
     for subject, pred_objs in graph._sorted_subjects():
         # rdf:type first, remaining predicates in sorted order
         pred_objs.sort(key=lambda po: po[0] != rdf_type)
         lines = [("a" if p == rdf_type else fmt(p)) + " " + ", ".join(map(fmt, objs))
                  for p, objs in pred_objs]
-        out.append(fmt(subject) + " " + " ;\n    ".join(lines) + " .")
-        out.append("")
-    text = "\n".join(out).rstrip("\n")
+        blocks.append((subject, fmt(subject) + " " + " ;\n    ".join(lines) + " ."))
+    return blocks
+
+
+def join_turtle(header: str, blocks: Iterable[str]) -> bytes:
+    """A Turtle document: the header, then the statements, a blank line apart.
+
+    Statements of one subject must all be in one block: blocks from
+    graphs with disjoint subjects, merged in term order, give the bytes
+    of the union graph bound to the same prefixes.
+    """
+    text = "\n\n".join(chain((header,) if header else (), blocks))
     return (text + "\n" if text else "").encode("utf-8")
+
+
+def serialize_turtle(graph: Graph) -> bytes:
+    return join_turtle(turtle_header(graph.prefixes), map(itemgetter(1), turtle_blocks(graph)))
 
 
 def serialize(graph: Graph, fmt: str = "turtle") -> bytes:

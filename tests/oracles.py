@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: the substring
 oracle enumerates every substring, the matching oracle solves the
 assignment exactly over all one-to-one matchings (bitmask DP), and the
 line-scan oracle walks the text character by character, and the RDF
-serializers sort every triple and regroup.  `dp_lcs_length`, the
+serializers sort every triple and regroup.  `reference_corpus_turtle`
+writes `corpus.ttl` from one combined graph, as `analyze` did before it
+merged the per-policy statements.  `dp_lcs_length`, the
 reference matchers, `reference_segment_tasks`, `reference_repair_and_parse`,
 `reference_load_cache` and the RDF terms `RefIRI`, `RefBNode` and `RefLiteral` with their
 `reference_term_key` order are earlier versions of production code, kept
@@ -323,6 +325,19 @@ def reference_turtle(triples, prefixes: dict) -> bytes:
         out.append("")
     text = "\n".join(out).rstrip("\n")
     return (text + "\n" if text else "").encode("utf-8")
+
+
+def reference_corpus_turtle(graphs, prefixes: dict) -> bytes:
+    """`corpus.ttl` as one combined graph: the union of the policy graphs'
+    triples, bound to `prefixes` and then to each graph's own, first
+    binding of a prefix kept, serialized whole."""
+    triples: set = set()
+    bound = dict(prefixes)
+    for g in graphs:
+        triples |= set(g.triples)
+        for prefix, ns in g.prefixes.items():
+            bound.setdefault(prefix, ns)
+    return reference_turtle(triples, bound)
 
 
 # -- reference gold views --

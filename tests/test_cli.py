@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 import tempfile
@@ -78,6 +79,21 @@ class TestAnalyze:
         assert len(list(out.glob("*.ttl"))) == n + 1  # n graphs + corpus.ttl
         assert (out / "corpus.ttl").exists()
         assert len(list((out / "audit").glob("*.json"))) == n
+
+    def test_inputs_sharing_a_stem_are_refused_before_any_work(self, tmp_path):
+        inputs = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            inputs.append(tmp_path / folder / "policy_example.org.txt")
+            inputs[-1].write_bytes((FIXTURES / "policy_example.org.txt").read_bytes())
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", *map(str, inputs), "--replay",
+                  "--cache", str(FIXTURES / "replay_cache.jsonl"), "--model", "fixture-model",
+                  "--out", str(tmp_path / "out")])
+        assert err.value.code == (f"error: {inputs[0]} and {inputs[1]} have the same stem "
+                                  "'policy_example.org', so their outputs would overwrite "
+                                  "each other; rename one")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_credentials_fails_before_processing(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -250,6 +266,51 @@ class TestSettings:
         assert str(err.value.code).startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def set_jobs(argv: list[str], source: str, value: int, tmp_path, monkeypatch) -> list[str]:
+        """`argv` with `jobs` set by a flag, the environment or a config-file key."""
+        if source == "flag":
+            return argv + [f"--jobs={value}"]
+        if source == "variable":
+            monkeypatch.setenv("PPA_JOBS", str(value))
+            return argv
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"jobs": value}))
+        return argv + ["--config", str(config_file)]
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("source", ["flag", "variable", "key"])
+    def test_jobs_below_one_is_an_error(self, tmp_path, monkeypatch, source, value):
+        argv = self.set_jobs(command_argv("analyze") + ["--out", str(tmp_path / "out")],
+                             source, value, tmp_path, monkeypatch)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == f"error: jobs must be at least 1, got {value}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, jobs", [("--replay", 3), ("--record", 1), (None, 1)])
+    def test_jobs_default_is_the_usable_cpus_on_a_replay_only(self, monkeypatch, capsys,
+                                                              mode, jobs):
+        import ppanalyze.cli as cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        argv = ["analyze", "x"] + ([mode] if mode else [])
+        assert cli.resolve_config(cli.build_parser().parse_args(argv)).jobs == jobs
+        assert f'"jobs": {jobs}}}' in capsys.readouterr().err
+
+    def test_jobs_default_falls_back_to_the_cpu_count(self, monkeypatch):
+        import ppanalyze.cli as cli
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        args = cli.build_parser().parse_args(["analyze", "x", "--replay"])
+        assert cli.resolve_config(args).jobs == 6
+
+    @pytest.mark.parametrize("source", ["flag", "variable", "key"])
+    def test_jobs_setting_overrides_the_default(self, tmp_path, monkeypatch, source):
+        import ppanalyze.cli as cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = self.set_jobs(["analyze", "x", "--replay"], source, 5, tmp_path, monkeypatch)
+        assert cli.resolve_config(cli.build_parser().parse_args(argv)).jobs == 5
+
     @pytest.mark.parametrize("mode", ["--record", "--replay"])
     @pytest.mark.parametrize("command", ["analyze", "evaluate"])
     def test_corrupt_cache_is_an_error(self, tmp_path, command, mode):
@@ -336,6 +397,16 @@ class TestConvert:
         assert "<urn:x>: 2 source segment literals (want 1)" in err
         assert "<urn:x>: belongs to 0 policies (want 1)" in err
         assert not (tmp_path / "conv" / "broken.odrl.ttl").exists()
+
+    def test_graphs_sharing_a_stem_are_refused_before_any_work(self, tmp_path, capsys):
+        run_analyze(tmp_path / "run")
+        graphs = [tmp_path / "run" / "policy_example.org.ttl",
+                  tmp_path / "run" / "policy_example.org.nt"]
+        with pytest.raises(SystemExit) as err:
+            main(["convert", *map(str, graphs), "--out", str(tmp_path / "conv")])
+        assert err.value.code.startswith(f"error: {graphs[0]} and {graphs[1]} have the same "
+                                         "stem 'policy_example.org'")
+        assert not (tmp_path / "conv").exists()
 
     def test_truncated_graph_is_an_error(self, tmp_path, capsys):
         run_analyze(tmp_path / "run")

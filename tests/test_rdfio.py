@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import heapq
 import pickle
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +17,18 @@ from ppanalyze.rdfio import (
     IRI,
     Literal,
     RdfError,
+    join_turtle,
     parse,
     serialize,
+    turtle_blocks,
+    turtle_header,
 )
 
 from .oracles import (
     RefBNode,
     RefIRI,
     RefLiteral,
+    reference_corpus_turtle,
     reference_ntriples,
     reference_term_key,
     reference_turtle,
@@ -277,6 +283,21 @@ def test_serializers_match_reference_bytes(triples, prefixes):
     assert serialize(g, "ntriples") == reference_ntriples(g.triples)
     # a second serialization walks the already-built index
     assert serialize(g, "turtle") == reference_turtle(g.triples, g.prefixes)
+
+
+@given(triples=st.lists(_any_triple, max_size=25), parts=st.integers(1, 4),
+       prefixes=st.dictionaries(st.sampled_from(sorted(_PREFIXES)),
+                                st.sampled_from(sorted(_PREFIXES.values()))))
+@settings(max_examples=200)
+def test_merged_blocks_of_disjoint_graphs_equal_the_union(triples, parts, prefixes):
+    # each subject goes to one part, so the parts have disjoint subjects
+    subjects = sorted({s for s, _, _ in triples})
+    graphs = [Graph(prefixes=dict(prefixes)) for _ in range(parts)]
+    for s, p, o in triples:
+        graphs[subjects.index(s) % parts].add(s, p, o)
+    merged = heapq.merge(*map(turtle_blocks, graphs), key=itemgetter(0))
+    assert (join_turtle(turtle_header(prefixes), map(itemgetter(1), merged))
+            == reference_corpus_turtle(graphs, prefixes))
 
 
 # -- escaping --
