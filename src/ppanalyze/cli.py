@@ -10,9 +10,14 @@ Credentials come only from the environment (PPA_API_KEY /
 OPENAI_API_KEY); with --replay every command is fully offline and
 deterministic.
 
-`jobs` is the one parallelism setting.  A replay hands whole policies to
-that many forked worker processes; live and record runs stay in one
-process and run one policy's segments on that many threads.
+`jobs` is the one parallelism setting.  A replay hands whole policies
+(`analyze`) or gold documents (`evaluate`) to that many forked worker
+processes.  Live and record runs stay in one process: `analyze` runs one
+policy's segments on that many threads, and `evaluate` runs serially.
+
+Each command imports the modules it runs when it starts, so `stats` and
+`convert` never load the extraction pipeline, the HTTP client or the
+evaluation code.
 """
 from __future__ import annotations
 
@@ -27,19 +32,17 @@ from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import Error, rdfio
 from . import graph as graphmod
-from .corpus import CorpusError, load_policy, read_annotation_conf, validate_gold_labels
-from .eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
-from .eval.finetune import FinetuneSpec, select_finetune_data, write_jsonl
-from .eval.gold import GoldCorpusError, load_gold_corpus
-from .extraction.backend import Backend, BackendConfig
-from .extraction.pipeline import DocumentError, ExtractionResult, extract_document
-from .extraction.prompts import TaskKind
-from .policyconv import ConversionProfile, to_odrl, to_psdtou
-from .taxonomy import Taxonomy, default_snapshot_path, load_taxonomy
+
+if TYPE_CHECKING:
+    from .eval.gold import GoldDocument
+    from .extraction.backend import Backend
+    from .extraction.pipeline import ExtractionResult
+    from .extraction.prompts import TaskKind
+    from .taxonomy import Taxonomy
 
 ENV_PREFIX = "PPA_"
 
@@ -59,14 +62,15 @@ SETTINGS = {
     "threshold": Setting(float, 0.9, "relaxed-match threshold (default 0.9)"),
     "out": Setting(str, "out", "output directory (default ./out)"),
     "jobs": Setting(int, None, "parallel workers (default: the usable CPUs with --replay, "
-                               "else 1): policies in worker processes on a replay, one "
-                               "policy's segments on threads otherwise"),
+                               "else 1): policies or gold documents in worker processes "
+                               "on a replay; otherwise one policy's segments on threads "
+                               "(a live or record evaluate runs serially)"),
     "seed": Setting(int, 0, "seed for all randomized steps"),
 }
 
 COMMAND_SETTINGS = {
     "analyze": ("model", "mode", "cache", "taxonomy", "out", "jobs"),
-    "evaluate": ("model", "mode", "cache", "taxonomy", "threshold", "out"),
+    "evaluate": ("model", "mode", "cache", "taxonomy", "threshold", "out", "jobs"),
     "convert": ("out",),
     "stats": ("out",),
     "export-finetune": ("taxonomy", "seed", "out"),
@@ -154,12 +158,23 @@ def _out_dir(config: argparse.Namespace) -> Path:
 
 
 def _load_taxonomy(config: argparse.Namespace) -> Taxonomy:
+    from .taxonomy import default_snapshot_path, load_taxonomy
     return load_taxonomy(config.taxonomy or default_snapshot_path())
 
 
 def _backend(config: argparse.Namespace) -> Backend:
+    from .extraction.backend import Backend, BackendConfig
     return Backend(BackendConfig(model_name=config.model, cache_mode=config.mode,
                                  cache_path=Path(config.cache) if config.cache else None))
+
+
+def _load_gold(gold_dir: str) -> list[GoldDocument]:
+    """The gold corpus; a directory without one is a usage error."""
+    from .eval.gold import GoldCorpusError, load_gold_corpus
+    try:
+        return load_gold_corpus(gold_dir)
+    except GoldCorpusError as exc:
+        raise SystemExit(f"usage error: {exc}")
 
 
 def _report_problems(header: str, problems: list[str]) -> None:
@@ -288,6 +303,8 @@ class _PolicyOutcome:
 
 def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
     """Extract one policy, check its graph and write its files."""
+    from .corpus import CorpusError, load_policy
+    from .extraction.pipeline import DocumentError, extract_document
     service_id = Path(path).stem
     policy_uri = "urn:pp-analyze:policy#" + urllib.parse.quote(service_id, safe="")
     try:
@@ -319,35 +336,46 @@ def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
         triples=len(prpr), blocks=blocks)
 
 
-# the run a forked worker serves, set by the pool's initializer
-_worker_analysis: Optional[_Analysis] = None
+# the function and the items a forked worker serves, set by the pool's initializer
+_worker_job: Optional[tuple[Callable, Sequence]] = None
 
 
-def _init_worker(analysis: _Analysis) -> None:
-    global _worker_analysis
-    _worker_analysis = analysis
+def _init_worker(fn: Callable, items: Sequence) -> None:
+    global _worker_job
+    _worker_job = (fn, items)
 
 
-def _analyze_in_worker(path: str) -> _PolicyOutcome:
-    return _analyze_policy(_worker_analysis, path)
+def _call_in_worker(index: int) -> Any:
+    fn, items = _worker_job
+    return fn(items[index])
+
+
+def _replay_workers(config: argparse.Namespace, items: int) -> int:
+    """Worker processes for `items` policies or gold documents.  A replay
+    is CPU work only, so it forks up to `jobs` of them; live and record
+    runs stay in one process, since the cache locks only within one."""
+    if config.mode == "replay" and hasattr(os, "fork"):
+        return max(1, min(config.jobs, items))
+    return 1
 
 
 @contextmanager
-def _outcomes(analysis: _Analysis, paths: Sequence[str],
-              workers: int) -> Iterator[Iterable[_PolicyOutcome]]:
-    """Each policy's outcome in input order: from this process, or from
-    `workers` worker processes.
+def _ordered_map(fn: Callable[[Any], Any], items: Sequence,
+                 workers: int) -> Iterator[Iterable]:
+    """`fn` of each item, in input order: in this process with one worker,
+    else on `workers` forked worker processes.
 
-    The workers are forked, not spawned, so that they inherit `analysis`
-    unpickled: no worker reads the taxonomy or the cache again.  A replay
-    has started no thread by then.
+    The processes are forked, not spawned, so that they inherit `fn` and
+    `items` unpickled, and with them everything `fn` reads (taxonomy,
+    cache, corpus): a worker receives item indices and returns results,
+    and only those are pickled.  Fork only before any thread has started.
     """
     if workers == 1:
-        yield map(partial(_analyze_policy, analysis), paths)
+        yield map(fn, items)
         return
     import multiprocessing      # here, not at the top: the import costs every start ~6 ms
-    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (analysis,)) as pool:
-        yield pool.imap(_analyze_in_worker, paths)
+    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (fn, items)) as pool:
+        yield pool.imap(_call_in_worker, range(len(items)))
         pool.close()
         pool.join()
 
@@ -361,17 +389,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     (out_dir / "audit").mkdir(exist_ok=True)
     (out_dir / "logs").mkdir(exist_ok=True)
 
-    # a replay is CPU work only, so it runs whole policies in processes;
-    # record mode stays in one, since the cache locks only within a process
-    workers = 1
-    if config.mode == "replay" and len(args.policies) > 1 and hasattr(os, "fork"):
-        workers = min(config.jobs, len(args.policies))
+    workers = _replay_workers(config, len(args.policies))
     analysis = _Analysis(taxonomy, backend, out_dir,
                          segment_jobs=config.jobs if workers == 1 else 1)
     failures = triples = 0
     policy_blocks = []
     # each policy's records are written and flushed after its files
-    with _outcomes(analysis, args.policies, workers) as outcomes, \
+    with _ordered_map(partial(_analyze_policy, analysis), args.policies,
+                      workers) as outcomes, \
             (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as run_log:
         for outcome in outcomes:
             if outcome.failure:
@@ -394,9 +419,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .corpus import read_annotation_conf, validate_gold_labels
+    from .eval.benchmark import ALL_TASKS, build_report, format_report_table, score_document
     config = resolve_config(args)
     taxonomy = _load_taxonomy(config)
-    corpus = load_gold_corpus(args.gold_dir)
+    corpus = _load_gold(args.gold_dir)
     conf = Path(args.gold_dir) / "annotation.conf"
     if conf.exists():
         inventory = read_annotation_conf(conf)
@@ -407,11 +434,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                              problems)
             raise SystemExit(2)
     backend = _backend(config)
-    tasks = None
-    if args.tasks:
-        tasks = [_task_by_name(name) for name in args.tasks]
-    report = run_benchmark(corpus, backend, tasks=tasks, taxonomy=taxonomy,
-                           threshold=config.threshold, denominator=args.denominator)
+    # each named task runs once, in the order first named
+    tasks = tuple(dict.fromkeys(map(_task_by_name, args.tasks))) if args.tasks else ALL_TASKS
+    score = partial(score_document, backend=backend, taxonomy=taxonomy, tasks=tasks,
+                    threshold=config.threshold, denominator=args.denominator)
+    with _ordered_map(score, corpus, _replay_workers(config, len(corpus))) as documents:
+        report = build_report(config.model, tasks, documents)
     table = format_report_table([report])
     out_dir = _out_dir(config)
     (out_dir / "report.tsv").write_text(table, encoding="utf-8")
@@ -422,13 +450,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _task_by_name(name: str) -> TaskKind:
+    from .extraction.prompts import TaskKind
     normalized = name.strip().casefold().replace("_", "-")
-    for task in ALL_TASKS:
+    for task in TaskKind:
         if task.value == normalized:
             return task
     raise SystemExit(
         f"error: unknown task {name!r}; choose from "
-        + ", ".join(t.value for t in ALL_TASKS)
+        + ", ".join(t.value for t in TaskKind)
     )
 
 
@@ -440,6 +469,7 @@ def _read_graph_file(path: str) -> rdfio.Graph:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    from .policyconv import ConversionProfile, to_odrl, to_psdtou
     config = resolve_config(args)
     _refuse_shared_stems(args.graphs)
     profile = ConversionProfile.load(args.profile) if args.profile else ConversionProfile.default()
@@ -482,9 +512,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_export_finetune(args: argparse.Namespace) -> int:
+    from .eval.finetune import FinetuneSpec, select_finetune_data, write_jsonl
     config = resolve_config(args)
     taxonomy = _load_taxonomy(config)
-    corpus = load_gold_corpus(args.gold_dir)
+    corpus = _load_gold(args.gold_dir)
     task = _task_by_name(args.task)
     spec = FinetuneSpec.parse(args.spec, seed=config.seed)
     train, validation = select_finetune_data(corpus, task, spec, taxonomy)
@@ -496,6 +527,16 @@ def cmd_export_finetune(args: argparse.Namespace) -> int:
     print(f"{len(train)} training and {len(validation)} validation records "
           f"-> {train_path}, {val_path}")
     return 0
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus statistics over practice graphs")
     p.add_argument("graphs", nargs="+", help="practice graph files (.ttl/.nt)")
-    p.add_argument("--top", type=int, default=10, help="top-k class table size")
+    p.add_argument("--top", type=_non_negative_int, default=10, help="top-k class table size")
     _add_settings(p, "stats")
     p.set_defaults(func=cmd_stats)
 
@@ -546,8 +587,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GoldCorpusError as exc:
-        raise SystemExit(f"usage error: {exc}")
     except Error as exc:
         raise SystemExit(f"error: {exc}")
 

@@ -6,12 +6,16 @@ isolation.  A segment whose query failed is scored as an empty
 prediction and the failure is recorded in the report.  Recognition and
 classification tasks use relaxed matching; the relation task is scored
 on exact tuple equality.
+
+`score_document` scores one document, so documents can be scored in any
+process; `build_report` adds their rows up in corpus order, so
+the means are summed in one order however the documents were scored.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..extraction.backend import Backend
 from ..extraction.pipeline import run_task
@@ -101,31 +105,45 @@ def _score_sample(task: TaskKind, sample: SegmentTask, pred_items: list[dict],
                      denominator=denominator)
 
 
-def run_benchmark(corpus: Sequence[GoldDocument], backend: Backend, taxonomy: Taxonomy,
-                  tasks: Optional[Sequence[TaskKind]] = None,
-                  threshold: float = DEFAULT_THRESHOLD,
-                  denominator: str = "max") -> ScoreReport:
-    """Run each task over every segment of the corpus and score it."""
-    report = ScoreReport(model=backend.config.model_name)
-    for task in tasks or ALL_TASKS:
+def score_document(gold_doc: GoldDocument, backend: Backend, taxonomy: Taxonomy,
+                   tasks: Sequence[TaskKind] = ALL_TASKS,
+                   threshold: float = DEFAULT_THRESHOLD,
+                   denominator: str = "max") -> list[list[SampleRow]]:
+    """Run each task over every segment of one document and score it:
+    the document's rows for each of `tasks`, in that order."""
+    rows_by_task = []
+    for task in tasks:
         rows: list[SampleRow] = []
-        for gold_doc in corpus:
-            for sample in segment_tasks(gold_doc, task, taxonomy):
-                pred_items = error = None
-                # a classification or relation sample without inputs asks nothing
-                if task in RECOGNITION_TASKS or sample.extras:
-                    segment = gold_doc.doc.segments[sample.segment_index]
-                    pred_items, trace = run_task(task, segment, sample.extras, backend)
-                    error = trace.error
-                f1 = _score_sample(task, sample, pred_items or [], taxonomy,
-                                   threshold, denominator)
-                rows.append(SampleRow(
-                    doc_id=sample.doc_id,
-                    segment_index=sample.segment_index,
-                    f1=f1,
-                    gold_empty=sample.is_empty,
-                    error=error,
-                ))
+        for sample in segment_tasks(gold_doc, task, taxonomy):
+            pred_items = error = None
+            # a classification or relation sample without inputs asks nothing
+            if task in RECOGNITION_TASKS or sample.extras:
+                segment = gold_doc.doc.segments[sample.segment_index]
+                pred_items, trace = run_task(task, segment, sample.extras, backend)
+                error = trace.error
+            f1 = _score_sample(task, sample, pred_items or [], taxonomy,
+                               threshold, denominator)
+            rows.append(SampleRow(
+                doc_id=sample.doc_id,
+                segment_index=sample.segment_index,
+                f1=f1,
+                gold_empty=sample.is_empty,
+                error=error,
+            ))
+        rows_by_task.append(rows)
+    return rows_by_task
+
+
+def build_report(model: str, tasks: Sequence[TaskKind],
+                 documents: Iterable[list[list[SampleRow]]]) -> ScoreReport:
+    """The report of `tasks` from each document's `score_document` rows,
+    in corpus order."""
+    rows_by_task: list[list[SampleRow]] = [[] for _ in tasks]
+    for document in documents:
+        for rows, doc_rows in zip(rows_by_task, document):
+            rows.extend(doc_rows)
+    report = ScoreReport(model=model)
+    for task, rows in zip(tasks, rows_by_task):
         f1, f1_n, f1_e = facet_means([(r.f1, r.gold_empty) for r in rows])
         report.scores[task] = TaskScore(
             task=task,
@@ -136,6 +154,17 @@ def run_benchmark(corpus: Sequence[GoldDocument], backend: Backend, taxonomy: Ta
             rows=rows,
         )
     return report
+
+
+def run_benchmark(corpus: Sequence[GoldDocument], backend: Backend, taxonomy: Taxonomy,
+                  tasks: Optional[Sequence[TaskKind]] = None,
+                  threshold: float = DEFAULT_THRESHOLD,
+                  denominator: str = "max") -> ScoreReport:
+    """Run each task over every segment of the corpus and score it."""
+    tasks = tuple(tasks or ALL_TASKS)
+    return build_report(backend.config.model_name, tasks, (
+        score_document(gold_doc, backend, taxonomy, tasks, threshold, denominator)
+        for gold_doc in corpus))
 
 
 def format_report_table(reports: Sequence[ScoreReport]) -> str:

@@ -27,10 +27,9 @@ import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -87,9 +86,23 @@ class BackendConfig:
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
+@lru_cache(maxsize=64)
+def _digest_prefix(model: str, task: str, system: str):
+    """The hash state after the digest payload's first three items.  Never
+    updated: callers copy it."""
+    return hashlib.sha256(_encode([model, task, system])[:-1].encode("utf-8") + b", ")
+
+
 def prompt_digest(model: str, task: str, prompt: PromptMessages) -> str:
-    payload = _encode([model, task, prompt.system, prompt.user])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """SHA-256 of the UTF-8 bytes of `_encode([model, task, system, user])`.
+
+    A query's model, task and system text repeat on every segment, so
+    their prefix is hashed once.  The encoder writes a list as its items'
+    encodings between "[" and "]", separated by ", ".
+    """
+    h = _digest_prefix(model, task, prompt.system).copy()
+    h.update((_encode(prompt.user) + "]").encode("utf-8"))
+    return h.hexdigest()
 
 
 def _read_answer(line: Union[str, bytes]) -> tuple[str, str]:
@@ -210,6 +223,8 @@ def _read_api_key() -> str:
 
 def http_chat_transport(prompt: PromptMessages, config: BackendConfig) -> str:
     """POST one chat completion to an OpenAI-compatible endpoint."""
+    import urllib.error     # here, not at the top: a replay never loads the HTTP client
+    import urllib.request
     base = os.environ.get(API_BASE_ENV, DEFAULT_API_BASE).rstrip("/")
     body = json.dumps({
         "model": config.model_name,

@@ -13,7 +13,6 @@ non_verbatim; graph building excludes flagged spans.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -198,6 +197,7 @@ def _extract_segment(segment: Segment, backend: Backend,
     # entities (data, purpose, party) are numbered e0.., actions a0..; actions
     # come last in SPAN_KINDS, so len(spans) counts entities only
     spans: list[EntitySpan] = []
+    segment_text = normalize_text(segment.text)
     for kind in SPAN_KINDS:
         for i, item in enumerate(recognized[kind] or ()):
             span = EntitySpan(
@@ -206,7 +206,7 @@ def _extract_segment(segment: Segment, backend: Backend,
                 text=item["text"],
                 segment_index=segment.index,
                 subtype=item.get("subtype"),
-                non_verbatim=normalize_text(item["text"]) not in normalize_text(segment.text),
+                non_verbatim=normalize_text(item["text"]) not in segment_text,
             )
             if span.non_verbatim:
                 notes.append(f"{span.local_id}: non-verbatim span {span.text!r}")
@@ -271,6 +271,8 @@ def extract_document(doc: PolicyDocument, backend: Backend, taxonomy: Taxonomy,
     if jobs <= 1 or len(doc.segments) == 1:
         extractions = [_extract_segment(seg, backend, taxonomy) for seg in doc.segments]
     else:
+        # imported here, where threads start: most runs start none
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_extract_segment, seg, backend, taxonomy)
                        for seg in doc.segments]

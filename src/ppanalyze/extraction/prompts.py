@@ -330,6 +330,20 @@ _MULTIPART_NOTE = (
 )
 
 
+def _system_text(task: TaskKind) -> str:
+    blocks = [_ROLE, _TASK_DESCRIPTIONS[task], _SCHEMA_DESCRIPTIONS[task], _SPECIAL_CASES[task]]
+    if task not in RECOGNITION_TASKS:
+        blocks.append(_MULTIPART_NOTE)
+    return "\n\n".join(blocks)
+
+
+# built once: every query of a task sends the same system text
+_SYSTEM_TEXTS = {task: _system_text(task) for task in TaskKind}
+# one encoder for every listing: `json.dumps` with a non-default argument
+# builds a new encoder on each call
+_encode_listing = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def build_prompt(task: TaskKind, segment_text: str,
                  extras: Optional[Sequence] = None) -> PromptMessages:
     """Build the system/user message pair for one task over one segment.
@@ -338,21 +352,14 @@ def build_prompt(task: TaskKind, segment_text: str,
     relation task (id-labelled spans: objects with .local_id, .kind,
     .text, or plain (id, kind, text) tuples).
     """
-    multipart = task not in RECOGNITION_TASKS
-    if multipart and not extras:
+    system = _SYSTEM_TEXTS[task]
+    if task in RECOGNITION_TASKS:
+        return PromptMessages(system=system, user=segment_text)
+    if not extras:
         raise PromptError(f"task {task.value} requires a non-empty entity list")
 
-    blocks = [_ROLE, _TASK_DESCRIPTIONS[task], _SCHEMA_DESCRIPTIONS[task], _SPECIAL_CASES[task]]
-    if multipart:
-        blocks.append(_MULTIPART_NOTE)
-    system = "\n\n".join(blocks)
-
-    if not multipart:
-        return PromptMessages(system=system, user=segment_text)
-
     if task in CLASSIFICATION_TASKS:
-        items = [str(e) for e in extras]
-        listing = json.dumps(items, ensure_ascii=False)
+        listing = _encode_listing([str(e) for e in extras])
     else:
         rows = []
         for e in extras:
@@ -361,7 +368,7 @@ def build_prompt(task: TaskKind, segment_text: str,
             else:
                 eid, kind, text = e.local_id, e.kind, e.text
             rows.append({"id": eid, "kind": kind, "text": text})
-        listing = json.dumps(rows, ensure_ascii=False)
+        listing = _encode_listing(rows)
 
     user = f"{SEGMENT_MARK}\n{segment_text}\n{ENTITIES_MARK}\n{listing}"
     return PromptMessages(system=system, user=user)

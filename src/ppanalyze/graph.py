@@ -19,11 +19,13 @@ from __future__ import annotations
 import hashlib
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .extraction.pipeline import EntitySpan, ExtractionResult
 from .rdfio import RDF_TYPE, XSD, BNode, Graph, IRI, Literal, Subject
 from .taxonomy import Taxonomy
+
+if TYPE_CHECKING:       # `stats` and `convert` read graphs and never load the pipeline
+    from .extraction.pipeline import EntitySpan, ExtractionResult
 
 PPA = "urn:pp-analyze:core#"
 NODE = "urn:pp-analyze:node#"

@@ -8,7 +8,7 @@ serializers sort every triple and regroup.  `reference_corpus_turtle`
 writes `corpus.ttl` from one combined graph, as `analyze` did before it
 merged the per-policy statements.  `dp_lcs_length`, the
 reference matchers, `reference_segment_tasks`, `reference_repair_and_parse`,
-`reference_load_cache` and the RDF terms `RefIRI`, `RefBNode` and `RefLiteral` with their
+`reference_load_cache`, `reference_prompt_digest` and the RDF terms `RefIRI`, `RefBNode` and `RefLiteral` with their
 `reference_term_key` order are earlier versions of production code, kept
 as written.  They exist to check the production implementations, so they
 must never import from ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio
@@ -18,6 +18,7 @@ tolerant reader and the refusal test, which it does not check.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import warnings
@@ -738,3 +739,11 @@ def reference_load_cache(path: Path) -> tuple[dict[str, dict], Optional[int], bo
             warnings.warn(f"skipped torn last line {len(lines)} in {path} "
                           f"({len(tail)} bytes without a newline)", stacklevel=2)
     return entries, torn_at, unterminated
+
+
+# -- prompt digest: the whole payload encoded and hashed on every call --
+
+def reference_prompt_digest(model: str, task: str, prompt) -> str:
+    payload = json.JSONEncoder(ensure_ascii=False).encode([model, task, prompt.system,
+                                                           prompt.user])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppanalyze.extraction.backend import (
@@ -23,9 +23,12 @@ from ppanalyze.extraction.backend import (
 )
 from ppanalyze.extraction.prompts import PromptMessages, TaskKind
 
-from .oracles import reference_load_cache
+from .oracles import reference_load_cache, reference_prompt_digest
 
 PROMPT = PromptMessages(system="sys", user="usr")
+# any text; half the examples may hold lone surrogates, which UTF-8 cannot encode
+ANY_TEXT = st.text() | st.text(st.characters(exclude_categories=())
+                               | st.integers(0xD800, 0xDFFF).map(chr))
 
 
 class TestConfig:
@@ -56,6 +59,22 @@ class TestDigest:
         assert prompt_digest("m", "t2", PROMPT) != base
         assert prompt_digest("m", "t", PromptMessages("sys", "other")) != base
         assert prompt_digest("m", "t", PROMPT) == base
+
+    @settings(max_examples=500, deadline=None)
+    @given(*[ANY_TEXT] * 4)
+    @example("m", "t", "\ud800", "u")
+    @example("m", "t", "s", "a\udfffb")
+    @example("m", "t", '"\\\n\x00\u2028é', '\x7f"\t😀')
+    def test_digest_equals_hashing_the_whole_payload(self, model, task, system, user):
+        """Lone surrogates included: a string UTF-8 cannot encode raises in both."""
+        prompt = PromptMessages(system, user)
+        try:
+            expected = reference_prompt_digest(model, task, prompt)
+        except UnicodeEncodeError:
+            with pytest.raises(UnicodeEncodeError):
+                prompt_digest(model, task, prompt)
+        else:
+            assert prompt_digest(model, task, prompt) == expected
 
 
 class TestRecordReplay:

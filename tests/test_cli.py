@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +18,7 @@ from ppanalyze.extraction import backend as backend_module
 from ppanalyze.extraction.prompts import TaskKind
 from ppanalyze.rdfio import IRI, parse_turtle
 
-from .conftest import FIXTURES, make_document
+from .conftest import FIXTURES, ROOT, make_document
 from .scripted import (RICH_PLAN, RICH_SEGMENT, scripted_transport, segment_text_of,
                        surrogate_plans)
 
@@ -112,8 +114,8 @@ class TestAnalyze:
         assert code == 1
 
     def test_invariant_violation_fails_document(self, tmp_path, monkeypatch, capsys):
-        import ppanalyze.cli as cli
-        extract = cli.extract_document
+        import ppanalyze.extraction.pipeline as pipeline
+        extract = pipeline.extract_document
 
         def data_linked_to_purpose_term(*args, **kwargs):
             # a broken extraction: data spans grounded to a purpose class
@@ -124,7 +126,8 @@ class TestAnalyze:
                     else s for s in seg.spans)
             return result
 
-        monkeypatch.setattr(cli, "extract_document", data_linked_to_purpose_term)
+        # `analyze` looks the name up in the pipeline module on each policy
+        monkeypatch.setattr(pipeline, "extract_document", data_linked_to_purpose_term)
         assert run_analyze(tmp_path / "run") == 1
         err = capsys.readouterr().err
         assert "graph invariant violation" in err
@@ -190,7 +193,7 @@ class TestAnalyze:
 HELP_FLAGS = {
     "analyze": "--config --model --replay --record --cache --taxonomy --out --jobs",
     "evaluate": "--tasks --denominator --config --model --replay --record --cache "
-                "--taxonomy --threshold --out",
+                "--taxonomy --threshold --out --jobs",
     "convert": "--profile --config --out",
     "stats": "--top --config --out",
     "export-finetune": "--task --spec --config --taxonomy --seed --out",
@@ -488,8 +491,57 @@ class TestStats:
         out = capsys.readouterr().out
         assert "practices\t8" in out
 
+    @pytest.mark.parametrize("top", ["-1", "ten"])
+    def test_top_must_be_zero_or_more(self, tmp_path, capsys, top):
+        run_analyze(tmp_path / "run")
+        with pytest.raises(SystemExit) as err:
+            main(["stats", str(tmp_path / "run" / "policy_example.org.ttl"), "--top", top,
+                  "--out", str(tmp_path / "stats")])
+        assert err.value.code == 2
+        assert "error: argument --top: " in capsys.readouterr().err
+        assert not (tmp_path / "stats").exists()
+
+
+def test_stats_and_convert_load_neither_pipeline_nor_evaluation(tmp_path):
+    """Each command imports what it runs: in a fresh interpreter, `stats`
+    and `convert` load no HTTP client, no extraction or evaluation code and
+    no process pool."""
+    run_analyze(tmp_path / "run")
+    graph = str(tmp_path / "run" / "policy_example.org.ttl")
+    script = f"""
+import sys
+from ppanalyze.cli import main
+assert main(["stats", {graph!r}, "--out", {str(tmp_path / "stats")!r}]) == 0
+assert main(["convert", {graph!r}, "--out", {str(tmp_path / "convert")!r}]) == 0
+unused = ("urllib.request", "ppanalyze.extraction", "ppanalyze.eval", "multiprocessing")
+print([name for name in sys.modules
+       if any(name == top or name.startswith(top + ".") for top in unused)])
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
+
 
 class TestEvaluate:
+    def test_task_named_twice_runs_once(self, tmp_path, monkeypatch, capsys):
+        asked = []
+
+        def transport(prompt, config):
+            asked.append((prompt.system, prompt.user))
+            return "[]"
+
+        monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+        monkeypatch.setenv("PPA_API_KEY", "test-key")
+        runs = []
+        for tasks in (["data-recognition", "party-recognition"],
+                      ["data-recognition", "party_recognition", "Data-Recognition",
+                       "party-recognition"]):
+            asked.clear()
+            assert main(["evaluate", str(FIXTURES / "gold"), "--tasks", *tasks, "--jobs", "1",
+                         "--out", str(tmp_path / str(len(tasks)))]) == 0
+            runs.append((list(asked), (tmp_path / str(len(tasks)) / "report.json").read_text()))
+        assert runs[0][0] and runs[0] == runs[1]
+
     def test_fixture_corpus_primed_cache_all_ones(self, tmp_path, capsys):
         code = main([
             "evaluate", str(FIXTURES / "gold"),

@@ -1,15 +1,18 @@
-"""`analyze --replay` runs the same at every `jobs` setting.
+"""`analyze` and `evaluate` run the same at every `jobs` setting.
 
-With `jobs` above 1 a replay hands whole policies to forked worker
-processes, and `corpus.ttl` is merged from the per-policy statements.  The
-corpus here is a small `perfbench/gen.py` corpus of four policies; the
-second cannot be read and the third fails its graph invariants, so the
-failures are reported between the policies that succeed.
+With `jobs` above 1 a replay hands whole policies (`analyze`) or gold
+documents (`evaluate`) to forked worker processes, and `corpus.ttl` is
+merged from the per-policy statements.  The `analyze` corpus here is a
+small `perfbench/gen.py` corpus of four policies; the second cannot be
+read and the third fails its graph invariants, so the failures are
+reported between the policies that succeed.  The `evaluate` gold set is a
+`perfbench/gen.py` set of four documents, one of whose queries fails.
 """
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import multiprocessing
 import os
 import sys
@@ -20,10 +23,14 @@ from pathlib import Path
 import pytest
 
 import ppanalyze.cli as cli
+import ppanalyze.eval.benchmark as benchmark
+import ppanalyze.extraction.pipeline as pipeline
+from ppanalyze.eval.gold import load_gold_corpus
+from ppanalyze.extraction import backend as backend_module
 from ppanalyze.graph import STANDARD_PREFIXES
 from ppanalyze.rdfio import parse_turtle
 
-from .conftest import ROOT
+from .conftest import FIXTURE_MODEL, FIXTURES, ROOT, replay_backend
 from .oracles import reference_corpus_turtle
 
 MARKETING = "https://w3id.org/dpv#Marketing"
@@ -32,18 +39,24 @@ SEED = 3
 
 @pytest.fixture(autouse=True)
 def clean_environment(monkeypatch):
-    for name in ("PPA_MODEL", "PPA_MODE", "PPA_CACHE", "PPA_TAXONOMY", "PPA_OUT", "PPA_JOBS",
-                 "PPA_CONFIG"):
+    for name in ("PPA_MODEL", "PPA_MODE", "PPA_CACHE", "PPA_TAXONOMY", "PPA_THRESHOLD",
+                 "PPA_OUT", "PPA_JOBS", "PPA_CONFIG", "PPA_API_KEY", "OPENAI_API_KEY"):
         monkeypatch.delenv(name, raising=False)
 
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory) -> tuple[list[str], Path]:
-    """Four generated policies (the second unreadable) and their replay cache."""
+def gen():
+    """The benchmark's input generator."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     # registered first: its dataclasses look their module up while it loads
-    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def corpus(gen, tmp_path_factory) -> tuple[list[str], Path]:
+    """Four generated policies (the second unreadable) and their replay cache."""
     root = tmp_path_factory.mktemp("corpus")
     policies = gen.make_corpus(SEED, "jobs", 4, 12)
     table, _ = gen.plan_calls(policies, SEED, "jobs")
@@ -59,7 +72,7 @@ def slow_first_broken_third(monkeypatch, corpus):
     one ends before it; the third has its data spans grounded to a purpose
     class."""
     slow, broken = Path(corpus[0][0]).stem, Path(corpus[0][2]).stem
-    extract = cli.extract_document
+    extract = pipeline.extract_document
 
     def extract_broken(doc, *args, **kwargs):
         result = extract(doc, *args, **kwargs)
@@ -72,21 +85,29 @@ def slow_first_broken_third(monkeypatch, corpus):
                     else s for s in seg.spans)
         return result
 
-    monkeypatch.setattr(cli, "extract_document", extract_broken)
+    # `analyze` looks the name up in the pipeline module on each policy
+    monkeypatch.setattr(pipeline, "extract_document", extract_broken)
 
 
-def analyze(corpus, out: Path, capsys, *extra: str) -> tuple[int, dict, str, str]:
-    """Exit status, output tree digests, stdout and stderr (the output path
-    and the resolved `jobs` written out the same way) of one replay."""
-    paths, cache = corpus
+def run(argv: list[str], out: Path, capsys) -> tuple[int, dict, str, str]:
+    """Exit status, output tree digests, stdout and stderr of one command,
+    with the output path written out the same way and without the
+    `config:` line, which names the resolved `jobs`."""
     capsys.readouterr()
-    code = cli.main(["analyze", *paths, "--replay", "--cache", str(cache),
-                     "--model", "bench-model", "--out", str(out), *extra])
+    code = cli.main([*argv, "--out", str(out)])
     captured = capsys.readouterr()
     tree = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*")) if path.is_file()}
     stderr = [line for line in captured.err.splitlines() if not line.startswith("config: ")]
-    return code, tree, captured.out.replace(str(out), "OUT"), "\n".join(stderr)
+    return (code, tree, captured.out.replace(str(out), "OUT"),
+            "\n".join(stderr).replace(str(out), "OUT"))
+
+
+def analyze(corpus, out: Path, capsys, *extra: str) -> tuple[int, dict, str, str]:
+    """`run` of one replay of the corpus."""
+    paths, cache = corpus
+    return run(["analyze", *paths, "--replay", "--cache", str(cache),
+                "--model", "bench-model", *extra], out, capsys)
 
 
 @pytest.mark.usefixtures("slow_first_broken_third")
@@ -130,6 +151,108 @@ def test_no_worker_process_left_behind(corpus, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_analyze_policy", recording_pid)
     analyze(corpus, tmp_path / "out", capsys, "--jobs", "2")
+    workers = {int(pid) for pid in pids.read_text().split()}
+    assert workers and os.getpid() not in workers
+    assert multiprocessing.active_children() == []
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):     # exited and reaped
+            os.kill(pid, 0)
+
+
+@pytest.fixture(scope="module")
+def gold_set(gen, tmp_path_factory) -> tuple[Path, Path, str]:
+    """Four generated gold documents, their replay cache and model name."""
+    root = tmp_path_factory.mktemp("gold")
+    table, _ = gen.make_gold(SEED, root / "gold", 4, 12)
+    gen.write_cache(table, root / "cache.jsonl")
+    return root / "gold", root / "cache.jsonl", gen.MODEL
+
+
+@pytest.fixture(params=["fixture-full", "fixture-empty", "generated"])
+def gold_run(request, gold_set) -> tuple[Path, Path, str]:
+    """A gold directory, a replay cache of it and the model it was recorded for."""
+    if request.param == "generated":
+        return gold_set
+    cache = "replay_cache.jsonl" if request.param == "fixture-full" else "replay_cache_empty.jsonl"
+    return FIXTURES / "gold", FIXTURES / "gold" / cache, FIXTURE_MODEL
+
+
+def evaluate(gold_run, out: Path, capsys, *extra: str) -> tuple[int, dict, str, str]:
+    """`run` of one `evaluate` replay."""
+    gold, cache, model = gold_run
+    return run(["evaluate", str(gold), "--replay", "--cache", str(cache), "--model", model,
+                *extra], out, capsys)
+
+
+def failed_queries(out: Path) -> int:
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    return sum(task["failed_queries"] for task in report["tasks"])
+
+
+def test_evaluate_replay_is_the_same_at_every_jobs_setting(gold_run, tmp_path, capsys):
+    runs = {name: evaluate(gold_run, tmp_path / name, capsys, *extra)
+            for name, extra in (("one", ("--jobs", "1")), ("two", ("--jobs", "2")),
+                                ("default", ()))}
+    assert runs["one"] == runs["two"] == runs["default"]
+    code, tree, stdout, stderr = runs["one"]
+    assert code == 0
+    assert sorted(tree) == ["report.json", "report.tsv"]
+    assert stderr == "report written to OUT/report.tsv"
+    if gold_run[0] != FIXTURES / "gold":
+        assert failed_queries(tmp_path / "one") == 1
+
+
+def test_evaluate_in_process_equals_the_workers(gold_set, taxonomy, tmp_path, capsys):
+    """The library call `run_benchmark` and `evaluate` on two workers score alike."""
+    gold, cache, model = gold_set
+    report = benchmark.run_benchmark(load_gold_corpus(gold), replay_backend(cache, model),
+                                     taxonomy=taxonomy, threshold=0.9, denominator="max")
+    evaluate(gold_set, tmp_path, capsys, "--jobs", "2")
+    assert (tmp_path / "report.json").read_text() == report.to_json() + "\n"
+
+
+def test_evaluate_record_is_the_same_at_jobs_one_and_two(gold_set, tmp_path, monkeypatch,
+                                                         capsys):
+    """A record run stays in one process and asks the model in sequence,
+    whatever `jobs` is: it scores and records as the replay does."""
+    gold, cache, model = gold_set
+    answers = {}
+    for line in cache.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        answers[record["prompt"]["system"], record["prompt"]["user"]] = record["response"]
+    pids = set()
+
+    def transport(prompt, config):
+        pids.add(os.getpid())
+        return answers[prompt.system, prompt.user]
+
+    monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+    monkeypatch.setenv("PPA_API_KEY", "test-key")
+    runs = [run(["evaluate", str(gold), "--record", "--cache",
+                 str(tmp_path / f"{jobs}.jsonl"), "--model", model, "--jobs", str(jobs)],
+                tmp_path / str(jobs), capsys)
+            for jobs in (1, 2)]
+    assert pids == {os.getpid()}
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and failed_queries(tmp_path / "1") == 1
+    assert runs[0][1] == evaluate(gold_set, tmp_path / "replay", capsys)[1]
+    keys = [[json.loads(line)["key"] for line in
+             (tmp_path / f"{jobs}.jsonl").read_text(encoding="utf-8").splitlines()]
+            for jobs in (1, 2)]
+    assert keys[0] == keys[1] and len(set(keys[0])) == len(keys[0])
+
+
+def test_no_evaluate_worker_left_behind(gold_set, tmp_path, monkeypatch, capsys):
+    pids = tmp_path / "pids"
+    score_document = benchmark.score_document
+
+    def recording_pid(*args, **kwargs):
+        with pids.open("a") as f:
+            f.write(f"{os.getpid()}\n")
+        return score_document(*args, **kwargs)
+
+    monkeypatch.setattr(benchmark, "score_document", recording_pid)
+    evaluate(gold_set, tmp_path / "out", capsys, "--jobs", "2")
     workers = {int(pid) for pid in pids.read_text().split()}
     assert workers and os.getpid() not in workers
     assert multiprocessing.active_children() == []
