@@ -186,99 +186,34 @@ def _report_problems(header: str, problems: list[str]) -> None:
         print(f"  ... and {len(problems) - shown} more", file=sys.stderr)
 
 
-_encode_str = json.encoder.encode_basestring
-# one encoder for every run-log line: `json.dumps` with a non-default
-# argument builds a new encoder on each call
-_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+# json.dumps(ensure_ascii=False) of one string
+_str = json.encoder.encode_basestring
 
 
-def dumps_indent2(obj: Any) -> str:
-    """The text of `json.dumps(obj, indent=2, ensure_ascii=False)`.
-
-    `json` runs `indent` through its pure-Python encoder; this writes
-    the containers and strings that make up the audit files directly.  Any
-    other value (floats, subclasses) goes through `json.dumps`, so it reads
-    as `json` writes it.  Unlike `json`, a dict key that is not a `str`
-    raises `TypeError` instead of being converted.
-    """
-    out: list[str] = []
-    _dump(obj, "\n", out)
-    return "".join(out)
-
-
-def _dump(value: Any, newline: str, out: list[str]) -> None:
-    """Append the text of `value`, whose lines start with `newline`."""
-    kind = type(value)
-    if kind is str:
-        out.append(_encode_str(value))
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _encode_str(key) + ": ")
-            _dump(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _dump(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    else:
-        # json escapes every newline inside a string, so each "\n" here
-        # starts a line of the value
-        out.append(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline))
-
-
-def _write_json(path: Path, obj: Any) -> None:
-    path.write_text(dumps_indent2(obj) + "\n", encoding="utf-8")
-
-
-def _run_log_records(service_id: str, result: ExtractionResult,
-                     build_log: graphmod.BuildLog) -> Iterator[dict]:
-    """One policy's run-log records: its calls and skips, segment notes and
-    build skips."""
+def _run_log_text(service_id: str, result: ExtractionResult,
+                  build_log: graphmod.BuildLog) -> str:
+    """One policy's run-log lines: its calls and skips, segment notes and
+    build skips, each the `json.dumps(record, ensure_ascii=False)` of its
+    record, written directly."""
+    policy = ', "service_id": ' + _str(service_id)
+    lines = []
     for seg in result.segments:
+        at = f'{policy}, "segment": {seg.segment_index:d}'
         for name, trace in sorted(seg.traces.items()):
-            yield {
-                "event": "backend_call" if not trace.skipped else "task_skipped",
-                "service_id": service_id,
-                "segment": seg.segment_index,
-                "task": name,
-                "digest": trace.digest,
-                "from_cache": trace.from_cache,
-                "repaired": trace.repaired,
-                "repair_stages": list(trace.repair_stages),
-                "error": trace.error,
-            }
+            event = "task_skipped" if trace.skipped else "backend_call"
+            lines.append(
+                f'{{"event": "{event}"{at}, '
+                f'"task": {_str(name)}, '
+                f'"digest": {"null" if trace.digest is None else _str(trace.digest)}, '
+                f'"from_cache": {"true" if trace.from_cache else "false"}, '
+                f'"repaired": {"true" if trace.repaired else "false"}, '
+                f'"repair_stages": [{", ".join(map(_str, trace.repair_stages))}], '
+                f'"error": {"null" if trace.error is None else _str(trace.error)}}}\n')
         for note in seg.notes:
-            yield {
-                "event": "note",
-                "service_id": service_id,
-                "segment": seg.segment_index,
-                "note": note,
-            }
+            lines.append(f'{{"event": "note"{at}, "note": {_str(note)}}}\n')
     for record in build_log.records:
-        yield {"event": "build_skip", "service_id": service_id, "note": record}
+        lines.append(f'{{"event": "build_skip"{policy}, "note": {_str(record)}}}\n')
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -325,12 +260,13 @@ def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
     (out_dir / f"{service_id}.ttl").write_bytes(rdfio.join_turtle(
         rdfio.turtle_header(prpr.triples.prefixes), map(itemgetter(1), blocks)))
     (out_dir / f"{service_id}.nt").write_bytes(rdfio.serialize(prpr.triples, "ntriples"))
-    _write_json(out_dir / "audit" / f"{service_id}.json", result.to_audit_dict())
-    _write_json(out_dir / "logs" / f"{service_id}.build.json", prpr.build_log.to_dict())
-    run_log = "".join(_encode_line(record) + "\n"
-                      for record in _run_log_records(service_id, result, prpr.build_log))
+    (out_dir / "audit" / f"{service_id}.json").write_text(
+        result.audit_json() + "\n", encoding="utf-8")
+    (out_dir / "logs" / f"{service_id}.build.json").write_text(
+        json.dumps(prpr.build_log.to_dict(), indent=2, ensure_ascii=False) + "\n",
+        encoding="utf-8")
     return _PolicyOutcome(
-        run_log=run_log,
+        run_log=_run_log_text(service_id, result, prpr.build_log),
         summary=f"{path}: {len(prpr)} triples, {len(prpr.provenance)} practices "
                 f"-> {out_dir / (service_id + '.ttl')}",
         triples=len(prpr), blocks=blocks)

@@ -13,8 +13,10 @@ non_verbatim; graph building excludes flagged spans.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 from .. import Error
 from ..corpus import PolicyDocument, Segment
@@ -92,33 +94,136 @@ class ExtractionResult:
     def failed_segments(self) -> int:
         return sum(1 for s in self.segments if s.failed)
 
+    def audit_json(self) -> str:
+        """The audit text: `json.dumps(audit, indent=2, ensure_ascii=False)`
+        of the audit object, written directly, since `json` runs `indent`
+        through its pure-Python encoder.
+
+        Per segment: its index, text and failure flag, its spans and
+        relations, its notes, and one response entry per task in task-name
+        order.  A span leaves out its None and False fields, a response
+        its task name and its None, False and empty fields.
+        """
+        segments = ",".join(map(_audit_segment, self.segments))
+        return ('{\n  "service_id": ' + _str(self.service_id)
+                + ',\n  "source_uri": ' + _str(self.source_uri)
+                + ',\n  "segments": ' + (f"[{segments}\n  ]" if segments else "[]") + "\n}")
+
     def to_audit_dict(self) -> dict:
-        return {
-            "service_id": self.service_id,
-            "source_uri": self.source_uri,
-            "segments": [
-                {
-                    "index": seg.segment_index,
-                    "text": seg.segment_text,
-                    "failed": seg.failed,
-                    "spans": [
-                        {k: v for k, v in vars(span).items() if v is not None and v is not False}
-                        for span in seg.spans
-                    ],
-                    "relations": [vars(rel) for rel in seg.relations],
-                    "notes": list(seg.notes),
-                    "responses": {
-                        name: {k: v for k, v in vars(trace).items() if k != "task" and v not in (None, (), False)}
-                        for name, trace in sorted(seg.traces.items())
-                    },
-                }
-                for seg in self.segments
-            ],
-        }
+        """The audit object, read back from `audit_json`."""
+        return json.loads(self.audit_json())
+
+
+# json.dumps(ensure_ascii=False) of one string
+_str = json.encoder.encode_basestring
+# what opens each field of a span, relation or response object
+_FIELD = "\n          "
+
+
+def _array(values: list[str], pad: str) -> str:
+    """A JSON array of written values in `indent=2` layout, opened on a
+    line indented by `pad`."""
+    if not values:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(values) + "\n" + pad + "]"
+
+
+def _fields(fields: list[str]) -> str:
+    """A span, relation or response object of written `"key": value` fields."""
+    if not fields:
+        return "{}"
+    return "{" + _FIELD + ("," + _FIELD).join(fields) + "\n        }"
+
+
+def _audit_span(span: EntitySpan) -> str:
+    fields = ['"local_id": ' + _str(span.local_id), '"kind": ' + _str(span.kind),
+              '"text": ' + _str(span.text), f'"segment_index": {span.segment_index:d}']
+    if span.subtype is not None:
+        fields.append('"subtype": ' + _str(span.subtype))
+    if span.grounded_term is not None:
+        fields.append('"grounded_term": ' + _str(span.grounded_term))
+    if span.unresolved_term is not None:
+        fields.append('"unresolved_term": ' + _str(span.unresolved_term))
+    if span.non_leaf:
+        fields.append('"non_leaf": true')
+    if span.non_verbatim:
+        fields.append('"non_verbatim": true')
+    return _fields(fields)
+
+
+def _audit_relation(rel: RelationTuple) -> str:
+    return _fields(['"subject_id": ' + _str(rel.subject_id),
+                    '"object_id": ' + _str(rel.object_id),
+                    '"event_type": ' + _str(rel.event_type)])
+
+
+def _audit_response(trace: TaskTrace) -> str:
+    fields = []
+    if trace.raw is not None:
+        fields.append('"raw": ' + _str(trace.raw))
+    if trace.digest is not None:
+        fields.append('"digest": ' + _str(trace.digest))
+    if trace.from_cache:
+        fields.append('"from_cache": true')
+    if trace.repaired:
+        fields.append('"repaired": true')
+    if trace.repair_stages:
+        fields.append('"repair_stages": '
+                      + _array(list(map(_str, trace.repair_stages)), "          "))
+    if trace.dropped_items:
+        fields.append('"dropped_items": '
+                      + _array(list(map(_str, trace.dropped_items)), "          "))
+    if trace.error is not None:
+        fields.append('"error": ' + _str(trace.error))
+    if trace.skipped:
+        fields.append('"skipped": true')
+    return _fields(fields)
+
+
+def _audit_segment(seg: SegmentExtraction) -> str:
+    """One item of the audit's "segments" array, from the line it opens on."""
+    responses = [_str(name) + ": " + _audit_response(trace)
+                 for name, trace in sorted(seg.traces.items())]
+    return ('\n    {\n      "index": ' + f"{seg.segment_index:d}"
+            + ',\n      "text": ' + _str(seg.segment_text)
+            + ',\n      "failed": ' + ("true" if seg.failed else "false")
+            + ',\n      "spans": ' + _array(list(map(_audit_span, seg.spans)), "      ")
+            + ',\n      "relations": ' + _array(list(map(_audit_relation, seg.relations)),
+                                                   "      ")
+            + ',\n      "notes": ' + _array(list(map(_str, seg.notes)), "      ")
+            + ',\n      "responses": '
+            + ("{\n        " + ",\n        ".join(responses) + "\n      }" if responses
+               else "{}")
+            + "\n    }")
 
 
 class DocumentError(Error):
     """Every segment of a document failed."""
+
+
+# Answers repeat across segments and policies (boilerplate lines draw the
+# same answer), so each process parses a distinct (task, answer) once.
+PARSE_MEMO_SIZE = 4096
+
+
+class _Parsed(NamedTuple):
+    """One answer parsed for one task, shared by every call that gets it."""
+    items: Optional[tuple[dict, ...]]           # None: the answer did not parse
+    repaired: bool = False
+    repair_stages: tuple[str, ...] = ()
+    dropped_items: tuple[str, ...] = ()
+    error: Optional[str] = None                 # the ParseError message
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse(task: TaskKind, raw: str) -> _Parsed:
+    try:
+        items, repair = repair_and_parse(raw, TASK_SHAPES[task])
+    except ParseError as exc:
+        return _Parsed(None, error=str(exc))
+    return _Parsed(tuple(items), repair.repaired, tuple(repair.stages),
+                   tuple(f"{item!r}: {reason}" for item, reason in repair.dropped_items))
 
 
 def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
@@ -129,24 +234,30 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
     None for the items, and its trace holds the error: a `BackendError`
     (no answer) leaves `raw` empty, an unparseable answer keeps it for
     audit.  A failed trace has no digest.
+
+    The answer is parsed through a per-process memo of the last
+    `PARSE_MEMO_SIZE` distinct (task, answer) pairs, so calls that get
+    the same answer share its item dicts, which callers must not change.
+    The trace is built per call, with that call's digest and cache flag.
     """
     prompt = build_prompt(task, segment.text, extras)
     try:
         response = backend.invoke(task, prompt)
-        items, repair = repair_and_parse(response.raw, TASK_SHAPES[task])
-    except (BackendError, ParseError) as exc:
-        raw = exc.raw if isinstance(exc, ParseError) else None
-        return None, TaskTrace(task=task.value, raw=raw, error=str(exc))
+    except BackendError as exc:
+        return None, TaskTrace(task=task.value, error=str(exc))
+    parsed = _parse(task, response.raw)
+    if parsed.items is None:
+        return None, TaskTrace(task=task.value, raw=response.raw, error=parsed.error)
     trace = TaskTrace(
         task=task.value,
         raw=response.raw,
         digest=response.digest,
         from_cache=response.from_cache,
-        repaired=repair.repaired,
-        repair_stages=tuple(repair.stages),
-        dropped_items=tuple(f"{item!r}: {reason}" for item, reason in repair.dropped_items),
+        repaired=parsed.repaired,
+        repair_stages=parsed.repair_stages,
+        dropped_items=parsed.dropped_items,
     )
-    return items, trace
+    return list(parsed.items), trace
 
 
 def _ground(kind: str, spans: Sequence[EntitySpan], items: list[dict],

@@ -1,16 +1,36 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from ppanalyze.corpus import PolicyDocument, segment_lines
+from ppanalyze.extraction import pipeline
 from ppanalyze.extraction.backend import Backend, BackendConfig
 from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 FIXTURE_MODEL = "fixture-model"
+
+
+@pytest.fixture(autouse=True)
+def fresh_parse_memo():
+    """Each test parses its answers anew, so a test that patches the
+    parser is never served another test's memoized parses."""
+    pipeline._parse.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """The benchmark's input generator, `perfbench/gen.py`."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    # registered first: its dataclasses look their module up while it loads
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,10 @@ serializers sort every triple and regroup.  `reference_corpus_turtle`
 writes `corpus.ttl` from one combined graph, as `analyze` did before it
 merged the per-policy statements.  `dp_lcs_length`, the
 reference matchers, `reference_segment_tasks`, `reference_repair_and_parse`,
-`reference_load_cache`, `reference_prompt_digest` and the RDF terms `RefIRI`, `RefBNode` and `RefLiteral` with their
-`reference_term_key` order are earlier versions of production code, kept
-as written.  They exist to check the production implementations, so they
+`reference_load_cache`, `reference_prompt_digest`, `reference_audit_dict`,
+`reference_run_log_records` and the RDF terms `RefIRI`, `RefBNode` and
+`RefLiteral` with their `reference_term_key` order are earlier versions
+of production code, kept as written.  They exist to check the production implementations, so they
 must never import from ppanalyze.eval.metrics, ppanalyze.corpus or ppanalyze.rdfio
 internals (the RDF term classes, the gold record types and the gold label
 tables are data, not algorithms); the repair copy shares only the
@@ -747,3 +748,60 @@ def reference_prompt_digest(model: str, task: str, prompt) -> str:
     payload = json.JSONEncoder(ensure_ascii=False).encode([model, task, prompt.system,
                                                            prompt.user])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# -- audit and run-log writers: one dict per record, written by json --
+
+def reference_audit_dict(result) -> dict:
+    """The audit object of an `ExtractionResult`, as `analyze` wrote it
+    with `json.dumps(..., indent=2, ensure_ascii=False)`."""
+    return {
+        "service_id": result.service_id,
+        "source_uri": result.source_uri,
+        "segments": [
+            {
+                "index": seg.segment_index,
+                "text": seg.segment_text,
+                "failed": seg.failed,
+                "spans": [
+                    {k: v for k, v in vars(span).items() if v is not None and v is not False}
+                    for span in seg.spans
+                ],
+                "relations": [vars(rel) for rel in seg.relations],
+                "notes": list(seg.notes),
+                "responses": {
+                    name: {k: v for k, v in vars(trace).items()
+                           if k != "task" and v not in (None, (), False)}
+                    for name, trace in sorted(seg.traces.items())
+                },
+            }
+            for seg in result.segments
+        ],
+    }
+
+
+def reference_run_log_records(service_id: str, result, build_log):
+    """One policy's run-log records, each written as one
+    `json.dumps(record, ensure_ascii=False)` line."""
+    for seg in result.segments:
+        for name, trace in sorted(seg.traces.items()):
+            yield {
+                "event": "backend_call" if not trace.skipped else "task_skipped",
+                "service_id": service_id,
+                "segment": seg.segment_index,
+                "task": name,
+                "digest": trace.digest,
+                "from_cache": trace.from_cache,
+                "repaired": trace.repaired,
+                "repair_stages": list(trace.repair_stages),
+                "error": trace.error,
+            }
+        for note in seg.notes:
+            yield {
+                "event": "note",
+                "service_id": service_id,
+                "segment": seg.segment_index,
+                "note": note,
+            }
+    for record in build_log.records:
+        yield {"event": "build_skip", "service_id": service_id, "note": record}

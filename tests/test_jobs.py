@@ -11,11 +11,9 @@ reported between the policies that succeed.  The `evaluate` gold set is a
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import multiprocessing
 import os
-import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +28,7 @@ from ppanalyze.extraction import backend as backend_module
 from ppanalyze.graph import STANDARD_PREFIXES
 from ppanalyze.rdfio import parse_turtle
 
-from .conftest import FIXTURE_MODEL, FIXTURES, ROOT, replay_backend
+from .conftest import FIXTURE_MODEL, FIXTURES, replay_backend
 from .oracles import reference_corpus_turtle
 
 MARKETING = "https://w3id.org/dpv#Marketing"
@@ -42,16 +40,6 @@ def clean_environment(monkeypatch):
     for name in ("PPA_MODEL", "PPA_MODE", "PPA_CACHE", "PPA_TAXONOMY", "PPA_THRESHOLD",
                  "PPA_OUT", "PPA_JOBS", "PPA_CONFIG", "PPA_API_KEY", "OPENAI_API_KEY"):
         monkeypatch.delenv(name, raising=False)
-
-
-@pytest.fixture(scope="module")
-def gen():
-    """The benchmark's input generator."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    # registered first: its dataclasses look their module up while it loads
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")

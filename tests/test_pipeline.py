@@ -5,9 +5,11 @@ import json
 import pytest
 from hypothesis import given, settings
 
+from ppanalyze.extraction import pipeline
 from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError
 from ppanalyze.extraction.pipeline import DocumentError, extract_document, run_task
 from ppanalyze.extraction.prompts import TaskKind
+from ppanalyze.extraction.repair import RepairTrace, repair_and_parse
 
 from .conftest import FIXTURES, make_document
 from .scripted import (
@@ -251,3 +253,69 @@ class TestAuditDict:
             assert span["segment_index"] == 0
             # None and False fields are left out
             assert "non_verbatim" not in span and "unresolved_term" not in span
+
+
+class TestParseMemo:
+    """`run_task` parses each distinct (task, answer) once per process."""
+
+    # three segments that draw the same answer for each task: one answer
+    # loses an item, one needs repair, one does not parse
+    SEGMENTS = ("We collect your email address to send newsletters.",
+                "We also collect your email address to send newsletters.",
+                "Sometimes we collect your email address to send newsletters.")
+    ANSWERS = {
+        **{task: answer for (_, task), answer in RICH_PLAN.items()},
+        D: '{"entities": [{"text": "your email address"}, 42]}',
+        P: "Here they are: ['send newsletters',]",
+        PC: "I cannot classify these.",
+    }
+
+    def run(self, taxonomy):
+        doc = make_document("\n".join(self.SEGMENTS))
+        transport = scripted_transport(doc, {(i, task): answer for i in range(len(self.SEGMENTS))
+                                             for task, answer in self.ANSWERS.items()})
+        return extract_document(doc, live_backend(transport), taxonomy)
+
+    def test_each_distinct_answer_parsed_once(self, taxonomy, monkeypatch):
+        calls = []
+
+        def spy(raw, shape):
+            calls.append((shape, raw))
+            return repair_and_parse(raw, shape)
+
+        monkeypatch.setattr(pipeline, "repair_and_parse", spy)
+        result = self.run(taxonomy)
+        answered = [(name, trace.raw) for seg in result.segments
+                    for name, trace in seg.traces.items() if trace.raw is not None]
+        assert len(answered) == 7 * len(self.SEGMENTS)
+        assert len(calls) == len(set(answered)) == 7
+
+    def test_same_outcome_as_parsing_every_call(self, taxonomy, monkeypatch):
+        memoized = self.run(taxonomy)
+        monkeypatch.setattr(pipeline, "_parse", pipeline._parse.__wrapped__)
+        unmemoized = self.run(taxonomy)
+        assert memoized == unmemoized
+        assert memoized.audit_json() == unmemoized.audit_json()
+        for seg in memoized.segments:
+            assert seg.traces[D.value].dropped_items == ("42: not an object",)
+            assert seg.traces[P.value].repaired
+            failed = seg.traces[PC.value]
+            assert failed.raw == self.ANSWERS[PC] and failed.error and failed.digest is None
+
+    def test_bound_is_the_module_constant(self):
+        assert pipeline._parse.cache_parameters()["maxsize"] == pipeline.PARSE_MEMO_SIZE == 4096
+        for i in range(pipeline.PARSE_MEMO_SIZE + 1):
+            pipeline._parse(D, f'["item {i}"]')
+        assert pipeline._parse.cache_info().currsize == pipeline.PARSE_MEMO_SIZE
+
+    # the next two run in this order: the first leaves entries behind, and
+    # the `fresh_parse_memo` fixture must clear them before the second
+    def test_a_parse_leaves_an_entry(self):
+        pipeline._parse(D, self.ANSWERS[D])
+        assert pipeline._parse.cache_info().currsize == 1
+
+    def test_b_patched_parser_sees_no_earlier_entry(self, monkeypatch):
+        assert pipeline._parse.cache_info().currsize == 0
+        monkeypatch.setattr(pipeline, "repair_and_parse",
+                            lambda raw, shape: ([{"text": "patched"}], RepairTrace()))
+        assert pipeline._parse(D, self.ANSWERS[D]).items == ({"text": "patched"},)
