@@ -40,7 +40,6 @@ from . import graph as graphmod
 if TYPE_CHECKING:
     from .eval.gold import GoldDocument
     from .extraction.backend import Backend
-    from .extraction.pipeline import ExtractionResult
     from .extraction.prompts import TaskKind
     from .taxonomy import Taxonomy
 
@@ -186,36 +185,6 @@ def _report_problems(header: str, problems: list[str]) -> None:
         print(f"  ... and {len(problems) - shown} more", file=sys.stderr)
 
 
-# json.dumps(ensure_ascii=False) of one string
-_str = json.encoder.encode_basestring
-
-
-def _run_log_text(service_id: str, result: ExtractionResult,
-                  build_log: graphmod.BuildLog) -> str:
-    """One policy's run-log lines: its calls and skips, segment notes and
-    build skips, each the `json.dumps(record, ensure_ascii=False)` of its
-    record, written directly."""
-    policy = ', "service_id": ' + _str(service_id)
-    lines = []
-    for seg in result.segments:
-        at = f'{policy}, "segment": {seg.segment_index:d}'
-        for name, trace in sorted(seg.traces.items()):
-            event = "task_skipped" if trace.skipped else "backend_call"
-            lines.append(
-                f'{{"event": "{event}"{at}, '
-                f'"task": {_str(name)}, '
-                f'"digest": {"null" if trace.digest is None else _str(trace.digest)}, '
-                f'"from_cache": {"true" if trace.from_cache else "false"}, '
-                f'"repaired": {"true" if trace.repaired else "false"}, '
-                f'"repair_stages": [{", ".join(map(_str, trace.repair_stages))}], '
-                f'"error": {"null" if trace.error is None else _str(trace.error)}}}\n')
-        for note in seg.notes:
-            lines.append(f'{{"event": "note"{at}, "note": {_str(note)}}}\n')
-    for record in build_log.records:
-        lines.append(f'{{"event": "build_skip"{policy}, "note": {_str(record)}}}\n')
-    return "".join(lines)
-
-
 @dataclass(frozen=True)
 class _Analysis:
     """What every policy of one `analyze` run reads; never changed once built."""
@@ -266,7 +235,7 @@ def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
         json.dumps(prpr.build_log.to_dict(), indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8")
     return _PolicyOutcome(
-        run_log=_run_log_text(service_id, result, prpr.build_log),
+        run_log=result.run_log_text(prpr.build_log),
         summary=f"{path}: {len(prpr)} triples, {len(prpr.provenance)} practices "
                 f"-> {out_dir / (service_id + '.ttl')}",
         triples=len(prpr), blocks=blocks)

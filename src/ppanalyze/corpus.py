@@ -151,12 +151,6 @@ class GoldAnnotationSet:
     relations: tuple[GoldRelation, ...]
     ann_path: str = ""                      # the .ann file, named in errors
 
-    def entity_by_id(self, eid: str) -> GoldEntity:
-        for e in self.entities:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
-
 
 # Attribute names whose value carries a fine-grained DPV grounding.
 GROUNDING_ATTRIBUTE_NAMES = frozenset({"dpv", "dpvterm", "grounding", "finegrained", "term"})
@@ -422,9 +416,10 @@ def align_gold(gold: GoldAnnotationSet, doc: PolicyDocument) -> dict[int, GoldSl
         crosses = ent.char_end > doc.segments[seg_idx].char_end
         per_segment_entities.setdefault(seg_idx, []).append(AlignedEntity(ent, seg_idx, crosses))
 
+    entities = {ent.id: ent for ent in gold.entities}
     per_segment_events: dict[int, list[AlignedEvent]] = {}
     for ev in gold.events:
-        trigger = gold.entity_by_id(ev.trigger_id)
+        trigger = entities[ev.trigger_id]
         seg_idx = entity_seg.get(ev.trigger_id)
         if seg_idx is None:
             orphans.append(ev.id)

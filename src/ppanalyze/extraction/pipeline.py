@@ -14,9 +14,9 @@ non_verbatim; graph building excludes flagged spans.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Collection, NamedTuple, Optional, Sequence
 
 from .. import Error
 from ..corpus import PolicyDocument, Segment
@@ -32,6 +32,9 @@ from .prompts import (
     build_prompt,
 )
 from .repair import ParseError, repair_and_parse
+
+if TYPE_CHECKING:
+    from ..graph import BuildLog
 
 SPAN_KINDS = tuple(TASK_KIND[task] for task in RECOGNITION_TASKS)
 
@@ -69,6 +72,14 @@ class TaskTrace:
     skipped: bool = False
 
 
+# Both writers file a trace under its key in `SegmentExtraction.traces`,
+# its task name, in place of its own `task` field.  A run-log record also
+# leaves out the answer and the dropped items, and `skipped` only picks
+# its event name.
+_TRACE_KEY = "task"
+_RUN_LOG_OMITS = ("raw", "dropped_items", "skipped")
+
+
 @dataclass
 class SegmentExtraction:
     segment_index: int
@@ -101,8 +112,9 @@ class ExtractionResult:
 
         Per segment: its index, text and failure flag, its spans and
         relations, its notes, and one response entry per task in task-name
-        order.  A span leaves out its None and False fields, a response
-        its task name and its None, False and empty fields.
+        order.  A span, relation or response holds its fields in
+        declaration order, but those at their declared default; a response
+        leaves out its task name, which is its key.
         """
         segments = ",".join(map(_audit_segment, self.segments))
         return ('{\n  "service_id": ' + _str(self.service_id)
@@ -113,11 +125,43 @@ class ExtractionResult:
         """The audit object, read back from `audit_json`."""
         return json.loads(self.audit_json())
 
+    def run_log_text(self, build_log: BuildLog) -> str:
+        """The policy's run-log lines: its calls and skips, segment notes and
+        build skips, each the `json.dumps(record, ensure_ascii=False)` of its
+        record, written directly.
+
+        A call or skip record holds the task name, then every field of its
+        trace in declaration order, but those in `_RUN_LOG_OMITS`.
+        """
+        policy = ', "service_id": ' + _str(self.service_id)
+        lines: list[str] = []
+        append = lines.append
+        for seg in self.segments:
+            at = f'{policy}, "segment": {seg.segment_index:d}'
+            call_at = at + ", " + _str(_TRACE_KEY) + ": "
+            for name, trace in sorted(seg.traces.items()):
+                append(('{"event": "task_skipped"' if trace.skipped
+                        else '{"event": "backend_call"') + call_at + _str(name))
+                values = trace.__dict__
+                for attr, key, _ in _RUN_LOG_FIELDS:
+                    value = values[attr]
+                    append(key + _RUN_LOG_VALUES.get(type(value), _scalar)(value))
+                append("}\n")
+            for note in seg.notes:
+                append(f'{{"event": "note"{at}, "note": {_str(note)}}}\n')
+        for record in build_log.records:
+            append(f'{{"event": "build_skip"{policy}, "note": {_str(record)}}}\n')
+        return "".join(lines)
+
 
 # json.dumps(ensure_ascii=False) of one string
 _str = json.encoder.encode_basestring
-# what opens each field of a span, relation or response object
-_FIELD = "\n          "
+
+
+def _scalar(value: Any) -> str:
+    """`json.dumps` of a value of a str or int subclass, which `_SCALARS`
+    has no writer for; a value of any other type raises `TypeError`."""
+    return _str(value) if isinstance(value, str) else int.__repr__(value)
 
 
 def _array(values: list[str], pad: str) -> str:
@@ -129,68 +173,55 @@ def _array(values: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(values) + "\n" + pad + "]"
 
 
-def _fields(fields: list[str]) -> str:
-    """A span, relation or response object of written `"key": value` fields."""
-    if not fields:
+# the writer of a field value of each type the fields declare
+_SCALARS = {str: _str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+_AUDIT_VALUES = {**_SCALARS, tuple: lambda value: _array(list(map(_str, value)), "          ")}
+_RUN_LOG_VALUES = {**_SCALARS, tuple: lambda value: "[" + ", ".join(map(_str, value)) + "]"}
+
+
+def _layout(cls: type, omit: Collection[str] = (),
+            lead: str = "") -> tuple[tuple[str, str, Any], ...]:
+    """(name, `lead` and the written `"name": ` key, declared default) of each
+    field of the dataclass `cls` but those in `omit`, in declaration order;
+    a field without a default has `MISSING`, which no value equals."""
+    return tuple((f.name, lead + _str(f.name) + ": ", f.default)
+                 for f in fields(cls) if f.name not in omit)
+
+
+_SPAN_FIELDS = _layout(EntitySpan)
+_RELATION_FIELDS = _layout(RelationTuple)
+_RESPONSE_FIELDS = _layout(TaskTrace, {_TRACE_KEY})
+_RUN_LOG_FIELDS = _layout(TaskTrace, {_TRACE_KEY, *_RUN_LOG_OMITS}, lead=", ")
+# what opens each field of a span, relation or response object
+_FIELD = "\n          "
+
+
+def _audit_object(obj: Any, layout: tuple[tuple[str, str, Any], ...]) -> str:
+    """A span, relation or response object: the fields of `layout` whose
+    value is not their declared default."""
+    values = obj.__dict__
+    written = []
+    for name, key, default in layout:
+        value = values[name]
+        if value != default:
+            written.append(key + _AUDIT_VALUES.get(type(value), _scalar)(value))
+    if not written:
         return "{}"
-    return "{" + _FIELD + ("," + _FIELD).join(fields) + "\n        }"
-
-
-def _audit_span(span: EntitySpan) -> str:
-    fields = ['"local_id": ' + _str(span.local_id), '"kind": ' + _str(span.kind),
-              '"text": ' + _str(span.text), f'"segment_index": {span.segment_index:d}']
-    if span.subtype is not None:
-        fields.append('"subtype": ' + _str(span.subtype))
-    if span.grounded_term is not None:
-        fields.append('"grounded_term": ' + _str(span.grounded_term))
-    if span.unresolved_term is not None:
-        fields.append('"unresolved_term": ' + _str(span.unresolved_term))
-    if span.non_leaf:
-        fields.append('"non_leaf": true')
-    if span.non_verbatim:
-        fields.append('"non_verbatim": true')
-    return _fields(fields)
-
-
-def _audit_relation(rel: RelationTuple) -> str:
-    return _fields(['"subject_id": ' + _str(rel.subject_id),
-                    '"object_id": ' + _str(rel.object_id),
-                    '"event_type": ' + _str(rel.event_type)])
-
-
-def _audit_response(trace: TaskTrace) -> str:
-    fields = []
-    if trace.raw is not None:
-        fields.append('"raw": ' + _str(trace.raw))
-    if trace.digest is not None:
-        fields.append('"digest": ' + _str(trace.digest))
-    if trace.from_cache:
-        fields.append('"from_cache": true')
-    if trace.repaired:
-        fields.append('"repaired": true')
-    if trace.repair_stages:
-        fields.append('"repair_stages": '
-                      + _array(list(map(_str, trace.repair_stages)), "          "))
-    if trace.dropped_items:
-        fields.append('"dropped_items": '
-                      + _array(list(map(_str, trace.dropped_items)), "          "))
-    if trace.error is not None:
-        fields.append('"error": ' + _str(trace.error))
-    if trace.skipped:
-        fields.append('"skipped": true')
-    return _fields(fields)
+    return "{" + _FIELD + ("," + _FIELD).join(written) + "\n        }"
 
 
 def _audit_segment(seg: SegmentExtraction) -> str:
     """One item of the audit's "segments" array, from the line it opens on."""
-    responses = [_str(name) + ": " + _audit_response(trace)
+    responses = [_str(name) + ": " + _audit_object(trace, _RESPONSE_FIELDS)
                  for name, trace in sorted(seg.traces.items())]
+    spans = [_audit_object(span, _SPAN_FIELDS) for span in seg.spans]
+    relations = [_audit_object(rel, _RELATION_FIELDS) for rel in seg.relations]
     return ('\n    {\n      "index": ' + f"{seg.segment_index:d}"
             + ',\n      "text": ' + _str(seg.segment_text)
             + ',\n      "failed": ' + ("true" if seg.failed else "false")
-            + ',\n      "spans": ' + _array(list(map(_audit_span, seg.spans)), "      ")
-            + ',\n      "relations": ' + _array(list(map(_audit_relation, seg.relations)),
-                                                   "      ")
+            + ',\n      "spans": ' + _array(spans, "      ")
+            + ',\n      "relations": ' + _array(relations, "      ")
             + ',\n      "notes": ' + _array(list(map(_str, seg.notes)), "      ")
             + ',\n      "responses": '
             + ("{\n        " + ",\n        ".join(responses) + "\n      }" if responses
@@ -232,8 +263,8 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
 
     Returns the parsed items and the call's trace.  A failed call returns
     None for the items, and its trace holds the error: a `BackendError`
-    (no answer) leaves `raw` empty, an unparseable answer keeps it for
-    audit.  A failed trace has no digest.
+    (no answer) leaves `raw` empty, and an unparseable answer keeps it,
+    with its digest and cache flag, for audit.
 
     The answer is parsed through a per-process memo of the last
     `PARSE_MEMO_SIZE` distinct (task, answer) pairs, so calls that get
@@ -246,8 +277,6 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
     except BackendError as exc:
         return None, TaskTrace(task=task.value, error=str(exc))
     parsed = _parse(task, response.raw)
-    if parsed.items is None:
-        return None, TaskTrace(task=task.value, raw=response.raw, error=parsed.error)
     trace = TaskTrace(
         task=task.value,
         raw=response.raw,
@@ -256,8 +285,9 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
         repaired=parsed.repaired,
         repair_stages=parsed.repair_stages,
         dropped_items=parsed.dropped_items,
+        error=parsed.error,
     )
-    return list(parsed.items), trace
+    return (None if parsed.items is None else list(parsed.items)), trace
 
 
 def _ground(kind: str, spans: Sequence[EntitySpan], items: list[dict],

@@ -458,16 +458,21 @@ def parse_turtle(data: Union[str, bytes]) -> Graph:
     while i < n:
         if kinds[i] == "prefix_decl":
             named.clear()
-            if i + 1 >= n:
+            # `@prefix ex: <namespace>` or `@base <base>`: a prefix is a
+            # prefixed name with an empty local part
+            end = i + (3 if texts[i].lower().lstrip("@") == "prefix" else 2)
+            if end > n:
                 raise RdfError("unexpected end of input")
-            if texts[i].lower().lstrip("@") == "prefix":
-                if i + 2 >= n:
-                    raise RdfError("unexpected end of input")
-                prefixes[texts[i + 1].rstrip(":").partition(":")[0]] = texts[i + 2][1:-1]
-                i += 3
+            *prefix, iri = texts[i + 1:end]
+            well_formed = kinds[end - 1] == "iri" and (
+                not prefix or kinds[i + 1] == "pname" and prefix[0].endswith(":"))
+            if not well_formed:
+                raise RdfError(f"malformed {texts[i]} directive: {' '.join(texts[i:end])!r}")
+            if prefix:
+                prefixes[prefix[0][:-1]] = iri[1:-1]
             else:
-                base = texts[i + 1][1:-1]
-                i += 2
+                base = iri[1:-1]
+            i = end
             if i < n and texts[i] == ".":
                 i += 1
             continue

@@ -119,14 +119,10 @@ class Taxonomy:
             if node.kind == kind:
                 return node
             raise UnresolvedTermError(label_or_iri, kind)
-        if ":" in term and not term.startswith(("http://", "https://", "urn:")):
-            prefix, _, local = term.partition(":")
-            ns = KNOWN_PREFIXES.get(prefix.casefold())
-            if ns and (ns + local) in self.nodes:
-                node = self.nodes[ns + local]
-                if node.kind == kind:
-                    return node
-        for candidate in (term, re.split(r"[#/:]", term)[-1]):
+        node = self.nodes.get(_expand_curie(term))
+        if node is not None and node.kind == kind:
+            return node
+        for candidate in (term, local_name(term)):
             iri = self.label_index.get((kind, normalize_label(candidate)))
             if iri is not None:
                 return self.nodes[iri]

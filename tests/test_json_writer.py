@@ -1,8 +1,9 @@
 """The audit and run-log writers against `json.dumps`.
 
 `ExtractionResult.audit_json` must write the text of
-`json.dumps(audit, indent=2, ensure_ascii=False)` and `cli._run_log_text`
-one `json.dumps(record, ensure_ascii=False)` line per run-log record,
+`json.dumps(audit, indent=2, ensure_ascii=False)` and
+`ExtractionResult.run_log_text` one `json.dumps(record, ensure_ascii=False)`
+line per run-log record,
 where the audit object and the records are built as
 `tests/oracles.py` builds them.  Checked on the fixture policy, on a
 `perfbench/gen.py` corpus, on edge results and on generated results.
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppanalyze.cli import _run_log_text, main
+from ppanalyze.cli import main
 from ppanalyze.corpus import load_policy
 from ppanalyze.extraction.pipeline import (
     EntitySpan,
@@ -45,10 +46,10 @@ def reference_run_log(service_id: str, result: ExtractionResult, build_log: Buil
                    for record in reference_run_log_records(service_id, result, build_log))
 
 
-def assert_writers_match(service_id: str, result: ExtractionResult, build_log: BuildLog):
+def assert_writers_match(result: ExtractionResult, build_log: BuildLog):
     assert result.audit_json() + "\n" == reference_audit(result)
-    assert _run_log_text(service_id, result, build_log) \
-        == reference_run_log(service_id, result, build_log)
+    assert result.run_log_text(build_log) \
+        == reference_run_log(result.service_id, result, build_log)
 
 
 # strings json must escape: quotes, backslashes, control characters; and
@@ -85,10 +86,10 @@ _results = st.builds(ExtractionResult, service_id=_text, source_uri=_text,
 _build_logs = st.builds(BuildLog, records=st.lists(_text, max_size=3))
 
 
-@given(service_id=_text, result=_results, build_log=_build_logs)
+@given(result=_results, build_log=_build_logs)
 @settings(max_examples=300)
-def test_writer_matches_json_dumps(service_id, result, build_log):
-    assert_writers_match(service_id, result, build_log)
+def test_writer_matches_json_dumps(result, build_log):
+    assert_writers_match(result, build_log)
 
 
 class Level(IntEnum):
@@ -138,7 +139,7 @@ class Level(IntEnum):
         EntitySpan("e0", "data", "t", Level.LOW),)),)),
 ])
 def test_writer_matches_json_dumps_on_edge_values(value):
-    assert_writers_match(value.service_id, value, BuildLog(["skip\n\"x\""]))
+    assert_writers_match(value, BuildLog(["skip\n\"x\""]))
 
 
 @pytest.mark.parametrize("value", [
@@ -151,7 +152,7 @@ def test_non_string_key_is_refused(value):
     with pytest.raises(TypeError):
         result.audit_json()
     with pytest.raises(TypeError):
-        _run_log_text("s", result, BuildLog())
+        result.run_log_text(BuildLog())
 
 
 def test_value_json_cannot_write_is_refused():
@@ -161,14 +162,24 @@ def test_value_json_cannot_write_is_refused():
     with pytest.raises(TypeError):
         result.audit_json()
     with pytest.raises(TypeError):
-        _run_log_text("s", result, BuildLog())
+        result.run_log_text(BuildLog())
+    # in a field of a span and of a call
+    for segment in (SegmentExtraction(0, "t", spans=(EntitySpan("e0", "data", "t", {1}),)),
+                    SegmentExtraction(0, "t", traces={"t": TaskTrace("t", error={1})})):
+        result = ExtractionResult("s", "memory:s", (segment,))
+        with pytest.raises(TypeError):
+            reference_audit(result)
+        with pytest.raises(TypeError):
+            result.audit_json()
+    with pytest.raises(TypeError):
+        result.run_log_text(BuildLog())
 
 
 def test_result_without_segments():
     result = ExtractionResult("s", "memory:s", ())
     assert result.audit_json() == '{\n  "service_id": "s",\n  "source_uri": "memory:s",\n' \
                                   '  "segments": []\n}'
-    assert_writers_match("s", result, BuildLog())
+    assert_writers_match(result, BuildLog())
 
 
 def test_to_audit_dict_reads_the_audit_text():
@@ -211,4 +222,4 @@ def test_writers_match_json_dumps_on_a_generated_corpus(gen, taxonomy, tmp_path)
         result = extract_document(doc, backend, taxonomy)
         build_log = build_graph(result, path.stem, "urn:pp-analyze:policy#x",
                                 taxonomy.version).build_log
-        assert_writers_match(path.stem, result, build_log)
+        assert_writers_match(result, build_log)

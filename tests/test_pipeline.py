@@ -10,6 +10,7 @@ from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError
 from ppanalyze.extraction.pipeline import DocumentError, extract_document, run_task
 from ppanalyze.extraction.prompts import TaskKind
 from ppanalyze.extraction.repair import RepairTrace, repair_and_parse
+from ppanalyze.graph import BuildLog
 
 from .conftest import FIXTURES, make_document
 from .scripted import (
@@ -242,6 +243,31 @@ class TestRunTask:
         assert trace.raw and trace.digest and not trace.repaired
 
 
+class TestUnparseableAnswer:
+    def test_replayed_answer_keeps_its_digest_in_audit_and_run_log(self, taxonomy, tmp_path):
+        # the purpose classifier answers in prose; record the answers, then replay them
+        doc = make_document(RICH_SEGMENT)
+        plan = {**RICH_PLAN, (0, PC): "I cannot classify these."}
+        cache = tmp_path / "cache.jsonl"
+        recorder = Backend(BackendConfig(model_name="scripted", cache_mode="record",
+                                         cache_path=cache),
+                           transport=scripted_transport(doc, plan))
+        extract_document(doc, recorder, taxonomy)
+        replay = Backend(BackendConfig(model_name="scripted", cache_mode="replay",
+                                       cache_path=cache))
+        result = extract_document(doc, replay, taxonomy)
+        (record,) = [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()
+                     if json.loads(line)["response"] == plan[(0, PC)]]
+
+        (seg,) = result.to_audit_dict()["segments"]
+        response = seg["responses"][PC.value]
+        assert response["error"] and response["raw"] == plan[(0, PC)]
+        assert response["digest"] == record["key"]
+        (call,) = [json.loads(line) for line in result.run_log_text(BuildLog()).splitlines()
+                   if json.loads(line).get("task") == PC.value]
+        assert call["error"] and call["digest"] == record["key"]
+
+
 class TestAuditDict:
     def test_span_of_segment_0_keeps_its_index(self, taxonomy):
         doc = make_document(RICH_SEGMENT)
@@ -300,7 +326,7 @@ class TestParseMemo:
             assert seg.traces[D.value].dropped_items == ("42: not an object",)
             assert seg.traces[P.value].repaired
             failed = seg.traces[PC.value]
-            assert failed.raw == self.ANSWERS[PC] and failed.error and failed.digest is None
+            assert failed.raw == self.ANSWERS[PC] and failed.error and failed.digest
 
     def test_bound_is_the_module_constant(self):
         assert pipeline._parse.cache_parameters()["maxsize"] == pipeline.PARSE_MEMO_SIZE == 4096

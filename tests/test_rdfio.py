@@ -105,6 +105,18 @@ class TestTurtleSubset:
         with pytest.raises(RdfError):
             parse("dpv:Marketing a dpv:Thing .", "turtle")
 
+    @pytest.mark.parametrize("directive", [
+        '@prefix ex: "lit" .',              # a literal for the namespace
+        "@prefix ex: ex2:foo .",            # a prefixed name for the namespace
+        "@prefix <urn:x> <urn:y> .",        # an IRI for the prefix
+        '@base "x" .',                      # a literal for the base
+    ])
+    def test_malformed_directive_rejected(self, directive):
+        keyword = directive.split()[0]
+        with pytest.raises(RdfError, match=f"malformed {keyword} directive"):
+            parse("@prefix ex2: <urn:ex2#> .\n" + directive + "\n<urn:s> <urn:p> <urn:o> .",
+                  "turtle")
+
     def test_unterminated_statement_rejected(self):
         with pytest.raises(RdfError):
             parse("<urn:s> <urn:p> <urn:o>", "turtle")
