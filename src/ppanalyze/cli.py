@@ -12,8 +12,9 @@ deterministic.
 
 `jobs` is the one parallelism setting.  A replay hands whole policies
 (`analyze`) or gold documents (`evaluate`) to that many forked worker
-processes.  Live and record runs stay in one process: `analyze` runs one
-policy's segments on that many threads, and `evaluate` runs serially.
+processes, and runs each policy's segments on one thread.  Live and
+record runs stay in one process: `analyze` runs one policy's segments
+on that many threads, and `evaluate` runs serially.
 
 Each command imports the modules it runs when it starts, so `stats` and
 `convert` never load the extraction pipeline, the HTTP client or the
@@ -295,8 +296,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     (out_dir / "logs").mkdir(exist_ok=True)
 
     workers = _replay_workers(config, len(args.policies))
+    # a replay is CPU work, which threads only slow down: its segments run on one
     analysis = _Analysis(taxonomy, backend, out_dir,
-                         segment_jobs=config.jobs if workers == 1 else 1)
+                         segment_jobs=1 if config.mode == "replay" else config.jobs)
     failures = triples = 0
     policy_blocks = []
     # each policy's records are written and flushed after its files

@@ -6,9 +6,9 @@ Invariant: raw_text[seg.char_start:seg.char_end] == seg.text for every
 segment, and segments are non-overlapping and strictly ascending.
 
 Brat standoff support covers T (text-bound entity), E (event), R (relation),
-A (attribute) and # (note) lines.  Discontinuous T spans are kept as their
-fragment list plus the covering span; the covering span's surface text is
-what downstream scoring uses.
+A (attribute) and # (note) lines.  A gold entity keeps what scoring reads:
+its covering span (a discontinuous span's first start to its last end),
+the document text over it, and its DPV grounding from the A or # lines.
 """
 from __future__ import annotations
 
@@ -117,21 +117,17 @@ def load_policy(path: Union[str, Path], service_id: str) -> PolicyDocument:
 class GoldEntity:
     id: str
     type: str
-    char_start: int
+    char_start: int                         # covering span, over every fragment
     char_end: int
-    text: str                               # surface text as written in the .ann T line
-    fragments: tuple[tuple[int, int], ...]  # >1 entry for discontinuous spans
     covering_text: str                      # document text over [char_start, char_end)
     fine_grained: Optional[str] = None      # DPV term label/IRI from A or # channel
-    attributes: tuple[tuple[str, Optional[str]], ...] = ()
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class GoldEvent:
     id: str
     type: str
-    trigger_id: str
+    trigger: GoldEntity
     roles: tuple[tuple[str, str], ...]  # (role label, target id) in file order
 
 
@@ -160,11 +156,17 @@ _E_LINE = re.compile(r"^(E\d+)\t(\S+):(\S+)((?: \S+:\S+)*)\s*$")
 _R_LINE = re.compile(r"^(R\d+)\t(\S+) Arg1:(\S+) Arg2:(\S+)\s*$")
 _A_LINE = re.compile(r"^(A\d+)\t(\S+) (\S+)(?: (.*))?$")
 _NOTE_LINE = re.compile(r"^(#\d*)\t(\S+) (\S+)\t(.*)$", re.S)
+_ID = re.compile(r"([A-Z#]+)(\d+)")
 
 
 def _looks_like_term(note: str) -> bool:
     # single token: a CURIE, IRI, or CamelCase label; prose notes have spaces
     return bool(note) and not any(ch.isspace() for ch in note)
+
+
+def _id_key(item_id: str) -> tuple[str, int]:
+    m = _ID.match(item_id)
+    return (m.group(1), int(m.group(2))) if m else (item_id, 0)
 
 
 def _read_text(path: Union[str, Path]) -> str:
@@ -180,15 +182,18 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
     """Parse a brat .txt/.ann pair into a gold annotation set.
 
     Every entity's surface text is validated against the document text
-    (fragments joined with a single space for discontinuous spans).
-    Dangling role/relation targets raise DanglingReferenceError.
+    (fragments joined with a single space for discontinuous spans).  An
+    entity's grounding is its first grounding attribute, else its first
+    single-token note.  Dangling role/relation targets raise
+    DanglingReferenceError.
     """
     doc_text = _read_text(text_file)
-    entities: dict[str, GoldEntity] = {}
-    events: dict[str, GoldEvent] = {}
+    spans: dict[str, tuple[str, int, int]] = {}        # T id -> type, covering span
+    events: dict[str, tuple[str, str, tuple[tuple[str, str], ...]]] = {}
     relations: list[GoldRelation] = []
-    attrs: list[tuple[str, str, Optional[str], int, str]] = []
-    notes: list[tuple[str, str, int, str]] = []
+    references: list[str] = []          # ids that roles, relations, A and # lines name
+    attribute_groundings: dict[str, str] = {}
+    note_groundings: dict[str, str] = {}
 
     ann_path = str(ann_file)
     ann_lines = _read_text(ann_file).split("\n")
@@ -202,10 +207,10 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
                 raise BratParseError(ann_path, "malformed T line", line_no, line)
             tid, etype, span_str, surface = m.groups()
             try:
-                fragments = tuple(
+                fragments = [
                     (int(a), int(b))
                     for a, b in (frag.split() for frag in span_str.split(";"))
-                )
+                ]
             except ValueError:
                 raise BratParseError(ann_path, "malformed span in T line", line_no, line) from None
             for a, b in fragments:
@@ -218,102 +223,62 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
                     ann_path, f"surface text {surface!r} does not match document text {expected!r}",
                     line_no, line,
                 )
-            start = min(a for a, _ in fragments)
-            end = max(b for _, b in fragments)
-            entities[tid] = GoldEntity(
-                id=tid, type=etype, char_start=start, char_end=end,
-                text=surface, fragments=fragments, covering_text=doc_text[start:end],
-            )
+            spans[tid] = (etype, min(a for a, _ in fragments), max(b for _, b in fragments))
         elif head == "E":
             m = _E_LINE.match(line)
             if not m:
                 raise BratParseError(ann_path, "malformed E line", line_no, line)
             eid, etype, trigger, rest = m.groups()
-            roles = tuple(
-                (part.split(":", 1)[0], part.split(":", 1)[1])
-                for part in rest.split()
-            )
-            events[eid] = GoldEvent(id=eid, type=etype, trigger_id=trigger, roles=roles)
+            roles = tuple(tuple(part.split(":", 1)) for part in rest.split())
+            events[eid] = (etype, trigger, roles)
+            references.extend(target for _, target in roles)
         elif head == "R":
             m = _R_LINE.match(line)
             if not m:
                 raise BratParseError(ann_path, "malformed R line", line_no, line)
             rid, label, arg1, arg2 = m.groups()
             relations.append(GoldRelation(id=rid, label=label, subject_id=arg1, object_id=arg2))
+            references.extend((arg1, arg2))
         elif head == "A" or head == "M":
             m = _A_LINE.match(line)
             if not m:
                 raise BratParseError(ann_path, "malformed A line", line_no, line)
-            aid, name, target, value = m.groups()
-            attrs.append((aid, name, value, line_no, target))
+            _, name, target, value = m.groups()
+            references.append(target)
+            if value and normalize_label(name) in GROUNDING_ATTRIBUTE_NAMES:
+                attribute_groundings.setdefault(target, value)
         elif head == "#":
             m = _NOTE_LINE.match(line)
             if not m:
                 raise BratParseError(ann_path, "malformed note line", line_no, line)
-            nid, _kind, target, text = m.groups()
-            notes.append((nid, target, line_no, text))
+            _, _, target, text = m.groups()
+            references.append(target)
+            if _looks_like_term(text.strip()):
+                note_groundings.setdefault(target, text.strip())
         else:
             raise BratParseError(ann_path, "unknown annotation line type", line_no, line)
 
-    known = set(entities) | set(events)
-    dangling: set[str] = set()
-    for ev in events.values():
-        if ev.trigger_id not in entities:
-            dangling.add(ev.trigger_id)
-        for _, target in ev.roles:
-            if target not in known:
-                dangling.add(target)
-    for rel in relations:
-        for ref in (rel.subject_id, rel.object_id):
-            if ref not in known:
-                dangling.add(ref)
-    for _, _, _, _, target in attrs:
-        if target not in known:
-            dangling.add(target)
-    for _, target, _, _ in notes:
-        if target not in known:
-            dangling.add(target)
+    dangling = {trigger for _, trigger, _ in events.values() if trigger not in spans}
+    dangling.update(ref for ref in references if ref not in spans and ref not in events)
     if dangling:
         raise DanglingReferenceError(ann_path, sorted(dangling))
 
-    # attach attributes and notes; A-channel groundings win over notes
-    by_target_attrs: dict[str, list[tuple[str, Optional[str]]]] = {}
-    for _, name, value, _, target in attrs:
-        by_target_attrs.setdefault(target, []).append((name, value))
-    by_target_notes: dict[str, list[str]] = {}
-    for _, target, _, text in notes:
-        by_target_notes.setdefault(target, []).append(text)
-
-    final_entities = []
-    for ent in entities.values():
-        ent_attrs = tuple(by_target_attrs.get(ent.id, ()))
-        ent_notes = tuple(by_target_notes.get(ent.id, ()))
-        grounding = None
-        for name, value in ent_attrs:
-            if value and normalize_label(name) in GROUNDING_ATTRIBUTE_NAMES:
-                grounding = value
-                break
-        if grounding is None:
-            for note in ent_notes:
-                if _looks_like_term(note.strip()):
-                    grounding = note.strip()
-                    break
-        final_entities.append(
-            GoldEntity(
-                id=ent.id, type=ent.type, char_start=ent.char_start, char_end=ent.char_end,
-                text=ent.text, fragments=ent.fragments, covering_text=ent.covering_text,
-                fine_grained=grounding, attributes=ent_attrs, notes=ent_notes,
-            )
+    entities = {
+        tid: GoldEntity(
+            id=tid, type=etype, char_start=start, char_end=end,
+            covering_text=doc_text[start:end],
+            fine_grained=attribute_groundings.get(tid, note_groundings.get(tid)),
         )
-
-    def _tid_key(item_id: str) -> tuple[str, int]:
-        m = re.match(r"([A-Z#]+)(\d+)", item_id)
-        return (m.group(1), int(m.group(2))) if m else (item_id, 0)
-
+        for tid, (etype, start, end) in spans.items()
+    }
+    gold_events = []
+    for eid in sorted(events, key=_id_key):
+        etype, trigger, roles = events[eid]
+        gold_events.append(GoldEvent(id=eid, type=etype, trigger=entities[trigger], roles=roles))
     return GoldAnnotationSet(
         doc_id=Path(text_file).stem,
-        entities=tuple(sorted(final_entities, key=lambda e: _tid_key(e.id))),
-        events=tuple(sorted(events.values(), key=lambda e: _tid_key(e.id))),
+        entities=tuple(entities[tid] for tid in sorted(entities, key=_id_key)),
+        events=tuple(gold_events),
         relations=tuple(relations),
         ann_path=ann_path,
     )
@@ -369,32 +334,20 @@ def validate_gold_labels(gold: GoldAnnotationSet, conf: dict[str, set[str]]) -> 
 # -- alignment of gold annotations to segments --
 
 @dataclass(frozen=True)
-class AlignedEntity:
-    entity: GoldEntity
-    segment_index: int
-    crosses_boundary: bool
-
-
-@dataclass(frozen=True)
-class AlignedEvent:
-    event: GoldEvent
-    trigger: GoldEntity
-    segment_index: int
-    crosses_boundary: bool
-
-
-@dataclass(frozen=True)
 class GoldSlice:
-    entities: tuple[AlignedEntity, ...] = ()
-    events: tuple[AlignedEvent, ...] = ()
+    """One segment's gold: its entities, event triggers left out, in
+    (char_start, id) order, and its events in (trigger char_start, id)
+    order."""
+    entities: tuple[GoldEntity, ...] = ()
+    events: tuple[GoldEvent, ...] = ()
 
 
 def align_gold(gold: GoldAnnotationSet, doc: PolicyDocument) -> dict[int, GoldSlice]:
-    """Assign each gold entity/event to the segment containing its span start.
+    """Assign each gold entity/event to the segment containing its span
+    start (an event's span is its trigger's), by segment index.
 
-    Entities reaching past their segment's end are flagged as
-    boundary-crossing.  Span starts on blank lines (no segment) raise
-    AlignmentError listing the offending ids.
+    Span starts on blank lines (no segment) raise AlignmentError listing
+    the offending ids.
     """
     starts = [seg.char_start for seg in doc.segments]
 
@@ -404,36 +357,22 @@ def align_gold(gold: GoldAnnotationSet, doc: PolicyDocument) -> dict[int, GoldSl
             return i
         return None
 
-    entity_seg: dict[str, int] = {}
+    triggers = {ev.trigger.id for ev in gold.events}
     orphans: list[str] = []
-    per_segment_entities: dict[int, list[AlignedEntity]] = {}
-    for ent in gold.entities:
+    per_segment: dict[int, tuple[list[GoldEntity], list[GoldEvent]]] = {}
+    for ent in sorted(gold.entities, key=lambda e: (e.char_start, e.id)):
         seg_idx = locate(ent.char_start)
         if seg_idx is None:
             orphans.append(ent.id)
-            continue
-        entity_seg[ent.id] = seg_idx
-        crosses = ent.char_end > doc.segments[seg_idx].char_end
-        per_segment_entities.setdefault(seg_idx, []).append(AlignedEntity(ent, seg_idx, crosses))
-
-    entities = {ent.id: ent for ent in gold.entities}
-    per_segment_events: dict[int, list[AlignedEvent]] = {}
-    for ev in gold.events:
-        trigger = entities[ev.trigger_id]
-        seg_idx = entity_seg.get(ev.trigger_id)
+        elif ent.id not in triggers:
+            per_segment.setdefault(seg_idx, ([], []))[0].append(ent)
+    for ev in sorted(gold.events, key=lambda e: (e.trigger.char_start, e.id)):
+        seg_idx = locate(ev.trigger.char_start)
         if seg_idx is None:
             orphans.append(ev.id)
-            continue
-        crosses = trigger.char_end > doc.segments[seg_idx].char_end
-        per_segment_events.setdefault(seg_idx, []).append(AlignedEvent(ev, trigger, seg_idx, crosses))
-
+        else:
+            per_segment.setdefault(seg_idx, ([], []))[1].append(ev)
     if orphans:
         raise AlignmentError(gold.ann_path, orphans)
-
-    out: dict[int, GoldSlice] = {}
-    for idx in sorted(set(per_segment_entities) | set(per_segment_events)):
-        out[idx] = GoldSlice(
-            entities=tuple(per_segment_entities.get(idx, ())),
-            events=tuple(per_segment_events.get(idx, ())),
-        )
-    return out
+    return {idx: GoldSlice(tuple(entities), tuple(events))
+            for idx, (entities, events) in sorted(per_segment.items())}

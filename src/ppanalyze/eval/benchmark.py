@@ -21,7 +21,7 @@ from ..extraction.backend import Backend
 from ..extraction.pipeline import run_task
 from ..extraction.prompts import CLASSIFICATION_TASKS, RECOGNITION_TASKS, TASK_KIND, TaskKind
 from ..taxonomy import Taxonomy
-from .gold import GoldDocument, SegmentTask, segment_tasks
+from .gold import GoldDocument, SegmentTask, _relation_answer, segment_tasks
 from .metrics import (
     DEFAULT_THRESHOLD,
     facet_means,
@@ -98,7 +98,7 @@ def _score_sample(task: TaskKind, sample: SegmentTask, pred_items: list[dict],
                                                taxonomy, TASK_KIND[task], threshold,
                                                denominator))
     if task is TaskKind.RELATION_RECOGNITION:
-        pred = [f"{i.get('id1', '')} {i.get('id2', '')} {i.get('type', '')}" for i in pred_items]
+        pred = [_relation_answer(i) for i in pred_items]
         return sample_f1(pred, list(sample.gold_spans), threshold=1.0)
     pred = [i.get("text", "") for i in pred_items]
     return sample_f1(pred, list(sample.gold_spans), threshold=threshold,

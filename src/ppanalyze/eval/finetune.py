@@ -54,14 +54,6 @@ class FinetuneSpec:
     def to_string(self) -> str:
         return f"{self.n_train_nonempty}-{self.n_train_empty}-{self.n_val_nonempty}-{self.n_val_empty}"
 
-    @property
-    def n_train(self) -> int:
-        return self.n_train_nonempty + self.n_train_empty
-
-    @property
-    def n_val(self) -> int:
-        return self.n_val_nonempty + self.n_val_empty
-
 
 def _record(task: TaskKind, sample: SegmentTask) -> dict:
     prompt = build_prompt(task, sample.segment_text, sample.extras)

@@ -20,9 +20,9 @@ from typing import Optional, Union
 
 from .. import Error
 from ..corpus import (
-    AlignedEntity,
-    AlignedEvent,
     GoldAnnotationSet,
+    GoldEntity,
+    GoldEvent,
     GoldSlice,
     PolicyDocument,
     align_gold,
@@ -142,24 +142,18 @@ class SegmentTask:
         return not (self.gold_spans or self.gold_pairs or self.gold_items)
 
 
-def _ordered_entities(slice_: GoldSlice, kind: str) -> list[AlignedEntity]:
-    """A segment's gold spans of one kind, event triggers excluded, in offset order."""
-    triggers = {ev.event.trigger_id for ev in slice_.events}
-    return sorted(
-        (ae for ae in slice_.entities
-         if _label(ENTITY_KIND_MAP, ae.entity.type) == kind
-         and ae.entity.id not in triggers),
-        key=lambda ae: (ae.entity.char_start, ae.entity.id),
-    )
+def _entities_of_kind(slice_: GoldSlice, kind: str) -> list[GoldEntity]:
+    """A segment's gold spans of one kind, in offset order."""
+    return [ent for ent in slice_.entities if _label(ENTITY_KIND_MAP, ent.type) == kind]
 
 
-def _ordered_events(slice_: GoldSlice) -> list[AlignedEvent]:
-    """A segment's gold events in trigger offset order."""
-    return sorted(slice_.events, key=lambda ev: (ev.trigger.char_start, ev.event.id))
+def _relation_answer(item: dict) -> str:
+    """A relation item as the one string its scoring compares."""
+    return f"{item['id1']} {item['id2']} {item['type']}"
 
 
 def _local_ids(slice_: GoldSlice) -> tuple[tuple[tuple[str, str, str], ...],
-                                           list[tuple[str, AlignedEvent]], dict[str, str]]:
+                                           list[tuple[str, GoldEvent]], dict[str, str]]:
     """Assign pipeline-style local ids to a segment's gold spans.
 
     Returns the relation prompt's (id, kind, text) rows, the events with
@@ -167,14 +161,14 @@ def _local_ids(slice_: GoldSlice) -> tuple[tuple[tuple[str, str, str], ...],
     entity id wins over an event id, an event id over a trigger id, and
     of two events sharing a trigger the last one wins.
     """
-    rows = [(kind, ae) for kind in ("data", "purpose", "party")
-            for ae in _ordered_entities(slice_, kind)]
-    entities = [(f"e{i}", kind, ae) for i, (kind, ae) in enumerate(rows)]
-    events = [(f"a{i}", ev) for i, ev in enumerate(_ordered_events(slice_))]
-    local_id = {ev.event.trigger_id: a for a, ev in events}
-    local_id.update((ev.event.id, a) for a, ev in events)
-    local_id.update((ae.entity.id, e) for e, _, ae in entities)
-    extras = tuple((e, kind, ae.entity.covering_text) for e, kind, ae in entities) \
+    rows = [(kind, ent) for kind in ("data", "purpose", "party")
+            for ent in _entities_of_kind(slice_, kind)]
+    entities = [(f"e{i}", kind, ent) for i, (kind, ent) in enumerate(rows)]
+    events = [(f"a{i}", ev) for i, ev in enumerate(slice_.events)]
+    local_id = {ev.trigger.id: a for a, ev in events}
+    local_id.update((ev.id, a) for a, ev in events)
+    local_id.update((ent.id, e) for e, _, ent in entities)
+    extras = tuple((e, kind, ent.covering_text) for e, kind, ent in entities) \
         + tuple((a, "action", ev.trigger.covering_text) for a, ev in events)
     return extras, events, local_id
 
@@ -184,11 +178,11 @@ def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Taxonomy) -> dict:
     if task in RECOGNITION_TASKS:
         kind = TASK_KIND[task]
         if kind == "action":
-            found = [(ev.trigger.covering_text, _label(EVENT_SUBTYPE_MAP, ev.event.type))
-                     for ev in _ordered_events(slice_)]
+            found = [(ev.trigger.covering_text, _label(EVENT_SUBTYPE_MAP, ev.type))
+                     for ev in slice_.events]
         else:
-            found = [(ae.entity.covering_text, _label(PARTY_SUBTYPE_MAP, ae.entity.type))
-                     for ae in _ordered_entities(slice_, kind)]
+            found = [(ent.covering_text, _label(PARTY_SUBTYPE_MAP, ent.type))
+                     for ent in _entities_of_kind(slice_, kind)]
         items = tuple({"text": text, "subtype": subtype} if subtype else {"text": text}
                       for text, subtype in found)
         return {"gold_spans": tuple(text for text, _ in found), "gold_items": items}
@@ -197,16 +191,16 @@ def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Taxonomy) -> dict:
         kind = TASK_KIND[task]
         pairs = []
         items = []
-        for ae in _ordered_entities(slice_, kind):
-            term = ae.entity.fine_grained
+        for ent in _entities_of_kind(slice_, kind):
+            term = ent.fine_grained
             if not term:
                 continue
             try:
                 iri = taxonomy.resolve_term(term, kind).iri
             except UnresolvedTermError:
                 continue
-            pairs.append((ae.entity.covering_text, iri))
-            items.append({"entity_text": ae.entity.covering_text, "term": term})
+            pairs.append((ent.covering_text, iri))
+            items.append({"entity_text": ent.covering_text, "term": term})
         return {"extras": tuple(p[0] for p in pairs) or None,
                 "gold_pairs": tuple(pairs), "gold_items": tuple(items)}
 
@@ -214,12 +208,12 @@ def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Taxonomy) -> dict:
         extras, events, local_id = _local_ids(slice_)
         items = []
         for a, ev in events:
-            for role, target in ev.event.roles:
+            for role, target in ev.roles:
                 event_type = _label(ROLE_EVENT_MAP, re.sub(r"\d+$", "", role))
                 if event_type is not None and target in local_id:
                     items.append({"id1": a, "id2": local_id[target], "type": event_type})
         return {"extras": extras or None, "gold_items": tuple(items),
-                "gold_spans": tuple(f"{i['id1']} {i['id2']} {i['type']}" for i in items)}
+                "gold_spans": tuple(map(_relation_answer, items))}
 
     raise ValueError(f"unknown task: {task}")
 

@@ -92,7 +92,6 @@ class ResponseShape:
     The lookup tables are derived from the declaration when the shape is
     built; each keeps the first match in declaration order.
     """
-    name: str
     envelope_keys: tuple[str, ...]          # wrapper keys accepted around the list
     fields: tuple[FieldSpec, ...] = ()      # empty -> plain list of strings
     allow_string_items: bool = False        # bare string coerces to {primary: s}
@@ -147,7 +146,6 @@ _EVENT_ENUM_SYNONYMS = (
 
 _TEXT_FIELD = FieldSpec("text", synonyms=("entity", "span", "phrase", "value", "name"))
 _CLASSIFICATION_SHAPE = ResponseShape(
-    name="classifications",
     envelope_keys=("classifications", "entities", "results", "terms"),
     fields=(
         FieldSpec("entity_text", synonyms=("entity", "text", "span")),
@@ -157,19 +155,16 @@ _CLASSIFICATION_SHAPE = ResponseShape(
 
 TASK_SHAPES: dict[TaskKind, ResponseShape] = {
     TaskKind.DATA_RECOGNITION: ResponseShape(
-        name="entities",
         envelope_keys=("entities", "data_entities", "data", "results", "spans"),
         fields=(_TEXT_FIELD,),
         allow_string_items=True,
     ),
     TaskKind.PURPOSE_RECOGNITION: ResponseShape(
-        name="entities",
         envelope_keys=("entities", "purpose_entities", "purposes", "results", "spans"),
         fields=(_TEXT_FIELD,),
         allow_string_items=True,
     ),
     TaskKind.PARTY_RECOGNITION: ResponseShape(
-        name="parties",
         envelope_keys=("parties", "entities", "party_entities", "results"),
         fields=(
             _TEXT_FIELD,
@@ -181,7 +176,6 @@ TASK_SHAPES: dict[TaskKind, ResponseShape] = {
         ),
     ),
     TaskKind.ACTION_RECOGNITION: ResponseShape(
-        name="actions",
         envelope_keys=("actions", "entities", "practices", "results"),
         fields=(
             _TEXT_FIELD,
@@ -192,7 +186,6 @@ TASK_SHAPES: dict[TaskKind, ResponseShape] = {
     TaskKind.DATA_CLASSIFICATION: _CLASSIFICATION_SHAPE,
     TaskKind.PURPOSE_CLASSIFICATION: _CLASSIFICATION_SHAPE,
     TaskKind.RELATION_RECOGNITION: ResponseShape(
-        name="relations",
         envelope_keys=("relations", "tuples", "results"),
         fields=(
             FieldSpec("id1", synonyms=("subject", "subject_id", "source", "from")),

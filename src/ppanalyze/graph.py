@@ -56,7 +56,6 @@ HAS_SERVICE = IRI(PPA + "hasService")
 TAXONOMY_VERSION = IRI(PPA + "taxonomyVersion")
 LABEL = IRI(RDFS + "label")
 
-PRACTICE_CLASSES = (DATA_PRACTICE, DATA_COLLECTION_USE, THIRD_PARTY_SHARING)
 # practice classes from least to most specific
 _SPECIFICITY = {DATA_PRACTICE: 0, THIRD_PARTY_SHARING: 1, DATA_COLLECTION_USE: 2}
 _PRACTICE_CLASS_NAMES = ("DataPractice", "ThirdPartySharingDisclosure", "DataCollectionUse")

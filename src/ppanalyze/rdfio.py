@@ -400,6 +400,13 @@ def parse_turtle(data: Union[str, bytes]) -> Graph:
     # so far, so every directive clears it
     named: dict[str, Object] = {}
 
+    def resolve(tok: str) -> str:
+        """An IRI token's IRI: a relative one is read against the base."""
+        value = tok[1:-1]
+        if base and not _ABSOLUTE_IRI_RE.match(value):
+            value = base + value
+        return _unescape(value)
+
     def term_at(j: int) -> tuple[Object, int]:
         if j >= n:
             raise RdfError("unexpected end of input")
@@ -423,10 +430,7 @@ def parse_turtle(data: Union[str, bytes]) -> Graph:
                 return Literal(lex, datatype=dt), j2
             return Literal(lex), j
         if kind == "iri":
-            value = tok[1:-1]
-            if base and not _ABSOLUTE_IRI_RE.match(value):
-                value = base + value
-            term = IRI(_unescape(value))
+            term = IRI(resolve(tok))
         elif kind == "pname":
             prefix, _, local = tok.partition(":")
             if prefix not in prefixes:
@@ -469,9 +473,9 @@ def parse_turtle(data: Union[str, bytes]) -> Graph:
             if not well_formed:
                 raise RdfError(f"malformed {texts[i]} directive: {' '.join(texts[i:end])!r}")
             if prefix:
-                prefixes[prefix[0][:-1]] = iri[1:-1]
+                prefixes[prefix[0][:-1]] = resolve(iri)
             else:
-                base = iri[1:-1]
+                base = resolve(iri)
             i = end
             if i < n and texts[i] == ".":
                 i += 1

@@ -373,21 +373,21 @@ def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
         return ROLE_EVENT_MAP.get(label(re.sub(r"\d+$", "", role)))
 
     def ordered_entities(slice_, kind):
-        triggers = {ev.event.trigger_id for ev in slice_.events}
+        triggers = {ev.trigger.id for ev in slice_.events}
         return sorted(
-            (ae for ae in slice_.entities
-             if kind_of(ae.entity.type) == kind and ae.entity.id not in triggers),
-            key=lambda ae: (ae.entity.char_start, ae.entity.id),
+            (ent for ent in slice_.entities
+             if kind_of(ent.type) == kind and ent.id not in triggers),
+            key=lambda ent: (ent.char_start, ent.id),
         )
 
     def ordered_events(slice_):
-        return sorted(slice_.events, key=lambda ev: (ev.trigger.char_start, ev.event.id))
+        return sorted(slice_.events, key=lambda ev: (ev.trigger.char_start, ev.id))
 
     def local_ids(slice_):
         entities = []
         for kind in ("data", "purpose", "party"):
-            for ae in ordered_entities(slice_, kind):
-                entities.append((f"e{len(entities)}", kind, ae))
+            for ent in ordered_entities(slice_, kind):
+                entities.append((f"e{len(entities)}", kind, ent))
         events = [(f"a{i}", ev) for i, ev in enumerate(ordered_events(slice_))]
         return entities, events
 
@@ -396,7 +396,7 @@ def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
         slice_ = gold_doc.alignment.get(segment.index, GoldSlice())
         if task is TaskKind.DATA_RECOGNITION or task is TaskKind.PURPOSE_RECOGNITION:
             kind = "data" if task is TaskKind.DATA_RECOGNITION else "purpose"
-            spans = [ae.entity.covering_text for ae in ordered_entities(slice_, kind)]
+            spans = [ent.covering_text for ent in ordered_entities(slice_, kind)]
             out.append(SegmentTask(
                 doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
                 segment_text=segment.text,
@@ -405,9 +405,9 @@ def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
             ))
         elif task is TaskKind.PARTY_RECOGNITION:
             items = []
-            for ae in ordered_entities(slice_, "party"):
-                item = {"text": ae.entity.covering_text}
-                subtype = party_subtype_of(ae.entity.type)
+            for ent in ordered_entities(slice_, "party"):
+                item = {"text": ent.covering_text}
+                subtype = party_subtype_of(ent.type)
                 if subtype:
                     item["subtype"] = subtype
                 items.append(item)
@@ -420,7 +420,7 @@ def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
         elif task is TaskKind.ACTION_RECOGNITION:
             items = []
             for ev in ordered_events(slice_):
-                subtype = action_subtype_of(ev.event.type)
+                subtype = action_subtype_of(ev.type)
                 item = {"text": ev.trigger.covering_text}
                 if subtype:
                     item["subtype"] = subtype
@@ -435,8 +435,8 @@ def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
             kind = "data" if task is TaskKind.DATA_CLASSIFICATION else "purpose"
             pairs = []
             items = []
-            for ae in ordered_entities(slice_, kind):
-                term = ae.entity.fine_grained
+            for ent in ordered_entities(slice_, kind):
+                term = ent.fine_grained
                 if not term:
                     continue
                 iri = term
@@ -445,8 +445,8 @@ def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
                         iri = taxonomy.resolve_term(term, kind).iri
                     except UnresolvedTermError:
                         continue
-                pairs.append((ae.entity.covering_text, iri))
-                items.append({"entity_text": ae.entity.covering_text, "term": term})
+                pairs.append((ent.covering_text, iri))
+                items.append({"entity_text": ent.covering_text, "term": term})
             out.append(SegmentTask(
                 doc_id=gold_doc.gold.doc_id, segment_index=segment.index,
                 segment_text=segment.text,
@@ -456,12 +456,12 @@ def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
             ))
         elif task is TaskKind.RELATION_RECOGNITION:
             entities, events = local_ids(slice_)
-            entity_id_of = {ae.entity.id: local_id for local_id, _, ae in entities}
-            action_id_of = {ev.event.id: local_id for local_id, ev in events}
-            trigger_id_of = {ev.event.trigger_id: local_id for local_id, ev in events}
+            entity_id_of = {ent.id: local_id for local_id, _, ent in entities}
+            action_id_of = {ev.id: local_id for local_id, ev in events}
+            trigger_id_of = {ev.trigger.id: local_id for local_id, ev in events}
             items = []
             for local_id, ev in events:
-                for role, target in ev.event.roles:
+                for role, target in ev.roles:
                     event_type = event_type_of(role)
                     if event_type is None:
                         continue
@@ -471,7 +471,7 @@ def reference_segment_tasks(gold_doc, task, taxonomy=None) -> list:
                         continue
                     items.append({"id1": local_id, "id2": target_id, "type": event_type})
             extras = tuple(
-                (local_id, kind, ae.entity.covering_text) for local_id, kind, ae in entities
+                (local_id, kind, ent.covering_text) for local_id, kind, ent in entities
             ) + tuple(
                 (local_id, "action", ev.trigger.covering_text) for local_id, ev in events
             )

@@ -29,12 +29,14 @@ from ppanalyze.extraction.pipeline import (
 )
 from ppanalyze.extraction.prompts import TaskKind
 from ppanalyze.graph import (
+    DATA_COLLECTION_USE,
+    DATA_PRACTICE,
     HAS_DATA,
     HAS_PRACTICE,
     HAS_PURPOSE,
     HAS_SERVICE,
-    PRACTICE_CLASSES,
     PRIVACY_POLICY,
+    THIRD_PARTY_SHARING,
     build_graph,
 )
 from ppanalyze.policyconv import (
@@ -47,6 +49,7 @@ from .conftest import FIXTURES
 from .finetune_corpus import synthetic_gold_corpus
 from .oracles import brute_force_lcs_ratio, optimal_matching_credit
 
+PRACTICE_CLASSES = (DATA_PRACTICE, DATA_COLLECTION_USE, THIRD_PARTY_SHARING)
 
 @contextmanager
 def criterion(name: str):

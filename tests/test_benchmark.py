@@ -131,8 +131,7 @@ class TestMixedCorpusMacroMeans:
             start = text.index(surface)
             entities.append(GoldEntity(
                 id=f"T{i + 1}", type="data", char_start=start,
-                char_end=start + len(surface), text=surface,
-                fragments=((start, start + len(surface)),), covering_text=surface,
+                char_end=start + len(surface), covering_text=surface,
             ))
         gold = GoldAnnotationSet("mixed", tuple(entities), (), ())
         corpus = [GoldDocument(doc=doc, gold=gold, alignment=align_gold(gold, doc))]

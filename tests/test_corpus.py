@@ -20,10 +20,18 @@ from ppanalyze.corpus import (
 from .oracles import scan_lines
 
 
-def serialize_entity_line(entity) -> str:
-    """Re-serialize a gold entity as its brat T line (round-trip check)."""
-    span_str = ";".join(f"{a} {b}" for a, b in entity.fragments)
-    return f"{entity.id}\t{entity.type} {span_str}\t{entity.text}"
+def entity_fields(entity) -> tuple:
+    return (entity.id, entity.type, entity.char_start, entity.char_end, entity.covering_text)
+
+
+def t_line_fields(line: str, text: str) -> tuple:
+    """A brat T line's id, type and covering span with the text over it,
+    read independently of `parse_brat`."""
+    tid, middle, _surface = line.split("\t")
+    etype, span_str = middle.split(" ", 1)
+    offsets = [int(x) for fragment in span_str.split(";") for x in fragment.split()]
+    start, end = min(offsets), max(offsets)
+    return (tid, etype, start, end, text[start:end])
 
 
 class TestSegmentLines:
@@ -142,7 +150,7 @@ class TestParseBrat:
         gold = parse_brat(t, a)
         (ent,) = gold.entities
         assert (ent.type, ent.char_start, ent.char_end) == ("data", 10, 25)
-        assert ent.text == "email addresses"
+        assert ent.covering_text == "email addresses"
 
     def test_event_line(self, tmp_path):
         text = "we collect your email"
@@ -155,7 +163,7 @@ class TestParseBrat:
         t, a = write_pair(tmp_path, text, ann)
         gold = parse_brat(t, a)
         (event,) = gold.events
-        assert event.trigger_id == "T3"
+        assert (event.trigger.id, event.trigger.covering_text) == ("T3", "collect")
         assert event.roles == (("data-collector", "T1"), ("data", "T2"))
 
     def test_dangling_reference(self, tmp_path):
@@ -185,7 +193,6 @@ class TestParseBrat:
         t, a = write_pair(tmp_path, text, ann)
         gold = parse_brat(t, a)
         (ent,) = gold.entities
-        assert ent.fragments == ((0, 7), (17, 22))
         assert (ent.char_start, ent.char_end) == (0, 22)
         assert ent.covering_text == text[0:22]
 
@@ -199,7 +206,6 @@ class TestParseBrat:
         t, a = write_pair(tmp_path, text, ann)
         (ent,) = parse_brat(t, a).entities
         assert ent.fine_grained == "EmailAddress"
-        assert ent.notes == ("SomethingElse",)
 
     def test_grounding_from_single_token_note(self, tmp_path):
         text = "your email"
@@ -215,19 +221,20 @@ class TestParseBrat:
 
     def test_t_line_round_trip(self, tmp_path):
         text = "collect and also share data here"
-        ann_lines = [
-            "T1\tdata 23 27\tdata",
-            "T2\taction 0 7;17 22\tcollect share",
+        t, a = write_pair(tmp_path, text,
+                          "T1\tdata 23 27\tdata\nT2\taction 0 7;17 22\tcollect share\n")
+        assert [entity_fields(e) for e in parse_brat(t, a).entities] == [
+            ("T1", "data", 23, 27, "data"),
+            ("T2", "action", 0, 22, "collect and also share"),
         ]
-        t, a = write_pair(tmp_path, text, "\n".join(ann_lines) + "\n")
-        gold = parse_brat(t, a)
-        assert [serialize_entity_line(e) for e in gold.entities] == ann_lines
 
     def test_fixture_gold_round_trip(self, gold_dir):
         gold = parse_brat(gold_dir / "acme.txt", gold_dir / "acme.ann")
+        text = (gold_dir / "acme.txt").read_text(encoding="utf-8")
         ann_lines = (gold_dir / "acme.ann").read_text(encoding="utf-8").split("\n")
         t_lines = [line for line in ann_lines if line.startswith("T")]
-        assert [serialize_entity_line(e) for e in gold.entities] == t_lines
+        assert [entity_fields(e) for e in gold.entities] == \
+            [t_line_fields(line, text) for line in t_lines]
 
 
 class TestAlignGold:
@@ -237,7 +244,7 @@ class TestAlignGold:
         doc = load_policy(t, "x")
         aligned = align_gold(gold, doc)
         assert list(aligned) == [1]
-        assert aligned[1].entities[0].entity.id == "T1"
+        assert aligned[1].entities[0].id == "T1"
 
     def test_empty_gold(self, tmp_path):
         t, a = write_pair(tmp_path, "a\nb\n", "")
@@ -250,14 +257,6 @@ class TestAlignGold:
         aligned = align_gold(parse_brat(t, a), load_policy(t, "x"))
         assert len(aligned[0].entities) == 2
 
-    def test_boundary_crossing_flagged(self, tmp_path):
-        text = "one two\nthree\n"
-        ann = "T1\tdata 4 13\ttwo three\n"
-        t, a = write_pair(tmp_path, text, ann)
-        aligned = align_gold(parse_brat(t, a), load_policy(t, "x"))
-        (entity,) = aligned[0].entities
-        assert entity.crosses_boundary
-
     def test_span_on_blank_line_is_error(self, tmp_path):
         # annotate the newline gap between segments
         text = "ab\n  \ncd\n"
@@ -268,7 +267,7 @@ class TestAlignGold:
         from ppanalyze.corpus import GoldAnnotationSet, GoldEntity
         gold = GoldAnnotationSet(
             doc_id="doc",
-            entities=(GoldEntity("T1", "data", 3, 5, "  ", ((3, 5),), "  "),),
+            entities=(GoldEntity("T1", "data", 3, 5, "  "),),
             events=(), relations=(), ann_path="doc.ann",
         )
         doc = load_policy(t, "x")
@@ -276,14 +275,50 @@ class TestAlignGold:
             align_gold(gold, doc)
         assert str(err.value) == "doc.ann: annotation span starts outside every segment: T1"
 
-    def test_aligned_entities_substring_or_flagged(self, gold_dir):
-        gold = parse_brat(gold_dir / "acme.txt", gold_dir / "acme.ann")
-        doc = load_policy(gold_dir / "acme.txt", "acme")
-        for slice_ in align_gold(gold, doc).values():
-            for aligned in slice_.entities:
-                seg = doc.segments[aligned.segment_index]
-                assert (aligned.entity.covering_text in seg.text
-                        or aligned.crosses_boundary)
+    def test_alignment_contract(self, gold_dir, tmp_path):
+        # annotations out of file order; T2 crosses into the next line and
+        # T5 triggers two events
+        text = "we share it and collect data\nthen keep it\n"
+        ann = (
+            "T5\tcollection-use 16 23\tcollect\n"
+            "T2\tdata 24 33\tdata then\n"
+            "T1\tdata 9 11\tit\n"
+            "T3\tthird-party-sharing-disclosure 3 8\tshare\n"
+            "T4\tstorage-retention-deletion 34 38\tkeep\n"
+            "E3\tcollection-use:T5 data:T2\n"
+            "E2\tthird-party-sharing-disclosure:T3 data:T1\n"
+            "E1\tcollection-use:T5\n"
+            "E4\tstorage-retention-deletion:T4\n"
+        )
+        t, a = write_pair(tmp_path, text, ann)
+        pairs = [(t, a), (gold_dir / "acme.txt", gold_dir / "acme.ann")]
+        for text_path, ann_path in pairs:
+            gold = parse_brat(text_path, ann_path)
+            doc = load_policy(text_path, "x")
+            aligned = align_gold(gold, doc)
+            triggers = {ev.trigger.id for ev in gold.events}
+            assert triggers
+            for index, slice_ in aligned.items():
+                seg = doc.segments[index]
+                for ent in slice_.entities:
+                    assert seg.char_start <= ent.char_start < seg.char_end
+                    assert ent.id not in triggers
+                for ev in slice_.events:
+                    assert seg.char_start <= ev.trigger.char_start < seg.char_end
+                assert list(slice_.entities) == \
+                    sorted(slice_.entities, key=lambda e: (e.char_start, e.id))
+                assert list(slice_.events) == \
+                    sorted(slice_.events, key=lambda e: (e.trigger.char_start, e.id))
+            # every entity but a trigger, and every event, is in exactly one slice
+            assert sorted(e.id for s in aligned.values() for e in s.entities) == \
+                sorted(e.id for e in gold.entities if e.id not in triggers)
+            assert sorted(e.id for s in aligned.values() for e in s.events) == \
+                sorted(e.id for e in gold.events)
+        gold = parse_brat(t, a)
+        aligned = align_gold(gold, load_policy(t, "x"))
+        assert [[e.id for e in s.entities] for s in aligned.values()] == [["T1", "T2"], []]
+        assert [[e.id for e in s.events] for s in aligned.values()] == \
+            [["E2", "E1", "E3"], ["E4"]]
 
 
 class TestAnnotationConf:

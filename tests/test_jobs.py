@@ -10,6 +10,7 @@ reported between the policies that succeed.  The `evaluate` gold set is a
 """
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import multiprocessing
@@ -23,6 +24,7 @@ import pytest
 import ppanalyze.cli as cli
 import ppanalyze.eval.benchmark as benchmark
 import ppanalyze.extraction.pipeline as pipeline
+from ppanalyze.corpus import load_policy
 from ppanalyze.eval.gold import load_gold_corpus
 from ppanalyze.extraction import backend as backend_module
 from ppanalyze.graph import STANDARD_PREFIXES
@@ -145,6 +147,26 @@ def test_no_worker_process_left_behind(corpus, tmp_path, monkeypatch, capsys):
     for pid in workers:
         with pytest.raises(ProcessLookupError):     # exited and reaped
             os.kill(pid, 0)
+
+
+def test_a_one_policy_replay_starts_no_thread_pool(tmp_path, monkeypatch, taxonomy, capsys):
+    pools = []
+    thread_pool = concurrent.futures.ThreadPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return thread_pool(*args, **kwargs)
+
+    # the pipeline imports the name from the module when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
+    policy, cache = FIXTURES / "policy_example.org.txt", FIXTURES / "replay_cache.jsonl"
+    code = cli.main(["analyze", str(policy), "--replay", "--cache", str(cache),
+                     "--model", FIXTURE_MODEL, "--jobs", "2", "--out", str(tmp_path / "out")])
+    assert code == 0 and pools == []
+    # the same segments asked for on two threads do start a pool
+    pipeline.extract_document(load_policy(policy, "example.org"), replay_backend(cache),
+                              taxonomy, jobs=2)
+    assert pools == [{"max_workers": 2}]
 
 
 @pytest.fixture(scope="module")

@@ -139,6 +139,19 @@ class TestTurtleSubset:
         ]
         assert g.prefixes == {"ex": "urn:c#"}
 
+    def test_directive_iris_resolve_against_the_base_like_triple_iris(self):
+        g = parse("@base <http://x.org/> . @prefix ex: <y#> . ex:a <p> <o> .", "turtle")
+        assert g.sorted_triples() == [
+            (IRI("http://x.org/y#a"), IRI("http://x.org/p"), IRI("http://x.org/o")),
+        ]
+        assert g.prefixes == {"ex": "http://x.org/y#"}
+
+    def test_relative_base_after_an_absolute_one_resolves_against_it(self):
+        g = parse("@base <http://x.org/> . @base <sub/> . <a> <p> <o> .", "turtle")
+        assert g.sorted_triples() == [
+            (IRI("http://x.org/sub/a"), IRI("http://x.org/sub/p"), IRI("http://x.org/sub/o")),
+        ]
+
     @pytest.mark.parametrize("text", [
         "@prefix", "@prefix ex:", "@base", "<a:b>", "<a:b> <c:d>", '<a:b> <c:d> "x"^^',
     ])

@@ -279,7 +279,7 @@ class TestRepairOracle:
     # labels that normalize alike across fields, envelopes and enums,
     # where the first in declaration order must win
     CLASHING = ResponseShape(
-        name="clash", envelope_keys=("items", "Items", "i-tems", "list"),
+        envelope_keys=("items", "Items", "i-tems", "list"),
         fields=(FieldSpec("text", synonyms=("Name", "kind")),
                 FieldSpec("kind", synonyms=("TEXT", "name", "type"), required=False,
                           enum_values=("a_b", "AB", "c"),
