@@ -13,8 +13,11 @@ deterministic.
 `jobs` is the one parallelism setting.  A replay hands whole policies
 (`analyze`) or gold documents (`evaluate`) to that many forked worker
 processes, and runs each policy's segments on one thread.  Live and
-record runs stay in one process: `analyze` runs one policy's segments
-on that many threads, and `evaluate` runs serially.
+record runs stay in one process.  There `analyze` has `jobs` segments of
+a policy in flight, each sending its 4 recognition queries together and
+then its up to 3 classification and relation queries together, so an
+endpoint sees at most 4 x `jobs` concurrent requests; `evaluate` runs
+serially.
 
 Each command imports the modules it runs when it starts, so `stats` and
 `convert` never load the extraction pipeline, the HTTP client or the
@@ -63,8 +66,10 @@ SETTINGS = {
     "out": Setting(str, "out", "output directory (default ./out)"),
     "jobs": Setting(int, None, "parallel workers (default: the usable CPUs with --replay, "
                                "else 1): policies or gold documents in worker processes "
-                               "on a replay; otherwise one policy's segments on threads "
-                               "(a live or record evaluate runs serially)"),
+                               "on a replay; otherwise one policy's segments in flight, "
+                               "each asking its queries in two waves, at most 4 x jobs "
+                               "requests at once (a live or record evaluate runs "
+                               "serially)"),
     "seed": Setting(int, 0, "seed for all randomized steps"),
 }
 
@@ -192,7 +197,7 @@ class _Analysis:
     taxonomy: Taxonomy
     backend: Backend
     out_dir: Path
-    segment_jobs: int
+    jobs: int
 
 
 @dataclass
@@ -215,7 +220,7 @@ def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
     try:
         doc = load_policy(path, service_id)
         result = extract_document(doc, analysis.backend, analysis.taxonomy,
-                                  jobs=analysis.segment_jobs)
+                                  jobs=analysis.jobs)
     except (CorpusError, DocumentError) as exc:
         return _PolicyOutcome(failure=(f"error: {path}: {exc}", []))
 
@@ -296,9 +301,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     (out_dir / "logs").mkdir(exist_ok=True)
 
     workers = _replay_workers(config, len(args.policies))
-    # a replay is CPU work, which threads only slow down: its segments run on one
-    analysis = _Analysis(taxonomy, backend, out_dir,
-                         segment_jobs=1 if config.mode == "replay" else config.jobs)
+    analysis = _Analysis(taxonomy, backend, out_dir, config.jobs)
     failures = triples = 0
     policy_blocks = []
     # each policy's records are written and flushed after its files

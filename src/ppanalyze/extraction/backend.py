@@ -45,7 +45,8 @@ RETRYABLE_HTTP = {408, 409, 429, 500, 502, 503, 504}
 
 
 class BackendError(Error):
-    pass
+    # the prompt digest of the call that failed, set by `Backend.invoke`
+    digest: Optional[str] = None
 
 
 class ConfigError(BackendError):
@@ -291,27 +292,30 @@ class Backend:
         with self._count_lock:
             self.invocations += 1
         digest = prompt_digest(self.config.model_name, task.value, prompt)
+        try:
+            if self.config.cache_mode != "live":
+                record = self.cache.get(digest)
+                if record is not None:
+                    return BackendResponse(raw=_utf8(record["response"], digest),
+                                           digest=digest, from_cache=True)
+                if self.config.cache_mode == "replay":
+                    raise ReplayMissError(digest, task.value)
 
-        if self.config.cache_mode != "live":
-            record = self.cache.get(digest)
-            if record is not None:
-                return BackendResponse(raw=_utf8(record["response"], digest), digest=digest,
-                                       from_cache=True)
-            if self.config.cache_mode == "replay":
-                raise ReplayMissError(digest, task.value)
-
-        raw = _utf8(self._call_with_retries(prompt), digest)
-        if self.config.cache_mode == "record":
-            # a concurrent miss on the same prompt may have stored its answer first
-            raw = self.cache.put({
-                "key": digest,
-                "model": self.config.model_name,
-                "task": task.value,
-                "prompt": {"system": prompt.system, "user": prompt.user},
-                "response": raw,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            })["response"]
-        return BackendResponse(raw=raw, digest=digest, from_cache=False)
+            raw = _utf8(self._call_with_retries(prompt), digest)
+            if self.config.cache_mode == "record":
+                # a concurrent miss on the same prompt may have stored its answer first
+                raw = self.cache.put({
+                    "key": digest,
+                    "model": self.config.model_name,
+                    "task": task.value,
+                    "prompt": {"system": prompt.system, "user": prompt.user},
+                    "response": raw,
+                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                })["response"]
+            return BackendResponse(raw=raw, digest=digest, from_cache=False)
+        except BackendError as exc:
+            exc.digest = digest
+            raise
 
     def _call_with_retries(self, prompt: PromptMessages) -> str:
         last: Optional[Exception] = None

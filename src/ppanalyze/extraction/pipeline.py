@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Collection, NamedTuple, Optional, Sequence
+from functools import lru_cache, partial
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, Collection, NamedTuple, Optional, Sequence
 
 from .. import Error
 from ..corpus import PolicyDocument, Segment
@@ -262,9 +263,9 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
     """Execute one pipeline step for one segment: exactly one model query.
 
     Returns the parsed items and the call's trace.  A failed call returns
-    None for the items, and its trace holds the error: a `BackendError`
-    (no answer) leaves `raw` empty, and an unparseable answer keeps it,
-    with its digest and cache flag, for audit.
+    None for the items, and its trace holds the error and the prompt's
+    digest: a `BackendError` (no answer) leaves `raw` empty, and an
+    unparseable answer keeps it, with its cache flag, for audit.
 
     The answer is parsed through a per-process memo of the last
     `PARSE_MEMO_SIZE` distinct (task, answer) pairs, so calls that get
@@ -275,7 +276,7 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
     try:
         response = backend.invoke(task, prompt)
     except BackendError as exc:
-        return None, TaskTrace(task=task.value, error=str(exc))
+        return None, TaskTrace(task=task.value, digest=exc.digest, error=str(exc))
     parsed = _parse(task, response.raw)
     trace = TaskTrace(
         task=task.value,
@@ -323,17 +324,24 @@ def _ground(kind: str, spans: Sequence[EntitySpan], items: list[dict],
     return updated, notes
 
 
-def _extract_segment(segment: Segment, backend: Backend,
-                     taxonomy: Taxonomy) -> SegmentExtraction:
+def _extract_segment(segment: Segment, backend: Backend, taxonomy: Taxonomy,
+                     ask: Callable = map) -> SegmentExtraction:
+    """Extract one segment in two waves of model queries: the recognition
+    queries, then the classification queries that have spans and the
+    relation query.  `ask` maps `run_task` over each wave's tasks and
+    extras, in task order: the built-in `map` asks in sequence, an
+    executor's `map` asks a wave at once.
+
+    The relation prompt reads only each span's id, kind and text, which
+    grounding never changes, so it need not wait for classification.
+    Answers are applied in task order whatever order they arrive in."""
     traces: dict[str, TaskTrace] = {}
     notes: list[str] = []
 
-    def attempt(task: TaskKind, extras: Optional[Sequence]) -> Optional[list[dict]]:
-        """Run one step and record its trace; None if it failed."""
-        items, traces[task.value] = run_task(task, segment, extras, backend)
-        return items
-
-    recognized = {TASK_KIND[task]: attempt(task, None) for task in RECOGNITION_TASKS}
+    answers = ask(run_task, RECOGNITION_TASKS, repeat(segment), repeat(None), repeat(backend))
+    recognized = {}
+    for task, (items, traces[task.value]) in zip(RECOGNITION_TASKS, answers):
+        recognized[TASK_KIND[task]] = items
 
     # entities (data, purpose, party) are numbered e0.., actions a0..; actions
     # come last in SPAN_KINDS, so len(spans) counts entities only
@@ -362,23 +370,26 @@ def _extract_segment(segment: Segment, backend: Backend,
             traces[task.value] = TaskTrace(task=task.value, skipped=True)
         return SegmentExtraction(segment.index, segment.text, (), (), traces, tuple(notes))
 
-    for task in CLASSIFICATION_TASKS:
-        kind = TASK_KIND[task]
-        subset = [s for s in spans if s.kind == kind]
-        if not subset:
-            continue
-        items = attempt(task, [s.text for s in subset])
+    subsets = {task: [s for s in spans if s.kind == TASK_KIND[task]]
+               for task in CLASSIFICATION_TASKS}
+    tasks = [task for task in CLASSIFICATION_TASKS if subsets[task]]
+    extras = [[s.text for s in subsets[task]] for task in tasks]
+    *classified, (relation_items, relation_trace) = ask(
+        run_task, [*tasks, TaskKind.RELATION_RECOGNITION], repeat(segment),
+        [*extras, spans], repeat(backend))
+
+    for task, (items, traces[task.value]) in zip(tasks, classified):
         if items is not None:
-            updated, cls_notes = _ground(kind, subset, items, taxonomy)
+            updated, cls_notes = _ground(TASK_KIND[task], subsets[task], items, taxonomy)
             notes.extend(cls_notes)
             by_id = {s.local_id: s for s in updated}
             spans = [by_id.get(s.local_id, s) for s in spans]
 
+    traces[TaskKind.RELATION_RECOGNITION.value] = relation_trace
     relations: list[RelationTuple] = []
-    items = attempt(TaskKind.RELATION_RECOGNITION, spans)
     known_ids = {s.local_id for s in spans}
     action_ids = {s.local_id for s in spans if s.kind == "action"}
-    for item in items or ():
+    for item in relation_items or ():
         id1, id2 = item["id1"], item["id2"]
         if id1 not in known_ids or id2 not in known_ids:
             notes.append(f"relation ({id1}, {id2}, {item['type']}) dropped: unknown id")
@@ -402,6 +413,12 @@ def extract_document(doc: PolicyDocument, backend: Backend, taxonomy: Taxonomy,
                      jobs: int = 1) -> ExtractionResult:
     """Run the full per-segment pipeline over one policy document.
 
+    A replay asks every query in sequence and starts no thread: it waits on
+    no model.  Live and record runs extract up to `jobs` segments at once,
+    each asking a wave of queries together, on one pool of 4 x `jobs`
+    query threads (4 recognition queries per segment), so at most that
+    many queries are in flight.
+
     Per-segment errors are aggregated without aborting; DocumentError is
     raised only when every segment failed.  Segment order is preserved
     regardless of worker completion order.
@@ -409,15 +426,20 @@ def extract_document(doc: PolicyDocument, backend: Backend, taxonomy: Taxonomy,
     if not doc.segments:
         return ExtractionResult(doc.service_id, doc.source_uri, ())
 
-    if jobs <= 1 or len(doc.segments) == 1:
+    if backend.config.cache_mode == "replay":
         extractions = [_extract_segment(seg, backend, taxonomy) for seg in doc.segments]
     else:
-        # imported here, where threads start: most runs start none
+        # imported here, where threads start: a replay starts none
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_extract_segment, seg, backend, taxonomy)
-                       for seg in doc.segments]
-            extractions = [f.result() for f in futures]
+        jobs = min(jobs, len(doc.segments))
+        with ThreadPoolExecutor(max_workers=jobs * len(RECOGNITION_TASKS)) as queries:
+            extract = partial(_extract_segment, backend=backend, taxonomy=taxonomy,
+                              ask=queries.map)
+            if jobs == 1:
+                extractions = list(map(extract, doc.segments))
+            else:
+                with ThreadPoolExecutor(max_workers=jobs) as segments:
+                    extractions = list(segments.map(extract, doc.segments))
 
     result = ExtractionResult(doc.service_id, doc.source_uri, tuple(extractions))
     if result.failed_segments == len(doc.segments):

@@ -383,6 +383,52 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
 
 
 _ABSOLUTE_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
+# RFC 3986 appendix B: scheme, authority, path and query of a base (its
+# fragment is never read), and authority, path, query and fragment of a
+# relative reference; an absent component is None
+_BASE_PARTS_RE = re.compile(r"(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?")
+_REFERENCE_PARTS_RE = re.compile(r"(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?", re.DOTALL)
+
+
+def _remove_dot_segments(path: str) -> str:
+    """RFC 3986 §5.2.4: `path` without its "." and ".." segments."""
+    if "." not in path:
+        return path
+    segments = path.split("/")
+    out: list[str] = []
+    for segment in segments:
+        if segment == "..":
+            if out and out != [""]:     # never above the root of an absolute path
+                out.pop()
+        elif segment != ".":
+            out.append(segment)
+    if segments[-1] in (".", ".."):     # a path that ends in one ends in "/"
+        out.append("")
+    return "/".join(out)
+
+
+def _resolve_reference(base: str, reference: str) -> str:
+    """RFC 3986 §5.2.2 and §5.3: the IRI that the relative `reference`
+    names against `base`, for a base of any scheme."""
+    scheme, authority, path, query = _BASE_PARTS_RE.match(base).groups()
+    ref_authority, ref_path, ref_query, fragment = _REFERENCE_PARTS_RE.fullmatch(
+        reference).groups()
+    if ref_authority is not None:
+        authority, path, query = ref_authority, _remove_dot_segments(ref_path), ref_query
+    elif ref_path:
+        if not ref_path.startswith("/"):        # §5.2.3: merge with the base path
+            ref_path = ("/" if authority is not None and not path
+                        else path[:path.rfind("/") + 1]) + ref_path
+        path, query = _remove_dot_segments(ref_path), ref_query
+    elif ref_query is not None:
+        query = ref_query
+    return "".join((
+        "" if scheme is None else scheme + ":",
+        "" if authority is None else "//" + authority,
+        path,
+        "" if query is None else "?" + query,
+        "" if fragment is None else "#" + fragment,
+    ))
 
 
 def parse_turtle(data: Union[str, bytes]) -> Graph:
@@ -401,11 +447,11 @@ def parse_turtle(data: Union[str, bytes]) -> Graph:
     named: dict[str, Object] = {}
 
     def resolve(tok: str) -> str:
-        """An IRI token's IRI: a relative one is read against the base."""
-        value = tok[1:-1]
+        """An IRI token's IRI: a relative one is resolved against the base."""
+        value = _unescape(tok[1:-1])
         if base and not _ABSOLUTE_IRI_RE.match(value):
-            value = base + value
-        return _unescape(value)
+            return _resolve_reference(base, value)
+        return value
 
     def term_at(j: int) -> tuple[Object, int]:
         if j >= n:

@@ -1,6 +1,9 @@
 """Scripted transport for pipeline tests: planned responses by (segment, task)."""
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from hypothesis import strategies as st
 
 from ppanalyze.corpus import PolicyDocument
@@ -24,6 +27,15 @@ def segment_text_of(prompt) -> str:
     if SEGMENT_MARK in prompt.user:
         return prompt.user.split(SEGMENT_MARK + "\n", 1)[1].split("\n" + ENTITIES_MARK, 1)[0]
     return prompt.user
+
+
+def cache_answers(cache: Path) -> dict[tuple[str, str], str]:
+    """The answer of each (system, user) prompt of a cache file."""
+    answers = {}
+    for line in cache.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        answers[record["prompt"]["system"], record["prompt"]["user"]] = record["response"]
+    return answers
 
 
 def scripted_transport(doc: PolicyDocument, planned: dict, default: str = "[]"):

@@ -19,8 +19,8 @@ from ppanalyze.extraction.prompts import TaskKind
 from ppanalyze.rdfio import IRI, parse_turtle
 
 from .conftest import FIXTURES, ROOT, make_document
-from .scripted import (RICH_PLAN, RICH_SEGMENT, scripted_transport, segment_text_of,
-                       surrogate_plans)
+from .scripted import (RICH_PLAN, RICH_SEGMENT, cache_answers, scripted_transport,
+                       segment_text_of, surrogate_plans)
 
 MARKETING = "https://w3id.org/dpv#Marketing"
 
@@ -430,10 +430,7 @@ class TestRecord:
     def asked(self, monkeypatch):
         """Stand in for the model: it answers as the fixture cache does the
         first time it is asked a prompt, and with an empty list after that."""
-        answers = {}
-        for line in (FIXTURES / "replay_cache.jsonl").read_text().splitlines():
-            record = json.loads(line)
-            answers[record["prompt"]["system"], record["prompt"]["user"]] = record["response"]
+        answers = cache_answers(FIXTURES / "replay_cache.jsonl")
         asked: list[tuple[str, str]] = []
 
         def transport(prompt, config):

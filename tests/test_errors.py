@@ -16,9 +16,9 @@ import pytest
 import ppanalyze
 from ppanalyze.cli import main
 from ppanalyze.corpus import CorpusError, parse_brat
-from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError
+from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError, prompt_digest
 from ppanalyze.extraction.pipeline import run_task
-from ppanalyze.extraction.prompts import TaskKind
+from ppanalyze.extraction.prompts import TaskKind, build_prompt
 from ppanalyze.rdfio import RdfError, parse_turtle
 from ppanalyze.taxonomy import TaxonomyError, default_snapshot_path, load_taxonomy
 
@@ -229,6 +229,10 @@ def backend_answering(transport) -> Backend:
 class TestRunTaskFailure:
     segment = make_document("We collect data.").segments[0]
 
+    def digest(self, model: str) -> str:
+        return prompt_digest(model, "data-recognition",
+                             build_prompt(TaskKind.DATA_RECOGNITION, self.segment.text))
+
     def test_transport_error_returns_its_trace(self):
         def down(prompt, config):
             raise TransportError("down")
@@ -238,7 +242,8 @@ class TestRunTaskFailure:
         assert items is None
         assert "down" in trace.error
         assert trace.task == "data-recognition"
-        assert trace.raw is None and trace.digest is None
+        # no answer, but the digest names the call
+        assert trace.raw is None and trace.digest == self.digest("scripted")
 
     def test_replay_miss_returns_its_trace(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -247,7 +252,7 @@ class TestRunTaskFailure:
         items, trace = run_task(TaskKind.DATA_RECOGNITION, self.segment, None, backend)
         assert items is None
         assert trace.error.startswith("replay cache has no entry")
-        assert trace.raw is None
+        assert trace.raw is None and trace.digest == self.digest("m")
 
     def test_unparseable_answer_keeps_raw(self):
         # plain prose is no relation list

@@ -2,11 +2,13 @@
 
 With `jobs` above 1 a replay hands whole policies (`analyze`) or gold
 documents (`evaluate`) to forked worker processes, and `corpus.ttl` is
-merged from the per-policy statements.  The `analyze` corpus here is a
-small `perfbench/gen.py` corpus of four policies; the second cannot be
-read and the third fails its graph invariants, so the failures are
-reported between the policies that succeed.  The `evaluate` gold set is a
-`perfbench/gen.py` set of four documents, one of whose queries fails.
+merged from the per-policy statements.  A live or record `analyze` has
+`jobs` segments in flight, each asking its queries in two waves.  The
+`analyze` corpus here is a small `perfbench/gen.py` corpus of four
+policies; the second cannot be read and the third fails its graph
+invariants, so the failures are reported between the policies that
+succeed.  The `evaluate` gold set is a `perfbench/gen.py` set of four
+documents, one of whose queries fails.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -27,11 +31,15 @@ import ppanalyze.extraction.pipeline as pipeline
 from ppanalyze.corpus import load_policy
 from ppanalyze.eval.gold import load_gold_corpus
 from ppanalyze.extraction import backend as backend_module
+from ppanalyze.extraction.backend import Backend, BackendConfig
+from ppanalyze.extraction.pipeline import extract_document
+from ppanalyze.extraction.prompts import RECOGNITION_TASKS
 from ppanalyze.graph import STANDARD_PREFIXES
 from ppanalyze.rdfio import parse_turtle
 
-from .conftest import FIXTURE_MODEL, FIXTURES, replay_backend
+from .conftest import FIXTURE_MODEL, FIXTURES, make_document, replay_backend
 from .oracles import reference_corpus_turtle
+from .scripted import RICH_PLAN, RICH_SEGMENT, cache_answers, segment_text_of, task_of
 
 MARKETING = "https://w3id.org/dpv#Marketing"
 SEED = 3
@@ -77,6 +85,10 @@ def slow_first_broken_third(monkeypatch, corpus):
 
     # `analyze` looks the name up in the pipeline module on each policy
     monkeypatch.setattr(pipeline, "extract_document", extract_broken)
+
+
+def live_backend(transport, model: str = "scripted") -> Backend:
+    return Backend(BackendConfig(model_name=model, cache_mode="live"), transport=transport)
 
 
 def run(argv: list[str], out: Path, capsys) -> tuple[int, dict, str, str]:
@@ -163,10 +175,122 @@ def test_a_one_policy_replay_starts_no_thread_pool(tmp_path, monkeypatch, taxono
     code = cli.main(["analyze", str(policy), "--replay", "--cache", str(cache),
                      "--model", FIXTURE_MODEL, "--jobs", "2", "--out", str(tmp_path / "out")])
     assert code == 0 and pools == []
-    # the same segments asked for on two threads do start a pool
-    pipeline.extract_document(load_policy(policy, "example.org"), replay_backend(cache),
-                              taxonomy, jobs=2)
-    assert pools == [{"max_workers": 2}]
+    # the same segments asked live start one pool for the queries, 4 per
+    # segment in flight, and one for the 2 segments in flight
+    answers = cache_answers(cache)
+    pipeline.extract_document(
+        load_policy(policy, "example.org"),
+        live_backend(lambda prompt, config: answers[prompt.system, prompt.user], FIXTURE_MODEL),
+        taxonomy, jobs=2)
+    assert pools == [{"max_workers": 8}, {"max_workers": 2}]
+
+
+# -- the live scheduler: each segment asks its queries in two waves --
+
+def rich_document(segments: int):
+    """`segments` segments, each asking 4 recognition queries, then 2
+    classification queries and the relation query."""
+    return make_document("".join(f"{RICH_SEGMENT} ({k})\n" for k in range(segments)))
+
+
+def rich_answer(prompt, config) -> str:
+    return RICH_PLAN[0, task_of(prompt)]
+
+
+def test_a_segments_recognition_queries_are_in_flight_together(taxonomy):
+    barrier = threading.Barrier(len(RECOGNITION_TASKS), timeout=10)
+
+    def transport(prompt, config):
+        if task_of(prompt) in RECOGNITION_TASKS:
+            barrier.wait()      # broken, and the call failed, unless all four wait
+        return rich_answer(prompt, config)
+
+    backend = live_backend(transport)
+    result = extract_document(rich_document(3), backend, taxonomy, jobs=1)
+    assert backend.invocations == 3 * 7
+    assert not any(trace.error for seg in result.segments for trace in seg.traces.values())
+
+
+def test_classification_and_relation_wait_for_every_recognition_answer(taxonomy):
+    lock = threading.Lock()
+    events = []     # (event, segment text, task), in the order they happened
+
+    def transport(prompt, config):
+        task, segment = task_of(prompt), segment_text_of(prompt)
+        with lock:
+            events.append(("asked", segment, task))
+        time.sleep(0.01)
+        with lock:
+            events.append(("answered", segment, task))
+        return rich_answer(prompt, config)
+
+    doc = rich_document(4)
+    extract_document(doc, live_backend(transport), taxonomy, jobs=2)
+    for seg in doc.segments:
+        mine = [(event, task in RECOGNITION_TASKS) for event, text, task in events
+                if text == seg.text]
+        last_recognition = max(i for i, event in enumerate(mine)
+                               if event == ("answered", True))
+        second_wave = [i for i, event in enumerate(mine) if event == ("asked", False)]
+        assert len(second_wave) == 3 and min(second_wave) > last_recognition
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 6])
+def test_at_most_four_queries_per_job_in_flight(taxonomy, jobs):
+    lock = threading.Lock()
+    in_flight = peak = 0
+
+    def transport(prompt, config):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        time.sleep(0.02)
+        with lock:
+            in_flight -= 1
+        return rich_answer(prompt, config)
+
+    backend = live_backend(transport)
+    extract_document(rich_document(16), backend, taxonomy, jobs=jobs)
+    assert backend.invocations == 16 * 7
+    assert len(RECOGNITION_TASKS) <= peak <= len(RECOGNITION_TASKS) * jobs
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 6])
+def test_record_at_every_jobs_setting_replays_to_the_sequential_replay(
+        corpus, gen, tmp_path, monkeypatch, capsys, jobs):
+    """A record run asks in any order, but records the answers a replay
+    reads back to the bytes of a sequential replay.  Threads switch often,
+    so that a lost update to the backend's counters or cache would show."""
+    paths, cache = corpus
+    answers = cache_answers(cache)
+    monkeypatch.setattr(backend_module, "http_chat_transport",
+                        lambda prompt, config: answers[prompt.system, prompt.user])
+    monkeypatch.setenv("PPA_API_KEY", "test-key")
+    backends = []
+    make_backend = cli._backend
+    monkeypatch.setattr(cli, "_backend",
+                        lambda config: backends.append(make_backend(config)) or backends[-1])
+    recorded = tmp_path / "recorded.jsonl"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        record = run(["analyze", *paths, "--record", "--cache", str(recorded),
+                      "--model", gen.MODEL, "--jobs", str(jobs)], tmp_path / "record", capsys)
+    finally:
+        sys.setswitchinterval(interval)
+
+    calls = [json.loads(line)["event"] == "backend_call" for line in
+             (tmp_path / "record" / "run_log.jsonl").read_text(encoding="utf-8").splitlines()]
+    (backend,) = backends
+    assert backend.invocations == sum(calls)
+    replayed = analyze((paths, recorded), tmp_path / "replay", capsys, "--jobs", "1")
+    sequential = analyze(corpus, tmp_path / "sequential", capsys, "--jobs", "1")
+    assert replayed == sequential
+    # and the record run wrote the graphs the replay writes
+    graphs = {name: digest for name, digest in record[1].items()
+              if name.endswith((".ttl", ".nt"))}
+    assert graphs and graphs.items() <= sequential[1].items()
 
 
 @pytest.fixture(scope="module")
@@ -226,10 +350,7 @@ def test_evaluate_record_is_the_same_at_jobs_one_and_two(gold_set, tmp_path, mon
     """A record run stays in one process and asks the model in sequence,
     whatever `jobs` is: it scores and records as the replay does."""
     gold, cache, model = gold_set
-    answers = {}
-    for line in cache.read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        answers[record["prompt"]["system"], record["prompt"]["user"]] = record["response"]
+    answers = cache_answers(cache)
     pids = set()
 
     def transport(prompt, config):

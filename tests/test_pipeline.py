@@ -1,14 +1,22 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppanalyze.extraction import pipeline
-from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError
-from ppanalyze.extraction.pipeline import DocumentError, extract_document, run_task
-from ppanalyze.extraction.prompts import TaskKind
+from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError, prompt_digest
+from ppanalyze.extraction.pipeline import (
+    SPAN_KINDS,
+    DocumentError,
+    EntitySpan,
+    extract_document,
+    run_task,
+)
+from ppanalyze.extraction.prompts import TaskKind, build_prompt
 from ppanalyze.extraction.repair import RepairTrace, repair_and_parse
 from ppanalyze.graph import BuildLog
 
@@ -16,9 +24,11 @@ from .conftest import FIXTURES, make_document
 from .scripted import (
     RICH_PLAN,
     RICH_SEGMENT,
+    cache_answers,
     scripted_transport,
     segment_text_of,
     surrogate_plans,
+    task_of,
 )
 
 D, P, PA, A = (TaskKind.DATA_RECOGNITION, TaskKind.PURPOSE_RECOGNITION,
@@ -168,12 +178,17 @@ class TestExtractDocument:
         assert executed == len(ResponseCache(FIXTURES / "replay_cache.jsonl"))
 
     def test_parallel_run_preserves_order_and_results(self, taxonomy, fixture_policy_path):
+        # a replay runs its segments in sequence at any `jobs`, so ask live
         from ppanalyze.corpus import load_policy
         doc = load_policy(fixture_policy_path, "example.org")
-        config = BackendConfig(model_name="fixture-model", cache_mode="replay",
-                               cache_path=FIXTURES / "replay_cache.jsonl")
-        sequential = extract_document(doc, Backend(config), taxonomy, jobs=1)
-        parallel = extract_document(doc, Backend(config), taxonomy, jobs=6)
+        answers = cache_answers(FIXTURES / "replay_cache.jsonl")
+        config = BackendConfig(model_name="fixture-model", cache_mode="live")
+
+        def backend() -> Backend:
+            return Backend(config, lambda prompt, _: answers[prompt.system, prompt.user])
+
+        sequential = extract_document(doc, backend(), taxonomy, jobs=1)
+        parallel = extract_document(doc, backend(), taxonomy, jobs=6)
         assert json.dumps(sequential.to_audit_dict()) == json.dumps(parallel.to_audit_dict())
         assert [s.segment_index for s in parallel.segments] == list(range(len(doc.segments)))
 
@@ -266,6 +281,71 @@ class TestUnparseableAnswer:
         (call,) = [json.loads(line) for line in result.run_log_text(BuildLog()).splitlines()
                    if json.loads(line).get("task") == PC.value]
         assert call["error"] and call["digest"] == record["key"]
+
+
+class TestCallWithoutAnswer:
+    """A call that got no answer names its prompt's digest in the audit
+    and the run log."""
+
+    @pytest.mark.parametrize("failure", ["replay-miss", "transport-failure"])
+    def test_digest_in_audit_and_run_log(self, taxonomy, tmp_path, failure):
+        doc = make_document(RICH_SEGMENT)
+        answer = scripted_transport(doc, RICH_PLAN)
+        if failure == "transport-failure":
+            def transport(prompt, config):
+                if task_of(prompt) is R:
+                    raise TransportError("down")
+                return answer(prompt, config)
+
+            backend = Backend(BackendConfig(model_name="scripted", cache_mode="live",
+                                            max_retries=0, retry_base_delay=0.0),
+                              transport=transport)
+        else:
+            # record every answer, then forget the relation query's
+            cache = tmp_path / "cache.jsonl"
+            extract_document(doc, Backend(BackendConfig(model_name="scripted",
+                                                        cache_mode="record",
+                                                        cache_path=cache),
+                                          transport=answer), taxonomy)
+            kept = [line for line in cache.read_text(encoding="utf-8").splitlines(keepends=True)
+                    if json.loads(line)["task"] != R.value]
+            cache.write_text("".join(kept), encoding="utf-8")
+            backend = Backend(BackendConfig(model_name="scripted", cache_mode="replay",
+                                            cache_path=cache))
+        result = extract_document(doc, backend, taxonomy)
+        (seg,) = result.segments
+        digest = prompt_digest("scripted", R.value,
+                               build_prompt(R, seg.segment_text, seg.spans))
+
+        (audited,) = result.to_audit_dict()["segments"]
+        response = audited["responses"][R.value]
+        assert response["error"] and "raw" not in response
+        assert response["digest"] == digest
+        (call,) = [json.loads(line) for line in result.run_log_text(BuildLog()).splitlines()
+                   if json.loads(line).get("task") == R.value]
+        assert call["error"] and call["digest"] == digest
+
+
+_GROUNDINGS = st.fixed_dictionaries({
+    "grounded_term": st.none() | st.text(max_size=30),
+    "unresolved_term": st.none() | st.text(max_size=30),
+    "non_leaf": st.booleans(),
+})
+_SPANS = st.builds(EntitySpan, local_id=st.from_regex(r"[ea][0-9]{1,2}", fullmatch=True),
+                   kind=st.sampled_from(SPAN_KINDS), text=st.text(min_size=1, max_size=30),
+                   segment_index=st.integers(0, 50),
+                   subtype=st.none() | st.sampled_from(["first_party", "collection_use"]),
+                   non_verbatim=st.booleans())
+
+
+@given(segment=st.text(max_size=60),
+       spans=st.lists(st.tuples(_SPANS, _GROUNDINGS), min_size=1, max_size=6))
+def test_grounding_leaves_the_relation_prompt_unchanged(segment, spans):
+    """The relation query is asked before classification answers are in:
+    grounding a span must not change the relation prompt."""
+    before = build_prompt(R, segment, [span for span, _ in spans])
+    after = build_prompt(R, segment, [replace(span, **grounding) for span, grounding in spans])
+    assert after == before
 
 
 class TestAuditDict:

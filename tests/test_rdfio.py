@@ -152,6 +152,44 @@ class TestTurtleSubset:
             (IRI("http://x.org/sub/a"), IRI("http://x.org/sub/p"), IRI("http://x.org/sub/o")),
         ]
 
+    # RFC 3986 §5.4.1, the normal examples, and §5.4.2, the abnormal ones
+    # (with "http:g" read the strict way), against the base http://a/b/c/d;p?q
+    RFC3986_EXAMPLES = {
+        "g:h": "g:h", "g": "http://a/b/c/g", "./g": "http://a/b/c/g",
+        "g/": "http://a/b/c/g/", "/g": "http://a/g", "//g": "http://g",
+        "?y": "http://a/b/c/d;p?y", "g?y": "http://a/b/c/g?y", "#s": "http://a/b/c/d;p?q#s",
+        "g#s": "http://a/b/c/g#s", "g?y#s": "http://a/b/c/g?y#s", ";x": "http://a/b/c/;x",
+        "g;x": "http://a/b/c/g;x", "g;x?y#s": "http://a/b/c/g;x?y#s",
+        "": "http://a/b/c/d;p?q", ".": "http://a/b/c/", "./": "http://a/b/c/",
+        "..": "http://a/b/", "../": "http://a/b/", "../g": "http://a/b/g",
+        "../..": "http://a/", "../../": "http://a/", "../../g": "http://a/g",
+        "../../../g": "http://a/g", "../../../../g": "http://a/g", "/./g": "http://a/g",
+        "/../g": "http://a/g", "g.": "http://a/b/c/g.", ".g": "http://a/b/c/.g",
+        "g..": "http://a/b/c/g..", "..g": "http://a/b/c/..g", "./../g": "http://a/b/g",
+        "./g/.": "http://a/b/c/g/", "g/./h": "http://a/b/c/g/h", "g/../h": "http://a/b/c/h",
+        "g;x=1/./y": "http://a/b/c/g;x=1/y", "g;x=1/../y": "http://a/b/c/y",
+        "g?y/./x": "http://a/b/c/g?y/./x", "g?y/../x": "http://a/b/c/g?y/../x",
+        "g#s/./x": "http://a/b/c/g#s/./x", "g#s/../x": "http://a/b/c/g#s/../x",
+        "http:g": "http:g",
+    }
+
+    @pytest.mark.parametrize("reference,target", RFC3986_EXAMPLES.items())
+    def test_relative_iri_resolves_as_rfc3986_says(self, reference, target):
+        g = parse(f"@base <http://a/b/c/d;p?q> . <urn:s> <urn:p> <{reference}> .", "turtle")
+        assert g.sorted_triples() == [(IRI("urn:s"), IRI("urn:p"), IRI(target))]
+
+    def test_relative_iri_drops_the_last_base_segment_and_dot_segments(self):
+        g = parse("@base <http://x.org/a/b> . <c> <p> <../o> .", "turtle")
+        assert g.sorted_triples() == [
+            (IRI("http://x.org/a/c"), IRI("http://x.org/a/p"), IRI("http://x.org/o")),
+        ]
+
+    def test_relative_iri_resolves_against_a_base_without_authority(self):
+        g = parse("@base <urn:x:a/b> . <c> <../p> <#o> .", "turtle")
+        assert g.sorted_triples() == [
+            (IRI("urn:x:a/c"), IRI("urn:p"), IRI("urn:x:a/b#o")),
+        ]
+
     @pytest.mark.parametrize("text", [
         "@prefix", "@prefix ex:", "@base", "<a:b>", "<a:b> <c:d>", '<a:b> <c:d> "x"^^',
     ])
