@@ -156,9 +156,14 @@ def _refuse_shared_stems(paths: Sequence[str]) -> None:
         seen[stem] = path
 
 
-def _out_dir(config: argparse.Namespace) -> Path:
+def _out_dir(config: argparse.Namespace, *subdirs: str) -> Path:
+    """The output directory, made with its `subdirs` if missing."""
     path = Path(config.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        for sub in ("", *subdirs):
+            (path / sub).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise Error(f"cannot create output directory: {exc}") from None
     return path
 
 
@@ -266,7 +271,7 @@ def _replay_workers(config: argparse.Namespace, items: int) -> int:
     is CPU work only, so it forks up to `jobs` of them; live and record
     runs stay in one process, since the cache locks only within one."""
     if config.mode == "replay" and hasattr(os, "fork"):
-        return max(1, min(config.jobs, items))
+        return min(config.jobs, items)
     return 1
 
 
@@ -296,9 +301,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _refuse_shared_stems(args.policies)
     taxonomy = _load_taxonomy(config)
     backend = _backend(config)
-    out_dir = _out_dir(config)
-    (out_dir / "audit").mkdir(exist_ok=True)
-    (out_dir / "logs").mkdir(exist_ok=True)
+    out_dir = _out_dir(config, "audit", "logs")
 
     workers = _replay_workers(config, len(args.policies))
     analysis = _Analysis(taxonomy, backend, out_dir, config.jobs)

@@ -17,8 +17,14 @@ loudly, which makes every downstream run fully deterministic and
 offline.  Live mode reads no cache, so a cache path there is an error.
 An answer that cannot be encoded as UTF-8 (one holding a lone surrogate)
 is an error too, whether the model or the cache gave it, so it never
-reaches a prompt digest or an output file.  Credentials come only from
-the environment (PPA_API_KEY, falling back to OPENAI_API_KEY).
+reaches a prompt digest or an output file.  So is a completion whose body
+is not UTF-8 JSON or whose message content is not a string.  Credentials
+come only from the environment (PPA_API_KEY, falling back to
+OPENAI_API_KEY).
+
+A config names only the model, cache mode and cache path.  The HTTP
+timeout and the retries of a transport error (3, after 0.5, 1 and 2 s)
+are fixed here.
 """
 from __future__ import annotations
 
@@ -42,6 +48,9 @@ API_BASE_ENV = "PPA_API_BASE"
 DEFAULT_API_BASE = "https://api.openai.com/v1"
 
 RETRYABLE_HTTP = {408, 409, 429, 500, 502, 503, 504}
+_MAX_RETRIES = 3
+_RETRY_BASE_DELAY = 0.5     # seconds before the first retry, doubled for each next one
+_TIMEOUT = 60.0             # seconds per HTTP request
 
 
 class BackendError(Error):
@@ -67,11 +76,8 @@ class ReplayMissError(BackendError):
 @dataclass(frozen=True)
 class BackendConfig:
     model_name: str = "gpt-4o-mini"
-    max_retries: int = 3
     cache_mode: str = "live"          # "live" | "record" | "replay"
     cache_path: Optional[Path] = None
-    timeout: float = 60.0
-    retry_base_delay: float = 0.5
 
     def __post_init__(self) -> None:
         if self.cache_mode not in ("live", "record", "replay"):
@@ -244,8 +250,8 @@ def http_chat_transport(prompt: PromptMessages, config: BackendConfig) -> str:
         },
     )
     try:
-        with urllib.request.urlopen(request, timeout=config.timeout) as resp:
-            payload = json.loads(resp.read().decode("utf-8"))
+        with urllib.request.urlopen(request, timeout=_TIMEOUT) as resp:
+            body = resp.read()
     except urllib.error.HTTPError as exc:
         if exc.code in RETRYABLE_HTTP:
             raise TransportError(f"HTTP {exc.code} from model endpoint") from exc
@@ -253,9 +259,13 @@ def http_chat_transport(prompt: PromptMessages, config: BackendConfig) -> str:
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
         raise TransportError(f"transport failure: {exc}") from exc
     try:
-        return payload["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise BackendError(f"unexpected completion payload: {payload!r:.200}") from exc
+        content = json.loads(body.decode("utf-8"))["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError):     # not UTF-8 JSON, or another shape
+        content = None
+    if not isinstance(content, str):
+        raise BackendError("unexpected completion payload: "
+                           f"{body.decode('utf-8', 'replace')!r:.200}")
+    return content
 
 
 Transport = Callable[[PromptMessages, BackendConfig], str]
@@ -319,15 +329,15 @@ class Backend:
 
     def _call_with_retries(self, prompt: PromptMessages) -> str:
         last: Optional[Exception] = None
-        for attempt in range(self.config.max_retries + 1):
+        for attempt in range(_MAX_RETRIES + 1):
             try:
                 with self._count_lock:
                     self.transport_calls += 1
                 return self.transport(prompt, self.config)
             except TransportError as exc:
                 last = exc
-                if attempt < self.config.max_retries:
-                    time.sleep(self.config.retry_base_delay * (2 ** attempt))
+                if attempt < _MAX_RETRIES:
+                    time.sleep(_RETRY_BASE_DELAY * (2 ** attempt))
         raise TransportError(
-            f"transport failed after {self.config.max_retries + 1} attempts: {last}"
+            f"transport failed after {_MAX_RETRIES + 1} attempts: {last}"
         ) from last

@@ -3,9 +3,9 @@
 Each pipeline step is one model query per segment.  Segments that yield
 no entities and no actions skip the classification and relation steps
 entirely (cost control).  Every raw response is retained for audit even
-when parsing succeeds, and every skip/drop decision is logged as a
-structured note on the segment, so a run can be reconstructed from its
-audit dump alone.
+when parsing succeeds, in the call's `TaskTrace`, filed under its task
+name; and every skip/drop decision is logged as a structured note on
+the segment, so a run can be reconstructed from its audit dump alone.
 
 Hallucination guard: a span whose text does not occur in its segment
 (case-insensitive, whitespace-collapsed) is kept but flagged
@@ -60,9 +60,9 @@ class RelationTuple:
     event_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TaskTrace:
-    task: str
+    """One task on one segment: its call, or its skip; filed under its task name."""
     raw: Optional[str] = None
     digest: Optional[str] = None
     from_cache: bool = False
@@ -73,11 +73,8 @@ class TaskTrace:
     skipped: bool = False
 
 
-# Both writers file a trace under its key in `SegmentExtraction.traces`,
-# its task name, in place of its own `task` field.  A run-log record also
-# leaves out the answer and the dropped items, and `skipped` only picks
-# its event name.
-_TRACE_KEY = "task"
+# A run-log record leaves out the answer and the dropped items, and
+# `skipped` only picks its event name.
 _RUN_LOG_OMITS = ("raw", "dropped_items", "skipped")
 
 
@@ -114,8 +111,7 @@ class ExtractionResult:
         Per segment: its index, text and failure flag, its spans and
         relations, its notes, and one response entry per task in task-name
         order.  A span, relation or response holds its fields in
-        declaration order, but those at their declared default; a response
-        leaves out its task name, which is its key.
+        declaration order, but those at their declared default.
         """
         segments = ",".join(map(_audit_segment, self.segments))
         return ('{\n  "service_id": ' + _str(self.service_id)
@@ -139,7 +135,7 @@ class ExtractionResult:
         append = lines.append
         for seg in self.segments:
             at = f'{policy}, "segment": {seg.segment_index:d}'
-            call_at = at + ", " + _str(_TRACE_KEY) + ": "
+            call_at = at + ', "task": '
             for name, trace in sorted(seg.traces.items()):
                 append(('{"event": "task_skipped"' if trace.skipped
                         else '{"event": "backend_call"') + call_at + _str(name))
@@ -192,8 +188,8 @@ def _layout(cls: type, omit: Collection[str] = (),
 
 _SPAN_FIELDS = _layout(EntitySpan)
 _RELATION_FIELDS = _layout(RelationTuple)
-_RESPONSE_FIELDS = _layout(TaskTrace, {_TRACE_KEY})
-_RUN_LOG_FIELDS = _layout(TaskTrace, {_TRACE_KEY, *_RUN_LOG_OMITS}, lead=", ")
+_RESPONSE_FIELDS = _layout(TaskTrace)
+_RUN_LOG_FIELDS = _layout(TaskTrace, _RUN_LOG_OMITS, lead=", ")
 # what opens each field of a span, relation or response object
 _FIELD = "\n          "
 
@@ -276,10 +272,9 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
     try:
         response = backend.invoke(task, prompt)
     except BackendError as exc:
-        return None, TaskTrace(task=task.value, digest=exc.digest, error=str(exc))
+        return None, TaskTrace(digest=exc.digest, error=str(exc))
     parsed = _parse(task, response.raw)
     trace = TaskTrace(
-        task=task.value,
         raw=response.raw,
         digest=response.digest,
         from_cache=response.from_cache,
@@ -367,7 +362,7 @@ def _extract_segment(segment: Segment, backend: Backend, taxonomy: Taxonomy,
                                      traces, tuple(notes), failed=True)
         notes.append("no entities and no actions: classification and relation steps skipped")
         for task in (*CLASSIFICATION_TASKS, TaskKind.RELATION_RECOGNITION):
-            traces[task.value] = TaskTrace(task=task.value, skipped=True)
+            traces[task.value] = TaskTrace(skipped=True)
         return SegmentExtraction(segment.index, segment.text, (), (), traces, tuple(notes))
 
     subsets = {task: [s for s in spans if s.kind == TASK_KIND[task]]
@@ -414,10 +409,10 @@ def extract_document(doc: PolicyDocument, backend: Backend, taxonomy: Taxonomy,
     """Run the full per-segment pipeline over one policy document.
 
     A replay asks every query in sequence and starts no thread: it waits on
-    no model.  Live and record runs extract up to `jobs` segments at once,
-    each asking a wave of queries together, on one pool of 4 x `jobs`
-    query threads (4 recognition queries per segment), so at most that
-    many queries are in flight.
+    no model.  Live and record runs extract `jobs` segments at once, each
+    asking a wave of queries together, on one pool of 4 x `jobs` query
+    threads (4 recognition queries per segment), so at most that many
+    queries are in flight.  A pool starts a thread only when work waits.
 
     Per-segment errors are aggregated without aborting; DocumentError is
     raised only when every segment failed.  Segment order is preserved
@@ -431,15 +426,11 @@ def extract_document(doc: PolicyDocument, backend: Backend, taxonomy: Taxonomy,
     else:
         # imported here, where threads start: a replay starts none
         from concurrent.futures import ThreadPoolExecutor
-        jobs = min(jobs, len(doc.segments))
-        with ThreadPoolExecutor(max_workers=jobs * len(RECOGNITION_TASKS)) as queries:
+        with ThreadPoolExecutor(max_workers=jobs * len(RECOGNITION_TASKS)) as queries, \
+                ThreadPoolExecutor(max_workers=jobs) as segments:
             extract = partial(_extract_segment, backend=backend, taxonomy=taxonomy,
                               ask=queries.map)
-            if jobs == 1:
-                extractions = list(map(extract, doc.segments))
-            else:
-                with ThreadPoolExecutor(max_workers=jobs) as segments:
-                    extractions = list(segments.map(extract, doc.segments))
+            extractions = list(segments.map(extract, doc.segments))
 
     result = ExtractionResult(doc.service_id, doc.source_uri, tuple(extractions))
     if result.failed_segments == len(doc.segments):

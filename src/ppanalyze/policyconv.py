@@ -31,7 +31,7 @@ from .graph import (
     _digest,
     practice_types,
 )
-from .rdfio import RDF_TYPE, BNode, Graph, IRI, Literal
+from .rdfio import RDF_TYPE, BNode, Graph, IRI, Literal, _writable_iri
 
 ODRL = "http://www.w3.org/ns/odrl/2/"
 
@@ -83,6 +83,11 @@ class ConversionProfile:
             if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
                 raise ConversionError(f"profile {path}: {key!r} is missing or not an object "
                                       "of strings")
+            for entry, value in table.items():
+                if not _writable_iri(value):
+                    raise ConversionError(
+                        f"profile {path}: {key}[{entry!r}] = {value!r} cannot be written to "
+                        "Turtle (it holds whitespace, a backslash or one of <>\"{}|^`)")
         missing = [key for key in PSDTOU_KEYS if key not in payload["psdtou"]]
         if missing:
             raise ConversionError(f"profile {path}: 'psdtou' is missing {', '.join(missing)}")

@@ -300,6 +300,18 @@ def serialize(graph: Graph, fmt: str = "turtle") -> bytes:
 # PN_PREFIX / PN_LOCAL parts may contain '.' but must not end with one,
 # otherwise the token would swallow the statement terminator.
 _PN_PART = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+# A character an IRI token may hold between its <>.  The writer writes an
+# IRI between <> as it is, so an IRI holding any other character would not
+# read back: `_writable_iri` keeps such IRIs out of the graphs.
+_IRI_CHAR = r'[^<>"{}|^`\\\s]'
+_IRI_RE = re.compile(_IRI_CHAR + "*")
+
+
+def _writable_iri(value: str) -> bool:
+    """Whether the writer's `<value>` reads back as the IRI `value`."""
+    return _IRI_RE.fullmatch(value) is not None
+
+
 # Whitespace and comments; each token match also skips those after it.
 # They trail the token so that the regex never backtracks into them.
 _SKIP = r"(?:\s+|\#[^\n]*)*"
@@ -314,7 +326,7 @@ _TOKEN_RE = re.compile(
   | (?P<bnode>_:PNPART)
   | (?P<prefix_decl>@prefix|@base|PREFIX\b|BASE\b)
   | (?P<pname>(?:PNPART)?:(?:PNPART)?)
-  | (?P<iri><[^<>"{}|^`\\\s]*>)
+  | (?P<iri><IRICHAR*>)
   | (?P<triple_quote>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\")
   | (?P<string>"(?:[^"\\\n]|\\.)*")
   | (?P<single>'(?:[^'\\\n]|\\.)*')
@@ -322,7 +334,7 @@ _TOKEN_RE = re.compile(
   | (?P<dtype>\^\^)
   | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<keyword>\ba\b|true\b|false\b)
-    )""".replace("PNPART", _PN_PART) + _SKIP,
+    )""".replace("PNPART", _PN_PART).replace("IRICHAR", _IRI_CHAR) + _SKIP,
     re.VERBOSE,
 )
 _SKIP_RE = re.compile(_SKIP)

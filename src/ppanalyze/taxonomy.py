@@ -5,12 +5,20 @@ so that graph grounding stays reproducible.  Two input formats:
 
   * RDF class hierarchies (Turtle or N-Triples with rdfs:subClassOf),
   * a simplified 3-column tab-separated format: child-IRI, parent-IRI,
-    label.  A row with an empty parent column declares a root.
+    label.  A row with an empty parent column declares a root.  An IRI
+    the Turtle writer cannot write (one holding whitespace, a backslash
+    or one of <>"{}|^`) is refused, naming its file and line.
+
+The suffix picks the format (.tsv, .tab, .txt; .ttl, .turtle, .nt,
+.ntriples).  Without a known one, the first line that is not blank, a
+comment or a directive decides: three tab-separated columns make it TSV,
+anything else RDF.
 
 Kinds (data vs purpose) are inferred from the roots: an IRI whose local
 name is "Purpose" roots the purpose hierarchy, "PersonalData" (or "Data")
-the data hierarchy (DEFAULT_ROOT_KINDS).  The snapshot
-version is read from a `#! version=...` directive (TSV) or an
+the data hierarchy (DEFAULT_ROOT_KINDS).  A label, local name or synonym
+that several nodes of one kind share resolves to the shallowest.  The
+snapshot version is read from a `#! version=...` directive (TSV) or an
 owl:versionInfo literal (RDF) and is attached to every emitted graph.
 """
 from __future__ import annotations
@@ -84,25 +92,14 @@ class Taxonomy:
     def __init__(self, nodes: dict[str, TaxonomyNode], version: str = "unknown"):
         self.nodes = nodes
         self.version = version
-        self.collisions: list[str] = []
+        # a name that nodes of one kind share names the shallowest, then the first by IRI
         self.label_index: dict[tuple[str, str], str] = {}
-        self._build_label_index()
-        self._ancestor_cache: dict[str, tuple[str, ...]] = {}
-
-    def _build_label_index(self) -> None:
-        # label collisions within a kind: prefer the shallower node
-        for node in sorted(self.nodes.values(), key=lambda n: (n.depth, n.iri)):
+        for node in sorted(nodes.values(), key=lambda n: (n.depth, n.iri)):
             for name in (node.label, local_name(node.iri), *node.synonyms):
                 key = (node.kind, normalize_label(name))
-                if not key[1]:
-                    continue
-                if key in self.label_index and self.label_index[key] != node.iri:
-                    self.collisions.append(
-                        f"label {name!r} ({node.kind}) kept for {self.label_index[key]}, "
-                        f"also names {node.iri}"
-                    )
-                    continue
-                self.label_index[key] = node.iri
+                if key[1]:
+                    self.label_index.setdefault(key, node.iri)
+        self._ancestor_cache: dict[str, tuple[str, ...]] = {}
 
     def resolve_term(self, label_or_iri: str, kind: str) -> TaxonomyNode:
         """Resolve a predicted label, CURIE, or IRI to a taxonomy node.
@@ -244,11 +241,16 @@ def _load_tabular(path: Path, text: str) -> Taxonomy:
         if len(parts) != 3:
             raise TaxonomyError(f"{path}:{line_no}: expected 3 tab-separated columns, got {len(parts)}")
         child, parent, label = (p.strip() for p in parts)
-        child = _expand_curie(child)
+        child, parent = _expand_curie(child), _expand_curie(parent)
+        for iri in (child, parent):
+            if not rdfio._writable_iri(iri):
+                raise TaxonomyError(f"{path}:{line_no}: IRI {iri!r} cannot be written to "
+                                    "Turtle (it holds whitespace, a backslash or one of "
+                                    "<>\"{}|^`)")
         if label:
             labels[child] = label
         if parent:
-            edges.add((child, _expand_curie(parent)))
+            edges.add((child, parent))
         else:
             declared_roots.add(child)
     return _assemble(edges, labels, {}, declared_roots, version)
@@ -292,9 +294,12 @@ def load_taxonomy(path: Union[str, Path]) -> Taxonomy:
         return _load_tabular(p, text)
     if p.suffix in (".ttl", ".turtle", ".nt", ".ntriples"):
         return _load_rdf(p, text)
-    # sniff: tab-separated lines -> tabular, else RDF
-    head = text[:4096]
-    if any("\t" in line for line in head.split("\n") if line and not line.startswith(("#", "@"))):
+    # sniff: the first line that is not blank, a comment or a directive is
+    # a TSV row if it has exactly three tab-separated columns; a tab that
+    # indents Turtle makes no such line
+    first = next((line for line in text.split("\n")
+                  if line.strip() and not line.startswith(("#", "@"))), "")
+    if first.count("\t") == 2:
         return _load_tabular(p, text)
     return _load_rdf(p, text)
 

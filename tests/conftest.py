@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ppanalyze.corpus import PolicyDocument, segment_lines
+from ppanalyze.extraction import backend as backend_module
 from ppanalyze.extraction import pipeline
 from ppanalyze.extraction.backend import Backend, BackendConfig
 from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
@@ -21,6 +22,12 @@ def fresh_parse_memo():
     """Each test parses its answers anew, so a test that patches the
     parser is never served another test's memoized parses."""
     pipeline._parse.cache_clear()
+
+
+@pytest.fixture
+def no_retries(monkeypatch):
+    """A transport error fails its call at once, without a retry or a wait."""
+    monkeypatch.setattr(backend_module, "_MAX_RETRIES", 0)
 
 
 @pytest.fixture(scope="session")

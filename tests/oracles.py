@@ -770,8 +770,7 @@ def reference_audit_dict(result) -> dict:
                 "relations": [vars(rel) for rel in seg.relations],
                 "notes": list(seg.notes),
                 "responses": {
-                    name: {k: v for k, v in vars(trace).items()
-                           if k != "task" and v not in (None, (), False)}
+                    name: {k: v for k, v in vars(trace).items() if v not in (None, (), False)}
                     for name, trace in sorted(seg.traces.items())
                 },
             }

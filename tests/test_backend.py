@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ppanalyze.extraction import backend as backend_module
 from ppanalyze.extraction.backend import (
     Backend,
     BackendConfig,
@@ -465,9 +466,34 @@ class TestHttpTransport:
         with pytest.raises(BackendError):
             http_chat_transport(PROMPT, BackendConfig(cache_mode="live"))
 
+    @pytest.mark.parametrize("body", [
+        b"\xff\xfe not UTF-8", b"<html>busy</html>",
+        b'{"choices": [{"message": {"content": null}}]}',
+        b'{"choices": [{"message": {"content": [{"type": "text", "text": "[]"}]}}]}',
+    ], ids=["not-utf8", "not-json", "null-content", "content-parts"])
+    def test_bad_completion_body_is_a_backend_error_naming_it(self, monkeypatch, body):
+        import io
+        from ppanalyze.extraction.backend import http_chat_transport
+
+        monkeypatch.setenv("PPA_API_KEY", "sk-test")
+        self._fake_urlopen(monkeypatch, lambda req: io.BytesIO(body))
+        with pytest.raises(BackendError) as err:
+            http_chat_transport(PROMPT, BackendConfig(cache_mode="live"))
+        assert not isinstance(err.value, TransportError)
+        assert str(err.value).startswith("unexpected completion payload: ")
+        assert body.decode("utf-8", "replace")[:20] in str(err.value)
+
+
+@pytest.fixture
+def sleeps(monkeypatch) -> list[float]:
+    """The backoff delays slept, without sleeping."""
+    slept: list[float] = []
+    monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+    return slept
+
 
 class TestRetries:
-    def test_transport_retried_then_succeeds(self, tmp_path):
+    def test_transport_retried_then_succeeds(self, sleeps):
         calls = []
 
         def flaky(prompt, config):
@@ -476,25 +502,21 @@ class TestRetries:
                 raise TransportError("rate limited")
             return "ok"
 
-        backend = Backend(
-            BackendConfig(max_retries=3, retry_base_delay=0.0, cache_mode="live"),
-            transport=flaky,
-        )
+        backend = Backend(BackendConfig(cache_mode="live"), transport=flaky)
         assert backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT).raw == "ok"
         assert len(calls) == 3
+        assert sleeps == [0.5, 1.0]      # the backoff doubles from its base
         assert backend.invocations == 1  # retries are transport-level, not new queries
 
-    def test_exhausted_retries_raise(self):
+    def test_exhausted_retries_raise(self, sleeps):
         def always_down(prompt, config):
             raise TransportError("boom")
 
-        backend = Backend(
-            BackendConfig(max_retries=2, retry_base_delay=0.0, cache_mode="live"),
-            transport=always_down,
-        )
+        backend = Backend(BackendConfig(cache_mode="live"), transport=always_down)
         with pytest.raises(TransportError) as err:
             backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
-        assert "3 attempts" in str(err.value)
+        assert "4 attempts" in str(err.value)
+        assert sleeps == [0.5, 1.0, 2.0]   # none after the last attempt
 
     def test_non_transport_errors_not_retried(self):
         calls = []
@@ -503,10 +525,7 @@ class TestRetries:
             calls.append(1)
             raise ValueError("parse me not")
 
-        backend = Backend(
-            BackendConfig(max_retries=5, retry_base_delay=0.0, cache_mode="live"),
-            transport=broken,
-        )
+        backend = Backend(BackendConfig(cache_mode="live"), transport=broken)
         with pytest.raises(ValueError):
             backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         assert len(calls) == 1

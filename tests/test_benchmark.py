@@ -48,14 +48,12 @@ class TestRunBenchmark:
             assert score.f1_n == 0.0, task
             assert score.f1_e == 1.0, task
 
+    @pytest.mark.usefixtures("no_retries")
     def test_failed_query_scored_as_empty_prediction(self, corpus, taxonomy):
         def transport(prompt, config):
             raise TransportError("down")
 
-        backend = Backend(
-            BackendConfig(cache_mode="live", max_retries=0, retry_base_delay=0.0),
-            transport=transport,
-        )
+        backend = Backend(BackendConfig(cache_mode="live"), transport=transport)
         report = run_benchmark(corpus, backend, tasks=[TaskKind.DATA_RECOGNITION],
                                taxonomy=taxonomy)
         score = report.scores[TaskKind.DATA_RECOGNITION]

@@ -114,6 +114,43 @@ class TestBadInput:
             tmp_path / "out")
         assert message.startswith(f"error: taxonomy file {taxonomy} is not valid UTF-8")
 
+    def test_taxonomy_iri_the_writer_cannot_write_under_analyze(self, tmp_path):
+        # `analyze` would write it as <...#Email Address>, which no reader takes back
+        taxonomy = tmp_path / "taxonomy.tsv"
+        taxonomy.write_bytes(default_snapshot_path().read_bytes()
+                             + b"pd:Email Address\tpd:Contact\tEmail address\n")
+        line = len(default_snapshot_path().read_bytes().splitlines()) + 1
+        message = fails_with_error_line(
+            ["analyze", str(FIXTURES / "policy_example.org.txt"), "--replay",
+             "--cache", str(FIXTURES / "replay_cache.jsonl"), "--model", "fixture-model",
+             "--taxonomy", str(taxonomy)],
+            tmp_path / "out")
+        assert message.startswith(f"error: {taxonomy}:{line}: IRI "
+                                  "'https://w3id.org/dpv/pd#Email Address' cannot be written")
+
+    @pytest.mark.parametrize("command", ["analyze", "evaluate", "convert", "stats",
+                                         "export-finetune"])
+    def test_out_directory_that_cannot_be_made(self, tmp_path, fixture_graph, command):
+        graph = tmp_path / "policy.ttl"
+        graph.write_bytes(fixture_graph)
+        argv = {
+            "analyze": ["analyze", str(FIXTURES / "policy_example.org.txt"), "--replay",
+                        "--cache", str(FIXTURES / "replay_cache.jsonl"),
+                        "--model", "fixture-model"],
+            "evaluate": ["evaluate", str(FIXTURES / "gold"), "--replay",
+                         "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl"),
+                         "--model", "fixture-model"],
+            "convert": ["convert", str(graph)],
+            "stats": ["stats", str(graph)],
+            "export-finetune": ["export-finetune", str(FIXTURES / "gold"),
+                                "--task", "data-recognition", "--spec", "2-3-1-2"],
+        }[command]
+        regular_file = tmp_path / "file"
+        regular_file.write_bytes(b"")
+        message = fails_with_error_line(argv, regular_file / "out")
+        assert message.startswith("error: cannot create output directory: ")
+        assert str(regular_file / "out") in message
+
     @pytest.mark.parametrize("command", [
         ["evaluate", "--replay", "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")],
         ["export-finetune", "--task", "data-recognition", "--spec", "2-3-1-2"],
@@ -145,7 +182,12 @@ class TestBadInput:
         (profile_bytes(action_map=["use"]), "'action_map' is missing or not an object of strings"),
         (profile_bytes(psdtou={k: v for k, v in DEFAULT_PROFILE["psdtou"].items()
                                if k != "namespace"}), "'psdtou' is missing namespace"),
-    ], ids=["non-utf8", "action-map-not-object", "psdtou-without-namespace"])
+        (profile_bytes(role_map={**DEFAULT_PROFILE["role_map"], "PERFORMED_BY": "urn:x:a b"}),
+         "role_map['PERFORMED_BY'] = 'urn:x:a b' cannot be written to Turtle"),
+        (profile_bytes(psdtou={**DEFAULT_PROFILE["psdtou"], "namespace": "urn:psdtou:<core>#"}),
+         "psdtou['namespace'] = 'urn:psdtou:<core>#' cannot be written to Turtle"),
+    ], ids=["non-utf8", "action-map-not-object", "psdtou-without-namespace",
+            "role-iri-with-a-space", "psdtou-namespace-with-brackets"])
     def test_bad_profile_under_convert(self, tmp_path, fixture_graph, content, reason):
         graph = tmp_path / "policy.ttl"
         graph.write_bytes(fixture_graph)
@@ -222,8 +264,7 @@ class TestReaders:
 # -- the per-call boundary --
 
 def backend_answering(transport) -> Backend:
-    return Backend(BackendConfig(model_name="scripted", cache_mode="live", max_retries=0,
-                                 retry_base_delay=0.0), transport=transport)
+    return Backend(BackendConfig(model_name="scripted", cache_mode="live"), transport=transport)
 
 
 class TestRunTaskFailure:
@@ -233,6 +274,7 @@ class TestRunTaskFailure:
         return prompt_digest(model, "data-recognition",
                              build_prompt(TaskKind.DATA_RECOGNITION, self.segment.text))
 
+    @pytest.mark.usefixtures("no_retries")
     def test_transport_error_returns_its_trace(self):
         def down(prompt, config):
             raise TransportError("down")
@@ -241,7 +283,6 @@ class TestRunTaskFailure:
                                 backend_answering(down))
         assert items is None
         assert "down" in trace.error
-        assert trace.task == "data-recognition"
         # no answer, but the digest names the call
         assert trace.raw is None and trace.digest == self.digest("scripted")
 

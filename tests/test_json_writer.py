@@ -68,8 +68,8 @@ _spans = st.builds(EntitySpan, local_id=_text,
                    non_verbatim=st.booleans())
 _relations = st.builds(RelationTuple, _text, _text, _text)
 # answered, failed (error, with or without raw) and skipped traces
-_traces = st.builds(TaskTrace, task=st.sampled_from([t.value for t in TaskKind]),
-                    raw=_optional_text, digest=st.none() | st.text("0123456789abcdef"),
+_traces = st.builds(TaskTrace, raw=_optional_text,
+                    digest=st.none() | st.text("0123456789abcdef"),
                     from_cache=st.booleans(), repaired=st.booleans(),
                     repair_stages=_strings, dropped_items=_strings,
                     error=_optional_text, skipped=st.booleans())
@@ -101,11 +101,10 @@ class Level(IntEnum):
     ExtractionResult("s", "memory:s", (SegmentExtraction(0, ""),)),
     # a response with every field left out
     ExtractionResult("s", "memory:s", (SegmentExtraction(0, "t", traces={
-        "data-recognition": TaskTrace("data-recognition")}),)),
+        "data-recognition": TaskTrace()}),)),
     # one list of a response empty, the other not
     ExtractionResult("s", "memory:s", (SegmentExtraction(0, "t", traces={
-        "data-recognition": TaskTrace("data-recognition", raw="[1]",
-                                      dropped_items=("1",))}),)),
+        "data-recognition": TaskTrace(raw="[1]", dropped_items=("1",))}),)),
     ExtractionResult("s", "memory:s", (SegmentExtraction(0, "t", spans=(
         EntitySpan("e0", "data", "t", 0),)),)),
     ExtractionResult("s", "memory:s", tuple(SegmentExtraction(i, "") for i in range(3))),
@@ -117,23 +116,21 @@ class Level(IntEnum):
                    unresolved_term="y", non_leaf=True, non_verbatim=True),)),)),
     # a response with every flag set, and a failed segment
     ExtractionResult("s", "memory:s", (SegmentExtraction(0, "t", traces={
-        "data-recognition": TaskTrace("data-recognition", raw="", digest="0",
-                                      from_cache=True, repaired=True,
+        "data-recognition": TaskTrace(raw="", digest="0", from_cache=True, repaired=True,
                                       repair_stages=("fence", "refusal"),
-                                      dropped_items=("", "x"), error="e",
-                                      skipped=True)},
+                                      dropped_items=("", "x"), error="e", skipped=True)},
         notes=("n",), failed=True),)),
     ExtractionResult("s", "memory:s", (SegmentExtraction(10 ** 30, "t", spans=(
         EntitySpan("e0", "data", "t", -1),)),)),
     ExtractionResult('line\nbreak "q" \\', " \U0001F600", (SegmentExtraction(
         0, "a\nb\tc\x00\x1f\x7f", spans=(EntitySpan("e\n", "data", "é", 0,
                                                      subtype="\x08\x0c"),),
-        traces={"x\ny": TaskTrace("x\ny", raw='{"a": "\\n"}', error="\r")},
+        traces={"x\ny": TaskTrace(raw='{"a": "\\n"}', error="\r")},
         notes=(" ",)),)),
     # responses in a dict subclass, out of task-name order
     ExtractionResult("s", "memory:s", (SegmentExtraction(0, "t", traces=OrderedDict([
-        ("relation", TaskTrace("relation", skipped=True)),
-        ("data-recognition", TaskTrace("data-recognition", raw="[]"))])),)),
+        ("relation", TaskTrace(skipped=True)),
+        ("data-recognition", TaskTrace(raw="[]"))])),)),
     # an index of an int subclass writes as the int
     ExtractionResult("s", "memory:s", (SegmentExtraction(Level.LOW, "t", spans=(
         EntitySpan("e0", "data", "t", Level.LOW),)),)),
@@ -143,8 +140,8 @@ def test_writer_matches_json_dumps_on_edge_values(value):
 
 
 @pytest.mark.parametrize("value", [
-    {1: TaskTrace("t")}, {None: TaskTrace("t")}, {("t",): TaskTrace("t")},
-    {True: TaskTrace("t")},
+    {1: TaskTrace()}, {None: TaskTrace()}, {("t",): TaskTrace()},
+    {True: TaskTrace()},
 ])
 def test_non_string_key_is_refused(value):
     # json.dumps would convert the task name; the writers refuse it
@@ -165,7 +162,7 @@ def test_value_json_cannot_write_is_refused():
         result.run_log_text(BuildLog())
     # in a field of a span and of a call
     for segment in (SegmentExtraction(0, "t", spans=(EntitySpan("e0", "data", "t", {1}),)),
-                    SegmentExtraction(0, "t", traces={"t": TaskTrace("t", error={1})})):
+                    SegmentExtraction(0, "t", traces={"t": TaskTrace(error={1})})):
         result = ExtractionResult("s", "memory:s", (segment,))
         with pytest.raises(TypeError):
             reference_audit(result)
@@ -186,7 +183,7 @@ def test_to_audit_dict_reads_the_audit_text():
     span = EntitySpan("e0", "data", 'say "hi" ', 0, non_verbatim=True)
     result = ExtractionResult("s", "memory:s", (SegmentExtraction(
         0, "text", (span,), (), {"data-recognition": TaskTrace(
-            "data-recognition", raw="[]", repair_stages=("refusal",))}),))
+            raw="[]", repair_stages=("refusal",))}),))
     assert result.to_audit_dict() == json.loads(json.dumps(reference_audit_dict(result)))
 
 

@@ -129,6 +129,7 @@ class TestExtractDocument:
         assert span.grounded_term is None
         assert span.unresolved_term == "Martian"
 
+    @pytest.mark.usefixtures("no_retries")
     def test_partial_failure_does_not_abort_document(self, taxonomy):
         doc = make_document("line one\nline two\n")
 
@@ -137,25 +138,20 @@ class TestExtractDocument:
                 raise TransportError("down")
             return "[]"
 
-        backend = Backend(
-            BackendConfig(cache_mode="live", max_retries=0, retry_base_delay=0.0),
-            transport=transport,
-        )
+        backend = Backend(BackendConfig(cache_mode="live"), transport=transport)
         result = extract_document(doc, backend, taxonomy)
         assert result.segments[0].failed
         assert not result.segments[1].failed
         assert result.failed_segments == 1
 
+    @pytest.mark.usefixtures("no_retries")
     def test_all_segments_failed_raises_document_error(self, taxonomy):
         doc = make_document("line one\nline two\n")
 
         def transport(prompt, config):
             raise TransportError("down")
 
-        backend = Backend(
-            BackendConfig(cache_mode="live", max_retries=0, retry_base_delay=0.0),
-            transport=transport,
-        )
+        backend = Backend(BackendConfig(cache_mode="live"), transport=transport)
         with pytest.raises(DocumentError):
             extract_document(doc, backend, taxonomy)
 
@@ -287,6 +283,7 @@ class TestCallWithoutAnswer:
     """A call that got no answer names its prompt's digest in the audit
     and the run log."""
 
+    @pytest.mark.usefixtures("no_retries")
     @pytest.mark.parametrize("failure", ["replay-miss", "transport-failure"])
     def test_digest_in_audit_and_run_log(self, taxonomy, tmp_path, failure):
         doc = make_document(RICH_SEGMENT)
@@ -297,8 +294,7 @@ class TestCallWithoutAnswer:
                     raise TransportError("down")
                 return answer(prompt, config)
 
-            backend = Backend(BackendConfig(model_name="scripted", cache_mode="live",
-                                            max_retries=0, retry_base_delay=0.0),
+            backend = Backend(BackendConfig(model_name="scripted", cache_mode="live"),
                               transport=transport)
         else:
             # record every answer, then forget the relation query's

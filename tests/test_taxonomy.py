@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from ppanalyze.taxonomy import (
     UnresolvedTermError,
     default_snapshot_path,
     load_taxonomy,
+    local_name,
     normalize_label,
 )
 
@@ -85,6 +87,44 @@ class TestLoadTabular:
         with pytest.raises(TaxonomyError, match="cannot infer kind .* for root urn:Mystery"):
             load_taxonomy(p)
 
+    @pytest.mark.parametrize("column", ["child", "parent"])
+    @pytest.mark.parametrize("iri, written", [
+        ("pd:Email Address", DPV_PD + "Email Address"),
+        ("urn:x:a\u00a0b", "urn:x:a\u00a0b"),
+        *((f"urn:x:a{c}b", f"urn:x:a{c}b") for c in '<>"{}|^`\\'),
+    ])
+    def test_iri_the_turtle_writer_cannot_write_is_refused(self, tmp_path, column, iri,
+                                                           written):
+        row = (iri, "dpv:Purpose", "A") if column == "child" else ("urn:x:a", iri, "A")
+        p = write_tsv(tmp_path, [("dpv:Purpose", "", "Purpose"), row])
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(p)
+        assert str(err.value).startswith(f"{p}:2: IRI {written!r} cannot be written to Turtle")
+
+
+class TestFormatWithoutSuffix:
+    def test_tsv(self, tmp_path):
+        tsv = write_tsv(tmp_path, [("dpv:Purpose", "", "Purpose"),
+                                   ("dpv:Marketing", "dpv:Purpose", "Marketing")], version="v7")
+        p = tmp_path / "taxonomy"
+        p.write_text("# a comment\n\n" + tsv.read_text(encoding="utf-8"), encoding="utf-8")
+        tax = load_taxonomy(p)
+        assert (tax.version, sorted(tax.nodes)) == ("v7", [DPV + "Marketing", DPV + "Purpose"])
+
+    def test_tab_indented_turtle(self, tmp_path):
+        # the last line has three tab-separated columns, as a TSV row would
+        p = tmp_path / "taxonomy"
+        p.write_text("@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+                     "@prefix dpv: <https://w3id.org/dpv#> .\n"
+                     "dpv:Marketing\n"
+                     "\trdfs:subClassOf dpv:Purpose ;\n"
+                     "\trdfs:label \"Marketing\" .\n"
+                     "dpv:Advertising rdfs:subClassOf dpv:Marketing ;\n"
+                     "\t\trdfs:label \"Advertising\" .\n", encoding="utf-8")
+        tax = load_taxonomy(p)
+        node = tax.resolve_term("Advertising", "purpose")
+        assert [a.label for a in tax.ancestors(node)] == ["Purpose", "Marketing"]
+
 
 class TestLoadRdf:
     TTL = """
@@ -151,9 +191,12 @@ class TestResolveTerm:
             taxonomy.resolve_term("Personal Data", "purpose")
 
     def test_every_unique_label_resolves_to_its_node(self, taxonomy):
-        collided = {normalize_label(c.split("'")[1]) for c in taxonomy.collisions if "'" in c}
+        # how many nodes of a kind each normalized label, local name or synonym names
+        named = Counter(key for node in taxonomy.nodes.values()
+                        for key in {(node.kind, normalize_label(name)) for name in
+                                    (node.label, local_name(node.iri), *node.synonyms)})
         for node in taxonomy.nodes.values():
-            if normalize_label(node.label) in collided:
+            if named[node.kind, normalize_label(node.label)] > 1:
                 continue
             assert taxonomy.resolve_term(node.label, node.kind) is node
 
@@ -219,4 +262,5 @@ class TestCollisions:
         ])
         tax = load_taxonomy(p)
         assert tax.resolve_term("SameName", "purpose").iri == "urn:x:shallow"
-        assert tax.collisions
+        # the deeper node keeps its IRI
+        assert tax.resolve_term("urn:x:deep", "purpose").label == "SameName"
