@@ -13,10 +13,13 @@ deterministic.
 `jobs` is the one parallelism setting.  A replay hands whole policies
 (`analyze`) or gold documents (`evaluate`) to that many forked worker
 processes, and runs each policy's segments on one thread.  Live and
-record runs stay in one process.  There `analyze` has `jobs` segments of
-a policy in flight, each sending its 4 recognition queries together and
-then its up to 3 classification and relation queries together, so an
-endpoint sees at most 4 x `jobs` concurrent requests; `evaluate` runs
+record runs stay in one process, and there `jobs` bounds requests: an
+endpoint sees at most 4 x `jobs` at once.  `analyze` streams the
+segments of all its policies through one window of 4 x `jobs` segments,
+each sending its 4 recognition queries together and then its up to 3
+classification and relation queries together, on one pool of 4 x `jobs`
+query threads for the whole run; each policy's graph is built, checked
+and written on the main thread, in input order.  `evaluate` runs
 serially.
 
 Each command imports the modules it runs when it starts, so `stats` and
@@ -31,7 +34,7 @@ import json
 import os
 import sys
 import urllib.parse
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -42,8 +45,10 @@ from . import Error, rdfio
 from . import graph as graphmod
 
 if TYPE_CHECKING:
+    from .corpus import PolicyDocument
     from .eval.gold import GoldDocument
     from .extraction.backend import Backend
+    from .extraction.pipeline import ExtractionResult
     from .extraction.prompts import TaskKind
     from .taxonomy import Taxonomy
 
@@ -66,10 +71,8 @@ SETTINGS = {
     "out": Setting(str, "out", "output directory (default ./out)"),
     "jobs": Setting(int, None, "parallel workers (default: the usable CPUs with --replay, "
                                "else 1): policies or gold documents in worker processes "
-                               "on a replay; otherwise one policy's segments in flight, "
-                               "each asking its queries in two waves, at most 4 x jobs "
-                               "requests at once (a live or record evaluate runs "
-                               "serially)"),
+                               "on a replay; otherwise at most 4 x jobs requests at once "
+                               "(a live or record evaluate runs serially)"),
     "seed": Setting(int, 0, "seed for all randomized steps"),
 }
 
@@ -202,7 +205,6 @@ class _Analysis:
     taxonomy: Taxonomy
     backend: Backend
     out_dir: Path
-    jobs: int
 
 
 @dataclass
@@ -216,19 +218,23 @@ class _PolicyOutcome:
     blocks: list[tuple[rdfio.Subject, str]] = field(default_factory=list)  # Turtle statements
 
 
-def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
-    """Extract one policy, check its graph and write its files."""
+def _read_policy(path: str) -> PolicyDocument | Error:
+    """The policy at `path`, or the error that it could not be read."""
     from .corpus import CorpusError, load_policy
-    from .extraction.pipeline import DocumentError, extract_document
-    service_id = Path(path).stem
-    policy_uri = "urn:pp-analyze:policy#" + urllib.parse.quote(service_id, safe="")
     try:
-        doc = load_policy(path, service_id)
-        result = extract_document(doc, analysis.backend, analysis.taxonomy,
-                                  jobs=analysis.jobs)
-    except (CorpusError, DocumentError) as exc:
-        return _PolicyOutcome(failure=(f"error: {path}: {exc}", []))
+        return load_policy(path, Path(path).stem)
+    except CorpusError as exc:
+        return exc
 
+
+def _write_policy(analysis: _Analysis, path: str,
+                  result: ExtractionResult | Error) -> _PolicyOutcome:
+    """Check one extracted policy's graph and write its files; a policy
+    that could not be read or extracted is reported as it is."""
+    if isinstance(result, Error):
+        return _PolicyOutcome(failure=(f"error: {path}: {result}", []))
+    service_id = result.service_id
+    policy_uri = "urn:pp-analyze:policy#" + urllib.parse.quote(service_id, safe="")
     prpr = graphmod.build_graph(result, service_id, policy_uri,
                                 taxonomy_version=analysis.taxonomy.version)
     problems = graphmod.check_invariants(prpr.triples, analysis.taxonomy)
@@ -250,6 +256,32 @@ def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
         summary=f"{path}: {len(prpr)} triples, {len(prpr.provenance)} practices "
                 f"-> {out_dir / (service_id + '.ttl')}",
         triples=len(prpr), blocks=blocks)
+
+
+def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
+    """One policy read, extracted, checked and written: a replay worker's task."""
+    from .extraction.pipeline import extract_documents
+    (result,) = extract_documents([_read_policy(path)], analysis.backend, analysis.taxonomy)
+    return _write_policy(analysis, path, result)
+
+
+@contextmanager
+def _policy_outcomes(analysis: _Analysis, paths: Sequence[str],
+                     config: argparse.Namespace) -> Iterator[Iterable[_PolicyOutcome]]:
+    """Each policy's outcome, in input order.  A replay with more than one
+    worker hands whole policies to forked worker processes.  In one
+    process, one stream extracts the segments of every policy
+    (`extract_documents`), and each policy's graph is built, checked and
+    written here, in order."""
+    workers = _replay_workers(config, len(paths))
+    if workers > 1:
+        with _ordered_map(partial(_analyze_policy, analysis), paths, workers) as outcomes:
+            yield outcomes
+        return
+    from .extraction.pipeline import extract_documents
+    with closing(extract_documents(map(_read_policy, paths), analysis.backend,
+                                   analysis.taxonomy, config.jobs)) as results:
+        yield map(partial(_write_policy, analysis), paths, results)
 
 
 # the function and the items a forked worker serves, set by the pool's initializer
@@ -303,13 +335,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     backend = _backend(config)
     out_dir = _out_dir(config, "audit", "logs")
 
-    workers = _replay_workers(config, len(args.policies))
-    analysis = _Analysis(taxonomy, backend, out_dir, config.jobs)
+    analysis = _Analysis(taxonomy, backend, out_dir)
     failures = triples = 0
     policy_blocks = []
     # each policy's records are written and flushed after its files
-    with _ordered_map(partial(_analyze_policy, analysis), args.policies,
-                      workers) as outcomes, \
+    with _policy_outcomes(analysis, args.policies, config) as outcomes, \
             (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as run_log:
         for outcome in outcomes:
             if outcome.failure:
@@ -349,12 +379,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     backend = _backend(config)
     # each named task runs once, in the order first named
     tasks = tuple(dict.fromkeys(map(_task_by_name, args.tasks))) if args.tasks else ALL_TASKS
+    out_dir = _out_dir(config)
     score = partial(score_document, backend=backend, taxonomy=taxonomy, tasks=tasks,
                     threshold=config.threshold, denominator=args.denominator)
     with _ordered_map(score, corpus, _replay_workers(config, len(corpus))) as documents:
         report = build_report(config.model, tasks, documents)
     table = format_report_table([report])
-    out_dir = _out_dir(config)
     (out_dir / "report.tsv").write_text(table, encoding="utf-8")
     (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(table, end="")
@@ -414,10 +444,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    out_dir = _out_dir(config)
     graphs = [_read_graph_file(path) for path in args.graphs]
     stats = graphmod.stats(graphs)
     print(stats.to_tsv(top_k=args.top), end="")
-    out_dir = _out_dir(config)
     (out_dir / "stats.tsv").write_text(stats.to_tsv(top_k=args.top), encoding="utf-8")
     (out_dir / "stats.json").write_text(
         json.dumps(stats.to_dict(top_k=args.top), indent=2) + "\n", encoding="utf-8")
@@ -431,8 +461,8 @@ def cmd_export_finetune(args: argparse.Namespace) -> int:
     corpus = _load_gold(args.gold_dir)
     task = _task_by_name(args.task)
     spec = FinetuneSpec.parse(args.spec, seed=config.seed)
-    train, validation = select_finetune_data(corpus, task, spec, taxonomy)
     out_dir = _out_dir(config)
+    train, validation = select_finetune_data(corpus, task, spec, taxonomy)
     train_path = out_dir / f"{task.value}-{spec.to_string()}-train.jsonl"
     val_path = out_dir / f"{task.value}-{spec.to_string()}-validation.jsonl"
     write_jsonl(train, train_path)

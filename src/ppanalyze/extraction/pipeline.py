@@ -14,10 +14,12 @@ non_verbatim; graph building excludes flagged spans.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Collection, NamedTuple, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple,
+                    Optional, Sequence)
 
 from .. import Error
 from ..corpus import PolicyDocument, Segment
@@ -404,38 +406,77 @@ def _extract_segment(segment: Segment, backend: Backend, taxonomy: Taxonomy,
     )
 
 
-def extract_document(doc: PolicyDocument, backend: Backend, taxonomy: Taxonomy,
-                     jobs: int = 1) -> ExtractionResult:
-    """Run the full per-segment pipeline over one policy document.
+def extract_documents(docs: Iterable[PolicyDocument | Error], backend: Backend,
+                      taxonomy: Taxonomy, jobs: int = 1) -> Iterator[ExtractionResult | Error]:
+    """Run the full per-segment pipeline over each document, in input order.
+
+    Yields each document's `ExtractionResult`, or the `DocumentError` of a
+    document whose every segment failed; an `Error` in place of a document
+    (one that could not be read) comes out at its place.  Per-segment
+    errors are aggregated without aborting, and segment order is kept
+    whatever order the segments finish in.
 
     A replay asks every query in sequence and starts no thread: it waits on
-    no model.  Live and record runs extract `jobs` segments at once, each
-    asking a wave of queries together, on one pool of 4 x `jobs` query
-    threads (4 recognition queries per segment), so at most that many
-    queries are in flight.  A pool starts a thread only when work waits.
-
-    Per-segment errors are aggregated without aborting; DocumentError is
-    raised only when every segment failed.  Segment order is preserved
-    regardless of worker completion order.
+    no model.  Live and record runs stream the segments of all the
+    documents through one window of 4 x `jobs` segment threads, whose
+    waves of queries share one pool of 4 x `jobs` query threads, so at most
+    that many requests are in flight.  A document's segments are queued
+    when it is taken from `docs`, and the stream waits on a document only
+    once 4 x `jobs` later segments are queued behind it: the query slots
+    stay full while its last segments wait on their second wave and while
+    the caller handles its result, and only a few documents' segments are
+    queued at a time.  The threads are joined when the stream ends or is
+    closed.
     """
-    if not doc.segments:
-        return ExtractionResult(doc.service_id, doc.source_uri, ())
-
     if backend.config.cache_mode == "replay":
-        extractions = [_extract_segment(seg, backend, taxonomy) for seg in doc.segments]
-    else:
-        # imported here, where threads start: a replay starts none
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs * len(RECOGNITION_TASKS)) as queries, \
-                ThreadPoolExecutor(max_workers=jobs) as segments:
-            extract = partial(_extract_segment, backend=backend, taxonomy=taxonomy,
-                              ask=queries.map)
-            extractions = list(segments.map(extract, doc.segments))
+        extract = partial(_extract_segment, backend=backend, taxonomy=taxonomy)
+        for doc in docs:
+            yield _result(doc, () if isinstance(doc, Error) else map(extract, doc.segments))
+        return
+    # imported here, where threads start: a replay starts none
+    from concurrent.futures import ThreadPoolExecutor
+    width = jobs * len(RECOGNITION_TASKS)
+    with ThreadPoolExecutor(max_workers=width) as queries, \
+            ThreadPoolExecutor(max_workers=width) as window:
+        extract = partial(_extract_segment, backend=backend, taxonomy=taxonomy,
+                          ask=queries.map)
+        ahead: deque = deque()      # (document or error, its segments' futures)
+        queued = 0                  # futures in `ahead`
+        try:
+            for doc in docs:
+                futures = [] if isinstance(doc, Error) else [
+                    window.submit(extract, seg) for seg in doc.segments]
+                ahead.append((doc, futures))
+                queued += len(futures)
+                # never empties `ahead`: its last document has nothing behind it
+                while queued - len(ahead[0][1]) >= width:
+                    first, futures = ahead.popleft()
+                    queued -= len(futures)
+                    yield _result(first, (future.result() for future in futures))
+            for first, futures in ahead:
+                yield _result(first, (future.result() for future in futures))
+        finally:
+            # a consumer that stops early leaves no queued segment to run
+            window.shutdown(cancel_futures=True)
 
+
+def _result(doc: PolicyDocument | Error,
+            extractions: Iterable[SegmentExtraction]) -> ExtractionResult | Error:
+    """A document's result from the extractions of its segments, in order."""
+    if isinstance(doc, Error):
+        return doc
     result = ExtractionResult(doc.service_id, doc.source_uri, tuple(extractions))
-    if result.failed_segments == len(doc.segments):
-        raise DocumentError(
-            f"every segment of {doc.service_id} failed "
-            f"({result.failed_segments}/{len(doc.segments)})"
-        )
+    if doc.segments and result.failed_segments == len(doc.segments):
+        return DocumentError(f"every segment of {doc.service_id} failed "
+                             f"({result.failed_segments}/{len(doc.segments)})")
+    return result
+
+
+def extract_document(doc: PolicyDocument, backend: Backend, taxonomy: Taxonomy,
+                     jobs: int = 1) -> ExtractionResult:
+    """`extract_documents` of one document: its result, or its
+    `DocumentError` raised."""
+    (result,) = extract_documents([doc], backend, taxonomy, jobs)
+    if isinstance(result, DocumentError):
+        raise result
     return result

@@ -296,10 +296,11 @@ def load_taxonomy(path: Union[str, Path]) -> Taxonomy:
         return _load_rdf(p, text)
     # sniff: the first line that is not blank, a comment or a directive is
     # a TSV row if it has exactly three tab-separated columns; a tab that
-    # indents Turtle makes no such line
+    # indents Turtle makes no such line, and a TSV row never opens with the
+    # `<` or `_:` of a tab-separated N-Triples subject
     first = next((line for line in text.split("\n")
                   if line.strip() and not line.startswith(("#", "@"))), "")
-    if first.count("\t") == 2:
+    if first.count("\t") == 2 and not first.startswith(("<", "_:")):
         return _load_tabular(p, text)
     return _load_rdf(p, text)
 

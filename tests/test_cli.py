@@ -7,6 +7,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 
 from ppanalyze.cli import main
 from ppanalyze.extraction import backend as backend_module
-from ppanalyze.extraction.prompts import TaskKind
+from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TaskKind
 from ppanalyze.rdfio import IRI, parse_turtle
 
 from .conftest import FIXTURES, ROOT, make_document
@@ -115,19 +117,19 @@ class TestAnalyze:
 
     def test_invariant_violation_fails_document(self, tmp_path, monkeypatch, capsys):
         import ppanalyze.extraction.pipeline as pipeline
-        extract = pipeline.extract_document
+        extract = pipeline.extract_documents
 
         def data_linked_to_purpose_term(*args, **kwargs):
             # a broken extraction: data spans grounded to a purpose class
-            result = extract(*args, **kwargs)
-            for seg in result.segments:
-                seg.spans = tuple(
-                    replace(s, grounded_term=MARKETING) if s.kind == "data" and s.grounded_term
-                    else s for s in seg.spans)
-            return result
+            for result in extract(*args, **kwargs):
+                for seg in result.segments:
+                    seg.spans = tuple(
+                        replace(s, grounded_term=MARKETING)
+                        if s.kind == "data" and s.grounded_term else s for s in seg.spans)
+                yield result
 
-        # `analyze` looks the name up in the pipeline module on each policy
-        monkeypatch.setattr(pipeline, "extract_document", data_linked_to_purpose_term)
+        # `analyze` looks the name up in the pipeline module on each run
+        monkeypatch.setattr(pipeline, "extract_documents", data_linked_to_purpose_term)
         assert run_analyze(tmp_path / "run") == 1
         err = capsys.readouterr().err
         assert "graph invariant violation" in err
@@ -168,13 +170,21 @@ class TestAnalyze:
         assert len(first.splitlines()) == 113
 
     def test_run_log_written_as_each_policy_finishes(self, tmp_path, monkeypatch, capsys):
+        """The first policy's records reach the run log while the second
+        policy's queries are still waiting for their answers."""
         out = tmp_path / "out"
+        run_log = out / "run_log.jsonl"
         second = "We share your location with advertisers."
-        logged_before_second: list[str] = []
+        lock = threading.Lock()
+        logged_while_second_asked: list[list[str]] = []
 
         def transport(prompt, config):
-            if segment_text_of(prompt) == second and not logged_before_second:
-                logged_before_second.extend((out / "run_log.jsonl").read_text().splitlines())
+            if segment_text_of(prompt) == second:
+                deadline = time.monotonic() + 10
+                while not run_log.read_text().endswith("\n") and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                with lock:
+                    logged_while_second_asked.append(run_log.read_text().splitlines())
             return "[]"
 
         monkeypatch.setattr(backend_module, "http_chat_transport", transport)
@@ -183,11 +193,13 @@ class TestAnalyze:
         for name, text in (("first.example", RICH_SEGMENT), ("second.example", second)):
             policies.append(tmp_path / f"{name}.txt")
             policies[-1].write_text(text, encoding="utf-8")
-        assert main(["analyze", *map(str, policies), "--record",
+        # two jobs: slots for both policies' queries, so that the second
+        # policy's waiting queries never hold back the first policy's
+        assert main(["analyze", *map(str, policies), "--record", "--jobs", "2",
                      "--cache", str(tmp_path / "cache.jsonl"), "--out", str(out)]) == 0
-        lines = (out / "run_log.jsonl").read_text().splitlines()
+        lines = run_log.read_text().splitlines()
         first = [line for line in lines if json.loads(line)["service_id"] == "first.example"]
-        assert first and logged_before_second == first
+        assert first and logged_while_second_asked == [first] * len(RECOGNITION_TASKS)
 
 
 HELP_FLAGS = {

@@ -10,6 +10,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -51,6 +52,10 @@ def fixture_graph(tmp_path) -> bytes:
                  "--cache", str(FIXTURES / "replay_cache.jsonl"),
                  "--model", "fixture-model", "--out", str(out)]) == 0
     return (out / "policy_example.org.ttl").read_bytes()
+
+
+def work_before_the_error_line(name: str, *args, **kwargs):
+    raise AssertionError(f"{name} ran before the output directory was made")
 
 
 def fails_with_error_line(argv: list[str], out) -> str:
@@ -130,9 +135,17 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command", ["analyze", "evaluate", "convert", "stats",
                                          "export-finetune"])
-    def test_out_directory_that_cannot_be_made(self, tmp_path, fixture_graph, command):
+    def test_out_directory_that_cannot_be_made(self, tmp_path, monkeypatch, fixture_graph,
+                                               command):
+        """Reported before any work: the commands make the directory first."""
         graph = tmp_path / "policy.ttl"
         graph.write_bytes(fixture_graph)
+        for module, name in (("ppanalyze.extraction.pipeline", "extract_documents"),
+                             ("ppanalyze.eval.benchmark", "score_document"),
+                             ("ppanalyze.rdfio", "parse_turtle"),
+                             ("ppanalyze.eval.finetune", "select_finetune_data")):
+            monkeypatch.setattr(importlib.import_module(module), name,
+                                partial(work_before_the_error_line, name))
         argv = {
             "analyze": ["analyze", str(FIXTURES / "policy_example.org.txt"), "--replay",
                         "--cache", str(FIXTURES / "replay_cache.jsonl"),

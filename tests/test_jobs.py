@@ -2,13 +2,14 @@
 
 With `jobs` above 1 a replay hands whole policies (`analyze`) or gold
 documents (`evaluate`) to forked worker processes, and `corpus.ttl` is
-merged from the per-policy statements.  A live or record `analyze` has
-`jobs` segments in flight, each asking its queries in two waves.  The
-`analyze` corpus here is a small `perfbench/gen.py` corpus of four
-policies; the second cannot be read and the third fails its graph
-invariants, so the failures are reported between the policies that
-succeed.  The `evaluate` gold set is a `perfbench/gen.py` set of four
-documents, one of whose queries fails.
+merged from the per-policy statements.  A live or record `analyze`
+streams the segments of all its policies through one window of 4 x `jobs`
+segments, each asking its queries in two waves on one pool of 4 x `jobs`
+query threads for the whole run.  The `analyze` corpus here is a small
+`perfbench/gen.py` corpus of four policies; the second cannot be read and
+the third fails its graph invariants, so the failures are reported
+between the policies that succeed.  The `evaluate` gold set is a
+`perfbench/gen.py` set of four documents, one of whose queries fails.
 """
 from __future__ import annotations
 
@@ -65,26 +66,39 @@ def corpus(gen, tmp_path_factory) -> tuple[list[str], Path]:
 
 
 @pytest.fixture
-def slow_first_broken_third(monkeypatch, corpus):
-    """The first policy takes longest, so that with two workers the last
-    one ends before it; the third has its data spans grounded to a purpose
-    class."""
-    slow, broken = Path(corpus[0][0]).stem, Path(corpus[0][2]).stem
-    extract = pipeline.extract_document
+def broken_third(monkeypatch, corpus):
+    """The third policy has its data spans grounded to a purpose class, so
+    its graph fails the invariants."""
+    broken = Path(corpus[0][2]).stem
+    extract = pipeline.extract_documents
 
-    def extract_broken(doc, *args, **kwargs):
-        result = extract(doc, *args, **kwargs)
-        if doc.service_id == slow:
-            time.sleep(0.5)
-        if doc.service_id == broken:
-            for seg in result.segments:
-                seg.spans = tuple(
-                    replace(s, grounded_term=MARKETING) if s.kind == "data" and s.grounded_term
-                    else s for s in seg.spans)
-        return result
+    def extract_broken(*args, **kwargs):
+        for result in extract(*args, **kwargs):
+            if getattr(result, "service_id", None) == broken:  # None: an unreadable policy
+                for seg in result.segments:
+                    seg.spans = tuple(
+                        replace(s, grounded_term=MARKETING)
+                        if s.kind == "data" and s.grounded_term else s for s in seg.spans)
+            yield result
 
-    # `analyze` looks the name up in the pipeline module on each policy
-    monkeypatch.setattr(pipeline, "extract_document", extract_broken)
+    # `analyze` looks the name up in the pipeline module on each run
+    monkeypatch.setattr(pipeline, "extract_documents", extract_broken)
+
+
+@pytest.fixture
+def slow_first_broken_third(broken_third, monkeypatch, corpus):
+    """`broken_third`, and the first policy takes longest, so that with two
+    workers the last one ends before it."""
+    slow = Path(corpus[0][0]).stem
+    extract = pipeline.extract_documents
+
+    def extract_slow(*args, **kwargs):
+        for result in extract(*args, **kwargs):
+            if getattr(result, "service_id", None) == slow:
+                time.sleep(0.5)
+            yield result
+
+    monkeypatch.setattr(pipeline, "extract_documents", extract_slow)
 
 
 def live_backend(transport, model: str = "scripted") -> Backend:
@@ -175,14 +189,14 @@ def test_a_one_policy_replay_starts_no_thread_pool(tmp_path, monkeypatch, taxono
     code = cli.main(["analyze", str(policy), "--replay", "--cache", str(cache),
                      "--model", FIXTURE_MODEL, "--jobs", "2", "--out", str(tmp_path / "out")])
     assert code == 0 and pools == []
-    # the same segments asked live start one pool for the queries, 4 per
-    # segment in flight, and one for the 2 segments in flight
+    # the same segments asked live start one pool of 4 x `jobs` threads for
+    # the queries, and one of as many for the segments in flight
     answers = cache_answers(cache)
     pipeline.extract_document(
         load_policy(policy, "example.org"),
         live_backend(lambda prompt, config: answers[prompt.system, prompt.user], FIXTURE_MODEL),
         taxonomy, jobs=2)
-    assert pools == [{"max_workers": 8}, {"max_workers": 2}]
+    assert pools == [{"max_workers": 8}, {"max_workers": 8}]
 
 
 # -- the live scheduler: each segment asks its queries in two waves --
@@ -195,6 +209,22 @@ def rich_document(segments: int):
 
 def rich_answer(prompt, config) -> str:
     return RICH_PLAN[0, task_of(prompt)]
+
+
+def rich_policy(path: Path, segments: int) -> str:
+    """A policy file of `segments` rich segments, each naming the file."""
+    path.write_text("".join(f"{RICH_SEGMENT} ({path.stem} {k})\n" for k in range(segments)),
+                    encoding="utf-8")
+    return str(path)
+
+
+def record(paths: list[str], out: Path, transport, monkeypatch, capsys,
+           *extra: str) -> tuple[int, dict, str, str]:
+    """`run` of one `analyze --record` whose model answers through `transport`."""
+    monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+    monkeypatch.setenv("PPA_API_KEY", "test-key")
+    return run(["analyze", *paths, "--record", "--cache", str(out.with_suffix(".jsonl")),
+                "--model", "scripted", *extra], out, capsys)
 
 
 def test_a_segments_recognition_queries_are_in_flight_together(taxonomy):
@@ -236,7 +266,8 @@ def test_classification_and_relation_wait_for_every_recognition_answer(taxonomy)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 6])
-def test_at_most_four_queries_per_job_in_flight(taxonomy, jobs):
+def test_four_queries_per_job_in_flight(taxonomy, jobs):
+    """The query slots fill up, and never overflow."""
     lock = threading.Lock()
     in_flight = peak = 0
 
@@ -253,15 +284,90 @@ def test_at_most_four_queries_per_job_in_flight(taxonomy, jobs):
     backend = live_backend(transport)
     extract_document(rich_document(16), backend, taxonomy, jobs=jobs)
     assert backend.invocations == 16 * 7
-    assert len(RECOGNITION_TASKS) <= peak <= len(RECOGNITION_TASKS) * jobs
+    assert peak == len(RECOGNITION_TASKS) * jobs
 
 
+def test_a_stream_closed_early_starts_no_queued_segment(taxonomy):
+    def transport(prompt, config):
+        time.sleep(0.02)
+        return rich_answer(prompt, config)
+
+    backend = live_backend(transport)
+    threads = threading.active_count()
+    # with one job, the first document is handed out once 4 segments of the
+    # second are queued behind it; the third is never queued
+    stream = pipeline.extract_documents(
+        [rich_document(1), rich_document(8), rich_document(8)], backend, taxonomy, jobs=1)
+    assert len(next(stream).segments) == 1
+    stream.close()
+    assert threading.active_count() == threads
+    # the second document's segments that had not started never run
+    assert 7 < backend.invocations < (1 + 8) * 7
+
+
+def test_the_next_policy_starts_while_the_previous_one_drains(tmp_path, monkeypatch,
+                                                               capsys):
+    """One run-wide window of segments: at `--jobs 1` the second policy's
+    first query is asked before the first policy's last answer."""
+    paths = [rich_policy(tmp_path / f"policy{p}.txt", 6) for p in (1, 2)]
+    policy_of = {line: p for p, path in enumerate(paths)
+                 for line in Path(path).read_text(encoding="utf-8").splitlines()}
+    lock = threading.Lock()
+    events = []     # (event, policy), in the order they happened
+
+    def transport(prompt, config):
+        policy = policy_of[segment_text_of(prompt)]
+        with lock:
+            events.append(("asked", policy))
+        time.sleep(0.01)
+        with lock:
+            events.append(("answered", policy))
+        return rich_answer(prompt, config)
+
+    code, _, stdout, _ = record(paths, tmp_path / "out", transport, monkeypatch, capsys,
+                                "--jobs", "1")
+    assert code == 0
+    assert [line.split(":")[0] for line in stdout.splitlines()[:2]] == paths
+    last_answer_of_first = max(i for i, event in enumerate(events) if event == ("answered", 0))
+    assert events.index(("asked", 1)) < last_answer_of_first
+
+
+@pytest.mark.usefixtures("no_retries")
+@pytest.mark.parametrize("second", ["readable", "unreadable", "every segment failing"])
+def test_no_thread_left_behind(tmp_path, monkeypatch, capsys, second):
+    paths = [rich_policy(tmp_path / name, 3) for name in ("first.txt", "second.txt")]
+    if second == "unreadable":
+        Path(paths[1]).write_bytes(b"not UTF-8: \xff\xfe\n")
+
+    def transport(prompt, config):
+        if second == "every segment failing" and "(second " in segment_text_of(prompt):
+            raise backend_module.TransportError("endpoint down")
+        return rich_answer(prompt, config)
+
+    threads = threading.active_count()
+    code, _, stdout, stderr = record(paths, tmp_path / "out", transport, monkeypatch, capsys,
+                                     "--jobs", "2")
+    assert threading.active_count() == threads
+    assert stdout.startswith(paths[0] + ": ")
+    if second == "readable":
+        assert code == 0
+    else:
+        assert code == 1 and stderr.startswith(f"error: {paths[1]}: ")
+
+
+def run_log_without_cache_flags(out: Path) -> str:
+    return (out / "run_log.jsonl").read_text(encoding="utf-8").replace(
+        '"from_cache": true', '"from_cache": false')
+
+
+@pytest.mark.usefixtures("broken_third")
 @pytest.mark.parametrize("jobs", [1, 2, 6])
 def test_record_at_every_jobs_setting_replays_to_the_sequential_replay(
         corpus, gen, tmp_path, monkeypatch, capsys, jobs):
     """A record run asks in any order, but records the answers a replay
-    reads back to the bytes of a sequential replay.  Threads switch often,
-    so that a lost update to the backend's counters or cache would show."""
+    reads back to the bytes of a sequential replay, and reports what the
+    replay reports.  Threads switch often, so that a lost update to the
+    backend's counters or cache would show."""
     paths, cache = corpus
     answers = cache_answers(cache)
     monkeypatch.setattr(backend_module, "http_chat_transport",
@@ -280,13 +386,17 @@ def test_record_at_every_jobs_setting_replays_to_the_sequential_replay(
     finally:
         sys.setswitchinterval(interval)
 
-    calls = [json.loads(line)["event"] == "backend_call" for line in
-             (tmp_path / "record" / "run_log.jsonl").read_text(encoding="utf-8").splitlines()]
-    (backend,) = backends
-    assert backend.invocations == sum(calls)
     replayed = analyze((paths, recorded), tmp_path / "replay", capsys, "--jobs", "1")
     sequential = analyze(corpus, tmp_path / "sequential", capsys, "--jobs", "1")
     assert replayed == sequential
+    # one query per step, counted on the record run's threads as in sequence
+    recorder, _, in_sequence = backends
+    assert recorder.invocations == in_sequence.invocations > 0
+    assert record[0] == 1 and record[2:] == sequential[2:]
+    assert [line.split(": ")[1] for line in record[3].splitlines()
+            if line.startswith("error: ")] == paths[1:3]
+    assert (run_log_without_cache_flags(tmp_path / "record")
+            == run_log_without_cache_flags(tmp_path / "sequential"))
     # and the record run wrote the graphs the replay writes
     graphs = {name: digest for name, digest in record[1].items()
               if name.endswith((".ttl", ".nt"))}

@@ -125,6 +125,21 @@ class TestFormatWithoutSuffix:
         node = tax.resolve_term("Advertising", "purpose")
         assert [a.label for a in tax.ancestors(node)] == ["Purpose", "Marketing"]
 
+    @pytest.mark.parametrize("first", [
+        "",
+        '_:release\t<http://www.w3.org/2002/07/owl#versionInfo>\t"v9" .\n',
+    ], ids=["iri subject", "blank node subject"])
+    def test_tab_separated_ntriples(self, tmp_path, first):
+        data = (first + f"<{DPV}Marketing>\t<http://www.w3.org/2000/01/rdf-schema#subClassOf>"
+                f"\t<{DPV}Purpose> .\n"
+                f'<{DPV}Marketing>\t<http://www.w3.org/2000/01/rdf-schema#label>\t"Marketing" .\n'
+                ).encode("utf-8")
+        (tmp_path / "taxonomy").write_bytes(data)
+        (tmp_path / "taxonomy.nt").write_bytes(data)
+        sniffed, named = (load_taxonomy(tmp_path / name) for name in ("taxonomy", "taxonomy.nt"))
+        assert (sniffed.version, sniffed.nodes) == (named.version, named.nodes)
+        assert sorted(named.nodes) == [DPV + "Marketing", DPV + "Purpose"]
+
 
 class TestLoadRdf:
     TTL = """
