@@ -1,14 +1,17 @@
 """Policy documents, line segmentation, and brat standoff gold annotations.
 
 Segmentation is by line: one segment per non-blank line, text trimmed,
-offsets pointing at the trimmed core inside the document's raw text.
-Invariant: raw_text[seg.char_start:seg.char_end] == seg.text for every
-segment, and segments are non-overlapping and strictly ascending.
+offsets pointing at the trimmed core inside the document's text after
+line-ending normalization (CRLF and CR read as LF).  Invariant:
+text[seg.char_start:seg.char_end] == seg.text for every segment of that
+normalized text, and segments are non-overlapping and strictly ascending.
 
 Brat standoff support covers T (text-bound entity), E (event), R (relation),
 A (attribute) and # (note) lines.  A gold entity keeps what scoring reads:
-its covering span (a discontinuous span's first start to its last end),
-the document text over it, and its DPV grounding from the A or # lines.
+the start of its covering span (a discontinuous span's first start to its
+last end), the document text over that span, and its DPV grounding from
+the A or # lines.  A relation keeps its id and label; the ids it names
+are checked, not kept.
 """
 from __future__ import annotations
 
@@ -29,24 +32,17 @@ class CorpusError(Error):
 class BratParseError(Error):
     def __init__(self, path: str, message: str, line_no: int, line: str):
         super().__init__(f"{path}: {message} (line {line_no}: {line!r})")
-        self.path = path
-        self.line_no = line_no
-        self.line = line
 
 
 class DanglingReferenceError(Error):
     def __init__(self, path: str, ids: list[str]):
         super().__init__(f"{path}: annotation references unknown ids: {', '.join(sorted(ids))}")
-        self.path = path
-        self.ids = sorted(ids)
 
 
 class AlignmentError(Error):
     def __init__(self, path: str, ids: list[str]):
         super().__init__(f"{path}: annotation span starts outside every segment: "
                          f"{', '.join(sorted(ids))}")
-        self.path = path
-        self.ids = sorted(ids)
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,6 @@ class Segment:
 class PolicyDocument:
     service_id: str
     source_uri: str
-    raw_text: str
     segments: tuple[Segment, ...]
 
 
@@ -89,7 +84,7 @@ def load_policy(path: Union[str, Path], service_id: str) -> PolicyDocument:
     """Read a UTF-8 text policy file and segment it by line.
 
     CRLF / CR line endings are normalized to LF before segmentation, so
-    stored offsets index into the normalized raw_text.
+    segment offsets index into the normalized text.
     """
     p = Path(path)
     try:
@@ -106,7 +101,6 @@ def load_policy(path: Union[str, Path], service_id: str) -> PolicyDocument:
     return PolicyDocument(
         service_id=service_id,
         source_uri=str(p),
-        raw_text=text,
         segments=tuple(segment_lines(text)),
     )
 
@@ -117,9 +111,8 @@ def load_policy(path: Union[str, Path], service_id: str) -> PolicyDocument:
 class GoldEntity:
     id: str
     type: str
-    char_start: int                         # covering span, over every fragment
-    char_end: int
-    covering_text: str                      # document text over [char_start, char_end)
+    char_start: int                         # start of the covering span, over every fragment
+    covering_text: str                      # document text over the covering span
     fine_grained: Optional[str] = None      # DPV term label/IRI from A or # channel
 
 
@@ -135,8 +128,6 @@ class GoldEvent:
 class GoldRelation:
     id: str
     label: str
-    subject_id: str
-    object_id: str
 
 
 @dataclass(frozen=True)
@@ -237,7 +228,7 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
             if not m:
                 raise BratParseError(ann_path, "malformed R line", line_no, line)
             rid, label, arg1, arg2 = m.groups()
-            relations.append(GoldRelation(id=rid, label=label, subject_id=arg1, object_id=arg2))
+            relations.append(GoldRelation(id=rid, label=label))
             references.extend((arg1, arg2))
         elif head == "A" or head == "M":
             m = _A_LINE.match(line)
@@ -265,7 +256,7 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
 
     entities = {
         tid: GoldEntity(
-            id=tid, type=etype, char_start=start, char_end=end,
+            id=tid, type=etype, char_start=start,
             covering_text=doc_text[start:end],
             fine_grained=attribute_groundings.get(tid, note_groundings.get(tid)),
         )

@@ -69,8 +69,6 @@ class TransportError(BackendError):
 class ReplayMissError(BackendError):
     def __init__(self, digest: str, task: str):
         super().__init__(f"replay cache has no entry for digest {digest} (task {task})")
-        self.digest = digest
-        self.task = task
 
 
 @dataclass(frozen=True)
@@ -181,9 +179,6 @@ class ResponseCache:
 
     def __len__(self) -> int:
         return len(self._answers)
-
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._answers
 
     def get(self, digest: str) -> Optional[dict]:
         """The stored record of `digest` as `{"key", "response"}`, or None."""

@@ -28,8 +28,8 @@ An item whose text holds a lone surrogate (a JSON escape such as
 `\\ud800` without its pair) is dropped with that reason, since no
 output can encode it.
 
-Anything irrecoverable raises ParseError carrying the raw text, which
-callers retain for audit.  Parse failures are data, never retried.
+Anything irrecoverable raises ParseError; callers keep the raw text
+for audit.  Parse failures are data, never retried.
 """
 from __future__ import annotations
 
@@ -54,9 +54,7 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, raw: str):
-        super().__init__(message)
-        self.raw = raw
+    """No structured answer could be recovered from a response."""
 
 
 @dataclass
@@ -397,7 +395,7 @@ def repair_and_parse(raw: str, shape: ResponseShape) -> tuple[list[dict], Repair
                 if line and not _is_refusal(line):
                     lines.append(line)
             return _normalize(lines, shape, trace), trace
-        raise ParseError("no JSON region in response", raw)
+        raise ParseError("no JSON region in response")
 
     if region.strip() != defenced.strip():
         trace.note("prose_strip")
@@ -409,4 +407,4 @@ def repair_and_parse(raw: str, shape: ResponseShape) -> tuple[list[dict], Repair
     try:
         return _normalize(value, shape, trace), trace
     except TypeError as exc:
-        raise ParseError(str(exc), raw) from exc
+        raise ParseError(str(exc)) from exc

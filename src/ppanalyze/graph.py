@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import urllib.parse
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -252,13 +253,13 @@ def check_invariants(g: Graph, taxonomy: Optional[Taxonomy] = None) -> list[str]
     """The invariant violations, in term order (empty list = graph is sound)."""
     problems: list[str] = []
 
+    owners = Counter(o for (_, p, o) in g.triples if p == HAS_PRACTICE)
     for practice in sorted(practice_types(g)):
         segments = g.objects(practice, SOURCE_SEGMENT)
         if len(segments) != 1:
             problems.append(f"{practice!r}: {len(segments)} source segment literals (want 1)")
-        owners = g.subjects(HAS_PRACTICE, practice)
-        if len(owners) != 1:
-            problems.append(f"{practice!r}: belongs to {len(owners)} policies (want 1)")
+        if owners[practice] != 1:
+            problems.append(f"{practice!r}: belongs to {owners[practice]} policies (want 1)")
     for policy in sorted(g.subjects_of_type(PRIVACY_POLICY)):
         services = g.objects(policy, HAS_SERVICE)
         if len(services) != 1:

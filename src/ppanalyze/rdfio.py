@@ -20,16 +20,13 @@ nodes, then literals.  The tag keeps an IRI, a blank node and a literal
 with one string apart.  A term equals the plain tuple of its items, so a
 graph must hold terms only, never plain tuples.
 
-Lookups on a `Graph` go through two lazy indexes, subject -> predicate ->
-objects and predicate -> object -> subjects.  The first is built whole on
-the first lookup that needs it; the second one predicate at a time, on
-the first lookup of that predicate, because callers ask about one or two
-predicates.  Every `add` or `update` drops both, so a graph that is built
-first and queried afterwards pays for each build once.  The subject index
-is filled from the sorted triples, so its subjects, predicates and
-objects come out in term order and the serializers sort nothing again.
-The indexes rely on one rule: `Graph.triples` is changed only through
-`add` and `update`, never directly.
+Lookups on a `Graph` go through one lazy index, subject -> predicate ->
+objects, built whole on the first lookup.  Every `add` or `update` drops
+it, so a graph that is built first and queried afterwards pays for the
+build once.  The index is filled from the sorted triples, so its
+subjects, predicates and objects come out in term order and the
+serializers sort nothing again.  It relies on one rule: `Graph.triples`
+is changed only through `add` and `update`, never directly.
 """
 from __future__ import annotations
 
@@ -123,19 +120,17 @@ class Graph:
     """A set of triples plus prefix bindings used for Turtle output.
 
     Change `triples` only through `add` and `update`: they drop the lazy
-    lookup indexes, which a direct change to the set would leave stale.
+    lookup index, which a direct change to the set would leave stale.
     """
 
     triples: set[Triple] = field(default_factory=set)
     prefixes: dict[str, str] = field(default_factory=dict)
-    # subject -> predicate -> objects, and predicate -> object -> subjects
-    # (filled one predicate at a time, on the first lookup of it)
+    # subject -> predicate -> objects
     _spo: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
-    _pos: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     def add(self, s: Subject, p: IRI, o: Object) -> None:
         self.triples.add((s, p, o))
-        self._spo = self._pos = None
+        self._spo = None
 
     def bind(self, prefix: str, namespace: str) -> None:
         self.prefixes[prefix] = namespace
@@ -146,12 +141,9 @@ class Graph:
     def __iter__(self) -> Iterator[Triple]:
         return iter(self.triples)
 
-    def __contains__(self, t: Triple) -> bool:
-        return t in self.triples
-
     def update(self, other: "Graph") -> None:
         self.triples |= other.triples
-        self._spo = self._pos = None
+        self._spo = None
         for k, v in other.prefixes.items():
             self.prefixes.setdefault(k, v)
 
@@ -164,22 +156,10 @@ class Graph:
             self._spo = spo
         return self._spo
 
-    def _by_object(self, predicate: IRI) -> dict:
-        if self._pos is None:
-            self._pos = {}
-        by_object = self._pos.get(predicate)
-        if by_object is None:
-            by_object = self._pos[predicate] = {}
-            for s, p, o in self.triples:
-                if p == predicate:
-                    by_object.setdefault(o, []).append(s)
-        return by_object
-
-    def subjects(self, predicate: IRI, obj: Object) -> set[Subject]:
-        return set(self._by_object(predicate).get(obj, ()))
-
     def subjects_of_type(self, type_iri: IRI) -> set[Subject]:
-        return self.subjects(IRI(RDF_TYPE), type_iri)
+        rdf_type = IRI(RDF_TYPE)
+        return {s for s, by_pred in self._by_subject().items()
+                if type_iri in by_pred.get(rdf_type, ())}
 
     def objects(self, subject: Subject, predicate: IRI) -> list[Object]:
         return list(self._by_subject().get(subject, {}).get(predicate, ()))

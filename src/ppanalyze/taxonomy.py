@@ -63,14 +63,11 @@ class TaxonomyError(Error):
 class TaxonomyCycleError(TaxonomyError):
     def __init__(self, cycle: list[str]):
         super().__init__("cycle in class hierarchy: " + " -> ".join(cycle))
-        self.cycle = cycle
 
 
 class UnresolvedTermError(TaxonomyError):
     def __init__(self, term: str, kind: str):
         super().__init__(f"cannot resolve {kind} term: {term!r}")
-        self.term = term
-        self.kind = kind
 
 
 def local_name(iri: str) -> str:

@@ -76,5 +76,4 @@ def gold_empty_backend() -> Backend:
 
 
 def make_document(text: str, service_id: str = "test.example") -> PolicyDocument:
-    return PolicyDocument(service_id, "memory:" + service_id, text,
-                          tuple(segment_lines(text)))
+    return PolicyDocument(service_id, "memory:" + service_id, tuple(segment_lines(text)))

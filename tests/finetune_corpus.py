@@ -17,8 +17,7 @@ def synthetic_gold_corpus(n_nonempty: int, n_empty: int) -> list[GoldDocument]:
         surface = f"item-{i} data"
         start = text.index(surface)
         entities.append(GoldEntity(
-            id=f"T{i + 1}", type="data", char_start=start, char_end=start + len(surface),
-            covering_text=surface,
+            id=f"T{i + 1}", type="data", char_start=start, covering_text=surface,
         ))
     gold = GoldAnnotationSet("synthetic", tuple(entities), (), ())
     return [GoldDocument(doc=doc, gold=gold, alignment=align_gold(gold, doc))]

@@ -682,7 +682,7 @@ def reference_repair_and_parse(raw: str, shape):
                 if line and not _is_refusal(line):
                     lines.append(line)
             return _reference_normalize(lines, shape, trace), trace
-        raise ParseError("no JSON region in response", raw)
+        raise ParseError("no JSON region in response")
 
     if region.strip() != defenced.strip():
         trace.note("prose_strip")
@@ -696,7 +696,7 @@ def reference_repair_and_parse(raw: str, shape):
     try:
         return _reference_normalize(value, shape, trace), trace
     except TypeError as exc:
-        raise ParseError(str(exc), raw) from exc
+        raise ParseError(str(exc)) from exc
 
 
 # -- response cache loader: the whole-file reader that kept every record --

@@ -201,17 +201,17 @@ class TestRecordReplay:
         path.write_text(good + json.dumps(_record("k2"))[:25])
         with pytest.warns(UserWarning, match="torn last line 2"):
             cache = ResponseCache(path)
-        assert len(cache) == 1 and "k2" not in cache
+        assert len(cache) == 1 and cache.get("k2") is None
         cache.put(_record("k3"))
         assert path.read_text() == good + json.dumps(_record("k3")) + "\n"
         again = ResponseCache(path)
-        assert len(again) == 2 and "k1" in again and "k3" in again
+        assert len(again) == 2 and again.get("k1") and again.get("k3")
 
     def test_complete_last_line_without_newline_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text(json.dumps(_record("k1")))
         cache = ResponseCache(path)
-        assert "k1" in cache
+        assert cache.get("k1")
         cache.put(_record("k2"))
         lines = path.read_text().splitlines()
         assert [json.loads(line)["key"] for line in lines] == ["k1", "k2"]

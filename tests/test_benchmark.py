@@ -128,8 +128,7 @@ class TestMixedCorpusMacroMeans:
         for i, surface in enumerate(["alpha data", "beta data"]):
             start = text.index(surface)
             entities.append(GoldEntity(
-                id=f"T{i + 1}", type="data", char_start=start,
-                char_end=start + len(surface), covering_text=surface,
+                id=f"T{i + 1}", type="data", char_start=start, covering_text=surface,
             ))
         gold = GoldAnnotationSet("mixed", tuple(entities), (), ())
         corpus = [GoldDocument(doc=doc, gold=gold, alignment=align_gold(gold, doc))]

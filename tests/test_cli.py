@@ -350,7 +350,7 @@ class TestRelationKinds:
         monkeypatch.setattr(backend_module, "http_chat_transport", scripted_transport(doc, plan))
         monkeypatch.setenv("PPA_API_KEY", "test-key")
         policy, out = tmp_path / "kinds.example.txt", tmp_path / "out"
-        policy.write_text(doc.raw_text, encoding="utf-8")
+        policy.write_text(RICH_SEGMENT, encoding="utf-8")
         assert main(["analyze", str(policy), "--record", "--cache", str(tmp_path / "cache.jsonl"),
                      "--out", str(out)]) == 0
         graph = parse_turtle((out / "kinds.example.ttl").read_bytes())
@@ -370,12 +370,13 @@ class TestLoneSurrogates:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_record_run_writes_all_its_files(self, monkeypatch, capsys, plan):
-        doc = make_document(RICH_SEGMENT + "\nThis policy may change.")
+        text = RICH_SEGMENT + "\nThis policy may change."
+        doc = make_document(text)
         monkeypatch.setattr(backend_module, "http_chat_transport", scripted_transport(doc, plan))
         monkeypatch.setenv("PPA_API_KEY", "test-key")
         with tempfile.TemporaryDirectory() as tmp:
             policy, out = Path(tmp) / "fuzz.example.txt", Path(tmp) / "out"
-            policy.write_text(doc.raw_text, encoding="utf-8")
+            policy.write_text(text, encoding="utf-8")
             assert main(["analyze", str(policy), "--record", "--cache",
                          str(Path(tmp) / "cache.jsonl"), "--out", str(out)]) == 0
             for name in ("fuzz.example.ttl", "fuzz.example.nt", "corpus.ttl", "run_log.jsonl",

@@ -21,17 +21,17 @@ from .oracles import scan_lines
 
 
 def entity_fields(entity) -> tuple:
-    return (entity.id, entity.type, entity.char_start, entity.char_end, entity.covering_text)
+    return (entity.id, entity.type, entity.char_start, entity.covering_text)
 
 
 def t_line_fields(line: str, text: str) -> tuple:
-    """A brat T line's id, type and covering span with the text over it,
-    read independently of `parse_brat`."""
+    """A brat T line's id, type and covering span start with the text over
+    the covering span, read independently of `parse_brat`."""
     tid, middle, _surface = line.split("\t")
     etype, span_str = middle.split(" ", 1)
     offsets = [int(x) for fragment in span_str.split(";") for x in fragment.split()]
     start, end = min(offsets), max(offsets)
-    return (tid, etype, start, end, text[start:end])
+    return (tid, etype, start, text[start:end])
 
 
 class TestSegmentLines:
@@ -109,14 +109,15 @@ class TestLoadPolicy:
         doc = load_policy(p, "x")
         assert [(s.char_start, s.char_end, s.text) for s in doc.segments] == scan_lines(text)
         for seg in doc.segments:
-            assert doc.raw_text[seg.char_start:seg.char_end] == seg.text
+            assert text[seg.char_start:seg.char_end] == seg.text
 
     def test_crlf_normalized(self, tmp_path):
         p = tmp_path / "p.txt"
         p.write_bytes(b"one\r\ntwo\r\n")
         doc = load_policy(p, "x")
-        assert [s.text for s in doc.segments] == ["one", "two"]
-        assert "\r" not in doc.raw_text
+        # offsets index the text read with LF line endings: "one\ntwo\n"
+        assert [(s.char_start, s.char_end, s.text) for s in doc.segments] == [
+            (0, 3, "one"), (4, 7, "two")]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):
@@ -149,8 +150,7 @@ class TestParseBrat:
         t, a = write_pair(tmp_path, text, "T1\tdata 10 25\temail addresses\n")
         gold = parse_brat(t, a)
         (ent,) = gold.entities
-        assert (ent.type, ent.char_start, ent.char_end) == ("data", 10, 25)
-        assert ent.covering_text == "email addresses"
+        assert (ent.type, ent.char_start, ent.covering_text) == ("data", 10, "email addresses")
 
     def test_event_line(self, tmp_path):
         text = "we collect your email"
@@ -179,7 +179,6 @@ class TestParseBrat:
         t, a = write_pair(tmp_path, "text", "T1\tbroken\n")
         with pytest.raises(BratParseError) as err:
             parse_brat(t, a)
-        assert err.value.line_no == 1
         assert str(err.value) == f"{a}: malformed T line (line 1: 'T1\\tbroken')"
 
     def test_surface_mismatch_rejected(self, tmp_path):
@@ -193,8 +192,7 @@ class TestParseBrat:
         t, a = write_pair(tmp_path, text, ann)
         gold = parse_brat(t, a)
         (ent,) = gold.entities
-        assert (ent.char_start, ent.char_end) == (0, 22)
-        assert ent.covering_text == text[0:22]
+        assert (ent.char_start, ent.covering_text) == (0, text[0:22])
 
     def test_grounding_from_attribute_beats_note(self, tmp_path):
         text = "your email"
@@ -224,8 +222,8 @@ class TestParseBrat:
         t, a = write_pair(tmp_path, text,
                           "T1\tdata 23 27\tdata\nT2\taction 0 7;17 22\tcollect share\n")
         assert [entity_fields(e) for e in parse_brat(t, a).entities] == [
-            ("T1", "data", 23, 27, "data"),
-            ("T2", "action", 0, 22, "collect and also share"),
+            ("T1", "data", 23, "data"),
+            ("T2", "action", 0, "collect and also share"),
         ]
 
     def test_fixture_gold_round_trip(self, gold_dir):

@@ -76,7 +76,6 @@ class TestLoadTabular:
         with pytest.raises(TaxonomyCycleError) as err:
             load_taxonomy(p)
         assert str(err.value) == "cycle in class hierarchy: urn:a -> urn:c -> urn:b -> urn:a"
-        assert err.value.cycle == ["urn:a", "urn:c", "urn:b", "urn:a"]
 
     def test_version_directive(self, tmp_path):
         p = write_tsv(tmp_path, [("dpv:Purpose", "", "Purpose")], version="v42")
@@ -198,7 +197,7 @@ class TestResolveTerm:
     def test_unresolved(self, taxonomy):
         with pytest.raises(UnresolvedTermError) as err:
             taxonomy.resolve_term("FlyingToTheMoon", "purpose")
-        assert err.value.term == "FlyingToTheMoon"
+        assert str(err.value) == "cannot resolve purpose term: 'FlyingToTheMoon'"
 
     def test_wrong_kind_is_unresolved(self, taxonomy):
         taxonomy.resolve_term("Personal Data", "data")
