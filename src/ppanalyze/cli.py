@@ -408,7 +408,7 @@ def _read_graph_file(path: str) -> rdfio.Graph:
     try:
         return rdfio.parse_turtle(Path(path).read_bytes())
     except (OSError, rdfio.RdfError) as exc:
-        raise SystemExit(f"error: cannot read graph {path}: {exc}")
+        raise Error(f"cannot read graph {path}: {exc}") from None
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
@@ -419,7 +419,12 @@ def cmd_convert(args: argparse.Namespace) -> int:
     out_dir = _out_dir(config)
     failures = 0
     for path in args.graphs:
-        g = _read_graph_file(path)
+        try:
+            g = _read_graph_file(path)
+        except Error as exc:        # reported like a graph that breaks an invariant
+            print(f"error: {exc}", file=sys.stderr)
+            failures += 1
+            continue
         problems = graphmod.check_invariants(g)
         if problems:
             _report_problems(f"error: {path}: {len(problems)} graph invariant violation(s)",
@@ -445,6 +450,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     out_dir = _out_dir(config)
+    # the totals need every graph, so the first unreadable one ends the run
     graphs = [_read_graph_file(path) for path in args.graphs]
     stats = graphmod.stats(graphs)
     print(stats.to_tsv(top_k=args.top), end="")

@@ -10,9 +10,9 @@ policy links to exactly one Service node.
 Node IRIs are content-derived (digest of policy URI, segment index,
 action ordinal) so repeated runs produce identical graphs; parties are
 local blank nodes typed first-party / third-party / user.  Ungrounded
-data/purpose spans, non-verbatim spans and hasData/hasPurpose links to a
-span of another kind never enter the graph; each exclusion is accounted
-for in the build log.
+data/purpose spans, non-verbatim spans, links to a span of a kind their
+role does not take and relations whose subject is not an action never
+enter the graph; each exclusion is accounted for in the build log.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .rdfio import RDF_TYPE, XSD, BNode, Graph, IRI, Literal, Subject
-from .taxonomy import Taxonomy
+from .taxonomy import DPV, DPV_PD, Taxonomy
 
 if TYPE_CHECKING:       # `stats` and `convert` read graphs and never load the pipeline
     from .extraction.pipeline import EntitySpan, ExtractionResult
@@ -70,14 +70,13 @@ _PARTY_CLASS = {
     "third_party": THIRD_PARTY,
     "user": USER_PARTY,
 }
-# the span kind a data or purpose link must point at
-_LINK_KIND = {"HAS_DATA": "data", "HAS_PURPOSE": "purpose"}
-_ROLE_PREDICATE = {
-    "HAS_DATA": HAS_DATA,
-    "HAS_PURPOSE": HAS_PURPOSE,
-    "PERFORMED_BY": PERFORMED_BY,
-    "DATA_PROVIDED_BY": DATA_PROVIDED_BY,
-    "DATA_SHARED_WITH": DATA_SHARED_WITH,
+# each relation role's predicate and the span kind its object must be
+_ROLES = {
+    "HAS_DATA": (HAS_DATA, "data"),
+    "HAS_PURPOSE": (HAS_PURPOSE, "purpose"),
+    "PERFORMED_BY": (PERFORMED_BY, "party"),
+    "DATA_PROVIDED_BY": (DATA_PROVIDED_BY, "party"),
+    "DATA_SHARED_WITH": (DATA_SHARED_WITH, "party"),
 }
 
 
@@ -90,8 +89,8 @@ STANDARD_PREFIXES = {
     "ppa": PPA,
     "rdfs": RDFS,
     "xsd": XSD,
-    "dpv": "https://w3id.org/dpv#",
-    "dpvpd": "https://w3id.org/dpv/pd#",
+    "dpv": DPV,
+    "dpvpd": DPV_PD,
 }
 
 
@@ -140,9 +139,9 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
     """Build the practice graph for one document's extraction result.
 
     Nothing here is fatal: spans that cannot enter the graph (ungrounded
-    terms, non-verbatim flags, dangling relation ids, a data or purpose
-    link to a span of another kind) are skipped and accounted for in the
-    build log.
+    terms, non-verbatim flags, dangling relation ids, a link to a span of
+    a kind its role does not take, a relation whose subject is not an
+    action) are skipped and accounted for in the build log.
     """
     g = Graph()
     bind_standard_prefixes(g)
@@ -174,7 +173,7 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                 g.add(node, LABEL, Literal(span.text))
             return party_nodes[span.local_id]
 
-        actions = [s for s in seg.actions]
+        actions = seg.actions
         for ordinal, action in enumerate(actions):
             if action.non_verbatim:
                 log.skipped_actions += 1
@@ -197,8 +196,8 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                 if rel.subject_id != action.local_id:
                     continue
                 target = spans.get(rel.object_id)
-                predicate = _ROLE_PREDICATE.get(rel.event_type)
-                if target is None or predicate is None:
+                role = _ROLES.get(rel.event_type)
+                if target is None or role is None:
                     log.dropped_tuples += 1
                     log.note(f"segment {seg.segment_index}: tuple ({rel.subject_id}, "
                              f"{rel.object_id}, {rel.event_type}) dropped")
@@ -208,24 +207,27 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                     log.note(f"segment {seg.segment_index}: link to {target.local_id} "
                              f"skipped (non-verbatim {target.text!r})")
                     continue
-                link_kind = _LINK_KIND.get(rel.event_type)
-                if link_kind is not None:
-                    if target.grounded_term is None:
-                        log.skipped_ungrounded += 1
-                        log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
-                                 f"{target.local_id} skipped (ungrounded {target.text!r})")
-                        continue
-                    if target.kind != link_kind:
-                        log.dropped_tuples += 1
-                        log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
-                                 f"{target.local_id} skipped ({target.kind} span "
-                                 f"{target.text!r})")
-                        continue
-                    g.add(practice, predicate, IRI(target.grounded_term))
-                else:
-                    node = party_node(target)
-                    if node is not None:
-                        g.add(practice, predicate, node)
+                predicate, kind = role
+                if kind != "party" and target.grounded_term is None:
+                    log.skipped_ungrounded += 1
+                    log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
+                             f"{target.local_id} skipped (ungrounded {target.text!r})")
+                    continue
+                if target.kind != kind:
+                    log.dropped_tuples += 1
+                    log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
+                             f"{target.local_id} skipped ({target.kind} span {target.text!r})")
+                    continue
+                node = party_node(target) if kind == "party" else IRI(target.grounded_term)
+                if node is not None:
+                    g.add(practice, predicate, node)
+
+        action_ids = {action.local_id for action in actions}
+        for rel in seg.relations:
+            if rel.subject_id not in action_ids:
+                log.dropped_tuples += 1
+                log.note(f"segment {seg.segment_index}: tuple ({rel.subject_id}, "
+                         f"{rel.object_id}, {rel.event_type}) dropped (subject is not an action)")
 
     return PrPrGraph(triples=g, provenance=provenance, build_log=log)
 

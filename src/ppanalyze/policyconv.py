@@ -25,9 +25,9 @@ from .graph import (
     HAS_PURPOSE,
     NODE,
     PERFORMED_BY,
-    PPA,
     PRACTICE_SUBTYPE,
     PRIVACY_POLICY,
+    STANDARD_PREFIXES,
     _digest,
     practice_types,
 )
@@ -46,6 +46,8 @@ ODRL_OPERAND_PURPOSE = IRI(ODRL + "purpose")
 ODRL_OPERATOR = IRI(ODRL + "operator")
 ODRL_IS_A = IRI(ODRL + "isA")
 ODRL_RIGHT_OPERAND = IRI(ODRL + "rightOperand")
+# the practice graph's prefixes that both converters' outputs bind too
+_SOURCE_PREFIXES = ("ppa", "dpv", "dpvpd")
 
 
 class ConversionError(Error):
@@ -163,9 +165,8 @@ def to_odrl(g: Graph,
     profile = profile or ConversionProfile.default()
     out = Graph()
     out.bind("odrl", ODRL)
-    out.bind("ppa", PPA)
-    out.bind("dpv", "https://w3id.org/dpv#")
-    out.bind("dpvpd", "https://w3id.org/dpv/pd#")
+    for prefix in _SOURCE_PREFIXES:
+        out.bind(prefix, STANDARD_PREFIXES[prefix])
     report = ConversionReport()
 
     types = practice_types(g)
@@ -224,9 +225,8 @@ def to_psdtou(g: Graph,
     profile = profile or ConversionProfile.default()
     out = Graph()
     out.bind("dtou", profile.psdtou["namespace"])
-    out.bind("ppa", PPA)
-    out.bind("dpv", "https://w3id.org/dpv#")
-    out.bind("dpvpd", "https://w3id.org/dpv/pd#")
+    for prefix in _SOURCE_PREFIXES:
+        out.bind(prefix, STANDARD_PREFIXES[prefix])
     report = ConversionReport()
 
     rdf_type = IRI(RDF_TYPE)

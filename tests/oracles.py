@@ -6,7 +6,9 @@ assignment exactly over all one-to-one matchings (bitmask DP), and the
 line-scan oracle walks the text character by character, and the RDF
 serializers sort every triple and regroup.  `reference_corpus_turtle`
 writes `corpus.ttl` from one combined graph, as `analyze` did before it
-merged the per-policy statements.  `dp_lcs_length`, the
+merged the per-policy statements.  `reference_check_invariants`
+restates `graph.check_invariants` with a plain scan of the triples for
+each question it asks.  `dp_lcs_length`, the
 reference matchers, `reference_segment_tasks`, `reference_repair_and_parse`,
 `reference_load_cache`, `reference_prompt_digest`, `reference_audit_dict`,
 `reference_run_log_records` and the RDF terms `RefIRI`, `RefBNode` and
@@ -340,6 +342,47 @@ def reference_corpus_turtle(graphs, prefixes: dict) -> bytes:
         for prefix, ns in g.prefixes.items():
             bound.setdefault(prefix, ns)
     return reference_turtle(triples, bound)
+
+
+# -- reference invariant check: plain scans of the triples, no index --
+
+_PPA = "urn:pp-analyze:core#"
+_PRACTICE_CLASSES = {IRI(_PPA + name) for name in
+                     ("DataPractice", "ThirdPartySharingDisclosure", "DataCollectionUse")}
+
+
+def reference_check_invariants(g, taxonomy=None) -> list[str]:
+    """`graph.check_invariants` as a scan of `g.triples` per question:
+    practices, then policies, in term order; then the data and the
+    purpose links, each in (subject, object) term order."""
+    triples = list(g.triples)
+    rdf_type, ppa = IRI(_RDF_TYPE), (lambda name: IRI(_PPA + name))
+    problems = []
+    practices = {s for (s, p, o) in triples if p == rdf_type and o in _PRACTICE_CLASSES}
+    for practice in sorted(practices, key=reference_term_key):
+        segments = [o for (s, p, o) in triples if s == practice and p == ppa("sourceSegment")]
+        if len(segments) != 1:
+            problems.append(f"{practice!r}: {len(segments)} source segment literals (want 1)")
+        owners = {s for (s, p, o) in triples if p == ppa("hasPractice") and o == practice}
+        if len(owners) != 1:
+            problems.append(f"{practice!r}: belongs to {len(owners)} policies (want 1)")
+    policies = {s for (s, p, o) in triples if p == rdf_type and o == ppa("PrivacyPolicy")}
+    for policy in sorted(policies, key=reference_term_key):
+        services = [o for (s, p, o) in triples if s == policy and p == ppa("hasService")]
+        if len(services) != 1:
+            problems.append(f"{policy!r}: links to {len(services)} services (want 1)")
+    if taxonomy is None:
+        return problems
+    for name, kind in (("hasData", "data"), ("hasPurpose", "purpose")):
+        links = sorted(((s, o) for (s, p, o) in triples if p == ppa(name)),
+                       key=lambda so: (reference_term_key(so[0]), reference_term_key(so[1])))
+        for s, o in links:
+            node = taxonomy.nodes.get(o.value) if isinstance(o, IRI) else None
+            if node is None:
+                problems.append(f"{s!r}: {kind} object {o!r} not in taxonomy")
+            elif node.kind != kind:
+                problems.append(f"{s!r}: {o!r} is not a {kind} term")
+    return problems
 
 
 # -- reference gold views --

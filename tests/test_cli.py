@@ -425,15 +425,20 @@ class TestConvert:
         assert not (tmp_path / "conv").exists()
 
     def test_truncated_graph_is_an_error(self, tmp_path, capsys):
+        # reported, and the next graph is still converted
         run_analyze(tmp_path / "run")
-        graph = (tmp_path / "run" / "policy_example.org.ttl").read_bytes()
+        good = tmp_path / "run" / "policy_example.org.ttl"
+        graph = good.read_bytes()
         cut = tmp_path / "cut.ttl"
         cut.write_bytes(graph[:graph.rindex(b"^^") + 2])   # cut inside a typed literal
-        with pytest.raises(SystemExit) as err:
-            main(["convert", str(cut), "--out", str(tmp_path / "conv")])
-        assert err.value.code != 0
-        assert "cannot read graph" in str(err.value.code)
-        assert "unexpected end of input" in str(err.value.code)
+        capsys.readouterr()
+        assert main(["convert", str(cut), str(good), "--out", str(tmp_path / "conv")]) == 1
+        out, err = capsys.readouterr()
+        assert f"error: cannot read graph {cut}: unexpected end of input" in err.splitlines()
+        assert out.startswith(f"{good}: 7 permissions")
+        assert sorted(path.name for path in (tmp_path / "conv").iterdir()) == [
+            "policy_example.org.conversion.json", "policy_example.org.odrl.ttl",
+            "policy_example.org.psdtou.ttl"]
 
 
 class TestRecord:

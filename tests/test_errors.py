@@ -103,12 +103,16 @@ class TestBadInput:
         assert message == (f"error: cannot read graph {graph}: "
                            f"bad escape {escape!r}: {reason}")
 
-    def test_surrogate_party_label_under_convert(self, tmp_path, fixture_graph):
+    def test_surrogate_party_label_under_convert(self, tmp_path, fixture_graph, capsys):
+        # `convert` reports an unreadable graph and goes on with the next one
         graph = tmp_path / "bad.ttl"
         graph.write_bytes(fixture_graph.replace(b'"advertising partners"',
                                                 b'"advertising \\uD800"'))
-        message = fails_with_error_line(["convert", str(graph)], tmp_path / "out")
-        assert "bad escape '\\\\uD800': not a Unicode character" in message
+        out = tmp_path / "out"
+        assert main(["convert", str(graph), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: cannot read graph {graph}: bad escape '\\\\uD800': not a Unicode character")
+        assert not any(out.rglob("*"))
 
     def test_non_utf8_taxonomy_under_analyze(self, tmp_path):
         taxonomy = tmp_path / "taxonomy.tsv"

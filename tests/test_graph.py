@@ -4,6 +4,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ppanalyze.extraction.pipeline import (
     EntitySpan,
@@ -14,9 +16,14 @@ from ppanalyze.extraction.pipeline import (
 from ppanalyze.graph import (
     DATA_COLLECTION_USE,
     DATA_PRACTICE,
+    HAS_DATA,
+    HAS_PRACTICE,
+    HAS_PURPOSE,
+    HAS_SERVICE,
     PPA,
     PRIVACY_POLICY,
     SERVICE_CLASS,
+    SOURCE_SEGMENT,
     THIRD_PARTY,
     THIRD_PARTY_SHARING,
     build_graph,
@@ -24,6 +31,8 @@ from ppanalyze.graph import (
     stats,
 )
 from ppanalyze.rdfio import RDF_TYPE, BNode, Graph, IRI, Literal, parse, serialize
+
+from .oracles import reference_check_invariants
 
 POLICY = "urn:pp-analyze:policy#test.example"
 EMAIL = "https://w3id.org/dpv/pd#EmailAddress"
@@ -129,6 +138,31 @@ class TestBuildGraph:
         assert g.build_log.records == [
             "segment 0: HAS_PURPOSE link to e0 skipped (data span 'email address')",
             "segment 0: HAS_DATA link to e1 skipped (ungrounded 'We')",
+        ]
+        assert check_invariants(g.triples, taxonomy) == []
+
+    def test_relations_the_graph_cannot_hold_are_dropped_and_counted(self, taxonomy):
+        spans = [
+            EntitySpan("e0", "data", "email address", 0, grounded_term=EMAIL),
+            EntitySpan("e1", "purpose", "marketing", 0,
+                       grounded_term="https://w3id.org/dpv#Marketing"),
+            EntitySpan("a0", "action", "collect", 0, subtype="collection_use"),
+        ]
+        relations = [RelationTuple("e0", "e1", "HAS_PURPOSE"),    # no action subject
+                     RelationTuple("a0", "e0", "PERFORMED_BY"),   # a party role, a data span
+                     RelationTuple("a0", "e0", "HAS_DATA")]
+        result = ExtractionResult("test.example", "memory:", (
+            segment_extraction(spans, relations),
+        ))
+        g = build_graph(result, "test.example", POLICY, taxonomy.version)
+        (practice,) = g.triples.subjects_of_type(DATA_COLLECTION_USE)
+        assert g.triples.objects(practice, IRI(PPA + "hasData")) == [IRI(EMAIL)]
+        assert g.triples.objects(practice, IRI(PPA + "hasPurpose")) == []
+        assert g.triples.objects(practice, IRI(PPA + "performedBy")) == []
+        assert g.build_log.dropped_tuples == 2
+        assert g.build_log.records == [
+            "segment 0: PERFORMED_BY link to e0 skipped (data span 'email address')",
+            "segment 0: tuple (e0, e1, HAS_PURPOSE) dropped (subject is not an action)",
         ]
         assert check_invariants(g.triples, taxonomy) == []
 
@@ -268,3 +302,46 @@ class TestInvariantOrder:
             f"<urn:x:1>: <{EMAIL}> is not a purpose term",
             "_:x0: purpose object <urn:unknown:c> not in taxonomy",
         ]
+
+
+_POLICIES = [IRI("urn:pp-analyze:policy#a"), IRI("urn:pp-analyze:policy#b"), BNode("policy")]
+_PRACTICES = [IRI("urn:pp-analyze:node#p0"), IRI("urn:pp-analyze:node#p1"), BNode("p2")]
+_SERVICES = [IRI("urn:pp-analyze:service#s0"), IRI("urn:pp-analyze:service#s1")]
+# in the taxonomy as data, in it as purpose, outside it, and not an IRI
+_LINK_OBJECTS = [IRI(EMAIL), IRI("https://w3id.org/dpv#Marketing"), IRI("urn:unknown:x"),
+                 Literal("email")]
+
+
+def _up_to_two(items):
+    return hst.lists(hst.sampled_from(items), max_size=2, unique=True)
+
+
+@hst.composite
+def practice_graphs(draw) -> Graph:
+    """Small graphs of policies with 0-2 services and practices with 0-2
+    classes, owning policies, source segments and data or purpose links."""
+    g = Graph()
+    for policy in _POLICIES:
+        if draw(hst.booleans()):
+            g.add(policy, IRI(RDF_TYPE), PRIVACY_POLICY)
+        for service in draw(_up_to_two(_SERVICES)):
+            g.add(policy, HAS_SERVICE, service)
+    classes = [DATA_PRACTICE, THIRD_PARTY_SHARING, DATA_COLLECTION_USE, SERVICE_CLASS]
+    for practice in _PRACTICES:
+        for cls in draw(_up_to_two(classes)):
+            g.add(practice, IRI(RDF_TYPE), cls)
+        for owner in draw(_up_to_two(_POLICIES)):
+            g.add(owner, HAS_PRACTICE, practice)
+        for text in draw(_up_to_two(["We collect it.", "We share it."])):
+            g.add(practice, SOURCE_SEGMENT, Literal(text))
+        for predicate in (HAS_DATA, HAS_PURPOSE):
+            for obj in draw(_up_to_two(_LINK_OBJECTS)):
+                g.add(practice, predicate, obj)
+    return g
+
+
+@given(g=practice_graphs(), with_taxonomy=hst.booleans())
+@settings(max_examples=300, deadline=None)
+def test_invariant_problems_equal_a_scan_of_the_triples(taxonomy, g, with_taxonomy):
+    taxonomy = taxonomy if with_taxonomy else None
+    assert check_invariants(g, taxonomy) == reference_check_invariants(g, taxonomy)
