@@ -33,7 +33,6 @@ import heapq
 import json
 import os
 import sys
-import urllib.parse
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -234,8 +233,7 @@ def _write_policy(analysis: _Analysis, path: str,
     if isinstance(result, Error):
         return _PolicyOutcome(failure=(f"error: {path}: {result}", []))
     service_id = result.service_id
-    policy_uri = "urn:pp-analyze:policy#" + urllib.parse.quote(service_id, safe="")
-    prpr = graphmod.build_graph(result, service_id, policy_uri,
+    prpr = graphmod.build_graph(result, service_id, graphmod.policy_iri(service_id).value,
                                 taxonomy_version=analysis.taxonomy.version)
     problems = graphmod.check_invariants(prpr.triples, analysis.taxonomy)
     if problems:

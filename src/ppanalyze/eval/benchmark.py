@@ -19,9 +19,9 @@ from typing import Iterable, Optional, Sequence
 
 from ..extraction.backend import Backend
 from ..extraction.pipeline import run_task
-from ..extraction.prompts import CLASSIFICATION_TASKS, RECOGNITION_TASKS, TASK_KIND, TaskKind
+from ..extraction.prompts import CLASSIFICATION_TASKS, TASK_KIND, TaskKind
 from ..taxonomy import Taxonomy
-from .gold import GoldDocument, SegmentTask, _relation_answer, segment_tasks
+from .gold import GoldDocument, SegmentTask, _relation_answer, asks_model, segment_tasks
 from .metrics import (
     DEFAULT_THRESHOLD,
     facet_means,
@@ -116,8 +116,7 @@ def score_document(gold_doc: GoldDocument, backend: Backend, taxonomy: Taxonomy,
         rows: list[SampleRow] = []
         for sample in segment_tasks(gold_doc, task, taxonomy):
             pred_items = error = None
-            # a classification or relation sample without inputs asks nothing
-            if task in RECOGNITION_TASKS or sample.extras:
+            if asks_model(task, sample):
                 segment = gold_doc.doc.segments[sample.segment_index]
                 pred_items, trace = run_task(task, segment, sample.extras, backend)
                 error = trace.error

@@ -23,9 +23,9 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .. import Error
-from ..extraction.prompts import RECOGNITION_TASKS, TaskKind, build_prompt
+from ..extraction.prompts import TaskKind, build_prompt
 from ..taxonomy import Taxonomy
-from .gold import GoldDocument, SegmentTask, expected_answer, segment_tasks
+from .gold import GoldDocument, SegmentTask, asks_model, expected_answer, segment_tasks
 
 
 class FinetuneError(Error):
@@ -72,14 +72,14 @@ def select_finetune_data(corpus: Sequence[GoldDocument], task: TaskKind,
     """Sample (train, validation) chat records for one task.
 
     Raises FinetuneError naming the stratum when a pool is too small.
-    Classification and relation samples without inputs cannot form a
-    prompt and are excluded from the pools.
+    Samples that ask nothing (`gold.asks_model`) cannot form a prompt and
+    are excluded from the pools.
     """
     nonempty: list[SegmentTask] = []
     empty: list[SegmentTask] = []
     for gold_doc in corpus:
         for sample in segment_tasks(gold_doc, task, taxonomy):
-            if task not in RECOGNITION_TASKS and not sample.extras:
+            if not asks_model(task, sample):
                 continue
             (empty if sample.is_empty else nonempty).append(sample)
 

@@ -5,10 +5,10 @@ label tables below cover the obvious naming schemes; labels are looked
 up after normalization, and a label none of them knows adds nothing to
 the gold answer.
 
-For the relation task, gold entities and event triggers receive the
-same local ids ("e0".. for data, purpose, party spans in offset order,
-"a0".. for triggers) that the pipeline would assign, so predicted and
-gold tuples are directly comparable.
+For the relation task, gold entities and event triggers are numbered by
+`prompts.number_spans`, as the pipeline numbers its spans, so predicted
+and gold tuples are directly comparable.  `asks_model` tells which
+samples make a query.
 """
 from __future__ import annotations
 
@@ -32,9 +32,11 @@ from ..corpus import (
 from ..extraction.prompts import (
     CLASSIFICATION_TASKS,
     RECOGNITION_TASKS,
+    SPAN_KINDS,
     TASK_KIND,
     TASK_SHAPES,
     TaskKind,
+    number_spans,
 )
 from ..taxonomy import Taxonomy, UnresolvedTermError
 from ..textnorm import normalize_label
@@ -142,6 +144,12 @@ class SegmentTask:
         return not (self.gold_spans or self.gold_pairs or self.gold_items)
 
 
+def asks_model(task: TaskKind, sample: SegmentTask) -> bool:
+    """Whether `sample` makes a query: a classification or relation sample
+    without inputs asks nothing."""
+    return task in RECOGNITION_TASKS or bool(sample.extras)
+
+
 def _entities_of_kind(slice_: GoldSlice, kind: str) -> list[GoldEntity]:
     """A segment's gold spans of one kind, in offset order."""
     return [ent for ent in slice_.entities if _label(ENTITY_KIND_MAP, ent.type) == kind]
@@ -154,23 +162,22 @@ def _relation_answer(item: dict) -> str:
 
 def _local_ids(slice_: GoldSlice) -> tuple[tuple[tuple[str, str, str], ...],
                                            list[tuple[str, GoldEvent]], dict[str, str]]:
-    """Assign pipeline-style local ids to a segment's gold spans.
+    """Number a segment's gold entities and events (by trigger) with `number_spans`.
 
     Returns the relation prompt's (id, kind, text) rows, the events with
     their ids, and the local id of each brat id a role may target.  An
     entity id wins over an event id, an event id over a trigger id, and
     of two events sharing a trigger the last one wins.
     """
-    rows = [(kind, ent) for kind in ("data", "purpose", "party")
-            for ent in _entities_of_kind(slice_, kind)]
-    entities = [(f"e{i}", kind, ent) for i, (kind, ent) in enumerate(rows)]
-    events = [(f"a{i}", ev) for i, ev in enumerate(slice_.events)]
+    numbered = number_spans({kind: slice_.events if kind == "action"
+                             else _entities_of_kind(slice_, kind) for kind in SPAN_KINDS})
+    events = [(a, ev) for a, kind, ev in numbered if kind == "action"]
     local_id = {ev.trigger.id: a for a, ev in events}
     local_id.update((ev.id, a) for a, ev in events)
-    local_id.update((ent.id, e) for e, _, ent in entities)
-    extras = tuple((e, kind, ent.covering_text) for e, kind, ent in entities) \
-        + tuple((a, "action", ev.trigger.covering_text) for a, ev in events)
-    return extras, events, local_id
+    local_id.update((ent.id, e) for e, kind, ent in numbered if kind != "action")
+    rows = tuple((i, kind, (span.trigger if kind == "action" else span).covering_text)
+                 for i, kind, span in numbered)
+    return rows, events, local_id
 
 
 def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Taxonomy) -> dict:

@@ -1,26 +1,20 @@
 """Pluggable model backend with record/replay response caching.
 
 One call to `Backend.invoke` is exactly one model query (plus transport
-retries).  The cache store is an append-friendly JSONL file, one record
-per response:
-
-    {"key": <sha256 digest>, "model": ..., "task": ...,
-     "prompt": {"system": ..., "user": ...}, "response": ...,
-     "timestamp": ...}
-
-The digest covers (model, task, system text, user text); temperature is
-pinned at 0 and therefore excluded.  Record and replay mode both serve a
-cached answer when there is one.  On a miss, record mode queries the
-model and appends the answer, so an interrupted record run resumes
-without asking again; replay mode never touches the network and fails
-loudly, which makes every downstream run fully deterministic and
-offline.  Live mode reads no cache, so a cache path there is an error.
-An answer that cannot be encoded as UTF-8 (one holding a lone surrogate)
-is an error too, whether the model or the cache gave it, so it never
-reaches a prompt digest or an output file.  So is a completion whose body
-is not UTF-8 JSON or whose message content is not a string.  Credentials
-come only from the environment (PPA_API_KEY, falling back to
-OPENAI_API_KEY).
+retries).  The cache store is an append-friendly JSONL file, one
+`cache_record` per response, keyed by the digest of (model, task, system
+text, user text); temperature is pinned at 0 and therefore excluded.
+Record and replay mode both serve a cached answer when there is one.  On
+a miss, record mode queries the model and appends the answer, so an
+interrupted record run resumes without asking again; replay mode never
+touches the network and fails loudly, which makes every downstream run
+fully deterministic and offline.  Live mode reads no cache, so a cache
+path there is an error.  An answer that cannot be encoded as UTF-8 (one
+holding a lone surrogate) is an error too, whether the model or the
+cache gave it, so it never reaches a prompt digest or an output file.
+So is a completion whose body is not UTF-8 JSON or whose message content
+is not a string.  Credentials come only from the environment
+(PPA_API_KEY, falling back to OPENAI_API_KEY).
 
 A config names only the model, cache mode and cache path.  The HTTP
 timeout and the retries of a transport error (3, after 0.5, 1 and 2 s)
@@ -108,6 +102,19 @@ def prompt_digest(model: str, task: str, prompt: PromptMessages) -> str:
     h = _digest_prefix(model, task, prompt.system).copy()
     h.update((_encode(prompt.user) + "]").encode("utf-8"))
     return h.hexdigest()
+
+
+def cache_record(model: str, task: str, prompt: PromptMessages, response: str,
+                 timestamp: Optional[str] = None) -> dict:
+    """The cache line of one answer; `timestamp` defaults to the current UTC second."""
+    return {
+        "key": prompt_digest(model, task, prompt),
+        "model": model,
+        "task": task,
+        "prompt": {"system": prompt.system, "user": prompt.user},
+        "response": response,
+        "timestamp": timestamp or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
 
 
 def _read_answer(line: Union[str, bytes]) -> tuple[str, str]:
@@ -308,15 +315,12 @@ class Backend:
 
             raw = _utf8(self._call_with_retries(prompt), digest)
             if self.config.cache_mode == "record":
-                # a concurrent miss on the same prompt may have stored its answer first
-                raw = self.cache.put({
-                    "key": digest,
-                    "model": self.config.model_name,
-                    "task": task.value,
-                    "prompt": {"system": prompt.system, "user": prompt.user},
-                    "response": raw,
-                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                })["response"]
+                # A concurrent miss on the same prompt may have stored its answer
+                # first; this call returns it, but as `from_cache=False`, so with
+                # segments in flight together the flags depend on timing, the
+                # answers do not (ROADMAP item 13).
+                raw = self.cache.put(cache_record(self.config.model_name, task.value,
+                                                  prompt, raw))["response"]
             return BackendResponse(raw=raw, digest=digest, from_cache=False)
         except BackendError as exc:
             exc.digest = digest

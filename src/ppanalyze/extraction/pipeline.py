@@ -33,13 +33,12 @@ from .prompts import (
     TASK_SHAPES,
     TaskKind,
     build_prompt,
+    number_spans,
 )
 from .repair import ParseError, repair_and_parse
 
 if TYPE_CHECKING:
     from ..graph import BuildLog
-
-SPAN_KINDS = tuple(TASK_KIND[task] for task in RECOGNITION_TASKS)
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,10 @@ class EntitySpan:
     unresolved_term: Optional[str] = None
     non_leaf: bool = False
     non_verbatim: bool = False
+
+    def __iter__(self) -> Iterator[str]:
+        """(local_id, kind, text): a span is its relation-prompt row."""
+        return iter((self.local_id, self.kind, self.text))
 
 
 @dataclass(frozen=True)
@@ -340,23 +343,15 @@ def _extract_segment(segment: Segment, backend: Backend, taxonomy: Taxonomy,
     for task, (items, traces[task.value]) in zip(RECOGNITION_TASKS, answers):
         recognized[TASK_KIND[task]] = items
 
-    # entities (data, purpose, party) are numbered e0.., actions a0..; actions
-    # come last in SPAN_KINDS, so len(spans) counts entities only
     spans: list[EntitySpan] = []
     segment_text = normalize_text(segment.text)
-    for kind in SPAN_KINDS:
-        for i, item in enumerate(recognized[kind] or ()):
-            span = EntitySpan(
-                local_id=f"a{i}" if kind == "action" else f"e{len(spans)}",
-                kind=kind,
-                text=item["text"],
-                segment_index=segment.index,
-                subtype=item.get("subtype"),
-                non_verbatim=normalize_text(item["text"]) not in segment_text,
-            )
-            if span.non_verbatim:
-                notes.append(f"{span.local_id}: non-verbatim span {span.text!r}")
-            spans.append(span)
+    for local_id, kind, item in number_spans(recognized):
+        span = EntitySpan(local_id=local_id, kind=kind, text=item["text"],
+                          segment_index=segment.index, subtype=item.get("subtype"),
+                          non_verbatim=normalize_text(item["text"]) not in segment_text)
+        if span.non_verbatim:
+            notes.append(f"{span.local_id}: non-verbatim span {span.text!r}")
+        spans.append(span)
 
     if not spans:
         if all(items is None for items in recognized.values()):

@@ -4,7 +4,10 @@ Every task gets a system message built from four blocks: a role
 statement, a task description, a description of the expected JSON
 output, and special-case instructions.  The user message carries the
 segment; multi-part inputs (classification, relation) are delimited
-with boundary marks that the system message names explicitly.
+with boundary marks that the system message names explicitly;
+`read_prompt` reverses that layout.  The relation prompt lists spans by
+id, and `number_spans` is the one id rule, which the pipeline and the
+gold view share so that predicted and gold tuples compare.
 
 The ResponseShape declared next to each prompt is the same schema the
 response parser normalizes against, so prompt text and parsing can
@@ -15,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from itertools import count
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ..textnorm import normalize_label
 
@@ -48,6 +52,8 @@ TASK_KIND: dict[TaskKind, str] = {
     TaskKind.DATA_CLASSIFICATION: "data",
     TaskKind.PURPOSE_CLASSIFICATION: "purpose",
 }
+# the span kinds in numbering order: entities (data, purpose, party), then actions
+SPAN_KINDS = tuple(TASK_KIND[task] for task in RECOGNITION_TASKS)
 
 PARTY_SUBTYPES = ("first_party", "third_party", "user")
 ACTION_SUBTYPES = (
@@ -60,6 +66,15 @@ EVENT_TYPES = ("HAS_DATA", "HAS_PURPOSE", "PERFORMED_BY", "DATA_PROVIDED_BY", "D
 
 SEGMENT_MARK = "=== SEGMENT ==="
 ENTITIES_MARK = "=== ENTITIES ==="
+
+
+def number_spans(by_kind: Mapping[str, Optional[Iterable]]) -> list[tuple[str, str, Any]]:
+    """(local id, kind, span) of each span of `by_kind` (kind -> spans or
+    None), kinds in `SPAN_KINDS` order: entities e0.. across their kinds,
+    actions a0..."""
+    entities, actions = count(), count()
+    return [(f"a{next(actions)}" if kind == "action" else f"e{next(entities)}", kind, span)
+            for kind in SPAN_KINDS for span in by_kind.get(kind) or ()]
 
 
 def _first_wins(pairs) -> dict[str, str]:
@@ -256,15 +271,13 @@ _TASK_DESCRIPTIONS = {
     ),
 }
 
+_ENTITIES_SCHEMA = ('Output: a JSON object {"entities": [{"text": "..."}]} listing each '
+                    "span verbatim as it appears in the segment.")
+_CLASSIFY_EVERY = "Classify every listed entity, even when unsure; pick the closest term."
+
 _SCHEMA_DESCRIPTIONS = {
-    TaskKind.DATA_RECOGNITION: (
-        'Output: a JSON object {"entities": [{"text": "..."}]} listing each '
-        "span verbatim as it appears in the segment."
-    ),
-    TaskKind.PURPOSE_RECOGNITION: (
-        'Output: a JSON object {"entities": [{"text": "..."}]} listing each '
-        "span verbatim as it appears in the segment."
-    ),
+    TaskKind.DATA_RECOGNITION: _ENTITIES_SCHEMA,
+    TaskKind.PURPOSE_RECOGNITION: _ENTITIES_SCHEMA,
     TaskKind.PARTY_RECOGNITION: (
         'Output: a JSON object {"parties": [{"text": "...", "subtype": '
         '"first_party|third_party|user"}]} with each span verbatim.'
@@ -306,12 +319,8 @@ _SPECIAL_CASES = {
     TaskKind.ACTION_RECOGNITION: (
         "If the segment describes no data practice, return an empty list."
     ),
-    TaskKind.DATA_CLASSIFICATION: (
-        "Classify every listed entity, even when unsure; pick the closest term."
-    ),
-    TaskKind.PURPOSE_CLASSIFICATION: (
-        "Classify every listed entity, even when unsure; pick the closest term."
-    ),
+    TaskKind.DATA_CLASSIFICATION: _CLASSIFY_EVERY,
+    TaskKind.PURPOSE_CLASSIFICATION: _CLASSIFY_EVERY,
     TaskKind.RELATION_RECOGNITION: (
         "Only use ids from the input. If no relation holds, return an empty list."
     ),
@@ -331,7 +340,8 @@ def _system_text(task: TaskKind) -> str:
 
 
 # built once: every query of a task sends the same system text
-_SYSTEM_TEXTS = {task: _system_text(task) for task in TaskKind}
+SYSTEM_TEXTS = {task: _system_text(task) for task in TaskKind}
+_TASK_OF_SYSTEM = {system: task for task, system in SYSTEM_TEXTS.items()}
 # one encoder for every listing: `json.dumps` with a non-default argument
 # builds a new encoder on each call
 _encode_listing = json.JSONEncoder(ensure_ascii=False).encode
@@ -342,10 +352,9 @@ def build_prompt(task: TaskKind, segment_text: str,
     """Build the system/user message pair for one task over one segment.
 
     `extras` is required for classification tasks (entity texts) and the
-    relation task (id-labelled spans: objects with .local_id, .kind,
-    .text, or plain (id, kind, text) tuples).
+    relation task (the (id, kind, text) row of each span).
     """
-    system = _SYSTEM_TEXTS[task]
+    system = SYSTEM_TEXTS[task]
     if task in RECOGNITION_TASKS:
         return PromptMessages(system=system, user=segment_text)
     if not extras:
@@ -354,14 +363,17 @@ def build_prompt(task: TaskKind, segment_text: str,
     if task in CLASSIFICATION_TASKS:
         listing = _encode_listing([str(e) for e in extras])
     else:
-        rows = []
-        for e in extras:
-            if isinstance(e, tuple):
-                eid, kind, text = e
-            else:
-                eid, kind, text = e.local_id, e.kind, e.text
-            rows.append({"id": eid, "kind": kind, "text": text})
-        listing = _encode_listing(rows)
+        listing = _encode_listing([{"id": eid, "kind": kind, "text": text}
+                                   for eid, kind, text in extras])
 
     user = f"{SEGMENT_MARK}\n{segment_text}\n{ENTITIES_MARK}\n{listing}"
     return PromptMessages(system=system, user=user)
+
+
+def read_prompt(prompt: PromptMessages) -> tuple[TaskKind, str]:
+    """The task and segment text of a prompt that `build_prompt` built (a
+    listing is one line of JSON, so the last entities mark ends the segment)."""
+    task = _TASK_OF_SYSTEM[prompt.system]
+    if task in RECOGNITION_TASKS:
+        return task, prompt.user
+    return task, prompt.user[len(SEGMENT_MARK) + 1:].rsplit(f"\n{ENTITIES_MARK}\n", 1)[0]

@@ -10,9 +10,10 @@ policy links to exactly one Service node.
 Node IRIs are content-derived (digest of policy URI, segment index,
 action ordinal) so repeated runs produce identical graphs; parties are
 local blank nodes typed first-party / third-party / user.  Ungrounded
-data/purpose spans, non-verbatim spans, links to a span of a kind their
-role does not take and relations whose subject is not an action never
-enter the graph; each exclusion is accounted for in the build log.
+data/purpose spans, party spans without one of those subtypes,
+non-verbatim spans, links to a span of a kind their role does not take
+and relations whose subject is not an action never enter the graph;
+each exclusion is accounted for in the build log.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ if TYPE_CHECKING:       # `stats` and `convert` read graphs and never load the p
 PPA = "urn:pp-analyze:core#"
 NODE = "urn:pp-analyze:node#"
 SERVICE = "urn:pp-analyze:service#"
+POLICY = "urn:pp-analyze:policy#"
 RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 
 # classes
@@ -134,6 +136,10 @@ def service_iri(service_id: str) -> IRI:
     return IRI(SERVICE + urllib.parse.quote(service_id, safe=""))
 
 
+def policy_iri(service_id: str) -> IRI:
+    return IRI(POLICY + urllib.parse.quote(service_id, safe=""))
+
+
 def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                 taxonomy_version: str = "unknown") -> PrPrGraph:
     """Build the practice graph for one document's extraction result.
@@ -163,6 +169,7 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
 
         def party_node(span: EntitySpan) -> Optional[BNode]:
             if span.subtype not in _PARTY_CLASS:
+                log.skipped_ungrounded += 1     # no party class to point to
                 log.note(f"segment {seg.segment_index}: party {span.local_id} "
                          f"has no usable subtype ({span.subtype!r})")
                 return None

@@ -7,26 +7,15 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from ppanalyze.corpus import PolicyDocument
-from ppanalyze.extraction.prompts import SEGMENT_MARK, ENTITIES_MARK, TaskKind, build_prompt
-
-_SYSTEMS: dict[str, TaskKind] = {}
-for _task in TaskKind:
-    _extras = None
-    if _task in (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION):
-        _extras = ["placeholder"]
-    elif _task is TaskKind.RELATION_RECOGNITION:
-        _extras = [("e0", "data", "placeholder")]
-    _SYSTEMS[build_prompt(_task, "x", _extras).system] = _task
+from ppanalyze.extraction.prompts import TaskKind, read_prompt
 
 
 def task_of(prompt) -> TaskKind:
-    return _SYSTEMS[prompt.system]
+    return read_prompt(prompt)[0]
 
 
 def segment_text_of(prompt) -> str:
-    if SEGMENT_MARK in prompt.user:
-        return prompt.user.split(SEGMENT_MARK + "\n", 1)[1].split("\n" + ENTITIES_MARK, 1)[0]
-    return prompt.user
+    return read_prompt(prompt)[1]
 
 
 def cache_answers(cache: Path) -> dict[tuple[str, str], str]:
@@ -42,9 +31,8 @@ def scripted_transport(doc: PolicyDocument, planned: dict, default: str = "[]"):
     index_of = {seg.text: seg.index for seg in doc.segments}
 
     def transport(prompt, config):
-        task = task_of(prompt)
-        index = index_of[segment_text_of(prompt)]
-        return planned.get((index, task), default)
+        task, segment_text = read_prompt(prompt)
+        return planned.get((index_of[segment_text], task), default)
 
     return transport
 

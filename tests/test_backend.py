@@ -518,6 +518,23 @@ class TestRetries:
         assert "4 attempts" in str(err.value)
         assert sleeps == [0.5, 1.0, 2.0]   # none after the last attempt
 
+    def test_refused_connection_is_a_transport_error_and_retried(self, sleeps, monkeypatch):
+        import socket
+        with socket.socket() as sock:       # a loopback port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        monkeypatch.setenv("PPA_API_KEY", "sk-test")
+        monkeypatch.setenv("PPA_API_BASE", f"http://127.0.0.1:{port}/v1")
+        monkeypatch.setenv("no_proxy", "*")
+        backend = Backend(BackendConfig(cache_mode="live"))
+        with pytest.raises(TransportError) as err:
+            backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
+        assert str(err.value).startswith(
+            "transport failed after 4 attempts: transport failure: <urlopen error ")
+        assert "Connection refused" in str(err.value)
+        assert backend.transport_calls == 4
+        assert sleeps == [0.5, 1.0, 2.0]
+
     def test_non_transport_errors_not_retried(self):
         calls = []
 

@@ -5,7 +5,7 @@ import importlib.util
 import pytest
 
 from ppanalyze.eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
-from ppanalyze.eval.gold import expected_answer, load_gold_corpus, segment_tasks
+from ppanalyze.eval.gold import asks_model, expected_answer, load_gold_corpus, segment_tasks
 from ppanalyze.extraction.backend import (
     Backend,
     BackendConfig,
@@ -13,7 +13,7 @@ from ppanalyze.extraction.backend import (
     TransportError,
     prompt_digest,
 )
-from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TASK_SHAPES, TaskKind, build_prompt
+from ppanalyze.extraction.prompts import TASK_SHAPES, TaskKind, build_prompt
 from ppanalyze.taxonomy import load_taxonomy
 
 from .conftest import FIXTURE_MODEL
@@ -82,7 +82,7 @@ class TestFixtureAnswers:
         for gold_doc in corpus:
             for task in ALL_TASKS:
                 for sample in segment_tasks(gold_doc, task, taxonomy):
-                    if task not in RECOGNITION_TASKS and not sample.extras:
+                    if not asks_model(task, sample):
                         continue    # nothing to classify or relate: no query
                     prompt = build_prompt(task, sample.segment_text, sample.extras)
                     digest = prompt_digest(FIXTURE_MODEL, task.value, prompt)

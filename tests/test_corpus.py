@@ -181,6 +181,26 @@ class TestParseBrat:
             parse_brat(t, a)
         assert str(err.value) == f"{a}: malformed T line (line 1: 'T1\\tbroken')"
 
+    @pytest.mark.parametrize("line, reason", [
+        ("E1 collection-use:T1", "malformed E line"),
+        ("E1\tcollection-use", "malformed E line"),
+        ("R1\trelated Arg1:T1", "malformed R line"),
+        ("A1\tDPV", "malformed A line"),
+        ("#1\tAnnotatorNotes T1", "malformed note line"),
+        ("X1\tsomething", "unknown annotation line type"),
+        ("T1\tdata 11 99\tdata", "invalid span offsets"),     # past the end of the text
+        ("T1\tdata 5 2\tx", "invalid span offsets"),          # ends before it starts
+        ("T1\tdata 1x 5\tdata", "malformed T line"),          # a non-numeric offset
+        ("T1\tdata 0 2 5\twe", "malformed span in T line"),   # three offsets
+    ], ids=["E-without-tab", "E-without-trigger", "R-without-Arg2", "A-without-target",
+            "note-without-text", "unknown-type", "span-past-end", "span-reversed",
+            "non-numeric-offset", "three-offsets"])
+    def test_bad_line_named_with_its_reason(self, tmp_path, line, reason):
+        t, a = write_pair(tmp_path, "we collect data", line + "\n")
+        with pytest.raises(BratParseError) as err:
+            parse_brat(t, a)
+        assert str(err.value) == f"{a}: {reason} (line 1: {line!r})"
+
     def test_surface_mismatch_rejected(self, tmp_path):
         t, a = write_pair(tmp_path, "hello world", "T1\tdata 0 5\tworld\n")
         with pytest.raises(BratParseError):

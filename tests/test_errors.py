@@ -215,6 +215,27 @@ class TestBadInput:
         assert message.startswith("error: ") and str(profile) in message
         assert reason in message
 
+    def test_config_file_that_cannot_be_read(self, tmp_path):
+        config = tmp_path / "absent.json"
+        message = fails_with_error_line(["stats", "g.ttl", "--config", str(config)],
+                                        tmp_path / "out")
+        assert message == (f"error: cannot read config file {config}: [Errno 2] "
+                           f"No such file or directory: '{config}'")
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"out"', "null"])
+    def test_config_file_without_a_json_object(self, tmp_path, content):
+        config = tmp_path / "config.json"
+        config.write_text(content, encoding="utf-8")
+        message = fails_with_error_line(["stats", "g.ttl", "--config", str(config)],
+                                        tmp_path / "out")
+        assert message == f"error: config file {config} does not hold a JSON object"
+
+    def test_threshold_above_1(self, tmp_path):
+        message = fails_with_error_line(
+            ["evaluate", str(FIXTURES / "gold"), "--threshold", "1.5", "--replay",
+             "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")], tmp_path / "out")
+        assert message == "error: threshold must be in (0, 1], got 1.5"
+
     def test_process_prints_one_line_and_exits_1(self, tmp_path, fixture_graph):
         graph = tmp_path / "bad.ttl"
         graph.write_bytes(fixture_graph.replace(b"advertising partners", b"\\uZZZZ"))

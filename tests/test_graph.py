@@ -28,6 +28,8 @@ from ppanalyze.graph import (
     THIRD_PARTY_SHARING,
     build_graph,
     check_invariants,
+    policy_iri,
+    service_iri,
     stats,
 )
 from ppanalyze.rdfio import RDF_TYPE, BNode, Graph, IRI, Literal, parse, serialize
@@ -165,6 +167,31 @@ class TestBuildGraph:
             "segment 0: tuple (e0, e1, HAS_PURPOSE) dropped (subject is not an action)",
         ]
         assert check_invariants(g.triples, taxonomy) == []
+
+    def test_links_to_a_party_without_a_usable_subtype_skipped_and_counted(self, taxonomy):
+        spans = [
+            EntitySpan("e0", "party", "them", 0),                       # subtype None
+            EntitySpan("e1", "party", "vendors", 0, subtype="vendor"),
+            EntitySpan("a0", "action", "share", 0,
+                       subtype="third_party_sharing_disclosure"),
+        ]
+        relations = [RelationTuple("a0", "e0", "DATA_SHARED_WITH"),
+                     RelationTuple("a0", "e1", "DATA_SHARED_WITH")]
+        result = ExtractionResult("test.example", "memory:", (
+            segment_extraction(spans, relations, text="We share data with them and vendors."),
+        ))
+        g = build_graph(result, "test.example", POLICY, taxonomy.version)
+        (practice,) = g.triples.subjects_of_type(THIRD_PARTY_SHARING)
+        assert g.triples.objects(practice, IRI(PPA + "dataSharedWith")) == []
+        assert (g.build_log.skipped_ungrounded, g.build_log.dropped_tuples) == (2, 0)
+        assert g.build_log.records == [
+            "segment 0: party e0 has no usable subtype (None)",
+            "segment 0: party e1 has no usable subtype ('vendor')",
+        ]
+
+    def test_policy_and_service_iris_quote_the_service_id(self):
+        assert policy_iri("a b/c") == IRI("urn:pp-analyze:policy#a%20b%2Fc")
+        assert service_iri("a b/c") == IRI("urn:pp-analyze:service#a%20b%2Fc")
 
     def test_non_verbatim_action_skipped_and_accounted(self, taxonomy):
         spans = [

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from ppanalyze.extraction import pipeline
 from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError, prompt_digest
 from ppanalyze.extraction.pipeline import (
-    SPAN_KINDS,
     DocumentError,
     EntitySpan,
     extract_document,
     run_task,
 )
-from ppanalyze.extraction.prompts import TaskKind, build_prompt
+from ppanalyze.extraction.prompts import SPAN_KINDS, TaskKind, build_prompt
 from ppanalyze.extraction.repair import RepairTrace, repair_and_parse
 from ppanalyze.graph import BuildLog
 

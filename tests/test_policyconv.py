@@ -10,7 +10,7 @@ from ppanalyze.extraction.pipeline import (
     RelationTuple,
     SegmentExtraction,
 )
-from ppanalyze.graph import HAS_DATA, HAS_PURPOSE, build_graph
+from ppanalyze.graph import HAS_DATA, HAS_PURPOSE, build_graph, practice_types
 from ppanalyze.policyconv import (
     ODRL,
     ODRL_ACTION,
@@ -125,6 +125,13 @@ class TestPsdtou:
         (ispec,) = out.objects(app, profile.dtou_iri("has_input"))
         assert out.objects(ispec, profile.dtou_iri("data")) == [IRI(EMAIL)]
         assert out.objects(ispec, profile.dtou_iri("purpose")) == [IRI(MARKETING)]
+
+    def test_practice_without_data_links_skipped(self):
+        g = single_practice_graph(data=())
+        (practice,) = practice_types(g)
+        out, report = to_psdtou(g)
+        assert report.input_specs == 0
+        assert report.skipped_practices == [f"{practice!r}: no data links"]
 
     def test_sharing_entry_carries_recipient_type(self):
         spans = [

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ppanalyze.extraction.pipeline import EntitySpan
 from ppanalyze.extraction.prompts import (
     ENTITIES_MARK,
     SEGMENT_MARK,
+    SPAN_KINDS,
+    SYSTEM_TEXTS,
     PromptError,
     TaskKind,
     build_prompt,
+    number_spans,
+    read_prompt,
 )
 
 
@@ -71,3 +78,42 @@ class TestMultipartPrompts:
         a = build_prompt(TaskKind.DATA_RECOGNITION, "one")
         b = build_prompt(TaskKind.DATA_RECOGNITION, "two")
         assert a.system == b.system
+
+
+class TestSpanIds:
+    def test_entities_share_one_count_and_actions_have_their_own(self):
+        by_kind = {"action": ["collect", "share"], "party": ["we"],
+                   "data": ["email", "ip"], "purpose": None}
+        assert number_spans(by_kind) == [
+            ("e0", "data", "email"), ("e1", "data", "ip"), ("e2", "party", "we"),
+            ("a0", "action", "collect"), ("a1", "action", "share")]
+
+    def test_kinds_in_numbering_order(self):
+        assert SPAN_KINDS == ("data", "purpose", "party", "action")
+        assert number_spans({}) == []
+
+    def test_a_span_is_its_relation_row(self):
+        spans = [EntitySpan("e0", "data", "email", 3, grounded_term="x"),
+                 EntitySpan("a0", "action", "collect", 3, subtype="collection_use")]
+        assert [tuple(span) for span in spans] == [("e0", "data", "email"),
+                                                   ("a0", "action", "collect")]
+        assert build_prompt(TaskKind.RELATION_RECOGNITION, "seg", spans) == \
+            build_prompt(TaskKind.RELATION_RECOGNITION, "seg", list(map(tuple, spans)))
+
+
+_TEXT = st.lists(st.sampled_from(["a", " ", "\n", "=", SEGMENT_MARK, ENTITIES_MARK,
+                                  '"', "\u00e9"]), max_size=12).map("".join)
+
+
+@given(task=st.sampled_from(list(TaskKind)), segment=_TEXT, item=_TEXT)
+def test_read_prompt_reverses_build_prompt(task, segment, item):
+    """Whatever the segment and listed texts hold, marks and line breaks
+    included, a prompt reads back as its task and segment."""
+    extras = None
+    if task is TaskKind.RELATION_RECOGNITION:
+        extras = [("e0", "data", item)]
+    elif task in (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION):
+        extras = [item]
+    prompt = build_prompt(task, segment, extras)
+    assert prompt.system == SYSTEM_TEXTS[task]
+    assert read_prompt(prompt) == (task, segment)

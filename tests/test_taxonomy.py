@@ -140,6 +140,45 @@ class TestFormatWithoutSuffix:
         assert sorted(named.nodes) == [DPV + "Marketing", DPV + "Purpose"]
 
 
+class TestLoadErrors:
+    """Each taxonomy that cannot be loaded ends in one `TaxonomyError`."""
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(tmp_path / "absent.tsv")
+        assert str(err.value) == f"taxonomy file not found: {tmp_path / 'absent.tsv'}"
+
+    def test_tsv_row_with_two_columns(self, tmp_path):
+        p = write_tsv(tmp_path, [("urn:x:Purpose", "", "Purpose"), ("urn:x:a", "urn:x:Purpose")])
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(p)
+        assert str(err.value) == f"{p}:2: expected 3 tab-separated columns, got 2"
+
+    def test_unparseable_turtle_names_the_file(self, tmp_path):
+        p = tmp_path / "tax.ttl"
+        p.write_text("@prefix x: <urn:x#> .\nx:a x:b .\n", encoding="utf-8")
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(p)
+        assert str(err.value) == f"cannot parse {p}: unexpected token '.'"
+
+    def test_rdf_without_subclass_statements(self, tmp_path):
+        p = tmp_path / "tax.nt"
+        p.write_text('<urn:x:a> <http://www.w3.org/2000/01/rdf-schema#label> "a" .\n',
+                     encoding="utf-8")
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(p)
+        assert str(err.value) == f"{p} contains no rdfs:subClassOf statements"
+
+    def test_node_under_a_data_and_a_purpose_root(self, tmp_path):
+        p = write_tsv(tmp_path, [("urn:x:Purpose", "", "Purpose"),
+                                 ("urn:x:PersonalData", "", "Personal data"),
+                                 ("urn:x:both", "urn:x:Purpose", "both"),
+                                 ("urn:x:both", "urn:x:PersonalData", "both")])
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(p)
+        assert str(err.value) == "node urn:x:both reachable from both data and purpose roots"
+
+
 class TestLoadRdf:
     TTL = """
     @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .

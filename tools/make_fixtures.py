@@ -21,11 +21,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ppanalyze.corpus import load_policy, parse_brat, align_gold
-from ppanalyze.eval.gold import GoldDocument, expected_answer, segment_tasks
-from ppanalyze.extraction.backend import Backend, BackendConfig, ResponseCache, prompt_digest
+from ppanalyze.corpus import load_policy
+from ppanalyze.eval.gold import asks_model, expected_answer, load_gold_corpus, segment_tasks
+from ppanalyze.extraction.backend import Backend, BackendConfig, ResponseCache, cache_record
 from ppanalyze.extraction.pipeline import extract_document
-from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TASK_SHAPES, TaskKind, build_prompt
+from ppanalyze.extraction.prompts import TASK_SHAPES, TaskKind, build_prompt, read_prompt
 from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
 
 FIXTURES = ROOT / "fixtures"
@@ -151,22 +151,9 @@ PLANNED: dict[tuple[int, TaskKind], str] = {
 
 def scripted_transport(doc):
     index_of = {seg.text: seg.index for seg in doc.segments}
-    systems = {}
-    for task in TaskKind:
-        extras = None
-        if task in (DC, PC):
-            extras = ["placeholder"]
-        elif task is R:
-            extras = [("e0", "data", "placeholder")]
-        systems[build_prompt(task, "x", extras).system] = task
 
     def transport(prompt, config):
-        task = systems[prompt.system]
-        user = prompt.user
-        if "=== SEGMENT ===" in user:
-            segment_text = user.split("=== SEGMENT ===\n", 1)[1].split("\n=== ENTITIES ===", 1)[0]
-        else:
-            segment_text = user
+        task, segment_text = read_prompt(prompt)
         key = (index_of[segment_text], task)
         if key not in PLANNED:
             raise AssertionError(f"no planned response for segment {key[0]} task {task.value}")
@@ -212,8 +199,7 @@ We store your purchase history to manage your orders.
 def make_gold() -> None:
     gold_dir = FIXTURES / "gold"
     gold_dir.mkdir(exist_ok=True)
-    text_path = gold_dir / "acme.txt"
-    text_path.write_text(GOLD_TEXT, encoding="utf-8")
+    (gold_dir / "acme.txt").write_text(GOLD_TEXT, encoding="utf-8")
 
     def span(surface: str, occurrence: int = 0) -> tuple[int, int]:
         pos = -1
@@ -265,17 +251,14 @@ def make_gold() -> None:
         encoding="utf-8",
     )
     # sanity: the generated pair must parse and align
-    gold = parse_brat(text_path, gold_dir / "acme.ann")
-    doc = load_policy(text_path, "acme")
-    align_gold(gold, doc)
-    print(f"gold/acme.ann: {len(gold.entities)} entities, {len(gold.events)} events")
+    [gold_doc] = load_gold_corpus(gold_dir)
+    print(f"gold/acme.ann: {len(gold_doc.gold.entities)} entities, "
+          f"{len(gold_doc.gold.events)} events")
 
 
 def make_gold_caches() -> None:
     gold_dir = FIXTURES / "gold"
-    doc = load_policy(gold_dir / "acme.txt", "acme")
-    gold = parse_brat(gold_dir / "acme.txt", gold_dir / "acme.ann")
-    gold_doc = GoldDocument(doc=doc, gold=gold, alignment=align_gold(gold, doc))
+    [gold_doc] = load_gold_corpus(gold_dir)
     taxonomy = load_taxonomy(default_snapshot_path())
 
     for name, correct in (("replay_cache.jsonl", True), ("replay_cache_empty.jsonl", False)):
@@ -285,21 +268,15 @@ def make_gold_caches() -> None:
         cache = ResponseCache(path)
         for task in TaskKind:
             for sample in segment_tasks(gold_doc, task, taxonomy):
-                if task not in RECOGNITION_TASKS and not sample.extras:
+                if not asks_model(task, sample):
                     continue
                 prompt = build_prompt(task, sample.segment_text, sample.extras)
                 if correct:
                     response = expected_answer(task, sample)
                 else:
                     response = '{"%s": []}' % TASK_SHAPES[task].envelope_keys[0]
-                cache.put({
-                    "key": prompt_digest(MODEL, task.value, prompt),
-                    "model": MODEL,
-                    "task": task.value,
-                    "prompt": {"system": prompt.system, "user": prompt.user},
-                    "response": response,
-                    "timestamp": "1970-01-01T00:00:00Z",
-                })
+                cache.put(cache_record(MODEL, task.value, prompt, response,
+                                       "1970-01-01T00:00:00Z"))
         print(f"gold/{name}: {len(cache)} responses")
 
 
