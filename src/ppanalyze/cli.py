@@ -15,12 +15,11 @@ deterministic.
 processes, and runs each policy's segments on one thread.  Live and
 record runs stay in one process, and there `jobs` bounds requests: an
 endpoint sees at most 4 x `jobs` at once.  `analyze` streams the
-segments of all its policies through one window of 4 x `jobs` segments,
-each sending its 4 recognition queries together and then its up to 3
-classification and relation queries together, on one pool of 4 x `jobs`
-query threads for the whole run; each policy's graph is built, checked
-and written on the main thread, in input order.  `evaluate` runs
-serially.
+segments of all its policies through one window of 4 x `jobs` segment
+threads for the whole run, each asking its segment's queries one at a
+time, so only the run's tail leaves request slots idle; each policy's
+graph is built, checked and written on the main thread, in input order.
+`evaluate` runs serially.
 
 Each command imports the modules it runs when it starts, so `stats` and
 `convert` never load the extraction pipeline, the HTTP client or the

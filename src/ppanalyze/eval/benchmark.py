@@ -144,14 +144,7 @@ def build_report(model: str, tasks: Sequence[TaskKind],
     report = ScoreReport(model=model)
     for task, rows in zip(tasks, rows_by_task):
         f1, f1_n, f1_e = facet_means([(r.f1, r.gold_empty) for r in rows])
-        report.scores[task] = TaskScore(
-            task=task,
-            relaxed=task in RELAXED_TASKS,
-            f1=f1,
-            f1_n=f1_n,
-            f1_e=f1_e,
-            rows=rows,
-        )
+        report.scores[task] = TaskScore(task, task in RELAXED_TASKS, f1, f1_n, f1_e, rows)
     return report
 
 

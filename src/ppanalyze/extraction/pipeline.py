@@ -17,8 +17,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
-from itertools import repeat
-from typing import (TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple,
+from typing import (TYPE_CHECKING, Any, Collection, Iterable, Iterator, NamedTuple,
                     Optional, Sequence)
 
 from .. import Error
@@ -235,6 +234,11 @@ class DocumentError(Error):
     """Every segment of a document failed."""
 
 
+# Request slots per job on a live or record run: the endpoint sees at most
+# this many requests per job at once, one from each segment in flight.
+SLOTS_PER_JOB = 4
+
+
 # Answers repeat across segments and policies (boilerplate lines draw the
 # same answer), so each process parses a distinct (task, answer) once.
 PARSE_MEMO_SIZE = 4096
@@ -324,24 +328,16 @@ def _ground(kind: str, spans: Sequence[EntitySpan], items: list[dict],
     return updated, notes
 
 
-def _extract_segment(segment: Segment, backend: Backend, taxonomy: Taxonomy,
-                     ask: Callable = map) -> SegmentExtraction:
-    """Extract one segment in two waves of model queries: the recognition
-    queries, then the classification queries that have spans and the
-    relation query.  `ask` maps `run_task` over each wave's tasks and
-    extras, in task order: the built-in `map` asks in sequence, an
-    executor's `map` asks a wave at once.
-
-    The relation prompt reads only each span's id, kind and text, which
-    grounding never changes, so it need not wait for classification.
-    Answers are applied in task order whatever order they arrive in."""
+def _extract_segment(segment: Segment, backend: Backend, taxonomy: Taxonomy) -> SegmentExtraction:
+    """Extract one segment, one model query at a time, in task order: the
+    recognition queries, then each classification query that has spans,
+    then the relation query."""
     traces: dict[str, TaskTrace] = {}
     notes: list[str] = []
 
-    answers = ask(run_task, RECOGNITION_TASKS, repeat(segment), repeat(None), repeat(backend))
     recognized = {}
-    for task, (items, traces[task.value]) in zip(RECOGNITION_TASKS, answers):
-        recognized[TASK_KIND[task]] = items
+    for task in RECOGNITION_TASKS:
+        recognized[TASK_KIND[task]], traces[task.value] = run_task(task, segment, None, backend)
 
     spans: list[EntitySpan] = []
     segment_text = normalize_text(segment.text)
@@ -362,22 +358,20 @@ def _extract_segment(segment: Segment, backend: Backend, taxonomy: Taxonomy,
             traces[task.value] = TaskTrace(skipped=True)
         return SegmentExtraction(segment.index, segment.text, (), (), traces, tuple(notes))
 
-    subsets = {task: [s for s in spans if s.kind == TASK_KIND[task]]
-               for task in CLASSIFICATION_TASKS}
-    tasks = [task for task in CLASSIFICATION_TASKS if subsets[task]]
-    extras = [[s.text for s in subsets[task]] for task in tasks]
-    *classified, (relation_items, relation_trace) = ask(
-        run_task, [*tasks, TaskKind.RELATION_RECOGNITION], repeat(segment),
-        [*extras, spans], repeat(backend))
-
-    for task, (items, traces[task.value]) in zip(tasks, classified):
+    for task in CLASSIFICATION_TASKS:
+        kind = TASK_KIND[task]
+        subset = [s for s in spans if s.kind == kind]
+        if not subset:
+            continue
+        items, traces[task.value] = run_task(task, segment, [s.text for s in subset], backend)
         if items is not None:
-            updated, cls_notes = _ground(TASK_KIND[task], subsets[task], items, taxonomy)
+            updated, cls_notes = _ground(kind, subset, items, taxonomy)
             notes.extend(cls_notes)
             by_id = {s.local_id: s for s in updated}
             spans = [by_id.get(s.local_id, s) for s in spans]
 
-    traces[TaskKind.RELATION_RECOGNITION.value] = relation_trace
+    relation_items, traces[TaskKind.RELATION_RECOGNITION.value] = run_task(
+        TaskKind.RELATION_RECOGNITION, segment, spans, backend)
     relations: list[RelationTuple] = []
     known_ids = {s.local_id for s in spans}
     action_ids = {s.local_id for s in spans if s.kind == "action"}
@@ -411,30 +405,28 @@ def extract_documents(docs: Iterable[PolicyDocument | Error], backend: Backend,
     errors are aggregated without aborting, and segment order is kept
     whatever order the segments finish in.
 
-    A replay asks every query in sequence and starts no thread: it waits on
-    no model.  Live and record runs stream the segments of all the
-    documents through one window of 4 x `jobs` segment threads, whose
-    waves of queries share one pool of 4 x `jobs` query threads, so at most
-    that many requests are in flight.  A document's segments are queued
-    when it is taken from `docs`, and the stream waits on a document only
-    once 4 x `jobs` later segments are queued behind it: the query slots
-    stay full while its last segments wait on their second wave and while
-    the caller handles its result, and only a few documents' segments are
-    queued at a time.  The threads are joined when the stream ends or is
-    closed.
+    Each segment asks its queries one at a time, in task order.  A replay
+    runs the segments in sequence and starts no thread: it waits on no
+    model.  Live and record runs stream the segments of all the documents
+    through one window of `SLOTS_PER_JOB` x `jobs` segment threads, so at
+    most that many requests are in flight.  A document's segments are
+    queued when it is taken from `docs`, and the stream waits on a
+    document only once a window's worth of later segments are queued
+    behind it: the slots stay full while its last segments are answered
+    and while the caller handles its result, and only a few documents'
+    segments are queued at a time.  Only the run's tail, its last few
+    segments' round trips, leaves slots idle.  The threads are joined
+    when the stream ends or is closed.
     """
+    extract = partial(_extract_segment, backend=backend, taxonomy=taxonomy)
     if backend.config.cache_mode == "replay":
-        extract = partial(_extract_segment, backend=backend, taxonomy=taxonomy)
         for doc in docs:
             yield _result(doc, () if isinstance(doc, Error) else map(extract, doc.segments))
         return
     # imported here, where threads start: a replay starts none
     from concurrent.futures import ThreadPoolExecutor
-    width = jobs * len(RECOGNITION_TASKS)
-    with ThreadPoolExecutor(max_workers=width) as queries, \
-            ThreadPoolExecutor(max_workers=width) as window:
-        extract = partial(_extract_segment, backend=backend, taxonomy=taxonomy,
-                          ask=queries.map)
+    width = SLOTS_PER_JOB * jobs
+    with ThreadPoolExecutor(max_workers=width) as window:
         ahead: deque = deque()      # (document or error, its segments' futures)
         queued = 0                  # futures in `ahead`
         try:

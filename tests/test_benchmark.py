@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import shutil
 
 import pytest
 
@@ -93,12 +94,18 @@ class TestFixtureAnswers:
         assert queried == len(primed) == len(empty)
 
     def test_fixture_tool_reproduces_gold_files(self, gold_dir_module, tmp_path, monkeypatch):
-        from .conftest import ROOT
+        """The tool rewrites the bundled policy's replay cache and the gold
+        files byte for byte."""
+        from .conftest import FIXTURES, ROOT
         spec = importlib.util.spec_from_file_location(
             "make_fixtures", ROOT / "tools" / "make_fixtures.py")
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
         monkeypatch.setattr(tool, "FIXTURES", tmp_path)
+        shutil.copy(FIXTURES / "policy_example.org.txt", tmp_path)
+        tool.make_policy_cache()
+        assert (tmp_path / "replay_cache.jsonl").read_bytes() == \
+            (FIXTURES / "replay_cache.jsonl").read_bytes()
         tool.make_gold()
         tool.make_gold_caches()
         names = ["acme.ann", "acme.txt", "annotation.conf",

@@ -4,8 +4,9 @@ With `jobs` above 1 a replay hands whole policies (`analyze`) or gold
 documents (`evaluate`) to forked worker processes, and `corpus.ttl` is
 merged from the per-policy statements.  A live or record `analyze`
 streams the segments of all its policies through one window of 4 x `jobs`
-segments, each asking its queries in two waves on one pool of 4 x `jobs`
-query threads for the whole run.  The `analyze` corpus here is a small
+segment threads for the whole run, each segment asking its queries one
+at a time, so at most 4 x `jobs` requests are in flight.  The `analyze`
+corpus here is a small
 `perfbench/gen.py` corpus of four policies; the second cannot be read and
 the third fails its graph invariants, so the failures are reported
 between the policies that succeed.  The `evaluate` gold set is a
@@ -189,17 +190,16 @@ def test_a_one_policy_replay_starts_no_thread_pool(tmp_path, monkeypatch, taxono
     code = cli.main(["analyze", str(policy), "--replay", "--cache", str(cache),
                      "--model", FIXTURE_MODEL, "--jobs", "2", "--out", str(tmp_path / "out")])
     assert code == 0 and pools == []
-    # the same segments asked live start one pool of 4 x `jobs` threads for
-    # the queries, and one of as many for the segments in flight
+    # the same segments asked live start one pool of 4 x `jobs` segment threads
     answers = cache_answers(cache)
     pipeline.extract_document(
         load_policy(policy, "example.org"),
         live_backend(lambda prompt, config: answers[prompt.system, prompt.user], FIXTURE_MODEL),
         taxonomy, jobs=2)
-    assert pools == [{"max_workers": 8}, {"max_workers": 8}]
+    assert pools == [{"max_workers": 8}]
 
 
-# -- the live scheduler: each segment asks its queries in two waves --
+# -- the live scheduler: each segment thread asks one query at a time --
 
 def rich_document(segments: int):
     """`segments` segments, each asking 4 recognition queries, then 2
@@ -227,18 +227,27 @@ def record(paths: list[str], out: Path, transport, monkeypatch, capsys,
                 "--model", "scripted", *extra], out, capsys)
 
 
-def test_a_segments_recognition_queries_are_in_flight_together(taxonomy):
-    barrier = threading.Barrier(len(RECOGNITION_TASKS), timeout=10)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_segment_has_two_queries_in_flight(taxonomy, jobs):
+    lock = threading.Lock()
+    in_flight: dict[str, int] = {}      # queries in flight, by segment text
+    peaks: dict[str, int] = {}
 
     def transport(prompt, config):
-        if task_of(prompt) in RECOGNITION_TASKS:
-            barrier.wait()      # broken, and the call failed, unless all four wait
+        segment = segment_text_of(prompt)
+        with lock:
+            in_flight[segment] = in_flight.get(segment, 0) + 1
+            peaks[segment] = max(peaks.get(segment, 0), in_flight[segment])
+        time.sleep(0.005)
+        with lock:
+            in_flight[segment] -= 1
         return rich_answer(prompt, config)
 
     backend = live_backend(transport)
-    result = extract_document(rich_document(3), backend, taxonomy, jobs=1)
-    assert backend.invocations == 3 * 7
-    assert not any(trace.error for seg in result.segments for trace in seg.traces.values())
+    doc = rich_document(2 * 4 * jobs)
+    extract_document(doc, backend, taxonomy, jobs=jobs)
+    assert backend.invocations == len(doc.segments) * 7
+    assert peaks == {seg.text: 1 for seg in doc.segments}
 
 
 def test_classification_and_relation_wait_for_every_recognition_answer(taxonomy):
@@ -261,8 +270,8 @@ def test_classification_and_relation_wait_for_every_recognition_answer(taxonomy)
                 if text == seg.text]
         last_recognition = max(i for i, event in enumerate(mine)
                                if event == ("answered", True))
-        second_wave = [i for i, event in enumerate(mine) if event == ("asked", False)]
-        assert len(second_wave) == 3 and min(second_wave) > last_recognition
+        later_asks = [i for i, event in enumerate(mine) if event == ("asked", False)]
+        assert len(later_asks) == 3 and min(later_asks) > last_recognition
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 6])
@@ -282,9 +291,10 @@ def test_four_queries_per_job_in_flight(taxonomy, jobs):
         return rich_answer(prompt, config)
 
     backend = live_backend(transport)
-    extract_document(rich_document(16), backend, taxonomy, jobs=jobs)
-    assert backend.invocations == 16 * 7
-    assert peak == len(RECOGNITION_TASKS) * jobs
+    # more segments than the 4 x 6 slots of the widest window
+    extract_document(rich_document(32), backend, taxonomy, jobs=jobs)
+    assert backend.invocations == 32 * 7
+    assert peak == 4 * jobs
 
 
 def test_a_stream_closed_early_starts_no_queued_segment(taxonomy):

@@ -3,7 +3,7 @@
 
 Produces, under fixtures/:
   replay_cache.jsonl            scripted responses for policy_example.org.txt,
-                                recorded through the real pipeline so digests
+                                asked through the real pipeline so digests
                                 always match what replay runs will ask for
   gold/acme.txt, gold/acme.ann  a small brat-annotated gold document
                                 (offsets computed, never hand-counted)
@@ -30,6 +30,8 @@ from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
 
 FIXTURES = ROOT / "fixtures"
 MODEL = "fixture-model"
+# every cache record carries this timestamp, so the files regenerate byte for byte
+TIMESTAMP = "1970-01-01T00:00:00Z"
 
 D = TaskKind.DATA_RECOGNITION
 P = TaskKind.PURPOSE_RECOGNITION
@@ -149,35 +151,38 @@ PLANNED: dict[tuple[int, TaskKind], str] = {
 }
 
 
-def scripted_transport(doc):
+def make_policy_cache() -> None:
+    """Ask the planned answers through the pipeline, then write each prompt
+    asked and its answer in segment order, then task order."""
+    cache_path = FIXTURES / "replay_cache.jsonl"
+    if cache_path.exists():
+        cache_path.unlink()
+    doc = load_policy(FIXTURES / "policy_example.org.txt", "example.org")
     index_of = {seg.text: seg.index for seg in doc.segments}
+    asked = {}      # (segment index, task) -> prompt
 
     def transport(prompt, config):
         task, segment_text = read_prompt(prompt)
         key = (index_of[segment_text], task)
         if key not in PLANNED:
             raise AssertionError(f"no planned response for segment {key[0]} task {task.value}")
+        asked[key] = prompt
         return PLANNED[key]
 
-    return transport
-
-
-def make_policy_cache() -> None:
-    cache_path = FIXTURES / "replay_cache.jsonl"
-    if cache_path.exists():
-        cache_path.unlink()
-    doc = load_policy(FIXTURES / "policy_example.org.txt", "example.org")
     taxonomy = load_taxonomy(default_snapshot_path())
-    backend = Backend(
-        BackendConfig(model_name=MODEL, cache_mode="record", cache_path=cache_path),
-        transport=scripted_transport(doc),
-    )
+    backend = Backend(BackendConfig(model_name=MODEL, cache_mode="live"), transport=transport)
     result = extract_document(doc, backend, taxonomy)
+    cache = ResponseCache(cache_path)
+    for seg in doc.segments:
+        for task in TaskKind:
+            if (seg.index, task) in asked:
+                cache.put(cache_record(MODEL, task.value, asked[seg.index, task],
+                                       PLANNED[seg.index, task], TIMESTAMP))
     practices = sum(
         1 for seg in result.segments for span in seg.spans
         if span.kind == "action" and not span.non_verbatim
     )
-    print(f"replay_cache.jsonl: {backend.invocations} responses, "
+    print(f"replay_cache.jsonl: {len(cache)} responses, "
           f"{practices} verbatim actions")
 
 
@@ -275,8 +280,7 @@ def make_gold_caches() -> None:
                     response = expected_answer(task, sample)
                 else:
                     response = '{"%s": []}' % TASK_SHAPES[task].envelope_keys[0]
-                cache.put(cache_record(MODEL, task.value, prompt, response,
-                                       "1970-01-01T00:00:00Z"))
+                cache.put(cache_record(MODEL, task.value, prompt, response, TIMESTAMP))
         print(f"gold/{name}: {len(cache)} responses")
 
 
