@@ -281,13 +281,8 @@ def _policy_outcomes(analysis: _Analysis, paths: Sequence[str],
         yield map(partial(_write_policy, analysis), paths, results)
 
 
-# the function and the items a forked worker serves, set by the pool's initializer
+# the function and the items a forked worker serves, set before the pool forks
 _worker_job: Optional[tuple[Callable, Sequence]] = None
-
-
-def _init_worker(fn: Callable, items: Sequence) -> None:
-    global _worker_job
-    _worker_job = (fn, items)
 
 
 def _call_in_worker(index: int) -> Any:
@@ -319,7 +314,9 @@ def _ordered_map(fn: Callable[[Any], Any], items: Sequence,
         yield map(fn, items)
         return
     import multiprocessing      # here, not at the top: the import costs every start ~6 ms
-    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (fn, items)) as pool:
+    global _worker_job
+    _worker_job = (fn, items)
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
         yield pool.imap(_call_in_worker, range(len(items)))
         pool.close()
         pool.join()

@@ -211,18 +211,16 @@ def _gold_fields(task: TaskKind, slice_: GoldSlice, taxonomy: Taxonomy) -> dict:
         return {"extras": tuple(p[0] for p in pairs) or None,
                 "gold_pairs": tuple(pairs), "gold_items": tuple(items)}
 
-    if task is TaskKind.RELATION_RECOGNITION:
-        extras, events, local_id = _local_ids(slice_)
-        items = []
-        for a, ev in events:
-            for role, target in ev.roles:
-                event_type = _label(ROLE_EVENT_MAP, re.sub(r"\d+$", "", role))
-                if event_type is not None and target in local_id:
-                    items.append({"id1": a, "id2": local_id[target], "type": event_type})
-        return {"extras": extras or None, "gold_items": tuple(items),
-                "gold_spans": tuple(map(_relation_answer, items))}
-
-    raise ValueError(f"unknown task: {task}")
+    # the one task left: relation recognition
+    extras, events, local_id = _local_ids(slice_)
+    items = []
+    for a, ev in events:
+        for role, target in ev.roles:
+            event_type = _label(ROLE_EVENT_MAP, re.sub(r"\d+$", "", role))
+            if event_type is not None and target in local_id:
+                items.append({"id1": a, "id2": local_id[target], "type": event_type})
+    return {"extras": extras or None, "gold_items": tuple(items),
+            "gold_spans": tuple(map(_relation_answer, items))}
 
 
 def segment_tasks(gold_doc: GoldDocument, task: TaskKind,

@@ -108,8 +108,8 @@ class ResponseShape:
     built; each keeps the first match in declaration order.
     """
     envelope_keys: tuple[str, ...]          # wrapper keys accepted around the list
-    fields: tuple[FieldSpec, ...] = ()      # empty -> plain list of strings
-    allow_string_items: bool = False        # bare string coerces to {primary: s}
+    fields: tuple[FieldSpec, ...]           # at least one
+    allow_string_items: bool = False        # bare string coerces to {first field: s}
     # derived: normalized field name or synonym -> field name
     field_table: dict[str, str] = field(init=False, repr=False, compare=False)
     # derived: the normalized envelope keys
@@ -120,10 +120,6 @@ class ResponseShape:
             (label, f.name) for f in self.fields for label in (f.name, *f.synonyms)))
         object.__setattr__(self, "envelope_labels",
                            frozenset(map(normalize_label, self.envelope_keys)))
-
-    @property
-    def primary_field(self) -> Optional[str]:
-        return self.fields[0].name if self.fields else None
 
 
 _PARTY_ENUM_SYNONYMS = (

@@ -12,9 +12,9 @@ returned trace:
   3. key_normalization    envelope unwrapping plus case-insensitive and
                           synonym-table key/enum mapping against the
                           task's declared response shape
-  4. line_fallback        no bracketed region at all: non-empty lines
-                          become string entries (refusal phrases such
-                          as "none" become the empty list)
+  4. line_fallback        no bracketed region, in a shape that allows
+                          bare strings: non-empty lines become items
+                          (refusals such as "none": the empty list)
 
 When a JSON value starts at the first bracket, as in a well-formed
 answer or JSON inside prose or a fence, the JSON decoder reads it
@@ -28,8 +28,9 @@ An item whose text holds a lone surrogate (a JSON escape such as
 `\\ud800` without its pair) is dropped with that reason, since no
 output can encode it.
 
-Anything irrecoverable raises ParseError; callers keep the raw text
-for audit.  Parse failures are data, never retried.
+Only an answer with no bracketed region, no refusal and no line
+fallback raises ParseError; callers keep the raw text for audit.
+Parse failures are data, never retried.
 """
 from __future__ import annotations
 
@@ -299,7 +300,7 @@ def _normalize_item(item: Any, shape: ResponseShape, trace: RepairTrace) -> Opti
             trace.dropped_items.append((item, "bare string not valid for this task"))
             return None
         trace.note("key_normalization")
-        item = {shape.primary_field: item}
+        item = {shape.fields[0].name: item}
     elif isinstance(item, (list, tuple)) and len(item) == len(shape.fields):
         trace.note("key_normalization")
         item = {f.name: v for f, v in zip(shape.fields, item)}
@@ -351,8 +352,6 @@ def _normalize(value: Any, shape: ResponseShape, trace: RepairTrace) -> list[dic
         value = [value]
     if isinstance(value, dict):
         value = [value]
-    if not isinstance(value, list):
-        raise TypeError(f"cannot shape value of type {type(value).__name__}")
     items = []
     for item in value:
         if item is None:
@@ -387,7 +386,7 @@ def repair_and_parse(raw: str, shape: ResponseShape) -> tuple[list[dict], Repair
         if not stripped or _is_refusal(stripped):
             trace.note("refusal")
             return [], trace
-        if shape.allow_string_items or not shape.fields:
+        if shape.allow_string_items:
             trace.note("line_fallback")
             lines = []
             for line in stripped.split("\n"):
@@ -404,7 +403,4 @@ def repair_and_parse(raw: str, shape: ResponseShape) -> tuple[list[dict], Repair
         trace.note("structural_repair")
         value = _Tolerant(region).value()
 
-    try:
-        return _normalize(value, shape, trace), trace
-    except TypeError as exc:
-        raise ParseError(str(exc)) from exc
+    return _normalize(value, shape, trace), trace

@@ -145,9 +145,10 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
     """Build the practice graph for one document's extraction result.
 
     Nothing here is fatal: spans that cannot enter the graph (ungrounded
-    terms, non-verbatim flags, dangling relation ids, a link to a span of
-    a kind its role does not take, a relation whose subject is not an
-    action) are skipped and accounted for in the build log.
+    terms, non-verbatim flags, a link to a span of a kind its role does
+    not take, a relation whose subject is not an action) are skipped and
+    accounted for in the build log.  Every relation names known spans
+    and an event type of `_ROLES`: the pipeline has dropped the others.
     """
     g = Graph()
     bind_standard_prefixes(g)
@@ -202,19 +203,13 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
             for rel in seg.relations:
                 if rel.subject_id != action.local_id:
                     continue
-                target = spans.get(rel.object_id)
-                role = _ROLES.get(rel.event_type)
-                if target is None or role is None:
-                    log.dropped_tuples += 1
-                    log.note(f"segment {seg.segment_index}: tuple ({rel.subject_id}, "
-                             f"{rel.object_id}, {rel.event_type}) dropped")
-                    continue
+                target = spans[rel.object_id]
                 if target.non_verbatim:
                     log.skipped_non_verbatim += 1
                     log.note(f"segment {seg.segment_index}: link to {target.local_id} "
                              f"skipped (non-verbatim {target.text!r})")
                     continue
-                predicate, kind = role
+                predicate, kind = _ROLES[rel.event_type]
                 if kind != "party" and target.grounded_term is None:
                     log.skipped_ungrounded += 1
                     log.note(f"segment {seg.segment_index}: {rel.event_type} link to "

@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 from . import Error
 from .graph import (
+    DATA_PROVIDED_BY,
     DATA_SHARED_WITH,
     HAS_DATA,
     HAS_PRACTICE,
@@ -133,6 +134,7 @@ class _Practice:
     data: tuple[IRI, ...]
     purposes: tuple[IRI, ...]
     performers: tuple = ()
+    providers: tuple = ()
     recipients: tuple = ()
 
 
@@ -154,6 +156,7 @@ def _practice_view(g: Graph, policy, types: dict) -> list[_Practice]:
             data=tuple(o for o in g.objects(node, HAS_DATA) if isinstance(o, IRI)),
             purposes=tuple(o for o in g.objects(node, HAS_PURPOSE) if isinstance(o, IRI)),
             performers=tuple(g.objects(node, PERFORMED_BY)),
+            providers=tuple(g.objects(node, DATA_PROVIDED_BY)),
             recipients=tuple(g.objects(node, DATA_SHARED_WITH)),
         ))
     return out
@@ -195,16 +198,15 @@ def to_odrl(g: Graph,
                     out.add(cnode, ODRL_LEFT_OPERAND, ODRL_OPERAND_PURPOSE)
                     out.add(cnode, ODRL_OPERATOR, ODRL_IS_A)
                     out.add(cnode, ODRL_RIGHT_OPERAND, purpose)
-                performer_role = profile.role_map.get("PERFORMED_BY")
-                if performer_role:
-                    for party in practice.performers:
-                        out.add(perm, IRI(performer_role), party)
-                        _copy_party(g, out, party)
-                recipient_role = profile.role_map.get("DATA_SHARED_WITH")
-                if recipient_role and practice.class_name == "ThirdPartySharingDisclosure":
-                    for party in practice.recipients:
-                        out.add(perm, IRI(recipient_role), party)
-                        _copy_party(g, out, party)
+                shared = practice.class_name == "ThirdPartySharingDisclosure"
+                for role, parties in (("PERFORMED_BY", practice.performers),
+                                      ("DATA_PROVIDED_BY", practice.providers),
+                                      ("DATA_SHARED_WITH", practice.recipients if shared else ())):
+                    role_iri = profile.role_map.get(role)
+                    if role_iri:
+                        for party in parties:
+                            out.add(perm, IRI(role_iri), party)
+                            _copy_party(g, out, party)
     return out, report
 
 

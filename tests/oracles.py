@@ -629,7 +629,7 @@ def _reference_normalize_item(item, shape, trace):
             trace.dropped_items.append((item, "bare string not valid for this task"))
             return None
         trace.note("key_normalization")
-        item = {shape.primary_field: item}
+        item = {shape.fields[0].name: item}
     elif isinstance(item, (list, tuple)) and len(item) == len(shape.fields):
         trace.note("key_normalization")
         item = {f.name: v for f, v in zip(shape.fields, item)}

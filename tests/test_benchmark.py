@@ -6,7 +6,13 @@ import shutil
 import pytest
 
 from ppanalyze.eval.benchmark import ALL_TASKS, format_report_table, run_benchmark
-from ppanalyze.eval.gold import asks_model, expected_answer, load_gold_corpus, segment_tasks
+from ppanalyze.eval.gold import (
+    GoldCorpusError,
+    asks_model,
+    expected_answer,
+    load_gold_corpus,
+    segment_tasks,
+)
 from ppanalyze.extraction.backend import (
     Backend,
     BackendConfig,
@@ -179,6 +185,48 @@ class TestReportTable:
         })
         table = format_report_table([report])
         assert table.strip().split("\n")[2].split("\t") == ["m", "1.000", "-", "1.000"]
+
+    def test_task_a_report_lacks_rendered_as_dashes(self):
+        from ppanalyze.eval.benchmark import ScoreReport, TaskScore
+
+        def report(model, *tasks):
+            return ScoreReport(model=model, scores={
+                task: TaskScore(task=task, relaxed=False, f1=0.5, f1_n=0.25, f1_e=1.0)
+                for task in tasks})
+        both = (TaskKind.DATA_RECOGNITION, TaskKind.RELATION_RECOGNITION)
+        table = format_report_table([report("a", *both), report("b", both[1])])
+        assert [line.split("\t") for line in table.strip().split("\n")[2:]] == [
+            ["a", "0.250", "1.000", "0.500", "0.250", "1.000", "0.500"],
+            ["b", "-", "-", "-", "0.250", "1.000", "0.500"],
+        ]
+
+
+PD = "https://w3id.org/dpv/pd#"
+
+
+@pytest.mark.parametrize("ann, outcome", [
+    pytest.param(None, "not a directory: <dir>/gold", id="not-a-directory"),
+    pytest.param("T1\tdata 11 21\tyour email\nA1\tDPV T1 EmailAddress\n",
+                 [(("your email", PD + "EmailAddress"),)], id="grounded"),
+    pytest.param("T1\tdata 11 21\tyour email\n", [()], id="ungrounded-left-out"),
+])
+def test_gold_classification_pairs(tmp_path, taxonomy, ann, outcome):
+    """Each segment's data classification gold of a one-document gold
+    directory, or the message of the error that stops reading it."""
+    root = tmp_path / "gold"
+    if ann is None:
+        root.write_text("", encoding="utf-8")
+    else:
+        root.mkdir()
+        (root / "doc.txt").write_text("We collect your email.\n", encoding="utf-8")
+        (root / "doc.ann").write_text(ann, encoding="utf-8")
+    try:
+        [gold_doc] = load_gold_corpus(root)
+        got = [sample.gold_pairs
+               for sample in segment_tasks(gold_doc, TaskKind.DATA_CLASSIFICATION, taxonomy)]
+    except GoldCorpusError as exc:
+        got = str(exc).replace(str(tmp_path), "<dir>")
+    assert got == outcome
 
 
 # A brat document with the cases the gold views must get right: an

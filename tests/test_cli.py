@@ -506,6 +506,17 @@ class TestStats:
         out = capsys.readouterr().out
         assert "practices\t8" in out
 
+    def test_top_keeps_the_most_used_classes(self, tmp_path, capsys):
+        run_analyze(tmp_path / "run")
+        graph = str(tmp_path / "run" / "policy_example.org.ttl")
+        assert main(["stats", graph, "--out", str(tmp_path / "all")]) == 0
+        assert main(["stats", graph, "--top", "3", "--out", str(tmp_path / "top")]) == 0
+        full, top = (json.loads((tmp_path / out / "stats.json").read_text())
+                     for out in ("all", "top"))
+        for kind in ("data", "purpose"):
+            assert len(full[kind]["top"]) > 3
+            assert top[kind]["top"] == full[kind]["top"][:3]
+
     @pytest.mark.parametrize("top", ["-1", "ten"])
     def test_top_must_be_zero_or_more(self, tmp_path, capsys, top):
         run_analyze(tmp_path / "run")

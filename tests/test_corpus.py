@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppanalyze import Error
 from ppanalyze.corpus import (
     AlignmentError,
     BratParseError,
@@ -337,6 +338,41 @@ class TestAlignGold:
         assert [[e.id for e in s.entities] for s in aligned.values()] == [["T1", "T2"], []]
         assert [[e.id for e in s.events] for s in aligned.values()] == \
             [["E2", "E1", "E3"], ["E4"]]
+
+
+DECLARED = "[entities]\ndata\nact\n[events]\nact\n"
+
+
+@pytest.mark.parametrize("ann, conf, outcome", [
+    pytest.param(None, DECLARED,
+                 "cannot read <dir>/doc.ann: [Errno 21] Is a directory: '<dir>/doc.ann'",
+                 id="unreadable-ann"),
+    pytest.param("T1\tdata 0 4\tsome\n", "[entities]\n!data\ndata = x\n",
+                 ["entity T1: undeclared type 'data'"], id="macro-and-option-lines"),
+    pytest.param("T1\tdata 0 4\tsome\nT2\tact 8 12\ttext\nE1\tact:T2 data:T1\n"
+                 "R1\trel Arg1:T1 Arg2:T2\n", "[entities]\ndata\nact\n",
+                 ["event E1: undeclared type 'act'", "relation R1: undeclared label 'rel'"],
+                 id="undeclared-event-and-relation"),
+    pytest.param("T1\tdata 0 4\tsome\nT2\tact 6 7\t \nE1\tact:T2 data:T1\n", DECLARED,
+                 "<dir>/doc.ann: annotation span starts outside every segment: E1, T2",
+                 id="trigger-on-blank-line"),
+])
+def test_gold_pair_checked(tmp_path, ann, conf, outcome):
+    """The label problems of a gold pair read, aligned and checked against
+    `conf`, or the message of the error that stops it."""
+    t, a = write_pair(tmp_path, "some\n  \ntext\n", ann or "")
+    if ann is None:
+        a.unlink()
+        a.mkdir()
+    conf_path = tmp_path / "annotation.conf"
+    conf_path.write_text(conf, encoding="utf-8")
+    try:
+        gold = parse_brat(t, a)
+        align_gold(gold, load_policy(t, "x"))
+        got = validate_gold_labels(gold, read_annotation_conf(conf_path))
+    except Error as exc:
+        got = str(exc).replace(str(tmp_path), "<dir>")
+    assert got == outcome
 
 
 class TestAnnotationConf:

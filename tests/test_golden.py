@@ -58,7 +58,7 @@ GOLDEN = {
     "convert/policy_example.org.conversion.json":
         "aeedc7c65ea6265b4f0d03828f9b9ccf3bbb007b874c314e5f60d34151a74c84",
     "convert/policy_example.org.odrl.ttl":
-        "85a7a7e4337bbd4f9e8d409adfb0e8734b3f960dc981f1918e3c43ceb65d8ffa",
+        "02b131c542ee9e363d6b0837545ab29b3180816944ef45a435662a181a4bf4f8",
     "convert/policy_example.org.psdtou.ttl":
         "92d171563edeaa7b62deb61b4872963da5b61497a47922e423556e97e4951d66",
     "evaluate/replay_cache/report.json":

@@ -10,7 +10,14 @@ from ppanalyze.extraction.pipeline import (
     RelationTuple,
     SegmentExtraction,
 )
-from ppanalyze.graph import HAS_DATA, HAS_PURPOSE, build_graph, practice_types
+from ppanalyze.graph import (
+    HAS_DATA,
+    HAS_PRACTICE,
+    HAS_PURPOSE,
+    LABEL,
+    build_graph,
+    practice_types,
+)
 from ppanalyze.policyconv import (
     ODRL,
     ODRL_ACTION,
@@ -23,7 +30,7 @@ from ppanalyze.policyconv import (
     to_odrl,
     to_psdtou,
 )
-from ppanalyze.rdfio import IRI
+from ppanalyze.rdfio import IRI, BNode
 
 POLICY = "urn:pp-analyze:policy#test.example"
 EMAIL = "https://w3id.org/dpv/pd#EmailAddress"
@@ -103,6 +110,30 @@ class TestOdrl:
         out, report = to_odrl(g)
         assert report.permissions == 0
         assert any("no data links" in s for s in report.skipped_practices)
+
+    @pytest.mark.parametrize("subtype, recipients", [
+        ("collection_use", {}),
+        ("third_party_sharing_disclosure", {"urn:pp-analyze:core#recipient": "partners"}),
+    ])
+    def test_each_mapped_role_names_its_party(self, subtype, recipients):
+        # the performer and provider roles go on every permission, the
+        # recipient role only on a sharing practice's
+        spans = [EntitySpan("a0", "action", "send", 0, subtype=subtype),
+                 EntitySpan("e0", "data", "email", 0, grounded_term=EMAIL),
+                 EntitySpan("e1", "party", "we", 0, subtype="first_party"),
+                 EntitySpan("e2", "party", "you", 0, subtype="user"),
+                 EntitySpan("e3", "party", "partners", 0, subtype="third_party")]
+        relations = [RelationTuple("a0", "e0", "HAS_DATA"),
+                     RelationTuple("a0", "e1", "PERFORMED_BY"),
+                     RelationTuple("a0", "e2", "DATA_PROVIDED_BY"),
+                     RelationTuple("a0", "e3", "DATA_SHARED_WITH")]
+        g = build_graph(result_with([(spans, relations)]), "test.example", POLICY, "v").triples
+        out, _ = to_odrl(g)
+        (perm,) = [o for (s, p, o) in out.triples if p == ODRL_PERMISSION]
+        parties = {p.value: out.objects(o, LABEL)[0].lexical
+                   for p, o in out.predicate_objects(perm) if isinstance(o, BNode)}
+        assert parties == {ODRL + "assignee": "we",
+                           "urn:pp-analyze:core#dataProvider": "you", **recipients}
 
     def test_emitted_iris_exist_in_source(self):
         g = single_practice_graph(data=(EMAIL, LOCATION))
@@ -201,6 +232,27 @@ class TestProfile:
         out, _ = to_odrl(single_practice_graph(), profile)
         actions = {o.value for (s, p, o) in out.triples if p == ODRL_ACTION}
         assert actions == {"urn:custom:consume"}
+
+    @pytest.mark.parametrize("profile, untyped_practice, outcome", [
+        pytest.param("[]", False, "profile <dir>/profile.json does not hold a JSON object",
+                     id="profile-not-an-object"),
+        pytest.param(None, True, (1, []), id="practice-without-a-class-ignored"),
+    ])
+    def test_odrl_conversion(self, tmp_path, profile, untyped_practice, outcome):
+        """The permission count and skipped practices of converting one
+        practice, or the message of the error that stops it."""
+        g = single_practice_graph()
+        if untyped_practice:
+            g.add(IRI(POLICY), HAS_PRACTICE, IRI("urn:x:untyped"))
+        path = tmp_path / "profile.json"
+        path.write_text(profile or json.dumps(ConversionProfile.default().__dict__),
+                        encoding="utf-8")
+        try:
+            _, report = to_odrl(g, ConversionProfile.load(path))
+            got = (report.permissions, report.skipped_practices)
+        except ConversionError as exc:
+            got = str(exc).replace(str(tmp_path), "<dir>")
+        assert got == outcome
 
     def test_missing_table_rejected(self, tmp_path):
         path = tmp_path / "profile.json"

@@ -202,6 +202,26 @@ class TestTurtleSubset:
         with pytest.raises(RdfError):
             parse('"text" <urn:p> <urn:o> .', "turtle")
 
+    @pytest.mark.parametrize("text, outcome", [
+        # a ';' right before '.' ends the statement
+        ("<urn:s> <urn:p> <urn:o> ; .", "<urn:s> <urn:p> <urn:o> .\n"),
+        ('<urn:s> <urn:p> "x"^^"y" .', "literal datatype must be an IRI"),
+        ('<urn:s> _:p <urn:o> .', "predicate must be an IRI"),
+    ])
+    def test_statement_read_or_refused(self, text, outcome):
+        """The N-Triples of what is read, or the reader's error message."""
+        try:
+            got = serialize(parse(text, "turtle"), "ntriples").decode()
+        except RdfError as exc:
+            got = str(exc)
+        assert got == outcome
+
+    @pytest.mark.parametrize("call", [lambda: parse("", "rdfxml"),
+                                      lambda: serialize(Graph(), "rdfxml")])
+    def test_unknown_format_rejected(self, call):
+        with pytest.raises(ValueError, match="unknown RDF format: 'rdfxml'"):
+            call()
+
     # Examples from the Turtle 1.1 specification (https://www.w3.org/TR/turtle/),
     # sections 2.5.2 and 2.8.
     SPEC_BLANK_NODE_LISTS = [

@@ -16,6 +16,7 @@ Run from the repository root:  python tools/make_fixtures.py
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,7 +26,7 @@ from ppanalyze.corpus import load_policy
 from ppanalyze.eval.gold import asks_model, expected_answer, load_gold_corpus, segment_tasks
 from ppanalyze.extraction.backend import Backend, BackendConfig, ResponseCache, cache_record
 from ppanalyze.extraction.pipeline import extract_document
-from ppanalyze.extraction.prompts import TASK_SHAPES, TaskKind, build_prompt, read_prompt
+from ppanalyze.extraction.prompts import TaskKind, build_prompt, read_prompt
 from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
 
 FIXTURES = ROOT / "fixtures"
@@ -276,10 +277,8 @@ def make_gold_caches() -> None:
                 if not asks_model(task, sample):
                     continue
                 prompt = build_prompt(task, sample.segment_text, sample.extras)
-                if correct:
-                    response = expected_answer(task, sample)
-                else:
-                    response = '{"%s": []}' % TASK_SHAPES[task].envelope_keys[0]
+                response = expected_answer(task, sample if correct
+                                           else replace(sample, gold_items=()))
                 cache.put(cache_record(MODEL, task.value, prompt, response, TIMESTAMP))
         print(f"gold/{name}: {len(cache)} responses")
 
