@@ -332,8 +332,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     analysis = _Analysis(taxonomy, backend, out_dir)
     failures = triples = 0
     policy_blocks = []
-    # each policy's records are written and flushed after its files
-    with _policy_outcomes(analysis, args.policies, config) as outcomes, \
+    # each policy's records are written and flushed after its files; the
+    # backend's connections are closed once the segment threads are joined
+    with closing(backend), _policy_outcomes(analysis, args.policies, config) as outcomes, \
             (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as run_log:
         for outcome in outcomes:
             if outcome.failure:
@@ -376,7 +377,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = _out_dir(config)
     score = partial(score_document, backend=backend, taxonomy=taxonomy, tasks=tasks,
                     threshold=config.threshold, denominator=args.denominator)
-    with _ordered_map(score, corpus, _replay_workers(config, len(corpus))) as documents:
+    with closing(backend), \
+            _ordered_map(score, corpus, _replay_workers(config, len(corpus))) as documents:
         report = build_report(config.model, tasks, documents)
     table = format_report_table([report])
     (out_dir / "report.tsv").write_text(table, encoding="utf-8")

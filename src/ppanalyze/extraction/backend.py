@@ -16,6 +16,12 @@ So is a completion whose body is not UTF-8 JSON or whose message content
 is not a string.  Credentials come only from the environment
 (PPA_API_KEY, falling back to OPENAI_API_KEY).
 
+Live and record mode ask the model through `HttpTransport`, which holds
+one `http.client` connection per request in flight and keeps it alive
+while the server allows, so a run opens at most as many connections as
+it has request slots.  A recorded answer reaches the cache file in one
+write.
+
 A config names only the model, cache mode and cache path.  The HTTP
 timeout and the retries of a transport error (3, after 0.5, 1 and 2 s)
 are fixed here.
@@ -25,13 +31,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import threading
 import time
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .. import Error
 from .prompts import PromptMessages, TaskKind
@@ -149,6 +156,7 @@ class ResponseCache:
         # byte offset to truncate to, and whether the tail lacks its newline
         self._torn_at: Optional[int] = None
         self._unterminated = False
+        self._dir_made = False      # the cache's directory, made on the first append
         if not self.path.exists():
             return
         offset = line_no = 0
@@ -195,21 +203,33 @@ class ResponseCache:
     def put(self, record: dict) -> dict:
         """Store a record unless its key is already stored, and return the
         stored one: like a replay, every reader sees the first answer.  A
-        record stored before is returned as `{"key", "response"}`."""
+        record stored before is returned as `{"key", "response"}`.
+
+        A new record is appended in one `os.write` loop on an `O_APPEND`
+        descriptor, with the newline that ends an unterminated last line,
+        so each record reaches the file in one write."""
         key = record["key"]
+        line = (_encode(record) + "\n").encode("utf-8")
         with self._lock:
             if key in self._answers:
                 return {"key": key, "response": self._answers[key]}
             self._answers[key] = record["response"]
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if not self._dir_made:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._dir_made = True
             if self._torn_at is not None:
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
-            with self.path.open("a", encoding="utf-8") as f:
-                if self._unterminated:
-                    f.write("\n")
-                    self._unterminated = False
-                f.write(_encode(record) + "\n")
+            if self._unterminated:
+                line = b"\n" + line
+                self._unterminated = False
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                data = memoryview(line)
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             return record
 
 
@@ -230,44 +250,127 @@ def _read_api_key() -> str:
     return key
 
 
-def http_chat_transport(prompt: PromptMessages, config: BackendConfig) -> str:
-    """POST one chat completion to an OpenAI-compatible endpoint."""
-    import urllib.error     # here, not at the top: a replay never loads the HTTP client
-    import urllib.request
-    base = os.environ.get(API_BASE_ENV, DEFAULT_API_BASE).rstrip("/")
-    body = json.dumps({
-        "model": config.model_name,
-        "temperature": 0.0,           # pinned: the cache digest leaves it out
-        "messages": [
-            {"role": "system", "content": prompt.system},
-            {"role": "user", "content": prompt.user},
-        ],
-    }).encode("utf-8")
-    request = urllib.request.Request(
-        f"{base}/chat/completions",
-        data=body,
-        headers={
+class HttpTransport:
+    """POSTs chat completions to an OpenAI-compatible endpoint, one request
+    per call, over connections kept alive between calls.
+
+    The endpoint (`PPA_API_BASE`) and the API key are read when the
+    transport is built; the proxy route on its first request, from the
+    variables urllib honours (`http_proxy`, `https_proxy`, `no_proxy`).
+    An https endpoint behind a proxy is reached through a CONNECT tunnel,
+    and a proxy URL's `user:password@` becomes a `Proxy-Authorization`
+    header.  Redirects are not followed.
+
+    A call takes an idle connection, or opens one when none is idle, and
+    puts it back when its response is read, so there are never more
+    connections than requests in flight at once.  `http.client` reopens
+    a connection the server closed.  A connection whose request failed is
+    closed, so the retry of that call connects anew.  Nothing HTTP is
+    imported until the first request.
+    """
+
+    def __init__(self) -> None:
+        base = os.environ.get(API_BASE_ENV, DEFAULT_API_BASE).rstrip("/")
+        self._url = f"{base}/chat/completions"
+        scheme, sep, rest = self._url.partition("://")
+        self._scheme = scheme.lower()
+        if not sep or self._scheme not in ("http", "https"):
+            raise ConfigError(f"{API_BASE_ENV} must be an http or https URL, not {base!r}")
+        self._host, _, path = rest.partition("/")
+        self._target = "/" + path       # the request target: the URL itself through a proxy
+        self._headers = {
             "Content-Type": "application/json",
             "Authorization": f"Bearer {_read_api_key()}",
-        },
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=_TIMEOUT) as resp:
-            body = resp.read()
-    except urllib.error.HTTPError as exc:
-        if exc.code in RETRYABLE_HTTP:
-            raise TransportError(f"HTTP {exc.code} from model endpoint") from exc
-        raise BackendError(f"HTTP {exc.code} from model endpoint: {exc.read()[:200]!r}") from exc
-    except (urllib.error.URLError, TimeoutError, OSError) as exc:
-        raise TransportError(f"transport failure: {exc}") from exc
-    try:
-        content = json.loads(body.decode("utf-8"))["choices"][0]["message"]["content"]
-    except (ValueError, LookupError, TypeError):     # not UTF-8 JSON, or another shape
-        content = None
-    if not isinstance(content, str):
-        raise BackendError("unexpected completion payload: "
-                           f"{body.decode('utf-8', 'replace')!r:.200}")
-    return content
+            # the agent urllib named, so that the endpoint sees the same request
+            "User-Agent": "Python-urllib/%d.%d" % sys.version_info[:2],
+        }
+        self._open: Optional[Callable[[], Any]] = None     # a new connection, once routed
+        self._idle: list = []
+        self._lock = threading.Lock()
+
+    def __call__(self, prompt: PromptMessages, config: BackendConfig) -> str:
+        body = json.dumps({
+            "model": config.model_name,
+            "temperature": 0.0,           # pinned: the cache digest leaves it out
+            "messages": [
+                {"role": "system", "content": prompt.system},
+                {"role": "user", "content": prompt.user},
+            ],
+        }).encode("utf-8")
+        import http.client      # here, not at the top: a replay never loads the HTTP client
+        with self._lock:
+            if self._open is None:
+                self._route()
+            connection = self._idle.pop() if self._idle else self._open()
+        try:
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise TransportError(f"transport failure: {exc}") from exc
+        finally:
+            with self._lock:        # even closed: its next request reconnects
+                self._idle.append(connection)
+        if not 200 <= response.status < 300:
+            if response.status in RETRYABLE_HTTP:
+                raise TransportError(f"HTTP {response.status} from model endpoint")
+            raise BackendError(f"HTTP {response.status} from model endpoint: "
+                               f"{payload[:200]!r}")
+        try:
+            content = json.loads(payload.decode("utf-8"))["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError):     # not UTF-8 JSON, or another shape
+            content = None
+        if not isinstance(content, str):
+            raise BackendError("unexpected completion payload: "
+                               f"{payload.decode('utf-8', 'replace')!r:.200}")
+        return content
+
+    def _route(self) -> None:
+        """Choose how to reach the endpoint: directly, through a proxy, or
+        through a tunnel that a proxy opens."""
+        import base64
+        import http.client
+        import urllib.parse
+        import urllib.request
+        kinds = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+        proxy = urllib.request.getproxies().get(self._scheme)
+        if not proxy or urllib.request.proxy_bypass(self._host):
+            self._open = partial(kinds[self._scheme], self._host, timeout=_TIMEOUT)
+            return
+        if "://" not in proxy:          # a bare host:port proxies with the endpoint's scheme
+            proxy = f"{self._scheme}://{proxy}"
+        proxy_scheme, _, rest = proxy.partition("://")
+        userinfo, _, proxy_host = rest.split("/", 1)[0].rpartition("@")
+        user, _, password = userinfo.partition(":")
+        auth = {}
+        if user and password:
+            credentials = f"{urllib.parse.unquote(user)}:{urllib.parse.unquote(password)}"
+            auth["Proxy-Authorization"] = \
+                "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
+        proxy_host = urllib.parse.unquote(proxy_host)
+        if self._scheme == "https":
+            self._open = partial(self._tunnel, proxy_host, auth)
+            return
+        if proxy_scheme.lower() not in kinds:
+            raise BackendError(f"unsupported proxy for {self._scheme}: {proxy!r}")
+        self._open = partial(kinds[proxy_scheme.lower()], proxy_host, timeout=_TIMEOUT)
+        self._target = self._url
+        self._headers = {**self._headers, **auth}
+
+    def _tunnel(self, proxy_host: str, auth: dict):
+        """A TLS connection to the endpoint inside a CONNECT tunnel through `proxy_host`."""
+        import http.client
+        connection = http.client.HTTPSConnection(proxy_host, timeout=_TIMEOUT)
+        connection.set_tunnel(self._host, headers=auth)
+        return connection
+
+    def close(self) -> None:
+        """Close every connection; call it when no request is in flight."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
 
 Transport = Callable[[PromptMessages, BackendConfig], str]
@@ -292,13 +395,21 @@ class Backend:
 
     def __init__(self, config: BackendConfig, transport: Optional[Transport] = None):
         self.config = config
-        self.transport: Transport = transport or http_chat_transport
         self.cache = ResponseCache(config.cache_path) if config.cache_mode != "live" else None
+        # built here when none is given, so that missing credentials fail
+        # before any processing, not mid-run; a replay asks no model
+        self._http = (HttpTransport() if transport is None
+                      and config.cache_mode != "replay" else None)
+        self.transport: Optional[Transport] = transport or self._http
         self.invocations = 0
         self.transport_calls = 0
         self._count_lock = threading.Lock()
-        if config.cache_mode in ("live", "record") and self.transport is http_chat_transport:
-            _read_api_key()  # fail before any processing, not mid-run
+
+    def close(self) -> None:
+        """Close the connections of the transport built here; a transport
+        passed in stays the caller's."""
+        if self._http is not None:
+            self._http.close()
 
     def invoke(self, task: TaskKind, prompt: PromptMessages) -> BackendResponse:
         with self._count_lock:

@@ -7,6 +7,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from ppanalyze.corpus import PolicyDocument
+from ppanalyze.extraction.backend import HttpTransport
 from ppanalyze.extraction.prompts import TaskKind, read_prompt
 
 
@@ -25,6 +26,12 @@ def cache_answers(cache: Path) -> dict[tuple[str, str], str]:
         record = json.loads(line)
         answers[record["prompt"]["system"], record["prompt"]["user"]] = record["response"]
     return answers
+
+
+def answer_through(monkeypatch, transport) -> None:
+    """Each `Backend` built without a transport asks `transport` in place
+    of the model endpoint.  It still reads the API key when it is built."""
+    monkeypatch.setattr(HttpTransport, "__call__", staticmethod(transport))
 
 
 def scripted_transport(doc: PolicyDocument, planned: dict, default: str = "[]"):

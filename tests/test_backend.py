@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import base64
 import json
+import os
 import re
+import socket
+import subprocess
+import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,6 +23,7 @@ from ppanalyze.extraction.backend import (
     BackendConfig,
     BackendError,
     ConfigError,
+    HttpTransport,
     ReplayMissError,
     ResponseCache,
     TransportError,
@@ -24,6 +31,7 @@ from ppanalyze.extraction.backend import (
 )
 from ppanalyze.extraction.prompts import PromptMessages, TaskKind
 
+from .loopback import Endpoint, clear_proxies, completion
 from .oracles import reference_load_cache, reference_prompt_digest
 
 PROMPT = PromptMessages(system="sys", user="usr")
@@ -46,10 +54,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="pass --record or --replay with --cache"):
             BackendConfig(cache_mode="live", cache_path=tmp_path / "cache.jsonl")
 
-    def test_live_mode_without_credentials_fails_early(self, monkeypatch):
+    def test_live_mode_without_credentials_fails_early(self, monkeypatch, tmp_path):
         monkeypatch.delenv("PPA_API_KEY", raising=False)
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
         with pytest.raises(ConfigError):
+            Backend(BackendConfig(cache_mode="live"))
+        with pytest.raises(ConfigError):
+            Backend(BackendConfig(cache_mode="record", cache_path=tmp_path / "cache.jsonl"))
+
+    def test_building_a_backend_loads_no_http_client(self, tmp_path):
+        script = f"""
+import sys
+from pathlib import Path
+from ppanalyze.extraction.backend import Backend, BackendConfig
+Backend(BackendConfig(cache_mode="record", cache_path=Path({str(tmp_path / "c.jsonl")!r})))
+print(sorted({{"http.client", "urllib.request"}} & set(sys.modules)))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src"),
+               "PPA_API_KEY": "sk-test"}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=env, check=True)
+        assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_endpoint_must_be_an_http_url(self, monkeypatch):
+        monkeypatch.setenv("PPA_API_KEY", "sk-test")
+        monkeypatch.setenv("PPA_API_BASE", "localhost:8000/v1")
+        with pytest.raises(ConfigError, match="PPA_API_BASE must be an http or https URL"):
             Backend(BackendConfig(cache_mode="live"))
 
 
@@ -216,6 +246,47 @@ class TestRecordReplay:
         lines = path.read_text().splitlines()
         assert [json.loads(line)["key"] for line in lines] == ["k1", "k2"]
 
+    def test_unterminated_last_line_ended_in_the_same_write(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        first = json.dumps(_record("k1")).encode()
+        path.write_bytes(first)
+        cache = ResponseCache(path)
+        writes = []
+        write = os.write
+        monkeypatch.setattr(backend_module.os, "write",
+                            lambda fd, data: writes.append(bytes(data)) or write(fd, data))
+        cache.put(_record("k2"))
+        cache.put(_record("k3"))
+        lines = [json.dumps(_record(key)).encode() + b"\n" for key in ("k2", "k3")]
+        assert writes == [b"\n" + lines[0], lines[1]]
+        assert path.read_bytes() == first + b"\n" + b"".join(lines)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_two_processes_appending_leave_whole_lines(self, tmp_path):
+        # answers far larger than a file buffer, so that a record written
+        # in pieces would interleave with the other process's records
+        path = tmp_path / "sub" / "cache.jsonl"
+        cache = ResponseCache(path)
+        pids = []
+        for name in "ab":
+            pid = os.fork()
+            if pid == 0:        # the child puts its records and exits at once
+                code = 1
+                try:
+                    for i in range(200):
+                        cache.put({**_record(f"{name}{i}"), "response": name * 20_000})
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        assert [os.waitpid(pid, 0)[1] for pid in pids] == [0, 0]
+        lines = path.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        records = [json.loads(line) for line in lines]
+        assert sorted(r["key"] for r in records) == sorted(f"{n}{i}" for n in "ab"
+                                                           for i in range(200))
+        assert all(r["response"] == r["key"][0] * 20_000 for r in records)
+
     def test_corrupt_line_before_torn_tail_stays_fatal(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text(json.dumps(_record("k1")) + "\nnot json\n{\"key\": ")
@@ -377,111 +448,180 @@ class TestLoaderOracle:
 
 
 
+@pytest.fixture
+def endpoint_env(monkeypatch):
+    """Credentials set and no proxy variables, so that a transport built
+    now talks to the endpoint it is pointed at."""
+    clear_proxies(monkeypatch)
+    monkeypatch.setenv("PPA_API_KEY", "sk-test")
+
+    def point_at(endpoint: Endpoint) -> Endpoint:
+        monkeypatch.setenv("PPA_API_BASE", endpoint.base_url)
+        return endpoint
+
+    return point_at
+
+
+def ask(config: BackendConfig = BackendConfig(cache_mode="live")) -> str:
+    """One call of a new HTTP transport, closed after it."""
+    transport = HttpTransport()
+    try:
+        return transport(PROMPT, config)
+    finally:
+        transport.close()
+
+
 class TestHttpTransport:
-    def _fake_urlopen(self, monkeypatch, handler):
-        import urllib.request
-        captured = {}
-
-        def urlopen(request, timeout=None):
-            captured["request"] = request
-            captured["timeout"] = timeout
-            return handler(request)
-
-        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        return captured
-
-    def test_request_shape_and_response_extraction(self, monkeypatch):
-        import io
-        from ppanalyze.extraction.backend import http_chat_transport
-
-        monkeypatch.setenv("PPA_API_KEY", "sk-test")
-        monkeypatch.setenv("PPA_API_BASE", "https://models.internal/v1")
-
-        class FakeResponse(io.BytesIO):
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *args):
-                return False
-
-        payload = json.dumps({"choices": [{"message": {"content": "[]"}}]}).encode()
-        captured = self._fake_urlopen(monkeypatch, lambda req: FakeResponse(payload))
-
-        raw = http_chat_transport(PROMPT, BackendConfig(model_name="m", cache_mode="live"))
-        assert raw == "[]"
-        request = captured["request"]
-        assert request.full_url == "https://models.internal/v1/chat/completions"
-        assert request.get_header("Authorization") == "Bearer sk-test"
-        body = json.loads(request.data)
+    def test_request_shape_and_response_extraction(self, endpoint_env):
+        with endpoint_env(Endpoint(lambda body: completion("[]"))) as endpoint:
+            assert ask(BackendConfig(model_name="m", cache_mode="live")) == "[]"
+        (request,) = endpoint.requests
+        assert (request.method, request.target) == ("POST", "/v1/chat/completions")
+        assert request.headers["Authorization"] == "Bearer sk-test"
+        assert request.headers["Content-Type"] == "application/json"
+        body = json.loads(request.body)
         assert body["model"] == "m"
         assert body["temperature"] == 0.0
         assert [m["role"] for m in body["messages"]] == ["system", "user"]
 
-    def test_retryable_http_code_maps_to_transport_error(self, monkeypatch):
-        import io
-        import urllib.error
-        from ppanalyze.extraction.backend import http_chat_transport
+    def test_retryable_http_code_maps_to_transport_error(self, endpoint_env):
+        with endpoint_env(Endpoint(lambda body: (429, b"slow down"))):
+            with pytest.raises(TransportError, match="HTTP 429"):
+                ask()
 
-        monkeypatch.setenv("PPA_API_KEY", "sk-test")
-
-        def raise_429(request):
-            raise urllib.error.HTTPError(request.full_url, 429, "slow down",
-                                         None, io.BytesIO(b""))
-
-        self._fake_urlopen(monkeypatch, raise_429)
-        with pytest.raises(TransportError):
-            http_chat_transport(PROMPT, BackendConfig(cache_mode="live"))
-
-    def test_client_error_is_not_retryable(self, monkeypatch):
-        import io
-        import urllib.error
-        from ppanalyze.extraction.backend import BackendError, http_chat_transport
-
-        monkeypatch.setenv("PPA_API_KEY", "sk-test")
-
-        def raise_400(request):
-            raise urllib.error.HTTPError(request.full_url, 400, "bad request",
-                                         None, io.BytesIO(b"detail"))
-
-        self._fake_urlopen(monkeypatch, raise_400)
-        with pytest.raises(BackendError) as err:
-            http_chat_transport(PROMPT, BackendConfig(cache_mode="live"))
+    def test_client_error_is_not_retryable(self, endpoint_env):
+        with endpoint_env(Endpoint(lambda body: (400, b"detail"))):
+            with pytest.raises(BackendError) as err:
+                ask()
         assert not isinstance(err.value, TransportError)
+        assert str(err.value) == "HTTP 400 from model endpoint: b'detail'"
 
-    def test_malformed_completion_payload_reported(self, monkeypatch):
-        import io
-        from ppanalyze.extraction.backend import BackendError, http_chat_transport
+    def test_redirect_is_not_followed(self, endpoint_env):
+        with endpoint_env(Endpoint(lambda body: (302, b"moved"))) as endpoint:
+            with pytest.raises(BackendError) as err:
+                ask()
+        assert not isinstance(err.value, TransportError)
+        assert str(err.value) == "HTTP 302 from model endpoint: b'moved'"
+        assert len(endpoint.requests) == 1
 
-        monkeypatch.setenv("PPA_API_KEY", "sk-test")
-
-        class FakeResponse(io.BytesIO):
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *args):
-                return False
-
-        self._fake_urlopen(monkeypatch,
-                           lambda req: FakeResponse(b'{"unexpected": true}'))
-        with pytest.raises(BackendError):
-            http_chat_transport(PROMPT, BackendConfig(cache_mode="live"))
+    def test_malformed_completion_payload_reported(self, endpoint_env):
+        with endpoint_env(Endpoint(lambda body: (200, b'{"unexpected": true}'))):
+            with pytest.raises(BackendError):
+                ask()
 
     @pytest.mark.parametrize("body", [
         b"\xff\xfe not UTF-8", b"<html>busy</html>",
         b'{"choices": [{"message": {"content": null}}]}',
         b'{"choices": [{"message": {"content": [{"type": "text", "text": "[]"}]}}]}',
     ], ids=["not-utf8", "not-json", "null-content", "content-parts"])
-    def test_bad_completion_body_is_a_backend_error_naming_it(self, monkeypatch, body):
-        import io
-        from ppanalyze.extraction.backend import http_chat_transport
-
-        monkeypatch.setenv("PPA_API_KEY", "sk-test")
-        self._fake_urlopen(monkeypatch, lambda req: io.BytesIO(body))
-        with pytest.raises(BackendError) as err:
-            http_chat_transport(PROMPT, BackendConfig(cache_mode="live"))
+    def test_bad_completion_body_is_a_backend_error_naming_it(self, endpoint_env, body):
+        with endpoint_env(Endpoint(lambda request: (200, body))):
+            with pytest.raises(BackendError) as err:
+                ask()
         assert not isinstance(err.value, TransportError)
         assert str(err.value).startswith("unexpected completion payload: ")
         assert body.decode("utf-8", "replace")[:20] in str(err.value)
+
+
+def unused_port() -> int:
+    """A loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def basic(credentials: str) -> str:
+    return "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
+
+
+class TestProxies:
+    """The transport takes the proxy route urllib would take."""
+
+    def test_http_endpoint_asked_through_the_proxy(self, endpoint_env, monkeypatch):
+        port = unused_port()
+        with Endpoint() as proxy:
+            monkeypatch.setenv("PPA_API_BASE", f"http://localhost:{port}/v1")
+            monkeypatch.setenv("http_proxy", f"http://us%65r:p%40ss@{proxy.address}")
+            assert ask() == "[]"
+        (request,) = proxy.requests
+        assert (request.method, request.target) == (
+            "POST", f"http://localhost:{port}/v1/chat/completions")
+        assert request.headers["Host"] == f"localhost:{port}"
+        assert request.headers["Proxy-Authorization"] == basic("user:p@ss")
+        assert request.headers["Authorization"] == "Bearer sk-test"
+
+    def test_no_proxy_entry_bypasses_the_proxy(self, endpoint_env, monkeypatch):
+        with Endpoint() as proxy, endpoint_env(Endpoint()) as endpoint:
+            monkeypatch.setenv("http_proxy", f"http://{proxy.address}")
+            monkeypatch.setenv("no_proxy", "example.org,127.0.0.1")
+            assert ask() == "[]"
+        assert proxy.requests == []
+        assert [r.target for r in endpoint.requests] == ["/v1/chat/completions"]
+
+    def test_https_endpoint_tunnelled_through_the_proxy(self, endpoint_env, monkeypatch):
+        # the loopback proxy refuses the tunnel, so no TLS is needed
+        port = unused_port()
+        with Endpoint() as proxy:
+            monkeypatch.setenv("PPA_API_BASE", f"https://localhost:{port}/v1")
+            monkeypatch.setenv("https_proxy", f"http://user:secret@{proxy.address}")
+            with pytest.raises(TransportError, match="Tunnel connection failed: 502"):
+                ask()
+        (request,) = proxy.requests
+        assert (request.method, request.target) == ("CONNECT", f"localhost:{port}")
+        assert request.headers["Proxy-Authorization"] == basic("user:secret")
+        assert "Authorization" not in request.headers
+
+
+class TestConnections:
+    def invoke_each(self, backend: Backend, *users: str) -> list[str]:
+        return [backend.invoke(TaskKind.DATA_RECOGNITION, PromptMessages("sys", user)).raw
+                for user in users]
+
+    def test_calls_in_sequence_share_one_connection_until_closed(self, endpoint_env):
+        with endpoint_env(Endpoint()) as endpoint:
+            backend = Backend(BackendConfig(cache_mode="live"))
+            assert self.invoke_each(backend, *"abcde") == ["[]"] * 5
+            assert endpoint.accepted == 1 and endpoint.open_connections() == 1
+            backend.close()
+            assert endpoint.wait_closed()
+        assert len(endpoint.requests) == 5
+
+    def test_an_http_10_endpoint_answers_every_call(self, endpoint_env):
+        with endpoint_env(Endpoint(http11=False)) as endpoint:
+            backend = Backend(BackendConfig(cache_mode="live"))
+            assert self.invoke_each(backend, *"abcde") == ["[]"] * 5
+            backend.close()
+        assert endpoint.accepted == len(endpoint.requests) == 5
+
+    def test_a_dropped_idle_connection_fails_one_attempt_then_reconnects(self, endpoint_env,
+                                                                          sleeps):
+        with endpoint_env(Endpoint()) as endpoint:
+            backend = Backend(BackendConfig(cache_mode="live"))
+            assert self.invoke_each(backend, "a") == ["[]"]
+            endpoint.drop_connections()
+            assert self.invoke_each(backend, "b") == ["[]"]
+            backend.close()
+        assert backend.transport_calls == 3 and sleeps == [0.5]
+        assert endpoint.accepted == 2 and len(endpoint.requests) == 2
+
+    def test_a_timed_out_attempt_is_retried_on_a_new_connection(self, endpoint_env, sleeps,
+                                                                monkeypatch):
+        # a connection left waiting for the late answer could send no request
+        monkeypatch.setattr(backend_module, "_TIMEOUT", 0.2)
+        asked = []
+
+        def late_once(body: bytes) -> tuple[int, bytes]:
+            asked.append(body)
+            if len(asked) == 1:
+                threading.Event().wait(0.5)     # `sleeps` stubs out time.sleep
+            return completion("[]")
+
+        with endpoint_env(Endpoint(late_once)) as endpoint:
+            backend = Backend(BackendConfig(cache_mode="live"))
+            assert self.invoke_each(backend, "a") == ["[]"]
+            backend.close()
+        assert backend.transport_calls == 2 and sleeps == [0.5]
+        assert endpoint.accepted == 2
 
 
 @pytest.fixture
@@ -529,8 +669,9 @@ class TestRetries:
         backend = Backend(BackendConfig(cache_mode="live"))
         with pytest.raises(TransportError) as err:
             backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
+        backend.close()
         assert str(err.value).startswith(
-            "transport failed after 4 attempts: transport failure: <urlopen error ")
+            "transport failed after 4 attempts: transport failure: ")
         assert "Connection refused" in str(err.value)
         assert backend.transport_calls == 4
         assert sleeps == [0.5, 1.0, 2.0]

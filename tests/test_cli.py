@@ -16,13 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from ppanalyze.cli import main
-from ppanalyze.extraction import backend as backend_module
 from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TaskKind
 from ppanalyze.rdfio import IRI, parse_turtle
 
 from .conftest import FIXTURES, ROOT, make_document
-from .scripted import (RICH_PLAN, RICH_SEGMENT, cache_answers, scripted_transport,
-                       segment_text_of, surrogate_plans)
+from .scripted import (RICH_PLAN, RICH_SEGMENT, answer_through, cache_answers,
+                       scripted_transport, segment_text_of, surrogate_plans)
 
 MARKETING = "https://w3id.org/dpv#Marketing"
 
@@ -187,7 +186,7 @@ class TestAnalyze:
                     logged_while_second_asked.append(run_log.read_text().splitlines())
             return "[]"
 
-        monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+        answer_through(monkeypatch, transport)
         monkeypatch.setenv("PPA_API_KEY", "test-key")
         policies = []
         for name, text in (("first.example", RICH_SEGMENT), ("second.example", second)):
@@ -347,7 +346,7 @@ class TestRelationKinds:
                 '{"relations": [{"id1": "a0", "id2": "e0", "type": "HAS_DATA"}, '
                 '{"id1": "a0", "id2": "e1", "type": "HAS_DATA"}]}'}
         doc = make_document(RICH_SEGMENT)
-        monkeypatch.setattr(backend_module, "http_chat_transport", scripted_transport(doc, plan))
+        answer_through(monkeypatch, scripted_transport(doc, plan))
         monkeypatch.setenv("PPA_API_KEY", "test-key")
         policy, out = tmp_path / "kinds.example.txt", tmp_path / "out"
         policy.write_text(RICH_SEGMENT, encoding="utf-8")
@@ -372,7 +371,7 @@ class TestLoneSurrogates:
     def test_record_run_writes_all_its_files(self, monkeypatch, capsys, plan):
         text = RICH_SEGMENT + "\nThis policy may change."
         doc = make_document(text)
-        monkeypatch.setattr(backend_module, "http_chat_transport", scripted_transport(doc, plan))
+        answer_through(monkeypatch, scripted_transport(doc, plan))
         monkeypatch.setenv("PPA_API_KEY", "test-key")
         with tempfile.TemporaryDirectory() as tmp:
             policy, out = Path(tmp) / "fuzz.example.txt", Path(tmp) / "out"
@@ -456,7 +455,7 @@ class TestRecord:
             asked.append(key)
             return answers[key] if asked.count(key) == 1 else "[]"
 
-        monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+        answer_through(monkeypatch, transport)
         monkeypatch.setenv("PPA_API_KEY", "test-key")
         return asked
 
@@ -556,7 +555,7 @@ class TestEvaluate:
             asked.append((prompt.system, prompt.user))
             return "[]"
 
-        monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+        answer_through(monkeypatch, transport)
         monkeypatch.setenv("PPA_API_KEY", "test-key")
         runs = []
         for tasks in (["data-recognition", "party-recognition"],

@@ -5,7 +5,8 @@ documents (`evaluate`) to forked worker processes, and `corpus.ttl` is
 merged from the per-policy statements.  A live or record `analyze`
 streams the segments of all its policies through one window of 4 x `jobs`
 segment threads for the whole run, each segment asking its queries one
-at a time, so at most 4 x `jobs` requests are in flight.  The `analyze`
+at a time, so at most 4 x `jobs` requests are in flight, over at most as
+many connections to the endpoint.  The `analyze`
 corpus here is a small
 `perfbench/gen.py` corpus of four policies; the second cannot be read and
 the third fails its graph invariants, so the failures are reported
@@ -40,8 +41,10 @@ from ppanalyze.graph import STANDARD_PREFIXES
 from ppanalyze.rdfio import parse_turtle
 
 from .conftest import FIXTURE_MODEL, FIXTURES, make_document, replay_backend
+from .loopback import Endpoint, clear_proxies, completion
 from .oracles import reference_corpus_turtle
-from .scripted import RICH_PLAN, RICH_SEGMENT, cache_answers, segment_text_of, task_of
+from .scripted import (RICH_PLAN, RICH_SEGMENT, answer_through, cache_answers,
+                       segment_text_of, task_of)
 
 MARKETING = "https://w3id.org/dpv#Marketing"
 SEED = 3
@@ -221,7 +224,7 @@ def rich_policy(path: Path, segments: int) -> str:
 def record(paths: list[str], out: Path, transport, monkeypatch, capsys,
            *extra: str) -> tuple[int, dict, str, str]:
     """`run` of one `analyze --record` whose model answers through `transport`."""
-    monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+    answer_through(monkeypatch, transport)
     monkeypatch.setenv("PPA_API_KEY", "test-key")
     return run(["analyze", *paths, "--record", "--cache", str(out.with_suffix(".jsonl")),
                 "--model", "scripted", *extra], out, capsys)
@@ -380,8 +383,7 @@ def test_record_at_every_jobs_setting_replays_to_the_sequential_replay(
     backend's counters or cache would show."""
     paths, cache = corpus
     answers = cache_answers(cache)
-    monkeypatch.setattr(backend_module, "http_chat_transport",
-                        lambda prompt, config: answers[prompt.system, prompt.user])
+    answer_through(monkeypatch, lambda prompt, config: answers[prompt.system, prompt.user])
     monkeypatch.setenv("PPA_API_KEY", "test-key")
     backends = []
     make_backend = cli._backend
@@ -411,6 +413,44 @@ def test_record_at_every_jobs_setting_replays_to_the_sequential_replay(
     graphs = {name: digest for name, digest in record[1].items()
               if name.endswith((".ttl", ".nt"))}
     assert graphs and graphs.items() <= sequential[1].items()
+
+
+def endpoint_answering(cache: Path, monkeypatch, *, http11: bool = True) -> Endpoint:
+    """A loopback endpoint that answers each prompt as `cache` does, and
+    any other with HTTP 400, with the environment pointing at it."""
+    answers = cache_answers(cache)
+
+    def respond(body: bytes) -> tuple[int, bytes]:
+        messages = {m["role"]: m["content"] for m in json.loads(body)["messages"]}
+        answer = answers.get((messages["system"], messages["user"]))
+        return (400, b"not in the cache") if answer is None else completion(answer)
+
+    endpoint = Endpoint(respond, http11=http11)
+    clear_proxies(monkeypatch)
+    monkeypatch.setenv("PPA_API_KEY", "test-key")
+    monkeypatch.setenv("PPA_API_BASE", endpoint.base_url)
+    return endpoint
+
+
+@pytest.mark.parametrize("http11", [True, False], ids=["HTTP/1.1", "HTTP/1.0"])
+def test_record_over_http_holds_at_most_four_connections_per_job(
+        corpus, gen, tmp_path, monkeypatch, capsys, http11):
+    """`analyze --record --jobs 2` asks over at most 8 connections, kept
+    alive while the server allows, and leaves none open; its cache
+    replays to the sequential replay.  A server that closes each
+    connection after its response still answers every call."""
+    paths, cache = corpus
+    recorded = tmp_path / "recorded.jsonl"
+    with endpoint_answering(cache, monkeypatch, http11=http11) as endpoint:
+        run(["analyze", *paths, "--record", "--cache", str(recorded), "--model", gen.MODEL,
+             "--jobs", "2"], tmp_path / "record", capsys)
+        assert endpoint.wait_closed()
+    calls = len(endpoint.requests)
+    assert calls >= 32 * len(RECOGNITION_TASKS)      # at least 32 segments
+    assert endpoint.accepted <= 8 if http11 else endpoint.accepted == calls
+    assert len(recorded.read_text(encoding="utf-8").splitlines()) == calls
+    assert (analyze((paths, recorded), tmp_path / "replay", capsys, "--jobs", "1")
+            == analyze(corpus, tmp_path / "sequential", capsys, "--jobs", "1"))
 
 
 @pytest.fixture(scope="module")
@@ -477,7 +517,7 @@ def test_evaluate_record_is_the_same_at_jobs_one_and_two(gold_set, tmp_path, mon
         pids.add(os.getpid())
         return answers[prompt.system, prompt.user]
 
-    monkeypatch.setattr(backend_module, "http_chat_transport", transport)
+    answer_through(monkeypatch, transport)
     monkeypatch.setenv("PPA_API_KEY", "test-key")
     runs = [run(["evaluate", str(gold), "--record", "--cache",
                  str(tmp_path / f"{jobs}.jsonl"), "--model", model, "--jobs", str(jobs)],
@@ -491,6 +531,20 @@ def test_evaluate_record_is_the_same_at_jobs_one_and_two(gold_set, tmp_path, mon
              (tmp_path / f"{jobs}.jsonl").read_text(encoding="utf-8").splitlines()]
             for jobs in (1, 2)]
     assert keys[0] == keys[1] and len(set(keys[0])) == len(keys[0])
+
+
+def test_evaluate_record_over_http_holds_one_connection(gold_set, tmp_path, monkeypatch,
+                                                        capsys):
+    """`evaluate --record` asks in sequence over one kept-alive connection
+    and closes it when it ends."""
+    gold, cache, model = gold_set
+    with endpoint_answering(cache, monkeypatch) as endpoint:
+        code, tree, _, _ = run(["evaluate", str(gold), "--record", "--cache",
+                                str(tmp_path / "recorded.jsonl"), "--model", model],
+                               tmp_path / "record", capsys)
+        assert endpoint.wait_closed()
+    assert code == 0 and endpoint.accepted == 1 and len(endpoint.requests) > 1
+    assert tree == evaluate(gold_set, tmp_path / "replay", capsys)[1]
 
 
 def test_no_evaluate_worker_left_behind(gold_set, tmp_path, monkeypatch, capsys):
