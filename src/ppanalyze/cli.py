@@ -13,13 +13,13 @@ deterministic.
 `jobs` is the one parallelism setting.  A replay hands whole policies
 (`analyze`) or gold documents (`evaluate`) to that many forked worker
 processes, and runs each policy's segments on one thread.  Live and
-record runs stay in one process, and there `jobs` bounds requests: an
-endpoint sees at most 4 x `jobs` at once.  `analyze` streams the
-segments of all its policies through one window of 4 x `jobs` segment
-threads for the whole run, each asking its segment's queries one at a
-time, so only the run's tail leaves request slots idle; each policy's
-graph is built, checked and written on the main thread, in input order.
-`evaluate` runs serially.
+record runs stay in one process and ask each distinct prompt once;
+there `jobs` bounds requests: an endpoint sees at most 4 x `jobs` at
+once.  `analyze` streams the segments of all its policies through one
+window of 4 x `jobs` segment threads for the whole run, each asking its
+segment's queries one at a time, so only the run's tail leaves request
+slots idle; each policy's graph is built, checked and written on the
+main thread, in input order.  `evaluate` runs serially.
 
 Each command imports the modules it runs when it starts, so `stats` and
 `convert` never load the extraction pipeline, the HTTP client or the
@@ -250,7 +250,7 @@ def _write_policy(analysis: _Analysis, path: str,
         encoding="utf-8")
     return _PolicyOutcome(
         run_log=result.run_log_text(prpr.build_log),
-        summary=f"{path}: {len(prpr)} triples, {len(prpr.provenance)} practices "
+        summary=f"{path}: {len(prpr)} triples, {prpr.practices} practices "
                 f"-> {out_dir / (service_id + '.ttl')}",
         triples=len(prpr), blocks=blocks)
 
@@ -449,8 +449,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     # the totals need every graph, so the first unreadable one ends the run
     graphs = [_read_graph_file(path) for path in args.graphs]
     stats = graphmod.stats(graphs)
-    print(stats.to_tsv(top_k=args.top), end="")
-    (out_dir / "stats.tsv").write_text(stats.to_tsv(top_k=args.top), encoding="utf-8")
+    tsv = stats.to_tsv(top_k=args.top)
+    print(tsv, end="")
+    (out_dir / "stats.tsv").write_text(tsv, encoding="utf-8")
     (out_dir / "stats.json").write_text(
         json.dumps(stats.to_dict(top_k=args.top), indent=2) + "\n", encoding="utf-8")
     return 0

@@ -1,20 +1,21 @@
 """Pluggable model backend with record/replay response caching.
 
 One call to `Backend.invoke` is exactly one model query (plus transport
-retries).  The cache store is an append-friendly JSONL file, one
-`cache_record` per response, keyed by the digest of (model, task, system
-text, user text); temperature is pinned at 0 and therefore excluded.
-Record and replay mode both serve a cached answer when there is one.  On
-a miss, record mode queries the model and appends the answer, so an
-interrupted record run resumes without asking again; replay mode never
-touches the network and fails loudly, which makes every downstream run
-fully deterministic and offline.  Live mode reads no cache, so a cache
-path there is an error.  An answer that cannot be encoded as UTF-8 (one
-holding a lone surrogate) is an error too, whether the model or the
-cache gave it, so it never reaches a prompt digest or an output file.
-So is a completion whose body is not UTF-8 JSON or whose message content
-is not a string.  Credentials come only from the environment
-(PPA_API_KEY, falling back to OPENAI_API_KEY).
+retries).  Every answer goes through one table, a `ResponseCache` keyed
+by the digest of (model, task, system text, user text); temperature is
+pinned at 0 and therefore excluded.  Record and replay runs back it with
+an append-friendly JSONL file, one `cache_record` per response; a live
+run keeps it in memory (a cache path there is an error).  On a miss,
+replay mode never touches the network and fails loudly, which makes
+every downstream run deterministic and offline; live and record mode
+ask the model once per distinct prompt in a run (equal prompts in
+flight together share one ask; a failed ask stores nothing), and record
+mode appends the answer, so an interrupted record run resumes without
+asking again.  An answer that cannot be encoded as UTF-8 (a lone
+surrogate) is an error, whether the model or the cache gave it, and so
+is a completion whose body is not UTF-8 JSON or whose message content is
+not a string.  Credentials come only from the environment (PPA_API_KEY,
+falling back to OPENAI_API_KEY).
 
 Live and record mode ask the model through `HttpTransport`, which holds
 one `http.client` connection per request in flight and keeps it alive
@@ -134,7 +135,7 @@ def _read_answer(line: Union[str, bytes]) -> tuple[str, str]:
 
 
 class ResponseCache:
-    """JSONL-backed response store; writes are serialized.
+    """JSONL-backed response store, memory only when `path` is None; writes are serialized.
 
     Memory holds each key's answer and nothing else: the prompt, model
     and timestamp of a record stay in the file.  The file is read one
@@ -149,15 +150,15 @@ class ResponseCache:
     not UTF-8, is fatal and named by its line number.
     """
 
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
+    def __init__(self, path: Optional[Union[str, Path]]):
+        self.path = None if path is None else Path(path)
         self._lock = threading.Lock()
         self._answers: dict[str, str] = {}
         # byte offset to truncate to, and whether the tail lacks its newline
         self._torn_at: Optional[int] = None
         self._unterminated = False
         self._dir_made = False      # the cache's directory, made on the first append
-        if not self.path.exists():
+        if self.path is None or not self.path.exists():
             return
         offset = line_no = 0
         tail = b""
@@ -200,20 +201,20 @@ class ResponseCache:
         answer = self._answers.get(digest)
         return None if answer is None else {"key": digest, "response": answer}
 
-    def put(self, record: dict) -> dict:
-        """Store a record unless its key is already stored, and return the
-        stored one: like a replay, every reader sees the first answer.  A
-        record stored before is returned as `{"key", "response"}`.
-
-        A new record is appended in one `os.write` loop on an `O_APPEND`
-        descriptor, with the newline that ends an unterminated last line,
-        so each record reaches the file in one write."""
+    def put(self, record: dict) -> None:
+        """Store a record unless its key is already stored: like a replay,
+        every reader sees the first answer.  A new record is appended in
+        one `os.write` loop on an `O_APPEND` descriptor, with the newline
+        that ends an unterminated last line, so each record reaches the
+        file in one write; a memory-only cache writes nothing."""
         key = record["key"]
-        line = (_encode(record) + "\n").encode("utf-8")
+        line = None if self.path is None else (_encode(record) + "\n").encode("utf-8")
         with self._lock:
             if key in self._answers:
-                return {"key": key, "response": self._answers[key]}
+                return
             self._answers[key] = record["response"]
+            if line is None:
+                return
             if not self._dir_made:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._dir_made = True
@@ -230,14 +231,13 @@ class ResponseCache:
                     data = data[os.write(fd, data):]
             finally:
                 os.close(fd)
-            return record
 
 
 @dataclass(frozen=True)
 class BackendResponse:
     raw: str
     digest: str
-    from_cache: bool
+    from_cache: bool        # the answer was in the cache file before this run
 
 
 def _read_api_key() -> str:
@@ -389,13 +389,14 @@ def _utf8(raw: str, digest: str) -> str:
 class Backend:
     """Executes model queries under the configured cache mode.
 
-    Thread-safe: the cache serializes writes, and the invocation counter
-    is lock-protected so tests can assert the one-query-per-step property.
+    Thread-safe: the cache serializes writes, equal prompts in flight ask
+    once under their digest's lock, and the counters are lock-protected.
     """
 
     def __init__(self, config: BackendConfig, transport: Optional[Transport] = None):
         self.config = config
-        self.cache = ResponseCache(config.cache_path) if config.cache_mode != "live" else None
+        self.cache = ResponseCache(config.cache_path)
+        self._asking: dict[str, threading.Lock] = {}     # each digest missed in this run
         # built here when none is given, so that missing credentials fail
         # before any processing, not mid-run; a replay asks no model
         self._http = (HttpTransport() if transport is None
@@ -416,23 +417,20 @@ class Backend:
             self.invocations += 1
         digest = prompt_digest(self.config.model_name, task.value, prompt)
         try:
-            if self.config.cache_mode != "live":
-                record = self.cache.get(digest)
-                if record is not None:
-                    return BackendResponse(raw=_utf8(record["response"], digest),
-                                           digest=digest, from_cache=True)
+            record = self.cache.get(digest)
+            if record is None:
                 if self.config.cache_mode == "replay":
                     raise ReplayMissError(digest, task.value)
-
-            raw = _utf8(self._call_with_retries(prompt), digest)
-            if self.config.cache_mode == "record":
-                # A concurrent miss on the same prompt may have stored its answer
-                # first; this call returns it, but as `from_cache=False`, so with
-                # segments in flight together the flags depend on timing, the
-                # answers do not (ROADMAP item 13).
-                raw = self.cache.put(cache_record(self.config.model_name, task.value,
-                                                  prompt, raw))["response"]
-            return BackendResponse(raw=raw, digest=digest, from_cache=False)
+                with self._count_lock:
+                    lock = self._asking.setdefault(digest, threading.Lock())
+                with lock:
+                    record = self.cache.get(digest)
+                    if record is None:
+                        raw = _utf8(self._call_with_retries(prompt), digest)
+                        record = cache_record(self.config.model_name, task.value, prompt, raw)
+                        self.cache.put(record)
+            return BackendResponse(raw=_utf8(record["response"], digest), digest=digest,
+                                   from_cache=digest not in self._asking)
         except BackendError as exc:
             exc.digest = digest
             raise

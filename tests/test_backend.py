@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -145,6 +146,8 @@ class TestRecordReplay:
         assert replayer.transport_calls == 0
 
     def test_record_serves_hits_and_queries_only_misses(self, tmp_path):
+        """An answer asked earlier in the run is served, but not marked as
+        from the cache; one in the file before the run is."""
         path = tmp_path / "cache.jsonl"
         answers = iter(["first", "second", "third"])
         backend = Backend(
@@ -154,33 +157,92 @@ class TestRecordReplay:
         backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         again = backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         other = backend.invoke(TaskKind.PURPOSE_RECOGNITION, PROMPT)
-        assert (again.raw, again.from_cache) == ("first", True)
+        assert (again.raw, again.from_cache) == ("first", False)
         assert (other.raw, other.from_cache) == ("second", False)
         assert backend.transport_calls == 2
         assert len(path.read_text().splitlines()) == 2
 
-    def test_concurrent_misses_on_one_prompt_return_the_stored_answer(self, tmp_path):
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
+        resumed = Backend(BackendConfig(model_name="m", cache_mode="record", cache_path=path),
+                          transport=lambda prompt, config: next(answers))
+        stored = resumed.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
+        assert (stored.raw, stored.from_cache, resumed.transport_calls) == ("first", True, 0)
 
-        path = tmp_path / "cache.jsonl"
-        both_missed = threading.Barrier(2)
+    def test_live_asks_each_prompt_once_and_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         answers = iter(["first", "second"])
-        lock = threading.Lock()
+        backend = Backend(BackendConfig(model_name="m", cache_mode="live"),
+                          transport=lambda prompt, config: next(answers))
+        responses = [backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT) for _ in range(2)]
+        assert [(r.raw, r.from_cache) for r in responses] == [("first", False)] * 2
+        assert (backend.invocations, backend.transport_calls) == (2, 1)
+        assert backend.cache.path is None and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["live", "record"])
+    def test_equal_prompts_in_flight_ask_once(self, tmp_path, mode):
+        """A second caller of a prompt being asked waits for that answer."""
+        path = tmp_path / "cache.jsonl" if mode == "record" else None
+        asked = threading.Event()
+
+        def slow_transport(prompt, config):
+            asked.set()
+            time.sleep(0.2)
+            return "answer"
+
+        backend = Backend(BackendConfig(model_name="m", cache_mode=mode, cache_path=path),
+                          transport=slow_transport)
+        results = []
+        first = threading.Thread(target=lambda: results.append(
+            backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)))
+        first.start()
+        assert asked.wait(timeout=10)
+        second = backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
+        first.join(timeout=10)
+        assert not first.is_alive()
+        assert [(r.raw, r.from_cache) for r in (*results, second)] == [("answer", False)] * 2
+        assert (backend.invocations, backend.transport_calls) == (2, 1)
+        if path:
+            assert len(path.read_text().splitlines()) == 1
+
+    def test_failed_ask_is_not_memoized(self, tmp_path):
+        """A caller waiting behind a failing ask asks for itself, and so
+        does a later call, which then succeeds."""
+        path = tmp_path / "cache.jsonl"
+        asked, release = threading.Event(), threading.Event()
+        outcomes = iter([BackendError("first down"), BackendError("second down"), "answer"])
 
         def transport(prompt, config):
-            both_missed.wait(timeout=10)
-            with lock:
-                return next(answers)
+            outcome = next(outcomes)
+            if not asked.is_set():
+                asked.set()
+                release.wait(timeout=10)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
 
         backend = Backend(BackendConfig(model_name="m", cache_mode="record", cache_path=path),
                           transport=transport)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(backend.invoke, TaskKind.DATA_RECOGNITION, PROMPT)
-                       for _ in range(2)]
-            raws = {f.result().raw for f in futures}
-        stored = ResponseCache(path).get(prompt_digest("m", "data-recognition", PROMPT))
-        assert raws == {stored["response"]}
+        errors = []
+
+        def invoke():
+            try:
+                backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
+            except BackendError as exc:
+                errors.append(str(exc))
+
+        first = threading.Thread(target=invoke)
+        first.start()
+        assert asked.wait(timeout=10)
+        waiter = threading.Thread(target=invoke)
+        waiter.start()
+        time.sleep(0.1)         # the waiter blocks on the first ask's lock
+        release.set()
+        for thread in (first, waiter):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert sorted(errors) == ["first down", "second down"]
+        assert not path.exists()
+        later = backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
+        assert (later.raw, later.from_cache, backend.transport_calls) == ("answer", False, 3)
         assert len(path.read_text().splitlines()) == 1
 
     def test_replay_miss_names_digest(self, tmp_path):
@@ -300,8 +362,10 @@ class TestRecordReplay:
         path = tmp_path / "cache.jsonl"
         cache = ResponseCache(path)
         first = {**_record("k1"), "response": "[]"}
-        assert cache.put(first) is first
-        assert cache.put({**_record("k1"), "response": "[]"})["response"] == "[]"
+        cache.put(first)
+        cache.put({**_record("k1"), "response": "[]", "timestamp": "later"})
+        cache.put({**_record("k1"), "response": "other"})
+        assert cache.get("k1")["response"] == "[]"
         assert path.read_text() == json.dumps(first) + "\n"
 
     def test_first_bad_line_named_whatever_its_fault(self, tmp_path):

@@ -20,6 +20,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import sys
 import threading
 import time
@@ -413,6 +414,59 @@ def test_record_at_every_jobs_setting_replays_to_the_sequential_replay(
     graphs = {name: digest for name, digest in record[1].items()
               if name.endswith((".ttl", ".nt"))}
     assert graphs and graphs.items() <= sequential[1].items()
+
+
+def test_live_and_record_ask_each_distinct_prompt_once(tmp_path, monkeypatch, capsys):
+    """Ten copies of one policy, analyzed live and with `--record` at
+    `--jobs` 1, 2 and 6, twice each, against a model that answers after a
+    random 0-2 ms: every run writes the same bytes, `from_cache` flags
+    included, asks each distinct prompt once and counts the invocations
+    a replay counts."""
+    policies = tmp_path / "policies"
+    policies.mkdir()
+    paths = []
+    for i in range(10):
+        paths.append(str(policies / f"copy{i}.txt"))
+        Path(paths[-1]).write_bytes((FIXTURES / "policy_example.org.txt").read_bytes())
+    answers = cache_answers(FIXTURES / "replay_cache.jsonl")
+    delays = random.Random(SEED)
+    asked = []
+
+    def transport(prompt, config):
+        asked.append((prompt.system, prompt.user))
+        time.sleep(delays.uniform(0, 0.002))
+        return answers[prompt.system, prompt.user]
+
+    answer_through(monkeypatch, transport)
+    monkeypatch.setenv("PPA_API_KEY", "test-key")
+    backends = []
+    make_backend = cli._backend
+    monkeypatch.setattr(cli, "_backend",
+                        lambda config: backends.append(make_backend(config)) or backends[-1])
+    model = ("--model", FIXTURE_MODEL)
+    replay = run(["analyze", *paths, "--replay", "--cache", str(FIXTURES / "replay_cache.jsonl"),
+                  *model, "--jobs", "1"], tmp_path / "replay", capsys)
+    invocations = backends[-1].invocations
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)         # threads switch often, so that a lost update would show
+    try:
+        for mode, jobs in [(mode, jobs) for _ in range(2) for mode in ("live", "record")
+                           for jobs in ("1", "2", "6")]:
+            asked.clear()
+            cache = tmp_path / f"cache{len(runs)}.jsonl"
+            flags = ("--record", "--cache", str(cache)) if mode == "record" else ()
+            runs.append(run(["analyze", *paths, *flags, *model, "--jobs", jobs],
+                            tmp_path / f"run{len(runs)}", capsys))
+            assert backends[-1].transport_calls == len(asked) == len(set(asked)) > 0
+            assert backends[-1].invocations == invocations
+            if mode == "record":
+                assert len(cache.read_bytes().splitlines()) == len(asked)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0][0] == 0 and all(output == runs[0] for output in runs)
+    assert {name: digest for name, digest in runs[0][1].items() if name.endswith((".ttl", ".nt"))} \
+        == {name: digest for name, digest in replay[1].items() if name.endswith((".ttl", ".nt"))}
 
 
 def endpoint_answering(cache: Path, monkeypatch, *, http11: bool = True) -> Endpoint:
