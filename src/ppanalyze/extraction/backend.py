@@ -36,8 +36,10 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -125,6 +127,14 @@ def cache_record(model: str, task: str, prompt: PromptMessages, response: str,
     }
 
 
+# the answer memo beside a cache of at least this many bytes; below it a
+# parse takes a few milliseconds
+_MEMO_MIN_BYTES = 1 << 20
+_MEMO_FORMAT = "ppanalyze-answer-memo-1"     # change it whenever the parse keeps other answers
+_MEMO_CHUNK = 1000          # answers per memo line
+_HASH_BLOCK = 1 << 16
+
+
 def _read_answer(line: Union[str, bytes]) -> tuple[str, str]:
     """The key and response of one cache line."""
     record = json.loads(line)
@@ -138,8 +148,12 @@ class ResponseCache:
     """JSONL-backed response store, memory only when `path` is None; writes are serialized.
 
     Memory holds each key's answer and nothing else: the prompt, model
-    and timestamp of a record stay in the file.  The file is read one
-    line at a time.
+    and timestamp of a record stay in the file.  A cache of at least
+    1 MiB keeps its answer table in a memo file beside it (`<name>.memo`),
+    bound to the size and SHA-256 of the bytes parsed: a load of the same
+    bytes reads the memo instead of every record.  Any other load parses
+    every record and writes the memo anew; a memo that is missing, stale
+    or malformed, or that cannot be written, is never an error.
 
     The first record of a key is the one kept, on load as on `put`, so a
     key appended twice replays the answer recorded first.
@@ -147,7 +161,8 @@ class ResponseCache:
     A final line without a trailing newline that does not parse is a torn
     append (a crash mid-write): it is skipped with a warning and cut off
     before the next `put`.  Any other unparseable line, or one that is
-    not UTF-8, is fatal and named by its line number.
+    not UTF-8, is fatal and named by its line number.  A cache that
+    exists but cannot be read is fatal too.
     """
 
     def __init__(self, path: Optional[Union[str, Path]]):
@@ -158,40 +173,115 @@ class ResponseCache:
         self._torn_at: Optional[int] = None
         self._unterminated = False
         self._dir_made = False      # the cache's directory, made on the first append
-        if self.path is None or not self.path.exists():
+        if self.path is None:
             return
+        try:
+            with self.path.open("rb") as f:
+                header = self._load(f)
+        except FileNotFoundError:       # only the open can raise it: a new cache
+            return
+        except OSError as exc:
+            raise BackendError(f"cannot read cache {self.path}: {exc}") from exc
+        self._torn_at, self._unterminated = header["torn_at"], header["unterminated"]
+        if header["torn_line"] is not None:
+            warnings.warn(f"skipped torn last line {header['torn_line']} in {self.path} "
+                          f"({header['torn_bytes']} bytes without a newline)", stacklevel=2)
+
+    def _load(self, f) -> dict:
+        """Fill the table from the open cache `f`, through its memo when
+        the memo matches; the memo header that describes `f`'s bytes."""
+        size = os.fstat(f.fileno()).st_size
+        if size < _MEMO_MIN_BYTES:
+            return self._parse(f)
+        memo = self.path.with_name(self.path.name + ".memo")
+        header = self._read_memo(memo, f, size)
+        if header is None:
+            f.seek(0)
+            header = self._parse(f)
+            self._write_memo(memo, header)
+        return header
+
+    def _parse(self, f) -> dict:
+        """Fill the table from every line of `f`; the memo header of the
+        bytes read."""
+        digest = hashlib.sha256()
         offset = line_no = 0
         tail = b""
-        with self.path.open("rb") as f:
-            for raw in f:
-                line_no += 1
-                if not raw.endswith(b"\n"):
-                    tail = raw
-                    break
-                offset += len(raw)
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise BackendError(f"cache line {line_no} in {self.path} is not UTF-8: "
-                                       f"{exc}") from exc
-                if not line.strip():
-                    continue
-                try:
-                    key, answer = _read_answer(line)
-                except ValueError as exc:
-                    raise BackendError(f"corrupt cache line {line_no} in {self.path}: "
-                                       f"{exc}") from exc
-                self._answers.setdefault(key, answer)
+        for raw in f:
+            digest.update(raw)
+            line_no += 1
+            if not raw.endswith(b"\n"):
+                tail = raw
+                break
+            offset += len(raw)
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise BackendError(f"cache line {line_no} in {self.path} is not UTF-8: "
+                                   f"{exc}") from exc
+            if not line.strip():
+                continue
+            try:
+                key, answer = _read_answer(line)
+            except ValueError as exc:
+                raise BackendError(f"corrupt cache line {line_no} in {self.path}: "
+                                   f"{exc}") from exc
+            self._answers.setdefault(key, answer)
+        header = {"format": _MEMO_FORMAT, "size": offset + len(tail),
+                  "sha256": digest.hexdigest(), "torn_at": None, "unterminated": False,
+                  "torn_line": None, "torn_bytes": None}
         if tail.strip():
             try:
                 key, answer = _read_answer(tail)
             except ValueError:
-                self._torn_at = offset
-                warnings.warn(f"skipped torn last line {line_no} in {self.path} "
-                              f"({len(tail)} bytes without a newline)", stacklevel=2)
+                header.update(torn_at=offset, torn_line=line_no, torn_bytes=len(tail))
             else:
                 self._answers.setdefault(key, answer)
-                self._unterminated = True
+                header["unterminated"] = True
+        header["answers"] = len(self._answers)
+        return header
+
+    def _read_memo(self, memo: Path, f, size: int) -> Optional[dict]:
+        """The header of `memo` after filling the table from it, or None
+        and an empty table when it is not a whole memo of `f`'s bytes."""
+        try:
+            with memo.open("rb") as m:
+                header = json.loads(m.readline())
+                if not (isinstance(header, dict) and header.get("format") == _MEMO_FORMAT
+                        and header.get("size") == size):
+                    return None
+                digest, read = hashlib.sha256(), 0
+                for block in iter(partial(f.read, _HASH_BLOCK), b""):
+                    digest.update(block)
+                    read += len(block)
+                if read != size or header.get("sha256") != digest.hexdigest():
+                    return None
+                for line in m:
+                    chunk = json.loads(line)
+                    if not (isinstance(chunk, dict)
+                            and all(type(answer) is str for answer in chunk.values())):
+                        raise ValueError("a memo line is not an object of answers")
+                    self._answers.update(chunk)
+            if len(self._answers) != header.get("answers"):
+                raise ValueError("the memo is cut short")
+            return header
+        except (OSError, ValueError):
+            self._answers.clear()
+            return None
+
+    def _write_memo(self, memo: Path, header: dict) -> None:
+        """Write `memo` whole or not at all: a failed write leaves no file."""
+        tmp = memo.with_name(f"{memo.name}.{os.getpid()}.tmp")
+        try:
+            with tmp.open("w", encoding="ascii") as m:
+                m.write(json.dumps(header) + "\n")
+                answers = iter(self._answers.items())
+                while chunk := dict(islice(answers, _MEMO_CHUNK)):
+                    m.write(json.dumps(chunk) + "\n")
+            os.replace(tmp, memo)
+        except OSError:
+            with suppress(OSError):
+                tmp.unlink()
 
     def __len__(self) -> int:
         return len(self._answers)

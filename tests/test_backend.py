@@ -13,11 +13,13 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ppanalyze.cli import main
 from ppanalyze.extraction import backend as backend_module
 from ppanalyze.extraction.backend import (
     Backend,
@@ -32,6 +34,7 @@ from ppanalyze.extraction.backend import (
 )
 from ppanalyze.extraction.prompts import PromptMessages, TaskKind
 
+from .conftest import FIXTURES
 from .loopback import Endpoint, clear_proxies, completion
 from .oracles import reference_load_cache, reference_prompt_digest
 
@@ -510,6 +513,165 @@ class TestLoaderOracle:
             kept = data[:torn_at] if torn_at is not None else data + b"\n" * unterminated
             assert path.read_bytes() == kept + json.dumps(extra).encode() + b"\n"
 
+
+
+@pytest.fixture
+def memo_floor(monkeypatch):
+    """Every cache, however small, gets an answer memo."""
+    monkeypatch.setattr(backend_module, "_MEMO_MIN_BYTES", 0)
+
+
+def _load_state(path: Path) -> tuple:
+    """What a load leaves: the answers in order, the tail state and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = ResponseCache(path)
+    return (list(cache._answers.items()), cache._torn_at, cache._unterminated,
+            [str(w.message) for w in caught])
+
+
+def _no_parse(self, f):
+    raise AssertionError("the cache was parsed again")
+
+
+def _lines(*records: dict) -> bytes:
+    return b"".join(json.dumps(record).encode() + b"\n" for record in records)
+
+
+_MEMO_CASES = {
+    "duplicate keys": _lines(*({**_record(key), "response": answer}
+                               for key, answer in (("k1", "a"), ("k2", "b"), ("k1", "c")))),
+    "blank lines": b"\n" + _lines(_record("k1")) + b" \n\t\n" + _lines(_record("k2")),
+    "torn tail": _lines(_record("k1")) + json.dumps(_record("k2")).encode()[:20],
+    "unterminated tail": _lines(_record("k1")) + json.dumps(_record("k2")).encode(),
+    "lone surrogate": _lines({**_record("k1"), "response": "a\ud800b"}),
+    "empty": b"",
+}
+
+# each turns the memo of five records, two answers a line, into one that
+# is not a whole memo of this format
+_SPOILED_MEMOS = {
+    "cut mid-line": lambda memo: memo[:-5],
+    "cut at a line end": lambda memo: memo[:memo.rstrip(b"\n").rfind(b"\n") + 1],
+    "empty": lambda memo: b"",
+    "garbage": lambda memo: b"not a memo\n",
+    "not UTF-8": lambda memo: b"\xff\n",
+    "other format": lambda memo: memo.replace(b"answer-memo-1", b"answer-memo-0"),
+    "answer not a string": lambda memo: memo.replace(b'"k1": "r"', b'"k1": 1'),
+    "line not an object": lambda memo: memo.replace(b'{"k0": "r", "k1": "r"}', b'["k0"]'),
+}
+
+
+class TestAnswerMemo:
+    """A second load of the same bytes reads the cache's answer memo and
+    ends in the state the parse left; any other memo is ignored and rewritten."""
+
+    @pytest.mark.parametrize("data", _MEMO_CASES.values(), ids=list(_MEMO_CASES))
+    def test_memo_hit_equals_the_parse(self, tmp_path, memo_floor, monkeypatch, data):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(data)
+        parsed = _load_state(path)
+        assert (tmp_path / "cache.jsonl.memo").is_file()
+        monkeypatch.setattr(ResponseCache, "_parse", _no_parse)
+        assert _load_state(path) == parsed
+
+    @given(data=_cache_files())
+    @settings(max_examples=200, deadline=None)
+    def test_memo_hit_equals_the_parse_for_any_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(backend_module, "_MEMO_MIN_BYTES", 0):
+            path = Path(tmp) / "cache.jsonl"
+            path.write_bytes(data)
+            try:
+                parsed = _load_state(path)
+            except BackendError:
+                assert os.listdir(tmp) == ["cache.jsonl"]
+                return
+            with mock.patch.object(ResponseCache, "_parse", _no_parse):
+                assert _load_state(path) == parsed
+
+    def test_small_cache_gets_no_memo(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_lines(_record("k1")))
+        ResponseCache(path)
+        assert os.listdir(tmp_path) == ["cache.jsonl"]
+
+    def test_corrupt_line_fails_every_load_and_writes_no_memo(self, tmp_path, memo_floor):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_lines(_record("k1")) + b"not json\n")
+        for _ in range(2):
+            with pytest.raises(BackendError, match="corrupt cache line 2"):
+                ResponseCache(path)
+        assert os.listdir(tmp_path) == ["cache.jsonl"]
+
+    def test_memo_is_stale_after_an_append(self, tmp_path, memo_floor):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_lines(_record("k1")))
+        ResponseCache(path).put(_record("k2"))
+        assert [key for key, _ in _load_state(path)[0]] == ["k1", "k2"]
+
+    def test_memo_is_stale_after_an_edit_of_the_same_size(self, tmp_path, memo_floor):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_lines({**_record("k1"), "response": "aaaa"}))
+        ResponseCache(path)
+        path.write_bytes(_lines({**_record("k1"), "response": "bbbb"}))
+        assert ResponseCache(path).get("k1")["response"] == "bbbb"
+
+    @pytest.mark.parametrize("spoil", _SPOILED_MEMOS.values(), ids=list(_SPOILED_MEMOS))
+    def test_bad_memo_ignored_and_rewritten(self, tmp_path, memo_floor, monkeypatch, spoil):
+        monkeypatch.setattr(backend_module, "_MEMO_CHUNK", 2)
+        path, memo = tmp_path / "cache.jsonl", tmp_path / "cache.jsonl.memo"
+        path.write_bytes(_lines(*(_record(f"k{i}") for i in range(5))))
+        parsed = _load_state(path)
+        good = memo.read_bytes()
+        assert good.count(b"\n") == 4 and spoil(good) != good
+        memo.write_bytes(spoil(good))
+        assert _load_state(path) == parsed
+        assert memo.read_bytes() == good
+
+    def test_memo_that_cannot_be_written_is_skipped_silently(self, tmp_path, memo_floor):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_lines(_record("k1")))
+        (tmp_path / "cache.jsonl.memo").mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ResponseCache(path).get("k1")
+        assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "cache.jsonl.memo"]
+
+    def test_memo_hit_holds_answers_not_records(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with path.open("w", encoding="utf-8") as f:
+            for i in range(1000):
+                prompt = {"system": "s" * 1000, "user": f"segment {i}: " + "u" * 1700}
+                f.write(json.dumps({**_record(f"{i:064x}"), "prompt": prompt,
+                                    "response": '{"entities": []}'}) + "\n")
+        size = path.stat().st_size
+        assert size >= backend_module._MEMO_MIN_BYTES
+        ResponseCache(path)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(ResponseCache, "_parse", _no_parse):
+                cache = ResponseCache(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 1000
+        assert peak < size / 4, f"peak {peak} B while loading {size} B"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_replay_from_a_memo_writes_the_same_bytes(self, tmp_path, memo_floor, jobs):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes((FIXTURES / "replay_cache.jsonl").read_bytes())
+        outputs = []
+        for run in ("cold", "memo"):
+            out = tmp_path / run
+            assert main(["analyze", str(FIXTURES / "policy_example.org.txt"), "--replay",
+                         "--cache", str(cache), "--model", "fixture-model", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            assert (tmp_path / "cache.jsonl.memo").is_file()
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture

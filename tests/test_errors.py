@@ -215,6 +215,23 @@ class TestBadInput:
         assert message.startswith("error: ") and str(profile) in message
         assert reason in message
 
+    @pytest.mark.parametrize("kind", ["directory", "unreadable file"])
+    @pytest.mark.parametrize("command", ["analyze", "evaluate"])
+    def test_cache_that_cannot_be_read(self, tmp_path, command, kind):
+        cache = tmp_path / "cache.jsonl"
+        if kind == "directory":
+            cache.mkdir()
+        else:
+            if os.geteuid() == 0:
+                pytest.skip("root reads a file whatever its mode")
+            shutil.copy(FIXTURES / "replay_cache.jsonl", cache)
+            cache.chmod(0)
+        inputs = {"analyze": FIXTURES / "policy_example.org.txt", "evaluate": FIXTURES / "gold"}
+        message = fails_with_error_line(
+            [command, str(inputs[command]), "--replay", "--cache", str(cache),
+             "--model", "fixture-model"], tmp_path / "out")
+        assert message.startswith(f"error: cannot read cache {cache}: [Errno ")
+
     def test_config_file_that_cannot_be_read(self, tmp_path):
         config = tmp_path / "absent.json"
         message = fails_with_error_line(["stats", "g.ttl", "--config", str(config)],
