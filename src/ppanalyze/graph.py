@@ -1,4 +1,4 @@
-"""Assemble extraction results into the privacy-practice knowledge graph.
+"""Write the privacy-practice knowledge graph, and read its practices back.
 
 The graph is centred on practice nodes: one per recognized action span,
 typed DataCollectionUse or ThirdPartySharingDisclosure for the two
@@ -14,6 +14,9 @@ data/purpose spans, party spans without one of those subtypes,
 non-verbatim spans, links to a span of a kind their role does not take
 and relations whose subject is not an action never enter the graph;
 each exclusion is accounted for in the build log.
+
+`policy_practices` reads practices back by `_ROLES`, the table that
+`build_graph` writes by.
 """
 from __future__ import annotations
 
@@ -21,9 +24,9 @@ import hashlib
 import urllib.parse
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .rdfio import RDF_TYPE, XSD, BNode, Graph, IRI, Literal, Subject
+from .rdfio import RDF_TYPE, XSD, BNode, Graph, IRI, Literal, Object, Subject
 from .taxonomy import DPV, DPV_PD, Taxonomy
 
 if TYPE_CHECKING:       # `stats` and `convert` read graphs and never load the pipeline
@@ -235,7 +238,7 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
     return PrPrGraph(triples=g, practices=practices, build_log=log)
 
 
-# -- invariant checking --
+# -- reading practices --
 
 def practice_types(g: Graph) -> dict[Subject, str]:
     """Map each practice node to the local name of its most specific class.
@@ -253,6 +256,44 @@ def practice_types(g: Graph) -> dict[Subject, str]:
                 best[s] = rank
     return {s: _PRACTICE_CLASS_NAMES[rank] for s, rank in best.items()}
 
+
+@dataclass(frozen=True)
+class Practice:
+    """One practice node of a policy, as the converters read it."""
+    node: Subject
+    class_name: str             # its most specific practice class
+    type_key: str               # `action_map` key: a plain DataPractice's subtype, else class_name
+    data: tuple[IRI, ...]
+    purposes: tuple[IRI, ...]
+    parties: dict[str, tuple[Object, ...]]      # party role of `_ROLES` -> party nodes
+
+
+def policy_practices(g: Graph) -> Iterator[tuple[Subject, list[Practice]]]:
+    """Each PrivacyPolicy node with its practices, both in `str` order.
+
+    Untyped `hasPractice` objects and literal data or purpose objects are left out.
+    """
+    types = practice_types(g)
+    for policy in sorted(g.subjects_of_type(PRIVACY_POLICY), key=str):
+        practices = []
+        for node in sorted(g.objects(policy, HAS_PRACTICE), key=str):
+            class_name = types.get(node)
+            if class_name is None:
+                continue
+            links = {role: g.objects(node, predicate) for role, (predicate, _) in _ROLES.items()}
+            subtypes = [o.lexical for o in g.objects(node, PRACTICE_SUBTYPE) if isinstance(o, Literal)]
+            practices.append(Practice(
+                node=node, class_name=class_name,
+                type_key=subtypes[0] if subtypes and class_name == "DataPractice" else class_name,
+                data=tuple(o for o in links["HAS_DATA"] if isinstance(o, IRI)),
+                purposes=tuple(o for o in links["HAS_PURPOSE"] if isinstance(o, IRI)),
+                parties={role: tuple(links[role]) for role, (_, kind) in _ROLES.items()
+                         if kind == "party"},
+            ))
+        yield policy, practices
+
+
+# -- invariant checking --
 
 def check_invariants(g: Graph, taxonomy: Optional[Taxonomy] = None) -> list[str]:
     """The invariant violations, in term order (empty list = graph is sound)."""

@@ -8,7 +8,9 @@ ODRL expansion is cartesian per data target: a practice with several
 data links becomes one permission per data class, each carrying all of
 the practice's purpose constraints.  Practices without data links, and
 practice types without an action mapping, are skipped and reported,
-never silently dropped.  Data is identified by its class IRI.
+never silently dropped; a policy with none left gets no ODRL Set.  Data
+is identified by its class IRI.  Practices are read through
+`graph.policy_practices`.
 """
 from __future__ import annotations
 
@@ -18,21 +20,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import Error
-from .graph import (
-    DATA_PROVIDED_BY,
-    DATA_SHARED_WITH,
-    HAS_DATA,
-    HAS_PRACTICE,
-    HAS_PURPOSE,
-    NODE,
-    PERFORMED_BY,
-    PRACTICE_SUBTYPE,
-    PRIVACY_POLICY,
-    STANDARD_PREFIXES,
-    _digest,
-    practice_types,
-)
-from .rdfio import RDF_TYPE, BNode, Graph, IRI, Literal, _writable_iri
+from .graph import NODE, STANDARD_PREFIXES, Practice, _digest, policy_practices
+from .rdfio import RDF_TYPE, BNode, Graph, IRI, _writable_iri
 
 ODRL = "http://www.w3.org/ns/odrl/2/"
 
@@ -126,42 +115,6 @@ class ConversionReport:
         }
 
 
-@dataclass(frozen=True)
-class _Practice:
-    node: Union[IRI, BNode]
-    type_key: str              # action_map lookup key
-    class_name: str
-    data: tuple[IRI, ...]
-    purposes: tuple[IRI, ...]
-    performers: tuple = ()
-    providers: tuple = ()
-    recipients: tuple = ()
-
-
-def _practice_view(g: Graph, policy, types: dict) -> list[_Practice]:
-    out = []
-    for node in sorted(g.objects(policy, HAS_PRACTICE), key=lambda t: str(t)):
-        class_name = types.get(node)
-        if class_name is None:
-            continue
-        type_key = class_name
-        if class_name == "DataPractice":
-            subtypes = [o.lexical for o in g.objects(node, PRACTICE_SUBTYPE)
-                        if isinstance(o, Literal)]
-            type_key = subtypes[0] if subtypes else "DataPractice"
-        out.append(_Practice(
-            node=node,
-            type_key=type_key,
-            class_name=class_name,
-            data=tuple(o for o in g.objects(node, HAS_DATA) if isinstance(o, IRI)),
-            purposes=tuple(o for o in g.objects(node, HAS_PURPOSE) if isinstance(o, IRI)),
-            performers=tuple(g.objects(node, PERFORMED_BY)),
-            providers=tuple(g.objects(node, DATA_PROVIDED_BY)),
-            recipients=tuple(g.objects(node, DATA_SHARED_WITH)),
-        ))
-    return out
-
-
 def to_odrl(g: Graph,
             profile: Optional[ConversionProfile] = None) -> tuple[Graph, ConversionReport]:
     """Build one ODRL policy set per PrivacyPolicy node in the graph."""
@@ -172,11 +125,9 @@ def to_odrl(g: Graph,
         out.bind(prefix, STANDARD_PREFIXES[prefix])
     report = ConversionReport()
 
-    types = practice_types(g)
-    for policy in sorted(g.subjects_of_type(PRIVACY_POLICY), key=lambda t: str(t)):
+    for policy, practices in policy_practices(g):
         policy_set = IRI(NODE + "odrl-" + _digest(str(policy)))
-        out.add(policy_set, IRI(RDF_TYPE), ODRL_SET)
-        for practice in _practice_view(g, policy, types):
+        for practice in practices:
             action = profile.action_map.get(practice.type_key)
             if action is None:
                 report.unmapped_types.append(practice.type_key)
@@ -188,6 +139,7 @@ def to_odrl(g: Graph,
             for data_iri in practice.data:
                 perm = BNode("perm-" + _digest(str(practice.node), data_iri.value))
                 report.permissions += 1
+                out.add(policy_set, IRI(RDF_TYPE), ODRL_SET)    # with its rules, so no Set is empty
                 out.add(policy_set, ODRL_PERMISSION, perm)
                 out.add(perm, IRI(RDF_TYPE), ODRL_PERMISSION_CLASS)
                 out.add(perm, ODRL_ACTION, IRI(action))
@@ -199,11 +151,9 @@ def to_odrl(g: Graph,
                     out.add(cnode, ODRL_OPERATOR, ODRL_IS_A)
                     out.add(cnode, ODRL_RIGHT_OPERAND, purpose)
                 shared = practice.class_name == "ThirdPartySharingDisclosure"
-                for role, parties in (("PERFORMED_BY", practice.performers),
-                                      ("DATA_PROVIDED_BY", practice.providers),
-                                      ("DATA_SHARED_WITH", practice.recipients if shared else ())):
+                for role, parties in practice.parties.items():
                     role_iri = profile.role_map.get(role)
-                    if role_iri:
+                    if role_iri and (shared or role != "DATA_SHARED_WITH"):
                         for party in parties:
                             out.add(perm, IRI(role_iri), party)
                             _copy_party(g, out, party)
@@ -232,13 +182,11 @@ def to_psdtou(g: Graph,
     report = ConversionReport()
 
     rdf_type = IRI(RDF_TYPE)
-    types = practice_types(g)
-    for policy in sorted(g.subjects_of_type(PRIVACY_POLICY), key=lambda t: str(t)):
+    for policy, practices in policy_practices(g):
         app = IRI(NODE + "dtou-" + _digest(str(policy)))
         out.add(app, rdf_type, profile.dtou_iri("app_policy_class"))
 
-        practices = _practice_view(g, policy, types)
-        by_data: dict[str, list[_Practice]] = {}
+        by_data: dict[str, list[Practice]] = {}
         for practice in practices:
             if not practice.data:
                 report.skipped_practices.append(f"{practice.node!r}: no data links")
@@ -262,7 +210,7 @@ def to_psdtou(g: Graph,
             report.sharing_entries += 1
             out.add(app, profile.dtou_iri("has_sharing"), snode)
             out.add(snode, rdf_type, profile.dtou_iri("sharing_class"))
-            for party in practice.recipients:
+            for party in practice.parties["DATA_SHARED_WITH"]:
                 for party_type in g.objects(party, rdf_type):
                     out.add(snode, profile.dtou_iri("recipient_type"), party_type)
             for data_iri in practice.data:

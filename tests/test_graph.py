@@ -16,11 +16,14 @@ from ppanalyze.extraction.pipeline import (
 from ppanalyze.graph import (
     DATA_COLLECTION_USE,
     DATA_PRACTICE,
+    DATA_SHARED_WITH,
     HAS_DATA,
     HAS_PRACTICE,
     HAS_PURPOSE,
     HAS_SERVICE,
+    PERFORMED_BY,
     PPA,
+    PRACTICE_SUBTYPE,
     PRIVACY_POLICY,
     SERVICE_CLASS,
     SOURCE_SEGMENT,
@@ -29,6 +32,7 @@ from ppanalyze.graph import (
     build_graph,
     check_invariants,
     policy_iri,
+    policy_practices,
     service_iri,
     stats,
 )
@@ -232,6 +236,50 @@ class TestSerialization:
         text = serialize(g, "turtle").decode()
         assert all(line.startswith("@prefix") or not line for line in text.split("\n"))
         assert serialize(g, "ntriples") == b""
+
+
+class TestPolicyPractices:
+    def test_hand_built_graph(self):
+        rdf_type = IRI(RDF_TYPE)
+        g = Graph()
+        policy_b, policy_a = IRI(POLICY + "-b"), IRI(POLICY + "-a")
+        for policy in (policy_b, policy_a):
+            g.add(policy, rdf_type, PRIVACY_POLICY)
+        retained, plain, shared, untyped, collected = (
+            IRI("urn:pp-analyze:node#" + name) for name in "dcbae")
+        g.add(retained, rdf_type, DATA_PRACTICE)
+        g.add(retained, PRACTICE_SUBTYPE, Literal("storage_retention_deletion"))
+        g.add(retained, HAS_DATA, IRI(EMAIL))
+        g.add(retained, HAS_DATA, Literal("email"))
+        g.add(retained, HAS_PURPOSE, Literal("marketing"))
+        g.add(plain, rdf_type, DATA_PRACTICE)
+        g.add(shared, rdf_type, DATA_PRACTICE)
+        g.add(shared, rdf_type, THIRD_PARTY_SHARING)
+        g.add(shared, PRACTICE_SUBTYPE, Literal("not read: the class is more specific"))
+        g.add(shared, PERFORMED_BY, BNode("we"))
+        g.add(shared, DATA_SHARED_WITH, BNode("partner-2"))
+        g.add(shared, DATA_SHARED_WITH, BNode("partner-1"))
+        for practice in (retained, plain, shared, untyped):
+            g.add(policy_a, HAS_PRACTICE, practice)
+        g.add(policy_b, HAS_PRACTICE, collected)
+        g.add(collected, rdf_type, DATA_COLLECTION_USE)
+
+        got = [(policy, [(p.node, p.class_name, p.type_key, p.data, p.purposes, p.parties)
+                         for p in practices])
+               for policy, practices in policy_practices(g)]
+        no_parties = {"PERFORMED_BY": (), "DATA_PROVIDED_BY": (), "DATA_SHARED_WITH": ()}
+        assert got == [
+            (policy_a, [
+                (shared, "ThirdPartySharingDisclosure", "ThirdPartySharingDisclosure", (), (),
+                 {**no_parties, "PERFORMED_BY": (BNode("we"),),
+                  "DATA_SHARED_WITH": (BNode("partner-1"), BNode("partner-2"))}),
+                (plain, "DataPractice", "DataPractice", (), (), no_parties),
+                (retained, "DataPractice", "storage_retention_deletion", (IRI(EMAIL),), (),
+                 no_parties),
+            ]),
+            (policy_b, [(collected, "DataCollectionUse", "DataCollectionUse", (), (),
+                         no_parties)]),
+        ]
 
 
 class TestStats:

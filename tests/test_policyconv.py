@@ -24,13 +24,14 @@ from ppanalyze.policyconv import (
     ODRL_CONSTRAINT,
     ODRL_PERMISSION,
     ODRL_RIGHT_OPERAND,
+    ODRL_SET,
     ODRL_TARGET,
     ConversionError,
     ConversionProfile,
     to_odrl,
     to_psdtou,
 )
-from ppanalyze.rdfio import IRI, BNode
+from ppanalyze.rdfio import RDF_TYPE, IRI, BNode
 
 POLICY = "urn:pp-analyze:policy#test.example"
 EMAIL = "https://w3id.org/dpv/pd#EmailAddress"
@@ -62,6 +63,20 @@ def single_practice_graph(data=(EMAIL,), purposes=(MARKETING,), subtype="collect
     return build_graph(result_with([(spans, relations)]), "test.example", POLICY, "v").triples
 
 
+def party_roles_graph(subtype):
+    """One practice with one data link and a party in each party role."""
+    spans = [EntitySpan("a0", "action", "send", 0, subtype=subtype),
+             EntitySpan("e0", "data", "email", 0, grounded_term=EMAIL),
+             EntitySpan("e1", "party", "we", 0, subtype="first_party"),
+             EntitySpan("e2", "party", "you", 0, subtype="user"),
+             EntitySpan("e3", "party", "partners", 0, subtype="third_party")]
+    relations = [RelationTuple("a0", "e0", "HAS_DATA"),
+                 RelationTuple("a0", "e1", "PERFORMED_BY"),
+                 RelationTuple("a0", "e2", "DATA_PROVIDED_BY"),
+                 RelationTuple("a0", "e3", "DATA_SHARED_WITH")]
+    return build_graph(result_with([(spans, relations)]), "test.example", POLICY, "v").triples
+
+
 class TestOdrl:
     def test_single_practice_single_permission(self):
         g = single_practice_graph()
@@ -78,7 +93,7 @@ class TestOdrl:
         g = build_graph(result_with([([], [])]), "test.example", POLICY, "v").triples
         out, report = to_odrl(g)
         assert report.permissions == 0
-        assert [o for (s, p, o) in out.triples if p == ODRL_PERMISSION] == []
+        assert not out.triples
 
     def test_cartesian_expansion_two_data_one_purpose(self):
         # DERIVED oracle: one permission per data target, each carrying
@@ -104,12 +119,14 @@ class TestOdrl:
         out, report = to_odrl(g)
         assert report.permissions == 0
         assert report.unmapped_types == ["storage_retention_deletion"]
+        assert not out.subjects_of_type(ODRL_SET)
 
     def test_practice_without_data_links_skipped(self):
         g = single_practice_graph(data=())
         out, report = to_odrl(g)
         assert report.permissions == 0
         assert any("no data links" in s for s in report.skipped_practices)
+        assert not out.subjects_of_type(ODRL_SET)
 
     @pytest.mark.parametrize("subtype, recipients", [
         ("collection_use", {}),
@@ -118,22 +135,24 @@ class TestOdrl:
     def test_each_mapped_role_names_its_party(self, subtype, recipients):
         # the performer and provider roles go on every permission, the
         # recipient role only on a sharing practice's
-        spans = [EntitySpan("a0", "action", "send", 0, subtype=subtype),
-                 EntitySpan("e0", "data", "email", 0, grounded_term=EMAIL),
-                 EntitySpan("e1", "party", "we", 0, subtype="first_party"),
-                 EntitySpan("e2", "party", "you", 0, subtype="user"),
-                 EntitySpan("e3", "party", "partners", 0, subtype="third_party")]
-        relations = [RelationTuple("a0", "e0", "HAS_DATA"),
-                     RelationTuple("a0", "e1", "PERFORMED_BY"),
-                     RelationTuple("a0", "e2", "DATA_PROVIDED_BY"),
-                     RelationTuple("a0", "e3", "DATA_SHARED_WITH")]
-        g = build_graph(result_with([(spans, relations)]), "test.example", POLICY, "v").triples
-        out, _ = to_odrl(g)
+        out, _ = to_odrl(party_roles_graph(subtype))
         (perm,) = [o for (s, p, o) in out.triples if p == ODRL_PERMISSION]
         parties = {p.value: out.objects(o, LABEL)[0].lexical
                    for p, o in out.predicate_objects(perm) if isinstance(o, BNode)}
         assert parties == {ODRL + "assignee": "we",
                            "urn:pp-analyze:core#dataProvider": "you", **recipients}
+
+    def test_role_map_keys_outside_the_party_roles_add_nothing(self):
+        # a key that is no party role adds no statement, and a party role
+        # the profile leaves out is left off
+        default = ConversionProfile.default()
+        profile = ConversionProfile(default.action_map, {
+            "HAS_DATA": "urn:x:data", "PERFORMED_BY": "urn:x:performer",
+            "DATA_SHARED_WITH": "urn:x:recipient"}, default.psdtou)
+        out, _ = to_odrl(party_roles_graph("third_party_sharing_disclosure"), profile)
+        (perm,) = [o for (s, p, o) in out.triples if p == ODRL_PERMISSION]
+        assert {p.value for p, _ in out.predicate_objects(perm)} == {
+            RDF_TYPE, ODRL + "action", ODRL + "target", "urn:x:performer", "urn:x:recipient"}
 
     def test_emitted_iris_exist_in_source(self):
         g = single_practice_graph(data=(EMAIL, LOCATION))

@@ -317,6 +317,17 @@ def test_index_lookups_equal_scan_after_any_interleaving(operations):
     assert_lookups_match_scan(g)
 
 
+def test_update_adds_new_prefixes_and_keeps_its_own_bindings():
+    g, other = Graph(), Graph()
+    g.bind("ex", "http://example.org/mine#")
+    other.bind("ex", "http://example.org/theirs#")
+    other.bind("dpv", "https://w3id.org/dpv#")
+    other.add(IRI("http://example.org/theirs#a"), IRI(RDF_TYPE), IRI("https://w3id.org/dpv#B"))
+    g.update(other)
+    assert g.prefixes == {"ex": "http://example.org/mine#", "dpv": "https://w3id.org/dpv#"}
+    assert g.triples == other.triples
+
+
 def test_lookup_results_are_copies():
     g = sample_graph()
     practice = IRI("urn:pp-analyze:node#p1")
