@@ -412,6 +412,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     _refuse_shared_stems(args.graphs)
     profile = ConversionProfile.load(args.profile) if args.profile else ConversionProfile.default()
+    for note in profile.unknown_keys():
+        print(f"warning: profile {args.profile}: {note}", file=sys.stderr)
     out_dir = _out_dir(config)
     failures = 0
     for path in args.graphs:

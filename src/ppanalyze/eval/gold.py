@@ -1,9 +1,9 @@
 """Per-task views over gold annotations, aligned to segments.
 
 Maps brat entity/event/role labels onto the seven pipeline tasks.  The
-label tables below cover the obvious naming schemes; labels are looked
-up after normalization, and a label none of them knows adds nothing to
-the gold answer.
+label maps below are views of the rows of `vocab`, which covers the
+obvious naming schemes; labels are looked up after normalization, and a
+label none of them knows adds nothing to the gold answer.
 
 For the relation task, gold entities and event triggers are numbered by
 `prompts.number_spans`, as the pipeline numbers its spans, so predicted
@@ -40,60 +40,22 @@ from ..extraction.prompts import (
 )
 from ..taxonomy import Taxonomy, UnresolvedTermError
 from ..textnorm import normalize_label
+from ..vocab import ACTIONS, KIND_LABELS, PARTIES, ROLES, Term
 
 
-ENTITY_KIND_MAP = {
-    "data": "data",
-    "dataentity": "data",
-    "purpose": "purpose",
-    "purposeentity": "purpose",
-    "party": "party",
-    "firstparty": "party",
-    "firstpartyentity": "party",
-    "thirdparty": "party",
-    "thirdpartyentity": "party",
-    "user": "party",
-    "datacollector": "party",
-    "dataprovider": "party",
-    "datareceiver": "party",
-    "datasharer": "party",
-    "dataholder": "party",
-    "dataprotector": "party",
-}
+def _labels(terms: tuple[Term, ...]) -> dict[str, str]:
+    """Each brat label of vocabulary rows -> the row's canonical name."""
+    return {label: term.name for term in terms for label in term.brat}
 
-PARTY_SUBTYPE_MAP = {
-    "firstparty": "first_party",
-    "firstpartyentity": "first_party",
-    "thirdparty": "third_party",
-    "thirdpartyentity": "third_party",
-    "user": "user",
-}
 
-EVENT_SUBTYPE_MAP = {
-    "collectionuse": "collection_use",
-    "datacollectionuse": "collection_use",
-    "thirdpartysharingdisclosure": "third_party_sharing_disclosure",
-    "thirdpartycollectionuse": "third_party_sharing_disclosure",
-    "storageretentiondeletion": "storage_retention_deletion",
-    "datastorageretentiondeletion": "storage_retention_deletion",
-    "securityprotection": "security_protection",
-    "datasecurityprotection": "security_protection",
-}
-
-ROLE_EVENT_MAP = {
-    "data": "HAS_DATA",
-    "datacollected": "HAS_DATA",
-    "datashared": "HAS_DATA",
-    "dataretained": "HAS_DATA",
-    "purpose": "HAS_PURPOSE",
-    "purposeargument": "HAS_PURPOSE",
-    "datacollector": "PERFORMED_BY",
-    "datasharer": "PERFORMED_BY",
-    "dataholder": "PERFORMED_BY",
-    "dataprotector": "PERFORMED_BY",
-    "dataprovider": "DATA_PROVIDED_BY",
-    "datareceiver": "DATA_SHARED_WITH",
-}
+PARTY_SUBTYPE_MAP = _labels(PARTIES)
+EVENT_SUBTYPE_MAP = _labels(ACTIONS)
+ROLE_EVENT_MAP = _labels(ROLES)
+# an entity's kind: its kind label, or the label of a party subtype or of a
+# role that links a party
+ENTITY_KIND_MAP = {label: kind for kind, labels in KIND_LABELS.items() for label in labels}
+ENTITY_KIND_MAP.update((label, "party") for term in PARTIES + ROLES
+                       if term in PARTIES or term.target == "party" for label in term.brat)
 
 
 def _label(table: dict[str, str], label: str) -> Optional[str]:

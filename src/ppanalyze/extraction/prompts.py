@@ -11,7 +11,9 @@ gold view share so that predicted and gold tuples compare.
 
 The ResponseShape declared next to each prompt is the same schema the
 response parser normalizes against, so prompt text and parsing can
-never drift apart.
+never drift apart.  Its enum values and repair synonyms are read from
+the rows of `vocab`; the prompt texts name the same values as literal
+strings, because a prompt's bytes are part of its cache key.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from itertools import count
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ..textnorm import normalize_label
+from ..vocab import ACTIONS, PARTIES, ROLES, Term
 
 
 class TaskKind(str, Enum):
@@ -55,14 +58,9 @@ TASK_KIND: dict[TaskKind, str] = {
 # the span kinds in numbering order: entities (data, purpose, party), then actions
 SPAN_KINDS = tuple(TASK_KIND[task] for task in RECOGNITION_TASKS)
 
-PARTY_SUBTYPES = ("first_party", "third_party", "user")
-ACTION_SUBTYPES = (
-    "collection_use",
-    "third_party_sharing_disclosure",
-    "storage_retention_deletion",
-    "security_protection",
-)
-EVENT_TYPES = ("HAS_DATA", "HAS_PURPOSE", "PERFORMED_BY", "DATA_PROVIDED_BY", "DATA_SHARED_WITH")
+# the enum values of the party, action and relation answers, in row order
+PARTY_SUBTYPES, ACTION_SUBTYPES, EVENT_TYPES = (
+    tuple(term.name for term in terms) for terms in (PARTIES, ACTIONS, ROLES))
 
 SEGMENT_MARK = "=== SEGMENT ==="
 ENTITIES_MARK = "=== ENTITIES ==="
@@ -122,38 +120,10 @@ class ResponseShape:
                            frozenset(map(normalize_label, self.envelope_keys)))
 
 
-_PARTY_ENUM_SYNONYMS = (
-    ("firstparty", "first_party"), ("1stparty", "first_party"),
-    ("company", "first_party"), ("we", "first_party"),
-    ("thirdparty", "third_party"), ("3rdparty", "third_party"),
-    ("user", "user"), ("datasubject", "user"),
-)
-_ACTION_ENUM_SYNONYMS = (
-    ("collectionuse", "collection_use"), ("collection", "collection_use"),
-    ("collectanduse", "collection_use"), ("use", "collection_use"),
-    ("datacollection", "collection_use"),
-    ("thirdpartysharingdisclosure", "third_party_sharing_disclosure"),
-    ("sharing", "third_party_sharing_disclosure"),
-    ("sharingdisclosure", "third_party_sharing_disclosure"),
-    ("disclosure", "third_party_sharing_disclosure"),
-    ("thirdpartysharing", "third_party_sharing_disclosure"),
-    ("storageretentiondeletion", "storage_retention_deletion"),
-    ("storage", "storage_retention_deletion"),
-    ("retention", "storage_retention_deletion"),
-    ("storageretention", "storage_retention_deletion"),
-    ("securityprotection", "security_protection"),
-    ("security", "security_protection"),
-    ("protection", "security_protection"),
-)
-_EVENT_ENUM_SYNONYMS = (
-    ("hasdata", "HAS_DATA"), ("data", "HAS_DATA"),
-    ("haspurpose", "HAS_PURPOSE"), ("purpose", "HAS_PURPOSE"),
-    ("performedby", "PERFORMED_BY"), ("performer", "PERFORMED_BY"),
-    ("datacollector", "PERFORMED_BY"),
-    ("dataprovidedby", "DATA_PROVIDED_BY"), ("dataprovider", "DATA_PROVIDED_BY"),
-    ("datasharedwith", "DATA_SHARED_WITH"), ("datareceiver", "DATA_SHARED_WITH"),
-    ("recipient", "DATA_SHARED_WITH"),
-)
+def _synonyms(terms: Sequence[Term]) -> tuple[tuple[str, str], ...]:
+    """The (alias, canonical) repair pairs of vocabulary rows, in row order."""
+    return tuple((alias, term.name) for term in terms for alias in term.synonyms)
+
 
 _TEXT_FIELD = FieldSpec("text", synonyms=("entity", "span", "phrase", "value", "name"))
 _CLASSIFICATION_SHAPE = ResponseShape(
@@ -183,7 +153,7 @@ TASK_SHAPES: dict[TaskKind, ResponseShape] = {
             # without one is kept rather than dropped
             FieldSpec("subtype", synonyms=("type", "party_type", "kind", "category"),
                       required=False,
-                      enum_values=PARTY_SUBTYPES, enum_synonyms=_PARTY_ENUM_SYNONYMS),
+                      enum_values=PARTY_SUBTYPES, enum_synonyms=_synonyms(PARTIES)),
         ),
     ),
     TaskKind.ACTION_RECOGNITION: ResponseShape(
@@ -191,7 +161,7 @@ TASK_SHAPES: dict[TaskKind, ResponseShape] = {
         fields=(
             _TEXT_FIELD,
             FieldSpec("subtype", synonyms=("type", "action_type", "practice_type", "kind", "category"),
-                      enum_values=ACTION_SUBTYPES, enum_synonyms=_ACTION_ENUM_SYNONYMS),
+                      enum_values=ACTION_SUBTYPES, enum_synonyms=_synonyms(ACTIONS)),
         ),
     ),
     TaskKind.DATA_CLASSIFICATION: _CLASSIFICATION_SHAPE,
@@ -202,7 +172,7 @@ TASK_SHAPES: dict[TaskKind, ResponseShape] = {
             FieldSpec("id1", synonyms=("subject", "subject_id", "source", "from")),
             FieldSpec("id2", synonyms=("object", "object_id", "target", "to")),
             FieldSpec("type", synonyms=("event_type", "relation", "relation_type", "label"),
-                      enum_values=EVENT_TYPES, enum_synonyms=_EVENT_ENUM_SYNONYMS),
+                      enum_values=EVENT_TYPES, enum_synonyms=_synonyms(ROLES)),
         ),
     ),
 }

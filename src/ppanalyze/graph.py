@@ -16,7 +16,8 @@ and relations whose subject is not an action never enter the graph;
 each exclusion is accounted for in the build log.
 
 `policy_practices` reads practices back by `_ROLES`, the table that
-`build_graph` writes by.
+`build_graph` writes by.  That table, the practice and party classes and
+the ranking of practice classes are read from the rows of `vocab`.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .rdfio import RDF_TYPE, XSD, BNode, Graph, IRI, Literal, Object, Subject
 from .taxonomy import DPV, DPV_PD, Taxonomy
+from .vocab import ACTIONS, PARTIES, PRACTICE_CLASS, ROLES
 
 if TYPE_CHECKING:       # `stats` and `convert` read graphs and never load the pipeline
     from .extraction.pipeline import EntitySpan, ExtractionResult
@@ -39,22 +41,11 @@ POLICY = "urn:pp-analyze:policy#"
 RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 
 # classes
-DATA_PRACTICE = IRI(PPA + "DataPractice")
-DATA_COLLECTION_USE = IRI(PPA + "DataCollectionUse")
-THIRD_PARTY_SHARING = IRI(PPA + "ThirdPartySharingDisclosure")
 PRIVACY_POLICY = IRI(PPA + "PrivacyPolicy")
 SERVICE_CLASS = IRI(PPA + "Service")
-FIRST_PARTY = IRI(PPA + "FirstParty")
-THIRD_PARTY = IRI(PPA + "ThirdParty")
-USER_PARTY = IRI(PPA + "User")
 
 # predicates
 HAS_PRACTICE = IRI(PPA + "hasPractice")
-HAS_DATA = IRI(PPA + "hasData")
-HAS_PURPOSE = IRI(PPA + "hasPurpose")
-PERFORMED_BY = IRI(PPA + "performedBy")
-DATA_PROVIDED_BY = IRI(PPA + "dataProvidedBy")
-DATA_SHARED_WITH = IRI(PPA + "dataSharedWith")
 SOURCE_SEGMENT = IRI(PPA + "sourceSegment")
 SEGMENT_INDEX = IRI(PPA + "segmentIndex")
 PRACTICE_SUBTYPE = IRI(PPA + "practiceSubtype")
@@ -62,27 +53,18 @@ HAS_SERVICE = IRI(PPA + "hasService")
 TAXONOMY_VERSION = IRI(PPA + "taxonomyVersion")
 LABEL = IRI(RDFS + "label")
 
-# practice classes from least to most specific
-_SPECIFICITY = {DATA_PRACTICE: 0, THIRD_PARTY_SHARING: 1, DATA_COLLECTION_USE: 2}
-_PRACTICE_CLASS_NAMES = ("DataPractice", "ThirdPartySharingDisclosure", "DataCollectionUse")
-
-_SUBTYPE_CLASS = {
-    "collection_use": DATA_COLLECTION_USE,
-    "third_party_sharing_disclosure": THIRD_PARTY_SHARING,
-}
-_PARTY_CLASS = {
-    "first_party": FIRST_PARTY,
-    "third_party": THIRD_PARTY,
-    "user": USER_PARTY,
-}
+# the vocabulary's classes and predicates, read from the rows of `vocab`
+# practice classes from least to most specific (a class's rank is its index):
+# DataPractice, then the subtype classes in reverse row order
+PRACTICE_CLASSES = (PRACTICE_CLASS, *(term.ppa for term in reversed(ACTIONS) if term.ppa))
+_RANK = {IRI(PPA + name): rank for rank, name in enumerate(PRACTICE_CLASSES)}
+DATA_PRACTICE = IRI(PPA + PRACTICE_CLASS)
+_SUBTYPE_CLASS = {term.name: IRI(PPA + term.ppa) for term in ACTIONS if term.ppa}
+_PARTY_CLASS = {term.name: IRI(PPA + term.ppa) for term in PARTIES}
 # each relation role's predicate and the span kind its object must be
-_ROLES = {
-    "HAS_DATA": (HAS_DATA, "data"),
-    "HAS_PURPOSE": (HAS_PURPOSE, "purpose"),
-    "PERFORMED_BY": (PERFORMED_BY, "party"),
-    "DATA_PROVIDED_BY": (DATA_PROVIDED_BY, "party"),
-    "DATA_SHARED_WITH": (DATA_SHARED_WITH, "party"),
-}
+_ROLES = {term.name: (IRI(PPA + term.ppa), term.target) for term in ROLES}
+HAS_DATA = _ROLES["HAS_DATA"][0]
+HAS_PURPOSE = _ROLES["HAS_PURPOSE"][0]
 
 
 def _digest(*parts: str) -> str:
@@ -251,10 +233,10 @@ def practice_types(g: Graph) -> dict[Subject, str]:
     best: dict = {}
     for (s, p, o) in g.triples:
         if p == rdf_type:
-            rank = _SPECIFICITY.get(o)
+            rank = _RANK.get(o)
             if rank is not None and rank > best.get(s, -1):
                 best[s] = rank
-    return {s: _PRACTICE_CLASS_NAMES[rank] for s, rank in best.items()}
+    return {s: PRACTICE_CLASSES[rank] for s, rank in best.items()}
 
 
 @dataclass(frozen=True)
@@ -284,7 +266,7 @@ def policy_practices(g: Graph) -> Iterator[tuple[Subject, list[Practice]]]:
             subtypes = [o.lexical for o in g.objects(node, PRACTICE_SUBTYPE) if isinstance(o, Literal)]
             practices.append(Practice(
                 node=node, class_name=class_name,
-                type_key=subtypes[0] if subtypes and class_name == "DataPractice" else class_name,
+                type_key=subtypes[0] if subtypes and class_name == PRACTICE_CLASS else class_name,
                 data=tuple(o for o in links["HAS_DATA"] if isinstance(o, IRI)),
                 purposes=tuple(o for o in links["HAS_PURPOSE"] if isinstance(o, IRI)),
                 parties={role: tuple(links[role]) for role, (_, kind) in _ROLES.items()

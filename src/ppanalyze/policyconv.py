@@ -20,8 +20,9 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import Error
-from .graph import NODE, STANDARD_PREFIXES, Practice, _digest, policy_practices
+from .graph import NODE, PRACTICE_CLASSES, STANDARD_PREFIXES, Practice, _digest, policy_practices
 from .rdfio import RDF_TYPE, BNode, Graph, IRI, _writable_iri
+from .vocab import ACTIONS, ROLES
 
 ODRL = "http://www.w3.org/ns/odrl/2/"
 
@@ -47,16 +48,21 @@ class ConversionError(Error):
 # the psDToU entries `dtou_iri` reads
 PSDTOU_KEYS = ("namespace", "app_policy_class", "input_spec_class", "sharing_class",
                "has_input", "has_sharing", "data", "purpose", "recipient_type")
+# the keys each mapping table can match: a practice's `type_key`, and a party role
+PROFILE_KEYS = {
+    "action_map": ("practice type", {*PRACTICE_CLASSES, *(t.name for t in ACTIONS if not t.ppa)}),
+    "role_map": ("party role", {term.name for term in ROLES if term.target == "party"}),
+}
 
 
 @dataclass(frozen=True)
 class ConversionProfile:
     """Term mapping tables for formal policy output.
 
-    action_map keys are practice class local names (DataCollectionUse,
-    ThirdPartySharingDisclosure) or subtype annotations of plain
-    DataPractice nodes (storage_retention_deletion, ...).  The only data
-    identifier strategy is the data class IRI.
+    action_map keys are practice class local names (DataPractice,
+    DataCollectionUse, ...) or subtype annotations of plain DataPractice
+    nodes (storage_retention_deletion, ...), role_map keys party roles:
+    `PROFILE_KEYS`.  The only data identifier strategy is the data class IRI.
     """
     action_map: dict[str, str]
     role_map: dict[str, str]
@@ -92,6 +98,12 @@ class ConversionProfile:
     @classmethod
     def default(cls) -> "ConversionProfile":
         return cls.load(Path(__file__).parent / "data" / "profile_default.json")
+
+    def unknown_keys(self) -> list[str]:
+        """A note on each `action_map` or `role_map` key that no practice can match."""
+        return [f"{table} key {key!r} names no {what}"
+                for table, (what, valid) in PROFILE_KEYS.items()
+                for key in getattr(self, table) if key not in valid]
 
     def dtou_iri(self, key: str) -> IRI:
         return IRI(self.psdtou["namespace"] + self.psdtou[key])

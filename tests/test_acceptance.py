@@ -29,14 +29,13 @@ from ppanalyze.extraction.pipeline import (
 )
 from ppanalyze.extraction.prompts import TaskKind
 from ppanalyze.graph import (
-    DATA_COLLECTION_USE,
     DATA_PRACTICE,
     HAS_DATA,
     HAS_PRACTICE,
     HAS_PURPOSE,
     HAS_SERVICE,
+    PPA,
     PRIVACY_POLICY,
-    THIRD_PARTY_SHARING,
     build_graph,
 )
 from ppanalyze.policyconv import (
@@ -49,7 +48,8 @@ from .conftest import FIXTURES
 from .finetune_corpus import synthetic_gold_corpus
 from .oracles import brute_force_lcs_ratio, optimal_matching_credit
 
-PRACTICE_CLASSES = (DATA_PRACTICE, DATA_COLLECTION_USE, THIRD_PARTY_SHARING)
+PRACTICE_CLASSES = (DATA_PRACTICE, IRI(PPA + "DataCollectionUse"),
+                    IRI(PPA + "ThirdPartySharingDisclosure"))
 
 @contextmanager
 def criterion(name: str):

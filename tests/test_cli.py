@@ -400,6 +400,31 @@ class TestConvert:
         assert report["psdtou"]["input_specs"] == 6
         assert report["psdtou"]["sharing_entries"] == 2
 
+    def test_profile_keys_that_can_never_match_are_named(self, tmp_path, capsys):
+        # one warning line per unknown key; outputs and exit status as with
+        # the default profile, which prints no warning
+        run_analyze(tmp_path / "run")
+        graph = str(tmp_path / "run" / "policy_example.org.ttl")
+        default = json.loads((ROOT / "src" / "ppanalyze" / "data" /
+                              "profile_default.json").read_text())
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({
+            **default,
+            "action_map": {**default["action_map"], "Sharing": "urn:x:share"},
+            "role_map": {**default["role_map"], "HAS_DATA": "urn:x:data"}}))
+        capsys.readouterr()
+        assert main(["convert", graph, "--out", str(tmp_path / "default")]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        extra = [graph, "--out", str(tmp_path / "extra")]
+        assert main(["convert", *extra, "--profile", str(profile)]) == 0
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")] == [
+            f"warning: profile {profile}: action_map key 'Sharing' names no practice type",
+            f"warning: profile {profile}: role_map key 'HAS_DATA' names no party role"]
+        for name in ("policy_example.org.odrl.ttl", "policy_example.org.psdtou.ttl"):
+            assert (tmp_path / "extra" / name).read_bytes() == \
+                (tmp_path / "default" / name).read_bytes()
+
     def test_invariant_violation_fails_conversion(self, tmp_path, capsys):
         broken = tmp_path / "broken.ttl"
         broken.write_text(

@@ -14,21 +14,16 @@ from ppanalyze.extraction.pipeline import (
     SegmentExtraction,
 )
 from ppanalyze.graph import (
-    DATA_COLLECTION_USE,
     DATA_PRACTICE,
-    DATA_SHARED_WITH,
     HAS_DATA,
     HAS_PRACTICE,
     HAS_PURPOSE,
     HAS_SERVICE,
-    PERFORMED_BY,
     PPA,
     PRACTICE_SUBTYPE,
     PRIVACY_POLICY,
     SERVICE_CLASS,
     SOURCE_SEGMENT,
-    THIRD_PARTY,
-    THIRD_PARTY_SHARING,
     build_graph,
     check_invariants,
     policy_iri,
@@ -41,6 +36,11 @@ from ppanalyze.rdfio import RDF_TYPE, BNode, Graph, IRI, Literal, parse, seriali
 from .oracles import reference_check_invariants
 
 POLICY = "urn:pp-analyze:policy#test.example"
+DATA_COLLECTION_USE = IRI(PPA + "DataCollectionUse")
+THIRD_PARTY_SHARING = IRI(PPA + "ThirdPartySharingDisclosure")
+THIRD_PARTY = IRI(PPA + "ThirdParty")
+PERFORMED_BY = IRI(PPA + "performedBy")
+DATA_SHARED_WITH = IRI(PPA + "dataSharedWith")
 EMAIL = "https://w3id.org/dpv/pd#EmailAddress"
 
 

@@ -154,6 +154,20 @@ class TestOdrl:
         assert {p.value for p, _ in out.predicate_objects(perm)} == {
             RDF_TYPE, ODRL + "action", ODRL + "target", "urn:x:performer", "urn:x:recipient"}
 
+    def test_unknown_keys_name_what_no_practice_can_match(self):
+        default = ConversionProfile.default()
+        assert default.unknown_keys() == []
+        profile = ConversionProfile({
+            "DataPractice": "urn:x:a", "storage_retention_deletion": "urn:x:b",
+            "collection_use": "urn:x:c", "ThirdParty": "urn:x:d"}, {
+            "PERFORMED_BY": "urn:x:e", "HAS_DATA": "urn:x:f", "recipient": "urn:x:g"},
+            default.psdtou)
+        assert profile.unknown_keys() == [
+            "action_map key 'collection_use' names no practice type",
+            "action_map key 'ThirdParty' names no practice type",
+            "role_map key 'HAS_DATA' names no party role",
+            "role_map key 'recipient' names no party role"]
+
     def test_emitted_iris_exist_in_source(self):
         g = single_practice_graph(data=(EMAIL, LOCATION))
         out, _ = to_odrl(g)
