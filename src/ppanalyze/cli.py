@@ -408,7 +408,7 @@ def _read_graph_file(path: str) -> rdfio.Graph:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    from .policyconv import ConversionProfile, to_odrl, to_psdtou
+    from .policyconv import ConversionProfile, convert
     config = resolve_config(args)
     _refuse_shared_stems(args.graphs)
     profile = ConversionProfile.load(args.profile) if args.profile else ConversionProfile.default()
@@ -430,8 +430,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
             failures += 1
             continue
         stem = Path(path).stem
-        odrl_graph, odrl_report = to_odrl(g, profile)
-        dtou_graph, dtou_report = to_psdtou(g, profile)
+        (odrl_graph, odrl_report), (dtou_graph, dtou_report) = convert(g, profile)
         (out_dir / f"{stem}.odrl.ttl").write_bytes(rdfio.serialize(odrl_graph, "turtle"))
         (out_dir / f"{stem}.psdtou.ttl").write_bytes(rdfio.serialize(dtou_graph, "turtle"))
         report = {"odrl": odrl_report.to_dict(), "psdtou": dtou_report.to_dict()}

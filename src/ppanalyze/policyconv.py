@@ -9,8 +9,9 @@ data links becomes one permission per data class, each carrying all of
 the practice's purpose constraints.  Practices without data links, and
 practice types without an action mapping, are skipped and reported,
 never silently dropped; a policy with none left gets no ODRL Set.  Data
-is identified by its class IRI.  Practices are read through
-`graph.policy_practices`.
+is identified by its class IRI.  `convert` reads each graph's practices
+once, through `graph.policy_practices`, and writes both formats from
+that one walk.
 """
 from __future__ import annotations
 
@@ -127,104 +128,94 @@ class ConversionReport:
         }
 
 
-def to_odrl(g: Graph,
-            profile: Optional[ConversionProfile] = None) -> tuple[Graph, ConversionReport]:
-    """Build one ODRL policy set per PrivacyPolicy node in the graph."""
-    profile = profile or ConversionProfile.default()
-    out = Graph()
-    out.bind("odrl", ODRL)
-    for prefix in _SOURCE_PREFIXES:
-        out.bind(prefix, STANDARD_PREFIXES[prefix])
-    report = ConversionReport()
+Converted = tuple[Graph, ConversionReport]
+
+
+def convert(g: Graph, profile: ConversionProfile) -> tuple[Converted, Converted]:
+    """The ODRL graph and the psDToU graph of `g`, each with its report.
+
+    One walk over `policy_practices(g)` writes, per PrivacyPolicy node, an
+    ODRL policy set (one permission per mapped practice and data class)
+    and a psDToU app policy: one input spec per distinct data class used
+    by any practice, carrying the purposes of the practices using it, and
+    one sharing entry (recipient party type plus shared data) per sharing
+    practice.
+    """
+    source = {prefix: STANDARD_PREFIXES[prefix] for prefix in _SOURCE_PREFIXES}
+    odrl = Graph(prefixes={"odrl": ODRL, **source})
+    dtou = Graph(prefixes={"dtou": profile.psdtou["namespace"], **source})
+    odrl_report, dtou_report = ConversionReport(), ConversionReport()
+    rdf_type = IRI(RDF_TYPE)
 
     for policy, practices in policy_practices(g):
         policy_set = IRI(NODE + "odrl-" + _digest(str(policy)))
+        app = IRI(NODE + "dtou-" + _digest(str(policy)))
+        dtou.add(app, rdf_type, profile.dtou_iri("app_policy_class"))
+        by_data: dict[str, list[Practice]] = {}
         for practice in practices:
+            for data_iri in practice.data:
+                by_data.setdefault(data_iri.value, []).append(practice)
+            shared = practice.class_name == "ThirdPartySharingDisclosure"
+            if shared:
+                snode = BNode("sharing-" + _digest(str(app), str(practice.node)))
+                dtou_report.sharing_entries += 1
+                dtou.add(app, profile.dtou_iri("has_sharing"), snode)
+                dtou.add(snode, rdf_type, profile.dtou_iri("sharing_class"))
+                for party in practice.parties["DATA_SHARED_WITH"]:
+                    for party_type in g.objects(party, rdf_type):
+                        dtou.add(snode, profile.dtou_iri("recipient_type"), party_type)
+                for data_iri in practice.data:
+                    dtou.add(snode, profile.dtou_iri("data"), data_iri)
+            if not practice.data:
+                dtou_report.skipped_practices.append(f"{practice.node!r}: no data links")
+
             action = profile.action_map.get(practice.type_key)
-            if action is None:
-                report.unmapped_types.append(practice.type_key)
-                report.skipped_practices.append(f"{practice.node!r}: unmapped type {practice.type_key}")
+            if action is None:      # for ODRL only unmapped, data links or not
+                odrl_report.unmapped_types.append(practice.type_key)
+                odrl_report.skipped_practices.append(
+                    f"{practice.node!r}: unmapped type {practice.type_key}")
                 continue
             if not practice.data:
-                report.skipped_practices.append(f"{practice.node!r}: no data links")
+                odrl_report.skipped_practices.append(f"{practice.node!r}: no data links")
                 continue
             for data_iri in practice.data:
                 perm = BNode("perm-" + _digest(str(practice.node), data_iri.value))
-                report.permissions += 1
-                out.add(policy_set, IRI(RDF_TYPE), ODRL_SET)    # with its rules, so no Set is empty
-                out.add(policy_set, ODRL_PERMISSION, perm)
-                out.add(perm, IRI(RDF_TYPE), ODRL_PERMISSION_CLASS)
-                out.add(perm, ODRL_ACTION, IRI(action))
-                out.add(perm, ODRL_TARGET, data_iri)
+                odrl_report.permissions += 1
+                odrl.add(policy_set, rdf_type, ODRL_SET)    # with its rules, so no Set is empty
+                odrl.add(policy_set, ODRL_PERMISSION, perm)
+                odrl.add(perm, rdf_type, ODRL_PERMISSION_CLASS)
+                odrl.add(perm, ODRL_ACTION, IRI(action))
+                odrl.add(perm, ODRL_TARGET, data_iri)
                 for purpose in practice.purposes:
                     cnode = BNode("constraint-" + _digest(str(practice.node), data_iri.value, purpose.value))
-                    out.add(perm, ODRL_CONSTRAINT, cnode)
-                    out.add(cnode, ODRL_LEFT_OPERAND, ODRL_OPERAND_PURPOSE)
-                    out.add(cnode, ODRL_OPERATOR, ODRL_IS_A)
-                    out.add(cnode, ODRL_RIGHT_OPERAND, purpose)
-                shared = practice.class_name == "ThirdPartySharingDisclosure"
+                    odrl.add(perm, ODRL_CONSTRAINT, cnode)
+                    odrl.add(cnode, ODRL_LEFT_OPERAND, ODRL_OPERAND_PURPOSE)
+                    odrl.add(cnode, ODRL_OPERATOR, ODRL_IS_A)
+                    odrl.add(cnode, ODRL_RIGHT_OPERAND, purpose)
                 for role, parties in practice.parties.items():
                     role_iri = profile.role_map.get(role)
                     if role_iri and (shared or role != "DATA_SHARED_WITH"):
                         for party in parties:
-                            out.add(perm, IRI(role_iri), party)
-                            _copy_party(g, out, party)
-    return out, report
-
-
-def _copy_party(source: Graph, out: Graph, party) -> None:
-    for p, o in source.predicate_objects(party):
-        out.add(party, p, o)
-
-
-def to_psdtou(g: Graph,
-              profile: Optional[ConversionProfile] = None) -> tuple[Graph, ConversionReport]:
-    """Build one psDToU app policy per PrivacyPolicy node.
-
-    The app policy declares one input spec per distinct data class used
-    by any practice, attaches the purposes of the practices using each
-    class, and one sharing entry (recipient party type plus shared data)
-    per sharing practice.
-    """
-    profile = profile or ConversionProfile.default()
-    out = Graph()
-    out.bind("dtou", profile.psdtou["namespace"])
-    for prefix in _SOURCE_PREFIXES:
-        out.bind(prefix, STANDARD_PREFIXES[prefix])
-    report = ConversionReport()
-
-    rdf_type = IRI(RDF_TYPE)
-    for policy, practices in policy_practices(g):
-        app = IRI(NODE + "dtou-" + _digest(str(policy)))
-        out.add(app, rdf_type, profile.dtou_iri("app_policy_class"))
-
-        by_data: dict[str, list[Practice]] = {}
-        for practice in practices:
-            if not practice.data:
-                report.skipped_practices.append(f"{practice.node!r}: no data links")
-            for data_iri in practice.data:
-                by_data.setdefault(data_iri.value, []).append(practice)
+                            odrl.add(perm, IRI(role_iri), party)
+                            for p, o in g.predicate_objects(party):
+                                odrl.add(party, p, o)
 
         for data_value in sorted(by_data):
             ispec = BNode("input-" + _digest(str(app), data_value))
-            report.input_specs += 1
-            out.add(app, profile.dtou_iri("has_input"), ispec)
-            out.add(ispec, rdf_type, profile.dtou_iri("input_spec_class"))
-            out.add(ispec, profile.dtou_iri("data"), IRI(data_value))
+            dtou_report.input_specs += 1
+            dtou.add(app, profile.dtou_iri("has_input"), ispec)
+            dtou.add(ispec, rdf_type, profile.dtou_iri("input_spec_class"))
+            dtou.add(ispec, profile.dtou_iri("data"), IRI(data_value))
             for practice in by_data[data_value]:
                 for purpose in practice.purposes:
-                    out.add(ispec, profile.dtou_iri("purpose"), purpose)
+                    dtou.add(ispec, profile.dtou_iri("purpose"), purpose)
+    return (odrl, odrl_report), (dtou, dtou_report)
 
-        for practice in practices:
-            if practice.class_name != "ThirdPartySharingDisclosure":
-                continue
-            snode = BNode("sharing-" + _digest(str(app), str(practice.node)))
-            report.sharing_entries += 1
-            out.add(app, profile.dtou_iri("has_sharing"), snode)
-            out.add(snode, rdf_type, profile.dtou_iri("sharing_class"))
-            for party in practice.parties["DATA_SHARED_WITH"]:
-                for party_type in g.objects(party, rdf_type):
-                    out.add(snode, profile.dtou_iri("recipient_type"), party_type)
-            for data_iri in practice.data:
-                out.add(snode, profile.dtou_iri("data"), data_iri)
-    return out, report
+
+# views of `convert` kept for the tests and `perfbench/layers.py`
+def to_odrl(g: Graph, profile: Optional[ConversionProfile] = None) -> Converted:
+    return convert(g, profile or ConversionProfile.default())[0]
+
+
+def to_psdtou(g: Graph, profile: Optional[ConversionProfile] = None) -> Converted:
+    return convert(g, profile or ConversionProfile.default())[1]

@@ -426,7 +426,7 @@ def _resolve_reference(base: str, reference: str) -> str:
 def parse_turtle(data: Union[str, bytes]) -> Graph:
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")     # one leading byte-order mark is skipped
         except UnicodeDecodeError as exc:
             raise RdfError(f"not valid UTF-8: {exc}") from None
     kinds, texts = _tokenize(data)

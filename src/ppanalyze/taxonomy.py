@@ -282,7 +282,7 @@ def load_taxonomy(path: Union[str, Path]) -> Taxonomy:
     if not p.exists():
         raise TaxonomyError(f"taxonomy file not found: {p}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")     # one leading byte-order mark is skipped
     except OSError as exc:
         raise TaxonomyError(f"cannot read taxonomy file {p}: {exc}") from exc
     except UnicodeDecodeError as exc:

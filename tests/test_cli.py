@@ -464,6 +464,37 @@ class TestConvert:
             "policy_example.org.conversion.json", "policy_example.org.odrl.ttl",
             "policy_example.org.psdtou.ttl"]
 
+    def test_each_graph_is_read_once(self, tmp_path, monkeypatch):
+        # both formats come from one walk over each graph's practices
+        import ppanalyze.policyconv as policyconv
+        run_analyze(tmp_path / "run")
+        first = tmp_path / "run" / "policy_example.org.ttl"
+        second = tmp_path / "second.ttl"
+        second.write_bytes(first.read_bytes())
+        calls = []
+        read = policyconv.policy_practices
+        monkeypatch.setattr(policyconv, "policy_practices", lambda g: calls.append(1) or read(g))
+        assert main(["convert", str(first), str(second), "--out", str(tmp_path / "conv")]) == 0
+        assert len(calls) == 2
+
+    def test_graph_with_a_byte_order_mark(self, tmp_path, capsys):
+        # `convert` and `stats` skip one leading BOM and write what they
+        # write for the graph without it
+        run_analyze(tmp_path / "run")
+        plain = tmp_path / "run" / "policy_example.org.ttl"
+        marked = tmp_path / "marked" / plain.name
+        marked.parent.mkdir()
+        marked.write_bytes("\ufeff".encode("utf-8") + plain.read_bytes())
+        for name, graph in (("plain", plain), ("marked", marked)):
+            assert main(["convert", str(graph), "--out", str(tmp_path / name / "conv")]) == 0
+            assert main(["stats", str(graph), "--out", str(tmp_path / name / "stats")]) == 0
+        for sub in ("conv", "stats"):
+            files = sorted(path.name for path in (tmp_path / "plain" / sub).iterdir())
+            assert files == sorted(path.name for path in (tmp_path / "marked" / sub).iterdir())
+            for name in files:
+                assert (tmp_path / "marked" / sub / name).read_bytes() == \
+                    (tmp_path / "plain" / sub / name).read_bytes(), name
+
 
 class TestRecord:
     """`--record` serves cache hits and asks the model only on a miss."""

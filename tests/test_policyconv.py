@@ -28,6 +28,7 @@ from ppanalyze.policyconv import (
     ODRL_TARGET,
     ConversionError,
     ConversionProfile,
+    convert,
     to_odrl,
     to_psdtou,
 )
@@ -249,6 +250,34 @@ def seg0_spans():
 def seg0_relations():
     return [RelationTuple("a0", "e0", "HAS_DATA"),
             RelationTuple("a0", "e1", "HAS_PURPOSE")]
+
+
+class TestConvert:
+    def test_each_format_keeps_its_skip_rules(self):
+        # an unmapped practice without data links is, for ODRL, only
+        # unmapped and, for psDToU, only without data links; a sharing
+        # practice without a recipient still gets its sharing entry
+        unmapped = [EntitySpan("a0", "action", "keep", 0, subtype="storage_retention_deletion"),
+                    EntitySpan("e0", "purpose", "security", 0, grounded_term=MARKETING)]
+        shared = [EntitySpan("a0", "action", "share", 1, subtype="third_party_sharing_disclosure"),
+                  EntitySpan("e0", "data", "email", 1, grounded_term=EMAIL)]
+        g = build_graph(result_with([(unmapped, [RelationTuple("a0", "e0", "HAS_PURPOSE")]),
+                                     (shared, [RelationTuple("a0", "e0", "HAS_DATA")])]),
+                        "test.example", POLICY, "v").triples
+        node = "<urn:pp-analyze:node#practice-ff523dc978f0ebd5>"
+        assert practice_types(g)[IRI(node[1:-1])] == "DataPractice"
+        profile = ConversionProfile.default()
+        (_, odrl_report), (dtou, dtou_report) = convert(g, profile)
+        assert odrl_report.to_dict() == {
+            "permissions": 1, "input_specs": 0, "sharing_entries": 0,
+            "unmapped_types": ["storage_retention_deletion"],
+            "skipped_practices": [f"{node}: unmapped type storage_retention_deletion"]}
+        assert dtou_report.to_dict() == {
+            "permissions": 0, "input_specs": 1, "sharing_entries": 1, "unmapped_types": [],
+            "skipped_practices": [f"{node}: no data links"]}
+        (snode,) = dtou.subjects_of_type(profile.dtou_iri("sharing_class"))
+        assert dtou.objects(snode, profile.dtou_iri("data")) == [IRI(EMAIL)]
+        assert dtou.objects(snode, profile.dtou_iri("recipient_type")) == []
 
 
 class TestProfile:

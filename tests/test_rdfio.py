@@ -19,6 +19,7 @@ from ppanalyze.rdfio import (
     RdfError,
     join_turtle,
     parse,
+    parse_turtle,
     serialize,
     turtle_blocks,
     turtle_header,
@@ -414,6 +415,14 @@ def test_escape_heavy_literals_round_trip(texts):
 def test_numeric_escapes_are_unescaped():
     g = parse('<urn:s> <urn:p> "caf\\u00e9 \\U0001F600\\tend" .', "turtle")
     assert g.objects(IRI("urn:s"), IRI("urn:p")) == [Literal("caf\u00e9 \U0001F600\tend")]
+
+
+def test_one_leading_byte_order_mark_is_skipped():
+    data = '@prefix x: <urn:x#> .\nx:s x:p "caf\u00e9" .\n'.encode("utf-8")
+    bom = "\ufeff".encode("utf-8")
+    assert parse_turtle(bom + data) == parse_turtle(data)
+    with pytest.raises(RdfError):
+        parse_turtle(bom + bom + data)
 
 
 # -- terms against the frozen-dataclass reference --

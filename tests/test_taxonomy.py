@@ -140,6 +140,24 @@ class TestFormatWithoutSuffix:
         assert sorted(named.nodes) == [DPV + "Marketing", DPV + "Purpose"]
 
 
+class TestByteOrderMark:
+    """A file that opens with a UTF-8 byte-order mark loads as it would without."""
+
+    def test_tsv_snapshot(self, tmp_path):
+        plain = default_snapshot_path()
+        p = tmp_path / "snapshot.tsv"
+        p.write_bytes("\ufeff".encode("utf-8") + plain.read_bytes())
+        tax, expected = load_taxonomy(p), load_taxonomy(plain)
+        assert (tax.version, tax.nodes) == (expected.version, expected.nodes)
+
+    def test_turtle(self, tmp_path):
+        p = tmp_path / "tax.ttl"
+        p.write_text("\ufeff" + TestLoadRdf.TTL.lstrip(), encoding="utf-8")
+        tax = load_taxonomy(p)
+        assert tax.version == "2.0-test"
+        assert sorted(tax.nodes) == [DPV + "Advertising", DPV + "Marketing", DPV + "Purpose"]
+
+
 class TestLoadErrors:
     """Each taxonomy that cannot be loaded ends in one `TaxonomyError`."""
 
