@@ -15,9 +15,13 @@ non-verbatim spans, links to a span of a kind their role does not take
 and relations whose subject is not an action never enter the graph;
 each exclusion is accounted for in the build log.
 
-`policy_practices` reads practices back by `_ROLES`, the table that
-`build_graph` writes by.  That table, the practice and party classes and
-the ranking of practice classes are read from the rows of `vocab`.
+Each reader takes one pass over a graph: `check_invariants` and
+`policy_practices` walk its subject index (`Graph.by_subject`, term
+order); `stats` scans its triples and builds no index.  All three take a
+node's practice class by one rule, `_practice_class`: DataCollectionUse
+over ThirdPartySharingDisclosure over DataPractice.  `policy_practices`
+reads links by `_ROLES`, the table that `build_graph` writes by.  That
+table and the practice and party classes come from the rows of `vocab`.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ PRIVACY_POLICY = IRI(PPA + "PrivacyPolicy")
 SERVICE_CLASS = IRI(PPA + "Service")
 
 # predicates
+_TYPE = IRI(RDF_TYPE)
 HAS_PRACTICE = IRI(PPA + "hasPractice")
 SOURCE_SEGMENT = IRI(PPA + "sourceSegment")
 SEGMENT_INDEX = IRI(PPA + "segmentIndex")
@@ -54,10 +59,10 @@ TAXONOMY_VERSION = IRI(PPA + "taxonomyVersion")
 LABEL = IRI(RDFS + "label")
 
 # the vocabulary's classes and predicates, read from the rows of `vocab`
-# practice classes from least to most specific (a class's rank is its index):
-# DataPractice, then the subtype classes in reverse row order
+# practice classes from least to most specific: DataPractice, then the
+# subtype classes in reverse row order
 PRACTICE_CLASSES = (PRACTICE_CLASS, *(term.ppa for term in reversed(ACTIONS) if term.ppa))
-_RANK = {IRI(PPA + name): rank for rank, name in enumerate(PRACTICE_CLASSES)}
+_CLASS_NAMES = {IRI(PPA + name): name for name in reversed(PRACTICE_CLASSES)}   # most specific first
 DATA_PRACTICE = IRI(PPA + PRACTICE_CLASS)
 _SUBTYPE_CLASS = {term.name: IRI(PPA + term.ppa) for term in ACTIONS if term.ppa}
 _PARTY_CLASS = {term.name: IRI(PPA + term.ppa) for term in PARTIES}
@@ -142,10 +147,10 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
 
     policy = IRI(policy_uri)
     service = service_iri(service_id)
-    g.add(policy, IRI(RDF_TYPE), PRIVACY_POLICY)
+    g.add(policy, _TYPE, PRIVACY_POLICY)
     g.add(policy, HAS_SERVICE, service)
     g.add(policy, TAXONOMY_VERSION, Literal(taxonomy_version))
-    g.add(service, IRI(RDF_TYPE), SERVICE_CLASS)
+    g.add(service, _TYPE, SERVICE_CLASS)
     g.add(service, LABEL, Literal(service_id))
 
     practices = 0
@@ -163,7 +168,7 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
             if span.local_id not in party_nodes:
                 node = BNode("party-" + _digest(policy_uri, str(seg.segment_index), span.local_id))
                 party_nodes[span.local_id] = node
-                g.add(node, IRI(RDF_TYPE), _PARTY_CLASS[span.subtype])
+                g.add(node, _TYPE, _PARTY_CLASS[span.subtype])
                 g.add(node, LABEL, Literal(span.text))
             return party_nodes[span.local_id]
 
@@ -177,7 +182,7 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                 continue
             practice = IRI(NODE + "practice-" + _digest(policy_uri, str(seg.segment_index), str(ordinal)))
             practice_class = _SUBTYPE_CLASS.get(action.subtype or "", DATA_PRACTICE)
-            g.add(practice, IRI(RDF_TYPE), practice_class)
+            g.add(practice, _TYPE, practice_class)
             if practice_class is DATA_PRACTICE and action.subtype:
                 g.add(practice, PRACTICE_SUBTYPE, Literal(action.subtype))
             g.add(practice, SOURCE_SEGMENT, Literal(seg.segment_text))
@@ -196,15 +201,15 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                              f"skipped (non-verbatim {target.text!r})")
                     continue
                 predicate, kind = _ROLES[rel.event_type]
-                if kind != "party" and target.grounded_term is None:
-                    log.skipped_ungrounded += 1
-                    log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
-                             f"{target.local_id} skipped (ungrounded {target.text!r})")
-                    continue
                 if target.kind != kind:
                     log.dropped_tuples += 1
                     log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
                              f"{target.local_id} skipped ({target.kind} span {target.text!r})")
+                    continue
+                if kind != "party" and target.grounded_term is None:
+                    log.skipped_ungrounded += 1
+                    log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
+                             f"{target.local_id} skipped (ungrounded {target.text!r})")
                     continue
                 node = party_node(target) if kind == "party" else IRI(target.grounded_term)
                 if node is not None:
@@ -222,21 +227,10 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
 
 # -- reading practices --
 
-def practice_types(g: Graph) -> dict[Subject, str]:
-    """Map each practice node to the local name of its most specific class.
-
-    One scan of the triples that builds no lookup index.  A node typed with
-    several practice classes takes DataCollectionUse over
-    ThirdPartySharingDisclosure over plain DataPractice.
-    """
-    rdf_type = IRI(RDF_TYPE)
-    best: dict = {}
-    for (s, p, o) in g.triples:
-        if p == rdf_type:
-            rank = _RANK.get(o)
-            if rank is not None and rank > best.get(s, -1):
-                best[s] = rank
-    return {s: PRACTICE_CLASSES[rank] for s, rank in best.items()}
+def _practice_class(types: Sequence[Object]) -> Optional[str]:
+    """The local name of the most specific practice class among a node's
+    `rdf:type` objects, or None if it has none."""
+    return next((name for iri, name in _CLASS_NAMES.items() if iri in types), None)
 
 
 @dataclass(frozen=True)
@@ -255,22 +249,22 @@ def policy_practices(g: Graph) -> Iterator[tuple[Subject, list[Practice]]]:
 
     Untyped `hasPractice` objects and literal data or purpose objects are left out.
     """
-    types = practice_types(g)
+    index = g.by_subject()
     for policy in sorted(g.subjects_of_type(PRIVACY_POLICY), key=str):
         practices = []
-        for node in sorted(g.objects(policy, HAS_PRACTICE), key=str):
-            class_name = types.get(node)
+        for node in sorted(index[policy].get(HAS_PRACTICE, ()), key=str):
+            links = index.get(node, {})
+            class_name = _practice_class(links.get(_TYPE, ()))
             if class_name is None:
                 continue
-            links = {role: g.objects(node, predicate) for role, (predicate, _) in _ROLES.items()}
-            subtypes = [o.lexical for o in g.objects(node, PRACTICE_SUBTYPE) if isinstance(o, Literal)]
+            subtypes = [o.lexical for o in links.get(PRACTICE_SUBTYPE, ()) if isinstance(o, Literal)]
             practices.append(Practice(
                 node=node, class_name=class_name,
                 type_key=subtypes[0] if subtypes and class_name == PRACTICE_CLASS else class_name,
-                data=tuple(o for o in links["HAS_DATA"] if isinstance(o, IRI)),
-                purposes=tuple(o for o in links["HAS_PURPOSE"] if isinstance(o, IRI)),
-                parties={role: tuple(links[role]) for role, (_, kind) in _ROLES.items()
-                         if kind == "party"},
+                data=tuple(o for o in links.get(HAS_DATA, ()) if isinstance(o, IRI)),
+                purposes=tuple(o for o in links.get(HAS_PURPOSE, ()) if isinstance(o, IRI)),
+                parties={role: tuple(links.get(predicate, ()))
+                         for role, (predicate, kind) in _ROLES.items() if kind == "party"},
             ))
         yield policy, practices
 
@@ -278,33 +272,39 @@ def policy_practices(g: Graph) -> Iterator[tuple[Subject, list[Practice]]]:
 # -- invariant checking --
 
 def check_invariants(g: Graph, taxonomy: Optional[Taxonomy] = None) -> list[str]:
-    """The invariant violations, in term order (empty list = graph is sound)."""
-    problems: list[str] = []
+    """The invariant violations (empty list = graph is sound): of the
+    practices, then of the policies, each in term order; then of the data
+    and the purpose links, each in (subject, object) term order.  One walk
+    of the subject index gives them all."""
+    owners: Counter = Counter()
+    practices: list[tuple[Subject, int]] = []       # (practice, its source segments)
+    policy_problems: list[str] = []
+    link_problems: dict[str, list[str]] = {"data": [], "purpose": []}
+    for s, by_pred in g.by_subject().items():
+        owners.update(by_pred.get(HAS_PRACTICE, ()))
+        types = by_pred.get(_TYPE, ())
+        if _practice_class(types):
+            practices.append((s, len(by_pred.get(SOURCE_SEGMENT, ()))))
+        if PRIVACY_POLICY in types:
+            services = len(by_pred.get(HAS_SERVICE, ()))
+            if services != 1:
+                policy_problems.append(f"{s!r}: links to {services} services (want 1)")
+        if taxonomy is not None:
+            for predicate, kind in ((HAS_DATA, "data"), (HAS_PURPOSE, "purpose")):
+                for o in by_pred.get(predicate, ()):
+                    node = taxonomy.nodes.get(o.value) if isinstance(o, IRI) else None
+                    if node is None:
+                        link_problems[kind].append(f"{s!r}: {kind} object {o!r} not in taxonomy")
+                    elif node.kind != kind:
+                        link_problems[kind].append(f"{s!r}: {o!r} is not a {kind} term")
 
-    owners = Counter(o for (_, p, o) in g.triples if p == HAS_PRACTICE)
-    for practice in sorted(practice_types(g)):
-        segments = g.objects(practice, SOURCE_SEGMENT)
-        if len(segments) != 1:
-            problems.append(f"{practice!r}: {len(segments)} source segment literals (want 1)")
+    problems: list[str] = []
+    for practice, segments in practices:
+        if segments != 1:
+            problems.append(f"{practice!r}: {segments} source segment literals (want 1)")
         if owners[practice] != 1:
             problems.append(f"{practice!r}: belongs to {owners[practice]} policies (want 1)")
-    for policy in sorted(g.subjects_of_type(PRIVACY_POLICY)):
-        services = g.objects(policy, HAS_SERVICE)
-        if len(services) != 1:
-            problems.append(f"{policy!r}: links to {len(services)} services (want 1)")
-
-    if taxonomy is not None:
-        for predicate, kind in ((HAS_DATA, "data"), (HAS_PURPOSE, "purpose")):
-            # (subject, object, problem): the set is walked in hash order
-            bad = []
-            for (s, p, o) in g.triples:
-                if p == predicate:
-                    if not isinstance(o, IRI) or o.value not in taxonomy.nodes:
-                        bad.append((s, o, f"{s!r}: {kind} object {o!r} not in taxonomy"))
-                    elif taxonomy.nodes[o.value].kind != kind:
-                        bad.append((s, o, f"{s!r}: {o!r} is not a {kind} term"))
-            problems.extend(problem for _, _, problem in sorted(bad))
-    return problems
+    return problems + policy_problems + link_problems["data"] + link_problems["purpose"]
 
 
 # -- corpus statistics --
@@ -355,47 +355,37 @@ class GraphStats:
         }
 
     def to_tsv(self, top_k: int = 10) -> str:
-        lines = [
-            f"triples\t{self.triple_count}",
-            f"practices\t{self.practice_count}",
-        ]
-        for name, count in sorted(self.practice_type_counts.items()):
-            lines.append(f"practices[{name}]\t{count}")
-        lines.append(f"data_classes\t{self.distinct_data_classes}")
-        lines.append(f"data_mentions\t{self.data_mentions}")
-        lines.append(f"purpose_classes\t{self.distinct_purpose_classes}")
-        lines.append(f"purpose_mentions\t{self.purpose_mentions}")
-        for iri, count in self.top_classes("data", top_k):
-            lines.append(f"top_data\t{iri}\t{count}")
-        for iri, count in self.top_classes("purpose", top_k):
-            lines.append(f"top_purpose\t{iri}\t{count}")
+        """The rows of `to_dict`, one tab-separated line each."""
+        d = self.to_dict(top_k)
+        lines = [f"triples\t{d['triple_count']}", f"practices\t{d['practice_count']}",
+                 *(f"practices[{name}]\t{count}" for name, count in d["practice_type_counts"].items())]
+        for which in ("data", "purpose"):
+            lines += [f"{which}_classes\t{d[which]['distinct_classes']}",
+                      f"{which}_mentions\t{d[which]['mentions']}"]
+        for which in ("data", "purpose"):
+            lines += [f"top_{which}\t{iri}\t{count}" for iri, count in d[which]["top"]]
         return "\n".join(lines) + "\n"
 
 
 def stats(graphs: Sequence[Graph]) -> GraphStats:
-    """Aggregate statistics over any number of practice graphs."""
-    triple_count = 0
-    practice_type_counts: dict[str, int] = {}
-    practice_count = 0
-    data_mentions: dict[str, int] = {}
-    purpose_mentions: dict[str, int] = {}
-
+    """Aggregate statistics over any number of practice graphs, from one
+    scan of each graph's triples."""
+    practice_type_counts: Counter = Counter()
+    mentions = {HAS_DATA: Counter(), HAS_PURPOSE: Counter()}
     for g in graphs:
-        triple_count += len(g)
-        types = practice_types(g)
-        practice_count += len(types)
-        for name in types.values():
-            practice_type_counts[name] = practice_type_counts.get(name, 0) + 1
+        types: dict[Subject, list[IRI]] = {}    # practice node -> its practice classes
         for (s, p, o) in g.triples:
-            if p == HAS_DATA and isinstance(o, IRI):
-                data_mentions[o.value] = data_mentions.get(o.value, 0) + 1
-            elif p == HAS_PURPOSE and isinstance(o, IRI):
-                purpose_mentions[o.value] = purpose_mentions.get(o.value, 0) + 1
+            if p == _TYPE:
+                if o in _CLASS_NAMES:
+                    types.setdefault(s, []).append(o)
+            elif p in mentions and isinstance(o, IRI):
+                mentions[p][o.value] += 1
+        practice_type_counts.update(map(_practice_class, types.values()))
 
     return GraphStats(
-        triple_count=triple_count,
-        practice_count=practice_count,
+        triple_count=sum(map(len, graphs)),
+        practice_count=sum(practice_type_counts.values()),
         practice_type_counts=practice_type_counts,
-        data_class_mentions=data_mentions,
-        purpose_class_mentions=purpose_mentions,
+        data_class_mentions=mentions[HAS_DATA],
+        purpose_class_mentions=mentions[HAS_PURPOSE],
     )

@@ -20,13 +20,14 @@ nodes, then literals.  The tag keeps an IRI, a blank node and a literal
 with one string apart.  A term equals the plain tuple of its items, so a
 graph must hold terms only, never plain tuples.
 
-Lookups on a `Graph` go through one lazy index, subject -> predicate ->
-objects, built whole on the first lookup.  Every `add` or `update` drops
-it, so a graph that is built first and queried afterwards pays for the
-build once.  The index is filled from the sorted triples, so its
-subjects, predicates and objects come out in term order and the
-serializers sort nothing again.  It relies on one rule: `Graph.triples`
-is changed only through `add` and `update`, never directly.
+Lookups on a `Graph` go through one lazy index, `Graph.by_subject()`:
+subject -> predicate -> objects, built whole on the first lookup.  Every
+`add` or `update` drops it, so a graph that is built first and queried
+afterwards pays for the build once.  The index is filled from the sorted
+triples, so its subjects, predicates and objects come out in term order
+and the serializers and the practice-graph readers sort nothing again.
+It relies on two rules: `Graph.triples` is changed only through `add`
+and `update`, never directly, and callers read the index, never change it.
 """
 from __future__ import annotations
 
@@ -147,7 +148,11 @@ class Graph:
         for k, v in other.prefixes.items():
             self.prefixes.setdefault(k, v)
 
-    def _by_subject(self) -> dict:
+    def by_subject(self) -> dict[Subject, dict[IRI, list[Object]]]:
+        """The index subject -> predicate -> objects, all in term order.
+
+        Shared, not copied: read it, never change it.
+        """
         if self._spo is None:
             # filled in term order, so that its keys and lists are sorted
             spo: dict = {}
@@ -158,25 +163,20 @@ class Graph:
 
     def subjects_of_type(self, type_iri: IRI) -> set[Subject]:
         rdf_type = IRI(RDF_TYPE)
-        return {s for s, by_pred in self._by_subject().items()
+        return {s for s, by_pred in self.by_subject().items()
                 if type_iri in by_pred.get(rdf_type, ())}
 
     def objects(self, subject: Subject, predicate: IRI) -> list[Object]:
-        return list(self._by_subject().get(subject, {}).get(predicate, ()))
+        return list(self.by_subject().get(subject, {}).get(predicate, ()))
 
     def predicate_objects(self, subject: Subject) -> Iterator[tuple[IRI, Object]]:
         """Every (predicate, object) pair of one subject, in term order."""
-        for p, objs in self._by_subject().get(subject, {}).items():
+        for p, objs in self.by_subject().get(subject, {}).items():
             for o in objs:
                 yield p, o
 
     def sorted_triples(self) -> list[Triple]:
         return sorted(self.triples)
-
-    def _sorted_subjects(self) -> Iterator[tuple[Subject, list[tuple[IRI, list[Object]]]]]:
-        """Each subject with its predicates and their objects, all in term order."""
-        for s, by_pred in self._by_subject().items():
-            yield s, list(by_pred.items())
 
 
 # -- serialization --
@@ -225,9 +225,9 @@ class _Formats(dict):
 def serialize_ntriples(graph: Graph) -> bytes:
     fmt = _Formats({}).__getitem__
     lines = []
-    for s, pred_objs in graph._sorted_subjects():
+    for s, by_pred in graph.by_subject().items():
         subject = fmt(s)
-        for p, objs in pred_objs:
+        for p, objs in by_pred.items():
             head = f"{subject} {fmt(p)} "
             lines.append(head + (" .\n" + head).join(map(fmt, objs)) + " .")
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
@@ -243,9 +243,9 @@ def turtle_blocks(graph: Graph) -> list[tuple[Subject, str]]:
     fmt = _Formats(dict(sorted(graph.prefixes.items()))).__getitem__
     rdf_type = IRI(RDF_TYPE)
     blocks = []
-    for subject, pred_objs in graph._sorted_subjects():
+    for subject, by_pred in graph.by_subject().items():
         # rdf:type first, remaining predicates in sorted order
-        pred_objs.sort(key=lambda po: po[0] != rdf_type)
+        pred_objs = sorted(by_pred.items(), key=lambda po: po[0] != rdf_type)
         lines = [("a" if p == rdf_type else fmt(p)) + " " + ", ".join(map(fmt, objs))
                  for p, objs in pred_objs]
         blocks.append((subject, fmt(subject) + " " + " ;\n    ".join(lines) + " ."))

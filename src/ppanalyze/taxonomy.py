@@ -5,7 +5,10 @@ so that graph grounding stays reproducible.  Two input formats:
 
   * RDF class hierarchies (Turtle or N-Triples with rdfs:subClassOf),
   * a simplified 3-column tab-separated format: child-IRI, parent-IRI,
-    label.  A row with an empty parent column declares a root.  An IRI
+    label.  A row with an empty parent column declares a root.  A row
+    with an empty child column, like an RDF class `<>` read with no
+    `@base`, is refused: a graph grounded on it would hold `<>`, which
+    other RDF readers resolve against the document's URL.  An IRI
     the Turtle writer cannot write (one holding whitespace, a backslash
     or one of <>"{}|^`) is refused, naming its file and line.
 
@@ -239,6 +242,8 @@ def _load_tabular(path: Path, text: str) -> Taxonomy:
             raise TaxonomyError(f"{path}:{line_no}: expected 3 tab-separated columns, got {len(parts)}")
         child, parent, label = (p.strip() for p in parts)
         child, parent = _expand_curie(child), _expand_curie(parent)
+        if not child:
+            raise TaxonomyError(f"{path}:{line_no}: the child column is empty")
         for iri in (child, parent):
             if not rdfio._writable_iri(iri):
                 raise TaxonomyError(f"{path}:{line_no}: IRI {iri!r} cannot be written to "
@@ -263,6 +268,9 @@ def _load_rdf(path: Path, text: str) -> Taxonomy:
     synonyms: dict[str, list[str]] = {}
     version = "unknown"
     for s, p, o in g.sorted_triples():
+        if IRI("") in (s, o) and p.value in (RDFS_SUBCLASS, RDFS_LABEL, SKOS_ALT):
+            raise TaxonomyError(f"{path}: a class has the empty IRI <> (a relative IRI "
+                                "with no @base)")
         if p.value == RDFS_SUBCLASS and isinstance(s, IRI) and isinstance(o, IRI):
             edges.add((s.value, o.value))
         elif p.value == RDFS_LABEL and isinstance(s, IRI) and isinstance(o, Literal):

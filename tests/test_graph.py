@@ -126,13 +126,19 @@ class TestBuildGraph:
         assert g.build_log.skipped_ungrounded == 1
 
     def test_links_to_a_span_of_another_kind_skipped_and_counted(self, taxonomy):
+        # the kind is checked before the grounding: a span of the wrong
+        # kind is a dropped tuple, grounded or not
         spans = [
             EntitySpan("e0", "data", "email address", 0, grounded_term=EMAIL),
             EntitySpan("e1", "party", "We", 0, subtype="first_party"),
+            EntitySpan("e2", "purpose", "ads", 0),                 # no grounded_term
             EntitySpan("a0", "action", "collect", 0, subtype="collection_use"),
+            EntitySpan("a1", "action", "use", 0, subtype="security_protection"),
         ]
         relations = [RelationTuple("a0", "e0", "HAS_PURPOSE"),   # a data span
-                     RelationTuple("a0", "e1", "HAS_DATA")]      # a party: ungrounded
+                     RelationTuple("a0", "e1", "HAS_DATA"),      # a party span
+                     RelationTuple("a0", "a1", "HAS_PURPOSE"),   # an action span
+                     RelationTuple("a0", "e2", "HAS_DATA")]      # an ungrounded purpose span
         result = ExtractionResult("test.example", "memory:", (
             segment_extraction(spans, relations),
         ))
@@ -140,10 +146,12 @@ class TestBuildGraph:
         (practice,) = g.triples.subjects_of_type(DATA_COLLECTION_USE)
         assert g.triples.objects(practice, IRI(PPA + "hasPurpose")) == []
         assert g.triples.objects(practice, IRI(PPA + "hasData")) == []
-        assert (g.build_log.dropped_tuples, g.build_log.skipped_ungrounded) == (1, 1)
+        assert (g.build_log.dropped_tuples, g.build_log.skipped_ungrounded) == (4, 0)
         assert g.build_log.records == [
             "segment 0: HAS_PURPOSE link to e0 skipped (data span 'email address')",
-            "segment 0: HAS_DATA link to e1 skipped (ungrounded 'We')",
+            "segment 0: HAS_DATA link to e1 skipped (party span 'We')",
+            "segment 0: HAS_PURPOSE link to a1 skipped (action span 'use')",
+            "segment 0: HAS_DATA link to e2 skipped (purpose span 'ads')",
         ]
         assert check_invariants(g.triples, taxonomy) == []
 
@@ -292,19 +300,34 @@ class TestStats:
         assert st.purpose_class_mentions == {}
 
     def test_most_specific_practice_type_wins(self):
-        from ppanalyze.graph import practice_types
-        from ppanalyze.rdfio import Graph
+        # the three readers agree on each node's class: policy_practices
+        # names it, stats counts it, check_invariants checks it as a practice
         g = Graph()
         a, b, c = (IRI(f"urn:pp-analyze:node#{n}") for n in "abc")
         for node, classes in ((a, (DATA_PRACTICE, THIRD_PARTY_SHARING, DATA_COLLECTION_USE)),
                               (b, (DATA_PRACTICE, THIRD_PARTY_SHARING)), (c, (DATA_PRACTICE,))):
             for cls in classes:
                 g.add(node, IRI(RDF_TYPE), cls)
+            g.add(IRI(POLICY), HAS_PRACTICE, node)
         g.add(IRI(POLICY), IRI(RDF_TYPE), PRIVACY_POLICY)
-        assert practice_types(g) == {a: "DataCollectionUse",
-                                     b: "ThirdPartySharingDisclosure", c: "DataPractice"}
+        g.add(IRI(POLICY), HAS_SERVICE, service_iri("test.example"))
+        g.add(service_iri("test.example"), IRI(RDF_TYPE), SERVICE_CLASS)
+        classes = {a: "DataCollectionUse", b: "ThirdPartySharingDisclosure", c: "DataPractice"}
+        ((_, practices),) = policy_practices(g)
+        assert {p.node: p.class_name for p in practices} == classes
         assert stats([g]).practice_type_counts == {
             "DataCollectionUse": 1, "ThirdPartySharingDisclosure": 1, "DataPractice": 1}
+        # no node has a source segment: exactly the three practices are flagged
+        assert check_invariants(g) == [
+            f"{node!r}: 0 source segment literals (want 1)" for node in (a, b, c)]
+
+    def test_stats_builds_no_subject_index(self, monkeypatch, taxonomy):
+        g = build_graph(simple_result(), "test.example", POLICY, taxonomy.version).triples
+
+        def no_index(self):
+            raise AssertionError("stats built the subject index")
+        monkeypatch.setattr(Graph, "by_subject", no_index)
+        assert stats([g]).practice_type_counts == {"DataCollectionUse": 1}
 
     def test_empty_input(self):
         st = stats([])

@@ -16,7 +16,7 @@ from ppanalyze.graph import (
     HAS_PURPOSE,
     LABEL,
     build_graph,
-    practice_types,
+    policy_practices,
 )
 from ppanalyze.policyconv import (
     ODRL,
@@ -193,10 +193,10 @@ class TestPsdtou:
 
     def test_practice_without_data_links_skipped(self):
         g = single_practice_graph(data=())
-        (practice,) = practice_types(g)
+        ((_, (practice,)),) = policy_practices(g)
         out, report = to_psdtou(g)
         assert report.input_specs == 0
-        assert report.skipped_practices == [f"{practice!r}: no data links"]
+        assert report.skipped_practices == [f"{practice.node!r}: no data links"]
 
     def test_sharing_entry_carries_recipient_type(self):
         spans = [
@@ -265,7 +265,8 @@ class TestConvert:
                                      (shared, [RelationTuple("a0", "e0", "HAS_DATA")])]),
                         "test.example", POLICY, "v").triples
         node = "<urn:pp-analyze:node#practice-ff523dc978f0ebd5>"
-        assert practice_types(g)[IRI(node[1:-1])] == "DataPractice"
+        classes = {p.node: p.class_name for _, practices in policy_practices(g) for p in practices}
+        assert classes[IRI(node[1:-1])] == "DataPractice"
         profile = ConversionProfile.default()
         (_, odrl_report), (dtou, dtou_report) = convert(g, profile)
         assert odrl_report.to_dict() == {

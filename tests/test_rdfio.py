@@ -318,6 +318,17 @@ def test_index_lookups_equal_scan_after_any_interleaving(operations):
     assert_lookups_match_scan(g)
 
 
+@given(triples=st.lists(_triple, max_size=12))
+@settings(max_examples=100)
+def test_by_subject_is_in_term_order(triples):
+    g = Graph()
+    for t in triples:
+        g.add(*t)
+    walked = [(s, p, o) for s, by_pred in g.by_subject().items()
+              for p, objs in by_pred.items() for o in objs]
+    assert walked == sorted(set(triples), key=lambda t: tuple(map(reference_term_key, t)))
+
+
 def test_update_adds_new_prefixes_and_keeps_its_own_bindings():
     g, other = Graph(), Graph()
     g.bind("ex", "http://example.org/mine#")

@@ -179,6 +179,21 @@ class TestLoadErrors:
             load_taxonomy(p)
         assert str(err.value) == f"cannot parse {p}: unexpected token '.'"
 
+    def test_tsv_row_with_an_empty_child_column(self, tmp_path):
+        p = write_tsv(tmp_path, [("dpv:Purpose", "", "Purpose"), ("", "dpv:Purpose", "Marketing")])
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(p)
+        assert str(err.value) == f"{p}:2: the child column is empty"
+
+    def test_rdf_class_with_the_empty_iri(self, tmp_path):
+        p = tmp_path / "tax.ttl"
+        p.write_text("@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+                     "@prefix dpv: <https://w3id.org/dpv#> .\n"
+                     "<> rdfs:subClassOf dpv:Purpose .\n", encoding="utf-8")
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(p)
+        assert str(err.value) == f"{p}: a class has the empty IRI <> (a relative IRI with no @base)"
+
     def test_rdf_without_subclass_statements(self, tmp_path):
         p = tmp_path / "tax.nt"
         p.write_text('<urn:x:a> <http://www.w3.org/2000/01/rdf-schema#label> "a" .\n',
