@@ -18,6 +18,9 @@ class Error(Exception):
     """Unusable input or a failed run, reported as one `error:` line.
 
     Every library exception a user can cause derives from it; `cli.main`
-    catches it once.  A `ParseError` (one unusable answer, kept in the
-    call's trace) and a `PromptError` (a programming error) do not.
+    catches it once and prints every `error:` line.  A subclass exists
+    only where a caller tells it apart by type.  A `ParseError` (one
+    unusable answer, kept in the call's trace) and the `ValueError` of a
+    prompt built without its inputs (a programming error) do not derive
+    from it.
     """

@@ -101,7 +101,7 @@ def _convert(name: str, value: Any, source: str) -> Any:
     try:
         return SETTINGS[name].type(str(value))
     except ValueError:
-        raise SystemExit(f"error: {source}: {value!r} is not a valid {name}") from None
+        raise Error(f"{source}: {value!r} is not a valid {name}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -113,9 +113,9 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         try:
             file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"error: cannot read config file {config_path}: {exc}")
+            raise Error(f"cannot read config file {config_path}: {exc}")
         if not isinstance(file_values, dict):
-            raise SystemExit(f"error: config file {config_path} does not hold a JSON object")
+            raise Error(f"config file {config_path} does not hold a JSON object")
         for name in names:
             if file_values.get(name) is not None:
                 values[name] = _convert(name, file_values[name], f"{config_path}: key {name!r}")
@@ -128,12 +128,12 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         if flag is not None:
             values[name] = flag
     if "threshold" in values and not 0 < values["threshold"] <= 1:
-        raise SystemExit(f"error: threshold must be in (0, 1], got {values['threshold']}")
+        raise Error(f"threshold must be in (0, 1], got {values['threshold']}")
     if "jobs" in values:
         if values["jobs"] is None:
             values["jobs"] = _usable_cpus() if values["mode"] == "replay" else 1
         if values["jobs"] < 1:
-            raise SystemExit(f"error: jobs must be at least 1, got {values['jobs']}")
+            raise Error(f"jobs must be at least 1, got {values['jobs']}")
     print("config: " + json.dumps(values), file=sys.stderr)
     return argparse.Namespace(**values)
 
@@ -394,10 +394,7 @@ def _task_by_name(name: str) -> TaskKind:
     for task in TaskKind:
         if task.value == normalized:
             return task
-    raise SystemExit(
-        f"error: unknown task {name!r}; choose from "
-        + ", ".join(t.value for t in TaskKind)
-    )
+    raise Error(f"unknown task {name!r}; choose from " + ", ".join(t.value for t in TaskKind))
 
 
 def _read_graph_file(path: str) -> rdfio.Graph:

@@ -1,10 +1,10 @@
 """Policy documents, line segmentation, and brat standoff gold annotations.
 
-Segmentation is by line: one segment per non-blank line, text trimmed,
-offsets pointing at the trimmed core inside the document's text after
-line-ending normalization (CRLF and CR read as LF).  Invariant:
-text[seg.char_start:seg.char_end] == seg.text for every segment of that
-normalized text, and segments are non-overlapping and strictly ascending.
+Segmentation is by line: one segment per non-blank line (a line ends at
+CRLF, CR or LF), text trimmed, offsets pointing at the trimmed core inside
+the document's text as read, as brat offsets do.  Invariant:
+text[seg.char_start:seg.char_end] == seg.text for every segment, and
+segments are non-overlapping and strictly ascending.
 
 Brat standoff support covers T (text-bound entity), E (event), R (relation),
 A (attribute) and # (note) lines.  A gold entity keeps what scoring reads:
@@ -26,23 +26,12 @@ from .textnorm import normalize_label
 
 
 class CorpusError(Error):
-    """Unreadable or non-text policy input."""
+    """An unreadable or non-text file, or a brat pair that does not parse,
+    names unknown ids or has a span outside every segment."""
 
 
-class BratParseError(Error):
-    def __init__(self, path: str, message: str, line_no: int, line: str):
-        super().__init__(f"{path}: {message} (line {line_no}: {line!r})")
-
-
-class DanglingReferenceError(Error):
-    def __init__(self, path: str, ids: list[str]):
-        super().__init__(f"{path}: annotation references unknown ids: {', '.join(sorted(ids))}")
-
-
-class AlignmentError(Error):
-    def __init__(self, path: str, ids: list[str]):
-        super().__init__(f"{path}: annotation span starts outside every segment: "
-                         f"{', '.join(sorted(ids))}")
+def _brat_error(path: str, message: str, line_no: int, line: str) -> CorpusError:
+    return CorpusError(f"{path}: {message} (line {line_no}: {line!r})")
 
 
 @dataclass(frozen=True)
@@ -61,7 +50,8 @@ class PolicyDocument:
 
 
 def segment_lines(raw_text: str) -> list[Segment]:
-    """Split raw text into one segment per non-blank line.
+    """Split raw text into one segment per non-blank line; CRLF, CR and LF
+    each end a line.
 
     Leading/trailing whitespace is trimmed from the segment text; offsets
     point at the trimmed core, so raw_text[start:end] == text always holds.
@@ -69,13 +59,13 @@ def segment_lines(raw_text: str) -> list[Segment]:
     """
     segments: list[Segment] = []
     offset = 0
-    for line in raw_text.split("\n"):
+    # CR read as LF, one character for one, so offsets stay those of raw_text
+    for line in raw_text.replace("\r", "\n").split("\n"):
         stripped = line.strip()
         if stripped:
-            lead = len(line) - len(line.lstrip())
-            core_start = offset + lead
-            core_end = core_start + len(stripped)
-            segments.append(Segment(len(segments), core_start, core_end, raw_text[core_start:core_end]))
+            core_start = offset + len(line) - len(line.lstrip())
+            segments.append(Segment(len(segments), core_start, core_start + len(stripped),
+                                    stripped))
         offset += len(line) + 1
     return segments
 
@@ -83,8 +73,7 @@ def segment_lines(raw_text: str) -> list[Segment]:
 def load_policy(path: Union[str, Path], service_id: str) -> PolicyDocument:
     """Read a UTF-8 text policy file and segment it by line.
 
-    CRLF / CR line endings are normalized to LF before segmentation, so
-    segment offsets index into the normalized text.
+    Segment offsets index the text as read, line ends included.
     """
     p = Path(path)
     try:
@@ -97,7 +86,6 @@ def load_policy(path: Union[str, Path], service_id: str) -> PolicyDocument:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{p} is not valid UTF-8: {exc}") from exc
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
     return PolicyDocument(
         service_id=service_id,
         source_uri=str(p),
@@ -160,9 +148,11 @@ def _id_key(item_id: str) -> tuple[str, int]:
     return (m.group(1), int(m.group(2))) if m else (item_id, 0)
 
 
-def _read_text(path: Union[str, Path]) -> str:
+def _read_text(path: Union[str, Path], newline: Optional[str] = None) -> str:
+    """The UTF-8 text of `path`; `newline=""` keeps its line ends as they are."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -175,10 +165,10 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
     Every entity's surface text is validated against the document text
     (fragments joined with a single space for discontinuous spans).  An
     entity's grounding is its first grounding attribute, else its first
-    single-token note.  Dangling role/relation targets raise
-    DanglingReferenceError.
+    single-token note.  Dangling role/relation targets raise CorpusError.
+    Offsets index the document text as read, line ends included.
     """
-    doc_text = _read_text(text_file)
+    doc_text = _read_text(text_file, newline="")
     spans: dict[str, tuple[str, int, int]] = {}        # T id -> type, covering span
     events: dict[str, tuple[str, str, tuple[tuple[str, str], ...]]] = {}
     relations: list[GoldRelation] = []
@@ -195,7 +185,7 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         if head == "T":
             m = _T_LINE.match(line)
             if not m:
-                raise BratParseError(ann_path, "malformed T line", line_no, line)
+                raise _brat_error(ann_path, "malformed T line", line_no, line)
             tid, etype, span_str, surface = m.groups()
             try:
                 fragments = [
@@ -203,14 +193,14 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
                     for a, b in (frag.split() for frag in span_str.split(";"))
                 ]
             except ValueError:
-                raise BratParseError(ann_path, "malformed span in T line", line_no, line) from None
+                raise _brat_error(ann_path, "malformed span in T line", line_no, line) from None
             for a, b in fragments:
                 if a >= b or b > len(doc_text):
-                    raise BratParseError(ann_path, "invalid span offsets", line_no, line)
+                    raise _brat_error(ann_path, "invalid span offsets", line_no, line)
             # brat writes newlines inside spans as spaces in the text column
             expected = " ".join(doc_text[a:b] for a, b in fragments).replace("\n", " ")
             if expected != surface:
-                raise BratParseError(
+                raise _brat_error(
                     ann_path, f"surface text {surface!r} does not match document text {expected!r}",
                     line_no, line,
                 )
@@ -218,7 +208,7 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         elif head == "E":
             m = _E_LINE.match(line)
             if not m:
-                raise BratParseError(ann_path, "malformed E line", line_no, line)
+                raise _brat_error(ann_path, "malformed E line", line_no, line)
             eid, etype, trigger, rest = m.groups()
             roles = tuple(tuple(part.split(":", 1)) for part in rest.split())
             events[eid] = (etype, trigger, roles)
@@ -226,14 +216,14 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         elif head == "R":
             m = _R_LINE.match(line)
             if not m:
-                raise BratParseError(ann_path, "malformed R line", line_no, line)
+                raise _brat_error(ann_path, "malformed R line", line_no, line)
             rid, label, arg1, arg2 = m.groups()
             relations.append(GoldRelation(id=rid, label=label))
             references.extend((arg1, arg2))
         elif head == "A" or head == "M":
             m = _A_LINE.match(line)
             if not m:
-                raise BratParseError(ann_path, "malformed A line", line_no, line)
+                raise _brat_error(ann_path, "malformed A line", line_no, line)
             _, name, target, value = m.groups()
             references.append(target)
             if value and normalize_label(name) in GROUNDING_ATTRIBUTE_NAMES:
@@ -241,18 +231,19 @@ def parse_brat(text_file: Union[str, Path], ann_file: Union[str, Path]) -> GoldA
         elif head == "#":
             m = _NOTE_LINE.match(line)
             if not m:
-                raise BratParseError(ann_path, "malformed note line", line_no, line)
+                raise _brat_error(ann_path, "malformed note line", line_no, line)
             _, _, target, text = m.groups()
             references.append(target)
             if _looks_like_term(text.strip()):
                 note_groundings.setdefault(target, text.strip())
         else:
-            raise BratParseError(ann_path, "unknown annotation line type", line_no, line)
+            raise _brat_error(ann_path, "unknown annotation line type", line_no, line)
 
     dangling = {trigger for _, trigger, _ in events.values() if trigger not in spans}
     dangling.update(ref for ref in references if ref not in spans and ref not in events)
     if dangling:
-        raise DanglingReferenceError(ann_path, sorted(dangling))
+        raise CorpusError(f"{ann_path}: annotation references unknown ids: "
+                          f"{', '.join(sorted(dangling))}")
 
     entities = {
         tid: GoldEntity(
@@ -337,8 +328,8 @@ def align_gold(gold: GoldAnnotationSet, doc: PolicyDocument) -> dict[int, GoldSl
     """Assign each gold entity/event to the segment containing its span
     start (an event's span is its trigger's), by segment index.
 
-    Span starts on blank lines (no segment) raise AlignmentError listing
-    the offending ids.
+    Span starts on blank lines (no segment) raise CorpusError listing the
+    offending ids.
     """
     starts = [seg.char_start for seg in doc.segments]
 
@@ -364,6 +355,7 @@ def align_gold(gold: GoldAnnotationSet, doc: PolicyDocument) -> dict[int, GoldSl
         else:
             per_segment.setdefault(seg_idx, ([], []))[1].append(ev)
     if orphans:
-        raise AlignmentError(gold.ann_path, orphans)
+        raise CorpusError(f"{gold.ann_path}: annotation span starts outside every segment: "
+                          f"{', '.join(sorted(orphans))}")
     return {idx: GoldSlice(tuple(entities), tuple(events))
             for idx, (entities, events) in sorted(per_segment.items())}

@@ -28,10 +28,6 @@ from ..taxonomy import Taxonomy
 from .gold import GoldDocument, SegmentTask, asks_model, expected_answer, segment_tasks
 
 
-class FinetuneError(Error):
-    pass
-
-
 @dataclass(frozen=True)
 class FinetuneSpec:
     n_train_nonempty: int
@@ -44,7 +40,7 @@ class FinetuneSpec:
     def parse(cls, spec: str, seed: int = 0) -> "FinetuneSpec":
         m = re.fullmatch(r"(\d+)-(\d+)-(\d+)-(\d+)", spec.strip())
         if not m:
-            raise FinetuneError(
+            raise Error(
                 f"bad selection spec {spec!r}: expected 'a-b-c-d' "
                 "(non-empty train, empty train, non-empty val, empty val)"
             )
@@ -71,7 +67,7 @@ def select_finetune_data(corpus: Sequence[GoldDocument], task: TaskKind,
                          ) -> tuple[list[dict], list[dict]]:
     """Sample (train, validation) chat records for one task.
 
-    Raises FinetuneError naming the stratum when a pool is too small.
+    Raises `Error` naming the stratum when a pool is too small.
     Samples that ask nothing (`gold.asks_model`) cannot form a prompt and
     are excluded from the pools.
     """
@@ -92,7 +88,7 @@ def select_finetune_data(corpus: Sequence[GoldDocument], task: TaskKind,
     }
     for stratum, (pool, needed) in demand.items():
         if len(pool) < needed:
-            raise FinetuneError(
+            raise Error(
                 f"{stratum} stratum has {len(pool)} samples for task "
                 f"{task.value}, but spec {spec.to_string()} needs {needed}"
             )

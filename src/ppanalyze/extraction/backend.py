@@ -62,17 +62,8 @@ class BackendError(Error):
     digest: Optional[str] = None
 
 
-class ConfigError(BackendError):
-    pass
-
-
 class TransportError(BackendError):
     pass
-
-
-class ReplayMissError(BackendError):
-    def __init__(self, digest: str, task: str):
-        super().__init__(f"replay cache has no entry for digest {digest} (task {task})")
 
 
 @dataclass(frozen=True)
@@ -83,11 +74,11 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.cache_mode not in ("live", "record", "replay"):
-            raise ConfigError(f"unknown cache mode: {self.cache_mode!r}")
+            raise BackendError(f"unknown cache mode: {self.cache_mode!r}")
         if self.cache_mode in ("record", "replay") and self.cache_path is None:
-            raise ConfigError(f"cache mode {self.cache_mode!r} requires a cache path")
+            raise BackendError(f"cache mode {self.cache_mode!r} requires a cache path")
         if self.cache_mode == "live" and self.cache_path is not None:
-            raise ConfigError("live mode reads no cache: pass --record or --replay with --cache")
+            raise BackendError("live mode reads no cache: pass --record or --replay with --cache")
 
 
 # one encoder for every digest and append: `json.dumps` with a
@@ -333,7 +324,7 @@ class BackendResponse:
 def _read_api_key() -> str:
     key = os.environ.get(API_KEY_ENV) or os.environ.get(API_KEY_FALLBACK_ENV)
     if not key:
-        raise ConfigError(
+        raise BackendError(
             f"no API credentials: set {API_KEY_ENV} (or {API_KEY_FALLBACK_ENV}) "
             "in the environment, or run with --replay"
         )
@@ -365,7 +356,7 @@ class HttpTransport:
         scheme, sep, rest = self._url.partition("://")
         self._scheme = scheme.lower()
         if not sep or self._scheme not in ("http", "https"):
-            raise ConfigError(f"{API_BASE_ENV} must be an http or https URL, not {base!r}")
+            raise BackendError(f"{API_BASE_ENV} must be an http or https URL, not {base!r}")
         self._host, _, path = rest.partition("/")
         self._target = "/" + path       # the request target: the URL itself through a proxy
         self._headers = {
@@ -510,7 +501,8 @@ class Backend:
             record = self.cache.get(digest)
             if record is None:
                 if self.config.cache_mode == "replay":
-                    raise ReplayMissError(digest, task.value)
+                    raise BackendError(f"replay cache has no entry for digest {digest} "
+                                       f"(task {task.value})")
                 with self._count_lock:
                     lock = self._asking.setdefault(digest, threading.Lock())
                 with lock:

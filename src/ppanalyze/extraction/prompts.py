@@ -184,10 +184,6 @@ class PromptMessages:
     user: str
 
 
-class PromptError(ValueError):
-    """A task was given inconsistent inputs (e.g. missing entity list)."""
-
-
 _ROLE = (
     "You are an annotator of privacy policies. You analyze one segment of a "
     "privacy policy at a time and answer strictly in JSON."
@@ -324,7 +320,7 @@ def build_prompt(task: TaskKind, segment_text: str,
     if task in RECOGNITION_TASKS:
         return PromptMessages(system=system, user=segment_text)
     if not extras:
-        raise PromptError(f"task {task.value} requires a non-empty entity list")
+        raise ValueError(f"task {task.value} requires a non-empty entity list")
 
     if task in CLASSIFICATION_TASKS:
         listing = _encode_listing([str(e) for e in extras])

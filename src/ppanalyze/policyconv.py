@@ -42,10 +42,6 @@ ODRL_RIGHT_OPERAND = IRI(ODRL + "rightOperand")
 _SOURCE_PREFIXES = ("ppa", "dpv", "dpvpd")
 
 
-class ConversionError(Error):
-    pass
-
-
 # the psDToU entries `dtou_iri` reads
 PSDTOU_KEYS = ("namespace", "app_policy_class", "input_spec_class", "sharing_class",
                "has_input", "has_sharing", "data", "purpose", "recipient_type")
@@ -74,22 +70,21 @@ class ConversionProfile:
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConversionError(f"cannot load conversion profile {path}: {exc}") from exc
+            raise Error(f"cannot load conversion profile {path}: {exc}") from exc
         if not isinstance(payload, dict):
-            raise ConversionError(f"profile {path} does not hold a JSON object")
+            raise Error(f"profile {path} does not hold a JSON object")
         for key in ("action_map", "role_map", "psdtou"):
             table = payload.get(key)
             if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
-                raise ConversionError(f"profile {path}: {key!r} is missing or not an object "
-                                      "of strings")
+                raise Error(f"profile {path}: {key!r} is missing or not an object of strings")
             for entry, value in table.items():
                 if not _writable_iri(value):
-                    raise ConversionError(
+                    raise Error(
                         f"profile {path}: {key}[{entry!r}] = {value!r} cannot be written to "
                         "Turtle (it holds whitespace, a backslash or one of <>\"{}|^`)")
         missing = [key for key in PSDTOU_KEYS if key not in payload["psdtou"]]
         if missing:
-            raise ConversionError(f"profile {path}: 'psdtou' is missing {', '.join(missing)}")
+            raise Error(f"profile {path}: 'psdtou' is missing {', '.join(missing)}")
         return cls(
             action_map=dict(payload["action_map"]),
             role_map=dict(payload["role_map"]),

@@ -299,12 +299,14 @@ _SKIP = r"(?:\s+|\#[^\n]*)*"
 # most frequent tokens, punctuation and prefixed names, come first; where
 # two alternatives can match at one place, the earlier one is the one meant
 # (bnode and prefix_decl before pname, pname before number and keyword,
-# triple_quote before string, prefix_decl before langtag).
+# triple_quote before string, prefix_decl before langtag).  The SPARQL-style
+# PREFIX and BASE are read in any case, and only where no name character or
+# ':' follows, so that `PREFIX:` stays a prefixed name.
 _TOKEN_RE = re.compile(
     r"""(?:
     (?P<punct>[;,.\[\]()])
   | (?P<bnode>_:PNPART)
-  | (?P<prefix_decl>@prefix|@base|PREFIX\b|BASE\b)
+  | (?P<prefix_decl>@prefix|@base|(?i:prefix|base)(?![A-Za-z0-9_.:-]))
   | (?P<pname>(?:PNPART)?:(?:PNPART)?)
   | (?P<iri><IRICHAR*>)
   | (?P<triple_quote>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\")

@@ -59,16 +59,7 @@ DEFAULT_ROOT_KINDS = {
 }
 
 
-class TaxonomyError(Error):
-    pass
-
-
-class TaxonomyCycleError(TaxonomyError):
-    def __init__(self, cycle: list[str]):
-        super().__init__("cycle in class hierarchy: " + " -> ".join(cycle))
-
-
-class UnresolvedTermError(TaxonomyError):
+class UnresolvedTermError(Error):
     def __init__(self, term: str, kind: str):
         super().__init__(f"cannot resolve {kind} term: {term!r}")
 
@@ -148,7 +139,7 @@ class Taxonomy:
 
     def _check_member(self, node: TaxonomyNode) -> None:
         if self.nodes.get(node.iri) is not node and self.nodes.get(node.iri) != node:
-            raise TaxonomyError(f"node not in this taxonomy: {node.iri}")
+            raise Error(f"node not in this taxonomy: {node.iri}")
 
 
 def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
@@ -170,14 +161,14 @@ def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
     try:
         TopologicalSorter({iri: sorted(parents[iri]) for iri in sorted(parents)}).prepare()
     except CycleError as exc:
-        raise TaxonomyCycleError(exc.args[1][::-1]) from None
+        raise Error("cycle in class hierarchy: " + " -> ".join(exc.args[1][::-1])) from None
 
     roots = sorted(iri for iri in all_iris if not parents[iri])
     kind_map: dict[str, str] = {}
     for root in roots:
         kind = DEFAULT_ROOT_KINDS.get(normalize_label(local_name(root)))
         if kind is None:
-            raise TaxonomyError(
+            raise Error(
                 f"cannot infer kind (data/purpose) for root {root}; "
                 "name the root 'Purpose' or 'PersonalData'"
             )
@@ -195,9 +186,7 @@ def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
                     depth[child] = depth[iri] + 1
                     nxt.append(child)
                 elif kind_map[child] != kind_map[iri]:
-                    raise TaxonomyError(
-                        f"node {child} reachable from both data and purpose roots"
-                    )
+                    raise Error(f"node {child} reachable from both data and purpose roots")
         frontier = nxt
 
     nodes = {
@@ -239,16 +228,15 @@ def _load_tabular(path: Path, text: str) -> Taxonomy:
             continue
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 3:
-            raise TaxonomyError(f"{path}:{line_no}: expected 3 tab-separated columns, got {len(parts)}")
+            raise Error(f"{path}:{line_no}: expected 3 tab-separated columns, got {len(parts)}")
         child, parent, label = (p.strip() for p in parts)
         child, parent = _expand_curie(child), _expand_curie(parent)
         if not child:
-            raise TaxonomyError(f"{path}:{line_no}: the child column is empty")
+            raise Error(f"{path}:{line_no}: the child column is empty")
         for iri in (child, parent):
             if not rdfio._writable_iri(iri):
-                raise TaxonomyError(f"{path}:{line_no}: IRI {iri!r} cannot be written to "
-                                    "Turtle (it holds whitespace, a backslash or one of "
-                                    "<>\"{}|^`)")
+                raise Error(f"{path}:{line_no}: IRI {iri!r} cannot be written to "
+                            "Turtle (it holds whitespace, a backslash or one of <>\"{}|^`)")
         if label:
             labels[child] = label
         if parent:
@@ -262,15 +250,14 @@ def _load_rdf(path: Path, text: str) -> Taxonomy:
     try:
         g = rdfio.parse_turtle(text)
     except rdfio.RdfError as exc:
-        raise TaxonomyError(f"cannot parse {path}: {exc}") from exc
+        raise Error(f"cannot parse {path}: {exc}") from exc
     edges: set[tuple[str, str]] = set()
     labels: dict[str, str] = {}
     synonyms: dict[str, list[str]] = {}
     version = "unknown"
     for s, p, o in g.sorted_triples():
         if IRI("") in (s, o) and p.value in (RDFS_SUBCLASS, RDFS_LABEL, SKOS_ALT):
-            raise TaxonomyError(f"{path}: a class has the empty IRI <> (a relative IRI "
-                                "with no @base)")
+            raise Error(f"{path}: a class has the empty IRI <> (a relative IRI with no @base)")
         if p.value == RDFS_SUBCLASS and isinstance(s, IRI) and isinstance(o, IRI):
             edges.add((s.value, o.value))
         elif p.value == RDFS_LABEL and isinstance(s, IRI) and isinstance(o, Literal):
@@ -280,7 +267,7 @@ def _load_rdf(path: Path, text: str) -> Taxonomy:
         elif p.value == OWL_VERSION and isinstance(o, Literal):
             version = o.lexical
     if not edges:
-        raise TaxonomyError(f"{path} contains no rdfs:subClassOf statements")
+        raise Error(f"{path} contains no rdfs:subClassOf statements")
     return _assemble(edges, labels, synonyms, set(), version)
 
 
@@ -288,13 +275,13 @@ def load_taxonomy(path: Union[str, Path]) -> Taxonomy:
     """Load a taxonomy from Turtle/N-Triples or the 3-column TSV format."""
     p = Path(path)
     if not p.exists():
-        raise TaxonomyError(f"taxonomy file not found: {p}")
+        raise Error(f"taxonomy file not found: {p}")
     try:
         text = p.read_text(encoding="utf-8-sig")     # one leading byte-order mark is skipped
     except OSError as exc:
-        raise TaxonomyError(f"cannot read taxonomy file {p}: {exc}") from exc
+        raise Error(f"cannot read taxonomy file {p}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise TaxonomyError(f"taxonomy file {p} is not valid UTF-8: {exc}") from exc
+        raise Error(f"taxonomy file {p} is not valid UTF-8: {exc}") from exc
     if p.suffix in (".tsv", ".tab", ".txt"):
         return _load_tabular(p, text)
     if p.suffix in (".ttl", ".turtle", ".nt", ".ntriples"):

@@ -11,6 +11,7 @@ restates `graph.check_invariants` with a plain scan of the triples for
 each question it asks.  `dp_lcs_length`, the
 reference matchers, `reference_segment_tasks`, `reference_repair_and_parse`,
 `reference_load_cache`, `reference_prompt_digest`, `reference_audit_dict`,
+`reference_segment_texts`,
 `reference_run_log_records` and the RDF terms `RefIRI`, `RefBNode` and
 `RefLiteral` with their `reference_term_key` order are earlier versions
 of production code, kept as written.  They exist to check the production implementations, so they
@@ -213,12 +214,13 @@ def reference_score_classification(pred: list[tuple[str, str]], gold: list[tuple
 
 def scan_lines(raw_text: str) -> list[tuple[int, int, str]]:
     """Character-walking line scanner: (start, end, text) of each
-    trimmed non-blank line, offsets into raw_text."""
+    trimmed non-blank line, offsets into raw_text.  CR and LF each end a
+    line, so CRLF ends one and the blank line between them yields nothing."""
     out = []
     line_start = 0
     for pos in range(len(raw_text) + 1):
         at_end = pos == len(raw_text)
-        if at_end or raw_text[pos] == "\n":
+        if at_end or raw_text[pos] in "\r\n":
             lo, hi = line_start, pos
             while lo < hi and raw_text[lo].isspace():
                 lo += 1
@@ -228,6 +230,13 @@ def scan_lines(raw_text: str) -> list[tuple[int, int, str]]:
                 out.append((lo, hi, raw_text[lo:hi]))
             line_start = pos + 1
     return out
+
+
+def reference_segment_texts(raw_text: str) -> list[str]:
+    """The segment texts of the earlier segmenter: CRLF and CR rewritten
+    to LF, then each trimmed non-blank line between LFs."""
+    text = raw_text.replace("\r\n", "\n").replace("\r", "\n")
+    return [line.strip() for line in text.split("\n") if line.strip()]
 
 
 # -- reference RDF serializers --

@@ -25,9 +25,7 @@ from ppanalyze.extraction.backend import (
     Backend,
     BackendConfig,
     BackendError,
-    ConfigError,
     HttpTransport,
-    ReplayMissError,
     ResponseCache,
     TransportError,
     prompt_digest,
@@ -46,24 +44,24 @@ ANY_TEXT = st.text() | st.text(st.characters(exclude_categories=())
 
 class TestConfig:
     def test_modes_validated(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(BackendError, match="^unknown cache mode: 'offline'$"):
             BackendConfig(cache_mode="offline")
 
     def test_cache_modes_require_path(self):
         for mode in ("record", "replay"):
-            with pytest.raises(ConfigError):
+            with pytest.raises(BackendError, match=f"^cache mode '{mode}' requires a cache path$"):
                 BackendConfig(cache_mode=mode)
 
     def test_live_mode_rejects_a_cache_path(self, tmp_path):
-        with pytest.raises(ConfigError, match="pass --record or --replay with --cache"):
+        with pytest.raises(BackendError, match="pass --record or --replay with --cache"):
             BackendConfig(cache_mode="live", cache_path=tmp_path / "cache.jsonl")
 
     def test_live_mode_without_credentials_fails_early(self, monkeypatch, tmp_path):
         monkeypatch.delenv("PPA_API_KEY", raising=False)
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        with pytest.raises(ConfigError):
+        with pytest.raises(BackendError, match="^no API credentials: set PPA_API_KEY"):
             Backend(BackendConfig(cache_mode="live"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(BackendError, match="^no API credentials: set PPA_API_KEY"):
             Backend(BackendConfig(cache_mode="record", cache_path=tmp_path / "cache.jsonl"))
 
     def test_building_a_backend_loads_no_http_client(self, tmp_path):
@@ -83,7 +81,7 @@ print(sorted({{"http.client", "urllib.request"}} & set(sys.modules)))
     def test_endpoint_must_be_an_http_url(self, monkeypatch):
         monkeypatch.setenv("PPA_API_KEY", "sk-test")
         monkeypatch.setenv("PPA_API_BASE", "localhost:8000/v1")
-        with pytest.raises(ConfigError, match="PPA_API_BASE must be an http or https URL"):
+        with pytest.raises(BackendError, match="PPA_API_BASE must be an http or https URL"):
             Backend(BackendConfig(cache_mode="live"))
 
 
@@ -255,7 +253,8 @@ class TestRecordReplay:
             BackendConfig(model_name="m", cache_mode="replay", cache_path=path),
             transport=lambda prompt, config: "unused",
         )
-        with pytest.raises(ReplayMissError) as err:
+        with pytest.raises(BackendError, match="^replay cache has no entry for digest "
+                                               r"\w+ \(task data-recognition\)$") as err:
             backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         assert err.value.digest == prompt_digest("m", "data-recognition", PROMPT)
 

@@ -635,6 +635,31 @@ class TestEvaluate:
         assert model_row[0] == "fixture-model"
         assert set(model_row[1:]) == {"1.000"}
 
+    def test_crlf_gold_scores_as_its_lf_copy(self, tmp_path, capsys):
+        """A gold pair with CRLF line ends, its brat offsets counting each
+        CR, gives the report of its LF copy."""
+        gold = tmp_path / "crlf"
+        gold.mkdir()
+        text = (FIXTURES / "gold" / "acme.txt").read_text(encoding="utf-8")
+
+        def shifted(m: re.Match) -> str:
+            return str(int(m.group()) + text.count("\n", 0, int(m.group())))
+
+        ann = re.sub(r"^(T\d+\t\S+ )([0-9; ]+)\t",
+                     lambda m: m.group(1) + re.sub(r"\d+", shifted, m.group(2)) + "\t",
+                     (FIXTURES / "gold" / "acme.ann").read_text(encoding="utf-8"), flags=re.M)
+        for name, content in (("acme.txt", text), ("acme.ann", ann),
+                              ("annotation.conf", (FIXTURES / "gold" / "annotation.conf")
+                               .read_text(encoding="utf-8"))):
+            (gold / name).write_bytes(content.replace("\n", "\r\n").encode("utf-8"))
+        reports = []
+        for gold_dir, out in ((FIXTURES / "gold", tmp_path / "lf"), (gold, tmp_path / "out")):
+            assert main(["evaluate", str(gold_dir), "--replay",
+                         "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl"),
+                         "--model", "fixture-model", "--out", str(out)]) == 0
+            reports.append([(out / name).read_bytes() for name in ("report.tsv", "report.json")])
+        assert reports[0] == reports[1]
+
     def test_empty_gold_dir_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["evaluate", str(tmp_path), "--replay",

@@ -1,15 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppanalyze import Error
 from ppanalyze.corpus import (
-    AlignmentError,
-    BratParseError,
     CorpusError,
-    DanglingReferenceError,
     align_gold,
     load_policy,
     parse_brat,
@@ -18,7 +17,7 @@ from ppanalyze.corpus import (
     validate_gold_labels,
 )
 
-from .oracles import scan_lines
+from .oracles import reference_segment_texts, scan_lines
 
 
 def entity_fields(entity) -> tuple:
@@ -63,7 +62,7 @@ class TestSegmentLines:
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=200))
     @settings(max_examples=200)
     def test_agrees_with_scanner_on_arbitrary_text(self, text):
-        # the scanner treats only '\n' as a line break, like the segmenter
+        # the scanner ends a line at '\r' or '\n', like the segmenter
         segments = segment_lines(text)
         assert [(s.char_start, s.char_end, s.text) for s in segments] == scan_lines(text)
 
@@ -79,8 +78,15 @@ class TestSegmentLines:
             assert text[seg.char_start:seg.char_end] == seg.text
             assert seg.text.strip() == seg.text and seg.text
         # concatenation reproduces the non-blank trimmed lines
-        trimmed = [line.strip() for line in text.split("\n") if line.strip()]
+        trimmed = [line.strip() for line in re.split("[\r\n]", text) if line.strip()]
         assert [s.text for s in segments] == trimmed
+
+    @given(st.text(alphabet="ab \t\r\n\x0b\x0c\x85", max_size=40) | st.text(max_size=120))
+    @settings(max_examples=300)
+    def test_texts_equal_the_normalizing_rule(self, text):
+        # ending lines at CRLF, CR and LF as read gives the texts that
+        # rewriting CRLF and CR to LF first gave
+        assert [s.text for s in segment_lines(text)] == reference_segment_texts(text)
 
     @given(st.text(max_size=120))
     def test_idempotent_on_segment_text(self, text):
@@ -112,13 +118,16 @@ class TestLoadPolicy:
         for seg in doc.segments:
             assert text[seg.char_start:seg.char_end] == seg.text
 
-    def test_crlf_normalized(self, tmp_path):
+    @pytest.mark.parametrize("data, spans", [
+        (b"one\r\ntwo\r\n", [(0, 3, "one"), (5, 8, "two")]),
+        (b"one\rtwo\r", [(0, 3, "one"), (4, 7, "two")]),
+        (b"one\r\n\r\n two\n", [(0, 3, "one"), (8, 11, "two")]),
+    ], ids=["crlf", "cr", "crlf-and-lf"])
+    def test_crlf_offsets_index_the_text_as_read(self, tmp_path, data, spans):
         p = tmp_path / "p.txt"
-        p.write_bytes(b"one\r\ntwo\r\n")
+        p.write_bytes(data)
         doc = load_policy(p, "x")
-        # offsets index the text read with LF line endings: "one\ntwo\n"
-        assert [(s.char_start, s.char_end, s.text) for s in doc.segments] == [
-            (0, 3, "one"), (4, 7, "two")]
+        assert [(s.char_start, s.char_end, s.text) for s in doc.segments] == spans
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):
@@ -171,14 +180,14 @@ class TestParseBrat:
         text = "we collect data"
         ann = "T1\tdata 11 15\tdata\nE1\tcollection-use:T1 data:T99\n"
         t, a = write_pair(tmp_path, text, ann)
-        with pytest.raises(DanglingReferenceError) as err:
+        with pytest.raises(CorpusError, match="annotation references unknown ids: T99$") as err:
             parse_brat(t, a)
         assert "T99" in str(err.value)
         assert str(err.value).startswith(f"{a}: ")
 
     def test_malformed_line_reports_position(self, tmp_path):
         t, a = write_pair(tmp_path, "text", "T1\tbroken\n")
-        with pytest.raises(BratParseError) as err:
+        with pytest.raises(CorpusError) as err:
             parse_brat(t, a)
         assert str(err.value) == f"{a}: malformed T line (line 1: 'T1\\tbroken')"
 
@@ -198,13 +207,14 @@ class TestParseBrat:
             "non-numeric-offset", "three-offsets"])
     def test_bad_line_named_with_its_reason(self, tmp_path, line, reason):
         t, a = write_pair(tmp_path, "we collect data", line + "\n")
-        with pytest.raises(BratParseError) as err:
+        with pytest.raises(CorpusError) as err:
             parse_brat(t, a)
         assert str(err.value) == f"{a}: {reason} (line 1: {line!r})"
 
     def test_surface_mismatch_rejected(self, tmp_path):
         t, a = write_pair(tmp_path, "hello world", "T1\tdata 0 5\tworld\n")
-        with pytest.raises(BratParseError):
+        with pytest.raises(CorpusError, match="surface text 'world' does not match document "
+                                              "text 'hello'"):
             parse_brat(t, a)
 
     def test_discontinuous_span(self, tmp_path):
@@ -276,6 +286,16 @@ class TestAlignGold:
         aligned = align_gold(parse_brat(t, a), load_policy(t, "x"))
         assert len(aligned[0].entities) == 2
 
+    def test_crlf_pair_aligns(self, tmp_path):
+        # brat offsets count both characters of each CRLF
+        t, a = tmp_path / "doc.txt", tmp_path / "doc.ann"
+        t.write_bytes(b"We collect email.\r\nWe share data.\r\n")
+        a.write_bytes(b"T1\tdata 28 32\tdata\n")
+        gold = parse_brat(t, a)
+        alignment = align_gold(gold, load_policy(t, "doc"))
+        assert list(alignment) == [1]
+        assert [ent.covering_text for ent in alignment[1].entities] == ["data"]
+
     def test_span_on_blank_line_is_error(self, tmp_path):
         # annotate the newline gap between segments
         text = "ab\n  \ncd\n"
@@ -290,7 +310,7 @@ class TestAlignGold:
             events=(), relations=(), ann_path="doc.ann",
         )
         doc = load_policy(t, "x")
-        with pytest.raises(AlignmentError) as err:
+        with pytest.raises(CorpusError) as err:
             align_gold(gold, doc)
         assert str(err.value) == "doc.ann: annotation span starts outside every segment: T1"
 

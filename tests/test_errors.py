@@ -2,6 +2,7 @@
 and one per-call boundary in `run_task`."""
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
@@ -21,12 +22,12 @@ from ppanalyze.extraction.backend import Backend, BackendConfig, TransportError,
 from ppanalyze.extraction.pipeline import run_task
 from ppanalyze.extraction.prompts import TaskKind, build_prompt
 from ppanalyze.rdfio import RdfError, parse_turtle
-from ppanalyze.taxonomy import TaxonomyError, default_snapshot_path, load_taxonomy
+from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
 
 from .conftest import FIXTURES, ROOT, make_document
 from .test_cli import clean_environment  # noqa: F401  (autouse: no PPA_* settings)
 
-OUTSIDE_ERROR = {"ParseError", "PromptError"}
+OUTSIDE_ERROR = {"ParseError"}
 
 
 def test_every_error_class_derives_from_error():
@@ -37,10 +38,54 @@ def test_every_error_class_derives_from_error():
             if name.endswith("Error") and cls.__module__.startswith("ppanalyze"):
                 found[name] = cls
     assert OUTSIDE_ERROR <= set(found)
-    assert {"CorpusError", "BratParseError", "RdfError", "DocumentError"} <= set(found)
     for name, cls in found.items():
         assert issubclass(cls, ppanalyze.Error) == (name not in OUTSIDE_ERROR), name
-    assert "ExtractionError" not in found
+
+
+def python_trees(*dirs: str):
+    for directory in dirs:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def type_names(node: ast.expr) -> set[str]:
+    """The class names an `except` clause or an `isinstance` call names."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(type_names, node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_every_error_class_is_told_apart_by_some_caller():
+    """An error class stays only where a caller catches it by its type."""
+    defined = {node.name for _, tree in python_trees("src/ppanalyze") for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name.endswith("Error")}
+    caught = set()
+    for _, tree in python_trees("src", "tools", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= type_names(node.type)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                caught |= type_names(node.args[1])
+    assert defined, "no error class found"
+    assert defined - caught == set()
+
+
+def test_cli_exits_only_at_its_boundaries():
+    """`cli.main` prints every `error:` line; only the gold corpus's usage
+    error and the exit-2 label check leave through `SystemExit` elsewhere."""
+    ((_, tree),) = [(path, tree) for path, tree in python_trees("src/ppanalyze")
+                    if path.name == "cli.py"]
+    exits = [(function.name, ast.unparse(node.exc))
+             for function in tree.body if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "SystemExit" in type_names(getattr(node.exc, "func", node.exc))]
+    assert exits == [("_load_gold", "SystemExit(f'usage error: {exc}')"),
+                     ("cmd_evaluate", "SystemExit(2)"),
+                     ("main", "SystemExit(f'error: {exc}')")]
 
 
 # -- bad input at the run-level boundary --
@@ -59,6 +104,7 @@ def work_before_the_error_line(name: str, *args, **kwargs):
 
 
 def fails_with_error_line(argv: list[str], out) -> str:
+    """The one line `main` exits with; a string exit code is status 1."""
     with pytest.raises(SystemExit) as err:
         main([*argv, "--out", str(out)])
     message = err.value.code
@@ -123,6 +169,45 @@ class TestBadInput:
             tmp_path / "out")
         assert message.startswith(f"error: taxonomy file {taxonomy} is not valid UTF-8")
 
+    def test_taxonomy_cycle_under_analyze(self, tmp_path):
+        taxonomy = tmp_path / "taxonomy.tsv"
+        taxonomy.write_text("dpv:Purpose\t\tPurpose\nurn:a\turn:b\tA\nurn:b\turn:a\tB\n",
+                            encoding="utf-8")
+        message = fails_with_error_line(
+            ["analyze", str(FIXTURES / "policy_example.org.txt"), "--replay",
+             "--cache", str(FIXTURES / "replay_cache.jsonl"), "--taxonomy", str(taxonomy)],
+            tmp_path / "out")
+        assert message == "error: cycle in class hierarchy: urn:a -> urn:b -> urn:a"
+
+    def test_record_without_a_cache(self, tmp_path):
+        message = fails_with_error_line(
+            ["analyze", str(FIXTURES / "policy_example.org.txt"), "--record"], tmp_path / "out")
+        assert message == "error: cache mode 'record' requires a cache path"
+
+    def test_live_analyze_without_credentials(self, tmp_path):
+        message = fails_with_error_line(
+            ["analyze", str(FIXTURES / "policy_example.org.txt")], tmp_path / "out")
+        assert message == ("error: no API credentials: set PPA_API_KEY (or OPENAI_API_KEY) "
+                           "in the environment, or run with --replay")
+
+    @pytest.mark.parametrize("task, spec, line", [
+        ("data-recognition", "1-2",
+         "bad selection spec '1-2': expected 'a-b-c-d' "
+         "(non-empty train, empty train, non-empty val, empty val)"),
+        ("data-recognition", "100-0-0-0",
+         "non-empty stratum has 3 samples for task data-recognition, "
+         "but spec 100-0-0-0 needs 100"),
+        ("nonsense", "1-1-1-1",
+         "unknown task 'nonsense'; choose from data-recognition, purpose-recognition, "
+         "party-recognition, action-recognition, data-classification, "
+         "purpose-classification, relation-recognition"),
+    ], ids=["bad-spec", "stratum-too-small", "unknown-task"])
+    def test_bad_selection_under_export_finetune(self, tmp_path, task, spec, line):
+        message = fails_with_error_line(
+            ["export-finetune", str(FIXTURES / "gold"), "--task", task, "--spec", spec],
+            tmp_path / "out")
+        assert message == f"error: {line}"
+
     def test_taxonomy_iri_the_writer_cannot_write_under_analyze(self, tmp_path):
         # `analyze` would write it as <...#Email Address>, which no reader takes back
         taxonomy = tmp_path / "taxonomy.tsv"
@@ -177,6 +262,24 @@ class TestBadInput:
         message = fails_with_error_line([command[0], str(gold), *command[1:]],
                                         tmp_path / "out")
         assert message == f"error: {gold / 'acme.ann'}: malformed T line (line 1: 'T1\\tbroken')"
+
+    def test_dangling_id_under_evaluate(self, tmp_path):
+        gold = bad_gold_dir(tmp_path, (FIXTURES / "gold" / "acme.ann").read_bytes()
+                            + b"R2\trelated Arg1:T1 Arg2:T99\n")
+        message = fails_with_error_line(
+            ["evaluate", str(gold), "--replay",
+             "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")], tmp_path / "out")
+        assert message == f"error: {gold / 'acme.ann'}: annotation references unknown ids: T99"
+
+    def test_span_outside_every_segment_under_evaluate(self, tmp_path):
+        # offset 20 is the blank line after the title
+        gold = bad_gold_dir(tmp_path, (FIXTURES / "gold" / "acme.ann").read_bytes()
+                            + b"T99\tdata 20 22\t W\n")
+        message = fails_with_error_line(
+            ["evaluate", str(gold), "--replay",
+             "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")], tmp_path / "out")
+        assert message == (f"error: {gold / 'acme.ann'}: "
+                           "annotation span starts outside every segment: T99")
 
     def test_non_utf8_ann_under_evaluate(self, tmp_path):
         gold = bad_gold_dir(tmp_path, b"T1\tdata 0 3\t\xff\n")
@@ -296,12 +399,12 @@ class TestReaders:
     def test_non_utf8_taxonomy_names_the_path(self, tmp_path, name):
         path = tmp_path / name
         path.write_bytes(b"dpv:A\t\tA \xff\n")
-        with pytest.raises(TaxonomyError) as err:
+        with pytest.raises(ppanalyze.Error, match="is not valid UTF-8") as err:
             load_taxonomy(path)
         assert str(path) in str(err.value)
 
     def test_unreadable_taxonomy_names_the_path(self, tmp_path):
-        with pytest.raises(TaxonomyError) as err:
+        with pytest.raises(ppanalyze.Error, match="^cannot read taxonomy file ") as err:
             load_taxonomy(tmp_path)
         assert str(tmp_path) in str(err.value)
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ppanalyze.eval.finetune import FinetuneError, FinetuneSpec, select_finetune_data, write_jsonl
+from ppanalyze import Error
+from ppanalyze.eval.finetune import FinetuneSpec, select_finetune_data, write_jsonl
 from ppanalyze.eval.gold import load_gold_corpus
 from ppanalyze.extraction.prompts import TaskKind
 
@@ -21,7 +22,7 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("bad", ["10-30-2", "a-b-c-d", "10-30-2-6-1", ""])
     def test_malformed_rejected(self, bad):
-        with pytest.raises(FinetuneError):
+        with pytest.raises(Error, match=f"^bad selection spec {bad!r}: expected 'a-b-c-d' "):
             FinetuneSpec.parse(bad)
 
 
@@ -63,7 +64,8 @@ class TestSelection:
 
     def test_insufficient_stratum_named(self, taxonomy):
         corpus = synthetic_corpus(5, 100)
-        with pytest.raises(FinetuneError) as err:
+        with pytest.raises(Error, match="^non-empty stratum has 5 samples for task "
+                                        "data-recognition, but spec 10-30-2-6 needs 12$") as err:
             select_finetune_data(corpus, TaskKind.DATA_RECOGNITION,
                                  FinetuneSpec.parse("10-30-2-6"), taxonomy)
         assert "non-empty" in str(err.value)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ppanalyze import Error
 from ppanalyze.extraction.pipeline import (
     EntitySpan,
     ExtractionResult,
@@ -26,7 +27,6 @@ from ppanalyze.policyconv import (
     ODRL_RIGHT_OPERAND,
     ODRL_SET,
     ODRL_TARGET,
-    ConversionError,
     ConversionProfile,
     convert,
     to_odrl,
@@ -313,14 +313,14 @@ class TestProfile:
         try:
             _, report = to_odrl(g, ConversionProfile.load(path))
             got = (report.permissions, report.skipped_practices)
-        except ConversionError as exc:
+        except Error as exc:
             got = str(exc).replace(str(tmp_path), "<dir>")
         assert got == outcome
 
     def test_missing_table_rejected(self, tmp_path):
         path = tmp_path / "profile.json"
         path.write_text('{"action_map": {}}', encoding="utf-8")
-        with pytest.raises(ConversionError):
+        with pytest.raises(Error, match="'role_map' is missing or not an object of strings"):
             ConversionProfile.load(path)
 
     def test_conversion_is_deterministic(self):

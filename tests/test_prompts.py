@@ -10,7 +10,6 @@ from ppanalyze.extraction.prompts import (
     SEGMENT_MARK,
     SPAN_KINDS,
     SYSTEM_TEXTS,
-    PromptError,
     TaskKind,
     build_prompt,
     number_spans,
@@ -69,9 +68,10 @@ class TestMultipartPrompts:
         TaskKind.RELATION_RECOGNITION,
     ])
     def test_missing_extras_rejected(self, task):
-        with pytest.raises(PromptError):
+        message = f"task {task.value} requires a non-empty entity list"
+        with pytest.raises(ValueError, match=message):
             build_prompt(task, "segment")
-        with pytest.raises(PromptError):
+        with pytest.raises(ValueError, match=message):
             build_prompt(task, "segment", [])
 
     def test_system_text_independent_of_segment(self):

@@ -141,6 +141,24 @@ class TestTurtleSubset:
         ]
         assert g.prefixes == {"ex": "urn:c#"}
 
+    @pytest.mark.parametrize("directives", [
+        "prefix ex: <urn:a#> base <urn:b/>",
+        "Prefix ex: <urn:a#> Base <urn:b/>",
+        "PREFIX ex: <urn:a#> BASE <urn:b/>",
+        "pReFiX ex: <urn:a#>\nbAsE <urn:b/>",
+    ])
+    def test_sparql_directives_read_in_any_case(self, directives):
+        # Turtle 1.1 §2.4: PREFIX and BASE match case-insensitively, with no '.'
+        g = parse(directives + "\nex:s <p> ex:o .", "turtle")
+        assert g.sorted_triples() == [(IRI("urn:a#s"), IRI("urn:b/p"), IRI("urn:a#o"))]
+        assert g.prefixes == {"ex": "urn:a#"}
+
+    @pytest.mark.parametrize("name", ["PREFIX", "prefix", "BASE", "Base"])
+    def test_directive_keyword_as_a_prefix_is_a_prefixed_name(self, name):
+        g = parse(f"@prefix {name}: <urn:p#> .\n{name}:s {name}:p {name}:o .", "turtle")
+        assert g.sorted_triples() == [(IRI("urn:p#s"), IRI("urn:p#p"), IRI("urn:p#o"))]
+        assert g.prefixes == {name: "urn:p#"}
+
     def test_directive_iris_resolve_against_the_base_like_triple_iris(self):
         g = parse("@base <http://x.org/> . @prefix ex: <y#> . ex:a <p> <o> .", "turtle")
         assert g.sorted_triples() == [
