@@ -12,14 +12,18 @@ deterministic.
 
 `jobs` is the one parallelism setting.  A replay hands whole policies
 (`analyze`) or gold documents (`evaluate`) to that many forked worker
-processes, and runs each policy's segments on one thread.  Live and
-record runs stay in one process and ask each distinct prompt once;
-there `jobs` bounds requests: an endpoint sees at most 4 x `jobs` at
-once.  `analyze` streams the segments of all its policies through one
+processes (one worker runs them in this process), and runs each
+policy's segments on one thread.  Live and record runs stay in one
+process and ask each distinct prompt once; there `jobs` bounds
+requests: an endpoint sees at most 4 x `jobs` at once.  A live or
+record `analyze` streams the segments of all its policies through one
 window of 4 x `jobs` segment threads for the whole run, each asking its
 segment's queries one at a time, so only the run's tail leaves request
 slots idle; each policy's graph is built, checked and written on the
 main thread, in input order.  `evaluate` runs serially.
+
+Every file a command writes goes through `_write`, so one that cannot
+be written ends the run with one `error:` line, from a worker too.
 
 Each command imports the modules it runs when it starts, so `stats` and
 `convert` never load the extraction pipeline, the HTTP client or the
@@ -144,17 +148,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _refuse_shared_stems(paths: Sequence[str]) -> None:
+def _refuse_shared_stems(paths: Sequence[str], reserved: Optional[dict[str, str]] = None) -> None:
     """Each input names its outputs by its stem: two inputs with one stem
     would overwrite each other's files (and, in `analyze`, share one
-    policy IRI in `corpus.ttl`)."""
-    seen: dict[str, str] = {}
+    policy IRI in `corpus.ttl`).  `reserved` maps each stem that the
+    command's own outputs take to the name the error line gives them."""
+    seen = dict(reserved or {})
     for path in paths:
         stem = Path(path).stem
         if stem in seen:
             raise Error(f"{seen[stem]} and {path} have the same stem {stem!r}, "
                         "so their outputs would overwrite each other; rename one")
         seen[stem] = path
+
+
+def _write(path: Path, data: str | bytes, mode: str = "w") -> None:
+    """Write `data` to `path` (text as UTF-8; mode "a" appends); a file that
+    cannot be written is an `Error` that names it."""
+    binary = isinstance(data, bytes)
+    try:
+        with path.open(mode + ("b" if binary else ""), encoding=None if binary else "utf-8") as f:
+            f.write(data)
+    except OSError as exc:
+        raise Error(f"cannot write {path}: {exc}") from None
 
 
 def _out_dir(config: argparse.Namespace, *subdirs: str) -> Path:
@@ -240,14 +256,12 @@ def _write_policy(analysis: _Analysis, path: str,
             f"error: {path}: {len(problems)} graph invariant violation(s)", problems))
     out_dir = analysis.out_dir
     blocks = rdfio.turtle_blocks(prpr.triples)
-    (out_dir / f"{service_id}.ttl").write_bytes(rdfio.join_turtle(
+    _write(out_dir / f"{service_id}.ttl", rdfio.join_turtle(
         rdfio.turtle_header(prpr.triples.prefixes), map(itemgetter(1), blocks)))
-    (out_dir / f"{service_id}.nt").write_bytes(rdfio.serialize(prpr.triples, "ntriples"))
-    (out_dir / "audit" / f"{service_id}.json").write_text(
-        result.audit_json() + "\n", encoding="utf-8")
-    (out_dir / "logs" / f"{service_id}.build.json").write_text(
-        json.dumps(prpr.build_log.to_dict(), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    _write(out_dir / f"{service_id}.nt", rdfio.serialize(prpr.triples, "ntriples"))
+    _write(out_dir / "audit" / f"{service_id}.json", result.audit_json() + "\n")
+    _write(out_dir / "logs" / f"{service_id}.build.json",
+           json.dumps(prpr.build_log.to_dict(), indent=2, ensure_ascii=False) + "\n")
     return _PolicyOutcome(
         run_log=result.run_log_text(prpr.build_log),
         summary=f"{path}: {len(prpr)} triples, {prpr.practices} practices "
@@ -265,14 +279,14 @@ def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
 @contextmanager
 def _policy_outcomes(analysis: _Analysis, paths: Sequence[str],
                      config: argparse.Namespace) -> Iterator[Iterable[_PolicyOutcome]]:
-    """Each policy's outcome, in input order.  A replay with more than one
-    worker hands whole policies to forked worker processes.  In one
-    process, one stream extracts the segments of every policy
-    (`extract_documents`), and each policy's graph is built, checked and
-    written here, in order."""
-    workers = _replay_workers(config, len(paths))
-    if workers > 1:
-        with _ordered_map(partial(_analyze_policy, analysis), paths, workers) as outcomes:
+    """Each policy's outcome, in input order.  A replay analyzes whole
+    policies (`_analyze_policy`), in this process with one worker, else in
+    forked worker processes.  A live or record run extracts the segments
+    of every policy in one stream (`extract_documents`), and each policy's
+    graph is built, checked and written here, in order."""
+    if config.mode == "replay":
+        with _ordered_map(partial(_analyze_policy, analysis), paths,
+                          _replay_workers(config, len(paths))) as outcomes:
             yield outcomes
         return
     from .extraction.pipeline import extract_documents
@@ -324,7 +338,7 @@ def _ordered_map(fn: Callable[[Any], Any], items: Sequence,
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    _refuse_shared_stems(args.policies)
+    _refuse_shared_stems(args.policies, {"corpus": "the combined graph corpus.ttl"})
     taxonomy = _load_taxonomy(config)
     backend = _backend(config)
     out_dir = _out_dir(config, "audit", "logs")
@@ -332,17 +346,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     analysis = _Analysis(taxonomy, backend, out_dir)
     failures = triples = 0
     policy_blocks = []
-    # each policy's records are written and flushed after its files; the
-    # backend's connections are closed once the segment threads are joined
-    with closing(backend), _policy_outcomes(analysis, args.policies, config) as outcomes, \
-            (out_dir / "run_log.jsonl").open("w", encoding="utf-8") as run_log:
+    run_log = out_dir / "run_log.jsonl"
+    # each policy's records are appended after its files; the backend's
+    # connections are closed once the segment threads are joined
+    with closing(backend), _policy_outcomes(analysis, args.policies, config) as outcomes:
+        _write(run_log, "")
         for outcome in outcomes:
             if outcome.failure:
                 _report_problems(*outcome.failure)
                 failures += 1
                 continue
-            run_log.write(outcome.run_log)
-            run_log.flush()
+            _write(run_log, outcome.run_log, "a")
             print(outcome.summary)
             triples += outcome.triples
             policy_blocks.append(outcome.blocks)
@@ -350,7 +364,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # policies have disjoint subjects (one policy IRI per stem), so the
     # union graph's statements are the policies' statements in term order
     merged = heapq.merge(*policy_blocks, key=itemgetter(0))
-    (out_dir / "corpus.ttl").write_bytes(rdfio.join_turtle(
+    _write(out_dir / "corpus.ttl", rdfio.join_turtle(
         rdfio.turtle_header(graphmod.STANDARD_PREFIXES), map(itemgetter(1), merged)))
     print(f"combined corpus graph: {out_dir / 'corpus.ttl'} ({triples} triples)")
     return 1 if failures else 0
@@ -381,8 +395,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             _ordered_map(score, corpus, _replay_workers(config, len(corpus))) as documents:
         report = build_report(config.model, tasks, documents)
     table = format_report_table([report])
-    (out_dir / "report.tsv").write_text(table, encoding="utf-8")
-    (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    _write(out_dir / "report.tsv", table)
+    _write(out_dir / "report.json", report.to_json() + "\n")
     print(table, end="")
     print(f"report written to {out_dir / 'report.tsv'}", file=sys.stderr)
     return 0
@@ -428,11 +442,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
             continue
         stem = Path(path).stem
         (odrl_graph, odrl_report), (dtou_graph, dtou_report) = convert(g, profile)
-        (out_dir / f"{stem}.odrl.ttl").write_bytes(rdfio.serialize(odrl_graph, "turtle"))
-        (out_dir / f"{stem}.psdtou.ttl").write_bytes(rdfio.serialize(dtou_graph, "turtle"))
+        _write(out_dir / f"{stem}.odrl.ttl", rdfio.serialize(odrl_graph, "turtle"))
+        _write(out_dir / f"{stem}.psdtou.ttl", rdfio.serialize(dtou_graph, "turtle"))
         report = {"odrl": odrl_report.to_dict(), "psdtou": dtou_report.to_dict()}
-        (out_dir / f"{stem}.conversion.json").write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        _write(out_dir / f"{stem}.conversion.json", json.dumps(report, indent=2) + "\n")
         print(f"{path}: {odrl_report.permissions} permissions, "
               f"{dtou_report.input_specs} input specs, "
               f"{dtou_report.sharing_entries} sharing entries")
@@ -449,14 +462,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats = graphmod.stats(graphs)
     tsv = stats.to_tsv(top_k=args.top)
     print(tsv, end="")
-    (out_dir / "stats.tsv").write_text(tsv, encoding="utf-8")
-    (out_dir / "stats.json").write_text(
-        json.dumps(stats.to_dict(top_k=args.top), indent=2) + "\n", encoding="utf-8")
+    _write(out_dir / "stats.tsv", tsv)
+    _write(out_dir / "stats.json", json.dumps(stats.to_dict(top_k=args.top), indent=2) + "\n")
     return 0
 
 
 def cmd_export_finetune(args: argparse.Namespace) -> int:
-    from .eval.finetune import FinetuneSpec, select_finetune_data, write_jsonl
+    from .eval.finetune import FinetuneSpec, jsonl_text, select_finetune_data
     config = resolve_config(args)
     taxonomy = _load_taxonomy(config)
     corpus = _load_gold(args.gold_dir)
@@ -466,8 +478,8 @@ def cmd_export_finetune(args: argparse.Namespace) -> int:
     train, validation = select_finetune_data(corpus, task, spec, taxonomy)
     train_path = out_dir / f"{task.value}-{spec.to_string()}-train.jsonl"
     val_path = out_dir / f"{task.value}-{spec.to_string()}-validation.jsonl"
-    write_jsonl(train, train_path)
-    write_jsonl(validation, val_path)
+    _write(train_path, jsonl_text(train))
+    _write(val_path, jsonl_text(validation))
     print(f"{len(train)} training and {len(validation)} validation records "
           f"-> {train_path}, {val_path}")
     return 0

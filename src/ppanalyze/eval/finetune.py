@@ -19,8 +19,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 from .. import Error
 from ..extraction.prompts import TaskKind, build_prompt
@@ -108,9 +107,6 @@ def select_finetune_data(corpus: Sequence[GoldDocument], task: TaskKind,
     return train, validation
 
 
-def write_jsonl(records: Sequence[dict], path: Union[str, Path]) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+def jsonl_text(records: Sequence[dict]) -> str:
+    """One JSON line per record."""
+    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)

@@ -151,8 +151,9 @@ class ResponseCache:
 
     A final line without a trailing newline that does not parse is a torn
     append (a crash mid-write): it is skipped with a warning and cut off
-    before the next `put`.  Any other unparseable line, or one that is
-    not UTF-8, is fatal and named by its line number.  A cache that
+    before the next `put`, unless a line ends after it by then (another
+    process cut it and appended).  Any other unparseable line, or one
+    that is not UTF-8, is fatal and named by its line number.  A cache that
     exists but cannot be read is fatal too.
     """
 
@@ -300,7 +301,13 @@ class ResponseCache:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._dir_made = True
             if self._torn_at is not None:
-                os.truncate(self.path, self._torn_at)
+                # cut only a tail that is still one line without a newline:
+                # another process may have cut it and appended since the load
+                with self.path.open("r+b") as f:
+                    f.seek(self._torn_at)
+                    tail = f.readline()
+                    if tail and not tail.endswith(b"\n"):
+                        f.truncate(self._torn_at)
                 self._torn_at = None
             if self._unterminated:
                 line = b"\n" + line

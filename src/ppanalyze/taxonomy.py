@@ -17,12 +17,20 @@ The suffix picks the format (.tsv, .tab, .txt; .ttl, .turtle, .nt,
 comment or a directive decides: three tab-separated columns make it TSV,
 anything else RDF.
 
-Kinds (data vs purpose) are inferred from the roots: an IRI whose local
-name is "Purpose" roots the purpose hierarchy, "PersonalData" (or "Data")
-the data hierarchy (DEFAULT_ROOT_KINDS).  A label, local name or synonym
-that several nodes of one kind share resolves to the shallowest.  The
-snapshot version is read from a `#! version=...` directive (TSV) or an
-owl:versionInfo literal (RDF) and is attached to every emitted graph.
+The hierarchy is walked once, parents before children
+(`graphlib.TopologicalSorter.static_order`, which refuses a cycle before
+it yields a class).  A root takes its kind (data vs purpose) from its
+name: an IRI whose local name is "Purpose" roots the purpose hierarchy,
+"PersonalData" (or "Data") the data hierarchy (DEFAULT_ROOT_KINDS).
+Every other class takes the one kind its parents share (two kinds are
+an error), a depth one below its shallowest parent, and as its root
+path the smallest, by IRI sequence, of its parents' root paths each
+followed by that parent.  A built taxonomy never changes.
+
+A label, local name or synonym that several nodes of one kind share
+resolves to the shallowest.  The snapshot version is read from a
+`#! version=...` directive (TSV) or an owl:versionInfo literal (RDF) and
+is attached to every emitted graph.
 """
 from __future__ import annotations
 
@@ -30,7 +38,7 @@ import re
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from . import Error, rdfio
 from .rdfio import IRI, Literal
@@ -77,6 +85,7 @@ class TaxonomyNode:
     children: tuple[str, ...]
     synonyms: tuple[str, ...] = ()
     depth: int = 0                 # shortest distance from a root
+    root_path: tuple[str, ...] = ()     # the IRIs `Taxonomy.ancestors` returns
 
 
 class Taxonomy:
@@ -90,7 +99,6 @@ class Taxonomy:
                 key = (node.kind, normalize_label(name))
                 if key[1]:
                     self.label_index.setdefault(key, node.iri)
-        self._ancestor_cache: dict[str, tuple[str, ...]] = {}
 
     def resolve_term(self, label_or_iri: str, kind: str) -> TaxonomyNode:
         """Resolve a predicted label, CURIE, or IRI to a taxonomy node.
@@ -124,18 +132,7 @@ class Taxonomy:
         """Root-to-parent path; for multi-parent nodes, the
         lexicographically smallest root path (by IRI sequence)."""
         self._check_member(node)
-        return [self.nodes[iri] for iri in self._ancestor_path(node.iri)]
-
-    def _ancestor_path(self, iri: str) -> tuple[str, ...]:
-        if iri in self._ancestor_cache:
-            return self._ancestor_cache[iri]
-        node = self.nodes[iri]
-        if not node.parents:
-            path: tuple[str, ...] = ()
-        else:
-            path = min(self._ancestor_path(p) + (p,) for p in node.parents)
-        self._ancestor_cache[iri] = path
-        return path
+        return [self.nodes[iri] for iri in node.root_path]
 
     def _check_member(self, node: TaxonomyNode) -> None:
         if self.nodes.get(node.iri) is not node and self.nodes.get(node.iri) != node:
@@ -145,63 +142,50 @@ class Taxonomy:
 def _assemble(edges: set[tuple[str, str]], labels: dict[str, str],
               synonyms: dict[str, list[str]], declared_roots: set[str],
               version: str) -> Taxonomy:
-    parents: dict[str, set[str]] = {}
+    parents: dict[str, set[str]] = {iri: set() for iri in (*declared_roots, *labels)}
     children: dict[str, set[str]] = {}
-    all_iris: set[str] = set(declared_roots) | set(labels)
     for child, parent in edges:
-        all_iris.add(child)
-        all_iris.add(parent)
         parents.setdefault(child, set()).add(parent)
+        parents.setdefault(parent, set())
         children.setdefault(parent, set()).add(child)
-    for iri in all_iris:
-        parents.setdefault(iri, set())
-        children.setdefault(iri, set())
 
-    # graphlib walks a cycle from parent to child; report it child -> parent
+    # parents before children; graphlib walks a cycle from parent to child,
+    # so it is reported child -> parent
+    sorted_parents = {iri: sorted(parents[iri]) for iri in sorted(parents)}
+    nodes: dict[str, TaxonomyNode] = {}
     try:
-        TopologicalSorter({iri: sorted(parents[iri]) for iri in sorted(parents)}).prepare()
+        for iri in TopologicalSorter(sorted_parents).static_order():
+            ups = [nodes[parent] for parent in sorted_parents[iri]]
+            if ups:
+                kinds = {up.kind for up in ups}
+                if len(kinds) > 1:
+                    raise Error(f"node {iri} reachable from both data and purpose roots")
+                kind, depth = kinds.pop(), 1 + min(up.depth for up in ups)
+                path = min(up.root_path + (up.iri,) for up in ups)
+            elif (kind := _root_kind(iri)) is None:
+                # the roots come first, though not in IRI order: name the first by IRI
+                root = min(r for r, ps in parents.items() if not ps and _root_kind(r) is None)
+                raise Error(f"cannot infer kind (data/purpose) for root {root}; "
+                            "name the root 'Purpose' or 'PersonalData'")
+            else:
+                depth, path = 0, ()
+            nodes[iri] = TaxonomyNode(
+                iri=iri,
+                label=labels.get(iri, local_name(iri)),
+                kind=kind,
+                parents=tuple(sorted_parents[iri]),
+                children=tuple(sorted(children.get(iri, ()))),
+                synonyms=tuple(synonyms.get(iri, ())),
+                depth=depth,
+                root_path=path,
+            )
     except CycleError as exc:
         raise Error("cycle in class hierarchy: " + " -> ".join(exc.args[1][::-1])) from None
+    return Taxonomy({iri: nodes[iri] for iri in sorted_parents}, version=version)
 
-    roots = sorted(iri for iri in all_iris if not parents[iri])
-    kind_map: dict[str, str] = {}
-    for root in roots:
-        kind = DEFAULT_ROOT_KINDS.get(normalize_label(local_name(root)))
-        if kind is None:
-            raise Error(
-                f"cannot infer kind (data/purpose) for root {root}; "
-                "name the root 'Purpose' or 'PersonalData'"
-            )
-        kind_map[root] = kind
 
-    # BFS from roots: kind + shortest depth
-    depth: dict[str, int] = {r: 0 for r in roots}
-    frontier = list(roots)
-    while frontier:
-        nxt: list[str] = []
-        for iri in frontier:
-            for child in sorted(children[iri]):
-                if child not in kind_map:
-                    kind_map[child] = kind_map[iri]
-                    depth[child] = depth[iri] + 1
-                    nxt.append(child)
-                elif kind_map[child] != kind_map[iri]:
-                    raise Error(f"node {child} reachable from both data and purpose roots")
-        frontier = nxt
-
-    nodes = {
-        iri: TaxonomyNode(
-            iri=iri,
-            label=labels.get(iri, local_name(iri)),
-            kind=kind_map[iri],
-            parents=tuple(sorted(parents[iri])),
-            children=tuple(sorted(children[iri])),
-            synonyms=tuple(synonyms.get(iri, ())),
-            depth=depth[iri],
-        )
-        for iri in sorted(all_iris)
-    }
-    return Taxonomy(nodes, version=version)
+def _root_kind(iri: str) -> Optional[str]:
+    return DEFAULT_ROOT_KINDS.get(normalize_label(local_name(iri)))
 
 
 def _expand_curie(token: str) -> str:

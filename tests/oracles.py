@@ -11,7 +11,7 @@ restates `graph.check_invariants` with a plain scan of the triples for
 each question it asks.  `dp_lcs_length`, the
 reference matchers, `reference_segment_tasks`, `reference_repair_and_parse`,
 `reference_load_cache`, `reference_prompt_digest`, `reference_audit_dict`,
-`reference_segment_texts`,
+`reference_segment_texts`, `reference_assemble`,
 `reference_run_log_records` and the RDF terms `RefIRI`, `RefBNode` and
 `RefLiteral` with their `reference_term_key` order are earlier versions
 of production code, kept as written.  They exist to check the production implementations, so they
@@ -26,13 +26,17 @@ import hashlib
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Optional, Union
 
+from ppanalyze import Error
 from ppanalyze.extraction.backend import BackendError
 from ppanalyze.rdfio import BNode, IRI
+from ppanalyze.taxonomy import DEFAULT_ROOT_KINDS, Taxonomy, TaxonomyNode, local_name
+from ppanalyze.textnorm import normalize_label
 
 
 def normalize(text: str) -> str:
@@ -905,3 +909,87 @@ def reference_run_log_records(service_id: str, result, build_log):
             }
     for record in build_log.records:
         yield {"event": "build_skip", "service_id": service_id, "note": record}
+
+
+# -- taxonomy hierarchy: a cycle check, a breadth-first pass, recursive root paths --
+
+def reference_assemble(edges: set[tuple[str, str]], labels: dict[str, str],
+                       synonyms: dict[str, list[str]], declared_roots: set[str],
+                       version: str = "unknown"):
+    """`taxonomy._assemble` as it was before it walked the hierarchy once:
+    graphlib's `prepare()` checks for cycles, a breadth-first pass from the
+    roots assigns kind and depth, and each node's `root_path` comes from
+    `_reference_ancestor_path`, the rule `Taxonomy.ancestors` applied lazily."""
+    parents: dict[str, set[str]] = {}
+    children: dict[str, set[str]] = {}
+    all_iris: set[str] = set(declared_roots) | set(labels)
+    for child, parent in edges:
+        all_iris.add(child)
+        all_iris.add(parent)
+        parents.setdefault(child, set()).add(parent)
+        children.setdefault(parent, set()).add(child)
+    for iri in all_iris:
+        parents.setdefault(iri, set())
+        children.setdefault(iri, set())
+
+    # graphlib walks a cycle from parent to child; report it child -> parent
+    try:
+        TopologicalSorter({iri: sorted(parents[iri]) for iri in sorted(parents)}).prepare()
+    except CycleError as exc:
+        raise Error("cycle in class hierarchy: " + " -> ".join(exc.args[1][::-1])) from None
+
+    roots = sorted(iri for iri in all_iris if not parents[iri])
+    kind_map: dict[str, str] = {}
+    for root in roots:
+        kind = DEFAULT_ROOT_KINDS.get(normalize_label(local_name(root)))
+        if kind is None:
+            raise Error(
+                f"cannot infer kind (data/purpose) for root {root}; "
+                "name the root 'Purpose' or 'PersonalData'"
+            )
+        kind_map[root] = kind
+
+    # BFS from roots: kind + shortest depth
+    depth: dict[str, int] = {r: 0 for r in roots}
+    frontier = list(roots)
+    while frontier:
+        nxt: list[str] = []
+        for iri in frontier:
+            for child in sorted(children[iri]):
+                if child not in kind_map:
+                    kind_map[child] = kind_map[iri]
+                    depth[child] = depth[iri] + 1
+                    nxt.append(child)
+                elif kind_map[child] != kind_map[iri]:
+                    raise Error(f"node {child} reachable from both data and purpose roots")
+        frontier = nxt
+
+    nodes = {
+        iri: TaxonomyNode(
+            iri=iri,
+            label=labels.get(iri, local_name(iri)),
+            kind=kind_map[iri],
+            parents=tuple(sorted(parents[iri])),
+            children=tuple(sorted(children[iri])),
+            synonyms=tuple(synonyms.get(iri, ())),
+            depth=depth[iri],
+        )
+        for iri in sorted(all_iris)
+    }
+    cache: dict[str, tuple[str, ...]] = {}
+    nodes = {iri: replace(node, root_path=_reference_ancestor_path(nodes, cache, iri))
+             for iri, node in nodes.items()}
+    return Taxonomy(nodes, version=version)
+
+
+def _reference_ancestor_path(nodes, cache: dict[str, tuple[str, ...]],
+                             iri: str) -> tuple[str, ...]:
+    if iri in cache:
+        return cache[iri]
+    node = nodes[iri]
+    if not node.parents:
+        path: tuple[str, ...] = ()
+    else:
+        path = min(_reference_ancestor_path(nodes, cache, p) + (p,) for p in node.parents)
+    cache[iri] = path
+    return path

@@ -301,6 +301,21 @@ class TestRecordReplay:
         again = ResponseCache(path)
         assert len(again) == 2 and again.get("k1") and again.get("k3")
 
+    def test_torn_tail_cut_by_another_process_keeps_its_appends(self, tmp_path):
+        # two loads of one torn cache: the second to append must not cut
+        # the record the first appended at the torn offset
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps(_record("k0")) + "\n"
+        path.write_text(good + json.dumps(_record("kx"))[:25])
+        with pytest.warns(UserWarning, match="torn last line 2"):
+            a, b = ResponseCache(path), ResponseCache(path)
+        b.put(_record("kb"))
+        a.put(_record("ka"))
+        assert path.read_text() == good + "".join(json.dumps(_record(key)) + "\n"
+                                                  for key in ("kb", "ka"))
+        replay = ResponseCache(path)
+        assert [key for key in ("k0", "kb", "ka") if replay.get(key)] == ["k0", "kb", "ka"]
+
     def test_complete_last_line_without_newline_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text(json.dumps(_record("k1")))

@@ -98,6 +98,20 @@ class TestAnalyze:
                                   "each other; rename one")
         assert not (tmp_path / "out").exists()
 
+    def test_a_policy_with_the_stem_corpus_is_refused_before_any_work(self, tmp_path):
+        # its graph would be written to corpus.ttl, then overwritten by the union graph
+        policy = tmp_path / "p" / "corpus.txt"
+        policy.parent.mkdir()
+        policy.write_bytes((FIXTURES / "policy_example.org.txt").read_bytes())
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(FIXTURES / "policy_example.org.txt"), str(policy), "--replay",
+                  "--cache", str(FIXTURES / "replay_cache.jsonl"), "--model", "fixture-model",
+                  "--out", str(tmp_path / "out")])
+        assert err.value.code == (f"error: the combined graph corpus.ttl and {policy} have the "
+                                  "same stem 'corpus', so their outputs would overwrite each "
+                                  "other; rename one")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_credentials_fails_before_processing(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["analyze", str(FIXTURES / "policy_example.org.txt"),

@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import json
+import multiprocessing
 import os
 import pkgutil
 import shutil
@@ -252,6 +253,46 @@ class TestBadInput:
         message = fails_with_error_line(argv, regular_file / "out")
         assert message.startswith("error: cannot create output directory: ")
         assert str(regular_file / "out") in message
+
+    @pytest.mark.parametrize("command, target", [
+        ("analyze --jobs 1", "audit/service1.example.json"),
+        ("analyze --jobs 2", "audit/service1.example.json"),    # raised in a worker
+        ("analyze --jobs 2", "service1.example.nt"),
+        ("analyze --jobs 1", "run_log.jsonl"),
+        ("analyze --jobs 2", "corpus.ttl"),
+        ("convert", "policy.psdtou.ttl"),
+        ("stats", "stats.json"),
+        ("evaluate", "report.tsv"),
+        ("export-finetune", "data-recognition-2-3-1-2-validation.jsonl"),
+    ])
+    def test_output_file_that_cannot_be_written(self, tmp_path, fixture_graph, command,
+                                                target):
+        """An output path that is a directory ends the run with one line."""
+        graph = tmp_path / "policy.ttl"
+        graph.write_bytes(fixture_graph)
+        second = tmp_path / "service1.example.txt"
+        second.write_bytes((FIXTURES / "policy_example.org.txt").read_bytes())
+        name, *options = command.split()
+        argv = {
+            "analyze": ["analyze", str(FIXTURES / "policy_example.org.txt"), str(second),
+                        "--replay", "--cache", str(FIXTURES / "replay_cache.jsonl"),
+                        "--model", "fixture-model", *options],
+            "evaluate": ["evaluate", str(FIXTURES / "gold"), "--replay",
+                         "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl"),
+                         "--model", "fixture-model"],
+            "convert": ["convert", str(graph)],
+            "stats": ["stats", str(graph)],
+            "export-finetune": ["export-finetune", str(FIXTURES / "gold"),
+                                "--task", "data-recognition", "--spec", "2-3-1-2"],
+        }[name]
+        out = tmp_path / "out"
+        (out / target).mkdir(parents=True)
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(out)])
+        message = err.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"error: cannot write {out / target}: "), message
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", [
         ["evaluate", "--replay", "--cache", str(FIXTURES / "gold" / "replay_cache.jsonl")],

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from ppanalyze import Error
-from ppanalyze.eval.finetune import FinetuneSpec, select_finetune_data, write_jsonl
+from ppanalyze.eval.finetune import FinetuneSpec, jsonl_text, select_finetune_data
 from ppanalyze.eval.gold import load_gold_corpus
 from ppanalyze.extraction.prompts import TaskKind
 
@@ -112,9 +112,8 @@ class TestGoldFixtureExport:
                          "DATA_PROVIDED_BY", "DATA_SHARED_WITH"}
 
 
-def test_write_jsonl_round_trip(tmp_path):
-    records = [{"messages": [{"role": "user", "content": "héllo"}]}]
-    path = tmp_path / "out" / "train.jsonl"
-    write_jsonl(records, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line) for line in lines] == records
+def test_write_jsonl_round_trip():
+    records = [{"messages": [{"role": "user", "content": "héllo"}]}, {"messages": []}]
+    text = jsonl_text(records)
+    assert text.endswith("\n") and "héllo" in text
+    assert [json.loads(line) for line in text.splitlines()] == records

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppanalyze import Error
+from ppanalyze import taxonomy as taxonomy_module
 from ppanalyze.taxonomy import (
     DPV,
     DPV_PD,
@@ -17,6 +21,8 @@ from ppanalyze.taxonomy import (
     local_name,
     normalize_label,
 )
+
+from .oracles import reference_assemble
 
 
 def write_tsv(tmp_path, rows, version=None):
@@ -349,3 +355,113 @@ class TestCollisions:
         assert tax.resolve_term("SameName", "purpose").iri == "urn:x:shallow"
         # the deeper node keeps its IRI
         assert tax.resolve_term("urn:x:deep", "purpose").label == "SameName"
+
+
+# roots of each kind, and two that name no kind; the classes' IRIs sort
+# first, so a walk meets the roots out of IRI order
+ROOT_KINDS = {"urn:r:Purpose": "purpose", "urn:r:PersonalData": "data", "urn:q:Data": "data",
+              "urn:r:Thing": None, "urn:q:Other": None}
+NAMES = ["Shared", "Other", "data", "Purpose", "C1"]
+
+
+@st.composite
+def hierarchies(draw):
+    """The edges, labels, synonyms and declared roots of a random class
+    hierarchy: classes with up to three parents each, a few edges in any
+    direction (a root may gain a parent, or a cycle may form), labels and
+    synonyms that several classes share, and declared roots; some roots
+    name no kind."""
+    named = [iri for iri, kind in ROOT_KINDS.items() if kind]
+    roots = draw(st.lists(st.sampled_from(named), min_size=1, max_size=3, unique=True))
+    # mostly none, sometimes one or two roots that name no kind
+    roots += draw(st.sampled_from([[]] * 4 + [["urn:r:Thing"], ["urn:r:Thing", "urn:q:Other"]]))
+    classes = [f"urn:c:C{i}" for i in range(draw(st.integers(0, 8)))]
+    edges: set[tuple[str, str]] = set()
+    for i, iri in enumerate(classes):
+        ups = draw(st.lists(st.sampled_from(roots + classes[:i]), min_size=1, max_size=3))
+        edges.update((iri, up) for up in ups)
+    everything = st.sampled_from(roots + classes)
+    if draw(st.integers(0, 3)) == 0:
+        edges |= draw(st.sets(st.tuples(everything, everything), max_size=2))
+    labels = draw(st.dictionaries(everything, st.sampled_from(NAMES)))
+    synonyms = draw(st.dictionaries(everything, st.lists(st.sampled_from(NAMES), max_size=2)))
+    declared = draw(st.sets(st.sampled_from(roots), max_size=2))
+    return edges, labels, synonyms, declared
+
+
+def meeting_classes(edges):
+    """The classes whose parents reach roots of both kinds."""
+    parents: dict[str, set[str]] = {}
+    for child, parent in edges:
+        parents.setdefault(child, set()).add(parent)
+
+    @lru_cache(maxsize=None)
+    def reach(iri):
+        ups = parents.get(iri)
+        return frozenset({ROOT_KINDS[iri]}) if not ups else frozenset().union(*map(reach, ups))
+
+    return {iri for iri, ups in parents.items() if len(frozenset().union(*map(reach, ups))) > 1}
+
+
+class TestOneWalk:
+    """The one topological walk gives what the cycle check, the breadth-first
+    pass and the recursive root-path rule gave (`reference_assemble`)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(hierarchies())
+    # the walk meets urn:r:Thing first, but the error names the first by IRI
+    @example(({("urn:c:C0", "urn:r:Thing"), ("urn:c:C1", "urn:q:Other")}, {}, {}, set()))
+    def test_walk_equals_the_breadth_first_oracle(self, hierarchy):
+        try:
+            expected = reference_assemble(*hierarchy)
+        except Error as exc:
+            with pytest.raises(Error) as caught:
+                taxonomy_module._assemble(*hierarchy, "unknown")
+            message, reference = str(caught.value), str(exc)
+            conflict = re.fullmatch(r"node (\S+) reachable from both data and purpose roots",
+                                    message)
+            if conflict and reference.endswith("reachable from both data and purpose roots"):
+                named = meeting_classes(hierarchy[0])
+                assert conflict.group(1) in named
+                if len(named) == 1:
+                    assert message == reference
+            else:
+                assert message == reference     # a cycle or a root that names no kind
+            return
+        tax = taxonomy_module._assemble(*hierarchy, "unknown")
+        # kind, depth, parents, children, label, synonyms and root path, in IRI order
+        assert list(tax.nodes.items()) == list(expected.nodes.items())
+        for node in tax.nodes.values():
+            assert [a.iri for a in tax.ancestors(node)] == list(expected.nodes[node.iri].root_path)
+        names = {name for node in tax.nodes.values()
+                 for name in (node.iri, node.label, local_name(node.iri), *node.synonyms)}
+        for name in names | {"dpv:Purpose", "unknown"}:
+            for kind in ("data", "purpose"):
+                try:
+                    want = expected.resolve_term(name, kind).iri
+                except UnresolvedTermError:
+                    with pytest.raises(UnresolvedTermError):
+                        tax.resolve_term(name, kind)
+                else:
+                    assert tax.resolve_term(name, kind).iri == want
+
+    @pytest.mark.parametrize("source", ["snapshot", "turtle"])
+    def test_loaded_hierarchies_equal_the_oracle(self, source, tmp_path, monkeypatch):
+        if source == "snapshot":
+            path = default_snapshot_path()
+        else:
+            path = tmp_path / "tax.ttl"
+            path.write_text(TestLoadRdf.TTL + """
+    dpv:Profiling rdfs:subClassOf dpv:Marketing, dpv:Advertising ; skos:altLabel "Marketing" .
+    dpv:Email rdfs:subClassOf dpv:PersonalData ; rdfs:label "Advertising" .
+    """, encoding="utf-8")
+        inputs = []
+        assemble = taxonomy_module._assemble
+        monkeypatch.setattr(taxonomy_module, "_assemble",
+                            lambda *args: inputs.append(args) or assemble(*args))
+        tax = load_taxonomy(path)
+        expected = reference_assemble(*inputs[0])
+        assert list(tax.nodes.items()) == list(expected.nodes.items())
+        assert tax.version == expected.version
+        if source == "turtle":
+            assert tax.nodes[DPV + "Profiling"].parents == (DPV + "Advertising", DPV + "Marketing")
