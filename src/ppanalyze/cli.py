@@ -7,20 +7,23 @@ PPA_CONFIG, JSON) > defaults.  A config file may be shared across
 commands, so keys a command does not read are ignored.  The settings a
 command resolved are printed to stderr at startup so runs are auditable.
 Credentials come only from the environment (PPA_API_KEY /
-OPENAI_API_KEY); with --replay every command is fully offline and
-deterministic.
+OPENAI_API_KEY).  `analyze` and `evaluate` keep their answers in one
+cache file, `--cache` or else `<out>/answers.jsonl`: a record run (the
+default) asks the model only what the file does not answer and appends
+each answer, so a run into the same `--out` resumes, and --replay reads
+the file only, fully offline and deterministic.
 
 `jobs` is the one parallelism setting.  A replay hands whole policies
 (`analyze`) or gold documents (`evaluate`) to that many forked worker
 processes (one worker runs them in this process), and runs each
-policy's segments on one thread.  Live and record runs stay in one
-process and ask each distinct prompt once; there `jobs` bounds
-requests: an endpoint sees at most 4 x `jobs` at once.  A live or
-record `analyze` streams the segments of all its policies through one
-window of 4 x `jobs` segment threads for the whole run, each asking its
-segment's queries one at a time, so only the run's tail leaves request
-slots idle; each policy's graph is built, checked and written on the
-main thread, in input order.  `evaluate` runs serially.
+policy's segments on one thread.  A record run stays in one process and
+asks each distinct prompt once; there `jobs` bounds requests: an
+endpoint sees at most 4 x `jobs` at once.  A record `analyze` streams
+the segments of all its policies through one window of 4 x `jobs`
+segment threads for the whole run, each asking its segment's queries
+one at a time, so only the run's tail leaves request slots idle; each
+policy's graph is built, checked and written on the main thread, in
+input order.  `evaluate` runs serially.
 
 Every file a command writes goes through `_write`, so one that cannot
 be written ends the run with one `error:` line, from a worker too.
@@ -66,15 +69,15 @@ class Setting:
 
 SETTINGS = {
     "model": Setting(str, "gpt-4o-mini", "model name for backend queries"),
-    "mode": Setting(str, "live", "cache mode: live, record or replay"),
-    "cache": Setting(str, None, "response cache file (JSONL); needs --record or --replay"),
+    "mode": Setting(str, "record", "cache mode: record or replay"),
+    "cache": Setting(str, None, "response cache file (JSONL; default <out>/answers.jsonl)"),
     "taxonomy": Setting(str, None, "taxonomy snapshot (TSV or Turtle/N-Triples)"),
     "threshold": Setting(float, 0.9, "relaxed-match threshold (default 0.9)"),
     "out": Setting(str, "out", "output directory (default ./out)"),
     "jobs": Setting(int, None, "parallel workers (default: the usable CPUs with --replay, "
                                "else 1): policies or gold documents in worker processes "
                                "on a replay; otherwise at most 4 x jobs requests at once "
-                               "(a live or record evaluate runs serially)"),
+                               "(a record evaluate runs serially)"),
     "seed": Setting(int, 0, "seed for all randomized steps"),
 }
 
@@ -191,8 +194,8 @@ def _load_taxonomy(config: argparse.Namespace) -> Taxonomy:
 
 def _backend(config: argparse.Namespace) -> Backend:
     from .extraction.backend import Backend, BackendConfig
-    return Backend(BackendConfig(model_name=config.model, cache_mode=config.mode,
-                                 cache_path=Path(config.cache) if config.cache else None))
+    cache = Path(config.cache) if config.cache else Path(config.out, "answers.jsonl")
+    return Backend(BackendConfig(model_name=config.model, cache_mode=config.mode, cache_path=cache))
 
 
 def _load_gold(gold_dir: str) -> list[GoldDocument]:
@@ -281,8 +284,8 @@ def _policy_outcomes(analysis: _Analysis, paths: Sequence[str],
                      config: argparse.Namespace) -> Iterator[Iterable[_PolicyOutcome]]:
     """Each policy's outcome, in input order.  A replay analyzes whole
     policies (`_analyze_policy`), in this process with one worker, else in
-    forked worker processes.  A live or record run extracts the segments
-    of every policy in one stream (`extract_documents`), and each policy's
+    forked worker processes.  A record run extracts the segments of
+    every policy in one stream (`extract_documents`), and each policy's
     graph is built, checked and written here, in order."""
     if config.mode == "replay":
         with _ordered_map(partial(_analyze_policy, analysis), paths,
@@ -306,8 +309,8 @@ def _call_in_worker(index: int) -> Any:
 
 def _replay_workers(config: argparse.Namespace, items: int) -> int:
     """Worker processes for `items` policies or gold documents.  A replay
-    is CPU work only, so it forks up to `jobs` of them; live and record
-    runs stay in one process, since the cache locks only within one."""
+    is CPU work only, so it forks up to `jobs` of them; a record run
+    stays in one process, since the cache locks only within one."""
     if config.mode == "replay" and hasattr(os, "fork"):
         return min(config.jobs, items)
     return 1

@@ -2,26 +2,24 @@
 
 One call to `Backend.invoke` is exactly one model query (plus transport
 retries).  Every answer goes through one table, a `ResponseCache` keyed
-by the digest of (model, task, system text, user text); temperature is
-pinned at 0 and therefore excluded.  Record and replay runs back it with
-an append-friendly JSONL file, one `cache_record` per response; a live
-run keeps it in memory (a cache path there is an error).  On a miss,
-replay mode never touches the network and fails loudly, which makes
-every downstream run deterministic and offline; live and record mode
-ask the model once per distinct prompt in a run (equal prompts in
-flight together share one ask; a failed ask stores nothing), and record
-mode appends the answer, so an interrupted record run resumes without
+by the digest of (model, task, system text, user text) and backed by an
+append-friendly JSONL file, one `cache_record` per response; temperature
+is pinned at 0 and therefore excluded.  On a miss, replay mode never
+touches the network and fails loudly, which makes every downstream run
+deterministic and offline.  Record mode asks the model once per distinct
+prompt in a run (equal prompts in flight together share one ask; a
+failed ask stores nothing) and appends the answer, so every run that
+asks the model can be replayed, and an interrupted one resumes without
 asking again.  An answer that cannot be encoded as UTF-8 (a lone
 surrogate) is an error, whether the model or the cache gave it, and so
 is a completion whose body is not UTF-8 JSON or whose message content is
 not a string.  Credentials come only from the environment (PPA_API_KEY,
 falling back to OPENAI_API_KEY).
 
-Live and record mode ask the model through `HttpTransport`, which holds
-one `http.client` connection per request in flight and keeps it alive
-while the server allows, so a run opens at most as many connections as
-it has request slots.  A recorded answer reaches the cache file in one
-write.
+Record mode asks the model through `HttpTransport`, which holds one
+`http.client` connection per request in flight and keeps it alive while
+the server allows, so a run opens at most as many connections as it has
+request slots.  A recorded answer reaches the cache file in one write.
 
 A config names only the model, cache mode and cache path.  The HTTP
 timeout and the retries of a transport error (3, after 0.5, 1 and 2 s)
@@ -66,19 +64,16 @@ class TransportError(BackendError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BackendConfig:
     model_name: str = "gpt-4o-mini"
-    cache_mode: str = "live"          # "live" | "record" | "replay"
-    cache_path: Optional[Path] = None
+    cache_mode: str = "record"        # "record" | "replay"
+    cache_path: Path
 
     def __post_init__(self) -> None:
-        if self.cache_mode not in ("live", "record", "replay"):
-            raise BackendError(f"unknown cache mode: {self.cache_mode!r}")
-        if self.cache_mode in ("record", "replay") and self.cache_path is None:
-            raise BackendError(f"cache mode {self.cache_mode!r} requires a cache path")
-        if self.cache_mode == "live" and self.cache_path is not None:
-            raise BackendError("live mode reads no cache: pass --record or --replay with --cache")
+        if self.cache_mode not in ("record", "replay"):
+            raise BackendError(f"unknown cache mode {self.cache_mode!r}; "
+                               "choose record or replay")
 
 
 # one encoder for every digest and append: `json.dumps` with a
@@ -136,7 +131,7 @@ def _read_answer(line: Union[str, bytes]) -> tuple[str, str]:
 
 
 class ResponseCache:
-    """JSONL-backed response store, memory only when `path` is None; writes are serialized.
+    """JSONL-backed response store; writes are serialized.
 
     Memory holds each key's answer and nothing else: the prompt, model
     and timestamp of a record stay in the file.  A cache of at least
@@ -157,16 +152,14 @@ class ResponseCache:
     exists but cannot be read is fatal too.
     """
 
-    def __init__(self, path: Optional[Union[str, Path]]):
-        self.path = None if path is None else Path(path)
+    def __init__(self, path: Union[str, Path]):
+        self.path = Path(path)
         self._lock = threading.Lock()
         self._answers: dict[str, str] = {}
         # byte offset to truncate to, and whether the tail lacks its newline
         self._torn_at: Optional[int] = None
         self._unterminated = False
         self._dir_made = False      # the cache's directory, made on the first append
-        if self.path is None:
-            return
         try:
             with self.path.open("rb") as f:
                 header = self._load(f)
@@ -288,15 +281,13 @@ class ResponseCache:
         every reader sees the first answer.  A new record is appended in
         one `os.write` loop on an `O_APPEND` descriptor, with the newline
         that ends an unterminated last line, so each record reaches the
-        file in one write; a memory-only cache writes nothing."""
+        file in one write."""
         key = record["key"]
-        line = None if self.path is None else (_encode(record) + "\n").encode("utf-8")
+        line = (_encode(record) + "\n").encode("utf-8")
         with self._lock:
             if key in self._answers:
                 return
             self._answers[key] = record["response"]
-            if line is None:
-                return
             if not self._dir_made:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._dir_made = True

@@ -5,7 +5,8 @@ no entities and no actions skip the classification and relation steps
 entirely (cost control).  Every raw response is retained for audit even
 when parsing succeeds, in the call's `TaskTrace`, filed under its task
 name; and every skip/drop decision is logged as a structured note on
-the segment, so a run can be reconstructed from its audit dump alone.
+the segment, so a run can be read from its audit dump alone (and
+replayed from the cache file that every asking run writes).
 
 Hallucination guard: a span whose text does not occur in its segment
 (case-insensitive, whitespace-collapsed) is kept but flagged
@@ -234,7 +235,7 @@ class DocumentError(Error):
     """Every segment of a document failed."""
 
 
-# Request slots per job on a live or record run: the endpoint sees at most
+# Request slots per job on a record run: the endpoint sees at most
 # this many requests per job at once, one from each segment in flight.
 SLOTS_PER_JOB = 4
 
@@ -407,7 +408,7 @@ def extract_documents(docs: Iterable[PolicyDocument | Error], backend: Backend,
 
     Each segment asks its queries one at a time, in task order.  A replay
     runs the segments in sequence and starts no thread: it waits on no
-    model.  Live and record runs stream the segments of all the documents
+    model.  A record run streams the segments of all the documents
     through one window of `SLOTS_PER_JOB` x `jobs` segment threads, so at
     most that many requests are in flight.  A document's segments are
     queued when it is taken from `docs`, and the stream waits on a

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from ppanalyze.corpus import PolicyDocument, segment_lines
 from ppanalyze.extraction import backend as backend_module
 from ppanalyze.extraction import pipeline
-from ppanalyze.extraction.backend import Backend, BackendConfig
+from ppanalyze.extraction.backend import Backend, BackendConfig, Transport
 from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +60,14 @@ def gold_dir() -> Path:
 def replay_backend(cache_path: Path, model: str = FIXTURE_MODEL) -> Backend:
     return Backend(BackendConfig(model_name=model, cache_mode="replay",
                                  cache_path=cache_path))
+
+
+def record_backend(tmp_path: Path, transport: Optional[Transport] = None,
+                   model: str = "scripted") -> Backend:
+    """A record backend that asks `transport` (else the model endpoint)
+    and keeps its answers in a new cache file under `tmp_path`."""
+    cache = Path(tempfile.mkdtemp(dir=tmp_path)) / "answers.jsonl"
+    return Backend(BackendConfig(model_name=model, cache_path=cache), transport=transport)
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from ppanalyze.extraction.backend import (
 )
 from ppanalyze.extraction.prompts import PromptMessages, TaskKind
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, record_backend
 from .loopback import Endpoint, clear_proxies, completion
 from .oracles import reference_load_cache, reference_prompt_digest
 
@@ -43,24 +43,20 @@ ANY_TEXT = st.text() | st.text(st.characters(exclude_categories=())
 
 
 class TestConfig:
-    def test_modes_validated(self):
-        with pytest.raises(BackendError, match="^unknown cache mode: 'offline'$"):
-            BackendConfig(cache_mode="offline")
+    def test_modes_validated(self, tmp_path):
+        for mode in ("offline", "live"):
+            with pytest.raises(BackendError, match=f"^unknown cache mode '{mode}'; "
+                                                   "choose record or replay$"):
+                BackendConfig(cache_mode=mode, cache_path=tmp_path / "cache.jsonl")
 
     def test_cache_modes_require_path(self):
         for mode in ("record", "replay"):
-            with pytest.raises(BackendError, match=f"^cache mode '{mode}' requires a cache path$"):
+            with pytest.raises(TypeError, match="cache_path"):
                 BackendConfig(cache_mode=mode)
-
-    def test_live_mode_rejects_a_cache_path(self, tmp_path):
-        with pytest.raises(BackendError, match="pass --record or --replay with --cache"):
-            BackendConfig(cache_mode="live", cache_path=tmp_path / "cache.jsonl")
 
     def test_live_mode_without_credentials_fails_early(self, monkeypatch, tmp_path):
         monkeypatch.delenv("PPA_API_KEY", raising=False)
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        with pytest.raises(BackendError, match="^no API credentials: set PPA_API_KEY"):
-            Backend(BackendConfig(cache_mode="live"))
         with pytest.raises(BackendError, match="^no API credentials: set PPA_API_KEY"):
             Backend(BackendConfig(cache_mode="record", cache_path=tmp_path / "cache.jsonl"))
 
@@ -78,11 +74,11 @@ print(sorted({{"http.client", "urllib.request"}} & set(sys.modules)))
                                 env=env, check=True)
         assert result.stdout.splitlines()[-1] == "[]"
 
-    def test_endpoint_must_be_an_http_url(self, monkeypatch):
+    def test_endpoint_must_be_an_http_url(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PPA_API_KEY", "sk-test")
         monkeypatch.setenv("PPA_API_BASE", "localhost:8000/v1")
         with pytest.raises(BackendError, match="PPA_API_BASE must be an http or https URL"):
-            Backend(BackendConfig(cache_mode="live"))
+            record_backend(tmp_path)
 
 
 class TestDigest:
@@ -168,20 +164,9 @@ class TestRecordReplay:
         stored = resumed.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         assert (stored.raw, stored.from_cache, resumed.transport_calls) == ("first", True, 0)
 
-    def test_live_asks_each_prompt_once_and_writes_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        answers = iter(["first", "second"])
-        backend = Backend(BackendConfig(model_name="m", cache_mode="live"),
-                          transport=lambda prompt, config: next(answers))
-        responses = [backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT) for _ in range(2)]
-        assert [(r.raw, r.from_cache) for r in responses] == [("first", False)] * 2
-        assert (backend.invocations, backend.transport_calls) == (2, 1)
-        assert backend.cache.path is None and list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("mode", ["live", "record"])
-    def test_equal_prompts_in_flight_ask_once(self, tmp_path, mode):
+    def test_equal_prompts_in_flight_ask_once(self, tmp_path):
         """A second caller of a prompt being asked waits for that answer."""
-        path = tmp_path / "cache.jsonl" if mode == "record" else None
+        path = tmp_path / "cache.jsonl"
         asked = threading.Event()
 
         def slow_transport(prompt, config):
@@ -189,7 +174,7 @@ class TestRecordReplay:
             time.sleep(0.2)
             return "answer"
 
-        backend = Backend(BackendConfig(model_name="m", cache_mode=mode, cache_path=path),
+        backend = Backend(BackendConfig(model_name="m", cache_path=path),
                           transport=slow_transport)
         results = []
         first = threading.Thread(target=lambda: results.append(
@@ -201,8 +186,7 @@ class TestRecordReplay:
         assert not first.is_alive()
         assert [(r.raw, r.from_cache) for r in (*results, second)] == [("answer", False)] * 2
         assert (backend.invocations, backend.transport_calls) == (2, 1)
-        if path:
-            assert len(path.read_text().splitlines()) == 1
+        assert len(path.read_text().splitlines()) == 1
 
     def test_failed_ask_is_not_memoized(self, tmp_path):
         """A caller waiting behind a failing ask asks for itself, and so
@@ -702,11 +686,12 @@ def endpoint_env(monkeypatch):
     return point_at
 
 
-def ask(config: BackendConfig = BackendConfig(cache_mode="live")) -> str:
-    """One call of a new HTTP transport, closed after it."""
+def ask(model: str = "gpt-4o-mini") -> str:
+    """One call of a new HTTP transport, closed after it; the transport
+    reads only the model name of its config."""
     transport = HttpTransport()
     try:
-        return transport(PROMPT, config)
+        return transport(PROMPT, BackendConfig(model_name=model, cache_path=Path("unread")))
     finally:
         transport.close()
 
@@ -714,7 +699,7 @@ def ask(config: BackendConfig = BackendConfig(cache_mode="live")) -> str:
 class TestHttpTransport:
     def test_request_shape_and_response_extraction(self, endpoint_env):
         with endpoint_env(Endpoint(lambda body: completion("[]"))) as endpoint:
-            assert ask(BackendConfig(model_name="m", cache_mode="live")) == "[]"
+            assert ask("m") == "[]"
         (request,) = endpoint.requests
         assert (request.method, request.target) == ("POST", "/v1/chat/completions")
         assert request.headers["Authorization"] == "Bearer sk-test"
@@ -817,26 +802,26 @@ class TestConnections:
         return [backend.invoke(TaskKind.DATA_RECOGNITION, PromptMessages("sys", user)).raw
                 for user in users]
 
-    def test_calls_in_sequence_share_one_connection_until_closed(self, endpoint_env):
+    def test_calls_in_sequence_share_one_connection_until_closed(self, tmp_path, endpoint_env):
         with endpoint_env(Endpoint()) as endpoint:
-            backend = Backend(BackendConfig(cache_mode="live"))
+            backend = record_backend(tmp_path)
             assert self.invoke_each(backend, *"abcde") == ["[]"] * 5
             assert endpoint.accepted == 1 and endpoint.open_connections() == 1
             backend.close()
             assert endpoint.wait_closed()
         assert len(endpoint.requests) == 5
 
-    def test_an_http_10_endpoint_answers_every_call(self, endpoint_env):
+    def test_an_http_10_endpoint_answers_every_call(self, tmp_path, endpoint_env):
         with endpoint_env(Endpoint(http11=False)) as endpoint:
-            backend = Backend(BackendConfig(cache_mode="live"))
+            backend = record_backend(tmp_path)
             assert self.invoke_each(backend, *"abcde") == ["[]"] * 5
             backend.close()
         assert endpoint.accepted == len(endpoint.requests) == 5
 
-    def test_a_dropped_idle_connection_fails_one_attempt_then_reconnects(self, endpoint_env,
-                                                                          sleeps):
+    def test_a_dropped_idle_connection_fails_one_attempt_then_reconnects(self, tmp_path,
+                                                                          endpoint_env, sleeps):
         with endpoint_env(Endpoint()) as endpoint:
-            backend = Backend(BackendConfig(cache_mode="live"))
+            backend = record_backend(tmp_path)
             assert self.invoke_each(backend, "a") == ["[]"]
             endpoint.drop_connections()
             assert self.invoke_each(backend, "b") == ["[]"]
@@ -844,7 +829,7 @@ class TestConnections:
         assert backend.transport_calls == 3 and sleeps == [0.5]
         assert endpoint.accepted == 2 and len(endpoint.requests) == 2
 
-    def test_a_timed_out_attempt_is_retried_on_a_new_connection(self, endpoint_env, sleeps,
+    def test_a_timed_out_attempt_is_retried_on_a_new_connection(self, tmp_path, endpoint_env, sleeps,
                                                                 monkeypatch):
         # a connection left waiting for the late answer could send no request
         monkeypatch.setattr(backend_module, "_TIMEOUT", 0.2)
@@ -857,7 +842,7 @@ class TestConnections:
             return completion("[]")
 
         with endpoint_env(Endpoint(late_once)) as endpoint:
-            backend = Backend(BackendConfig(cache_mode="live"))
+            backend = record_backend(tmp_path)
             assert self.invoke_each(backend, "a") == ["[]"]
             backend.close()
         assert backend.transport_calls == 2 and sleeps == [0.5]
@@ -873,7 +858,7 @@ def sleeps(monkeypatch) -> list[float]:
 
 
 class TestRetries:
-    def test_transport_retried_then_succeeds(self, sleeps):
+    def test_transport_retried_then_succeeds(self, tmp_path, sleeps):
         calls = []
 
         def flaky(prompt, config):
@@ -882,23 +867,24 @@ class TestRetries:
                 raise TransportError("rate limited")
             return "ok"
 
-        backend = Backend(BackendConfig(cache_mode="live"), transport=flaky)
+        backend = record_backend(tmp_path, flaky)
         assert backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT).raw == "ok"
         assert len(calls) == 3
         assert sleeps == [0.5, 1.0]      # the backoff doubles from its base
         assert backend.invocations == 1  # retries are transport-level, not new queries
 
-    def test_exhausted_retries_raise(self, sleeps):
+    def test_exhausted_retries_raise(self, tmp_path, sleeps):
         def always_down(prompt, config):
             raise TransportError("boom")
 
-        backend = Backend(BackendConfig(cache_mode="live"), transport=always_down)
+        backend = record_backend(tmp_path, always_down)
         with pytest.raises(TransportError) as err:
             backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         assert "4 attempts" in str(err.value)
         assert sleeps == [0.5, 1.0, 2.0]   # none after the last attempt
 
-    def test_refused_connection_is_a_transport_error_and_retried(self, sleeps, monkeypatch):
+    def test_refused_connection_is_a_transport_error_and_retried(self, tmp_path, sleeps,
+                                                                 monkeypatch):
         import socket
         with socket.socket() as sock:       # a loopback port that nothing listens on
             sock.bind(("127.0.0.1", 0))
@@ -906,7 +892,7 @@ class TestRetries:
         monkeypatch.setenv("PPA_API_KEY", "sk-test")
         monkeypatch.setenv("PPA_API_BASE", f"http://127.0.0.1:{port}/v1")
         monkeypatch.setenv("no_proxy", "*")
-        backend = Backend(BackendConfig(cache_mode="live"))
+        backend = record_backend(tmp_path)
         with pytest.raises(TransportError) as err:
             backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         backend.close()
@@ -916,14 +902,14 @@ class TestRetries:
         assert backend.transport_calls == 4
         assert sleeps == [0.5, 1.0, 2.0]
 
-    def test_non_transport_errors_not_retried(self):
+    def test_non_transport_errors_not_retried(self, tmp_path):
         calls = []
 
         def broken(prompt, config):
             calls.append(1)
             raise ValueError("parse me not")
 
-        backend = Backend(BackendConfig(cache_mode="live"), transport=broken)
+        backend = record_backend(tmp_path, broken)
         with pytest.raises(ValueError):
             backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         assert len(calls) == 1

@@ -13,17 +13,11 @@ from ppanalyze.eval.gold import (
     load_gold_corpus,
     segment_tasks,
 )
-from ppanalyze.extraction.backend import (
-    Backend,
-    BackendConfig,
-    ResponseCache,
-    TransportError,
-    prompt_digest,
-)
+from ppanalyze.extraction.backend import ResponseCache, TransportError, prompt_digest
 from ppanalyze.extraction.prompts import TASK_SHAPES, TaskKind, build_prompt
 from ppanalyze.taxonomy import load_taxonomy
 
-from .conftest import FIXTURE_MODEL
+from .conftest import FIXTURE_MODEL, record_backend
 from .oracles import reference_segment_tasks
 
 
@@ -56,11 +50,11 @@ class TestRunBenchmark:
             assert score.f1_e == 1.0, task
 
     @pytest.mark.usefixtures("no_retries")
-    def test_failed_query_scored_as_empty_prediction(self, corpus, taxonomy):
+    def test_failed_query_scored_as_empty_prediction(self, tmp_path, corpus, taxonomy):
         def transport(prompt, config):
             raise TransportError("down")
 
-        backend = Backend(BackendConfig(cache_mode="live"), transport=transport)
+        backend = record_backend(tmp_path, transport)
         report = run_benchmark(corpus, backend, tasks=[TaskKind.DATA_RECOGNITION],
                                taxonomy=taxonomy)
         score = report.scores[TaskKind.DATA_RECOGNITION]
@@ -123,7 +117,7 @@ class TestFixtureAnswers:
 
 
 class TestMixedCorpusMacroMeans:
-    def test_facets_match_hand_computed_means(self, taxonomy):
+    def test_facets_match_hand_computed_means(self, tmp_path, taxonomy):
         # four segments scored by hand:
         #   gold [a],  pred [a]  -> 1.0   (non-empty)
         #   gold [b],  pred []   -> 0.0   (non-empty)
@@ -152,8 +146,8 @@ class TestMixedCorpusMacroMeans:
             (2, TaskKind.DATA_RECOGNITION): '{"entities": []}',
             (3, TaskKind.DATA_RECOGNITION): '{"entities": [{"text": "plain"}]}',
         }
-        backend = Backend(BackendConfig(cache_mode="live"),
-                          transport=scripted_transport(doc, planned))
+        backend = record_backend(tmp_path,
+                          scripted_transport(doc, planned))
         report = run_benchmark(corpus, backend,
                                tasks=[TaskKind.DATA_RECOGNITION], taxonomy=taxonomy)
         score = report.scores[TaskKind.DATA_RECOGNITION]

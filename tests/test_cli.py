@@ -266,12 +266,19 @@ class TestSettings:
                    if line.startswith("config: ")]
         assert json.loads(line[len("config: "):]) == {"out": str(tmp_path / "stats")}
 
-    def test_cache_in_live_mode_is_an_error(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["analyze", str(FIXTURES / "policy_example.org.txt"),
-                  "--cache", str(FIXTURES / "replay_cache.jsonl"), "--out", str(tmp_path)])
-        assert str(err.value.code).startswith("error: ")
-        assert "pass --record or --replay with --cache" in str(err.value.code)
+    def test_cache_in_live_mode_is_an_error(self, tmp_path, monkeypatch):
+        """`live` is not a mode, whether a config file or the environment names it."""
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"mode": "live"}))
+        argv = ["analyze", str(FIXTURES / "policy_example.org.txt"),
+                "--cache", str(FIXTURES / "replay_cache.jsonl"), "--out", str(tmp_path / "out")]
+        for extra in (["--config", str(config_file)], []):
+            if not extra:
+                monkeypatch.setenv("PPA_MODE", "live")
+            with pytest.raises(SystemExit) as err:
+                main(argv + extra)
+            assert err.value.code == "error: unknown cache mode 'live'; choose record or replay"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, variable, key, value", [
         ("analyze", "PPA_JOBS", None, "abc"),
@@ -685,7 +692,7 @@ class TestEvaluate:
         shutil.copytree(FIXTURES / "gold", gold)
         ann = gold / "acme.ann"
         ann.write_text(ann.read_text().replace("T1\tdata ", "T1\tdata-item ", 1))
-        # live mode without credentials: the label check must come first
+        # record mode without credentials: the label check must come first
         with pytest.raises(SystemExit) as err:
             main(["evaluate", str(gold), "--out", str(tmp_path / "out")])
         assert err.value.code == 2

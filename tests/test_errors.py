@@ -25,7 +25,7 @@ from ppanalyze.extraction.prompts import TaskKind, build_prompt
 from ppanalyze.rdfio import RdfError, parse_turtle
 from ppanalyze.taxonomy import default_snapshot_path, load_taxonomy
 
-from .conftest import FIXTURES, ROOT, make_document
+from .conftest import FIXTURES, ROOT, make_document, record_backend
 from .test_cli import clean_environment  # noqa: F401  (autouse: no PPA_* settings)
 
 OUTSIDE_ERROR = {"ParseError"}
@@ -181,9 +181,16 @@ class TestBadInput:
         assert message == "error: cycle in class hierarchy: urn:a -> urn:b -> urn:a"
 
     def test_record_without_a_cache(self, tmp_path):
-        message = fails_with_error_line(
-            ["analyze", str(FIXTURES / "policy_example.org.txt"), "--record"], tmp_path / "out")
-        assert message == "error: cache mode 'record' requires a cache path"
+        """With no `--cache`, a run reads `<out>/answers.jsonl` before it asks
+        or writes anything, so a bad answers file there ends the run."""
+        answers = tmp_path / "out" / "answers.jsonl"
+        answers.parent.mkdir()
+        answers.write_text("not a record\n")
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(FIXTURES / "policy_example.org.txt"), "--record",
+                  "--out", str(answers.parent)])
+        assert err.value.code.startswith(f"error: corrupt cache line 1 in {answers}: ")
+        assert list(answers.parent.iterdir()) == [answers]
 
     def test_live_analyze_without_credentials(self, tmp_path):
         message = fails_with_error_line(
@@ -462,9 +469,6 @@ class TestReaders:
 
 # -- the per-call boundary --
 
-def backend_answering(transport) -> Backend:
-    return Backend(BackendConfig(model_name="scripted", cache_mode="live"), transport=transport)
-
 
 class TestRunTaskFailure:
     segment = make_document("We collect data.").segments[0]
@@ -474,12 +478,12 @@ class TestRunTaskFailure:
                              build_prompt(TaskKind.DATA_RECOGNITION, self.segment.text))
 
     @pytest.mark.usefixtures("no_retries")
-    def test_transport_error_returns_its_trace(self):
+    def test_transport_error_returns_its_trace(self, tmp_path):
         def down(prompt, config):
             raise TransportError("down")
 
         items, trace = run_task(TaskKind.DATA_RECOGNITION, self.segment, None,
-                                backend_answering(down))
+                                record_backend(tmp_path, down))
         assert items is None
         assert "down" in trace.error
         # no answer, but the digest names the call
@@ -494,12 +498,12 @@ class TestRunTaskFailure:
         assert trace.error.startswith("replay cache has no entry")
         assert trace.raw is None and trace.digest == self.digest("m")
 
-    def test_unparseable_answer_keeps_raw(self):
+    def test_unparseable_answer_keeps_raw(self, tmp_path):
         # plain prose is no relation list
         answer = "I really cannot answer this question properly."
         items, trace = run_task(TaskKind.RELATION_RECOGNITION, self.segment,
                                 [("e0", "data", "data")],
-                                backend_answering(lambda prompt, config: answer))
+                                record_backend(tmp_path, lambda prompt, config: answer))
         assert items is None
         assert trace.error
         assert trace.raw == answer

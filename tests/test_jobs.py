@@ -2,8 +2,7 @@
 
 With `jobs` above 1 a replay hands whole policies (`analyze`) or gold
 documents (`evaluate`) to forked worker processes, and `corpus.ttl` is
-merged from the per-policy statements.  A live or record `analyze`
-streams the segments of all its policies through one window of 4 x `jobs`
+merged from the per-policy statements.  A record `analyze` streams the segments of all its policies through one window of 4 x `jobs`
 segment threads for the whole run, each segment asking its queries one
 at a time, so at most 4 x `jobs` requests are in flight, over at most as
 many connections to the endpoint.  The `analyze`
@@ -21,11 +20,13 @@ import json
 import multiprocessing
 import os
 import random
+import shutil
 import sys
 import threading
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -35,13 +36,12 @@ import ppanalyze.extraction.pipeline as pipeline
 from ppanalyze.corpus import load_policy
 from ppanalyze.eval.gold import load_gold_corpus
 from ppanalyze.extraction import backend as backend_module
-from ppanalyze.extraction.backend import Backend, BackendConfig
 from ppanalyze.extraction.pipeline import extract_document
 from ppanalyze.extraction.prompts import RECOGNITION_TASKS
 from ppanalyze.graph import STANDARD_PREFIXES
 from ppanalyze.rdfio import parse_turtle
 
-from .conftest import FIXTURE_MODEL, FIXTURES, make_document, replay_backend
+from .conftest import FIXTURE_MODEL, FIXTURES, make_document, record_backend, replay_backend
 from .loopback import Endpoint, clear_proxies, completion
 from .oracles import reference_corpus_turtle
 from .scripted import (RICH_PLAN, RICH_SEGMENT, answer_through, cache_answers,
@@ -104,10 +104,6 @@ def slow_first_broken_third(broken_third, monkeypatch, corpus):
             yield result
 
     monkeypatch.setattr(pipeline, "extract_documents", extract_slow)
-
-
-def live_backend(transport, model: str = "scripted") -> Backend:
-    return Backend(BackendConfig(model_name=model, cache_mode="live"), transport=transport)
 
 
 def run(argv: list[str], out: Path, capsys) -> tuple[int, dict, str, str]:
@@ -194,16 +190,17 @@ def test_a_one_policy_replay_starts_no_thread_pool(tmp_path, monkeypatch, taxono
     code = cli.main(["analyze", str(policy), "--replay", "--cache", str(cache),
                      "--model", FIXTURE_MODEL, "--jobs", "2", "--out", str(tmp_path / "out")])
     assert code == 0 and pools == []
-    # the same segments asked live start one pool of 4 x `jobs` segment threads
+    # the same segments asked in record mode start one pool of 4 x `jobs` segment threads
     answers = cache_answers(cache)
     pipeline.extract_document(
         load_policy(policy, "example.org"),
-        live_backend(lambda prompt, config: answers[prompt.system, prompt.user], FIXTURE_MODEL),
+        record_backend(tmp_path, lambda prompt, config: answers[prompt.system, prompt.user],
+                       FIXTURE_MODEL),
         taxonomy, jobs=2)
     assert pools == [{"max_workers": 8}]
 
 
-# -- the live scheduler: each segment thread asks one query at a time --
+# -- the record scheduler: each segment thread asks one query at a time --
 
 def rich_document(segments: int):
     """`segments` segments, each asking 4 recognition queries, then 2
@@ -232,7 +229,7 @@ def record(paths: list[str], out: Path, transport, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_no_segment_has_two_queries_in_flight(taxonomy, jobs):
+def test_no_segment_has_two_queries_in_flight(tmp_path, taxonomy, jobs):
     lock = threading.Lock()
     in_flight: dict[str, int] = {}      # queries in flight, by segment text
     peaks: dict[str, int] = {}
@@ -247,14 +244,14 @@ def test_no_segment_has_two_queries_in_flight(taxonomy, jobs):
             in_flight[segment] -= 1
         return rich_answer(prompt, config)
 
-    backend = live_backend(transport)
+    backend = record_backend(tmp_path, transport)
     doc = rich_document(2 * 4 * jobs)
     extract_document(doc, backend, taxonomy, jobs=jobs)
     assert backend.invocations == len(doc.segments) * 7
     assert peaks == {seg.text: 1 for seg in doc.segments}
 
 
-def test_classification_and_relation_wait_for_every_recognition_answer(taxonomy):
+def test_classification_and_relation_wait_for_every_recognition_answer(tmp_path, taxonomy):
     lock = threading.Lock()
     events = []     # (event, segment text, task), in the order they happened
 
@@ -268,7 +265,7 @@ def test_classification_and_relation_wait_for_every_recognition_answer(taxonomy)
         return rich_answer(prompt, config)
 
     doc = rich_document(4)
-    extract_document(doc, live_backend(transport), taxonomy, jobs=2)
+    extract_document(doc, record_backend(tmp_path, transport), taxonomy, jobs=2)
     for seg in doc.segments:
         mine = [(event, task in RECOGNITION_TASKS) for event, text, task in events
                 if text == seg.text]
@@ -279,7 +276,7 @@ def test_classification_and_relation_wait_for_every_recognition_answer(taxonomy)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 6])
-def test_four_queries_per_job_in_flight(taxonomy, jobs):
+def test_four_queries_per_job_in_flight(tmp_path, taxonomy, jobs):
     """The query slots fill up, and never overflow."""
     lock = threading.Lock()
     in_flight = peak = 0
@@ -294,19 +291,19 @@ def test_four_queries_per_job_in_flight(taxonomy, jobs):
             in_flight -= 1
         return rich_answer(prompt, config)
 
-    backend = live_backend(transport)
+    backend = record_backend(tmp_path, transport)
     # more segments than the 4 x 6 slots of the widest window
     extract_document(rich_document(32), backend, taxonomy, jobs=jobs)
     assert backend.invocations == 32 * 7
     assert peak == 4 * jobs
 
 
-def test_a_stream_closed_early_starts_no_queued_segment(taxonomy):
+def test_a_stream_closed_early_starts_no_queued_segment(tmp_path, taxonomy):
     def transport(prompt, config):
         time.sleep(0.02)
         return rich_answer(prompt, config)
 
-    backend = live_backend(transport)
+    backend = record_backend(tmp_path, transport)
     threads = threading.active_count()
     # with one job, the first document is handed out once 4 segments of the
     # second are queued behind it; the third is never queued
@@ -417,11 +414,12 @@ def test_record_at_every_jobs_setting_replays_to_the_sequential_replay(
 
 
 def test_live_and_record_ask_each_distinct_prompt_once(tmp_path, monkeypatch, capsys):
-    """Ten copies of one policy, analyzed live and with `--record` at
-    `--jobs` 1, 2 and 6, twice each, against a model that answers after a
-    random 0-2 ms: every run writes the same bytes, `from_cache` flags
-    included, asks each distinct prompt once and counts the invocations
-    a replay counts."""
+    """Ten copies of one policy, analyzed with no cache flag (so into
+    `<out>/answers.jsonl`) and with `--record --cache` at `--jobs` 1, 2 and
+    6, twice each, against a model that answers after a random 0-2 ms:
+    every run writes the same bytes, `from_cache` flags included, asks
+    each distinct prompt once, records each answer once and counts the
+    invocations a replay counts."""
     policies = tmp_path / "policies"
     policies.mkdir()
     paths = []
@@ -451,22 +449,27 @@ def test_live_and_record_ask_each_distinct_prompt_once(tmp_path, monkeypatch, ca
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)         # threads switch often, so that a lost update would show
     try:
-        for mode, jobs in [(mode, jobs) for _ in range(2) for mode in ("live", "record")
+        for mode, jobs in [(mode, jobs) for _ in range(2) for mode in ("default", "record")
                            for jobs in ("1", "2", "6")]:
             asked.clear()
-            cache = tmp_path / f"cache{len(runs)}.jsonl"
-            flags = ("--record", "--cache", str(cache)) if mode == "record" else ()
-            runs.append(run(["analyze", *paths, *flags, *model, "--jobs", jobs],
-                            tmp_path / f"run{len(runs)}", capsys))
+            out = tmp_path / f"run{len(runs)}"
+            cache = tmp_path / f"cache{len(runs)}.jsonl" if mode == "record" else None
+            flags = ("--record", "--cache", str(cache)) if cache else ()
+            code, tree, stdout, stderr = run(["analyze", *paths, *flags, *model, "--jobs", jobs],
+                                             out, capsys)
+            if cache is None:       # the answers carry the time they were recorded
+                cache = out / "answers.jsonl"
+                del tree["answers.jsonl"]
+            runs.append((code, tree, stdout, stderr))
             assert backends[-1].transport_calls == len(asked) == len(set(asked)) > 0
             assert backends[-1].invocations == invocations
-            if mode == "record":
-                assert len(cache.read_bytes().splitlines()) == len(asked)
+            assert len(cache.read_bytes().splitlines()) == len(asked)
     finally:
         sys.setswitchinterval(interval)
     assert runs[0][0] == 0 and all(output == runs[0] for output in runs)
-    assert {name: digest for name, digest in runs[0][1].items() if name.endswith((".ttl", ".nt"))} \
-        == {name: digest for name, digest in replay[1].items() if name.endswith((".ttl", ".nt"))}
+    assert ({name: digest for name, digest in runs[0][1].items() if name.endswith((".ttl", ".nt"))}
+            == {name: digest for name, digest in replay[1].items()
+                if name.endswith((".ttl", ".nt"))})
 
 
 def endpoint_answering(cache: Path, monkeypatch, *, http11: bool = True) -> Endpoint:
@@ -599,6 +602,89 @@ def test_evaluate_record_over_http_holds_one_connection(gold_set, tmp_path, monk
         assert endpoint.wait_closed()
     assert code == 0 and endpoint.accepted == 1 and len(endpoint.requests) > 1
     assert tree == evaluate(gold_set, tmp_path / "replay", capsys)[1]
+
+
+def without_cache_flags(out: Path) -> dict[str, Any]:
+    """The files of an output tree but its answers, with the `from_cache`
+    flags of the audits and the run log cleared."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        name = path.relative_to(out).as_posix()
+        if not path.is_file() or name == "answers.jsonl":
+            continue
+        files[name] = path.read_text(encoding="utf-8")
+        if name.startswith("audit/"):
+            audit = json.loads(files[name])
+            for seg in audit["segments"]:
+                for response in seg["responses"].values():
+                    response.pop("from_cache", None)
+            files[name] = audit
+    if "run_log.jsonl" in files:
+        files["run_log.jsonl"] = run_log_without_cache_flags(out)
+    return files
+
+
+def test_an_asking_run_with_no_cache_flag_replays_from_its_out(corpus, gold_set, tmp_path,
+                                                                monkeypatch, capsys):
+    """`analyze` and `evaluate` asked over HTTP with no `--cache` keep their
+    answers in `<out>/answers.jsonl`; a replay of that file, which `--replay`
+    reads from its own `--out`, writes the same graphs, audits, run log and
+    report, `from_cache` flags aside."""
+    paths, cache = corpus
+    gold, gold_cache, model = gold_set
+    commands = {"analyze": (["analyze", *paths, "--model", "bench-model"], cache),
+                "evaluate": (["evaluate", str(gold), "--model", model], gold_cache)}
+    for name, (argv, answers) in commands.items():
+        asked, replayed = tmp_path / f"{name}-asked", tmp_path / f"{name}-replayed"
+        with endpoint_answering(answers, monkeypatch) as endpoint:
+            code, _, stdout, stderr = run(argv, asked, capsys)
+        assert len((asked / "answers.jsonl").read_bytes().splitlines()) \
+            == len(endpoint.requests) > 0
+        replayed.mkdir()
+        shutil.copy(asked / "answers.jsonl", replayed)
+        assert run([*argv, "--replay"], replayed, capsys)[::2] == (code, stdout)
+        assert without_cache_flags(replayed) == without_cache_flags(asked)
+
+
+def test_a_run_again_into_its_out_asks_only_what_it_did_not_record(tmp_path, monkeypatch,
+                                                                   capsys):
+    """The endpoint fails about half the prompts of a first `analyze`; a
+    second run into the same `--out` asks only for the prompts that the
+    first did not record, and ends with the outputs of a replay."""
+    policy = str(FIXTURES / "policy_example.org.txt")
+    argv = ["analyze", policy, "--model", FIXTURE_MODEL]
+    answers = cache_answers(FIXTURES / "replay_cache.jsonl")
+    fail = True
+
+    def respond(body: bytes) -> tuple[int, bytes]:
+        messages = {m["role"]: m["content"] for m in json.loads(body)["messages"]}
+        if fail and hashlib.sha256(messages["user"].encode()).digest()[0] % 2:
+            return 400, b"not now"
+        return completion(answers[messages["system"], messages["user"]])
+
+    def prompts(requests) -> list[tuple[str, str]]:
+        return [tuple(m["content"] for m in json.loads(r.body)["messages"]) for r in requests]
+
+    out = tmp_path / "out"
+    clear_proxies(monkeypatch)
+    monkeypatch.setenv("PPA_API_KEY", "test-key")
+    with Endpoint(respond) as endpoint:
+        monkeypatch.setenv("PPA_API_BASE", endpoint.base_url)
+        run(argv, out, capsys)
+        first = prompts(endpoint.requests)
+        recorded = set(cache_answers(out / "answers.jsonl"))
+        fail = False
+        endpoint.requests.clear()
+        assert run(argv, out, capsys)[0] == 0
+        second = prompts(endpoint.requests)
+    assert 0 < len(recorded) < len(set(first))
+    assert second and len(set(second)) == len(second)
+    assert not recorded & set(second)
+    assert set(cache_answers(out / "answers.jsonl")) == recorded | set(second)
+    replay = run([*argv, "--replay", "--cache", str(FIXTURES / "replay_cache.jsonl")],
+                 tmp_path / "replay", capsys)
+    assert replay[0] == 0
+    assert without_cache_flags(out) == without_cache_flags(tmp_path / "replay")
 
 
 def test_no_evaluate_worker_left_behind(gold_set, tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from ppanalyze.extraction.prompts import SPAN_KINDS, TaskKind, build_prompt
 from ppanalyze.extraction.repair import RepairTrace, repair_and_parse
 from ppanalyze.graph import BuildLog
 
-from .conftest import FIXTURES, make_document
+from .conftest import FIXTURES, make_document, record_backend
 from .scripted import (
     RICH_PLAN,
     RICH_SEGMENT,
@@ -36,15 +36,11 @@ DC, PC, R = (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION,
              TaskKind.RELATION_RECOGNITION)
 
 
-def live_backend(transport) -> Backend:
-    return Backend(BackendConfig(model_name="scripted", cache_mode="live"),
-                   transport=transport)
-
 
 class TestExtractDocument:
-    def test_rich_segment_produces_spans_and_tuples(self, taxonomy):
+    def test_rich_segment_produces_spans_and_tuples(self, tmp_path, taxonomy):
         doc = make_document(RICH_SEGMENT)
-        backend = live_backend(scripted_transport(doc, RICH_PLAN))
+        backend = record_backend(tmp_path, scripted_transport(doc, RICH_PLAN))
         result = extract_document(doc, backend, taxonomy)
         (seg,) = result.segments
         kinds = [s.kind for s in seg.spans]
@@ -58,78 +54,83 @@ class TestExtractDocument:
         # raw responses retained for audit even though parsing succeeded
         assert seg.traces["data-recognition"].raw == RICH_PLAN[(0, D)]
 
-    def test_empty_document(self, taxonomy):
+    def test_empty_document(self, tmp_path, taxonomy):
         doc = make_document("")
-        backend = live_backend(lambda prompt, config: "[]")
+        backend = record_backend(tmp_path, lambda prompt, config: "[]")
         result = extract_document(doc, backend, taxonomy)
         assert result.segments == ()
         assert backend.invocations == 0
 
-    def test_empty_segment_skips_classification_and_relations(self, taxonomy):
+    def test_empty_segment_skips_classification_and_relations(self, tmp_path, taxonomy):
         doc = make_document("This policy may change.\n")
-        backend = live_backend(lambda prompt, config: "[]")
+        backend = record_backend(tmp_path, lambda prompt, config: "[]")
         result = extract_document(doc, backend, taxonomy)
         assert backend.invocations == 4  # the four recognition queries only
         (seg,) = result.segments
         assert seg.traces["relation-recognition"].skipped
         assert seg.traces["data-classification"].skipped
 
-    def test_one_query_per_executed_task(self, taxonomy):
+    def test_one_query_per_executed_task(self, tmp_path, taxonomy):
         doc = make_document(RICH_SEGMENT)
-        backend = live_backend(scripted_transport(doc, RICH_PLAN))
+        backend = record_backend(tmp_path, scripted_transport(doc, RICH_PLAN))
         extract_document(doc, backend, taxonomy)
         assert backend.invocations == 7  # 4 recognition + 2 classification + 1 relation
 
-    def test_dangling_relation_dropped_and_logged(self, taxonomy):
+    def test_dangling_relation_dropped_and_logged(self, tmp_path, taxonomy):
         plan = dict(RICH_PLAN)
         plan[(0, R)] = '{"relations": [{"id1": "a0", "id2": "e9", "type": "HAS_DATA"}]}'
         doc = make_document(RICH_SEGMENT)
-        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        backend = record_backend(tmp_path, scripted_transport(doc, plan))
+        result = extract_document(doc, backend, taxonomy)
         (seg,) = result.segments
         assert seg.relations == ()
         assert any("e9" in note and "dropped" in note for note in seg.notes)
 
-    def test_swapped_relation_reoriented(self, taxonomy):
+    def test_swapped_relation_reoriented(self, tmp_path, taxonomy):
         plan = dict(RICH_PLAN)
         plan[(0, R)] = '{"relations": [{"id1": "e0", "id2": "a0", "type": "HAS_DATA"}]}'
         doc = make_document(RICH_SEGMENT)
-        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        backend = record_backend(tmp_path, scripted_transport(doc, plan))
+        result = extract_document(doc, backend, taxonomy)
         (seg,) = result.segments
         assert [(r.subject_id, r.object_id) for r in seg.relations] == [("a0", "e0")]
         assert any("swapped" in note for note in seg.notes)
 
-    def test_non_verbatim_span_flagged(self, taxonomy):
+    def test_non_verbatim_span_flagged(self, tmp_path, taxonomy):
         plan = dict(RICH_PLAN)
         plan[(0, D)] = '{"entities": [{"text": "residential address"}]}'
         plan[(0, DC)] = ('{"classifications": [{"entity_text": "residential address", '
                          '"term": "PhysicalAddress"}]}')
         doc = make_document(RICH_SEGMENT)
-        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        backend = record_backend(tmp_path, scripted_transport(doc, plan))
+        result = extract_document(doc, backend, taxonomy)
         span = result.segments[0].spans[0]
         assert span.non_verbatim
         assert any("non-verbatim" in note for note in result.segments[0].notes)
 
-    def test_case_difference_is_still_verbatim(self, taxonomy):
+    def test_case_difference_is_still_verbatim(self, tmp_path, taxonomy):
         plan = dict(RICH_PLAN)
         plan[(0, D)] = '{"entities": [{"text": "Email Address"}]}'
         plan[(0, DC)] = ('{"classifications": [{"entity_text": "Email Address", '
                          '"term": "EmailAddress"}]}')
         doc = make_document(RICH_SEGMENT)
-        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        backend = record_backend(tmp_path, scripted_transport(doc, plan))
+        result = extract_document(doc, backend, taxonomy)
         assert not result.segments[0].spans[0].non_verbatim
 
-    def test_unresolved_term_recorded_not_dropped(self, taxonomy):
+    def test_unresolved_term_recorded_not_dropped(self, tmp_path, taxonomy):
         plan = dict(RICH_PLAN)
         plan[(0, DC)] = ('{"classifications": [{"entity_text": "your email address", '
                          '"term": "Martian"}]}')
         doc = make_document(RICH_SEGMENT)
-        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        backend = record_backend(tmp_path, scripted_transport(doc, plan))
+        result = extract_document(doc, backend, taxonomy)
         span = result.segments[0].spans[0]
         assert span.grounded_term is None
         assert span.unresolved_term == "Martian"
 
     @pytest.mark.usefixtures("no_retries")
-    def test_partial_failure_does_not_abort_document(self, taxonomy):
+    def test_partial_failure_does_not_abort_document(self, tmp_path, taxonomy):
         doc = make_document("line one\nline two\n")
 
         def transport(prompt, config):
@@ -137,20 +138,20 @@ class TestExtractDocument:
                 raise TransportError("down")
             return "[]"
 
-        backend = Backend(BackendConfig(cache_mode="live"), transport=transport)
+        backend = record_backend(tmp_path, transport)
         result = extract_document(doc, backend, taxonomy)
         assert result.segments[0].failed
         assert not result.segments[1].failed
         assert result.failed_segments == 1
 
     @pytest.mark.usefixtures("no_retries")
-    def test_all_segments_failed_raises_document_error(self, taxonomy):
+    def test_all_segments_failed_raises_document_error(self, tmp_path, taxonomy):
         doc = make_document("line one\nline two\n")
 
         def transport(prompt, config):
             raise TransportError("down")
 
-        backend = Backend(BackendConfig(cache_mode="live"), transport=transport)
+        backend = record_backend(tmp_path, transport)
         with pytest.raises(DocumentError):
             extract_document(doc, backend, taxonomy)
 
@@ -172,15 +173,16 @@ class TestExtractDocument:
         assert executed == backend.invocations
         assert executed == len(ResponseCache(FIXTURES / "replay_cache.jsonl"))
 
-    def test_parallel_run_preserves_order_and_results(self, taxonomy, fixture_policy_path):
-        # a replay runs its segments in sequence at any `jobs`, so ask live
+    def test_parallel_run_preserves_order_and_results(self, tmp_path, taxonomy,
+                                                      fixture_policy_path):
+        # a replay runs its segments in sequence at any `jobs`, so record
         from ppanalyze.corpus import load_policy
         doc = load_policy(fixture_policy_path, "example.org")
         answers = cache_answers(FIXTURES / "replay_cache.jsonl")
-        config = BackendConfig(model_name="fixture-model", cache_mode="live")
 
         def backend() -> Backend:
-            return Backend(config, lambda prompt, _: answers[prompt.system, prompt.user])
+            return record_backend(tmp_path, lambda prompt, _: answers[prompt.system, prompt.user],
+                                  "fixture-model")
 
         sequential = extract_document(doc, backend(), taxonomy, jobs=1)
         parallel = extract_document(doc, backend(), taxonomy, jobs=6)
@@ -192,31 +194,32 @@ class TestClassifyEntities:
     """Purpose grounding through `extract_document`'s classification step."""
 
     @staticmethod
-    def purpose_span(taxonomy, text: str, term: str):
+    def purpose_span(tmp_path, taxonomy, text: str, term: str):
         doc = make_document(f"We use data for {text}.")
         plan = {
             (0, P): json.dumps({"entities": [{"text": text}]}),
             (0, PC): json.dumps({"classifications": [{"entity_text": text, "term": term}]}),
         }
-        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        backend = record_backend(tmp_path, scripted_transport(doc, plan))
+        result = extract_document(doc, backend, taxonomy)
         (seg,) = result.segments
         (span,) = seg.spans
         return span, seg.notes
 
-    def test_exact_leaf_iri_keeps_non_leaf_false(self, taxonomy):
-        span, _ = self.purpose_span(taxonomy, "targeted ads",
+    def test_exact_leaf_iri_keeps_non_leaf_false(self, tmp_path, taxonomy):
+        span, _ = self.purpose_span(tmp_path, taxonomy, "targeted ads",
                                     "https://w3id.org/dpv#TargetedAdvertising")
         assert span.grounded_term == "https://w3id.org/dpv#TargetedAdvertising"
         assert not span.non_leaf
 
-    def test_non_leaf_purpose_flagged_but_kept(self, taxonomy):
-        span, notes = self.purpose_span(taxonomy, "marketing stuff", "Marketing")
+    def test_non_leaf_purpose_flagged_but_kept(self, tmp_path, taxonomy):
+        span, notes = self.purpose_span(tmp_path, taxonomy, "marketing stuff", "Marketing")
         assert span.non_leaf
         assert span.grounded_term == "https://w3id.org/dpv#Marketing"
         assert any("non-leaf purpose term" in note for note in notes)
 
-    def test_wrong_kind_prediction_is_unresolved(self, taxonomy):
-        span, _ = self.purpose_span(taxonomy, "stuff", "Personal Data")
+    def test_wrong_kind_prediction_is_unresolved(self, tmp_path, taxonomy):
+        span, _ = self.purpose_span(tmp_path, taxonomy, "stuff", "Personal Data")
         assert span.grounded_term is None
         assert span.unresolved_term == "Personal Data"
 
@@ -224,20 +227,22 @@ class TestClassifyEntities:
 class TestLoneSurrogates:
     @given(plan=surrogate_plans())
     @settings(max_examples=100, deadline=None)
-    def test_extraction_returns_and_audit_encodes(self, taxonomy, plan):
+    def test_extraction_returns_and_audit_encodes(self, tmp_path_factory, taxonomy, plan):
         # the second segment answers "[]" throughout, so it never fails
         doc = make_document(RICH_SEGMENT + "\nThis policy may change.")
-        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        backend = record_backend(tmp_path_factory.getbasetemp(), scripted_transport(doc, plan))
+        result = extract_document(doc, backend, taxonomy)
         json.dumps(result.to_audit_dict(), ensure_ascii=False).encode("utf-8")
         for seg in result.segments:
             for span in seg.spans:
                 span.text.encode("utf-8")
 
-    def test_item_with_an_escaped_lone_surrogate_dropped(self, taxonomy):
+    def test_item_with_an_escaped_lone_surrogate_dropped(self, tmp_path, taxonomy):
         plan = dict(RICH_PLAN)
         plan[(0, D)] = '{"entities": [{"text": "\\ud800"}, {"text": "your email address"}]}'
         doc = make_document(RICH_SEGMENT)
-        result = extract_document(doc, live_backend(scripted_transport(doc, plan)), taxonomy)
+        backend = record_backend(tmp_path, scripted_transport(doc, plan))
+        result = extract_document(doc, backend, taxonomy)
         (seg,) = result.segments
         assert [s.text for s in seg.spans if s.kind == "data"] == ["your email address"]
         assert seg.traces["data-recognition"].dropped_items == (
@@ -245,9 +250,10 @@ class TestLoneSurrogates:
 
 
 class TestRunTask:
-    def test_returns_items_and_trace(self):
+    def test_returns_items_and_trace(self, tmp_path):
         doc = make_document("We collect data.")
-        backend = live_backend(lambda prompt, config: '{"entities": [{"text": "data"}]}')
+        backend = record_backend(tmp_path,
+                                 lambda prompt, config: '{"entities": [{"text": "data"}]}')
         items, trace = run_task(D, doc.segments[0], None, backend)
         assert items == [{"text": "data"}]
         assert trace.raw and trace.digest and not trace.repaired
@@ -293,8 +299,7 @@ class TestCallWithoutAnswer:
                     raise TransportError("down")
                 return answer(prompt, config)
 
-            backend = Backend(BackendConfig(model_name="scripted", cache_mode="live"),
-                              transport=transport)
+            backend = record_backend(tmp_path, transport)
         else:
             # record every answer, then forget the relation query's
             cache = tmp_path / "cache.jsonl"
@@ -344,10 +349,10 @@ def test_grounding_leaves_the_relation_prompt_unchanged(segment, spans):
 
 
 class TestAuditDict:
-    def test_span_of_segment_0_keeps_its_index(self, taxonomy):
+    def test_span_of_segment_0_keeps_its_index(self, tmp_path, taxonomy):
         doc = make_document(RICH_SEGMENT)
-        result = extract_document(doc, live_backend(scripted_transport(doc, RICH_PLAN)),
-                                  taxonomy)
+        backend = record_backend(tmp_path, scripted_transport(doc, RICH_PLAN))
+        result = extract_document(doc, backend, taxonomy)
         (seg,) = result.to_audit_dict()["segments"]
         assert seg["index"] == 0 and seg["spans"]
         for span in seg["spans"]:
@@ -371,13 +376,13 @@ class TestParseMemo:
         PC: "I cannot classify these.",
     }
 
-    def run(self, taxonomy):
+    def run(self, tmp_path, taxonomy):
         doc = make_document("\n".join(self.SEGMENTS))
         transport = scripted_transport(doc, {(i, task): answer for i in range(len(self.SEGMENTS))
                                              for task, answer in self.ANSWERS.items()})
-        return extract_document(doc, live_backend(transport), taxonomy)
+        return extract_document(doc, record_backend(tmp_path, transport), taxonomy)
 
-    def test_each_distinct_answer_parsed_once(self, taxonomy, monkeypatch):
+    def test_each_distinct_answer_parsed_once(self, tmp_path, taxonomy, monkeypatch):
         calls = []
 
         def spy(raw, shape):
@@ -385,16 +390,16 @@ class TestParseMemo:
             return repair_and_parse(raw, shape)
 
         monkeypatch.setattr(pipeline, "repair_and_parse", spy)
-        result = self.run(taxonomy)
+        result = self.run(tmp_path, taxonomy)
         answered = [(name, trace.raw) for seg in result.segments
                     for name, trace in seg.traces.items() if trace.raw is not None]
         assert len(answered) == 7 * len(self.SEGMENTS)
         assert len(calls) == len(set(answered)) == 7
 
-    def test_same_outcome_as_parsing_every_call(self, taxonomy, monkeypatch):
-        memoized = self.run(taxonomy)
+    def test_same_outcome_as_parsing_every_call(self, tmp_path, taxonomy, monkeypatch):
+        memoized = self.run(tmp_path, taxonomy)
         monkeypatch.setattr(pipeline, "_parse", pipeline._parse.__wrapped__)
-        unmemoized = self.run(taxonomy)
+        unmemoized = self.run(tmp_path, taxonomy)
         assert memoized == unmemoized
         assert memoized.audit_json() == unmemoized.audit_json()
         for seg in memoized.segments:

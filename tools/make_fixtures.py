@@ -16,6 +16,7 @@ Run from the repository root:  python tools/make_fixtures.py
 from __future__ import annotations
 
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,8 +172,9 @@ def make_policy_cache() -> None:
         return PLANNED[key]
 
     taxonomy = load_taxonomy(default_snapshot_path())
-    backend = Backend(BackendConfig(model_name=MODEL, cache_mode="live"), transport=transport)
-    result = extract_document(doc, backend, taxonomy)
+    with tempfile.TemporaryDirectory() as scratch:      # the answers asked, with run timestamps
+        config = BackendConfig(model_name=MODEL, cache_path=Path(scratch, "answers.jsonl"))
+        result = extract_document(doc, Backend(config, transport=transport), taxonomy)
     cache = ResponseCache(cache_path)
     for seg in doc.segments:
         for task in TaskKind:
