@@ -39,6 +39,7 @@ import heapq
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -176,6 +177,15 @@ def _write(path: Path, data: str | bytes, mode: str = "w") -> None:
         raise Error(f"cannot write {path}: {exc}") from None
 
 
+def _remove(path: Path) -> None:
+    """Remove `path` if it exists; a file that cannot be removed is an
+    `Error` that names it."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise Error(f"cannot remove {path}: {exc}") from None
+
+
 def _out_dir(config: argparse.Namespace, *subdirs: str) -> Path:
     """The output directory, made with its `subdirs` if missing."""
     path = Path(config.out)
@@ -207,6 +217,13 @@ def _load_gold(gold_dir: str) -> list[GoldDocument]:
         raise SystemExit(f"usage error: {exc}")
 
 
+def _warn_failed_calls(counts: Iterable[tuple[str, int, int]]) -> None:
+    """One stderr line for each (task name, failed calls, calls) with a failure."""
+    for task, failed, calls in counts:
+        if failed:
+            print(f"warning: {task}: {failed} of {calls} calls failed", file=sys.stderr)
+
+
 def _report_problems(header: str, problems: list[str]) -> None:
     shown = 5
     print(header, file=sys.stderr)
@@ -233,6 +250,7 @@ class _PolicyOutcome:
     summary: str = ""                                   # its line on stdout
     triples: int = 0
     blocks: list[tuple[rdfio.Subject, str]] = field(default_factory=list)  # Turtle statements
+    calls: Counter = field(default_factory=Counter)     # see `ExtractionResult.calls`
 
 
 def _read_policy(path: str) -> PolicyDocument | Error:
@@ -247,29 +265,37 @@ def _read_policy(path: str) -> PolicyDocument | Error:
 def _write_policy(analysis: _Analysis, path: str,
                   result: ExtractionResult | Error) -> _PolicyOutcome:
     """Check one extracted policy's graph and write its files; a policy
-    that could not be read or extracted is reported as it is."""
-    if isinstance(result, Error):
-        return _PolicyOutcome(failure=(f"error: {path}: {result}", []))
-    service_id = result.service_id
-    prpr = graphmod.build_graph(result, service_id, graphmod.policy_iri(service_id).value,
-                                taxonomy_version=analysis.taxonomy.version)
-    problems = graphmod.check_invariants(prpr.triples, analysis.taxonomy)
-    if problems:
-        return _PolicyOutcome(failure=(
-            f"error: {path}: {len(problems)} graph invariant violation(s)", problems))
+    that could not be read or extracted is reported as it is.  A policy
+    that fails removes the files an earlier run wrote for it, so the
+    outputs describe this run's policies only."""
+    stem = Path(path).stem      # the service id that `_read_policy` gives it
     out_dir = analysis.out_dir
+    ttl, nt, audit, build_log = files = (
+        out_dir / f"{stem}.ttl", out_dir / f"{stem}.nt", out_dir / "audit" / f"{stem}.json",
+        out_dir / "logs" / f"{stem}.build.json")
+    failure = None
+    if isinstance(result, Error):
+        failure = (f"error: {path}: {result}", [])
+    else:
+        prpr = graphmod.build_graph(result, stem, graphmod.policy_iri(stem).value,
+                                    taxonomy_version=analysis.taxonomy.version)
+        problems = graphmod.check_invariants(prpr.triples, analysis.taxonomy)
+        if problems:
+            failure = (f"error: {path}: {len(problems)} graph invariant violation(s)", problems)
+    if failure:
+        for stale in files:
+            _remove(stale)
+        return _PolicyOutcome(failure=failure)
     blocks = rdfio.turtle_blocks(prpr.triples)
-    _write(out_dir / f"{service_id}.ttl", rdfio.join_turtle(
-        rdfio.turtle_header(prpr.triples.prefixes), map(itemgetter(1), blocks)))
-    _write(out_dir / f"{service_id}.nt", rdfio.serialize(prpr.triples, "ntriples"))
-    _write(out_dir / "audit" / f"{service_id}.json", result.audit_json() + "\n")
-    _write(out_dir / "logs" / f"{service_id}.build.json",
-           json.dumps(prpr.build_log.to_dict(), indent=2, ensure_ascii=False) + "\n")
+    _write(ttl, rdfio.join_turtle(rdfio.turtle_header(prpr.triples.prefixes),
+                                  map(itemgetter(1), blocks)))
+    _write(nt, rdfio.serialize(prpr.triples, "ntriples"))
+    _write(audit, result.audit_json() + "\n")
+    _write(build_log, json.dumps(prpr.build_log.to_dict(), indent=2, ensure_ascii=False) + "\n")
     return _PolicyOutcome(
         run_log=result.run_log_text(prpr.build_log),
-        summary=f"{path}: {len(prpr)} triples, {prpr.practices} practices "
-                f"-> {out_dir / (service_id + '.ttl')}",
-        triples=len(prpr), blocks=blocks)
+        summary=f"{path}: {len(prpr)} triples, {prpr.practices} practices -> {ttl}",
+        triples=len(prpr), blocks=blocks, calls=result.calls())
 
 
 def _analyze_policy(analysis: _Analysis, path: str) -> _PolicyOutcome:
@@ -349,6 +375,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     analysis = _Analysis(taxonomy, backend, out_dir)
     failures = triples = 0
     policy_blocks = []
+    calls: Counter = Counter()
     run_log = out_dir / "run_log.jsonl"
     # each policy's records are appended after its files; the backend's
     # connections are closed once the segment threads are joined
@@ -363,6 +390,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(outcome.summary)
             triples += outcome.triples
             policy_blocks.append(outcome.blocks)
+            calls.update(outcome.calls)
 
     # policies have disjoint subjects (one policy IRI per stem), so the
     # union graph's statements are the policies' statements in term order
@@ -370,6 +398,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _write(out_dir / "corpus.ttl", rdfio.join_turtle(
         rdfio.turtle_header(graphmod.STANDARD_PREFIXES), map(itemgetter(1), merged)))
     print(f"combined corpus graph: {out_dir / 'corpus.ttl'} ({triples} triples)")
+    from .extraction.prompts import TaskKind
+    _warn_failed_calls((task.value, calls[task.value, True], calls[task.value, True]
+                        + calls[task.value, False]) for task in TaskKind)
     return 1 if failures else 0
 
 
@@ -402,6 +433,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write(out_dir / "report.json", report.to_json() + "\n")
     print(table, end="")
     print(f"report written to {out_dir / 'report.tsv'}", file=sys.stderr)
+    _warn_failed_calls((task.value, report.scores[task].n_failed, report.scores[task].n_calls)
+                       for task in ALL_TASKS if task in report.scores)
     return 0
 
 

@@ -43,6 +43,7 @@ class SampleRow:
     f1: float
     gold_empty: bool
     error: Optional[str] = None
+    asked: bool = True              # the sample made a model query
 
 
 @dataclass
@@ -61,6 +62,10 @@ class TaskScore:
     @property
     def n_failed(self) -> int:
         return sum(1 for r in self.rows if r.error)
+
+    @property
+    def n_calls(self) -> int:
+        return sum(1 for r in self.rows if r.asked)
 
     def to_dict(self) -> dict:
         return {
@@ -116,7 +121,8 @@ def score_document(gold_doc: GoldDocument, backend: Backend, taxonomy: Taxonomy,
         rows: list[SampleRow] = []
         for sample in segment_tasks(gold_doc, task, taxonomy):
             pred_items = error = None
-            if asks_model(task, sample):
+            asked = asks_model(task, sample)
+            if asked:
                 segment = gold_doc.doc.segments[sample.segment_index]
                 pred_items, trace = run_task(task, segment, sample.extras, backend)
                 error = trace.error
@@ -128,6 +134,7 @@ def score_document(gold_doc: GoldDocument, backend: Backend, taxonomy: Taxonomy,
                 f1=f1,
                 gold_empty=sample.is_empty,
                 error=error,
+                asked=asked,
             ))
         rows_by_task.append(rows)
     return rows_by_task

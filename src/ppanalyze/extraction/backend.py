@@ -4,16 +4,16 @@ One call to `Backend.invoke` is exactly one model query (plus transport
 retries).  Every answer goes through one table, a `ResponseCache` keyed
 by the digest of (model, task, system text, user text) and backed by an
 append-friendly JSONL file, one `cache_record` per response; temperature
-is pinned at 0 and therefore excluded.  On a miss, replay mode never
-touches the network and fails loudly, which makes every downstream run
-deterministic and offline.  Record mode asks the model once per distinct
-prompt in a run (equal prompts in flight together share one ask; a
-failed ask stores nothing) and appends the answer, so every run that
-asks the model can be replayed, and an interrupted one resumes without
-asking again.  An answer that cannot be encoded as UTF-8 (a lone
-surrogate) is an error, whether the model or the cache gave it, and so
-is a completion whose body is not UTF-8 JSON or whose message content is
-not a string.  Credentials come only from the environment (PPA_API_KEY,
+is pinned at 0 and therefore excluded.  Replay mode needs a cache file
+that exists; on a miss it never touches the network and fails loudly,
+which makes every downstream run deterministic and offline.  Record
+mode asks the model once per distinct prompt in a run (equal prompts in
+flight together share one ask; a failed ask stores nothing) and appends
+the answer, so every run that asks the model can be replayed, and an
+interrupted one resumes without asking again.  An answer that cannot be
+encoded as UTF-8 (a lone surrogate) is an error, whether the model or
+the cache gave it, and so is a completion whose body is not UTF-8 JSON
+or whose message content is not a string.  Credentials come only from the environment (PPA_API_KEY,
 falling back to OPENAI_API_KEY).
 
 Record mode asks the model through `HttpTransport`, which holds one
@@ -473,6 +473,8 @@ class Backend:
     """
 
     def __init__(self, config: BackendConfig, transport: Optional[Transport] = None):
+        if config.cache_mode == "replay" and not config.cache_path.exists():
+            raise BackendError(f"replay cache {config.cache_path} does not exist")
         self.config = config
         self.cache = ResponseCache(config.cache_path)
         self._asking: dict[str, threading.Lock] = {}     # each digest missed in this run

@@ -15,7 +15,7 @@ non_verbatim; graph building excludes flagged spans.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from typing import (TYPE_CHECKING, Any, Collection, Iterable, Iterator, NamedTuple,
@@ -107,6 +107,11 @@ class ExtractionResult:
     @property
     def failed_segments(self) -> int:
         return sum(1 for s in self.segments if s.failed)
+
+    def calls(self) -> Counter:
+        """The model calls of each task, counted by (task name, whether the call failed)."""
+        return Counter((name, trace.error is not None) for seg in self.segments
+                       for name, trace in seg.traces.items() if not trace.skipped)
 
     def audit_json(self) -> str:
         """The audit text: `json.dumps(audit, indent=2, ensure_ascii=False)`

@@ -368,22 +368,23 @@ class GraphStats:
 
 
 def stats(graphs: Sequence[Graph]) -> GraphStats:
-    """Aggregate statistics over any number of practice graphs, from one
-    scan of each graph's triples."""
-    practice_type_counts: Counter = Counter()
+    """Aggregate statistics over the union of any number of practice
+    graphs, from one scan of its triples: a triple in two graphs (a
+    policy's graph and a `corpus.ttl` that holds it) counts once, since
+    node labels are derived from content."""
+    triples = set().union(*(g.triples for g in graphs))
+    types: dict[Subject, list[IRI]] = {}    # practice node -> its practice classes
     mentions = {HAS_DATA: Counter(), HAS_PURPOSE: Counter()}
-    for g in graphs:
-        types: dict[Subject, list[IRI]] = {}    # practice node -> its practice classes
-        for (s, p, o) in g.triples:
-            if p == _TYPE:
-                if o in _CLASS_NAMES:
-                    types.setdefault(s, []).append(o)
-            elif p in mentions and isinstance(o, IRI):
-                mentions[p][o.value] += 1
-        practice_type_counts.update(map(_practice_class, types.values()))
+    for (s, p, o) in triples:
+        if p == _TYPE:
+            if o in _CLASS_NAMES:
+                types.setdefault(s, []).append(o)
+        elif p in mentions and isinstance(o, IRI):
+            mentions[p][o.value] += 1
+    practice_type_counts = Counter(map(_practice_class, types.values()))
 
     return GraphStats(
-        triple_count=sum(map(len, graphs)),
+        triple_count=len(triples),
         practice_count=sum(practice_type_counts.values()),
         practice_type_counts=practice_type_counts,
         data_class_mentions=mentions[HAS_DATA],

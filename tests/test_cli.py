@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from ppanalyze.cli import main
+from ppanalyze.extraction.backend import TransportError
 from ppanalyze.extraction.prompts import RECOGNITION_TASKS, TaskKind
 from ppanalyze.rdfio import IRI, parse_turtle
 
@@ -148,6 +149,64 @@ class TestAnalyze:
         assert "graph invariant violation" in err
         assert f"<{MARKETING}> is not a data term" in err
         assert not (tmp_path / "run" / "policy_example.org.ttl").exists()
+
+    def test_a_failed_policy_removes_its_earlier_outputs(self, tmp_path, capsys):
+        """A policy that fails on a second run into the same `--out` leaves
+        none of the files that the first run wrote for it."""
+        policies = [tmp_path / f"{name}.txt" for name in ("kept", "broken")]
+        for policy in policies:
+            policy.write_bytes((FIXTURES / "policy_example.org.txt").read_bytes())
+        argv = ["analyze", *map(str, policies), "--replay", "--cache",
+                str(FIXTURES / "replay_cache.jsonl"), "--model", "fixture-model",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        outputs = lambda stem: [tmp_path / "out" / name for name in (
+            f"{stem}.ttl", f"{stem}.nt", f"audit/{stem}.json", f"logs/{stem}.build.json")]
+        assert all(path.exists() for path in outputs("kept") + outputs("broken"))
+        policies[1].write_bytes(b"not UTF-8: \xff\xfe\n")
+        assert main(argv) == 1
+        assert all(path.exists() for path in outputs("kept"))
+        assert not any(path.exists() for path in outputs("broken"))
+
+    @pytest.mark.usefixtures("no_retries")
+    @pytest.mark.parametrize("mode", ["--replay", "--record"])
+    def test_failed_calls_are_counted_on_stderr(self, tmp_path, monkeypatch, capsys, mode):
+        """A run whose model calls fail ends with one warning line for each
+        task that has failures, in task order, with the counts of the run
+        log, at every `jobs`; its exit status stays 0."""
+        records = (FIXTURES / "replay_cache.jsonl").read_text(encoding="utf-8").splitlines()
+        kept = tmp_path / "kept.jsonl"
+        kept.write_text("".join(line + "\n" for line in records[::3]), encoding="utf-8")
+        answers = cache_answers(kept)
+
+        def transport(prompt, config):
+            if (prompt.system, prompt.user) not in answers:
+                raise TransportError("down")
+            return answers[prompt.system, prompt.user]
+
+        answer_through(monkeypatch, transport)
+        monkeypatch.setenv("PPA_API_KEY", "test-key")
+        policies = [tmp_path / f"copy{i}.txt" for i in range(2)]
+        for policy in policies:
+            policy.write_bytes((FIXTURES / "policy_example.org.txt").read_bytes())
+        warnings = set()
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            cache = kept if mode == "--replay" else out / "answers.jsonl"
+            capsys.readouterr()
+            assert main(["analyze", *map(str, policies), mode, "--cache", str(cache),
+                         "--model", "fixture-model", "--jobs", jobs, "--out", str(out)]) == 0
+            calls = [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
+            calls = [call for call in calls if call["event"] == "backend_call"]
+            expected = [f"warning: {task.value}: {failed} of {len(of_task)} calls failed"
+                        for task in TaskKind
+                        for of_task in [[c for c in calls if c["task"] == task.value]]
+                        for failed in [sum(1 for c in of_task if c["error"])] if failed]
+            stderr = capsys.readouterr().err.splitlines()
+            assert len(expected) > 1 and stderr[-len(expected):] == expected
+            assert not any(line.startswith("warning: ") for line in stderr[:-len(expected)])
+            warnings.add(tuple(expected))
+        assert len(warnings) == 1
 
     def test_config_precedence_flag_beats_env_and_file(self, tmp_path, monkeypatch, capsys):
         import ppanalyze.cli as cli
@@ -581,6 +640,18 @@ class TestStats:
         }
         out = capsys.readouterr().out
         assert "practices\t8" in out
+
+    def test_a_triple_in_two_inputs_counts_once(self, tmp_path, capsys):
+        """`stats out/*.ttl` reads each policy's graph and `corpus.ttl`,
+        which holds it again: it counts their union, as `corpus.ttl` alone."""
+        run_analyze(tmp_path / "run")
+        graphs = sorted(map(str, (tmp_path / "run").glob("*.ttl")))
+        assert len(graphs) == 2
+        assert main(["stats", *graphs, "--out", str(tmp_path / "both")]) == 0
+        assert main(["stats", graphs[0], "--out", str(tmp_path / "corpus")]) == 0
+        both, corpus = ((tmp_path / out / "stats.json").read_text() for out in ("both", "corpus"))
+        assert both == corpus
+        assert (json.loads(both)["triple_count"], json.loads(both)["practice_count"]) == (92, 8)
 
     def test_top_keeps_the_most_used_classes(self, tmp_path, capsys):
         run_analyze(tmp_path / "run")

@@ -383,6 +383,17 @@ class TestBadInput:
              "--model", "fixture-model"], tmp_path / "out")
         assert message.startswith(f"error: cannot read cache {cache}: [Errno ")
 
+    @pytest.mark.parametrize("named", [True, False], ids=["--cache", "default"])
+    @pytest.mark.parametrize("command", ["analyze", "evaluate"])
+    def test_replay_cache_that_does_not_exist(self, tmp_path, command, named):
+        out = tmp_path / "out"
+        cache = tmp_path / "missing.jsonl" if named else out / "answers.jsonl"
+        inputs = {"analyze": FIXTURES / "policy_example.org.txt", "evaluate": FIXTURES / "gold"}
+        message = fails_with_error_line(
+            [command, str(inputs[command]), "--replay", "--model", "fixture-model",
+             *(["--cache", str(cache)] if named else [])], out)
+        assert message == f"error: replay cache {cache} does not exist"
+
     def test_config_file_that_cannot_be_read(self, tmp_path):
         config = tmp_path / "absent.json"
         message = fails_with_error_line(["stats", "g.ttl", "--config", str(config)],
