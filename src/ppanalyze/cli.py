@@ -100,7 +100,7 @@ def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
                                help="serve responses from the cache only (offline, deterministic)")
             group.add_argument("--record", dest="mode", action="store_const", const="record",
                                help="serve cache hits; query the model on a miss and append "
-                                    "its answer")
+                                    "its answer (the default)")
         else:
             parser.add_argument("--" + name, type=SETTINGS[name].type, help=SETTINGS[name].help)
 

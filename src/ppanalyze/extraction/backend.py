@@ -13,8 +13,8 @@ the answer, so every run that asks the model can be replayed, and an
 interrupted one resumes without asking again.  An answer that cannot be
 encoded as UTF-8 (a lone surrogate) is an error, whether the model or
 the cache gave it, and so is a completion whose body is not UTF-8 JSON
-or whose message content is not a string.  Credentials come only from the environment (PPA_API_KEY,
-falling back to OPENAI_API_KEY).
+or whose message content is not a string.  Credentials come only from
+the environment (PPA_API_KEY, falling back to OPENAI_API_KEY).
 
 Record mode asks the model through `HttpTransport`, which holds one
 `http.client` connection per request in flight and keeps it alive while
