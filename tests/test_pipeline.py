@@ -36,7 +36,6 @@ DC, PC, R = (TaskKind.DATA_CLASSIFICATION, TaskKind.PURPOSE_CLASSIFICATION,
              TaskKind.RELATION_RECOGNITION)
 
 
-
 class TestExtractDocument:
     def test_rich_segment_produces_spans_and_tuples(self, tmp_path, taxonomy):
         doc = make_document(RICH_SEGMENT)
