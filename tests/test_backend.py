@@ -44,15 +44,23 @@ ANY_TEXT = st.text() | st.text(st.characters(exclude_categories=())
 
 class TestConfig:
     def test_modes_validated(self, tmp_path):
-        for mode in ("offline", "live"):
-            with pytest.raises(BackendError, match=f"^unknown cache mode '{mode}'; "
-                                                   "choose record or replay$"):
-                BackendConfig(cache_mode=mode, cache_path=tmp_path / "cache.jsonl")
+        with pytest.raises(BackendError, match="^unknown cache mode 'offline'; "
+                                               "choose record or replay$"):
+            BackendConfig(cache_mode="offline", cache_path=tmp_path / "cache.jsonl")
 
     def test_cache_modes_require_path(self):
         for mode in ("record", "replay"):
             with pytest.raises(TypeError, match="cache_path"):
                 BackendConfig(cache_mode=mode)
+
+    def test_live_mode_rejects_a_cache_path(self, tmp_path):
+        """`live` is no mode: a config naming it is refused, with the two
+        modes there are, before its cache file is touched."""
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(BackendError, match="^unknown cache mode 'live'; "
+                                               "choose record or replay$"):
+            BackendConfig(cache_mode="live", cache_path=path)
+        assert not path.exists()
 
     def test_live_mode_without_credentials_fails_early(self, monkeypatch, tmp_path):
         monkeypatch.delenv("PPA_API_KEY", raising=False)
@@ -164,8 +172,25 @@ class TestRecordReplay:
         stored = resumed.invoke(TaskKind.DATA_RECOGNITION, PROMPT)
         assert (stored.raw, stored.from_cache, resumed.transport_calls) == ("first", True, 0)
 
-    def test_equal_prompts_in_flight_ask_once(self, tmp_path):
-        """A second caller of a prompt being asked waits for that answer."""
+    def test_live_asks_each_prompt_once_and_writes_no_file(self, tmp_path, monkeypatch):
+        """The default mode, once named live, asks each prompt once and
+        writes no file beside its cache."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cache.jsonl"
+        answers = iter(["first", "second"])
+        backend = Backend(BackendConfig(model_name="m", cache_path=path),
+                          transport=lambda prompt, config: next(answers))
+        responses = [backend.invoke(TaskKind.DATA_RECOGNITION, PROMPT) for _ in range(2)]
+        assert [(r.raw, r.from_cache) for r in responses] == [("first", False)] * 2
+        assert (backend.invocations, backend.transport_calls) == (2, 1)
+        assert list(tmp_path.iterdir()) == [path]
+        assert len(path.read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("mode", ["live", "record"])
+    def test_equal_prompts_in_flight_ask_once(self, tmp_path, mode):
+        """A second caller of a prompt being asked waits for that answer.
+        `live` leaves the mode at its default, which records; `record` names it."""
+        settings = {} if mode == "live" else {"cache_mode": mode}
         path = tmp_path / "cache.jsonl"
         asked = threading.Event()
 
@@ -174,7 +199,7 @@ class TestRecordReplay:
             time.sleep(0.2)
             return "answer"
 
-        backend = Backend(BackendConfig(model_name="m", cache_path=path),
+        backend = Backend(BackendConfig(model_name="m", cache_path=path, **settings),
                           transport=slow_transport)
         results = []
         first = threading.Thread(target=lambda: results.append(
