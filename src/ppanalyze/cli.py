@@ -267,7 +267,7 @@ def _write_policy(analysis: _Analysis, path: str,
     """Check one extracted policy's graph and write its files; a policy
     that could not be read or extracted is reported as it is.  A policy
     that fails removes the files an earlier run wrote for it, so the
-    outputs describe this run's policies only."""
+    outputs describe this run's policies only; its calls are still logged."""
     stem = Path(path).stem      # the service id that `_read_policy` gives it
     out_dir = analysis.out_dir
     ttl, nt, audit, build_log = files = (
@@ -276,6 +276,7 @@ def _write_policy(analysis: _Analysis, path: str,
     failure = None
     if isinstance(result, Error):
         failure = (f"error: {path}: {result}", [])
+        result = getattr(result, "result", None)    # a `DocumentError`'s calls and notes
     else:
         prpr = graphmod.build_graph(result, stem, graphmod.policy_iri(stem).value,
                                     taxonomy_version=analysis.taxonomy.version)
@@ -285,7 +286,8 @@ def _write_policy(analysis: _Analysis, path: str,
     if failure:
         for stale in files:
             _remove(stale)
-        return _PolicyOutcome(failure=failure)
+        return _PolicyOutcome(failure) if result is None else _PolicyOutcome(
+            failure, result.run_log_text(graphmod.BuildLog()), calls=result.calls())
     blocks = rdfio.turtle_blocks(prpr.triples)
     _write(ttl, rdfio.join_turtle(rdfio.turtle_header(prpr.triples.prefixes),
                                   map(itemgetter(1), blocks)))
@@ -382,15 +384,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with closing(backend), _policy_outcomes(analysis, args.policies, config) as outcomes:
         _write(run_log, "")
         for outcome in outcomes:
+            _write(run_log, outcome.run_log, "a")
+            calls.update(outcome.calls)
             if outcome.failure:
                 _report_problems(*outcome.failure)
                 failures += 1
                 continue
-            _write(run_log, outcome.run_log, "a")
             print(outcome.summary)
             triples += outcome.triples
             policy_blocks.append(outcome.blocks)
-            calls.update(outcome.calls)
 
     # policies have disjoint subjects (one policy IRI per stem), so the
     # union graph's statements are the policies' statements in term order

@@ -2,11 +2,11 @@
 
 Each pipeline step is one model query per segment.  Segments that yield
 no entities and no actions skip the classification and relation steps
-entirely (cost control).  Every raw response is retained for audit even
-when parsing succeeds, in the call's `TaskTrace`, filed under its task
-name; and every skip/drop decision is logged as a structured note on
-the segment, so a run can be read from its audit dump alone (and
-replayed from the cache file that every asking run writes).
+entirely (cost control).  Each call's trace (`TaskTrace`) is filed under
+its task name, and every skip/drop decision is logged as a structured
+note on the segment.  A call is written once, as its run-log record;
+its answer is only in the cache file that every asking run writes,
+under the call's digest; and the audit keeps what each segment yielded.
 
 Hallucination guard: a span whose text does not occur in its segment
 (case-insensitive, whitespace-collapsed) is kept but flagged
@@ -67,8 +67,9 @@ class RelationTuple:
 
 @dataclass(frozen=True, kw_only=True)
 class TaskTrace:
-    """One task on one segment: its call, or its skip; filed under its task name."""
-    raw: Optional[str] = None
+    """One task on one segment: its call, or its skip; filed under its task
+    name.  Its one record is in the run log, its answer in the cache under `digest`."""
+    raw: Optional[str] = None       # the answer; in memory only, for `perfbench/layers.py`
     digest: Optional[str] = None
     from_cache: bool = False
     repaired: bool = False
@@ -78,9 +79,9 @@ class TaskTrace:
     skipped: bool = False
 
 
-# A run-log record leaves out the answer and the dropped items, and
-# `skipped` only picks its event name.
-_RUN_LOG_OMITS = ("raw", "dropped_items", "skipped")
+# A run-log record leaves out the answer, and `skipped` only picks its
+# event name.
+_RUN_LOG_OMITS = ("raw", "skipped")
 
 
 @dataclass
@@ -119,9 +120,8 @@ class ExtractionResult:
         through its pure-Python encoder.
 
         Per segment: its index, text and failure flag, its spans and
-        relations, its notes, and one response entry per task in task-name
-        order.  A span, relation or response holds its fields in
-        declaration order, but those at their declared default.
+        relations, and its notes; no call.  A span or relation holds its
+        fields in declaration order, but those at their declared default.
         """
         segments = ",".join(map(_audit_segment, self.segments))
         return ('{\n  "service_id": ' + _str(self.service_id)
@@ -138,7 +138,8 @@ class ExtractionResult:
         record, written directly.
 
         A call or skip record holds the task name, then every field of its
-        trace in declaration order, but those in `_RUN_LOG_OMITS`.
+        trace in declaration order, but those in `_RUN_LOG_OMITS`: a call's
+        only record.
         """
         policy = ', "service_id": ' + _str(self.service_id)
         lines: list[str] = []
@@ -183,7 +184,6 @@ def _array(values: list[str], pad: str) -> str:
 # the writer of a field value of each type the fields declare
 _SCALARS = {str: _str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
             type(None): {None: "null"}.__getitem__}
-_AUDIT_VALUES = {**_SCALARS, tuple: lambda value: _array(list(map(_str, value)), "          ")}
 _RUN_LOG_VALUES = {**_SCALARS, tuple: lambda value: "[" + ", ".join(map(_str, value)) + "]"}
 
 
@@ -198,30 +198,25 @@ def _layout(cls: type, omit: Collection[str] = (),
 
 _SPAN_FIELDS = _layout(EntitySpan)
 _RELATION_FIELDS = _layout(RelationTuple)
-_RESPONSE_FIELDS = _layout(TaskTrace)
 _RUN_LOG_FIELDS = _layout(TaskTrace, _RUN_LOG_OMITS, lead=", ")
-# what opens each field of a span, relation or response object
+# what opens each field of a span or relation object
 _FIELD = "\n          "
 
 
 def _audit_object(obj: Any, layout: tuple[tuple[str, str, Any], ...]) -> str:
-    """A span, relation or response object: the fields of `layout` whose
-    value is not their declared default."""
+    """A span or relation object: the fields of `layout` whose value is not
+    their declared default."""
     values = obj.__dict__
     written = []
     for name, key, default in layout:
         value = values[name]
         if value != default:
-            written.append(key + _AUDIT_VALUES.get(type(value), _scalar)(value))
-    if not written:
-        return "{}"
+            written.append(key + _SCALARS.get(type(value), _scalar)(value))
     return "{" + _FIELD + ("," + _FIELD).join(written) + "\n        }"
 
 
 def _audit_segment(seg: SegmentExtraction) -> str:
     """One item of the audit's "segments" array, from the line it opens on."""
-    responses = [_str(name) + ": " + _audit_object(trace, _RESPONSE_FIELDS)
-                 for name, trace in sorted(seg.traces.items())]
     spans = [_audit_object(span, _SPAN_FIELDS) for span in seg.spans]
     relations = [_audit_object(rel, _RELATION_FIELDS) for rel in seg.relations]
     return ('\n    {\n      "index": ' + f"{seg.segment_index:d}"
@@ -230,14 +225,12 @@ def _audit_segment(seg: SegmentExtraction) -> str:
             + ',\n      "spans": ' + _array(spans, "      ")
             + ',\n      "relations": ' + _array(relations, "      ")
             + ',\n      "notes": ' + _array(list(map(_str, seg.notes)), "      ")
-            + ',\n      "responses": '
-            + ("{\n        " + ",\n        ".join(responses) + "\n      }" if responses
-               else "{}")
             + "\n    }")
 
 
 class DocumentError(Error):
-    """Every segment of a document failed."""
+    """Every segment of a document failed; `result` holds its failed calls."""
+    result: Optional[ExtractionResult] = None       # set by `extract_documents`
 
 
 # Request slots per job on a record run: the endpoint sees at most
@@ -275,8 +268,9 @@ def run_task(task: TaskKind, segment: Segment, extras: Optional[Sequence],
 
     Returns the parsed items and the call's trace.  A failed call returns
     None for the items, and its trace holds the error and the prompt's
-    digest: a `BackendError` (no answer) leaves `raw` empty, and an
-    unparseable answer keeps it, with its cache flag, for audit.
+    digest: after a `BackendError` no answer is stored under it, while an
+    unparseable answer is in the cache (`Backend.invoke` stores it before
+    it is parsed), and the trace keeps its cache flag.
 
     The answer is parsed through a per-process memo of the last
     `PARSE_MEMO_SIZE` distinct (task, answer) pairs, so calls that get
@@ -406,10 +400,10 @@ def extract_documents(docs: Iterable[PolicyDocument | Error], backend: Backend,
     """Run the full per-segment pipeline over each document, in input order.
 
     Yields each document's `ExtractionResult`, or the `DocumentError` of a
-    document whose every segment failed; an `Error` in place of a document
-    (one that could not be read) comes out at its place.  Per-segment
-    errors are aggregated without aborting, and segment order is kept
-    whatever order the segments finish in.
+    document whose every segment failed (it holds the result); an `Error`
+    in place of a document (one that could not be read) comes out at its
+    place.  Per-segment errors are aggregated without aborting, and
+    segment order is kept whatever order the segments finish in.
 
     Each segment asks its queries one at a time, in task order.  A replay
     runs the segments in sequence and starts no thread: it waits on no
@@ -460,8 +454,10 @@ def _result(doc: PolicyDocument | Error,
         return doc
     result = ExtractionResult(doc.service_id, doc.source_uri, tuple(extractions))
     if doc.segments and result.failed_segments == len(doc.segments):
-        return DocumentError(f"every segment of {doc.service_id} failed "
-                             f"({result.failed_segments}/{len(doc.segments)})")
+        error = DocumentError(f"every segment of {doc.service_id} failed "
+                              f"({result.failed_segments}/{len(doc.segments)})")
+        error.result = result
+        return error
     return result
 
 

@@ -29,7 +29,7 @@ An item whose text holds a lone surrogate (a JSON escape such as
 output can encode it.
 
 Only an answer with no bracketed region, no refusal and no line
-fallback raises ParseError; callers keep the raw text for audit.
+fallback raises ParseError; the cache file keeps the raw text.
 Parse failures are data, never retried.
 """
 from __future__ import annotations

@@ -874,10 +874,6 @@ def reference_audit_dict(result) -> dict:
                 ],
                 "relations": [vars(rel) for rel in seg.relations],
                 "notes": list(seg.notes),
-                "responses": {
-                    name: {k: v for k, v in vars(trace).items() if v not in (None, (), False)}
-                    for name, trace in sorted(seg.traces.items())
-                },
             }
             for seg in result.segments
         ],
@@ -898,6 +894,7 @@ def reference_run_log_records(service_id: str, result, build_log):
                 "from_cache": trace.from_cache,
                 "repaired": trace.repaired,
                 "repair_stages": list(trace.repair_stages),
+                "dropped_items": list(trace.dropped_items),
                 "error": trace.error,
             }
         for note in seg.notes:

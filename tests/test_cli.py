@@ -168,6 +168,30 @@ class TestAnalyze:
         assert all(path.exists() for path in outputs("kept"))
         assert not any(path.exists() for path in outputs("broken"))
 
+    def test_a_policy_whose_every_segment_fails_logs_its_calls(self, tmp_path, capsys):
+        """A policy whose every call failed gets no graph, audit or build
+        log and fails the run, but the run log records its calls and the
+        warning lines count them."""
+        out = tmp_path / "out"
+        assert main(["analyze", str(FIXTURES / "policy_example.org.txt"), "--replay",
+                     "--cache", str(FIXTURES / "gold" / "replay_cache_empty.jsonl"),
+                     "--model", "fixture-model", "--out", str(out)]) == 1
+        stderr = capsys.readouterr().err.splitlines()
+        assert stderr[1].startswith("error: ") and stderr[1].endswith(" failed (15/15)")
+        assert stderr[-4:] == [f"warning: {task.value}: 15 of 15 calls failed"
+                               for task in RECOGNITION_TASKS]
+        records = [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
+        assert len(records) == 60
+        assert all(record["event"] == "backend_call"
+                   and record["service_id"] == "policy_example.org"
+                   and record["error"].startswith("replay cache has no entry for digest "
+                                                  + record["digest"])
+                   for record in records)
+        assert sorted((r["segment"], r["task"]) for r in records) == sorted(
+            (segment, task.value) for segment in range(15) for task in RECOGNITION_TASKS)
+        assert sorted(path.relative_to(out).as_posix() for path in out.rglob("*")) \
+            == ["audit", "corpus.ttl", "logs", "run_log.jsonl"]
+
     @pytest.mark.usefixtures("no_retries")
     @pytest.mark.parametrize("mode", ["--replay", "--record"])
     def test_failed_calls_are_counted_on_stderr(self, tmp_path, monkeypatch, capsys, mode):

@@ -493,12 +493,12 @@ class TestRunTaskFailure:
         def down(prompt, config):
             raise TransportError("down")
 
-        items, trace = run_task(TaskKind.DATA_RECOGNITION, self.segment, None,
-                                record_backend(tmp_path, down))
+        backend = record_backend(tmp_path, down)
+        items, trace = run_task(TaskKind.DATA_RECOGNITION, self.segment, None, backend)
         assert items is None
         assert "down" in trace.error
         # no answer, but the digest names the call
-        assert trace.raw is None and trace.digest == self.digest("scripted")
+        assert trace.digest == self.digest("scripted") and backend.cache.get(trace.digest) is None
 
     def test_replay_miss_returns_its_trace(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -507,16 +507,17 @@ class TestRunTaskFailure:
         items, trace = run_task(TaskKind.DATA_RECOGNITION, self.segment, None, backend)
         assert items is None
         assert trace.error.startswith("replay cache has no entry")
-        assert trace.raw is None and trace.digest == self.digest("m")
+        assert trace.digest == self.digest("m") and backend.cache.get(trace.digest) is None
 
     def test_unparseable_answer_keeps_raw(self, tmp_path):
         # plain prose is no relation list
         answer = "I really cannot answer this question properly."
+        backend = record_backend(tmp_path, lambda prompt, config: answer)
         items, trace = run_task(TaskKind.RELATION_RECOGNITION, self.segment,
-                                [("e0", "data", "data")],
-                                record_backend(tmp_path, lambda prompt, config: answer))
+                                [("e0", "data", "data")], backend)
         assert items is None
         assert trace.error
-        assert trace.raw == answer
+        # the cache keeps the answer that did not parse
+        assert backend.cache.get(trace.digest)["response"] == answer
         # the digest names the call whose answer did not parse
         assert trace.digest and not trace.from_cache

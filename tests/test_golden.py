@@ -44,7 +44,7 @@ def run_offline_commands(root: Path) -> dict[str, str]:
 
 GOLDEN = {
     "analyze/audit/policy_example.org.json":
-        "0b835049b4b73c4d183cd10f026dbbc74d31b144ab11e26361b692f61ff176ae",
+        "cb7430bc0592575d3176dc50aabb6c1dbeb05133a808b3bfe089bc9b8e4a5d0d",
     "analyze/corpus.ttl":
         "9b97f78fc508b57a7570b6a3f43827dcc6a6eaecb97c8f67e96e9882fda94a81",
     "analyze/logs/policy_example.org.build.json":
@@ -54,7 +54,7 @@ GOLDEN = {
     "analyze/policy_example.org.ttl":
         "9b97f78fc508b57a7570b6a3f43827dcc6a6eaecb97c8f67e96e9882fda94a81",
     "analyze/run_log.jsonl":
-        "57456d46119d48b6a0b5401caa161d1e255570a79bc318586dcc52fc07135397",
+        "1794db2dd83cef2e4bd31fdac48d83338a12375e195b6d6e2045473047600ee9",
     "convert/policy_example.org.conversion.json":
         "aeedc7c65ea6265b4f0d03828f9b9ccf3bbb007b874c314e5f60d34151a74c84",
     "convert/policy_example.org.odrl.ttl":

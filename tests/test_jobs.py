@@ -24,9 +24,9 @@ import shutil
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
 
 import pytest
 
@@ -37,7 +37,9 @@ from ppanalyze.corpus import load_policy
 from ppanalyze.eval.gold import load_gold_corpus
 from ppanalyze.extraction import backend as backend_module
 from ppanalyze.extraction.pipeline import extract_document
-from ppanalyze.extraction.prompts import RECOGNITION_TASKS
+from ppanalyze.extraction.prompts import (RECOGNITION_TASKS, TASK_SHAPES, PromptMessages,
+                                         TaskKind)
+from ppanalyze.extraction.repair import ParseError, repair_and_parse
 from ppanalyze.graph import STANDARD_PREFIXES
 from ppanalyze.rdfio import parse_turtle
 
@@ -607,21 +609,13 @@ def test_evaluate_record_over_http_holds_one_connection(gold_set, tmp_path, monk
     assert tree == evaluate(gold_set, tmp_path / "replay", capsys)[1]
 
 
-def without_cache_flags(out: Path) -> dict[str, Any]:
+def without_cache_flags(out: Path) -> dict[str, str]:
     """The files of an output tree but its answers, with the `from_cache`
-    flags of the audits and the run log cleared."""
-    files = {}
-    for path in sorted(out.rglob("*")):
-        name = path.relative_to(out).as_posix()
-        if not path.is_file() or name == "answers.jsonl":
-            continue
-        files[name] = path.read_text(encoding="utf-8")
-        if name.startswith("audit/"):
-            audit = json.loads(files[name])
-            for seg in audit["segments"]:
-                for response in seg["responses"].values():
-                    response.pop("from_cache", None)
-            files[name] = audit
+    flags of the run log cleared; every other file, the audits
+    included, byte for byte."""
+    files = {path.relative_to(out).as_posix(): path.read_text(encoding="utf-8")
+             for path in sorted(out.rglob("*")) if path.is_file()}
+    files.pop("answers.jsonl", None)
     if "run_log.jsonl" in files:
         files["run_log.jsonl"] = run_log_without_cache_flags(out)
     return files
@@ -647,6 +641,77 @@ def test_an_asking_run_with_no_cache_flag_replays_from_its_out(corpus, gold_set,
         shutil.copy(asked / "answers.jsonl", replayed)
         assert run([*argv, "--replay"], replayed, capsys)[::2] == (code, stdout)
         assert without_cache_flags(replayed) == without_cache_flags(asked)
+
+
+def check_answers_in_cache(run_log: Path, cache: Path) -> Counter:
+    """Each call of `run_log` names exactly one record of `cache` by its
+    digest, and that record's answer, parsed again for the call's task,
+    gives the call's repair flag, stages, dropped items and error.  The
+    calls checked, by (repaired, items dropped, answer unparsed)."""
+    keys = Counter()
+    answers = {}
+    for line in cache.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        keys[record["key"]] += 1
+        answers[record["key"]] = record["response"]
+    kinds = Counter()
+    for call in map(json.loads, run_log.read_text(encoding="utf-8").splitlines()):
+        if call["event"] != "backend_call":
+            continue
+        assert keys[call["digest"]] == 1, call
+        try:
+            _, trace = repair_and_parse(answers[call["digest"]],
+                                        TASK_SHAPES[TaskKind(call["task"])])
+        except ParseError as exc:
+            parsed = (False, [], [], str(exc))
+        else:
+            parsed = (trace.repaired, trace.stages,
+                      [f"{item!r}: {reason}" for item, reason in trace.dropped_items], None)
+        assert (call["repaired"], call["repair_stages"], call["dropped_items"],
+                call["error"]) == parsed, call
+        kinds[call["repaired"], bool(call["dropped_items"]), call["error"] is not None] += 1
+    return kinds
+
+
+def test_each_answer_is_in_the_cache_under_its_call_digest(tmp_path, monkeypatch, capsys):
+    """The run log is a call's one record and the cache holds its answer:
+    on a replay of the fixture, and on record runs over HTTP into a fresh
+    `--out`, of the fixture and of a policy whose answers lose an item,
+    need repair and do not parse."""
+    policy = str(FIXTURES / "policy_example.org.txt")
+    replayed = run(["analyze", policy, "--replay", "--cache",
+                    str(FIXTURES / "replay_cache.jsonl"), "--model", FIXTURE_MODEL],
+                   tmp_path / "replayed", capsys)
+    kinds = check_answers_in_cache(tmp_path / "replayed" / "run_log.jsonl",
+                                   FIXTURES / "replay_cache.jsonl")
+    assert replayed[0] == 0 and kinds[True, False, False] > 0
+    with endpoint_answering(FIXTURES / "replay_cache.jsonl", monkeypatch):
+        assert run(["analyze", policy, "--model", FIXTURE_MODEL], tmp_path / "asked",
+                   capsys)[::2] == replayed[::2]
+    assert check_answers_in_cache(tmp_path / "asked" / "run_log.jsonl",
+                                  tmp_path / "asked" / "answers.jsonl") == kinds
+
+    answers = {**{task: answer for (_, task), answer in RICH_PLAN.items()},
+               TaskKind.DATA_RECOGNITION: '{"entities": [{"text": "your email address"}, 42]}',
+               TaskKind.PURPOSE_RECOGNITION: "Here they are: ['send newsletters',]",
+               TaskKind.PURPOSE_CLASSIFICATION: "I cannot classify these."}
+
+    def respond(body: bytes) -> tuple[int, bytes]:
+        messages = {m["role"]: m["content"] for m in json.loads(body)["messages"]}
+        return completion(answers[task_of(PromptMessages(messages["system"],
+                                                         messages["user"]))])
+
+    rich = tmp_path / "rich.example.txt"
+    rich.write_text(RICH_SEGMENT, encoding="utf-8")
+    clear_proxies(monkeypatch)
+    monkeypatch.setenv("PPA_API_KEY", "test-key")
+    with Endpoint(respond) as endpoint:
+        monkeypatch.setenv("PPA_API_BASE", endpoint.base_url)
+        assert run(["analyze", str(rich)], tmp_path / "rich", capsys)[0] == 0
+    assert check_answers_in_cache(tmp_path / "rich" / "run_log.jsonl",
+                                  tmp_path / "rich" / "answers.jsonl") == {
+        (False, True, False): 1, (True, False, False): 1, (False, False, False): 4,
+        (False, False, True): 1}
 
 
 def test_a_run_again_into_its_out_asks_only_what_it_did_not_record(tmp_path, monkeypatch,

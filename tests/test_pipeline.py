@@ -50,8 +50,9 @@ class TestExtractDocument:
         assert {(r.subject_id, r.object_id, r.event_type) for r in seg.relations} == {
             ("a0", "e0", "HAS_DATA"), ("a0", "e2", "PERFORMED_BY"),
         }
-        # raw responses retained for audit even though parsing succeeded
-        assert seg.traces["data-recognition"].raw == RICH_PLAN[(0, D)]
+        # the answer is in the cache under the call's digest, though it parsed
+        digest = seg.traces["data-recognition"].digest
+        assert backend.cache.get(digest)["response"] == RICH_PLAN[(0, D)]
 
     def test_empty_document(self, tmp_path, taxonomy):
         doc = make_document("")
@@ -151,8 +152,10 @@ class TestExtractDocument:
             raise TransportError("down")
 
         backend = record_backend(tmp_path, transport)
-        with pytest.raises(DocumentError):
+        with pytest.raises(DocumentError) as raised:
             extract_document(doc, backend, taxonomy)
+        # the error holds the failed calls, for the run log
+        assert raised.value.result.calls() == {(task.value, True): 2 for task in (D, P, PA, A)}
 
     def test_cache_witnesses_one_query_per_executed_task(self, taxonomy, fixture_policy_path):
         # the recorded fixture cache holds exactly one entry per executed
@@ -251,15 +254,19 @@ class TestLoneSurrogates:
 class TestRunTask:
     def test_returns_items_and_trace(self, tmp_path):
         doc = make_document("We collect data.")
-        backend = record_backend(tmp_path,
-                                 lambda prompt, config: '{"entities": [{"text": "data"}]}')
+        answer = '{"entities": [{"text": "data"}]}'
+        backend = record_backend(tmp_path, lambda prompt, config: answer)
         items, trace = run_task(D, doc.segments[0], None, backend)
         assert items == [{"text": "data"}]
-        assert trace.raw and trace.digest and not trace.repaired
+        assert backend.cache.get(trace.digest)["response"] == answer and not trace.repaired
+        # held in memory too, for in-process readers
+        assert trace.raw == answer
 
 
 class TestUnparseableAnswer:
-    def test_replayed_answer_keeps_its_digest_in_audit_and_run_log(self, taxonomy, tmp_path):
+    def test_replayed_answer_keeps_its_digest_in_the_run_log(self, taxonomy, tmp_path):
+        """The run log names the cache record of an answer that did not
+        parse; the audit holds no copy of the answer."""
         # the purpose classifier answers in prose; record the answers, then replay them
         doc = make_document(RICH_SEGMENT)
         plan = {**RICH_PLAN, (0, PC): "I cannot classify these."}
@@ -275,21 +282,20 @@ class TestUnparseableAnswer:
                      if json.loads(line)["response"] == plan[(0, PC)]]
 
         (seg,) = result.to_audit_dict()["segments"]
-        response = seg["responses"][PC.value]
-        assert response["error"] and response["raw"] == plan[(0, PC)]
-        assert response["digest"] == record["key"]
+        assert seg["failed"] is False and plan[(0, PC)] not in result.audit_json()
         (call,) = [json.loads(line) for line in result.run_log_text(BuildLog()).splitlines()
                    if json.loads(line).get("task") == PC.value]
         assert call["error"] and call["digest"] == record["key"]
+        assert replay.cache.get(call["digest"])["response"] == plan[(0, PC)]
 
 
 class TestCallWithoutAnswer:
-    """A call that got no answer names its prompt's digest in the audit
-    and the run log."""
+    """A call that got no answer names its prompt's digest in the run
+    log, and no answer is stored under it."""
 
     @pytest.mark.usefixtures("no_retries")
     @pytest.mark.parametrize("failure", ["replay-miss", "transport-failure"])
-    def test_digest_in_audit_and_run_log(self, taxonomy, tmp_path, failure):
+    def test_digest_in_the_run_log(self, taxonomy, tmp_path, failure):
         doc = make_document(RICH_SEGMENT)
         answer = scripted_transport(doc, RICH_PLAN)
         if failure == "transport-failure":
@@ -317,12 +323,11 @@ class TestCallWithoutAnswer:
                                build_prompt(R, seg.segment_text, seg.spans))
 
         (audited,) = result.to_audit_dict()["segments"]
-        response = audited["responses"][R.value]
-        assert response["error"] and "raw" not in response
-        assert response["digest"] == digest
+        assert audited["spans"] and digest not in result.audit_json()
         (call,) = [json.loads(line) for line in result.run_log_text(BuildLog()).splitlines()
                    if json.loads(line).get("task") == R.value]
         assert call["error"] and call["digest"] == digest
+        assert backend.cache.get(digest) is None
 
 
 _GROUNDINGS = st.fixed_dictionaries({
@@ -379,7 +384,8 @@ class TestParseMemo:
         doc = make_document("\n".join(self.SEGMENTS))
         transport = scripted_transport(doc, {(i, task): answer for i in range(len(self.SEGMENTS))
                                              for task, answer in self.ANSWERS.items()})
-        return extract_document(doc, record_backend(tmp_path, transport), taxonomy)
+        backend = record_backend(tmp_path, transport)
+        return extract_document(doc, backend, taxonomy), backend
 
     def test_each_distinct_answer_parsed_once(self, tmp_path, taxonomy, monkeypatch):
         calls = []
@@ -389,23 +395,24 @@ class TestParseMemo:
             return repair_and_parse(raw, shape)
 
         monkeypatch.setattr(pipeline, "repair_and_parse", spy)
-        result = self.run(tmp_path, taxonomy)
-        answered = [(name, trace.raw) for seg in result.segments
-                    for name, trace in seg.traces.items() if trace.raw is not None]
+        result, backend = self.run(tmp_path, taxonomy)
+        answered = [(name, backend.cache.get(trace.digest)["response"])
+                    for seg in result.segments for name, trace in seg.traces.items()]
         assert len(answered) == 7 * len(self.SEGMENTS)
         assert len(calls) == len(set(answered)) == 7
 
     def test_same_outcome_as_parsing_every_call(self, tmp_path, taxonomy, monkeypatch):
-        memoized = self.run(tmp_path, taxonomy)
+        memoized, backend = self.run(tmp_path, taxonomy)
         monkeypatch.setattr(pipeline, "_parse", pipeline._parse.__wrapped__)
-        unmemoized = self.run(tmp_path, taxonomy)
+        unmemoized, _ = self.run(tmp_path, taxonomy)
         assert memoized == unmemoized
         assert memoized.audit_json() == unmemoized.audit_json()
         for seg in memoized.segments:
             assert seg.traces[D.value].dropped_items == ("42: not an object",)
             assert seg.traces[P.value].repaired
             failed = seg.traces[PC.value]
-            assert failed.raw == self.ANSWERS[PC] and failed.error and failed.digest
+            assert failed.error and backend.cache.get(failed.digest)["response"] \
+                == self.ANSWERS[PC]
 
     def test_bound_is_the_module_constant(self):
         assert pipeline._parse.cache_parameters()["maxsize"] == pipeline.PARSE_MEMO_SIZE == 4096
