@@ -276,7 +276,7 @@ def _write_policy(analysis: _Analysis, path: str,
     failure = None
     if isinstance(result, Error):
         failure = (f"error: {path}: {result}", [])
-        result = getattr(result, "result", None)    # a `DocumentError`'s calls and notes
+        result = getattr(result, "result", None)    # a `DocumentError`'s calls
     else:
         prpr = graphmod.build_graph(result, stem, graphmod.policy_iri(stem).value,
                                     taxonomy_version=analysis.taxonomy.version)
@@ -287,7 +287,7 @@ def _write_policy(analysis: _Analysis, path: str,
         for stale in files:
             _remove(stale)
         return _PolicyOutcome(failure) if result is None else _PolicyOutcome(
-            failure, result.run_log_text(graphmod.BuildLog()), calls=result.calls())
+            failure, result.run_log_text(), calls=result.calls())
     blocks = rdfio.turtle_blocks(prpr.triples)
     _write(ttl, rdfio.join_turtle(rdfio.turtle_header(prpr.triples.prefixes),
                                   map(itemgetter(1), blocks)))
@@ -295,7 +295,7 @@ def _write_policy(analysis: _Analysis, path: str,
     _write(audit, result.audit_json() + "\n")
     _write(build_log, json.dumps(prpr.build_log.to_dict(), indent=2, ensure_ascii=False) + "\n")
     return _PolicyOutcome(
-        run_log=result.run_log_text(prpr.build_log),
+        run_log=result.run_log_text(),
         summary=f"{path}: {len(prpr)} triples, {prpr.practices} practices -> {ttl}",
         triples=len(prpr), blocks=blocks, calls=result.calls())
 

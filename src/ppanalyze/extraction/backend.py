@@ -160,6 +160,7 @@ class ResponseCache:
         self._torn_at: Optional[int] = None
         self._unterminated = False
         self._dir_made = False      # the cache's directory, made on the first append
+        self._failure: Optional[str] = None     # the message of a failed append
         try:
             with self.path.open("rb") as f:
                 header = self._load(f)
@@ -281,35 +282,44 @@ class ResponseCache:
         every reader sees the first answer.  A new record is appended in
         one `os.write` loop on an `O_APPEND` descriptor, with the newline
         that ends an unterminated last line, so each record reaches the
-        file in one write."""
+        file in one write, and the table once written.  A failed append (a
+        full disk) is an `Error` that names the cache, not a `BackendError`:
+        the run stops.  So is every later `put`, which writes nothing: a
+        record cut short stays the torn last line that the next load skips."""
         key = record["key"]
         line = (_encode(record) + "\n").encode("utf-8")
         with self._lock:
+            if self._failure is not None:
+                raise Error(self._failure)
             if key in self._answers:
                 return
-            self._answers[key] = record["response"]
-            if not self._dir_made:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._dir_made = True
-            if self._torn_at is not None:
-                # cut only a tail that is still one line without a newline:
-                # another process may have cut it and appended since the load
-                with self.path.open("r+b") as f:
-                    f.seek(self._torn_at)
-                    tail = f.readline()
-                    if tail and not tail.endswith(b"\n"):
-                        f.truncate(self._torn_at)
-                self._torn_at = None
-            if self._unterminated:
-                line = b"\n" + line
-                self._unterminated = False
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             try:
-                data = memoryview(line)
-                while data:
-                    data = data[os.write(fd, data):]
-            finally:
-                os.close(fd)
+                if not self._dir_made:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._dir_made = True
+                if self._torn_at is not None:
+                    # cut only a tail that is still one line without a newline:
+                    # another process may have cut it and appended since the load
+                    with self.path.open("r+b") as f:
+                        f.seek(self._torn_at)
+                        tail = f.readline()
+                        if tail and not tail.endswith(b"\n"):
+                            f.truncate(self._torn_at)
+                    self._torn_at = None
+                if self._unterminated:
+                    line = b"\n" + line
+                    self._unterminated = False
+                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                try:
+                    data = memoryview(line)
+                    while data:
+                        data = data[os.write(fd, data):]
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                self._failure = f"cannot write {self.path}: {exc}"
+                raise Error(self._failure) from None
+            self._answers[key] = record["response"]
 
 
 @dataclass(frozen=True)

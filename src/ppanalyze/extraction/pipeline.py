@@ -2,11 +2,13 @@
 
 Each pipeline step is one model query per segment.  Segments that yield
 no entities and no actions skip the classification and relation steps
-entirely (cost control).  Each call's trace (`TaskTrace`) is filed under
-its task name, and every skip/drop decision is logged as a structured
-note on the segment.  A call is written once, as its run-log record;
-its answer is only in the cache file that every asking run writes,
-under the call's digest; and the audit keeps what each segment yielded.
+entirely (cost control).  Each task's trace (`TaskTrace`, its call or its
+skip) is filed under its task name, and each span or relation that the
+segment flags, leaves ungrounded, drops or swaps gets a note on the
+segment.  A call or skip is written once, as its run-log record; a
+call's answer is only in the cache file that every asking run writes,
+under the call's digest; and the audit keeps what each segment yielded,
+its notes included.
 
 Hallucination guard: a span whose text does not occur in its segment
 (case-insensitive, whitespace-collapsed) is kept but flagged
@@ -18,8 +20,7 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
-from typing import (TYPE_CHECKING, Any, Collection, Iterable, Iterator, NamedTuple,
-                    Optional, Sequence)
+from typing import Any, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .. import Error
 from ..corpus import PolicyDocument, Segment
@@ -36,9 +37,6 @@ from .prompts import (
     number_spans,
 )
 from .repair import ParseError, repair_and_parse
-
-if TYPE_CHECKING:
-    from ..graph import BuildLog
 
 
 @dataclass(frozen=True)
@@ -132,33 +130,28 @@ class ExtractionResult:
         """The audit object, read back from `audit_json`."""
         return json.loads(self.audit_json())
 
-    def run_log_text(self, build_log: BuildLog) -> str:
-        """The policy's run-log lines: its calls and skips, segment notes and
-        build skips, each the `json.dumps(record, ensure_ascii=False)` of its
-        record, written directly.
+    def run_log_text(self) -> str:
+        """The policy's run-log lines: one record per task of each segment,
+        its call or its skip, each the `json.dumps(record, ensure_ascii=False)`
+        of its record, written directly.
 
-        A call or skip record holds the task name, then every field of its
-        trace in declaration order, but those in `_RUN_LOG_OMITS`: a call's
-        only record.
+        A record holds the task name, then every field of its trace in
+        declaration order, but those in `_RUN_LOG_OMITS`: a call's only
+        record.  Segment notes are in the audit, build skips in the build log.
         """
         policy = ', "service_id": ' + _str(self.service_id)
         lines: list[str] = []
         append = lines.append
         for seg in self.segments:
-            at = f'{policy}, "segment": {seg.segment_index:d}'
-            call_at = at + ', "task": '
+            at = f'{policy}, "segment": {seg.segment_index:d}, "task": '
             for name, trace in sorted(seg.traces.items()):
                 append(('{"event": "task_skipped"' if trace.skipped
-                        else '{"event": "backend_call"') + call_at + _str(name))
+                        else '{"event": "backend_call"') + at + _str(name))
                 values = trace.__dict__
                 for attr, key, _ in _RUN_LOG_FIELDS:
                     value = values[attr]
                     append(key + _RUN_LOG_VALUES.get(type(value), _scalar)(value))
                 append("}\n")
-            for note in seg.notes:
-                append(f'{{"event": "note"{at}, "note": {_str(note)}}}\n')
-        for record in build_log.records:
-            append(f'{{"event": "build_skip"{policy}, "note": {_str(record)}}}\n')
         return "".join(lines)
 
 
@@ -349,14 +342,12 @@ def _extract_segment(segment: Segment, backend: Backend, taxonomy: Taxonomy) -> 
             notes.append(f"{span.local_id}: non-verbatim span {span.text!r}")
         spans.append(span)
 
-    if not spans:
-        if all(items is None for items in recognized.values()):
-            return SegmentExtraction(segment.index, segment.text, (), (),
-                                     traces, tuple(notes), failed=True)
-        notes.append("no entities and no actions: classification and relation steps skipped")
-        for task in (*CLASSIFICATION_TASKS, TaskKind.RELATION_RECOGNITION):
-            traces[task.value] = TaskTrace(skipped=True)
-        return SegmentExtraction(segment.index, segment.text, (), (), traces, tuple(notes))
+    if not spans:       # so no notes either
+        failed = all(items is None for items in recognized.values())
+        if not failed:      # the skip records say why the other steps did not run
+            for task in (*CLASSIFICATION_TASKS, TaskKind.RELATION_RECOGNITION):
+                traces[task.value] = TaskTrace(skipped=True)
+        return SegmentExtraction(segment.index, segment.text, traces=traces, failed=failed)
 
     for task in CLASSIFICATION_TASKS:
         kind = TASK_KIND[task]

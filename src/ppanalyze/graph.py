@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import urllib.parse
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .rdfio import RDF_TYPE, XSD, BNode, Graph, IRI, Literal, Object, Subject
@@ -93,23 +93,24 @@ def bind_standard_prefixes(g: Graph) -> None:
 
 @dataclass
 class BuildLog:
-    records: list[str] = field(default_factory=list)
+    """What `build_graph` kept out of the graph: a note per skip, each
+    counted under one or more counters."""
     skipped_actions: int = 0
     skipped_ungrounded: int = 0
     skipped_non_verbatim: int = 0
     dropped_tuples: int = 0
+    records: list[str] = field(default_factory=list)    # the notes, in build order
 
-    def note(self, message: str) -> None:
-        self.records.append(message)
+    def skip(self, note: str, counter: str, *more: str) -> None:
+        """Record one span or link kept out of the graph: its note, and one
+        more under each counter named, so that no note goes uncounted."""
+        self.records.append(note)
+        for name in (counter, *more):
+            setattr(self, name, getattr(self, name) + 1)
 
     def to_dict(self) -> dict:
-        return {
-            "skipped_actions": self.skipped_actions,
-            "skipped_ungrounded": self.skipped_ungrounded,
-            "skipped_non_verbatim": self.skipped_non_verbatim,
-            "dropped_tuples": self.dropped_tuples,
-            "records": list(self.records),
-        }
+        """The build log file's object: the counters, then the notes."""
+        return asdict(self)
 
 
 @dataclass
@@ -160,10 +161,9 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
         party_nodes: dict[str, BNode] = {}
 
         def party_node(span: EntitySpan) -> Optional[BNode]:
-            if span.subtype not in _PARTY_CLASS:
-                log.skipped_ungrounded += 1     # no party class to point to
-                log.note(f"segment {seg.segment_index}: party {span.local_id} "
-                         f"has no usable subtype ({span.subtype!r})")
+            if span.subtype not in _PARTY_CLASS:       # no party class to point to
+                log.skip(f"segment {seg.segment_index}: party {span.local_id} "
+                         f"has no usable subtype ({span.subtype!r})", "skipped_ungrounded")
                 return None
             if span.local_id not in party_nodes:
                 node = BNode("party-" + _digest(policy_uri, str(seg.segment_index), span.local_id))
@@ -175,10 +175,9 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
         actions = seg.actions
         for ordinal, action in enumerate(actions):
             if action.non_verbatim:
-                log.skipped_actions += 1
-                log.skipped_non_verbatim += 1
-                log.note(f"segment {seg.segment_index}: action {action.local_id} "
-                         f"skipped (non-verbatim {action.text!r})")
+                log.skip(f"segment {seg.segment_index}: action {action.local_id} "
+                         f"skipped (non-verbatim {action.text!r})",
+                         "skipped_actions", "skipped_non_verbatim")
                 continue
             practice = IRI(NODE + "practice-" + _digest(policy_uri, str(seg.segment_index), str(ordinal)))
             practice_class = _SUBTYPE_CLASS.get(action.subtype or "", DATA_PRACTICE)
@@ -196,20 +195,19 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
                     continue
                 target = spans[rel.object_id]
                 if target.non_verbatim:
-                    log.skipped_non_verbatim += 1
-                    log.note(f"segment {seg.segment_index}: link to {target.local_id} "
-                             f"skipped (non-verbatim {target.text!r})")
+                    log.skip(f"segment {seg.segment_index}: link to {target.local_id} "
+                             f"skipped (non-verbatim {target.text!r})", "skipped_non_verbatim")
                     continue
                 predicate, kind = _ROLES[rel.event_type]
                 if target.kind != kind:
-                    log.dropped_tuples += 1
-                    log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
-                             f"{target.local_id} skipped ({target.kind} span {target.text!r})")
+                    log.skip(f"segment {seg.segment_index}: {rel.event_type} link to "
+                             f"{target.local_id} skipped ({target.kind} span {target.text!r})",
+                             "dropped_tuples")
                     continue
                 if kind != "party" and target.grounded_term is None:
-                    log.skipped_ungrounded += 1
-                    log.note(f"segment {seg.segment_index}: {rel.event_type} link to "
-                             f"{target.local_id} skipped (ungrounded {target.text!r})")
+                    log.skip(f"segment {seg.segment_index}: {rel.event_type} link to "
+                             f"{target.local_id} skipped (ungrounded {target.text!r})",
+                             "skipped_ungrounded")
                     continue
                 node = party_node(target) if kind == "party" else IRI(target.grounded_term)
                 if node is not None:
@@ -218,9 +216,8 @@ def build_graph(result: ExtractionResult, service_id: str, policy_uri: str,
         action_ids = {action.local_id for action in actions}
         for rel in seg.relations:
             if rel.subject_id not in action_ids:
-                log.dropped_tuples += 1
-                log.note(f"segment {seg.segment_index}: tuple ({rel.subject_id}, "
-                         f"{rel.object_id}, {rel.event_type}) dropped (subject is not an action)")
+                log.skip(f"segment {seg.segment_index}: tuple ({rel.subject_id}, {rel.object_id}, "
+                         f"{rel.event_type}) dropped (subject is not an action)", "dropped_tuples")
 
     return PrPrGraph(triples=g, practices=practices, build_log=log)
 

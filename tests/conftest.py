@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import importlib.util
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -83,6 +85,31 @@ def gold_replay_backend() -> Backend:
 @pytest.fixture
 def gold_empty_backend() -> Backend:
     return replay_backend(FIXTURES / "gold" / "replay_cache_empty.jsonl")
+
+
+def fill_disk(monkeypatch, path: Path, whole: int) -> None:
+    """The disk fills while the cache file `path` is appended to: its first
+    `whole` writes go through, the next one writes half its bytes, and
+    every later one fails with ENOSPC, as `write(2)` does on a full disk.
+    A write to any other file is made as usual."""
+    write = os.write
+
+    def limited(fd: int, data) -> int:
+        nonlocal whole
+        try:
+            ours = os.path.samestat(os.fstat(fd), os.stat(path))
+        except FileNotFoundError:
+            ours = False
+        if not ours:
+            return write(fd, data)
+        whole -= 1
+        if whole >= 0:
+            return write(fd, data)
+        if whole == -1:
+            return write(fd, data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(backend_module.os, "write", limited)
 
 
 def make_document(text: str, service_id: str = "test.example") -> PolicyDocument:

@@ -880,9 +880,9 @@ def reference_audit_dict(result) -> dict:
     }
 
 
-def reference_run_log_records(service_id: str, result, build_log):
-    """One policy's run-log records, each written as one
-    `json.dumps(record, ensure_ascii=False)` line."""
+def reference_run_log_records(service_id: str, result):
+    """One policy's run-log records, one per task of each segment, each
+    written as one `json.dumps(record, ensure_ascii=False)` line."""
     for seg in result.segments:
         for name, trace in sorted(seg.traces.items()):
             yield {
@@ -897,15 +897,6 @@ def reference_run_log_records(service_id: str, result, build_log):
                 "dropped_items": list(trace.dropped_items),
                 "error": trace.error,
             }
-        for note in seg.notes:
-            yield {
-                "event": "note",
-                "service_id": service_id,
-                "segment": seg.segment_index,
-                "note": note,
-            }
-    for record in build_log.records:
-        yield {"event": "build_skip", "service_id": service_id, "note": record}
 
 
 # -- taxonomy hierarchy: a cycle check, a breadth-first pass, recursive root paths --

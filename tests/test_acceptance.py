@@ -36,7 +36,6 @@ from ppanalyze.graph import (
     HAS_SERVICE,
     PPA,
     PRIVACY_POLICY,
-    BuildLog,
     build_graph,
 )
 from ppanalyze.policyconv import (
@@ -189,7 +188,7 @@ def test_end_to_end_replay_determinism(taxonomy):
         # the ill-formed cached response was recovered by repair, per the run log
         repaired = [
             record
-            for record in map(json.loads, results[0].run_log_text(BuildLog()).splitlines())
+            for record in map(json.loads, results[0].run_log_text().splitlines())
             if record.get("repaired") and "structural_repair" in record["repair_stages"]
         ]
         assert repaired, "no structurally repaired response recorded in the run log"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import errno
 import json
 import os
 import re
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ppanalyze import Error
 from ppanalyze.cli import main
 from ppanalyze.extraction import backend as backend_module
 from ppanalyze.extraction.backend import (
@@ -32,7 +34,7 @@ from ppanalyze.extraction.backend import (
 )
 from ppanalyze.extraction.prompts import PromptMessages, TaskKind
 
-from .conftest import FIXTURES, record_backend
+from .conftest import FIXTURES, fill_disk, record_backend
 from .loopback import Endpoint, clear_proxies, completion
 from .oracles import reference_load_cache, reference_prompt_digest
 
@@ -324,6 +326,37 @@ class TestRecordReplay:
                                                   for key in ("kb", "ka"))
         replay = ResponseCache(path)
         assert [key for key in ("k0", "kb", "ka") if replay.get(key)] == ["k0", "kb", "ka"]
+
+    def test_a_failed_append_stops_every_later_one(self, tmp_path, monkeypatch):
+        """The disk fills while a record is appended: the append is one
+        `Error` that names the cache (not a `BackendError`, which would be
+        filed as a failed call), no later record is appended, even once
+        there is room again, and the next load skips the torn record and
+        appends after the whole ones."""
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        cache.put(_record("k1"))
+        whole = path.read_bytes()
+        with monkeypatch.context() as disk:
+            fill_disk(disk, path, 0)
+            with pytest.raises(Error) as err:
+                cache.put(_record("k2"))
+        message = str(err.value)
+        assert message.startswith(f"cannot write {path}: [Errno {errno.ENOSPC}] ")
+        assert not isinstance(err.value, BackendError)
+        torn = path.read_bytes()
+        assert torn == whole + (json.dumps(_record("k2")) + "\n").encode()[:len(whole) // 2]
+        for key in ("k3", "k2", "k1"):
+            with pytest.raises(Error) as err:
+                cache.put(_record(key))
+            assert str(err.value) == message
+        assert path.read_bytes() == torn
+        assert cache.get("k2") is None and len(cache) == 1
+        with pytest.warns(UserWarning, match="skipped torn last line 2"):
+            again = ResponseCache(path)
+        assert len(again) == 1 and again.get("k1")
+        again.put(_record("k3"))
+        assert path.read_bytes() == whole + json.dumps(_record("k3")).encode() + b"\n"
 
     def test_complete_last_line_without_newline_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"

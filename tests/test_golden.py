@@ -44,7 +44,7 @@ def run_offline_commands(root: Path) -> dict[str, str]:
 
 GOLDEN = {
     "analyze/audit/policy_example.org.json":
-        "cb7430bc0592575d3176dc50aabb6c1dbeb05133a808b3bfe089bc9b8e4a5d0d",
+        "e4fc6a80fba109c2806e24c23e6152722a47e7bc6682799c6ee8e061a24379a8",
     "analyze/corpus.ttl":
         "9b97f78fc508b57a7570b6a3f43827dcc6a6eaecb97c8f67e96e9882fda94a81",
     "analyze/logs/policy_example.org.build.json":
@@ -54,7 +54,7 @@ GOLDEN = {
     "analyze/policy_example.org.ttl":
         "9b97f78fc508b57a7570b6a3f43827dcc6a6eaecb97c8f67e96e9882fda94a81",
     "analyze/run_log.jsonl":
-        "1794db2dd83cef2e4bd31fdac48d83338a12375e195b6d6e2045473047600ee9",
+        "f3c8c1f832b12d9fcaa766af20f3de2782db15889d5eaa0ec5ba96bbb0387e64",
     "convert/policy_example.org.conversion.json":
         "aeedc7c65ea6265b4f0d03828f9b9ccf3bbb007b874c314e5f60d34151a74c84",
     "convert/policy_example.org.odrl.ttl":

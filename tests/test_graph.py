@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import os
+import random
+import re
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,9 +37,11 @@ from ppanalyze.graph import (
 )
 from ppanalyze.rdfio import RDF_TYPE, BNode, Graph, IRI, Literal, parse, serialize
 
+from .conftest import replay_backend
 from .oracles import reference_check_invariants
 
 POLICY = "urn:pp-analyze:policy#test.example"
+SEED = 7
 DATA_COLLECTION_USE = IRI(PPA + "DataCollectionUse")
 THIRD_PARTY_SHARING = IRI(PPA + "ThirdPartySharingDisclosure")
 THIRD_PARTY = IRI(PPA + "ThirdParty")
@@ -222,6 +228,87 @@ class TestBuildGraph:
         g = build_graph(simple_result(), "test.example", POLICY, taxonomy.version)
         assert (IRI(POLICY), IRI(PPA + "taxonomyVersion"),
                 Literal(taxonomy.version)) in g.triples
+
+
+# the counters that each kind of build-log note counts under, by its wording
+_NOTE_COUNTERS = (
+    (r"action \w+ skipped \(non-verbatim ", ("skipped_actions", "skipped_non_verbatim")),
+    (r"link to \w+ skipped \(non-verbatim ", ("skipped_non_verbatim",)),
+    (r"\w+ link to \w+ skipped \(ungrounded ", ("skipped_ungrounded",)),
+    (r"party \w+ has no usable subtype \(", ("skipped_ungrounded",)),
+    (r"\w+ link to \w+ skipped \((data|purpose|party|action) span ", ("dropped_tuples",)),
+    (r"tuple \(.*\) dropped \(subject is not an action\)", ("dropped_tuples",)),
+)
+
+
+def assert_every_note_counted(log) -> Counter:
+    """Each record of the build log `log` is one kind of note, and the
+    counters equal the notes counted under each; the notes of each kind."""
+    kinds: Counter = Counter()
+    counted: Counter = Counter()
+    for record in log.records:
+        (kind,) = [i for i, (pattern, _) in enumerate(_NOTE_COUNTERS)
+                   if re.match(r"segment \d+: " + pattern, record)]
+        kinds[kind] += 1
+        counted.update(_NOTE_COUNTERS[kind][1])
+    counters = {name: value for name, value in log.to_dict().items() if name != "records"}
+    assert counters == {name: counted[name] for name in counters}
+    return kinds
+
+
+def _spoiled(result: ExtractionResult, rng: random.Random) -> ExtractionResult:
+    """`result` with some spans made non-verbatim or ungrounded, some party
+    subtypes unusable, and some relations pointed at a span of another kind
+    or given a subject that is not an action: every kind of build skip."""
+    segments = []
+    for seg in result.segments:
+        spans = []
+        for span in seg.spans:
+            roll = rng.random()
+            if roll < 0.05:
+                span = replace(span, non_verbatim=True)
+            elif roll < 0.15 and span.kind in ("data", "purpose"):
+                span = replace(span, grounded_term=None)
+            elif roll < 0.3 and span.kind == "party":
+                span = replace(span, subtype=rng.choice([None, "vendor"]))
+            spans.append(span)
+        relations = []
+        for rel in seg.relations:
+            roll = rng.random()
+            if roll < 0.1:
+                rel = replace(rel, object_id=rng.choice(spans).local_id)
+            elif roll < 0.2:
+                rel = replace(rel, subject_id=rel.object_id, object_id=rel.subject_id)
+            relations.append(rel)
+        segments.append(replace(seg, spans=tuple(spans), relations=tuple(relations)))
+    return replace(result, segments=tuple(segments))
+
+
+def test_every_build_log_note_is_counted(gen, taxonomy, fixture_policy_path,
+                                         policy_replay_backend, tmp_path):
+    """On the fixture, and on a `perfbench/gen.py` corpus whose extractions
+    are spoiled so that every kind of skip occurs (a correct run of the
+    generated corpus skips nothing), each build-log note counts under
+    the counters of its kind."""
+    from ppanalyze.corpus import load_policy
+    from ppanalyze.extraction.pipeline import extract_document
+    doc = load_policy(fixture_policy_path, "example.org")
+    log = build_graph(extract_document(doc, policy_replay_backend, taxonomy),
+                      "example.org", POLICY, taxonomy.version).build_log
+    assert assert_every_note_counted(log)
+
+    policies = gen.make_corpus(SEED, "counted", 4, 12)
+    table, _ = gen.plan_calls(policies, SEED, "counted")
+    gen.write_cache(table, tmp_path / "cache.jsonl")
+    backend = replay_backend(tmp_path / "cache.jsonl", gen.MODEL)
+    rng = random.Random(SEED)
+    kinds: Counter = Counter()
+    for path in gen.write_policies(policies, tmp_path / "policies"):
+        result = extract_document(load_policy(str(path), path.stem), backend, taxonomy)
+        assert not build_graph(result, path.stem, POLICY, taxonomy.version).build_log.records
+        kinds += assert_every_note_counted(build_graph(
+            _spoiled(result, rng), path.stem, POLICY, taxonomy.version).build_log)
+    assert set(kinds) == set(range(len(_NOTE_COUNTERS)))
 
 
 class TestSerialization:

@@ -15,6 +15,7 @@ between the policies that succeed.  The `evaluate` gold set is a
 from __future__ import annotations
 
 import concurrent.futures
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -43,7 +44,8 @@ from ppanalyze.extraction.repair import ParseError, repair_and_parse
 from ppanalyze.graph import STANDARD_PREFIXES
 from ppanalyze.rdfio import parse_turtle
 
-from .conftest import FIXTURE_MODEL, FIXTURES, make_document, record_backend, replay_backend
+from .conftest import (FIXTURE_MODEL, FIXTURES, fill_disk, make_document, record_backend,
+                       replay_backend)
 from .loopback import Endpoint, clear_proxies, completion
 from .oracles import reference_corpus_turtle
 from .scripted import (RICH_PLAN, RICH_SEGMENT, answer_through, cache_answers,
@@ -753,6 +755,55 @@ def test_a_run_again_into_its_out_asks_only_what_it_did_not_record(tmp_path, mon
                  tmp_path / "replay", capsys)
     assert replay[0] == 0
     assert without_cache_flags(out) == without_cache_flags(tmp_path / "replay")
+
+
+def test_a_run_whose_cache_cannot_be_written_stops_then_resumes(tmp_path, monkeypatch,
+                                                                capsys):
+    """The disk fills while a record `analyze` appends an answer to
+    `<out>/answers.jsonl`: the run ends with one `error: cannot write
+    <cache>: ` line (status 1) and leaves no thread or worker running.  A
+    second run into the same `--out` skips the torn record and asks the
+    endpoint only for the prompts the cache lacks."""
+    policy = str(FIXTURES / "policy_example.org.txt")
+    argv = ["analyze", policy, "--model", FIXTURE_MODEL, "--jobs", "2", "--out",
+            str(tmp_path / "out")]
+    cache = tmp_path / "out" / "answers.jsonl"
+
+    def prompts(requests) -> list[tuple[str, str]]:
+        return [tuple(m["content"] for m in json.loads(r.body)["messages"]) for r in requests]
+
+    threads = set(threading.enumerate())
+    with endpoint_answering(FIXTURES / "replay_cache.jsonl", monkeypatch) as endpoint:
+        with monkeypatch.context() as disk:
+            fill_disk(disk, cache, 5)
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+        stderr = capsys.readouterr().err
+        assert endpoint.wait_closed()
+        message = err.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"error: cannot write {cache}: [Errno {errno.ENOSPC}] ")
+        assert not [line for line in stderr.splitlines()
+                    if line.startswith(("error", "Traceback", "Exception"))]
+        assert [t for t in threading.enumerate() if t not in threads and not t.daemon] == []
+        assert multiprocessing.active_children() == []
+
+        first = prompts(endpoint.requests)
+        *whole, torn = cache.read_bytes().split(b"\n")
+        recorded = {(r["prompt"]["system"], r["prompt"]["user"]) for r in map(json.loads, whole)}
+        assert torn and 0 < len(recorded) < len(set(first))
+        endpoint.requests.clear()
+        with pytest.warns(UserWarning, match="skipped torn last line"):
+            assert cli.main(argv) == 0
+        second = prompts(endpoint.requests)
+    assert second and len(set(second)) == len(second)
+    assert not recorded & set(second)
+    assert set(cache_answers(cache)) == recorded | set(second)
+    replay = run(["analyze", policy, "--model", FIXTURE_MODEL, "--replay", "--cache",
+                  str(FIXTURES / "replay_cache.jsonl")], tmp_path / "replay", capsys)
+    assert replay[0] == 0
+    assert without_cache_flags(tmp_path / "out") == without_cache_flags(tmp_path / "replay")
 
 
 def test_no_evaluate_worker_left_behind(gold_set, tmp_path, monkeypatch, capsys):

@@ -31,7 +31,7 @@ from ppanalyze.extraction.pipeline import (
     extract_document,
 )
 from ppanalyze.extraction.prompts import TaskKind
-from ppanalyze.graph import BuildLog, build_graph
+from ppanalyze.graph import build_graph
 
 from .conftest import FIXTURE_MODEL, FIXTURES, replay_backend
 from .oracles import reference_audit_dict, reference_run_log_records
@@ -41,15 +41,14 @@ def reference_audit(result: ExtractionResult) -> str:
     return json.dumps(reference_audit_dict(result), indent=2, ensure_ascii=False) + "\n"
 
 
-def reference_run_log(service_id: str, result: ExtractionResult, build_log: BuildLog) -> str:
+def reference_run_log(service_id: str, result: ExtractionResult) -> str:
     return "".join(json.dumps(record, ensure_ascii=False) + "\n"
-                   for record in reference_run_log_records(service_id, result, build_log))
+                   for record in reference_run_log_records(service_id, result))
 
 
-def assert_writers_match(result: ExtractionResult, build_log: BuildLog):
+def assert_writers_match(result: ExtractionResult):
     assert result.audit_json() + "\n" == reference_audit(result)
-    assert result.run_log_text(build_log) \
-        == reference_run_log(result.service_id, result, build_log)
+    assert result.run_log_text() == reference_run_log(result.service_id, result)
 
 
 # strings json must escape: quotes, backslashes, control characters; and
@@ -84,13 +83,12 @@ _segments = st.builds(
     notes=_strings, failed=st.booleans())
 _results = st.builds(ExtractionResult, service_id=_text, source_uri=_text,
                      segments=st.lists(_segments, max_size=3).map(tuple))
-_build_logs = st.builds(BuildLog, records=st.lists(_text, max_size=3))
 
 
-@given(result=_results, build_log=_build_logs)
+@given(result=_results)
 @settings(max_examples=300)
-def test_writer_matches_json_dumps(result, build_log):
-    assert_writers_match(result, build_log)
+def test_writer_matches_json_dumps(result):
+    assert_writers_match(result)
 
 
 class Level(IntEnum):
@@ -137,7 +135,7 @@ class Level(IntEnum):
         EntitySpan("e0", "data", "t", Level.LOW),)),)),
 ])
 def test_writer_matches_json_dumps_on_edge_values(value):
-    assert_writers_match(value, BuildLog(["skip\n\"x\""]))
+    assert_writers_match(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -150,7 +148,7 @@ def test_non_string_key_is_refused(value):
     result = ExtractionResult("s", "memory:s", (SegmentExtraction(0, "t", traces=value),))
     assert result.audit_json() + "\n" == reference_audit(result)
     with pytest.raises(TypeError):
-        result.run_log_text(BuildLog())
+        result.run_log_text()
 
 
 def test_value_json_cannot_write_is_refused():
@@ -160,7 +158,7 @@ def test_value_json_cannot_write_is_refused():
     with pytest.raises(TypeError):
         result.audit_json()
     with pytest.raises(TypeError):
-        result.run_log_text(BuildLog())
+        result.run_log_text()
     # in a field of a span, which the audit writes
     result = ExtractionResult("s", "memory:s", (
         SegmentExtraction(0, "t", spans=(EntitySpan("e0", "data", "t", {1}),)),))
@@ -172,16 +170,16 @@ def test_value_json_cannot_write_is_refused():
     result = ExtractionResult("s", "memory:s", (
         SegmentExtraction(0, "t", traces={"t": TaskTrace(error={1})}),))
     with pytest.raises(TypeError):
-        reference_run_log(result.service_id, result, BuildLog())
+        reference_run_log(result.service_id, result)
     with pytest.raises(TypeError):
-        result.run_log_text(BuildLog())
+        result.run_log_text()
 
 
 def test_result_without_segments():
     result = ExtractionResult("s", "memory:s", ())
     assert result.audit_json() == '{\n  "service_id": "s",\n  "source_uri": "memory:s",\n' \
                                   '  "segments": []\n}'
-    assert_writers_match(result, BuildLog())
+    assert_writers_match(result)
 
 
 def test_to_audit_dict_reads_the_audit_text():
@@ -210,7 +208,7 @@ def test_writer_matches_json_dumps_on_the_fixture_audit_files(fixture_policy_pat
     assert (out / "logs" / f"{service_id}.build.json").read_text(encoding="utf-8") \
         == json.dumps(build_log.to_dict(), indent=2, ensure_ascii=False) + "\n"
     assert (out / "run_log.jsonl").read_text(encoding="utf-8") \
-        == reference_run_log(service_id, result, build_log)
+        == reference_run_log(service_id, result)
 
 
 def test_writers_match_json_dumps_on_a_generated_corpus(gen, taxonomy, tmp_path):
@@ -221,7 +219,4 @@ def test_writers_match_json_dumps_on_a_generated_corpus(gen, taxonomy, tmp_path)
     backend = replay_backend(tmp_path / "cache.jsonl", gen.MODEL)
     for path in paths:
         doc = load_policy(str(path), path.stem)
-        result = extract_document(doc, backend, taxonomy)
-        build_log = build_graph(result, path.stem, "urn:pp-analyze:policy#x",
-                                taxonomy.version).build_log
-        assert_writers_match(result, build_log)
+        assert_writers_match(extract_document(doc, backend, taxonomy))

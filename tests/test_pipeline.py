@@ -17,7 +17,6 @@ from ppanalyze.extraction.pipeline import (
 )
 from ppanalyze.extraction.prompts import SPAN_KINDS, TaskKind, build_prompt
 from ppanalyze.extraction.repair import RepairTrace, repair_and_parse
-from ppanalyze.graph import BuildLog
 
 from .conftest import FIXTURES, make_document, record_backend
 from .scripted import (
@@ -283,7 +282,7 @@ class TestUnparseableAnswer:
 
         (seg,) = result.to_audit_dict()["segments"]
         assert seg["failed"] is False and plan[(0, PC)] not in result.audit_json()
-        (call,) = [json.loads(line) for line in result.run_log_text(BuildLog()).splitlines()
+        (call,) = [json.loads(line) for line in result.run_log_text().splitlines()
                    if json.loads(line).get("task") == PC.value]
         assert call["error"] and call["digest"] == record["key"]
         assert replay.cache.get(call["digest"])["response"] == plan[(0, PC)]
@@ -324,7 +323,7 @@ class TestCallWithoutAnswer:
 
         (audited,) = result.to_audit_dict()["segments"]
         assert audited["spans"] and digest not in result.audit_json()
-        (call,) = [json.loads(line) for line in result.run_log_text(BuildLog()).splitlines()
+        (call,) = [json.loads(line) for line in result.run_log_text().splitlines()
                    if json.loads(line).get("task") == R.value]
         assert call["error"] and call["digest"] == digest
         assert backend.cache.get(digest) is None
